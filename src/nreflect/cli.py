@@ -53,6 +53,16 @@ def _parse_params(text):
     return params
 
 
+def _sample_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _emit(report: dict, out_path) -> None:
     payload = reporting.dumps(report)
     if out_path:
@@ -270,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--r", default="rational", choices=["rational", "trig"],
                      help="base r-matrix for the cybe subject")
     ver.add_argument("--n", type=int, default=2, help="factor size for the rational r")
-    ver.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    ver.add_argument("--samples", type=_sample_count, default=DEFAULT_SAMPLES)
     ver.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
     ver.add_argument("--tamper", default=None, choices=["g1-sign"],
                      help="deliberately break the case (negative testing)")
@@ -281,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     gau = sub.add_parser("gaudin", help="exact model-level checks")
     gau.add_argument("subcommand", choices=GAUDIN_SUBCOMMANDS)
     gau.add_argument("--config", required=True, help="model config JSON path")
-    gau.add_argument("--samples", type=int, default=10)
+    gau.add_argument("--samples", type=_sample_count, default=10)
     gau.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
     gau.add_argument("--power", type=int, default=2, help="p for lax/mk/trbrackets")
     gau.add_argument("--power-q", dest="power_q", type=int, default=2, help="q for trbrackets")

@@ -30,11 +30,6 @@ class Matrix:
         return Matrix([[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)], legs)
 
     @staticmethod
-    def zeros(nrows, ncols=None, legs=None):
-        ncols = nrows if ncols is None else ncols
-        return Matrix([[ZERO] * ncols for _ in range(nrows)], legs)
-
-    @staticmethod
     def diagonal(entries, legs=None):
         n = len(entries)
         return Matrix([[entries[i] if i == j else ZERO for j in range(n)] for i in range(n)], legs)
@@ -197,9 +192,6 @@ class Matrix:
             for rb in other.rows:
                 out.append([a * b for a in ra for b in rb])
         return Matrix(out)
-
-    def map(self, fn):
-        return Matrix([[fn(a) for a in row] for row in self.rows], self.legs)
 
     def pretty(self, render=None) -> str:
         render = render or (lambda x: scalar_to_str(x) if isinstance(x, (int, Fraction)) or hasattr(x, "coeffs") else str(x))

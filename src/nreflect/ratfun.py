@@ -163,10 +163,6 @@ class RatFun:
         return RatFun(Poly.const(value))
 
     @staticmethod
-    def from_poly(p: Poly):
-        return RatFun(p)
-
-    @staticmethod
     def over_linears(num, factors):
         """num / prod (alpha*x + beta); degenerate factors (alpha = 0) divide
         the numerator by the constant beta instead."""
@@ -287,7 +283,10 @@ class RatFun:
 
     def residue_at_infinity(self):
         """-[coefficient of 1/x at infinity], via division by the expanded
-        denominator: independent of the finite-residue path."""
+        denominator: independent of the finite-residue path.  With no finite
+        pole the function is a polynomial, whose residue at infinity is 0."""
+        if not self.roots:
+            return ZERO
         q = self.denominator_poly()
         _, rem = self.num.divmod_by(q)
         if rem.degree == q.degree - 1:

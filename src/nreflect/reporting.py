@@ -45,14 +45,19 @@ def _render(value):
 
 
 def build_report(subject: str, case: str, seed: int, entries: list, extra: dict | None = None) -> dict:
+    """A report passes only if it has at least one entry and every entry
+    passed; with no entries it fails and says why."""
+    passed = bool(entries) and all(e.get("status", "pass") in ("exact-zero", "pass") for e in entries)
     report = {
         "subject": subject,
         "case": case,
         "seed": seed,
         "samples": len(entries),
         "results": entries,
-        "verdict": "pass" if all(e.get("status", "pass") in ("exact-zero", "pass") for e in entries) else "fail",
+        "verdict": "pass" if passed else "fail",
     }
+    if not entries:
+        report["reason"] = "nothing was checked"
     if extra:
         report.update(extra)
     return report

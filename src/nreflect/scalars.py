@@ -12,6 +12,7 @@ import cmath
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Union
 
 from .errors import OrderMismatchError
@@ -24,86 +25,110 @@ ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Fraction, lowest degree first
+# cyclotomic polynomials and the reduction table, over Z
 # ---------------------------------------------------------------------------
 
-def _trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] += a * b
-    return _trim(out)
-
-
-def _poly_divmod(p, q):
-    """Exact division of p by q over Q; q must be nonzero."""
+def _divide_monic(p, q):
+    """Exact quotient of the integer polynomial p by the monic q
+    (coefficients lowest degree first)."""
     p = list(p)
-    out = [ZERO] * max(len(p) - len(q) + 1, 0)
-    lead = q[-1]
-    while len(p) >= len(q) and _trim(p):
-        p = _trim(p)
-        if len(p) < len(q):
-            break
-        shift = len(p) - len(q)
-        factor = p[-1] / lead
-        out[shift] = factor
-        for i, b in enumerate(q):
-            p[shift + i] -= factor * b
-        p.pop()
-    return _trim(out), _trim(p)
-
-
-def _poly_mod(p, q):
-    return _poly_divmod(p, q)[1]
-
-
-def _poly_xgcd(p, q):
-    """Extended Euclid over Q[x]: returns (g, u, v) with u*p + v*q = g."""
-    r0, r1 = list(p), list(q)
-    u0, u1 = [ONE], []
-    v0, v1 = [], [ONE]
-    while _trim(r1):
-        quo, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        u0, u1 = u1, _trim([a - b for a, b in _pad(u0, _poly_mul(quo, u1))])
-        v0, v1 = v1, _trim([a - b for a, b in _pad(v0, _poly_mul(quo, v1))])
-    return r0, u0, v0
-
-
-def _pad(p, q):
-    n = max(len(p), len(q))
-    return zip(p + [ZERO] * (n - len(p)), q + [ZERO] * (n - len(q)))
+    out = [0] * (len(p) - len(q) + 1)
+    for shift in range(len(out) - 1, -1, -1):
+        factor = out[shift] = p[shift + len(q) - 1]
+        if factor:
+            for i, b in enumerate(q):
+                p[shift + i] -= factor * b
+    assert not any(p), "inexact division by a cyclotomic polynomial"
+    return out
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(order: int) -> tuple:
-    """Coefficients of Phi_N, lowest degree first, computed by dividing
-    x^N - 1 by Phi_d over all proper divisors d of N."""
+def _int_cyclotomic(order: int) -> tuple:
+    """Integer coefficients of Phi_N, lowest degree first: x^N - 1 divided
+    by Phi_d over all proper divisors d of N."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    poly = [-ONE] + [ZERO] * (order - 1) + [ONE]  # x^N - 1
+    poly = [-1] + [0] * (order - 1) + [1]  # x^N - 1
     for d in range(1, order):
         if order % d == 0:
-            quo, rem = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-            assert not rem
-            poly = quo
+            poly = _divide_monic(poly, _int_cyclotomic(d))
     return tuple(poly)
 
 
+def cyclotomic_polynomial(order: int) -> tuple:
+    """Coefficients of Phi_N as Fractions, lowest degree first."""
+    return tuple(Fraction(c) for c in _int_cyclotomic(order))
+
+
 def euler_phi(order: int) -> int:
-    return len(cyclotomic_polynomial(order)) - 1
+    return len(_int_cyclotomic(order)) - 1
+
+
+@lru_cache(maxsize=None)
+def _power_rows(order: int) -> tuple:
+    """Integer rows x^k mod Phi_N for phi <= k < max(2*phi - 1, N), so that
+    both a product of two reduced elements and an exponent already folded
+    mod N reduce in one pass.  Phi_N is monic, so every row is integral."""
+    phi_coeffs = _int_cyclotomic(order)
+    phi = len(phi_coeffs) - 1
+    row = [-c for c in phi_coeffs[:phi]]  # x^phi
+    rows = []
+    for _ in range(phi, max(2 * phi - 1, order)):
+        rows.append(tuple(row))
+        top = row[-1]  # x * row: shift up, then replace x^phi by its row
+        row = [0] + row[:-1]
+        if top:
+            row = [a - top * c for a, c in zip(row, phi_coeffs)]
+    return tuple(rows)
+
+
+def _reduce(order: int, coeffs) -> list:
+    """Integer coefficients of any polynomial in zeta_N -> its phi(N)
+    coordinates in the power basis."""
+    rows = _power_rows(order)
+    phi = euler_phi(order)
+    if len(coeffs) > phi + len(rows):  # fold with zeta^N = 1 first
+        folded = [0] * order
+        for k, c in enumerate(coeffs):
+            folded[k % order] += c
+        coeffs = folded
+    out = list(coeffs[:phi]) + [0] * (phi - len(coeffs))
+    for k in range(phi, len(coeffs)):
+        c = coeffs[k]
+        if c:
+            for i, t in enumerate(rows[k - phi]):
+                out[i] += c * t
+    return out
+
+
+def _mul_reduce(order: int, a, b) -> list:
+    """Schoolbook product of two coordinate vectors, reduced mod Phi_N."""
+    phi = len(a)
+    out = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    res = out[:phi]
+    for c, row in zip(out[phi:], _power_rows(order)):
+        if c:
+            for i, t in enumerate(row):
+                res[i] += c * t
+    return res
+
+
+def _canonical(order: int, num, den: int) -> Scalar:
+    """The element num/den (den > 0) in lowest terms; rational values
+    demote to Fraction."""
+    if not any(num[1:]):
+        return Fraction(num[0], den)
+    g = gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    new = object.__new__(Cyclotomic)
+    new.order, new.num, new.den = order, tuple(num), den
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -113,84 +138,118 @@ def euler_phi(order: int) -> int:
 class Cyclotomic:
     """Element of Q(zeta_N) in the power basis 1, zeta, ..., zeta^(phi(N)-1).
 
+    Stored as integer numerators ``num`` (one per basis power) over one
+    positive common denominator ``den``, in lowest terms, so equal elements
+    have equal data.  ``coeffs`` gives the coordinates as Fractions.
+
     Do not call the constructor with unreduced data; use :func:`cyclotomic`
     or :meth:`zeta`, which reduce modulo Phi_N and demote rational values.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order, coeffs):
+        coeffs = [Fraction(c) for c in coeffs]
+        coeffs += [ZERO] * (euler_phi(order) - len(coeffs))
+        den = lcm(*(c.denominator for c in coeffs))
         self.order = order
-        self.coeffs = tuple(coeffs)
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     @staticmethod
     def zeta(order: int, power: int = 1) -> Scalar:
         """Primitive N-th root of unity zeta_N raised to ``power``."""
         power %= order
-        return cyclotomic(order, [ZERO] * power + [ONE])
+        return _canonical(order, _reduce(order, [0] * power + [1]), 1)
 
     def to_complex(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.order)
-        return sum((complex(c) * z**k for k, c in enumerate(self.coeffs)), 0j)
+        den = self.den
+        return sum((complex(c / den) * z**k for k, c in enumerate(self.num)), 0j)
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Cyclotomic):
-            if other.order != self.order:
-                raise OrderMismatchError(
-                    f"cannot mix Q(zeta_{self.order}) with Q(zeta_{other.order})")
-            return list(other.coeffs)
-        if isinstance(other, (int, Fraction)):
-            return [Fraction(other)]
-        return None
+    def _check(self, other) -> None:
+        if other.order != self.order:
+            raise OrderMismatchError(
+                f"cannot mix Q(zeta_{self.order}) with Q(zeta_{other.order})")
 
     def __add__(self, other):
-        oc = self._coerce(other)
-        if oc is None:
-            return NotImplemented
-        return cyclotomic(self.order, [a + b for a, b in _pad(list(self.coeffs), oc)])
+        if type(other) is Cyclotomic:
+            self._check(other)
+            d1, d2 = self.den, other.den
+            return _canonical(self.order, [a * d2 + b * d1 for a, b in zip(self.num, other.num)],
+                              d1 * d2)
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            if not p:
+                return self
+            num = [c * q for c in self.num]
+            num[0] += p * self.den
+            return _canonical(self.order, num, self.den * q)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-c for c in self.coeffs))
+        new = object.__new__(Cyclotomic)
+        new.order, new.num, new.den = self.order, tuple(-c for c in self.num), self.den
+        return new
 
     def __sub__(self, other):
-        oc = self._coerce(other)
-        if oc is None:
-            return NotImplemented
-        return cyclotomic(self.order, [a - b for a, b in _pad(list(self.coeffs), oc)])
+        if isinstance(other, (Cyclotomic, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        oc = self._coerce(other)
-        if oc is None:
-            return NotImplemented
-        return cyclotomic(self.order, _poly_mul(list(self.coeffs), oc))
+        if type(other) is Cyclotomic:
+            self._check(other)
+            return _canonical(self.order, _mul_reduce(self.order, self.num, other.num),
+                              self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            p = other.numerator
+            if not p:
+                return ZERO
+            return _canonical(self.order, [c * p for c in self.num], self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> Scalar:
-        """Multiplicative inverse via extended Euclid against Phi_N."""
-        if not self:
+        """Multiplicative inverse: the product of the other Galois conjugates
+        sigma_k (zeta -> zeta^k, gcd(k, N) = 1) divided by the norm."""
+        if not any(self.num):
             raise ZeroDivisionError("inversion of zero cyclotomic element")
-        g, u, _ = _poly_xgcd(list(self.coeffs), list(cyclotomic_polynomial(self.order)))
-        # g is a nonzero constant since Phi_N is irreducible over Q
-        return cyclotomic(self.order, [c / g[0] for c in u])
+        order, num = self.order, self.num
+        others = [1] + [0] * (len(num) - 1)
+        for k in range(2, order):
+            if gcd(k, order) == 1:
+                conjugate = [0] * order
+                for j, c in enumerate(num):
+                    conjugate[j * k % order] += c
+                others = _mul_reduce(order, others, _reduce(order, conjugate))
+        norm = _mul_reduce(order, num, others)[0]  # a rational integer
+        if norm < 0:
+            norm, others = -norm, [-c for c in others]
+        return _canonical(order, [self.den * c for c in others], norm)
 
     def __truediv__(self, other):
-        oc = self._coerce(other)
-        if oc is None:
-            return NotImplemented
-        inv = cyclotomic(self.order, oc)
-        if isinstance(inv, Fraction):
-            if inv == 0:
+        if type(other) is Cyclotomic:
+            self._check(other)
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            if not other:
                 raise ZeroDivisionError("division by zero")
-            return self * (1 / inv)
-        return self * inv.inverse()
+            return self * (1 / Fraction(other))
+        return NotImplemented
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -210,11 +269,11 @@ class Cyclotomic:
     # -- comparisons / hashing ---------------------------------------------
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, Cyclotomic):
-            return self.order == other.order and self.coeffs == other.coeffs
+            return self.order == other.order and self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return False  # canonical form: rational values demote to Fraction
         return NotImplemented
@@ -231,12 +290,10 @@ class Cyclotomic:
 
 def cyclotomic(order: int, coeffs) -> Scalar:
     """Reduce a coefficient sequence mod Phi_N and demote rationals."""
-    phi = euler_phi(order)
-    reduced = _poly_mod([Fraction(c) for c in coeffs], list(cyclotomic_polynomial(order)))
-    if len(reduced) <= 1:
-        return reduced[0] if reduced else ZERO
-    reduced = reduced + [ZERO] * (phi - len(reduced))
-    return Cyclotomic(order, reduced)
+    coeffs = [Fraction(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in coeffs))
+    return _canonical(order, _reduce(order, [c.numerator * (den // c.denominator) for c in coeffs]),
+                      den)
 
 
 def zeta(order: int, power: int = 1) -> Scalar:

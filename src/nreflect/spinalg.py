@@ -253,8 +253,3 @@ def evaluate(f: SpinPoly, assignment: dict):
 
 def gradient(f: SpinPoly) -> list:
     return f.gradient()
-
-
-def to_complex_coeffs(f: SpinPoly):
-    """[(complex coefficient, exponent tuple)] for numeric evaluation."""
-    return [(to_complex(c), e) for e, c in sorted(f.terms.items())]

@@ -210,3 +210,24 @@ class TestCatalog:
 def test_bad_arguments_exit_2(capsys):
     assert main(["verify", "bogus-subject"]) == 2
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "nre", "--case", "id-2refl", "--samples", "0"],
+    ["verify", "nre", "--case", "id-2refl", "--samples", "-3"],
+    ["verify", "cybe", "--samples", "0"],
+    ["gaudin", "rbb", "--config", "unused.json", "--samples", "0"],
+])
+def test_fewer_than_one_sample_is_config_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--samples" in err and "at least 1" in err
+
+
+def test_involution_with_no_pairs_is_not_a_pass(capsys, tmp_path):
+    config = write_config(tmp_path, {"case": "bcl", "z": ["2"]})
+    code, out, _ = run(capsys, "gaudin", "involution", "--config", config)
+    report = json.loads(out)
+    assert code == 1
+    assert report["samples"] == 0 and report["verdict"] == "fail"
+    assert report["reason"] == "nothing was checked"

@@ -125,6 +125,17 @@ def test_residue_theorem_on_random_functions():
         checked += 1
 
 
+@pytest.mark.parametrize("f", [
+    RatFun(Poly([F(1), F(2)])),
+    RatFun(Poly.const(F(5))),
+    RatFun(Poly()),
+    RatFun(Poly([F(-2), F(1)]), [(F(2), 1)]),  # (x - 2)/(x - 2) cancels to 1
+])
+def test_residue_at_infinity_without_finite_poles_is_zero(f):
+    assert not f.roots
+    assert residue_at_infinity(f) == 0
+
+
 def test_derivative_quotient_rule():
     f = RatFun(Poly([F(0), F(1)]), [(F(2), 2), (F(3), 1)])
     x = F(5)
