@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ModelError
-from .gaudin import GaudinModel, hamiltonian_explicit
+from .errors import ModelError, PoleError
+from .gaudin import GaudinModel, hamiltonian_explicit, site_values
 from .scalars import Cyclotomic, as_scalar, to_complex
 from .spinalg import KINDS, SpinPoly, casimir, poisson_bracket, var_index, var_name
 
@@ -118,7 +118,7 @@ def _probe_excluded(model: GaudinModel, probe) -> bool:
         for point in case.orbit(probe):
             if any(point == z for z in model.sites):
                 return True
-    except Exception:
+    except (PoleError, ZeroDivisionError):
         return True
     return False
 
@@ -137,19 +137,9 @@ def _site_coefficients(model: GaudinModel, lam) -> list:
     """Complex c_m with B(lam) = sum_m c_m [[s_m^z/2, s_m^+], [s_m^-, -s_m^z/2]].
     Exact probes are evaluated exactly and floated once; float/complex probes
     go through the numeric path."""
+    if isinstance(lam, (int, Fraction, Cyclotomic)):
+        return [to_complex(c) for c in site_values(model, lam)]
     case = model.case
-    exact = isinstance(lam, (int, Fraction, Cyclotomic))
-    if exact:
-        lam = as_scalar(lam)
-        coeffs = [as_scalar(0)] * model.L
-        point = lam
-        for j in range(case.N):
-            g = case.weights(j, lam)
-            for m, zm in enumerate(model.sites):
-                coeffs[m] = coeffs[m] + g / (point - zm)
-            if j < case.N - 1:
-                point = case.tau(point)
-        return [to_complex(c) for c in coeffs]
     lam = complex(lam)
     coeffs = [0j] * model.L
     point = lam

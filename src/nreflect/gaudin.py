@@ -3,20 +3,26 @@ rational r-matrix with the su(2) spin realization (n = 2).
 
 The generating matrix is
 
-    B(lam) = sum_m sum_j g^(j)(lam) ell(m, tau^j(lam) - z_m)
+    B(lam) = sum_m c_m(lam) ell_m,   c_m(lam) = sum_j g^(j)(lam) / (tau^j(lam) - z_m)
 
-with local blocks ell(m, x) = (1/x) [[s_m^z/2, s_m^+], [s_m^-, -s_m^z/2]]
-at mutually distinct sites z_m.  Hamiltonians are extracted two ways and
-compared exactly: as residues of (1/2) tr B(lam)^2 at lam = z_m, and from
-the closed quadratic expressions in the pair couplings
-S_ik = s_i^z s_k^z / 2 + s_i^+ s_k^- + s_i^- s_k^+.
+with spin blocks ell_m = [[s_m^z/2, s_m^+], [s_m^-, -s_m^z/2]] at mutually
+distinct sites z_m.  The site coefficients c_m are scalar rational functions
+of lam, built once per model.  Since tr(ell_m ell_k) = S_mk, the pair
+coupling S_ik = s_i^z s_k^z / 2 + s_i^+ s_k^- + s_i^- s_k^+, and
+tr(ell_m^2) = C_m, the Casimir, the residue of (1/2) tr B(lam)^2 at
+lam = z_m is
+
+    H_m = sum_{k != m} res_{z_m}(c_m c_k) S_mk + (1/2) res_{z_m}(c_m^2) C_m,
+
+a partial-fraction computation over Q or Q(zeta_N) alone.  These residues
+are compared exactly with the closed quadratic expressions in the S_ik.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
 
 from .errors import ModelError, PoleError
 from .linalg import Matrix, commutator, partial_trace, swap_pair, tensor_pair
@@ -28,7 +34,7 @@ from .reflection import (
     rbar_matrix,
     trivial_case,
 )
-from .scalars import ONE, ZERO, Scalar, as_scalar, scalar_from_str, scalar_to_str, zeta
+from .scalars import ONE, ZERO, as_scalar, scalar_from_str, scalar_to_str, zeta
 from .spinalg import SpinPoly, casimir, poisson_bracket, s_minus, s_plus, s_z
 
 HALF = Fraction(1, 2)
@@ -55,6 +61,15 @@ class GaudinModel:
     @property
     def N(self) -> int:
         return self.case.N
+
+    @cached_property
+    def site_coefficients(self) -> tuple:
+        """c_1, ..., c_L: c_m(lam) = sum_j g^(j)(lam) / (tau^j(lam) - z_m) as
+        scalar rational functions of lam, so that B(lam) = sum_m c_m(lam) ell_m."""
+        case = self.case
+        terms = [(g, case.tau.iterate(j)) for j, g in enumerate(case.weights.gs)]
+        return tuple(sum((g * _inverse_shift(tau_j, zm) for g, tau_j in terms), start=RatFun(Poly()))
+                     for zm in self.sites)
 
 
 def _validate(model: GaudinModel) -> None:
@@ -110,68 +125,36 @@ def local_lax(model: GaudinModel, m: int, shifted_nu) -> Matrix:
     return spin_site_matrix(model.L, m).scale(1 / x)
 
 
-def big_B_at(model: GaudinModel, lam) -> Matrix:
-    """B(lam) at a fixed exact spectral point, as a 2x2 spin-polynomial matrix."""
+def site_values(model: GaudinModel, lam) -> list:
+    """c_1(lam), ..., c_L(lam) at an exact point.  Raises PoleError wherever
+    a term g^(j)(lam) / (tau^j(lam) - z_m) of B is undefined, even if the
+    terms' poles cancel in the sum."""
     lam = as_scalar(lam)
-    case = model.case
-    L = model.L
-    entries = [[SpinPoly.zero(L), SpinPoly.zero(L)], [SpinPoly.zero(L), SpinPoly.zero(L)]]
-    point = lam
-    for j in range(case.N):
-        g = case.weights(j, lam)
+    if not model.case.weights.defined_at(lam):
+        raise PoleError(f"B(lam) pole: weight pole at lam = {scalar_to_str(lam)}")
+    for j, point in enumerate(model.case.orbit(lam)):
         for m, zm in enumerate(model.sites, start=1):
-            shift = point - zm
-            if not shift:
+            if point == zm:
                 raise PoleError(f"B(lam) pole: tau^{j}(lam) = z_{m} at lam = {scalar_to_str(lam)}")
-            coeff = g / shift
-            site = spin_site_matrix(L, m)
-            for u in range(2):
-                for v in range(2):
-                    if site[u, v]:
-                        entries[u][v] = entries[u][v] + coeff * site[u, v]
-        if j < case.N - 1:
-            point = case.tau(point)
-    return Matrix(entries, legs=("single", 2))
+    return [c.eval_at(lam) for c in model.site_coefficients]
+
+
+def big_B_at(model: GaudinModel, lam) -> Matrix:
+    """B(lam) = sum_m c_m(lam) ell_m at a fixed exact spectral point, as a
+    traceless 2x2 spin-polynomial matrix."""
+    L = model.L
+    top, plus, minus = SpinPoly.zero(L), SpinPoly.zero(L), SpinPoly.zero(L)
+    for m, c in enumerate(site_values(model, lam), start=1):
+        top = top + (HALF * c) * s_z(L, m)
+        plus = plus + c * s_plus(L, m)
+        minus = minus + c * s_minus(L, m)
+    return Matrix([[top, plus], [minus, -top]], legs=("single", 2))
 
 
 def _inverse_shift(tau_j, z) -> RatFun:
     """1/(tau^j(lam) - z) as an exact rational function of lam."""
     a, b, c, d = tau_j.a, tau_j.b, tau_j.c, tau_j.d
     return RatFun.over_linears(Poly.linear(c, d), [(a - z * c, b - z * d)])
-
-
-def big_B_symbolic(model: GaudinModel):
-    """B(lam) with spin-polynomial-coefficient rational-function entries;
-    denominators stay split-linear with exact scalar roots."""
-    case = model.case
-    L = model.L
-    zero = RatFun(Poly())
-    entries = [[zero, zero], [zero, zero]]
-    for j in range(case.N):
-        tau_j = case.tau.iterate(j)
-        g = case.weights.gs[j]
-        for m, zm in enumerate(model.sites, start=1):
-            coeff = g * _inverse_shift(tau_j, zm)
-            site = spin_site_matrix(L, m)
-            for u in range(2):
-                for v in range(2):
-                    if site[u, v]:
-                        entries[u][v] = entries[u][v] + coeff.scale(site[u, v])
-    return entries
-
-
-def tr_B_squared_symbolic(model: GaudinModel) -> RatFun:
-    b = big_B_symbolic(model)
-    return b[0][0] * b[0][0] + b[1][1] * b[1][1] + 2 * (b[0][1] * b[1][0])
-
-
-def symbolic_root_set(model: GaudinModel):
-    """Union of denominator roots over the entries of symbolic B."""
-    roots = set()
-    for row in big_B_symbolic(model):
-        for entry in row:
-            roots.update(root for root, _ in entry.roots)
-    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +165,25 @@ def s_pair(L: int, i: int, k: int) -> SpinPoly:
     return HALF * s_z(L, i) * s_z(L, k) + s_plus(L, i) * s_minus(L, k) + s_minus(L, i) * s_plus(L, k)
 
 
+def _check_site(model: GaudinModel, i: int) -> None:
+    if not 1 <= i <= model.L:
+        raise ModelError(f"no Hamiltonian H_{i}: sites are numbered 1..{model.L}")
+
+
 def hamiltonian_residue(model: GaudinModel, m: int) -> SpinPoly:
-    """H_m = (1/2) res at z_m of tr B(lam)^2, by exact residue extraction."""
-    tr = tr_B_squared_symbolic(model)
-    value = tr.residue(model.sites[m - 1])
-    return SpinPoly.coerce(model.L, HALF * value)
+    """H_m = (1/2) res at z_m of tr B(lam)^2, by exact residues of the scalar
+    products c_m c_k.  Model validation keeps z_m off every other c_k's poles,
+    so the products without c_m contribute nothing."""
+    _check_site(model, m)
+    L = model.L
+    zm = model.sites[m - 1]
+    cs = model.site_coefficients
+    cm = cs[m - 1]
+    total = HALF * (cm * cm).residue(zm) * casimir(L, m)
+    for k, ck in enumerate(cs, start=1):
+        if k != m:
+            total = total + (cm * ck).residue(zm) * s_pair(L, m, k)
+    return total
 
 
 def hamiltonian_explicit(model: GaudinModel, i: int, casimir_as: str = "poly") -> SpinPoly:
@@ -194,6 +191,7 @@ def hamiltonian_explicit(model: GaudinModel, i: int, casimir_as: str = "poly") -
     case = model.case
     L = model.L
     z = model.sites
+    _check_site(model, i)
     zi = z[i - 1]
     params = case.params
     if casimir_as == "poly":
@@ -244,12 +242,16 @@ def involution_residual(model: GaudinModel, i: int, k: int) -> SpinPoly:
     return poisson_bracket(hamiltonian_explicit(model, i), hamiltonian_explicit(model, k))
 
 
-def residue_sum_check(model: GaudinModel) -> SpinPoly:
-    """Sum of all residues of (1/2) tr B^2, finite poles plus infinity."""
-    tr = tr_B_squared_symbolic(model)
-    total = sum((tr.residue(root) for root, _ in tr.poles()), start=ZERO)
-    total = total + residue_at_infinity(tr)
-    return SpinPoly.coerce(model.L, HALF * total)
+def residue_sum_check(model: GaudinModel) -> dict:
+    """(m, k) -> sum of all residues of c_m c_k, finite poles plus infinity,
+    for m <= k; every value is 0 by the residue theorem."""
+    cs = model.site_coefficients
+    totals = {}
+    for m in range(1, model.L + 1):
+        for k in range(m, model.L + 1):
+            f = cs[m - 1] * cs[k - 1]
+            totals[m, k] = sum((f.residue(root) for root, _ in f.roots), start=ZERO) + residue_at_infinity(f)
+    return totals
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Univariate polynomials and rational functions with split-linear denominators.
 
-Coefficients live in any commutative ring with exact ``+``, ``-``, ``*``,
-truthiness and division by base-field scalars (rationals, cyclotomics, spin
-polynomials).  Denominators are kept in the normal form
-``prod (x - root)^mult`` with known scalar roots and monic leading term; any
-overall constant is folded into the numerator.  Every building block in this
-package is a ratio of polynomials linear in the spectral variable, so this
-normal form is closed under the arithmetic we need and makes residues exact.
+Coefficients are exact scalars: rationals or elements of Q(zeta_N).
+Denominators are kept in the normal form ``prod (x - root)^mult`` with known
+scalar roots and monic leading term; any overall constant is folded into the
+numerator.  Every building block in this package is a ratio of polynomials
+linear in the spectral variable, so this normal form is closed under the
+arithmetic we need and makes residues exact.
 """
 
 from __future__ import annotations
@@ -190,14 +189,7 @@ class RatFun:
         return self.num == other.num and self.roots == other.roots
 
     def denominator_poly(self) -> Poly:
-        den = Poly.const(ONE)
-        for root, mult in self.roots:
-            for _ in range(mult):
-                den = den * Poly.linear(ONE, -root)
-        return den
-
-    def poles(self):
-        return self.roots
+        return _root_poly(self.roots)
 
     def defined_at(self, x) -> bool:
         return all(x != root for root, _ in self.roots)
@@ -223,8 +215,8 @@ class RatFun:
         theirs = dict(other.roots)
         union = {root: max(mine.get(root, 0), theirs.get(root, 0))
                  for root in set(mine) | set(theirs)}
-        num = self.num * _root_poly({r: m - mine.get(r, 0) for r, m in union.items()})
-        num = num + other.num * _root_poly({r: m - theirs.get(r, 0) for r, m in union.items()})
+        num = self.num * _root_poly((r, m - mine.get(r, 0)) for r, m in union.items())
+        num = num + other.num * _root_poly((r, m - theirs.get(r, 0)) for r, m in union.items())
         return RatFun(num, union.items())
 
     __radd__ = __add__
@@ -249,7 +241,7 @@ class RatFun:
     __rmul__ = __mul__
 
     def scale(self, s):
-        """Multiply by a coefficient-ring element (not a rational function)."""
+        """Multiply by a scalar."""
         return RatFun(self.num.scale(s), self.roots)
 
     def div_scalar(self, s):
@@ -297,9 +289,10 @@ class RatFun:
         return f"RatFun(num={self.num!r}, roots={self.roots!r})"
 
 
-def _root_poly(root_map) -> Poly:
+def _root_poly(factors) -> Poly:
+    """prod (x - root)^mult over (root, mult) pairs."""
     out = Poly.const(ONE)
-    for root, mult in root_map.items():
+    for root, mult in factors:
         for _ in range(mult):
             out = out * Poly.linear(ONE, -root)
     return out

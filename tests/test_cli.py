@@ -145,6 +145,14 @@ class TestGaudin:
         code, _, _ = run(capsys, "gaudin", "involution", "--config", config)
         assert code == 2
 
+    def test_residue_equality_at_twelve_sites(self, capsys, tmp_path):
+        z = [str(3 * i + 1) for i in range(12)]
+        config = write_config(tmp_path, dict(TWO_REFL_L3, L=12, z=z))
+        code, out, _ = run(capsys, "gaudin", "residue-equality", "--config", config)
+        report = json.loads(out)
+        assert code == 0 and report["samples"] == 12
+        assert [entry["status"] for entry in report["results"]] == ["exact-zero"] * 12
+
     def test_missing_config_file(self, capsys):
         code, _, _ = run(capsys, "gaudin", "involution", "--config", "/nonexistent.json")
         assert code == 2
@@ -166,6 +174,14 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", "--config", config, "--t", "1",
                          "--dt", "0", "--out", str(tmp_path / "x.csv"))
         assert code == 2
+
+    @pytest.mark.parametrize("index", ["0", "-1", "3", "5"])
+    def test_hamiltonian_index_out_of_range_exit_2(self, capsys, tmp_path, index):
+        config = write_config(tmp_path, BCL)
+        code, out, err = run(capsys, "simulate", "--config", config, "--hamiltonian", index,
+                             "--t", "0.01", "--dt", "0.001", "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and out == ""
+        assert f"H_{index}" in err and "1..2" in err
 
     def test_explicit_state(self, capsys, tmp_path):
         config = write_config(tmp_path, BCL)

@@ -5,6 +5,7 @@ import pytest
 
 from nreflect.dynamics import (
     PhaseState,
+    _probe_excluded,
     compile_spinpoly,
     convergence_order,
     default_probes,
@@ -188,6 +189,12 @@ class TestProbesAndCsv:
         model = bcl_model(z=(1, 2, 5))
         probes = default_probes(model)
         assert F(5) not in probes and len(set(probes)) == 3
+
+    def test_probe_exclusion_catches_only_poles(self):
+        model = bcl_model(z=(1, 2))
+        assert _probe_excluded(model, F(-2))  # tau(-2) = 2 is a site
+        with pytest.raises(TypeError):
+            _probe_excluded(model, "spam")
 
     def test_csv_format(self, tmp_path):
         model = bcl_model()

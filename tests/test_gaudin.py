@@ -6,7 +6,6 @@ from nreflect.errors import ModelError, PoleError
 from nreflect.gaudin import (
     GaudinModel,
     big_B_at,
-    big_B_symbolic,
     case_for_config,
     hamiltonian_explicit,
     hamiltonian_residue,
@@ -20,9 +19,9 @@ from nreflect.gaudin import (
     rbb_residual,
     residue_sum_check,
     s_pair,
+    site_values,
+    spin_site_matrix,
     structural_excluded,
-    symbolic_root_set,
-    tr_B_squared_symbolic,
     trB_bracket_residual,
 )
 from nreflect.linalg import Matrix
@@ -124,19 +123,37 @@ class TestBigB:
             big_B_at(bcl_model(), F(1))
 
     def test_symbolic_root_set(self):
+        # c_m has poles at z_m, at tau(z_m) (tau is an involution) and at the
+        # weight pole a/c = 1/3; together they are the poles of B
         model = two_reflection_model(z=(1, 2))
         tau = model.case.tau
-        expected = {F(1), F(2), tau(F(1)), tau(F(2)), F(1, 3)}
-        assert symbolic_root_set(model) == expected
+        for zm, c in zip(model.sites, model.site_coefficients):
+            assert {root for root, _ in c.roots} == {zm, tau(zm), F(1, 3)}
 
     def test_symbolic_matches_fixed_evaluation(self):
+        # sum_m c_m(lam) ell_m from the rational functions c_m, and the defining
+        # double sum over sites and orbit points, both give big_B_at
         model = three_reflection_model()
-        entries = big_B_symbolic(model)
-        lam = F(7)
-        fixed = big_B_at(model, lam)
-        for u in range(2):
-            for v in range(2):
-                assert SpinPoly.coerce(model.L, entries[u][v].eval_at(lam)) == SpinPoly.coerce(model.L, fixed[u, v])
+        case = model.case
+        for lam in (F(7), F(-3, 2), F(11, 5)):
+            from_coefficients = None
+            by_definition = None
+            for m, (zm, c) in enumerate(zip(model.sites, model.site_coefficients), start=1):
+                term = spin_site_matrix(model.L, m).scale(c.eval_at(lam))
+                from_coefficients = term if from_coefficients is None else from_coefficients + term
+                for j, point in enumerate(case.orbit(lam)):
+                    term = local_lax(model, m, point - zm).scale(case.weights(j, lam))
+                    by_definition = term if by_definition is None else by_definition + term
+            fixed = big_B_at(model, lam)
+            assert from_coefficients == fixed
+            assert by_definition == fixed
+
+    def test_site_values_raise_at_every_pole_of_B(self):
+        # every term's pole is a pole of B, including the weight pole
+        model = two_reflection_model(z=(1, 2))
+        for lam in (F(1), F(2), model.case.tau(F(2)), F(1, 3)):
+            with pytest.raises(PoleError):
+                site_values(model, lam)
 
 
 class TestHamiltonians:
@@ -220,8 +237,11 @@ class TestInvolution:
 
 class TestResidueTheorem:
     def test_total_residue_vanishes(self):
+        # per pair (m, k): finite residues plus infinity of c_m c_k sum to 0
         for model in (two_reflection_model((1, 2)), three_reflection_model((2, 5)), bcl_model((1, 2))):
-            assert residue_sum_check(model).is_zero()
+            totals = residue_sum_check(model)
+            assert sorted(totals) == [(1, 1), (1, 2), (2, 2)]
+            assert all(not total for total in totals.values())
 
 
 def seeded_structural_pairs(model, count=5):
