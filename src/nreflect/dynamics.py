@@ -136,20 +136,10 @@ def _ratfun_complex(f, x: complex) -> complex:
 def _site_coefficients(model: GaudinModel, lam) -> list:
     """Complex c_m with B(lam) = sum_m c_m [[s_m^z/2, s_m^+], [s_m^-, -s_m^z/2]].
     Exact probes are evaluated exactly and floated once; float/complex probes
-    go through the numeric path."""
+    evaluate the same rational functions c_m in complex arithmetic."""
     if isinstance(lam, (int, Fraction, Cyclotomic)):
         return [to_complex(c) for c in site_values(model, lam)]
-    case = model.case
-    lam = complex(lam)
-    coeffs = [0j] * model.L
-    point = lam
-    for j in range(case.N):
-        g = _ratfun_complex(case.weights.gs[j], lam)
-        for m, zm in enumerate(model.sites):
-            coeffs[m] = coeffs[m] + g / (point - to_complex(zm))
-        if j < case.N - 1:
-            point = _float_tau(case, point)
-    return coeffs
+    return [_ratfun_complex(c, complex(lam)) for c in model.site_coefficients]
 
 
 def probe_evaluator(model: GaudinModel, probe):

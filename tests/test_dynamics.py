@@ -6,6 +6,7 @@ import pytest
 from nreflect.dynamics import (
     PhaseState,
     _probe_excluded,
+    _site_coefficients,
     compile_spinpoly,
     convergence_order,
     default_probes,
@@ -189,6 +190,13 @@ class TestProbesAndCsv:
         model = bcl_model(z=(1, 2, 5))
         probes = default_probes(model)
         assert F(5) not in probes and len(set(probes)) == 3
+
+    @pytest.mark.parametrize("builder", [bcl_model, lambda: model_from_config({"case": "z3", "z": ["1", "2"]})])
+    def test_float_probe_coefficients_match_exact(self, builder):
+        model = builder()
+        exact = _site_coefficients(model, F(11, 2))
+        numeric = _site_coefficients(model, 5.5)
+        assert all(abs(a - b) < 1e-12 * max(1.0, abs(a)) for a, b in zip(exact, numeric))
 
     def test_probe_exclusion_catches_only_poles(self):
         model = bcl_model(z=(1, 2))
