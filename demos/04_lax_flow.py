@@ -41,8 +41,8 @@ print("\n== RK4 convergence (Richardson on the endpoint state) ==")
 result = convergence_order(model, 1, state, t_end=10.0, dts=(1e-3, 5e-4, 2.5e-4))
 print(f"measured global order: {result['order']:.3f}  (clean fourth-order scaling)")
 
-write_csv(traj, "bcl_trajectory.csv", model, log_every=100)
-print("\nwrote bcl_trajectory.csv (t, H_i, C_j, per-probe trB/detB columns)")
+write_csv(traj, "bcl_trajectory.csv", model)
+print("\nwrote bcl_trajectory.csv (t, H_i, C_j, per-probe detB columns, every 10th step)")
 
 amplitude = max(max(abs(v) for v in s) for s in traj.states)
 print(f"trajectory stayed bounded: max |s| = {amplitude:.3f}")

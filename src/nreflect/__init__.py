@@ -11,7 +11,6 @@ from .reflection import (
     build_rbar,
     case_by_label,
     catalog,
-    compact_form_residual,
     equivalence_residual,
     k_iter,
     n_unitarity,

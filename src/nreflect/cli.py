@@ -23,18 +23,15 @@ from .reflection import (
     CATALOG,
     build_rbar,
     case_by_label,
-    compact_form_residual,
-    equivalence_excluded,
     equivalence_residual,
     n_unitarity,
-    nre_excluded,
     nre_residual,
-    symmetry_excluded,
+    point_frame,
     symmetry_relation_residual,
     tamper,
 )
-from .rmatrix import cybe_pole, cybe_residual, rational_r, trig_r
-from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64, sample_tuples
+from .rmatrix import cybe_residual, rational_r, trig_r
+from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64, sample_evaluated
 from .scalars import scalar_from_str, scalar_to_str, zeta
 
 VERIFY_SUBJECTS = ("cybe", "nre", "nunitarity", "compact", "symmetry", "equivalence", "rbar-cybe")
@@ -86,14 +83,18 @@ def _resolve_r(args):
     return rational_r(args.n)
 
 
+def _residual_entries(rng, count, arity, residual) -> list:
+    return [reporting.residual_entry(pt, value)
+            for pt, value in sample_evaluated(rng, count, arity, residual)]
+
+
 def cmd_verify(args) -> int:
     rng = SplitMix64(args.seed)
     count = args.samples
 
     if args.subject == "cybe":
         r = _resolve_r(args)
-        triples = sample_tuples(rng, count, 3, reject=lambda *pt: cybe_pole(r, *pt))
-        entries = [reporting.residual_entry(pt, cybe_residual(r, *pt)) for pt in triples]
+        entries = _residual_entries(rng, count, 3, lambda *pt: cybe_residual(r, *pt))
         report = reporting.build_report("cybe", r.label, args.seed, entries)
         _emit(report, args.out)
         return _exit_code(report)
@@ -102,30 +103,27 @@ def cmd_verify(args) -> int:
     if args.tamper:
         case = tamper(case, args.tamper)
 
-    if args.subject == "nre" or args.subject == "compact":
-        residual = nre_residual if args.subject == "nre" else compact_form_residual
-        pairs = sample_tuples(rng, count, 2, reject=lambda l, n: nre_excluded(case, l, n))
-        entries = [reporting.residual_entry(pt, residual(case, *pt)) for pt in pairs]
+    if args.subject in ("nre", "compact"):  # compact names the form nre_residual computes
+        entries = _residual_entries(rng, count, 2, lambda lam, nu: nre_residual(case, lam, nu))
         report = reporting.build_report(args.subject, case.label, args.seed, entries)
     elif args.subject == "nunitarity":
-        points = sample_tuples(rng, count, 1, reject=lambda nu: case.b_point_excluded(nu))
-        report = n_unitarity(case, [pt[0] for pt in points])
+        # sampled where the frame of rbar evaluates, so that k^(N) is checked
+        # on the domain of the induced matrix
+        samples = sample_evaluated(rng, count, 1, lambda nu: point_frame(case, nu))
+        report = n_unitarity(case, [nu for (nu,), _ in samples])
         report["seed"] = args.seed
     elif args.subject == "symmetry":
         omega = scalar_from_str(args.omega, order=case.N) if args.omega else zeta(case.N)
-        pairs = sample_tuples(rng, count, 2, reject=lambda l, n: symmetry_excluded(case, l, n))
-        entries = [reporting.residual_entry(pt, symmetry_relation_residual(case, omega, *pt))
-                   for pt in pairs]
+        entries = _residual_entries(rng, count, 2,
+                                    lambda lam, nu: symmetry_relation_residual(case, omega, lam, nu))
         report = reporting.build_report("symmetry", case.label, args.seed, entries,
                                         extra={"omega": scalar_to_str(omega)})
     elif args.subject == "equivalence":
-        pairs = sample_tuples(rng, count, 2, reject=lambda l, m: equivalence_excluded(case, l, m))
-        entries = [reporting.residual_entry(pt, equivalence_residual(case, *pt)) for pt in pairs]
+        entries = _residual_entries(rng, count, 2, lambda lam, mu: equivalence_residual(case, lam, mu))
         report = reporting.build_report("equivalence", case.label, args.seed, entries)
     elif args.subject == "rbar-cybe":
-        rbar = build_rbar(case, spot_check=False)
-        triples = sample_tuples(rng, count, 3, reject=lambda *pt: cybe_pole(rbar, *pt))
-        entries = [reporting.residual_entry(pt, cybe_residual(rbar, *pt)) for pt in triples]
+        rbar = build_rbar(case)
+        entries = _residual_entries(rng, count, 3, lambda *pt: cybe_residual(rbar, *pt))
         report = reporting.build_report("rbar-cybe", case.label, args.seed, entries)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown subject {args.subject!r}")
@@ -179,18 +177,8 @@ def cmd_gaudin(args) -> int:
                 entry.update(status="nonzero", witness={"value": str(diff)})
             entries.append(entry)
     elif sub in ("rbb", "lax", "mk", "trbrackets"):
-        pairs = sample_tuples(rng, args.samples, 2,
-                              reject=lambda l, m: gaudin.structural_excluded(model, l, m))
-        for lam, mu in pairs:
-            if sub == "rbb":
-                residual = gaudin.rbb_residual(model, lam, mu)
-            elif sub == "lax":
-                residual = gaudin.lax_residual(model, lam, mu, args.power)
-            elif sub == "mk":
-                residual = gaudin.mk_residual(model, lam, mu, args.power)
-            else:
-                residual = gaudin.trB_bracket_residual(model, args.power, args.power_q, lam, mu)
-            entries.append(reporting.residual_entry((lam, mu), residual))
+        entries = _residual_entries(rng, args.samples, 2, lambda lam, mu: gaudin.sampled_residual(
+            model, sub, lam, mu, args.power, args.power_q))
     else:  # pragma: no cover
         raise ValueError(f"unknown gaudin subcommand {sub!r}")
 
@@ -226,8 +214,9 @@ def cmd_simulate(args) -> int:
         raise NReflectError("dt and t must be positive")
     model = _load_model(args.config)
     state = _load_state(args.state) if args.state else default_initial_state(model, args.seed)
-    traj = dynamics.rk4_simulate(model, args.hamiltonian, state, t_end=args.t, dt=args.dt)
-    dynamics.write_csv(traj, args.out, model, log_every=args.log_every)
+    traj = dynamics.rk4_simulate(model, args.hamiltonian, state, t_end=args.t, dt=args.dt,
+                                 log_every=args.log_every)
+    dynamics.write_csv(traj, args.out, model)
     keys = sorted(traj.conserved)
     for key in keys:
         sys.stdout.write(f"drift {key}: {traj.drift(key):.3e}\n")

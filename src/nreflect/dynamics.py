@@ -3,7 +3,8 @@
 The flow of a quadratic Hamiltonian H is x_dot = {x, H} for every spin
 coordinate x; trajectories are integrated with fixed-step classical RK4 and
 monitored through the conserved quantities: the other Hamiltonians, the
-Casimirs, and tr/det of B(lam) at fixed probe points (isospectrality).
+Casimirs, and det B(lam) at fixed probe points (isospectrality; B is
+traceless, so det B fixes its spectrum).
 
 Spin coordinates are independent complex variables, matching the algebra
 layer; no reality projection is applied.
@@ -11,6 +12,7 @@ layer; no reality projection is applied.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,8 +20,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ModelError, PoleError
+from .errors import ModelError
 from .gaudin import GaudinModel, hamiltonian_explicit, site_values
+from .sampling import first_admissible
 from .scalars import Cyclotomic, as_scalar, to_complex
 from .spinalg import KINDS, SpinPoly, casimir, poisson_bracket, var_index, var_name
 
@@ -98,29 +101,17 @@ def vector_field(model: GaudinModel, selection, state: PhaseState):
 # ---------------------------------------------------------------------------
 
 def default_probes(model: GaudinModel, offsets=(3, 5, 7)):
-    """Rational probe points z_max + offset, bumped past any exact pole."""
+    """Rational probe points z_max + offset, bumped past any exact pole of B
+    (by the sampler's rule: a point is skipped where B cannot be evaluated)."""
     rational_sites = [z for z in model.sites if isinstance(z, Fraction)]
     base = max(rational_sites) if rational_sites else Fraction(0)
     probes = []
     for offset in offsets:
-        candidate = base + Fraction(offset)
-        while _probe_excluded(model, candidate) or candidate in probes:
-            candidate += 1
-        probes.append(candidate)
+        start = base + Fraction(offset)
+        candidates = ((x,) for x in (start + bump for bump in itertools.count()) if x not in probes)
+        (probe,), _ = first_admissible(candidates, lambda lam: site_values(model, lam))
+        probes.append(probe)
     return tuple(probes)
-
-
-def _probe_excluded(model: GaudinModel, probe) -> bool:
-    case = model.case
-    try:
-        if not case.weights.defined_at(probe):
-            return True
-        for point in case.orbit(probe):
-            if any(point == z for z in model.sites):
-                return True
-    except (PoleError, ZeroDivisionError):
-        return True
-    return False
 
 
 def _ratfun_complex(f, x: complex) -> complex:
@@ -143,7 +134,7 @@ def _site_coefficients(model: GaudinModel, lam) -> list:
 
 
 def probe_evaluator(model: GaudinModel, probe):
-    """callable(state values) -> (tr B, det B) at the probe."""
+    """callable(state values) -> det B at the probe (tr B is identically 0)."""
     coeffs = _site_coefficients(model, probe)
 
     def evaluate(vals):
@@ -156,7 +147,7 @@ def probe_evaluator(model: GaudinModel, probe):
             b01 += c * vals[base]
             b10 += c * vals[base + 1]
         # B is traceless for the su(2) block structure: B11 = -B00
-        return (0j, -b00 * b00 - b01 * b10)
+        return -b00 * b00 - b01 * b10
 
     return evaluate
 
@@ -177,7 +168,7 @@ def _probe_near_pole(model: GaudinModel, probe: complex) -> bool:
 
 def spectral_scan(model: GaudinModel, state: PhaseState, probes) -> list:
     """(lam, tr B, det B, eigenvalues) at each probe; probes within 1e-12 of
-    a pole are skipped with a warning entry."""
+    a pole are skipped with a warning entry.  tr B is 0: B is traceless."""
     results = []
     for probe in probes:
         lam = complex(to_complex(probe))
@@ -185,7 +176,7 @@ def spectral_scan(model: GaudinModel, state: PhaseState, probes) -> list:
             results.append({"lam": lam, "skipped": True,
                             "warning": "probe within 1e-12 of a pole"})
             continue
-        tr, det = probe_evaluator(model, probe)(list(state.values))
+        tr, det = 0j, probe_evaluator(model, probe)(list(state.values))
         disc = (tr * tr - 4 * det) ** 0.5
         eigs = ((tr + disc) / 2, (tr - disc) / 2)
         results.append({"lam": lam, "trB": tr, "detB": det, "eigenvalues": eigs})
@@ -203,18 +194,23 @@ def _float_tau(case, point: complex) -> complex:
 
 @dataclass
 class Trajectory:
+    """Logged rows (times, states, conserved series), plus for every
+    monitored quantity its initial value and its largest deviation from it
+    over every step, logged or not."""
+
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
     conserved: dict = field(default_factory=dict)
     probes: tuple = ()
     ok: bool = True
     message: str = ""
+    initial: dict = field(default_factory=dict)
+    max_change: dict = field(default_factory=dict)
 
     def drift(self, key: str) -> float:
-        """Max relative drift of a logged quantity along the trajectory."""
-        series = self.conserved[key]
-        baseline = abs(series[0])
-        top = max(abs(q - series[0]) for q in series)
+        """Max relative drift of a monitored quantity along the trajectory."""
+        baseline = abs(self.initial[key])
+        top = self.max_change[key]
         return top / baseline if baseline > 1e-300 else top
 
     def final_state(self) -> PhaseState:
@@ -225,12 +221,16 @@ def rk4_simulate(model: GaudinModel, selection, initial: PhaseState, t_end: floa
                  dt: float, probes=None, log_every: int = 1) -> Trajectory:
     """Classical fixed-step RK4 for x_dot = {x, H}.
 
-    Logs every ``log_every`` steps: each H_k, each Casimir, and tr/det of
-    B at the probe points.  A non-finite state aborts the run, keeping the
-    last good state.
+    Monitors each H_k, each Casimir, and det B at the probe points at every
+    step, keeping the largest drift of each; logs a row every ``log_every``
+    steps and at the last step, so memory grows with the number of logged
+    rows only.  A non-finite state aborts the run and logs the last good
+    state.
     """
     if dt <= 0 or t_end <= 0:
         raise ModelError("dt and t_end must be positive")
+    if log_every < 1:
+        raise ModelError(f"log_every must be at least 1, got {log_every}")
     h = hamiltonian_for(model, selection)
     fields = vector_field_callables(model, h)
     dim = 3 * model.L
@@ -243,27 +243,32 @@ def rk4_simulate(model: GaudinModel, selection, initial: PhaseState, t_end: floa
         monitors[f"H{i}"] = compile_spinpoly(hamiltonian_explicit(model, i))
     for j in range(1, model.L + 1):
         monitors[f"C{j}"] = compile_spinpoly(casimir(model.L, j))
-    probe_fns = [probe_evaluator(model, probe) for probe in probes]
+    for idx, probe in enumerate(probes):
+        monitors[f"detB@{idx}"] = probe_evaluator(model, probe)
 
     steps = round(t_end / dt)
     traj = Trajectory(probes=probes, conserved={key: [] for key in monitors})
-    for idx, probe in enumerate(probes):
-        traj.conserved[f"trB@{idx}"] = []
-        traj.conserved[f"detB@{idx}"] = []
 
-    def log(t, vals):
+    def observe(vals):
+        values = {key: fn(vals) for key, fn in monitors.items()}
+        for key, q in values.items():
+            change = abs(q - traj.initial[key])
+            if change > traj.max_change[key]:
+                traj.max_change[key] = change
+        return values
+
+    def log(t, vals, values):
         traj.times.append(t)
         traj.states.append(tuple(vals))
-        for key, fn in monitors.items():
-            traj.conserved[key].append(fn(vals))
-        for idx, fn in enumerate(probe_fns):
-            tr, det = fn(vals)
-            traj.conserved[f"trB@{idx}"].append(tr)
-            traj.conserved[f"detB@{idx}"].append(det)
+        for key, q in values.items():
+            traj.conserved[key].append(q)
 
     vals = list(initial.values)
     t = initial.t
-    log(t, vals)
+    traj.initial = {key: fn(vals) for key, fn in monitors.items()}
+    traj.max_change = dict.fromkeys(monitors, 0.0)
+    values = traj.initial
+    log(t, vals, values)
     for step in range(1, steps + 1):
         k1 = [f(vals) for f in fields]
         mid1 = [v + 0.5 * dt * d for v, d in zip(vals, k1)]
@@ -277,11 +282,14 @@ def rk4_simulate(model: GaudinModel, selection, initial: PhaseState, t_end: floa
         if any(not (math.isfinite(v.real) and math.isfinite(v.imag)) for v in new_vals):
             traj.ok = False
             traj.message = f"non-finite state at t = {t + dt:.6g}; keeping last good state"
+            if traj.times[-1] != t:
+                log(t, vals, values)
             break
         vals = new_vals
         t = initial.t + step * dt
+        values = observe(vals)
         if step % log_every == 0 or step == steps:
-            log(t, vals)
+            log(t, vals, values)
     return traj
 
 
@@ -314,29 +322,26 @@ def _complex_str(value: complex) -> str:
     return f"{value.real!r}{sign}{abs(value.imag)!r}j"
 
 
-def write_csv(traj: Trajectory, path, model: GaudinModel, log_every: int = 100) -> None:
-    """CSV schema: t, H_1..H_L, C_1..C_L, then per-probe trB_re, trB_im,
-    detB_re, detB_im.  H and C columns hold complex literals "re+imj";
-    ``log_every`` downsamples the logged rows."""
+def write_csv(traj: Trajectory, path, model: GaudinModel) -> None:
+    """One row per logged step.  CSV schema: t, H_1..H_L, C_1..C_L, then
+    per-probe detB_re, detB_im.  H and C columns hold complex literals
+    "re+imj"."""
     import csv
 
     L = model.L
     header = ["t"] + [f"H_{i}" for i in range(1, L + 1)] + [f"C_{j}" for j in range(1, L + 1)]
     for idx in range(len(traj.probes)):
-        header += [f"probe{idx}_trB_re", f"probe{idx}_trB_im",
-                   f"probe{idx}_detB_re", f"probe{idx}_detB_im"]
-    rows = sorted(set(range(0, len(traj.times), log_every)) | {len(traj.times) - 1})
+        header += [f"probe{idx}_detB_re", f"probe{idx}_detB_im"]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row_idx in rows:
-            row = [repr(traj.times[row_idx])]
+        for row_idx, t in enumerate(traj.times):
+            row = [repr(t)]
             for i in range(1, L + 1):
                 row.append(_complex_str(traj.conserved[f"H{i}"][row_idx]))
             for j in range(1, L + 1):
                 row.append(_complex_str(traj.conserved[f"C{j}"][row_idx]))
             for idx in range(len(traj.probes)):
-                tr = traj.conserved[f"trB@{idx}"][row_idx]
                 det = traj.conserved[f"detB@{idx}"][row_idx]
-                row += [repr(tr.real), repr(tr.imag), repr(det.real), repr(det.imag)]
+                row += [repr(det.real), repr(det.imag)]
             writer.writerow(row)

@@ -87,17 +87,15 @@ def _validate(model: GaudinModel) -> None:
         raise ModelError(f"case family {case.family!r} is not supported by the Gaudin layer")
     if case.n != 2:
         raise ModelError("the spin realization needs n = 2")
+    weight_poles = {root for g in case.weights.gs for root, _ in g.roots}
     orbits = []
     for zm in z:
         try:
-            orbit = case.orbit(zm)
+            orbit = case.orbit(zm, case.N + 1)[:-1]  # tau is defined on the whole orbit
         except PoleError as exc:
-            raise ModelError(f"site {scalar_to_str(zm)} hits a spectral-map pole: {exc}") from exc
-        for point in orbit:
-            if case.tau.is_pole(point):
-                raise ModelError(f"orbit of site {scalar_to_str(zm)} hits a spectral-map pole")
-            if not case.weights.defined_at(point):
-                raise ModelError(f"orbit of site {scalar_to_str(zm)} hits a weight pole")
+            raise ModelError(f"orbit of site {scalar_to_str(zm)} hits a spectral-map pole: {exc}") from exc
+        if weight_poles.intersection(orbit):
+            raise ModelError(f"orbit of site {scalar_to_str(zm)} hits a weight pole")
         orbits.append(orbit)
     # no site may collide with a nontrivial orbit point of any site
     for orbit in orbits:
@@ -126,17 +124,16 @@ def local_lax(model: GaudinModel, m: int, shifted_nu) -> Matrix:
 
 
 def site_values(model: GaudinModel, lam) -> list:
-    """c_1(lam), ..., c_L(lam) at an exact point.  Raises PoleError wherever
-    a term g^(j)(lam) / (tau^j(lam) - z_m) of B is undefined, even if the
-    terms' poles cancel in the sum."""
+    """c_1(lam), ..., c_L(lam) at an exact point, summed term by term, so
+    that PoleError is raised wherever a term g^(j)(lam) / (tau^j(lam) - z_m)
+    of B is undefined, even if the terms' poles cancel in the sum."""
     lam = as_scalar(lam)
-    if not model.case.weights.defined_at(lam):
-        raise PoleError(f"B(lam) pole: weight pole at lam = {scalar_to_str(lam)}")
-    for j, point in enumerate(model.case.orbit(lam)):
+    terms = [(model.case.weights(j, lam), point) for j, point in enumerate(model.case.orbit(lam))]
+    for j, (_, point) in enumerate(terms):
         for m, zm in enumerate(model.sites, start=1):
             if point == zm:
                 raise PoleError(f"B(lam) pole: tau^{j}(lam) = z_{m} at lam = {scalar_to_str(lam)}")
-    return [c.eval_at(lam) for c in model.site_coefficients]
+    return [sum((g / (point - zm) for g, point in terms), start=ZERO) for zm in model.sites]
 
 
 def big_B_at(model: GaudinModel, lam) -> Matrix:
@@ -277,17 +274,21 @@ def _bracket_matrix(L: int, left: Matrix, right: Matrix) -> Matrix:
     return Matrix(rows, legs=("pair", n))
 
 
+def rbb_inputs(model: GaudinModel, lam, mu) -> tuple:
+    """(B(lam), B(mu), rbar_ab(lam, mu), rbar_ba(mu, lam)); raises PoleError
+    wherever one of them is undefined.  The sampled structural checks all
+    draw their pairs from this domain (see ``nreflect gaudin``)."""
+    lam, mu = as_scalar(lam), as_scalar(mu)
+    return (big_B_at(model, lam), big_B_at(model, mu), rbar_matrix(model.case, lam, mu),
+            swap_pair(rbar_matrix(model.case, mu, lam)))
+
+
 def rbb_residual(model: GaudinModel, lam, mu) -> Matrix:
     """{B_a(lam), B_b(mu)} - [rbar_ab(lam,mu), B_a(lam)] + [rbar_ba(mu,lam), B_b(mu)]."""
-    lam, mu = as_scalar(lam), as_scalar(mu)
-    case = model.case
-    b_lam = big_B_at(model, lam)
-    b_mu = big_B_at(model, mu)
+    b_lam, b_mu, rbar_ab, rbar_ba = rbb_inputs(model, lam, mu)
     eye = Matrix.identity(2)
     b_a = tensor_pair(b_lam, eye)
     b_b = tensor_pair(eye, b_mu)
-    rbar_ab = rbar_matrix(case, lam, mu)
-    rbar_ba = swap_pair(rbar_matrix(case, mu, lam))
     bracket = _bracket_matrix(model.L, b_lam, b_mu)
     return bracket - commutator(rbar_ab, b_a) + commutator(rbar_ba, b_b)
 
@@ -327,18 +328,22 @@ def mk_residual(model: GaudinModel, lam, nu, p: int) -> Matrix:
     return left - right
 
 
-def structural_excluded(model: GaudinModel, lam, mu) -> bool:
-    """Exact rejection predicate for the fixed-point identity checks."""
-    try:
-        lam, mu = as_scalar(lam), as_scalar(mu)
-        for x in (lam, mu):
-            big_B_at(model, x)
-            big_B_at(model, model.case.tau(x))
-        rbar_matrix(model.case, lam, mu)
-        rbar_matrix(model.case, mu, lam)
-    except (PoleError, ZeroDivisionError):
-        return True
-    return False
+def sampled_residual(model: GaudinModel, sub: str, lam, mu, p: int = 2, q: int = 2):
+    """The structural identity ``sub`` (rbb, lax, mk or trbrackets) at one
+    sample pair.  All four are sampled where the rbb identity evaluates, so
+    that they draw the same pairs at a seed: lax is defined on exactly that
+    domain, while mk and trbrackets are defined on larger ones and so are
+    evaluated only after the rbb inputs."""
+    if sub == "rbb":
+        return rbb_residual(model, lam, mu)
+    if sub == "lax":
+        return lax_residual(model, lam, mu, p)
+    rbb_inputs(model, lam, mu)
+    if sub == "mk":
+        return mk_residual(model, lam, mu, p)
+    if sub == "trbrackets":
+        return trB_bracket_residual(model, p, q, lam, mu)
+    raise ValueError(f"unknown structural identity {sub!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -129,9 +129,6 @@ class Matrix:
 
     # -- linear algebra ------------------------------------------------------
 
-    def transpose(self):
-        return Matrix(list(zip(*self.rows)), self.legs)
-
     def trace(self):
         if self.nrows != self.ncols:
             raise ShapeError("trace needs a square matrix")
@@ -139,29 +136,6 @@ class Matrix:
         for i in range(self.nrows):
             total = total + self.rows[i][i]
         return total
-
-    def det(self):
-        """Exact determinant by field Gaussian elimination."""
-        if self.nrows != self.ncols:
-            raise ShapeError("determinant needs a square matrix")
-        n = self.nrows
-        work = [list(row) for row in self.rows]
-        det = ONE
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col]), None)
-            if pivot is None:
-                return ZERO
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                det = -det
-            det = det * work[col][col]
-            inv = 1 / work[col][col]
-            for r in range(col + 1, n):
-                if not work[r][col]:
-                    continue
-                factor = work[r][col] * inv
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return det
 
     def inverse(self, label: str = "matrix"):
         """Gauss-Jordan inverse over the exact field; entries auto-normalize,

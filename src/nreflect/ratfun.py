@@ -191,9 +191,6 @@ class RatFun:
     def denominator_poly(self) -> Poly:
         return _root_poly(self.roots)
 
-    def defined_at(self, x) -> bool:
-        return all(x != root for root, _ in self.roots)
-
     def eval_at(self, x):
         den = ONE
         for root, mult in self.roots:

@@ -10,12 +10,17 @@ residual, for the base r-matrix r, is
 with the iterated products k^(j)(nu) = k^(j-1)(nu) k(tau^(j-1)(nu)) and
 k^(0) = 1.  Cases with vanishing residual induce a (generally non
 skew-symmetric) solution rbar of the classical Yang-Baxter equation, built
-by :func:`build_rbar`.
+by :func:`build_rbar`.  In terms of rbar the residual takes the compact form
+
+    rbar_ab(lam, nu) k_a(lam) - k_a(lam) rbar_ab(tau(lam), nu),
+
+which is how :func:`nre_residual` computes it.  Everything rbar needs at nu
+comes from one :func:`point_frame`, which raises ``PoleError`` or
+``SingularMatrixError`` outside the case's domain.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -24,7 +29,6 @@ from .errors import ConstraintError, PoleError, SingularMatrixError, Unsupported
 from .linalg import Matrix, tensor_pair
 from .ratfun import Poly, RatFun
 from .rmatrix import RMatrixFun, rational_r, trig_r
-from .sampling import DEFAULT_SEED, SplitMix64, sample_tuple
 from .scalars import ONE, ZERO, Scalar, as_scalar, zeta
 
 
@@ -54,9 +58,6 @@ class MobiusMap:
     @staticmethod
     def scaling(factor):
         return MobiusMap(as_scalar(factor), ZERO, ZERO, ONE)
-
-    def is_pole(self, nu) -> bool:
-        return not (self.c * nu + self.d)
 
     def __call__(self, nu):
         nu = as_scalar(nu)
@@ -108,16 +109,8 @@ class WeightFamily:
         if not self.gs or self.gs[0] != RatFun.const(ONE):
             raise ConstraintError("weight family must start with g^(0) = 1")
 
-    @property
-    def order(self) -> int:
-        return len(self.gs)
-
     def __call__(self, j: int, nu) -> Scalar:
         return self.gs[j].eval_at(as_scalar(nu))
-
-    def defined_at(self, nu) -> bool:
-        nu = as_scalar(nu)
-        return all(g.defined_at(nu) for g in self.gs)
 
 
 @dataclass(frozen=True)
@@ -143,19 +136,6 @@ class KSolution:
             points.append(self.tau(points[-1]))
         return points
 
-    def b_point_excluded(self, nu) -> bool:
-        """Exact test: is nu outside the domain of every k^(j), g^(j), tau^j?"""
-        try:
-            points = self.orbit(nu)
-            if not self.weights.defined_at(nu):
-                return True
-            for point in points[: self.N - 1]:
-                if not self.k(point).det():
-                    return True
-        except (PoleError, ZeroDivisionError):
-            return True
-        return False
-
 
 def identity_k(n: int) -> Callable[[Scalar], Matrix]:
     eye = Matrix.identity(n, legs=("single", n))
@@ -167,14 +147,33 @@ def k_iter(case: KSolution, j: int, nu) -> Matrix:
     if not 0 <= j <= case.N:
         raise ValueError(f"iterate index must be in [0, {case.N}], got {j}")
     acc = Matrix.identity(case.n, legs=("single", case.n))
-    point = as_scalar(nu)
-    for step in range(j):
-        try:
-            acc = acc * case.k(point)
-            point = case.tau(point) if step < j - 1 else point
-        except (PoleError, ZeroDivisionError) as exc:
-            raise PoleError(f"k^({step + 1}) hits an excluded point: {exc}") from exc
+    for point in case.orbit(nu, j)[:j]:
+        acc = acc * case.k(point)
     return acc
+
+
+@dataclass(frozen=True)
+class PointFrame:
+    """What the induced matrix needs at one point nu, for j < N: the orbit
+    tau^j(nu), the weights g^(j)(nu), and k^(j)(nu) with its inverse."""
+
+    orbit: tuple
+    weights: tuple
+    k: tuple
+    k_inv: tuple
+
+
+def point_frame(case: KSolution, nu) -> PointFrame:
+    """The frame at nu; raises PoleError at a pole of tau^j, g^(j) or k and
+    SingularMatrixError where some k^(j)(nu) is singular."""
+    nu = as_scalar(nu)
+    orbit = tuple(case.orbit(nu))
+    weights = tuple(case.weights(j, nu) for j in range(case.N))
+    ks = [Matrix.identity(case.n, legs=("single", case.n))]
+    for point in orbit[:-1]:
+        ks.append(ks[-1] * case.k(point))
+    inverses = [ks[0]] + [kj.inverse(label=f"k^({j})(nu)") for j, kj in enumerate(ks[1:], start=1)]
+    return PointFrame(orbit, weights, tuple(ks), tuple(inverses))
 
 
 def n_unitarity(case: KSolution, points) -> dict:
@@ -211,54 +210,30 @@ def n_unitarity(case: KSolution, points) -> dict:
 # residuals
 # ---------------------------------------------------------------------------
 
-def _conjugated_terms(case: KSolution, r: RMatrixFun, first_arg, nu):
-    """Yield g^(j)(nu) k_b^(j) r_ab(first_arg, tau^j(nu)) k_b^(j)^-1 summed."""
+def _rbar_at(case: KSolution, r: RMatrixFun, lam, frame: PointFrame) -> Matrix:
+    """sum_j g^(j)(nu) k_b^(j)(nu) r_ab(lam, tau^j(nu)) k_b^(j)(nu)^-1 from the frame at nu."""
     eye = Matrix.identity(case.n)
-    total = None
-    kj = Matrix.identity(case.n, legs=("single", case.n))
-    point = as_scalar(nu)
-    for j in range(case.N):
-        g = case.weights(j, nu)
-        r_val = r(first_arg, point)
-        if j == 0:
-            term = r_val.scale(g)
-        else:
-            kj_b = tensor_pair(eye, kj)
-            kj_b_inv = tensor_pair(eye, kj.inverse(label=f"k^({j})(nu)"))
-            term = (kj_b * r_val * kj_b_inv).scale(g)
-        total = term if total is None else total + term
-        if j < case.N - 1:
-            kj = kj * case.k(point)
-            point = case.tau(point)
-    return total
+    total = r(lam, frame.orbit[0]).scale(frame.weights[0])
+    for g, point, kj, kj_inv in zip(frame.weights[1:], frame.orbit[1:], frame.k[1:], frame.k_inv[1:]):
+        total = total + (tensor_pair(eye, kj) * r(lam, point) * tensor_pair(eye, kj_inv)).scale(g)
+    return Matrix(total.rows, legs=("pair", case.n))
 
 
 def rbar_matrix(case: KSolution, lam, nu, r: Optional[RMatrixFun] = None) -> Matrix:
     """The induced matrix rbar_ab(lam, nu) = sum_j g^(j) k_b^(j) r_ab(lam, tau^j(nu)) k_b^(j)^-1."""
-    r = r or case.base_r
-    out = _conjugated_terms(case, r, as_scalar(lam), nu)
-    return Matrix(out.rows, legs=("pair", case.n))
+    return _rbar_at(case, r or case.base_r, as_scalar(lam), point_frame(case, nu))
 
 
 def nre_residual(case: KSolution, lam, nu, r: Optional[RMatrixFun] = None) -> Matrix:
-    """LHS - RHS of the N-fold reflection residual at exact points."""
+    """LHS - RHS of the N-fold reflection residual at exact points, in the
+    compact form rbar_ab(lam, nu) k_a(lam) - k_a(lam) rbar_ab(tau(lam), nu);
+    both terms share the frame at nu."""
     r = r or case.base_r
-    lam, nu = as_scalar(lam), as_scalar(nu)
-    eye = Matrix.identity(case.n)
-    k_a = tensor_pair(case.k(lam), eye)
-    lhs = _conjugated_terms(case, r, lam, nu) * k_a
-    rhs = k_a * _conjugated_terms(case, r, case.tau(lam), nu)
-    return Matrix((lhs - rhs).rows, legs=("pair", case.n))
-
-
-def compact_form_residual(case: KSolution, lam, nu, r: Optional[RMatrixFun] = None) -> Matrix:
-    """rbar_ab(lam, nu) k_a(lam) - k_a(lam) rbar_ab(tau(lam), nu)."""
-    r = r or case.base_r
-    lam, nu = as_scalar(lam), as_scalar(nu)
-    eye = Matrix.identity(case.n)
-    k_a = tensor_pair(case.k(lam), eye)
-    lhs = rbar_matrix(case, lam, nu, r) * k_a
-    rhs = k_a * rbar_matrix(case, case.tau(lam), nu, r)
+    lam = as_scalar(lam)
+    frame = point_frame(case, nu)
+    k_a = tensor_pair(case.k(lam), Matrix.identity(case.n))
+    lhs = _rbar_at(case, r, lam, frame) * k_a
+    rhs = k_a * _rbar_at(case, r, case.tau(lam), frame)
     return Matrix((lhs - rhs).rows, legs=("pair", case.n))
 
 
@@ -288,56 +263,13 @@ def scalar_functional_residual(case: KSolution, lam, nu) -> Scalar:
     return total
 
 
-def nre_excluded(case: KSolution, lam, nu, r: Optional[RMatrixFun] = None) -> bool:
-    """Exact rejection predicate for sampling the reflection residual."""
+def build_rbar(case: KSolution, r: Optional[RMatrixFun] = None) -> RMatrixFun:
+    """Evaluator for the induced matrix rbar.  It solves the classical
+    Yang-Baxter equation only for cases whose reflection residual vanishes;
+    ``verify nre`` and ``verify rbar-cybe`` check both."""
     r = r or case.base_r
-    lam, nu = as_scalar(lam), as_scalar(nu)
-    if case.b_point_excluded(nu):
-        return True
-    try:
-        tl = case.tau(lam)
-        case.k(lam)
-        for point in case.orbit(nu):
-            if r.pole_predicate(lam, point) or r.pole_predicate(tl, point):
-                return True
-    except (PoleError, ZeroDivisionError):
-        return True
-    return False
-
-
-def build_rbar(case: KSolution, r: Optional[RMatrixFun] = None, spot_check: bool = True) -> RMatrixFun:
-    """Evaluator for the induced Yang-Baxter solution rbar.
-
-    The construction is meaningful only for cases whose reflection residual
-    vanishes; on first evaluation a seeded spot check runs and a warning is
-    emitted if the case fails it (the evaluator still works).
-    """
-    r = r or case.base_r
-    checked = {"done": not spot_check}
-
-    def evaluate(lam, mu):
-        if not checked["done"]:
-            checked["done"] = True
-            rng = SplitMix64(DEFAULT_SEED)
-            for _ in range(3):
-                pt = sample_tuple(rng, 2, reject=lambda x, y: nre_excluded(case, x, y, r))
-                if not nre_residual(case, *pt, r).is_zero():
-                    warnings.warn(f"case {case.label} fails the reflection residual at {pt}; "
-                                  "the constructed matrix need not satisfy the Yang-Baxter equation")
-                    break
-        return rbar_matrix(case, lam, mu, r)
-
-    def pole_predicate(lam, mu):
-        lam, mu = as_scalar(lam), as_scalar(mu)
-        if case.b_point_excluded(mu):
-            return True
-        try:
-            return any(r.pole_predicate(lam, point) for point in case.orbit(mu))
-        except (PoleError, ZeroDivisionError):
-            return True
-
-    return RMatrixFun(n=case.n, kind="constructed", evaluate=evaluate,
-                      pole_predicate=pole_predicate, label=f"rbar[{case.label}]")
+    return RMatrixFun(n=case.n, kind="constructed", label=f"rbar[{case.label}]",
+                      evaluate=lambda lam, mu: rbar_matrix(case, lam, mu, r))
 
 
 def tamper(case: KSolution, mode: str) -> KSolution:
@@ -360,10 +292,17 @@ def tamper(case: KSolution, mode: str) -> KSolution:
 class EquivalenceTransform:
     """Reparametrization p and prefactor relating rbar to the rational r:
     rbar(lam, mu) = prefactor(mu) * r(p(lam) - p(mu)).  The prefactor equals
-    p'(mu): matching the simple pole at lam = mu forces that normalization."""
+    p'(mu): matching the simple pole at lam = mu forces that normalization.
+    Both raise PoleError at their poles."""
 
     p: Callable[[Scalar], Scalar]
     prefactor: Callable[[Scalar], Scalar]
+
+
+def _over(num, den, mu):
+    if not den:
+        raise PoleError(f"reparametrization has a pole at mu = {mu}")
+    return num / den
 
 
 def equivalence_transform(case: KSolution) -> EquivalenceTransform:
@@ -376,11 +315,11 @@ def equivalence_transform(case: KSolution) -> EquivalenceTransform:
 
         def p(mu):
             mu = as_scalar(mu)
-            return (b + c * mu**2) / (2 * c * (a - c * mu))
+            return _over(b + c * mu**2, 2 * c * (a - c * mu), mu)
 
         def prefactor(mu):
             mu = as_scalar(mu)
-            return (b + 2 * a * mu - c * mu**2) / (2 * (a - c * mu) ** 2)
+            return _over(b + 2 * a * mu - c * mu**2, 2 * (a - c * mu) ** 2, mu)
 
         return EquivalenceTransform(p, prefactor)
 
@@ -393,11 +332,12 @@ def equivalence_transform(case: KSolution) -> EquivalenceTransform:
             mu = as_scalar(mu)
             num = (c**3 * mu**3 - (a - d) ** 2 * c**2 * mu**2
                    - c * (a + 2 * d) * (2 * a + d) * mu + (a - d) * (a + d) ** 2)
-            return num / (c**3 * b**2 * (c * mu - a) * (c * mu + d))
+            return _over(num, c**3 * b**2 * (c * mu - a) * (c * mu + d), mu)
 
         def prefactor(mu):
             mu = as_scalar(mu)
-            return (c * mu**2 - (a - d) * mu - b) ** 2 / (b**2 * (c * mu - a) ** 2 * (c * mu + d) ** 2)
+            return _over((c * mu**2 - (a - d) * mu - b) ** 2,
+                         b**2 * (c * mu - a) ** 2 * (c * mu + d) ** 2, mu)
 
         return EquivalenceTransform(p, prefactor)
 
@@ -416,22 +356,6 @@ def equivalence_residual(case: KSolution, lam, mu) -> Matrix:
         raise PoleError(f"p(lam) = p(mu) at ({lam}, {mu})")
     rhs = permutation_operator(case.n).scale(transform.prefactor(mu) / diff)
     return lhs - rhs
-
-
-def equivalence_excluded(case: KSolution, lam, mu) -> bool:
-    try:
-        transform = equivalence_transform(case)
-        if case.b_point_excluded(mu) or case.b_point_excluded(lam):
-            return True
-        for point in case.orbit(mu):
-            if case.base_r.pole_predicate(as_scalar(lam), point):
-                return True
-        if transform.p(as_scalar(lam)) == transform.p(as_scalar(mu)):
-            return True
-        transform.prefactor(as_scalar(mu))
-    except (PoleError, ZeroDivisionError):
-        return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -591,20 +515,6 @@ def trivial_case(n: int = 2) -> KSolution:
                      weights=WeightFamily((RatFun.const(ONE),)),
                      k=identity_k(n), params={},
                      expected_f=lambda nu: ONE)
-
-
-def symmetry_excluded(case: KSolution, lam, nu, r: Optional[RMatrixFun] = None) -> bool:
-    r = r or case.base_r
-    try:
-        lam, nu = as_scalar(lam), as_scalar(nu)
-        tl, tn = case.tau(lam), case.tau(nu)
-        if r.pole_predicate(lam, nu) or r.pole_predicate(tl, tn):
-            return True
-        if not case.k(lam).det() or not case.k(nu).det():
-            return True
-    except (PoleError, ZeroDivisionError):
-        return True
-    return False
 
 
 def _linear_k_builder(N, g_kind, theta_default):

@@ -1,13 +1,13 @@
 """Base r-matrices and the Yang-Baxter residual checker.
 
-r-matrices are represented as exact evaluators together with an exact pole
-predicate; identities about them are certified by evaluation at seeded
+r-matrices are represented as exact evaluators that raise ``PoleError`` at
+their poles; identities about them are certified by evaluation at seeded
 rational sample points (see :mod:`nreflect.sampling`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import PoleError
@@ -21,33 +21,36 @@ class RMatrixFun:
 
     n: int
     kind: str  # "rational" | "trigonometric" | "constructed"
-    evaluate: Callable[[Scalar, Scalar], Matrix]
-    pole_predicate: Callable[[Scalar, Scalar], bool]
+    evaluate: Callable[[Scalar, Scalar], Matrix]  # raises PoleError at a pole
     label: str = ""
 
     def __call__(self, lam, mu) -> Matrix:
-        lam, mu = as_scalar(lam), as_scalar(mu)
-        if self.pole_predicate(lam, mu):
-            raise PoleError(f"{self.label or self.kind} r-matrix has a pole at ({lam}, {mu})")
-        return self.evaluate(lam, mu)
+        return self.evaluate(as_scalar(lam), as_scalar(mu))
+
+
+def _check_diagonal(label, lam, mu) -> None:
+    if lam == mu:
+        raise PoleError(f"{label} r-matrix has a pole at ({lam}, {mu})")
 
 
 def rational_r(n: int) -> RMatrixFun:
     """P/(lam - mu) on C^n x C^n."""
     perm = permutation_operator(n)
 
+    label = f"rational (n={n})"
+
     def evaluate(lam, mu):
+        _check_diagonal(label, lam, mu)
         return perm.scale(1 / (lam - mu))
 
-    return RMatrixFun(n=n, kind="rational", evaluate=evaluate,
-                      pole_predicate=lambda lam, mu: lam == mu,
-                      label=f"rational (n={n})")
+    return RMatrixFun(n=n, kind="rational", evaluate=evaluate, label=label)
 
 
 def trig_r() -> RMatrixFun:
     """The standard 4x4 trigonometric solution (n = 2)."""
 
     def evaluate(lam, nu):
+        _check_diagonal("trigonometric", lam, nu)
         pref = 1 / (2 * (lam - nu))
         s = lam + nu
         zero = as_scalar(0)
@@ -57,9 +60,7 @@ def trig_r() -> RMatrixFun:
                 [zero, zero, zero, -s]]
         return Matrix(rows, legs=("pair", 2)).scale(pref)
 
-    return RMatrixFun(n=2, kind="trigonometric", evaluate=evaluate,
-                      pole_predicate=lambda lam, nu: lam == nu,
-                      label="trigonometric")
+    return RMatrixFun(n=2, kind="trigonometric", evaluate=evaluate, label="trigonometric")
 
 
 def cybe_residual(r: RMatrixFun, lam, mu, nu) -> Matrix:
@@ -75,11 +76,6 @@ def cybe_residual(r: RMatrixFun, lam, mu, nu) -> Matrix:
     r_bc = embed_pair(r(mu, nu), "bc", n)
     r_cb = embed_pair(r(nu, mu), "cb", n)
     return commutator(r_ab, r_ac + r_bc) - commutator(r_ac, r_cb)
-
-
-def cybe_pole(r: RMatrixFun, lam, mu, nu) -> bool:
-    pairs = [(lam, mu), (lam, nu), (mu, nu), (nu, mu)]
-    return any(r.pole_predicate(as_scalar(x), as_scalar(y)) for x, y in pairs)
 
 
 def skew_residual(r: RMatrixFun, lam, mu) -> Matrix:

@@ -3,14 +3,22 @@
 Identity checks in this package are Schwartz-Zippel style: every identity in
 scope is a rational function of low total degree, so exact evaluation at a
 handful of random rational points certifies it with overwhelming confidence.
-Points that collide with poles are rejected exactly and resampled.  The
-generator is a self-contained 64-bit splitmix so reports are reproducible
-across platforms and Python versions.
+
+There is one rejection rule: the sampler draws a point and evaluates the
+check there.  It redraws only if the evaluation raises ``PoleError`` or
+``SingularMatrixError``, that is, exactly at the points where some quantity
+the check needs is undefined.  Every evaluator raises one of the two where
+it hits a pole, so no separate domain predicate is needed; any other
+exception is a fault and propagates.  The generator is a self-contained
+64-bit splitmix so reports are reproducible across platforms and Python
+versions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .errors import PoleError, SingularMatrixError
 
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_SAMPLES = 25
@@ -39,14 +47,25 @@ def sample_fraction(rng: SplitMix64) -> Fraction:
     return Fraction(rng.randint(-20, 20), rng.randint(1, 20))
 
 
-def sample_tuple(rng, arity, reject=None, max_tries=10_000):
-    """One tuple of distinct-enough rationals, resampled while ``reject`` holds."""
-    for _ in range(max_tries):
-        point = tuple(sample_fraction(rng) for _ in range(arity))
-        if reject is None or not reject(*point):
-            return point
+POLE_ERRORS = (PoleError, SingularMatrixError)
+
+
+def first_admissible(points, evaluate):
+    """(point, evaluate(*point)) at the first point where ``evaluate`` does not
+    raise a pole error."""
+    for point in points:
+        try:
+            return point, evaluate(*point)
+        except POLE_ERRORS:
+            continue
     raise RuntimeError("rejection sampling did not find an admissible point")
 
 
-def sample_tuples(rng, count, arity, reject=None):
-    return [sample_tuple(rng, arity, reject) for _ in range(count)]
+def sample_evaluated(rng, count, arity, evaluate, max_tries=10_000):
+    """Yield ``count`` pairs (point, evaluate(*point)) at seeded points of
+    ``arity`` rationals; a point is redrawn only where ``evaluate`` raises a
+    pole error.  Lazy, so a caller can consume each value before the next
+    point is drawn."""
+    for _ in range(count):
+        draws = (tuple(sample_fraction(rng) for _ in range(arity)) for _ in range(max_tries))
+        yield first_admissible(draws, evaluate)

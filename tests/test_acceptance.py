@@ -21,7 +21,6 @@ from nreflect.gaudin import (
     mk_residual,
     model_from_config,
     rbb_residual,
-    structural_excluded,
     trB_bracket_residual,
 )
 from nreflect.ratfun import Poly, RatFun, residue, residue_at_infinity
@@ -29,16 +28,16 @@ from nreflect.reflection import (
     CATALOG,
     build_rbar,
     case_by_label,
-    compact_form_residual,
-    equivalence_excluded,
     equivalence_residual,
     equivalence_transform,
     n_unitarity,
-    nre_excluded,
     nre_residual,
+    point_frame,
+    scalar_functional_residual,
+    tamper,
 )
-from nreflect.rmatrix import cybe_pole, cybe_residual, rational_r, skew_residual, trig_r
-from nreflect.sampling import DEFAULT_SEED, SplitMix64, sample_tuples
+from nreflect.rmatrix import cybe_residual, rational_r, skew_residual, trig_r
+from nreflect.sampling import DEFAULT_SEED, SplitMix64, sample_evaluated
 from nreflect.scalars import ONE
 from nreflect.spinalg import SpinPoly, casimir, poisson_bracket, s_minus, s_plus, s_z
 from nreflect.linalg import permutation_operator
@@ -63,8 +62,8 @@ def test_01_cybe_base_r_matrices():
     ok = True
     for r in (rational_r(2), rational_r(3), trig_r()):
         rng = SplitMix64(DEFAULT_SEED)
-        triples = sample_tuples(rng, 25, 3, reject=lambda *pt: cybe_pole(r, *pt))
-        ok = ok and all(cybe_residual(r, *pt).is_zero() for pt in triples)
+        samples = sample_evaluated(rng, 25, 3, lambda *pt: cybe_residual(r, *pt))
+        ok = ok and all(residual.is_zero() for _, residual in samples)
     record(1, "CYBE for rational (n=2,3) and trigonometric r", ok, started, budget=1.0)
 
 
@@ -73,8 +72,8 @@ def test_02_skew_symmetry():
     ok = True
     for r in (rational_r(2), rational_r(3), trig_r()):
         rng = SplitMix64(DEFAULT_SEED)
-        pairs = sample_tuples(rng, 25, 2, reject=lambda l, m: r.pole_predicate(l, m) or r.pole_predicate(m, l))
-        ok = ok and all(skew_residual(r, *pt).is_zero() for pt in pairs)
+        samples = sample_evaluated(rng, 25, 2, lambda lam, mu: skew_residual(r, lam, mu))
+        ok = ok and all(residual.is_zero() for _, residual in samples)
     record(2, "skew-symmetry of both base r-matrices", ok, started)
 
 
@@ -84,14 +83,20 @@ def test_03_reflection_catalog():
     for label in sorted(CATALOG):
         case = case_by_label(label)
         rng = SplitMix64(DEFAULT_SEED)
-        pairs = sample_tuples(rng, 25, 2, reject=lambda l, n: nre_excluded(case, l, n))
-        passed = all(nre_residual(case, *pt).is_zero()
-                     and compact_form_residual(case, *pt).is_zero() for pt in pairs)
-        scorecard[label] = passed
+        samples = sample_evaluated(rng, 25, 2, lambda lam, nu: nre_residual(case, lam, nu))
+        scorecard[label] = all(residual.is_zero() for _, residual in samples)
     print("  trig 3-reflection candidates:",
           {k: v for k, v in scorecard.items() if k.startswith("trig-3refl")}, flush=True)
     ok = all(passed for label, passed in scorecard.items() if label != TRIG3_EXPECTED_FAIL)
     ok = ok and scorecard[TRIG3_EXPECTED_FAIL] is False  # reported, not presumed
+    # the compact form by another route: for k = 1 over the rational r it is
+    # P times a scalar sum, also for the tampered (failing) weights
+    for label in ("id-2refl", "id-3refl"):
+        for case in (case_by_label(label), tamper(case_by_label(label), "g1-sign")):
+            rng = SplitMix64(DEFAULT_SEED)
+            samples = sample_evaluated(rng, 25, 2, lambda lam, nu: nre_residual(case, lam, nu))
+            ok = ok and all(residual == permutation_operator(2).scale(scalar_functional_residual(case, *pt))
+                            for pt, residual in samples)
     record(3, "reflection residuals across the catalog (25 samples each)", ok, started, budget=10.0)
 
 
@@ -103,7 +108,7 @@ def test_04_n_unitarity():
             continue
         case = case_by_label(label)
         rng = SplitMix64(DEFAULT_SEED)
-        points = [pt[0] for pt in sample_tuples(rng, 10, 1, reject=lambda nu: case.b_point_excluded(nu))]
+        points = [nu for (nu,), _ in sample_evaluated(rng, 10, 1, lambda nu: point_frame(case, nu))]
         report = n_unitarity(case, points)  # compares f against theta^N + (-1)^(N-1) nu^N
         ok = ok and report["verdict"] == "pass"
     record(4, "N-fold unitarity product with the predicted scalar f", ok, started)
@@ -116,10 +121,10 @@ def test_05_rbar_inherits_cybe():
         if label == TRIG3_EXPECTED_FAIL:
             continue
         case = case_by_label(label)
-        rbar = build_rbar(case, spot_check=False)
+        rbar = build_rbar(case)
         rng = SplitMix64(DEFAULT_SEED)
-        triples = sample_tuples(rng, 25, 3, reject=lambda *pt: cybe_pole(rbar, *pt))
-        ok = ok and all(cybe_residual(rbar, *pt).is_zero() for pt in triples)
+        samples = sample_evaluated(rng, 25, 3, lambda *pt: cybe_residual(rbar, *pt))
+        ok = ok and all(residual.is_zero() for _, residual in samples)
     record(5, "constructed rbar satisfies CYBE (25 triples per case)", ok, started)
 
 
@@ -130,13 +135,13 @@ def test_06_equivalence_transforms():
     hand = (transform.p(F(1)) - transform.p(F(0)) == F(-3, 4)
             and transform.prefactor(F(0)) == 1
             and equivalence_residual(case2, F(1), F(0)).is_zero()
-            and build_rbar(case2, spot_check=False)(F(1), F(0)) == permutation_operator(2).scale(F(-4, 3)))
+            and build_rbar(case2)(F(1), F(0)) == permutation_operator(2).scale(F(-4, 3)))
     ok = hand
     for label in ("id-2refl", "id-3refl"):
         case = case_by_label(label)
         rng = SplitMix64(DEFAULT_SEED)
-        pairs = sample_tuples(rng, 10, 2, reject=lambda l, m: equivalence_excluded(case, l, m))
-        ok = ok and all(equivalence_residual(case, *pt).is_zero() for pt in pairs)
+        samples = sample_evaluated(rng, 10, 2, lambda lam, mu: equivalence_residual(case, lam, mu))
+        ok = ok and all(residual.is_zero() for _, residual in samples)
     record(6, "reparametrization to the rational r (10 samples per transform)", ok, started)
 
 
@@ -183,9 +188,9 @@ def test_09_structural_identities():
     ):
         model = model_from_config(config)
         rng = SplitMix64(DEFAULT_SEED)
-        pairs = sample_tuples(rng, 10, 2, reject=lambda l, m: structural_excluded(model, l, m))
-        for lam, mu in pairs:
-            ok = ok and rbb_residual(model, lam, mu).is_zero()
+        samples = sample_evaluated(rng, 10, 2, lambda lam, mu: rbb_residual(model, lam, mu))
+        for (lam, mu), rbb in samples:
+            ok = ok and rbb.is_zero()
             ok = ok and trB_bracket_residual(model, 2, 2, lam, mu).is_zero()
             ok = ok and trB_bracket_residual(model, 2, 3, lam, mu).is_zero()
             ok = ok and trB_bracket_residual(model, 3, 3, lam, mu).is_zero()

@@ -28,8 +28,11 @@ domain rule that holds at one generic partner holds at all of them.
 
 A single point is rejected where the one-argument domain of the check's
 case rejects it (``nunitarity`` for a reflection case, B(lam) for a Gaudin
-model).  A check that raises anything else than a pole error records the
-error's type and the index of the point, and stops.
+model).  Each verdict is the sampler's own rule: ``first_admissible`` on
+the one point, which rejects it exactly where the check's evaluation raises
+a pole error.  A check that raises anything else records the error's type
+and the index of the point, and stops.  The digests were recorded with the
+hand-written rejection predicates this rule replaced.
 
 Re-record (only when a domain is meant to change) with::
 
@@ -47,18 +50,20 @@ from pathlib import Path
 import pytest
 
 from nreflect.errors import PoleError
-from nreflect.gaudin import model_from_config, site_values, structural_excluded
+from nreflect.gaudin import model_from_config, sampled_residual, site_values
 from nreflect.reflection import (
     CATALOG,
     build_rbar,
     case_by_label,
-    equivalence_excluded,
-    nre_excluded,
-    symmetry_excluded,
+    equivalence_residual,
+    nre_residual,
+    point_frame,
+    symmetry_relation_residual,
     tamper,
 )
-from nreflect.rmatrix import cybe_pole, rational_r, trig_r
-from nreflect.sampling import SplitMix64, sample_fraction
+from nreflect.rmatrix import cybe_residual, rational_r, trig_r
+from nreflect.sampling import SplitMix64, first_admissible, sample_fraction
+from nreflect.scalars import zeta
 
 DATA = Path(__file__).parent / "data" / "domain_digests.json"
 SEED = 2024
@@ -81,18 +86,10 @@ MODELS = {
 # the rejection rule under test
 # ---------------------------------------------------------------------------
 
-def admitted(check, point) -> bool:
-    return not check(*point)
-
-
-def single_admitted(check, x) -> bool:
-    return admitted(check, (x,))
-
-
-def b_admitted(model, x) -> bool:
+def admitted(evaluate, point) -> bool:
     try:
-        site_values(model, x)
-    except PoleError:
+        first_admissible([point], evaluate)
+    except RuntimeError:  # the one point was rejected
         return False
     return True
 
@@ -139,69 +136,70 @@ def point_list(arity, tau, order, rejected):
 
 
 # ---------------------------------------------------------------------------
-# the checks, each as (arity, rejection predicate)
+# the checks, each as (arity, evaluation), the evaluations the CLI samples
 # ---------------------------------------------------------------------------
 
 def identity(x):
     return x
 
 
-def reflection_checks(label):
-    """{name: (arity, predicate)} for one catalog label, plus its tau, order
-    and one-argument check."""
-    case = case_by_label(label)
-    checks = {
-        "nre": (2, lambda l, n: nre_excluded(case, l, n)),
-        "compact": (2, lambda l, n: nre_excluded(case, l, n)),
-        "nunitarity": (1, lambda nu: case.b_point_excluded(nu)),
-        "symmetry": (2, lambda l, n: symmetry_excluded(case, l, n)),
-        "equivalence": (2, lambda l, m: equivalence_excluded(case, l, m)),
+def reflection_checks(case):
+    """{subject: (arity, evaluation)} for one reflection case."""
+    return {
+        "nre": (2, lambda l, n: nre_residual(case, l, n)),
+        "compact": (2, lambda l, n: nre_residual(case, l, n)),
+        "nunitarity": (1, lambda nu: point_frame(case, nu)),
+        "symmetry": (2, lambda l, n: symmetry_relation_residual(case, zeta(case.N), l, n)),
+        "equivalence": (2, lambda l, m: equivalence_residual(case, l, m)),
+        "rbar-cybe": (3, lambda *pt: cybe_residual(build_rbar(case), *pt)),
     }
-    rbar = build_rbar(case, spot_check=False)
-    checks["rbar-cybe"] = (3, lambda *pt: cybe_pole(rbar, *pt))
-    return case, checks
+
+
+_REJECTED = {}
+
+
+def rejected_singles(key, single) -> list:
+    """The sampler values that the one-argument check ``single`` rejects,
+    computed once per case or model."""
+    if key not in _REJECTED:
+        _REJECTED[key] = [x for x in VALUES if not admitted(single, (x,))]
+    return _REJECTED[key]
 
 
 def all_checks() -> dict:
-    """Name -> thunk returning (arity, predicate, tau, order, single check)."""
+    """Name -> thunk returning (arity, evaluation, tau, order, rejected singles)."""
     table = {}
     for name, r in (("rational n=2", rational_r(2)), ("rational n=3", rational_r(3)), ("trig", trig_r())):
-        table[f"cybe {name}"] = lambda r=r: (3, lambda *pt: cybe_pole(r, *pt), identity, 1, None)
+        table[f"cybe {name}"] = lambda r=r: (3, lambda *pt: cybe_residual(r, *pt), identity, 1, [])
     for label in sorted(CATALOG):
         for subject in SUBJECTS:
             def spec(label=label, subject=subject):
-                case, checks = reflection_checks(label)
-                return (*checks[subject], case.tau, case.N, checks["nunitarity"][1])
+                case = case_by_label(label)
+                checks = reflection_checks(case)
+                return (*checks[subject], case.tau, case.N, rejected_singles(label, checks["nunitarity"][1]))
             table[f"{subject} {label}"] = spec
 
         def tampered(label=label):
             case = tamper(case_by_label(label), "g1-sign")
-            return (2, lambda l, n: nre_excluded(case, l, n), case.tau, case.N,
-                    lambda nu: case.b_point_excluded(nu))
+            checks = reflection_checks(case)
+            return (*checks["nre"], case.tau, case.N, rejected_singles(case.label, checks["nunitarity"][1]))
         table[f"nre {label} tamper"] = tampered
     for name, config in MODELS.items():
         for sub in GAUDIN_SAMPLED:
-            def gaudin_spec(config=config):
+            def gaudin_spec(config=config, sub=sub, name=name):
                 model = model_from_config(config)
-                return (2, lambda l, m: structural_excluded(model, l, m), model.case.tau, model.N, model)
+                return (2, lambda l, m: sampled_residual(model, sub, l, m), model.case.tau, model.N,
+                        rejected_singles(name, lambda x: site_values(model, x)))
             table[f"gaudin {sub} {name}"] = gaudin_spec
     return table
 
 
-def rejected_singles(single):
-    if single is None:
-        return []
-    if hasattr(single, "sites"):
-        return [x for x in VALUES if not b_admitted(single, x)]
-    return [x for x in VALUES if not single_admitted(single, x)]
-
-
 def digest(spec) -> dict:
     try:
-        arity, check, tau, order, single = spec()
+        arity, check, tau, order, rejected = spec()
     except Exception as exc:  # a check the CLI refuses to build: recorded as such
         return {"error": type(exc).__name__}
-    points = point_list(arity, tau, order, rejected_singles(single))
+    points = point_list(arity, tau, order, rejected)
     verdicts = []
     for index, point in enumerate(points):
         try:

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from nreflect import dynamics
 from nreflect.dynamics import (
     PhaseState,
-    _probe_excluded,
     _site_coefficients,
     compile_spinpoly,
     convergence_order,
@@ -198,24 +198,45 @@ class TestProbesAndCsv:
         numeric = _site_coefficients(model, 5.5)
         assert all(abs(a - b) < 1e-12 * max(1.0, abs(a)) for a, b in zip(exact, numeric))
 
-    def test_probe_exclusion_catches_only_poles(self):
+    def test_probe_exclusion_catches_only_poles(self, monkeypatch):
         model = bcl_model(z=(1, 2))
-        assert _probe_excluded(model, F(-2))  # tau(-2) = 2 is a site
+        # tau(nu) = -nu: candidates -2 and -1 map onto the sites 2 and 1
+        assert default_probes(model, offsets=(-4,)) == (F(0),)
+
+        def broken(model, lam):
+            raise TypeError("not a pole")
+
+        monkeypatch.setattr(dynamics, "site_values", broken)
         with pytest.raises(TypeError):
-            _probe_excluded(model, "spam")
+            default_probes(model)
 
     def test_csv_format(self, tmp_path):
         model = bcl_model()
-        traj = rk4_simulate(model, 1, generic_state(model), t_end=0.05, dt=0.01)
+        traj = rk4_simulate(model, 1, generic_state(model), t_end=0.05, dt=0.01, log_every=2)
         out = tmp_path / "traj.csv"
-        write_csv(traj, out, model, log_every=2)
+        write_csv(traj, out, model)
         lines = out.read_text().splitlines()
         header = lines[0].split(",")
         assert header[0] == "t"
         assert header[1:3] == ["H_1", "H_2"]
         assert header[3:5] == ["C_1", "C_2"]
-        assert "probe0_trB_re" in header
-        assert len(lines) >= 3
+        assert header[5:] == [f"probe{idx}_detB_{part}" for idx in range(3) for part in ("re", "im")]
+        assert len(lines) == 1 + 4  # steps 0, 2, 4 and the last step 5
+
+    def test_log_every_bounds_rows_not_drift(self):
+        # rows are kept every log_every steps, while the drift is a running
+        # maximum over every step, so both match the fully logged run
+        model = bcl_model()
+        full = rk4_simulate(model, 1, generic_state(model), t_end=0.5, dt=0.01)
+        thin = rk4_simulate(model, 1, generic_state(model), t_end=0.5, dt=0.01, log_every=7)
+        assert len(full.times) == 51
+        assert thin.times == [full.times[i] for i in (*range(0, 51, 7), 50)]
+        assert thin.states == [full.states[i] for i in (*range(0, 51, 7), 50)]
+        assert sorted(thin.conserved) == sorted(full.conserved)
+        assert all(thin.drift(key) == full.drift(key) for key in full.conserved)
+        assert all(full.drift(key) > 0 for key in ("H2", "detB@0"))
+        with pytest.raises(ModelError):
+            rk4_simulate(model, 1, generic_state(model), t_end=0.5, dt=0.01, log_every=0)
 
 
 def test_phase_state_helpers():

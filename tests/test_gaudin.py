@@ -16,18 +16,18 @@ from nreflect.gaudin import (
     m_matrix,
     mk_residual,
     model_from_config,
+    rbb_inputs,
     rbb_residual,
     residue_sum_check,
     s_pair,
     site_values,
     spin_site_matrix,
-    structural_excluded,
     trB_bracket_residual,
 )
 from nreflect.linalg import Matrix
 from nreflect.reflection import identity_k_two_reflection, trivial_case
 from nreflect.rmatrix import rational_r
-from nreflect.sampling import DEFAULT_SEED, SplitMix64, sample_tuples
+from nreflect.sampling import DEFAULT_SEED, SplitMix64, sample_evaluated
 from nreflect.scalars import zeta
 from nreflect.spinalg import SpinPoly, casimir, poisson_bracket, s_minus, s_plus, s_z
 
@@ -246,7 +246,7 @@ class TestResidueTheorem:
 
 def seeded_structural_pairs(model, count=5):
     rng = SplitMix64(DEFAULT_SEED)
-    return sample_tuples(rng, count, 2, reject=lambda l, m: structural_excluded(model, l, m))
+    return [pt for pt, _ in sample_evaluated(rng, count, 2, lambda lam, mu: rbb_inputs(model, lam, mu))]
 
 
 class TestStructuralIdentities:

@@ -94,15 +94,18 @@ class TestMatrixAlgebra:
 
     def test_inverse_and_product_rule(self):
         rng = SplitMix64(2024)
+
+        def invertible():
+            while True:
+                m = frac_matrix([[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)])
+                try:
+                    m.inverse()
+                except SingularMatrixError:
+                    continue
+                return m
+
         for _ in range(10):
-            while True:
-                a = frac_matrix([[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)])
-                if a.det():
-                    break
-            while True:
-                b = frac_matrix([[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)])
-                if b.det():
-                    break
+            a, b = invertible(), invertible()
             assert (a * b).inverse() == b.inverse() * a.inverse()
             assert a * a.inverse() == Matrix.identity(3)
 
@@ -110,10 +113,6 @@ class TestMatrixAlgebra:
         singular = frac_matrix([[1, 2], [2, 4]])
         with pytest.raises(SingularMatrixError, match="k-matrix"):
             singular.inverse(label="k-matrix")
-
-    def test_det(self):
-        assert frac_matrix([[2, 1], [7, 4]]).det() == 1
-        assert frac_matrix([[1, 2], [2, 4]]).det() == 0
 
     def test_power(self):
         m = frac_matrix([[0, 1], [1, 0]])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from nreflect.errors import ConstraintError, PoleError, UnsupportedCaseError
-from nreflect.linalg import Matrix, permutation_operator
+from nreflect.linalg import Matrix, permutation_operator, tensor_pair
 from nreflect.ratfun import RatFun
 from nreflect.reflection import (
     CATALOG,
@@ -11,38 +11,42 @@ from nreflect.reflection import (
     build_rbar,
     case_by_label,
     catalog,
-    compact_form_residual,
     diag_roots_G,
     cyclic_shift_G,
     equivalence_residual,
-    equivalence_excluded,
     equivalence_transform,
     identity_k_three_reflection,
     identity_k_two_reflection,
     k_iter,
     linear_k_case,
     n_unitarity,
-    nre_excluded,
     nre_residual,
     rbar_matrix,
     scalar_functional_residual,
-    symmetry_excluded,
     symmetry_relation_residual,
     tamper,
     trig_three_reflection,
     trig_two_reflection,
     trivial_case,
 )
-from nreflect.rmatrix import cybe_pole, cybe_residual, rational_r
-from nreflect.sampling import DEFAULT_SEED, SplitMix64, sample_tuples
+from nreflect.rmatrix import cybe_residual, rational_r
+from nreflect.sampling import DEFAULT_SEED, SplitMix64, sample_evaluated
 from nreflect.scalars import zeta
 
 F = Fraction
 
 
-def seeded_pairs(case, count=10, seed=DEFAULT_SEED):
+def seeded_residuals(case, count=10, seed=DEFAULT_SEED):
+    """[((lam, nu), reflection residual)] at seeded points of the case's domain."""
     rng = SplitMix64(seed)
-    return sample_tuples(rng, count, 2, reject=lambda l, n: nre_excluded(case, l, n))
+    return list(sample_evaluated(rng, count, 2, lambda lam, nu: nre_residual(case, lam, nu)))
+
+
+def compact_form(case, lam, nu):
+    """rbar_ab(lam, nu) k_a(lam) - k_a(lam) rbar_ab(tau(lam), nu), composed
+    here from two independent rbar_matrix calls."""
+    k_a = tensor_pair(case.k(lam), Matrix.identity(case.n))
+    return rbar_matrix(case, lam, nu) * k_a - k_a * rbar_matrix(case, case.tau(lam), nu)
 
 
 class TestMobius:
@@ -152,63 +156,72 @@ class TestNreResidual:
             pytest.xfail("cataloged sixth trigonometric candidate; fails the residual "
                          "at generic parameters (see the residual report)")
         case = case_by_label(label)
-        for lam, nu in seeded_pairs(case, count=5):
-            assert nre_residual(case, lam, nu).is_zero(), (label, lam, nu)
-            assert compact_form_residual(case, lam, nu).is_zero(), (label, lam, nu)
+        for point, residual in seeded_residuals(case, count=5):
+            assert residual.is_zero(), (label, point)
 
     def test_scalar_functional_identity(self):
         for label in ("id-2refl", "id-3refl"):
             case = case_by_label(label)
-            for lam, nu in seeded_pairs(case, count=5):
+            for (lam, nu), _ in seeded_residuals(case, count=5):
                 assert scalar_functional_residual(case, lam, nu) == 0
+
+    @pytest.mark.parametrize("label", ["id-2refl", "id-3refl"])
+    @pytest.mark.parametrize("tampered", [False, True])
+    def test_compact_form_is_P_times_scalar_functional(self, label, tampered):
+        # an independent route to the compact form: for k = 1 over the
+        # rational r it collapses to P times a scalar sum over the orbit
+        case = case_by_label(label)
+        case = tamper(case, "g1-sign") if tampered else case
+        perm = permutation_operator(case.n)
+        samples = seeded_residuals(case, count=5)
+        for (lam, nu), residual in samples:
+            assert residual == perm.scale(scalar_functional_residual(case, lam, nu)), (lam, nu)
+        assert tampered != all(residual.is_zero() for _, residual in samples)
 
 
 class TestBuildRbar:
     def test_two_reflection_value(self):
         case = case_by_label("id-2refl")
-        rbar = build_rbar(case, spot_check=False)
+        rbar = build_rbar(case)
         assert rbar(F(1), F(0)) == permutation_operator(2).scale(F(-4, 3))
 
     def test_trivial_structure_returns_r(self):
         case = trivial_case()
-        rbar = build_rbar(case, spot_check=False)
+        rbar = build_rbar(case)
         r = rational_r(2)
         for lam, mu in [(F(1), F(0)), (F(5), F(2)), (F(-3), F(7, 2))]:
             assert rbar(lam, mu) == r(lam, mu)
 
     def test_rbar_satisfies_cybe(self):
         case = case_by_label("id-2refl")
-        rbar = build_rbar(case, spot_check=False)
+        rbar = build_rbar(case)
         assert cybe_residual(rbar, F(1), F(2), F(3)).is_zero()
-
-    def test_spot_check_warns_for_tampered(self):
-        case = tamper(case_by_label("id-2refl"), "g1-sign")
-        rbar = build_rbar(case, spot_check=True)
-        with pytest.warns(UserWarning, match="fails the reflection residual"):
-            rbar(F(1), F(0))
 
     def test_rbar_cybe_for_catalog(self):
         for label in ("id-3refl", "linear-k-N2-diag-th2", "trig-2refl-tau"):
             case = case_by_label(label)
-            rbar = build_rbar(case, spot_check=False)
+            rbar = build_rbar(case)
             rng = SplitMix64(DEFAULT_SEED)
-            triples = sample_tuples(rng, 5, 3, reject=lambda *pt: cybe_pole(rbar, *pt))
-            for triple in triples:
-                assert cybe_residual(rbar, *triple).is_zero(), (label, triple)
+            for triple, residual in sample_evaluated(rng, 5, 3, lambda *pt: cybe_residual(rbar, *pt)):
+                assert residual.is_zero(), (label, triple)
 
 
 class TestCompactAndSymmetry:
     def test_compact_identity_k(self):
         case = case_by_label("id-2refl")
-        assert compact_form_residual(case, F(1), F(0)).is_zero()
+        assert compact_form(case, F(1), F(0)).is_zero()
+        assert nre_residual(case, F(1), F(0)).is_zero()
 
     def test_compact_linear_N2(self):
         case = case_by_label("linear-k-N2-diag-th2")
-        assert compact_form_residual(case, F(3), F(1)).is_zero()
+        assert compact_form(case, F(3), F(1)).is_zero()
+        assert nre_residual(case, F(3), F(1)).is_zero()
 
     def test_compact_tampered_nonzero(self):
         case = tamper(case_by_label("id-2refl"), "g1-sign")
-        assert not compact_form_residual(case, F(1), F(2)).is_zero()
+        residual = nre_residual(case, F(1), F(2))
+        assert not residual.is_zero()
+        assert residual == compact_form(case, F(1), F(2))
 
     def test_symmetry_theta_zero(self):
         case = case_by_label("linear-k-N2-diag-th0")
@@ -230,9 +243,9 @@ class TestCompactAndSymmetry:
     def test_symmetry_theta_zero_N3(self):
         case = linear_k_case(3, 0, diag_roots_G(3), g_label="diag")
         rng = SplitMix64(DEFAULT_SEED)
-        pairs = sample_tuples(rng, 5, 2, reject=lambda l, n: symmetry_excluded(case, l, n))
-        for lam, nu in pairs:
-            assert symmetry_relation_residual(case, zeta(3), lam, nu).is_zero()
+        samples = sample_evaluated(rng, 5, 2,
+                                   lambda lam, nu: symmetry_relation_residual(case, zeta(3), lam, nu))
+        assert all(residual.is_zero() for _, residual in samples)
 
 
 class TestEquivalence:
@@ -246,16 +259,21 @@ class TestEquivalence:
     def test_two_reflection_samples(self):
         case = case_by_label("id-2refl")
         rng = SplitMix64(DEFAULT_SEED)
-        pairs = sample_tuples(rng, 10, 2, reject=lambda l, m: equivalence_excluded(case, l, m))
-        for lam, mu in pairs:
-            assert equivalence_residual(case, lam, mu).is_zero()
+        samples = sample_evaluated(rng, 10, 2, lambda lam, mu: equivalence_residual(case, lam, mu))
+        assert all(residual.is_zero() for _, residual in samples)
 
     def test_three_reflection_samples(self):
         case = case_by_label("id-3refl")
         rng = SplitMix64(DEFAULT_SEED)
-        pairs = sample_tuples(rng, 10, 2, reject=lambda l, m: equivalence_excluded(case, l, m))
-        for lam, mu in pairs:
-            assert equivalence_residual(case, lam, mu).is_zero()
+        samples = sample_evaluated(rng, 10, 2, lambda lam, mu: equivalence_residual(case, lam, mu))
+        assert all(residual.is_zero() for _, residual in samples)
+
+    @pytest.mark.parametrize("label,lam", [("id-2refl", F(1, 3)), ("id-3refl", F(-1)), ("id-3refl", F(1))])
+    def test_reparametrization_pole_is_a_pole_error(self, label, lam):
+        # lam at a pole of p: a PoleError the sampler rejects, not a bare
+        # ZeroDivisionError that would end the run
+        with pytest.raises(PoleError):
+            equivalence_residual(case_by_label(label), lam, F(2))
 
     def test_prefactor_is_derivative_of_p(self):
         # the normalization is forced by the simple pole at lam = mu
@@ -284,16 +302,15 @@ class TestCatalogConstruction:
     def test_trig_solutions_pass(self):
         for label in ("trig-2refl-id", "trig-2refl-tau"):
             case = case_by_label(label)
-            for lam, nu in seeded_pairs(case, count=5):
-                assert nre_residual(case, lam, nu).is_zero()
+            for _, residual in seeded_residuals(case, count=5):
+                assert residual.is_zero()
 
     def test_trig3_candidate_scorecard(self):
         # five of the six cataloged diagonal candidates solve the residual
         passing = []
         for kind in ("id", "tau-nu", "tau2-nu", "tau-tau2", "poly-1", "poly-2"):
             case = trig_three_reflection(which=kind)
-            ok = all(nre_residual(case, lam, nu).is_zero()
-                     for lam, nu in seeded_pairs(case, count=5))
+            ok = all(residual.is_zero() for _, residual in seeded_residuals(case, count=5))
             passing.append((kind, ok))
         assert passing == [("id", True), ("tau-nu", True), ("tau2-nu", True),
                            ("tau-tau2", True), ("poly-1", True), ("poly-2", False)]
