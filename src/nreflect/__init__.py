@@ -3,7 +3,7 @@ over classical Yang-Baxter r-matrices, the non skew-symmetric r-matrices
 they induce, and the resulting Gaudin-type integrable models."""
 
 from .linalg import Matrix, commutator, embed_pair, partial_trace, permutation_operator, swap_pair
-from .ratfun import Poly, RatFun, residue, residue_at_infinity
+from .ratfun import Poly, RatFun
 from .reflection import (
     KSolution,
     MobiusMap,

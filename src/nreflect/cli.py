@@ -50,7 +50,7 @@ def _parse_params(text):
     return params
 
 
-def _sample_count(text: str) -> int:
+def _at_least_one(text: str) -> int:
     try:
         count = int(text)
     except ValueError:
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--r", default="rational", choices=["rational", "trig"],
                      help="base r-matrix for the cybe subject")
     ver.add_argument("--n", type=int, default=2, help="factor size for the rational r")
-    ver.add_argument("--samples", type=_sample_count, default=DEFAULT_SAMPLES)
+    ver.add_argument("--samples", type=_at_least_one, default=DEFAULT_SAMPLES)
     ver.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
     ver.add_argument("--tamper", default=None, choices=["g1-sign"],
                      help="deliberately break the case (negative testing)")
@@ -280,10 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     gau = sub.add_parser("gaudin", help="exact model-level checks")
     gau.add_argument("subcommand", choices=GAUDIN_SUBCOMMANDS)
     gau.add_argument("--config", required=True, help="model config JSON path")
-    gau.add_argument("--samples", type=_sample_count, default=10)
+    gau.add_argument("--samples", type=_at_least_one, default=10)
     gau.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
-    gau.add_argument("--power", type=int, default=2, help="p for lax/mk/trbrackets")
-    gau.add_argument("--power-q", dest="power_q", type=int, default=2, help="q for trbrackets")
+    gau.add_argument("--power", type=_at_least_one, default=2, help="p >= 1 for lax/mk/trbrackets")
+    gau.add_argument("--power-q", dest="power_q", type=_at_least_one, default=2, help="q >= 1 for trbrackets")
     gau.add_argument("--out", default=None)
     gau.set_defaults(func=cmd_gaudin)
 

@@ -3,8 +3,9 @@
 The flow of a quadratic Hamiltonian H is x_dot = {x, H} for every spin
 coordinate x; trajectories are integrated with fixed-step classical RK4 and
 monitored through the conserved quantities: the other Hamiltonians, the
-Casimirs, and det B(lam) at fixed probe points (isospectrality; B is
-traceless, so det B fixes its spectrum).
+Casimirs, and det B(lam) at fixed exact probe points (isospectrality; B is
+traceless, so det B fixes its spectrum).  B is read only through
+:func:`nreflect.gaudin.site_values`, which also decides where it has a pole.
 
 Spin coordinates are independent complex variables, matching the algebra
 layer; no reality projection is applied.
@@ -16,15 +17,15 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ModelError
 from .gaudin import GaudinModel, hamiltonian_explicit, site_values
-from .sampling import first_admissible
-from .scalars import Cyclotomic, as_scalar, to_complex
-from .spinalg import KINDS, SpinPoly, casimir, poisson_bracket, var_index, var_name
+from .sampling import POLE_ERRORS, first_admissible
+from .scalars import as_scalar, to_complex
+from .spinalg import KINDS, SpinPoly, casimir, poisson_bracket, var_index
 
 
 @dataclass
@@ -114,28 +115,10 @@ def default_probes(model: GaudinModel, offsets=(3, 5, 7)):
     return tuple(probes)
 
 
-def _ratfun_complex(f, x: complex) -> complex:
-    num = 0j
-    for c in reversed(f.num.coeffs):
-        num = num * x + to_complex(c)
-    den = 1 + 0j
-    for root, mult in f.roots:
-        den *= (x - to_complex(root)) ** mult
-    return num / den
-
-
-def _site_coefficients(model: GaudinModel, lam) -> list:
-    """Complex c_m with B(lam) = sum_m c_m [[s_m^z/2, s_m^+], [s_m^-, -s_m^z/2]].
-    Exact probes are evaluated exactly and floated once; float/complex probes
-    evaluate the same rational functions c_m in complex arithmetic."""
-    if isinstance(lam, (int, Fraction, Cyclotomic)):
-        return [to_complex(c) for c in site_values(model, lam)]
-    return [_ratfun_complex(c, complex(lam)) for c in model.site_coefficients]
-
-
 def probe_evaluator(model: GaudinModel, probe):
-    """callable(state values) -> det B at the probe (tr B is identically 0)."""
-    coeffs = _site_coefficients(model, probe)
+    """callable(state values) -> det B at an exact probe (tr B is identically
+    0); raises PoleError where B is undefined at the probe."""
+    coeffs = [to_complex(c) for c in site_values(model, probe)]
 
     def evaluate(vals):
         b00 = 0j
@@ -152,40 +135,23 @@ def probe_evaluator(model: GaudinModel, probe):
     return evaluate
 
 
-def _probe_near_pole(model: GaudinModel, probe: complex) -> bool:
-    case = model.case
-    point = probe
-    for j in range(case.N):
-        if any(abs(point - to_complex(zm)) < 1e-12 for zm in model.sites):
-            return True
-        if j < case.N - 1:
-            den = to_complex(case.tau.c) * point + to_complex(case.tau.d)
-            if abs(den) < 1e-12:
-                return True
-            point = _float_tau(case, point)
-    return False
-
-
 def spectral_scan(model: GaudinModel, state: PhaseState, probes) -> list:
-    """(lam, tr B, det B, eigenvalues) at each probe; probes within 1e-12 of
-    a pole are skipped with a warning entry.  tr B is 0: B is traceless."""
+    """(lam, tr B, det B, eigenvalues) at each exact probe; a probe where B
+    is undefined (the sampler's rule) is skipped with a warning entry naming
+    the pole.  tr B is 0: B is traceless."""
     results = []
     for probe in probes:
         lam = complex(to_complex(probe))
-        if _probe_near_pole(model, lam):
-            results.append({"lam": lam, "skipped": True,
-                            "warning": "probe within 1e-12 of a pole"})
+        try:
+            det_b = probe_evaluator(model, probe)
+        except POLE_ERRORS as exc:
+            results.append({"lam": lam, "skipped": True, "warning": str(exc)})
             continue
-        tr, det = 0j, probe_evaluator(model, probe)(list(state.values))
+        tr, det = 0j, det_b(list(state.values))
         disc = (tr * tr - 4 * det) ** 0.5
         eigs = ((tr + disc) / 2, (tr - disc) / 2)
         results.append({"lam": lam, "trB": tr, "detB": det, "eigenvalues": eigs})
     return results
-
-
-def _float_tau(case, point: complex) -> complex:
-    a, b, c, d = (to_complex(x) for x in (case.tau.a, case.tau.b, case.tau.c, case.tau.d))
-    return (a * point + b) / (c * point + d)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +184,13 @@ class Trajectory:
 
 
 def rk4_simulate(model: GaudinModel, selection, initial: PhaseState, t_end: float,
-                 dt: float, probes=None, log_every: int = 1) -> Trajectory:
+                 dt: float, log_every: int = 1) -> Trajectory:
     """Classical fixed-step RK4 for x_dot = {x, H}.
 
-    Monitors each H_k, each Casimir, and det B at the probe points at every
-    step, keeping the largest drift of each; logs a row every ``log_every``
-    steps and at the last step, so memory grows with the number of logged
-    rows only.  A non-finite state aborts the run and logs the last good
+    Monitors each H_k, each Casimir, and det B at the default probes at
+    every step, keeping the largest drift of each; logs a row every
+    ``log_every`` steps and at the last step, so memory grows with the
+    number of logged rows only.  A non-finite state aborts the run and logs the last good
     state.
     """
     if dt <= 0 or t_end <= 0:
@@ -236,7 +202,7 @@ def rk4_simulate(model: GaudinModel, selection, initial: PhaseState, t_end: floa
     dim = 3 * model.L
     if len(initial.values) != dim:
         raise ModelError(f"initial state has {len(initial.values)} values, model needs {dim}")
-    probes = tuple(probes) if probes is not None else default_probes(model)
+    probes = default_probes(model)
 
     monitors = {}
     for i in range(1, model.L + 1):

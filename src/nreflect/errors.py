@@ -10,7 +10,7 @@ class OrderMismatchError(NReflectError, ValueError):
 
 
 class ShapeError(NReflectError, ValueError):
-    """Matrix dimensions or tensor-leg annotations do not match."""
+    """Matrix dimensions do not match."""
 
 
 class SingularMatrixError(NReflectError, ZeroDivisionError):
@@ -22,7 +22,7 @@ class PoleError(NReflectError, ZeroDivisionError):
 
 
 class ConstraintError(NReflectError, ValueError):
-    """Constructor parameters violate an exact algebraic constraint."""
+    """Constructor parameters are unknown or violate an exact algebraic constraint."""
 
 
 class UnsupportedCaseError(NReflectError, ValueError):

@@ -26,7 +26,7 @@ from functools import cached_property
 
 from .errors import ModelError, PoleError
 from .linalg import Matrix, commutator, partial_trace, swap_pair, tensor_pair
-from .ratfun import Poly, RatFun, residue_at_infinity
+from .ratfun import Poly, RatFun
 from .reflection import (
     KSolution,
     identity_k_three_reflection,
@@ -112,7 +112,7 @@ def _validate(model: GaudinModel) -> None:
 def spin_site_matrix(L: int, m: int) -> Matrix:
     """[[s_m^z/2, s_m^+], [s_m^-, -s_m^z/2]] without the 1/x prefactor."""
     return Matrix([[HALF * s_z(L, m), s_plus(L, m)],
-                   [s_minus(L, m), -HALF * s_z(L, m)]], legs=("single", 2))
+                   [s_minus(L, m), -HALF * s_z(L, m)]])
 
 
 def local_lax(model: GaudinModel, m: int, shifted_nu) -> Matrix:
@@ -145,7 +145,7 @@ def big_B_at(model: GaudinModel, lam) -> Matrix:
         top = top + (HALF * c) * s_z(L, m)
         plus = plus + c * s_plus(L, m)
         minus = minus + c * s_minus(L, m)
-    return Matrix([[top, plus], [minus, -top]], legs=("single", 2))
+    return Matrix([[top, plus], [minus, -top]])
 
 
 def _inverse_shift(tau_j, z) -> RatFun:
@@ -247,7 +247,7 @@ def residue_sum_check(model: GaudinModel) -> dict:
     for m in range(1, model.L + 1):
         for k in range(m, model.L + 1):
             f = cs[m - 1] * cs[k - 1]
-            totals[m, k] = sum((f.residue(root) for root, _ in f.roots), start=ZERO) + residue_at_infinity(f)
+            totals[m, k] = sum((f.residue(root) for root, _ in f.roots), start=ZERO) + f.residue_at_infinity()
     return totals
 
 
@@ -271,7 +271,7 @@ def _bracket_matrix(L: int, left: Matrix, right: Matrix) -> Matrix:
                     if g.is_zero():
                         continue
                     rows[u1 * n + u2][v1 * n + v2] = poisson_bracket(f, g)
-    return Matrix(rows, legs=("pair", n))
+    return Matrix(rows)
 
 
 def rbb_inputs(model: GaudinModel, lam, mu) -> tuple:
@@ -315,7 +315,7 @@ def lax_residual(model: GaudinModel, lam, nu, p: int) -> Matrix:
     h = SpinPoly.coerce(model.L, (big_B_at(model, lam) ** p).trace())
     b_nu = big_B_at(model, nu)
     flow = Matrix([[poisson_bracket(h, SpinPoly.coerce(model.L, entry)) for entry in row]
-                   for row in b_nu.rows], legs=("single", 2))
+                   for row in b_nu.rows])
     return flow - commutator(b_nu, m_matrix(model, lam, nu, p))
 
 

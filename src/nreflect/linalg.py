@@ -1,5 +1,6 @@
-"""Dense exact linear algebra over scalars (or any commutative ring),
-with tensor-leg bookkeeping for operators on (C^n)^x2 and (C^n)^x3.
+"""Dense exact linear algebra over scalars (or any commutative ring), and
+tensor-leg operations on (C^n)^x2 and (C^n)^x3 that read the factor size n
+from the matrix shape.
 
 Entries only need ``+``, ``-``, ``*`` and truthiness; inversion and
 determinants additionally need ``/``.  Matrix products skip zero entries,
@@ -8,6 +9,7 @@ which keeps permutation-built operators at desk scale essentially free.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import ShapeError, SingularMatrixError
@@ -17,22 +19,21 @@ PLACEMENTS = ("ab", "ac", "bc", "ba", "ca", "cb")
 
 
 class Matrix:
-    __slots__ = ("rows", "legs")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows, legs=None):
+    def __init__(self, rows):
         self.rows = tuple(tuple(row) for row in rows)
         if not self.rows or any(len(r) != len(self.rows[0]) for r in self.rows):
             raise ShapeError("rows must be non-empty and of equal length")
-        self.legs = legs
 
     @staticmethod
-    def identity(dim, legs=None):
-        return Matrix([[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)], legs)
+    def identity(dim):
+        return Matrix([[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)])
 
     @staticmethod
-    def diagonal(entries, legs=None):
+    def diagonal(entries):
         n = len(entries)
-        return Matrix([[entries[i] if i == j else ZERO for j in range(n)] for i in range(n)], legs)
+        return Matrix([[entries[i] if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @property
     def nrows(self):
@@ -56,18 +57,16 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_shape(other)
-        return Matrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-                      self.legs if self.legs == other.legs else None)
+        return Matrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_shape(other)
-        return Matrix([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-                      self.legs if self.legs == other.legs else None)
+        return Matrix([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self):
-        return Matrix([[-a for a in row] for row in self.rows], self.legs)
+        return Matrix([[-a for a in row] for row in self.rows])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -85,21 +84,21 @@ class Matrix:
                         if b:
                             acc[j] = acc[j] + a * b
                 out.append(acc)
-            return Matrix(out, self.legs if self.legs == other.legs else None)
+            return Matrix(out)
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, s):
-        return Matrix([[s * a for a in row] for row in self.rows], self.legs)
+        return Matrix([[s * a for a in row] for row in self.rows])
 
     def __pow__(self, exponent: int):
         if self.nrows != self.ncols:
             raise ShapeError("matrix power needs a square matrix")
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        acc = Matrix.identity(self.nrows, self.legs)
+        acc = Matrix.identity(self.nrows)
         base = self
         while exponent:
             if exponent & 1:
@@ -157,7 +156,7 @@ class Matrix:
                     continue
                 factor = work[r][col]
                 work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return Matrix([row[n:] for row in work], self.legs)
+        return Matrix([row[n:] for row in work])
 
     def kron(self, other):
         """Tensor (Kronecker) product."""
@@ -175,7 +174,7 @@ class Matrix:
         return "\n".join(lines)
 
     def __repr__(self):
-        return f"Matrix({self.nrows}x{self.ncols}, legs={self.legs})"
+        return f"Matrix({self.nrows}x{self.ncols})"
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -193,12 +192,20 @@ def permutation_operator(n: int) -> Matrix:
     for i in range(n):
         for j in range(n):
             rows[i * n + j][j * n + i] = ONE
-    return Matrix(rows, legs=("pair", n))
+    return Matrix(rows)
+
+
+def _pair_factor(m: Matrix, what: str) -> int:
+    """n for an n^2 x n^2 matrix on C^n x C^n; ShapeError otherwise."""
+    n = math.isqrt(m.nrows)
+    if m.ncols != m.nrows or n * n != m.nrows:
+        raise ShapeError(f"{what} needs an n^2 x n^2 pair-leg matrix, got {m.nrows}x{m.ncols}")
+    return n
 
 
 def embed_pair(m: Matrix, placement: str, n: int) -> Matrix:
-    """Place a pair-leg operator on the named ordered pair of legs a, b, c,
-    acting as the identity on the remaining leg.  Reversed placements (ba,
+    """Place a pair-leg operator on the named ordered pair of the factors
+    a, b, c, acting as the identity on the remaining leg.  Reversed placements (ba,
     ca, cb) are handled by the same index bookkeeping."""
     if placement not in PLACEMENTS:
         raise ShapeError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
@@ -218,15 +225,12 @@ def embed_pair(m: Matrix, placement: str, n: int) -> Matrix:
             y[first], y[second] = divmod(k, n)
             y[spare] = x[spare]
             rows[ri][y[0] * n * n + y[1] * n + y[2]] = val
-    return Matrix(rows, legs=("triple", n))
+    return Matrix(rows)
 
 
 def swap_pair(m: Matrix) -> Matrix:
     """Conjugation P m P on a pair-leg matrix, done by index relabelling."""
-    legs = m.legs
-    if legs is None or legs[0] != "pair":
-        raise ShapeError("swap_pair needs a pair-leg matrix")
-    n = legs[1]
+    n = _pair_factor(m, "swap_pair")
     dim = n * n
     rows = [[ZERO] * dim for _ in range(dim)]
     for i1 in range(n):
@@ -238,15 +242,12 @@ def swap_pair(m: Matrix) -> Matrix:
                     val = src_row[j1 * n + j2]
                     if val:
                         dst[j2 * n + j1] = val
-    return Matrix(rows, legs=legs)
+    return Matrix(rows)
 
 
 def partial_trace(m: Matrix, leg: str) -> Matrix:
     """Trace a pair-leg matrix over leg "a" (first factor) or "b" (second)."""
-    legs = m.legs
-    if legs is None or legs[0] != "pair":
-        raise ShapeError("partial_trace needs a pair-leg matrix")
-    n = legs[1]
+    n = _pair_factor(m, "partial_trace")
     out = [[ZERO] * n for _ in range(n)]
     if leg == "a":
         for j1 in range(n):
@@ -264,12 +265,11 @@ def partial_trace(m: Matrix, leg: str) -> Matrix:
                 out[i1][i2] = total
     else:
         raise ShapeError(f"leg must be 'a' or 'b', got {leg!r}")
-    return Matrix(out, legs=("single", n))
+    return Matrix(out)
 
 
 def tensor_pair(a: Matrix, b: Matrix) -> Matrix:
-    """a x b with pair-leg annotation (both factors n x n)."""
+    """a x b on C^n x C^n (both factors n x n)."""
     if a.nrows != a.ncols or b.nrows != b.ncols or a.nrows != b.nrows:
         raise ShapeError("tensor_pair needs two square matrices of equal size")
-    out = a.kron(b)
-    return Matrix(out.rows, legs=("pair", a.nrows))
+    return a.kron(b)

@@ -311,11 +311,3 @@ def _cancel(num: Poly, root_map: dict):
         if root_map[root] == 0:
             del root_map[root]
     return num, root_map
-
-
-def residue(f: RatFun, z0):
-    return f.residue(z0)
-
-
-def residue_at_infinity(f: RatFun):
-    return f.residue_at_infinity()

@@ -21,8 +21,10 @@ comes from one :func:`point_frame`, which raises ``PoleError`` or
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
 from .errors import ConstraintError, PoleError, SingularMatrixError, UnsupportedCaseError
@@ -138,18 +140,24 @@ class KSolution:
 
 
 def identity_k(n: int) -> Callable[[Scalar], Matrix]:
-    eye = Matrix.identity(n, legs=("single", n))
+    eye = Matrix.identity(n)
     return lambda nu: eye
 
 
+def _k_products(case: KSolution, points) -> list:
+    """[k^(0), k^(1), ...] along the orbit points nu, tau(nu), ... by the
+    product recursion k^(j+1)(nu) = k^(j)(nu) k(tau^j(nu)); k^(0) = 1."""
+    ks = [Matrix.identity(case.n)]
+    for point in points:
+        ks.append(ks[-1] * case.k(point))
+    return ks
+
+
 def k_iter(case: KSolution, j: int, nu) -> Matrix:
-    """k^(j)(nu) by the product recursion; k^(0) is the identity."""
+    """k^(j)(nu); k^(0) is the identity."""
     if not 0 <= j <= case.N:
         raise ValueError(f"iterate index must be in [0, {case.N}], got {j}")
-    acc = Matrix.identity(case.n, legs=("single", case.n))
-    for point in case.orbit(nu, j)[:j]:
-        acc = acc * case.k(point)
-    return acc
+    return _k_products(case, case.orbit(nu, j)[:j])[-1]
 
 
 @dataclass(frozen=True)
@@ -169,9 +177,7 @@ def point_frame(case: KSolution, nu) -> PointFrame:
     nu = as_scalar(nu)
     orbit = tuple(case.orbit(nu))
     weights = tuple(case.weights(j, nu) for j in range(case.N))
-    ks = [Matrix.identity(case.n, legs=("single", case.n))]
-    for point in orbit[:-1]:
-        ks.append(ks[-1] * case.k(point))
+    ks = _k_products(case, orbit[:-1])
     inverses = [ks[0]] + [kj.inverse(label=f"k^({j})(nu)") for j, kj in enumerate(ks[1:], start=1)]
     return PointFrame(orbit, weights, tuple(ks), tuple(inverses))
 
@@ -216,7 +222,7 @@ def _rbar_at(case: KSolution, r: RMatrixFun, lam, frame: PointFrame) -> Matrix:
     total = r(lam, frame.orbit[0]).scale(frame.weights[0])
     for g, point, kj, kj_inv in zip(frame.weights[1:], frame.orbit[1:], frame.k[1:], frame.k_inv[1:]):
         total = total + (tensor_pair(eye, kj) * r(lam, point) * tensor_pair(eye, kj_inv)).scale(g)
-    return Matrix(total.rows, legs=("pair", case.n))
+    return total
 
 
 def rbar_matrix(case: KSolution, lam, nu, r: Optional[RMatrixFun] = None) -> Matrix:
@@ -234,7 +240,7 @@ def nre_residual(case: KSolution, lam, nu, r: Optional[RMatrixFun] = None) -> Ma
     k_a = tensor_pair(case.k(lam), Matrix.identity(case.n))
     lhs = _rbar_at(case, r, lam, frame) * k_a
     rhs = k_a * _rbar_at(case, r, case.tau(lam), frame)
-    return Matrix((lhs - rhs).rows, legs=("pair", case.n))
+    return lhs - rhs
 
 
 def symmetry_relation_residual(case: KSolution, omega, lam, nu, r: Optional[RMatrixFun] = None) -> Matrix:
@@ -377,7 +383,7 @@ def linear_k_case(N: int, theta, G: Matrix, g_label: str = "G", n: Optional[int]
     omega = zeta(N)
     tau = MobiusMap.scaling(omega)
     weights = _const_weights([omega**j for j in range(N)])
-    eye = Matrix.identity(n, legs=("single", n))
+    eye = Matrix.identity(n)
 
     def k(nu):
         return eye.scale(as_scalar(theta)) + G.scale(as_scalar(nu))
@@ -395,13 +401,13 @@ def linear_k_case(N: int, theta, G: Matrix, g_label: str = "G", n: Optional[int]
 
 def diag_roots_G(N: int) -> Matrix:
     """diag(1, omega, ..., omega^(N-1)) with omega = zeta_N; size N."""
-    return Matrix.diagonal([zeta(N, j) for j in range(N)], legs=("single", N))
+    return Matrix.diagonal([zeta(N, j) for j in range(N)])
 
 
 def cyclic_shift_G(N: int) -> Matrix:
     """The N x N cyclic shift; G^N = 1 over the rationals."""
     rows = [[ONE if j == (i + 1) % N else ZERO for j in range(N)] for i in range(N)]
-    return Matrix(rows, legs=("single", N))
+    return Matrix(rows)
 
 
 def identity_k_two_reflection(a=1, b=2, c=3, n: int = 2) -> KSolution:
@@ -457,7 +463,7 @@ def trig_two_reflection(a=1, b=2, c=3, which: str = "identity") -> KSolution:
     elif which == "tau":
         def k(nu):
             nu = as_scalar(nu)
-            return Matrix.diagonal([tau(nu), nu], legs=("single", 2))
+            return Matrix.diagonal([tau(nu), nu])
     else:
         raise ValueError(f"unknown trig 2-reflection solution {which!r}")
     return KSolution(label=f"trig-2refl-{'id' if which == 'identity' else 'tau'}",
@@ -489,7 +495,7 @@ def trig_three_reflection(a=1, b=3, c=-1, d=1, which: str = "id") -> KSolution:
     def diag(f1, f2):
         def k(nu):
             nu = as_scalar(nu)
-            return Matrix.diagonal([f1(nu), f2(nu)], legs=("single", 2))
+            return Matrix.diagonal([f1(nu), f2(nu)])
         return k
 
     tau2 = lambda nu: tau(tau(nu))
@@ -518,40 +524,48 @@ def trivial_case(n: int = 2) -> KSolution:
 
 
 def _linear_k_builder(N, g_kind, theta_default):
-    def build(params):
-        theta = params.get("theta", as_scalar(theta_default))
+    def build(theta=theta_default):
         G = diag_roots_G(N) if g_kind == "diag" else cyclic_shift_G(N)
         return linear_k_case(N, theta, G, g_label=g_kind)
     return build
 
 
+# label -> builder; the parameters a case accepts, and their defaults, are
+# the builder's keyword parameters that the entry does not fix itself
 CATALOG: dict = {}
 for _N in (2, 3):
     for _g in ("diag", "shift"):
         for _th in (0, 2):
             CATALOG[f"linear-k-N{_N}-{_g}-th{_th}"] = _linear_k_builder(_N, _g, _th)
-CATALOG["id-2refl"] = lambda params: identity_k_two_reflection(
-    params.get("a", 1), params.get("b", 2), params.get("c", 3), n=int(params.get("n", 2)))
-CATALOG["id-3refl"] = lambda params: identity_k_three_reflection(
-    params.get("a", 1), params.get("b", 3), params.get("c", -1), params.get("d", 1),
-    n=int(params.get("n", 2)))
-CATALOG["trig-2refl-id"] = lambda params: trig_two_reflection(
-    params.get("a", 1), params.get("b", 2), params.get("c", 3), which="identity")
-CATALOG["trig-2refl-tau"] = lambda params: trig_two_reflection(
-    params.get("a", 1), params.get("b", 2), params.get("c", 3), which="tau")
+CATALOG["id-2refl"] = identity_k_two_reflection
+CATALOG["id-3refl"] = identity_k_three_reflection
+CATALOG["trig-2refl-id"] = partial(trig_two_reflection, which="identity")
+CATALOG["trig-2refl-tau"] = partial(trig_two_reflection, which="tau")
 for _kind in TRIG3_KINDS:
-    CATALOG[f"trig-3refl-{_kind}"] = (lambda kind: lambda params: trig_three_reflection(
-        params.get("a", 1), params.get("b", 3), params.get("c", -1), params.get("d", 1),
-        which=kind))(_kind)
-CATALOG["trivial"] = lambda params: trivial_case(n=int(params.get("n", 2)))
+    CATALOG[f"trig-3refl-{_kind}"] = partial(trig_three_reflection, which=_kind)
+CATALOG["trivial"] = trivial_case
 
 
 def case_by_label(label: str, params: Optional[dict] = None) -> KSolution:
+    """The cataloged case with ``params`` overriding its defaults; an unknown
+    parameter name or a non-integer factor size n raises ConstraintError."""
     if label not in CATALOG:
         raise KeyError(f"unknown catalog case {label!r}; see catalog list")
-    return CATALOG[label](params or {})
+    build = CATALOG[label]
+    fixed = getattr(build, "keywords", {})
+    names = [name for name in inspect.signature(build).parameters if name not in fixed]
+    params = dict(params or {})
+    for name in params:
+        if name not in names:
+            raise ConstraintError(f"{label} has no parameter {name!r}; it takes {', '.join(names)}")
+    if "n" in params:
+        n = params["n"]
+        if not isinstance(n, (int, Fraction)) or n != int(n):
+            raise ConstraintError(f"factor size n must be an integer, got {n}")
+        params["n"] = int(n)
+    return build(**params)
 
 
 def catalog() -> list:
     """Default instance of every cataloged case, in label order."""
-    return [CATALOG[label]({}) for label in sorted(CATALOG)]
+    return [case_by_label(label) for label in sorted(CATALOG)]

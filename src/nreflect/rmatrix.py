@@ -58,7 +58,7 @@ def trig_r() -> RMatrixFun:
                 [zero, s, -4 * nu, zero],
                 [zero, -4 * lam, s, zero],
                 [zero, zero, zero, -s]]
-        return Matrix(rows, legs=("pair", 2)).scale(pref)
+        return Matrix(rows).scale(pref)
 
     return RMatrixFun(n=2, kind="trigonometric", evaluate=evaluate, label="trigonometric")
 

@@ -245,11 +245,3 @@ def poisson_bracket(f: SpinPoly, g: SpinPoly) -> SpinPoly:
             out = out + 2 * (fz * gp - fp * gz) * s_plus(sites, j)
             out = out - 2 * (fz * gm - fm * gz) * s_minus(sites, j)
     return out
-
-
-def evaluate(f: SpinPoly, assignment: dict):
-    return f.evaluate(assignment)
-
-
-def gradient(f: SpinPoly) -> list:
-    return f.gradient()

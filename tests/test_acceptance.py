@@ -23,7 +23,7 @@ from nreflect.gaudin import (
     rbb_residual,
     trB_bracket_residual,
 )
-from nreflect.ratfun import Poly, RatFun, residue, residue_at_infinity
+from nreflect.ratfun import Poly, RatFun
 from nreflect.reflection import (
     CATALOG,
     build_rbar,
@@ -243,17 +243,17 @@ def _random_ratfun(rng, max_degree=8):
 
 def test_11_residue_calculus():
     started = time.monotonic()
-    ok = (residue(RatFun(Poly.const(ONE), [(F(1), 1)]), F(1)) == 1
-          and residue(RatFun(Poly([F(1), F(1)]), [(F(0), 2)]), F(0)) == 1
-          and residue(RatFun(Poly([F(0), F(1)]), [(F(2), 2), (F(3), 1)]), F(2)) == -3)
+    ok = (RatFun(Poly.const(ONE), [(F(1), 1)]).residue(F(1)) == 1
+          and RatFun(Poly([F(1), F(1)]), [(F(0), 2)]).residue(F(0)) == 1
+          and RatFun(Poly([F(0), F(1)]), [(F(2), 2), (F(3), 1)]).residue(F(2)) == -3)
     rng = SplitMix64(DEFAULT_SEED)
     checked = 0
     while checked < 50:
         f = _random_ratfun(rng)
         if f.is_zero() or not f.roots:
             continue
-        total = sum((residue(f, root) for root, _ in f.roots), start=F(0))
-        ok = ok and (total + residue_at_infinity(f) == 0)
+        total = sum((f.residue(root) for root, _ in f.roots), start=F(0))
+        ok = ok and (total + f.residue_at_infinity() == 0)
         checked += 1
     record(11, "residue calculus: frozen examples and the residue theorem", ok, started)
 

@@ -247,3 +247,35 @@ def test_involution_with_no_pairs_is_not_a_pass(capsys, tmp_path):
     assert code == 1
     assert report["samples"] == 0 and report["verdict"] == "fail"
     assert report["reason"] == "nothing was checked"
+
+
+@pytest.mark.parametrize("sub", ["trbrackets", "lax", "mk"])
+@pytest.mark.parametrize("flag,value", [("--power", "0"), ("--power", "-1"), ("--power-q", "0")])
+def test_power_below_one_is_config_error(capsys, tmp_path, sub, flag, value):
+    # tr B^0 = 2 brackets to 0 with anything, and B^-1 needs a spin-polynomial
+    # inverse: neither is a check, so p and q below 1 are refused up front
+    config = write_config(tmp_path, BCL)
+    code, out, err = run(capsys, "gaudin", sub, "--config", config, "--samples", "2", flag, value)
+    assert code == 2 and out == ""
+    assert flag in err and "at least 1" in err
+
+
+@pytest.mark.parametrize("label,params,named", [
+    ("id-3refl", "e=5", "'e'"),
+    ("id-2refl", "foo=1", "'foo'"),
+    ("trig-2refl-id", "n=3", "'n'"),
+    ("linear-k-N2-diag-th2", "a=1", "'a'"),
+    ("id-3refl", "n=3/2", "3/2"),
+])
+def test_params_the_case_does_not_take_are_config_errors(capsys, label, params, named):
+    code, out, err = run(capsys, "verify", "nre", "--case", label, "--params", params, "--samples", "2")
+    assert code == 2 and out == ""
+    assert named in err
+
+
+def test_params_the_case_takes_are_applied(capsys):
+    code, out, _ = run(capsys, "verify", "nunitarity", "--case", "linear-k-N2-diag-th2",
+                       "--params", "theta=3", "--samples", "2")
+    assert code == 0 and json.loads(out)["case"] == "linear-k-N2-diag-th3"
+    code, out, _ = run(capsys, "verify", "nre", "--case", "id-3refl", "--params", "n=3", "--samples", "2")
+    assert code == 0

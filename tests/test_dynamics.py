@@ -6,7 +6,6 @@ import pytest
 from nreflect import dynamics
 from nreflect.dynamics import (
     PhaseState,
-    _site_coefficients,
     compile_spinpoly,
     convergence_order,
     default_probes,
@@ -173,10 +172,14 @@ class TestSpectralScan:
             assert entry["eigenvalues"] == (0, 0)
 
     def test_pole_proximity_skipped(self):
-        model = bcl_model()
+        # two-reflection tau(nu) = (nu + 2)/(3 nu - 1): a probe at the site 1
+        # and one at the tau pole 1/3 are skipped, each naming its pole
+        model = model_from_config({"case": "two-reflection", "z": ["1", "2"]})
         state = generic_state(model)
-        (entry,) = spectral_scan(model, state, [1.0 + 1e-14])
-        assert entry.get("skipped") and "pole" in entry["warning"]
+        at_site, at_tau_pole, kept = spectral_scan(model, state, [F(1), F(1, 3), F(5)])
+        assert at_site["skipped"] and "tau^0(lam) = z_1" in at_site["warning"]
+        assert at_tau_pole["skipped"] and "pole at nu = 1/3" in at_tau_pole["warning"]
+        assert "skipped" not in kept and kept["lam"] == 5
 
 
 class TestProbesAndCsv:
@@ -190,13 +193,6 @@ class TestProbesAndCsv:
         model = bcl_model(z=(1, 2, 5))
         probes = default_probes(model)
         assert F(5) not in probes and len(set(probes)) == 3
-
-    @pytest.mark.parametrize("builder", [bcl_model, lambda: model_from_config({"case": "z3", "z": ["1", "2"]})])
-    def test_float_probe_coefficients_match_exact(self, builder):
-        model = builder()
-        exact = _site_coefficients(model, F(11, 2))
-        numeric = _site_coefficients(model, 5.5)
-        assert all(abs(a - b) < 1e-12 * max(1.0, abs(a)) for a, b in zip(exact, numeric))
 
     def test_probe_exclusion_catches_only_poles(self, monkeypatch):
         model = bcl_model(z=(1, 2))

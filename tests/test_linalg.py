@@ -37,7 +37,7 @@ class TestPermutationOperator:
 
 class TestEmbedPair:
     def test_identity_anywhere(self):
-        eye = Matrix.identity(4, legs=("pair", 2))
+        eye = Matrix.identity(4)
         for placement in ("ab", "ac", "bc", "ba", "ca", "cb"):
             assert embed_pair(eye, placement, 2) == Matrix.identity(8)
 
@@ -57,13 +57,12 @@ class TestEmbedPair:
     def test_reversed_placement(self):
         rng = SplitMix64(7)
         m = frac_matrix([[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)])
-        m = Matrix(m.rows, legs=("pair", 2))
         assert embed_pair(m, "ba", 2) == embed_pair(swap_pair(m), "ab", 2)
 
     def test_composition(self):
         rng = SplitMix64(13)
-        a = Matrix([[Fraction(rng.randint(-5, 5)) for _ in range(4)] for _ in range(4)], legs=("pair", 2))
-        b = Matrix([[Fraction(rng.randint(-5, 5)) for _ in range(4)] for _ in range(4)], legs=("pair", 2))
+        a = Matrix([[Fraction(rng.randint(-5, 5)) for _ in range(4)] for _ in range(4)])
+        b = Matrix([[Fraction(rng.randint(-5, 5)) for _ in range(4)] for _ in range(4)])
         for placement in ("ab", "ac", "cb"):
             assert embed_pair(a * b, placement, 2) == embed_pair(a, placement, 2) * embed_pair(b, placement, 2)
 
@@ -91,6 +90,13 @@ class TestMatrixAlgebra:
         ab = tensor_pair(a, b)
         assert partial_trace(ab, "b") == a.scale(b.trace())
         assert partial_trace(ab, "a") == b.scale(a.trace())
+
+    @pytest.mark.parametrize("op", [swap_pair, lambda m: partial_trace(m, "a")])
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3)])
+    def test_pair_leg_ops_need_square_of_square(self, op, shape):
+        # the factor size n comes from the shape: 3x3 and 2x3 are no n^2 x n^2
+        with pytest.raises(ShapeError, match="n\\^2 x n\\^2"):
+            op(Matrix([[Fraction(1)] * shape[1]] * shape[0]))
 
     def test_inverse_and_product_rule(self):
         rng = SplitMix64(2024)

@@ -1,9 +1,10 @@
 """Residues of scalar rational functions against sympy.
 
-An independent oracle for ``RatFun.residue`` and ``residue_at_infinity``,
-and for the residues res_{z_m}(c_m c_k) of the Gaudin site coefficients
-from which ``hamiltonian_residue`` assembles H_m.  sympy builds c_m from the
-closed forms of tau and g^(1), not from ``nreflect``'s rational functions.
+An independent oracle for ``RatFun.residue`` and
+``RatFun.residue_at_infinity``, and for the residues res_{z_m}(c_m c_k) of
+the Gaudin site coefficients from which ``hamiltonian_residue`` assembles
+H_m.  sympy builds c_m from the closed forms of tau and g^(1), not from
+``nreflect``'s rational functions.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from nreflect.gaudin import model_from_config  # noqa: E402
-from nreflect.ratfun import Poly, RatFun, residue_at_infinity  # noqa: E402
+from nreflect.ratfun import Poly, RatFun  # noqa: E402
 from nreflect.sampling import SplitMix64  # noqa: E402
 
 X = sympy.Symbol("x")
@@ -42,7 +43,7 @@ def test_residues_match_sympy_on_random_split_linear_functions():
         for root in roots:
             assert ours.residue(root) == sympy.residue(expr, X, rational(root))
         at_infinity = -sympy.residue(expr.subs(X, 1 / X) / X**2, X, 0)
-        assert residue_at_infinity(ours) == at_infinity
+        assert ours.residue_at_infinity() == at_infinity
 
 
 def test_site_coefficient_residues_match_sympy_on_two_reflection_l3():

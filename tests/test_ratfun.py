@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from nreflect.errors import PoleError
-from nreflect.ratfun import Poly, RatFun, residue, residue_at_infinity
+from nreflect.ratfun import Poly, RatFun
 from nreflect.sampling import SplitMix64
 
 F = Fraction
@@ -75,20 +75,20 @@ class TestRatFunArith:
 
 class TestResidues:
     def test_simple(self):
-        assert residue(simple_pole(1), F(1)) == 1
+        assert simple_pole(1).residue(F(1)) == 1
 
     def test_order_two_at_zero(self):
         # (1 + x)/x^2: residue at 0 is 1
         f = RatFun(Poly([F(1), F(1)]), [(F(0), 2)])
-        assert residue(f, F(0)) == 1
+        assert f.residue(F(0)) == 1
 
     def test_order_two_with_extra_pole(self):
         # x/((x-2)^2 (x-3)): g = x/(x-3), g'(2) = -3
         f = RatFun(Poly([F(0), F(1)]), [(F(2), 2), (F(3), 1)])
-        assert residue(f, F(2)) == -3
+        assert f.residue(F(2)) == -3
 
     def test_not_a_pole_returns_zero(self):
-        assert residue(simple_pole(1), F(5)) == 0
+        assert simple_pole(1).residue(F(5)) == 0
 
     def test_linearity(self):
         rng = SplitMix64(99)
@@ -97,8 +97,8 @@ class TestResidues:
             g = _random_ratfun(rng)
             z0 = F(rng.randint(-3, 3))
             c = F(rng.randint(-5, 5), rng.randint(1, 5))
-            lhs = residue(f.scale(c) + g, z0)
-            assert lhs == c * residue(f, z0) + residue(g, z0)
+            lhs = (f.scale(c) + g).residue(z0)
+            assert lhs == c * f.residue(z0) + g.residue(z0)
 
 
 def _random_ratfun(rng, max_degree=8):
@@ -120,8 +120,8 @@ def test_residue_theorem_on_random_functions():
         f = _random_ratfun(rng)
         if f.is_zero() or not f.roots:
             continue
-        total = sum((residue(f, root) for root, _ in f.roots), start=F(0))
-        assert total + residue_at_infinity(f) == 0
+        total = sum((f.residue(root) for root, _ in f.roots), start=F(0))
+        assert total + f.residue_at_infinity() == 0
         checked += 1
 
 
@@ -133,7 +133,7 @@ def test_residue_theorem_on_random_functions():
 ])
 def test_residue_at_infinity_without_finite_poles_is_zero(f):
     assert not f.roots
-    assert residue_at_infinity(f) == 0
+    assert f.residue_at_infinity() == 0
 
 
 def test_derivative_quotient_rule():

@@ -129,7 +129,7 @@ class TestNUnitarity:
     def test_non_scalar_product_reported_not_raised(self):
         # k = diag(nu, 1) with tau = -nu gives k^(2) = diag(-nu^2, 1)
         case = case_by_label("id-2refl")
-        diag_k = lambda nu: Matrix.diagonal([nu, F(1)], legs=("single", 2))
+        diag_k = lambda nu: Matrix.diagonal([nu, F(1)])
         from dataclasses import replace
         bad = replace(case, label="bad-k", k=diag_k, expected_f=None)
         report = n_unitarity(bad, [F(2)])

@@ -31,7 +31,7 @@ class TestTrigR:
                            [0, F(3), F(-4), 0],
                            [0, F(-8), F(3), 0],
                            [0, 0, 0, F(-3)]]).scale(F(1, 2))
-        assert trig_r()(F(2), F(1)) == Matrix(expected.rows, legs=("pair", 2))
+        assert trig_r()(F(2), F(1)) == expected
 
     def test_pole(self):
         with pytest.raises(PoleError):
