@@ -19,17 +19,8 @@ import sys
 
 from . import dynamics, gaudin, reporting
 from .errors import NReflectError
-from .reflection import (
-    CATALOG,
-    build_rbar,
-    case_by_label,
-    equivalence_residual,
-    n_unitarity,
-    nre_residual,
-    point_frame,
-    symmetry_relation_residual,
-    tamper,
-)
+from .reflection import CATALOG, case_by_label, n_unitarity_entry, sampled_check, tamper
+from .reflection import nre_residual  # noqa: F401 - perfbench/test_perfbench.py reads it off this module
 from .rmatrix import cybe_residual, rational_r, trig_r
 from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64, sample_evaluated
 from .scalars import scalar_from_str, scalar_to_str, zeta
@@ -77,57 +68,41 @@ def _exit_code(report: dict) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _resolve_r(args):
-    if args.r == "trig":
-        return trig_r()
-    return rational_r(args.n)
-
-
-def _residual_entries(rng, count, arity, residual) -> list:
-    return [reporting.residual_entry(pt, value)
-            for pt, value in sample_evaluated(rng, count, arity, residual)]
+def _refuse_unread_options(args) -> None:
+    """Exit 2 on a verify option the subject would not read."""
+    if args.subject == "cybe":
+        unread = ("case", "params", "tamper", "omega")
+    else:
+        unread = ("r", "n") + (() if args.subject == "symmetry" else ("omega",))
+    given = [f"--{name}" for name in unread if getattr(args, name) is not None]
+    if given:
+        raise NReflectError(f"verify {args.subject} does not take {', '.join(given)}")
+    if args.r == "trig" and args.n not in (None, 2):
+        raise NReflectError(f"the trigonometric r acts on C^2 x C^2, so --n must be 2, got {args.n}")
 
 
 def cmd_verify(args) -> int:
-    rng = SplitMix64(args.seed)
-    count = args.samples
-
+    _refuse_unread_options(args)
+    extra = None
     if args.subject == "cybe":
-        r = _resolve_r(args)
-        entries = _residual_entries(rng, count, 3, lambda *pt: cybe_residual(r, *pt))
-        report = reporting.build_report("cybe", r.label, args.seed, entries)
-        _emit(report, args.out)
-        return _exit_code(report)
-
-    case = case_by_label(args.case, _parse_params(args.params))
-    if args.tamper:
-        case = tamper(case, args.tamper)
-
-    if args.subject in ("nre", "compact"):  # compact names the form nre_residual computes
-        entries = _residual_entries(rng, count, 2, lambda lam, nu: nre_residual(case, lam, nu))
-        report = reporting.build_report(args.subject, case.label, args.seed, entries)
-    elif args.subject == "nunitarity":
-        # sampled where the frame of rbar evaluates, so that k^(N) is checked
-        # on the domain of the induced matrix
-        samples = sample_evaluated(rng, count, 1, lambda nu: point_frame(case, nu))
-        report = n_unitarity(case, [nu for (nu,), _ in samples])
-        report["seed"] = args.seed
-    elif args.subject == "symmetry":
-        omega = scalar_from_str(args.omega, order=case.N) if args.omega else zeta(case.N)
-        entries = _residual_entries(rng, count, 2,
-                                    lambda lam, nu: symmetry_relation_residual(case, omega, lam, nu))
-        report = reporting.build_report("symmetry", case.label, args.seed, entries,
-                                        extra={"omega": scalar_to_str(omega)})
-    elif args.subject == "equivalence":
-        entries = _residual_entries(rng, count, 2, lambda lam, mu: equivalence_residual(case, lam, mu))
-        report = reporting.build_report("equivalence", case.label, args.seed, entries)
-    elif args.subject == "rbar-cybe":
-        rbar = build_rbar(case)
-        entries = _residual_entries(rng, count, 3, lambda *pt: cybe_residual(rbar, *pt))
-        report = reporting.build_report("rbar-cybe", case.label, args.seed, entries)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown subject {args.subject!r}")
-
+        r = trig_r() if args.r == "trig" else rational_r(args.n or 2)
+        label, arity, evaluate = r.label, 3, lambda *pt: cybe_residual(r, *pt)
+    else:
+        case = case_by_label(args.case or "id-2refl", _parse_params(args.params))
+        if args.tamper:
+            case = tamper(case, args.tamper)
+        omega = None
+        if args.subject == "symmetry":
+            omega = scalar_from_str(args.omega, order=case.N) if args.omega else zeta(case.N)
+            extra = {"omega": scalar_to_str(omega)}
+        label = case.label
+        arity, evaluate = sampled_check(case, args.subject, omega)
+    samples = sample_evaluated(SplitMix64(args.seed), args.samples, arity, evaluate)
+    if args.subject == "nunitarity":
+        entries = [n_unitarity_entry(case, nu) for (nu,), _frame in samples]
+    else:
+        entries = [reporting.residual_entry(point, value) for point, value in samples]
+    report = reporting.build_report(args.subject, label, args.seed, entries, extra=extra)
     _emit(report, args.out)
     return _exit_code(report)
 
@@ -144,7 +119,6 @@ def _load_model(path):
 
 def cmd_gaudin(args) -> int:
     model = _load_model(args.config)
-    rng = SplitMix64(args.seed)
     sub = args.subcommand
 
     if sub == "hamiltonians":
@@ -156,32 +130,17 @@ def cmd_gaudin(args) -> int:
             sys.stdout.write(text + "\n")
         return 0
 
-    entries = []
+    sites = range(1, model.L + 1)
     if sub == "involution":
-        for i in range(1, model.L + 1):
-            for k in range(i + 1, model.L + 1):
-                residual = gaudin.involution_residual(model, i, k)
-                entry = {"sample": [f"H_{i}", f"H_{k}"]}
-                if residual.is_zero():
-                    entry["status"] = "exact-zero"
-                else:
-                    entry.update(status="nonzero", witness={"value": str(residual)})
-                entries.append(entry)
+        checks = (((f"H_{i}", f"H_{k}"), gaudin.involution_residual(model, i, k))
+                  for i in sites for k in sites if i < k)
     elif sub == "residue-equality":
-        for m in range(1, model.L + 1):
-            diff = gaudin.hamiltonian_residue(model, m) - gaudin.hamiltonian_explicit(model, m)
-            entry = {"sample": [f"H_{m}"]}
-            if diff.is_zero():
-                entry["status"] = "exact-zero"
-            else:
-                entry.update(status="nonzero", witness={"value": str(diff)})
-            entries.append(entry)
-    elif sub in ("rbb", "lax", "mk", "trbrackets"):
-        entries = _residual_entries(rng, args.samples, 2, lambda lam, mu: gaudin.sampled_residual(
+        checks = (((f"H_{m}",), gaudin.hamiltonian_residue(model, m) - gaudin.hamiltonian_explicit(model, m))
+                  for m in sites)
+    else:
+        checks = sample_evaluated(SplitMix64(args.seed), args.samples, 2, lambda lam, mu: gaudin.sampled_residual(
             model, sub, lam, mu, args.power, args.power_q))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown gaudin subcommand {sub!r}")
-
+    entries = [reporting.residual_entry(point, value) for point, value in checks]
     report = reporting.build_report(f"gaudin-{sub}", model.case.label, args.seed, entries,
                                     extra={"sites": [scalar_to_str(z) for z in model.sites]})
     _emit(report, args.out)
@@ -210,8 +169,6 @@ def _load_state(path) -> dynamics.PhaseState:
 
 
 def cmd_simulate(args) -> int:
-    if args.dt <= 0 or args.t <= 0:
-        raise NReflectError("dt and t must be positive")
     model = _load_model(args.config)
     state = _load_state(args.state) if args.state else default_initial_state(model, args.seed)
     traj = dynamics.rk4_simulate(model, args.hamiltonian, state, t_end=args.t, dt=args.dt,
@@ -264,11 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run an exact residual check")
     ver.add_argument("subject", choices=VERIFY_SUBJECTS)
-    ver.add_argument("--case", default="id-2refl", help="catalog label (see catalog list)")
-    ver.add_argument("--params", default="", help="overrides, e.g. a=1,b=5/3,c=3")
-    ver.add_argument("--r", default="rational", choices=["rational", "trig"],
-                     help="base r-matrix for the cybe subject")
-    ver.add_argument("--n", type=int, default=2, help="factor size for the rational r")
+    ver.add_argument("--case", default=None, help="catalog label (see catalog list); default id-2refl")
+    ver.add_argument("--params", default=None, help="overrides, e.g. a=1,b=5/3,c=3")
+    ver.add_argument("--r", default=None, choices=["rational", "trig"],
+                     help="base r-matrix for the cybe subject; default rational")
+    ver.add_argument("--n", type=_at_least_one, default=None, help="factor size for the cybe r; default 2")
     ver.add_argument("--samples", type=_at_least_one, default=DEFAULT_SAMPLES)
     ver.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
     ver.add_argument("--tamper", default=None, choices=["g1-sign"],

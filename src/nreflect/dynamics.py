@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ModelError
 from .gaudin import GaudinModel, hamiltonian_explicit, site_values
 from .sampling import POLE_ERRORS, first_admissible
-from .scalars import as_scalar, to_complex
+from .scalars import to_complex
 from .spinalg import KINDS, SpinPoly, casimir, poisson_bracket, var_index
 
 
@@ -41,12 +41,6 @@ class PhaseState:
             raise ValueError("phase-state entries must be finite")
         if len(self.values) % 3:
             raise ValueError("phase state length must be 3 L")
-
-    @staticmethod
-    def from_site_values(site_values) -> "PhaseState":
-        """site_values: sequence of (s_plus, s_minus, s_z) per site."""
-        flat = [component for site in site_values for component in site]
-        return PhaseState(tuple(flat))
 
     @property
     def sites(self) -> int:
@@ -68,16 +62,10 @@ def compile_spinpoly(poly: SpinPoly):
 
 
 def hamiltonian_for(model: GaudinModel, selection) -> SpinPoly:
-    """An index picks H_i; a sequence of weights takes a combination;
-    a SpinPoly passes through."""
+    """An index picks H_i; a SpinPoly passes through."""
     if isinstance(selection, SpinPoly):
         return selection
-    if isinstance(selection, int):
-        return hamiltonian_explicit(model, selection)
-    total = SpinPoly.zero(model.L)
-    for i, w in enumerate(selection, start=1):
-        total = total + as_scalar(w) * hamiltonian_explicit(model, i)
-    return total
+    return hamiltonian_explicit(model, selection)
 
 
 def vector_field_callables(model: GaudinModel, hamiltonian: SpinPoly):
@@ -88,13 +76,6 @@ def vector_field_callables(model: GaudinModel, hamiltonian: SpinPoly):
         gen = SpinPoly.generator(model.L, j + 1, KINDS[k])
         compiled.append(compile_spinpoly(poisson_bracket(gen, hamiltonian)))
     return compiled
-
-def vector_field(model: GaudinModel, selection, state: PhaseState):
-    """Derivatives {x, H} evaluated at the state, one per coordinate."""
-    h = hamiltonian_for(model, selection)
-    fields = vector_field_callables(model, h)
-    vals = list(state.values)
-    return [f(vals) for f in fields]
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +174,8 @@ def rk4_simulate(model: GaudinModel, selection, initial: PhaseState, t_end: floa
     number of logged rows only.  A non-finite state aborts the run and logs the last good
     state.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ModelError("dt and t_end must be positive")
+    if not (0 < dt < math.inf and 0 < t_end < math.inf):
+        raise ModelError(f"dt and t_end must be positive and finite, got dt = {dt}, t_end = {t_end}")
     if log_every < 1:
         raise ModelError(f"log_every must be at least 1, got {log_every}")
     h = hamiltonian_for(model, selection)

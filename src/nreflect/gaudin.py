@@ -34,7 +34,7 @@ from .reflection import (
     rbar_matrix,
     trivial_case,
 )
-from .scalars import ONE, ZERO, as_scalar, scalar_from_str, scalar_to_str, zeta
+from .scalars import ZERO, as_scalar, scalar_from_str, scalar_to_str, zeta
 from .spinalg import SpinPoly, casimir, poisson_bracket, s_minus, s_plus, s_z
 
 HALF = Fraction(1, 2)
@@ -46,12 +46,9 @@ GAUDIN_FAMILIES = ("id-2refl", "id-3refl", "trivial")
 class GaudinModel:
     sites: tuple
     case: KSolution
-    casimir_values: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "sites", tuple(as_scalar(z) for z in self.sites))
-        values = self.casimir_values or tuple([ONE] * len(self.sites))
-        object.__setattr__(self, "casimir_values", tuple(as_scalar(v) for v in values))
         _validate(self)
 
     @property
@@ -71,6 +68,12 @@ class GaudinModel:
         return tuple(sum((g * _inverse_shift(tau_j, zm) for g, tau_j in terms), start=RatFun(Poly()))
                      for zm in self.sites)
 
+    @cached_property
+    def hamiltonians(self) -> tuple:
+        """H_1, ..., H_L in closed form (:func:`hamiltonian_explicit`), built
+        once per model."""
+        return tuple(hamiltonian_explicit(self, i) for i in range(1, self.L + 1))
+
 
 def _validate(model: GaudinModel) -> None:
     z = model.sites
@@ -80,8 +83,6 @@ def _validate(model: GaudinModel) -> None:
         for k in range(i + 1, len(z)):
             if z[i] == z[k]:
                 raise ModelError("sites must be mutually distinct")
-    if len(model.casimir_values) != len(z):
-        raise ModelError("one Casimir value per site is required")
     case = model.case
     if case.family not in GAUDIN_FAMILIES:
         raise ModelError(f"case family {case.family!r} is not supported by the Gaudin layer")
@@ -108,20 +109,6 @@ def _validate(model: GaudinModel) -> None:
 # ---------------------------------------------------------------------------
 # the generating matrix B
 # ---------------------------------------------------------------------------
-
-def spin_site_matrix(L: int, m: int) -> Matrix:
-    """[[s_m^z/2, s_m^+], [s_m^-, -s_m^z/2]] without the 1/x prefactor."""
-    return Matrix([[HALF * s_z(L, m), s_plus(L, m)],
-                   [s_minus(L, m), -HALF * s_z(L, m)]])
-
-
-def local_lax(model: GaudinModel, m: int, shifted_nu) -> Matrix:
-    """ell(m, x) at the already-shifted argument x; pole at x = 0."""
-    x = as_scalar(shifted_nu)
-    if not x:
-        raise PoleError(f"local block at site {m} evaluated at 0")
-    return spin_site_matrix(model.L, m).scale(1 / x)
-
 
 def site_values(model: GaudinModel, lam) -> list:
     """c_1(lam), ..., c_L(lam) at an exact point, summed term by term, so
@@ -183,7 +170,7 @@ def hamiltonian_residue(model: GaudinModel, m: int) -> SpinPoly:
     return total
 
 
-def hamiltonian_explicit(model: GaudinModel, i: int, casimir_as: str = "poly") -> SpinPoly:
+def hamiltonian_explicit(model: GaudinModel, i: int) -> SpinPoly:
     """The closed quadratic form of H_i for the identity-k families."""
     case = model.case
     L = model.L
@@ -191,12 +178,7 @@ def hamiltonian_explicit(model: GaudinModel, i: int, casimir_as: str = "poly") -
     _check_site(model, i)
     zi = z[i - 1]
     params = case.params
-    if casimir_as == "poly":
-        cas_i = casimir(L, i)
-    elif casimir_as == "value":
-        cas_i = SpinPoly.const(L, model.casimir_values[i - 1])
-    else:
-        raise ValueError(f"casimir_as must be 'poly' or 'value', got {casimir_as!r}")
+    cas_i = casimir(L, i)
 
     try:
         if case.family == "trivial":
@@ -236,7 +218,9 @@ def hamiltonian_explicit(model: GaudinModel, i: int, casimir_as: str = "poly") -
 
 def involution_residual(model: GaudinModel, i: int, k: int) -> SpinPoly:
     """{H_i, H_k}; the zero polynomial certifies involution."""
-    return poisson_bracket(hamiltonian_explicit(model, i), hamiltonian_explicit(model, k))
+    _check_site(model, i)
+    _check_site(model, k)
+    return poisson_bracket(model.hamiltonians[i - 1], model.hamiltonians[k - 1])
 
 
 def residue_sum_check(model: GaudinModel) -> dict:
@@ -293,8 +277,14 @@ def rbb_residual(model: GaudinModel, lam, mu) -> Matrix:
     return bracket - commutator(rbar_ab, b_a) + commutator(rbar_ba, b_b)
 
 
+def _check_powers(*powers) -> None:
+    if min(powers) < 1:
+        raise ModelError(f"the powers of B must be at least 1, got {', '.join(map(str, powers))}")
+
+
 def trB_bracket_residual(model: GaudinModel, p: int, q: int, lam, nu) -> SpinPoly:
     """{tr B(lam)^p, tr B(nu)^q} as an exact spin polynomial."""
+    _check_powers(p, q)
     t1 = SpinPoly.coerce(model.L, (big_B_at(model, lam) ** p).trace())
     t2 = SpinPoly.coerce(model.L, (big_B_at(model, nu) ** q).trace())
     return poisson_bracket(t1, t2)
@@ -302,6 +292,7 @@ def trB_bracket_residual(model: GaudinModel, p: int, q: int, lam, nu) -> SpinPol
 
 def m_matrix(model: GaudinModel, lam, nu, p: int) -> Matrix:
     """M(lam, nu) = p tr_a(B_a(lam)^(p-1) rbar_ba(nu, lam))."""
+    _check_powers(p)
     lam, nu = as_scalar(lam), as_scalar(nu)
     b_pow = big_B_at(model, lam) ** (p - 1)
     b_a = tensor_pair(b_pow, Matrix.identity(2))
@@ -311,6 +302,7 @@ def m_matrix(model: GaudinModel, lam, nu, p: int) -> Matrix:
 
 def lax_residual(model: GaudinModel, lam, nu, p: int) -> Matrix:
     """{tr B(lam)^p, B(nu)} - [B(nu), M(lam, nu)]."""
+    _check_powers(p)
     lam, nu = as_scalar(lam), as_scalar(nu)
     h = SpinPoly.coerce(model.L, (big_B_at(model, lam) ** p).trace())
     b_nu = big_B_at(model, nu)
@@ -370,7 +362,7 @@ def case_for_config(kind: str, params: dict) -> KSolution:
 
 def model_from_config(config: dict) -> GaudinModel:
     """Build a model from a JSON-style dict:
-    {"case": kind, "params": {...}, "L": int, "z": [...], "casimirs": [...]}.
+    {"case": kind, "params": {...}, "L": int, "z": [...]}.
     Scalars are exact strings like "5/3"."""
     if not isinstance(config, dict):
         raise ModelError("model config must be a JSON object")
@@ -391,14 +383,8 @@ def model_from_config(config: dict) -> GaudinModel:
         raise ModelError(f"bad site value: {exc}") from exc
     if "L" in config and int(config["L"]) != len(z):
         raise ModelError(f"L = {config['L']} does not match {len(z)} sites")
-    cas_raw = config.get("casimirs")
-    casimirs = tuple(scalar_from_str(str(val)) if isinstance(val, str) else as_scalar(val)
-                     for val in cas_raw) if cas_raw else ()
-    return GaudinModel(sites=tuple(z), case=case, casimir_values=casimirs)
+    return GaudinModel(sites=tuple(z), case=case)
 
 
-def hamiltonians_text(model: GaudinModel, casimir_as: str = "poly") -> str:
-    lines = []
-    for i in range(1, model.L + 1):
-        lines.append(f"H_{i} = {hamiltonian_explicit(model, i, casimir_as=casimir_as)}")
-    return "\n".join(lines)
+def hamiltonians_text(model: GaudinModel) -> str:
+    return "\n".join(f"H_{i} = {h}" for i, h in enumerate(model.hamiltonians, start=1))

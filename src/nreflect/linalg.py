@@ -103,8 +103,9 @@ class Matrix:
         while exponent:
             if exponent & 1:
                 acc = acc * base
-            base = base * base
             exponent >>= 1
+            if exponent:
+                base = base * base
         return acc
 
     def __eq__(self, other):

@@ -101,10 +101,6 @@ class Poly:
     def derivative(self):
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def divmod_linear(self, root):
-        """Synthetic division by the monic factor (x - root)."""
-        return _horner_div_check(self, root)
-
     def divmod_by(self, other: "Poly"):
         """Long division by a polynomial with an invertible leading scalar."""
         if other.is_zero():
@@ -240,11 +236,6 @@ class RatFun:
     def scale(self, s):
         """Multiply by a scalar."""
         return RatFun(self.num.scale(s), self.roots)
-
-    def div_scalar(self, s):
-        if not s:
-            raise ZeroDivisionError("division of a rational function by zero")
-        return RatFun(self.num.scale(1 / s), self.roots)
 
     def derivative(self):
         """(p'q - pq') / q^2 with q the split-linear denominator."""

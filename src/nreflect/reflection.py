@@ -30,8 +30,9 @@ from typing import Callable, Optional
 from .errors import ConstraintError, PoleError, SingularMatrixError, UnsupportedCaseError
 from .linalg import Matrix, tensor_pair
 from .ratfun import Poly, RatFun
-from .rmatrix import RMatrixFun, rational_r, trig_r
-from .scalars import ONE, ZERO, Scalar, as_scalar, zeta
+from .reporting import build_report, render_sample
+from .rmatrix import RMatrixFun, cybe_residual, rational_r, trig_r
+from .scalars import ONE, ZERO, Scalar, as_scalar, scalar_to_str, zeta
 
 
 # ---------------------------------------------------------------------------
@@ -182,70 +183,65 @@ def point_frame(case: KSolution, nu) -> PointFrame:
     return PointFrame(orbit, weights, tuple(ks), tuple(inverses))
 
 
+def n_unitarity_entry(case: KSolution, nu) -> dict:
+    """The report entry of the check k^(N)(nu) = f(nu) 1 at nu; never raises
+    on failure."""
+    nu = as_scalar(nu)
+    entry = {"sample": render_sample([nu])}
+    try:
+        kn = k_iter(case, case.N, nu)
+    except PoleError as exc:
+        entry.update(status="fail", reason=str(exc))
+        return entry
+    f = kn[0, 0]
+    if kn == Matrix.identity(case.n).scale(f):
+        entry.update(status="pass", f=scalar_to_str(f))
+        if case.expected_f is not None and f != case.expected_f(nu):
+            entry.update(status="fail", expected_f=scalar_to_str(case.expected_f(nu)))
+    else:
+        entry.update(status="fail", reason="k^(N) is not a scalar multiple of the identity")
+    return entry
+
+
 def n_unitarity(case: KSolution, points) -> dict:
     """Check k^(N)(nu) = f(nu) 1 at each point; never raises on failure."""
-    from .reporting import build_report, render_sample
-    from .scalars import scalar_to_str
-
-    entries = []
-    for nu in points:
-        nu = as_scalar(nu)
-        entry = {"sample": render_sample([nu])}
-        try:
-            kn = k_iter(case, case.N, nu)
-        except PoleError as exc:
-            entry.update(status="fail", reason=str(exc))
-            entries.append(entry)
-            continue
-        f = kn[0, 0]
-        scalar_part = Matrix.identity(case.n).scale(f)
-        if kn == scalar_part:
-            entry["status"] = "pass"
-            entry["f"] = scalar_to_str(f)
-            if case.expected_f is not None and f != case.expected_f(nu):
-                entry["status"] = "fail"
-                entry["expected_f"] = scalar_to_str(case.expected_f(nu))
-        else:
-            entry["status"] = "fail"
-            entry["reason"] = "k^(N) is not a scalar multiple of the identity"
-        entries.append(entry)
-    return build_report("nunitarity", case.label, 0, entries)
+    return build_report("nunitarity", case.label, 0, [n_unitarity_entry(case, nu) for nu in points])
 
 
 # ---------------------------------------------------------------------------
 # residuals
 # ---------------------------------------------------------------------------
 
-def _rbar_at(case: KSolution, r: RMatrixFun, lam, frame: PointFrame) -> Matrix:
+def _rbar_at(case: KSolution, lam, frame: PointFrame) -> Matrix:
     """sum_j g^(j)(nu) k_b^(j)(nu) r_ab(lam, tau^j(nu)) k_b^(j)(nu)^-1 from the frame at nu."""
     eye = Matrix.identity(case.n)
+    r = case.base_r
     total = r(lam, frame.orbit[0]).scale(frame.weights[0])
     for g, point, kj, kj_inv in zip(frame.weights[1:], frame.orbit[1:], frame.k[1:], frame.k_inv[1:]):
         total = total + (tensor_pair(eye, kj) * r(lam, point) * tensor_pair(eye, kj_inv)).scale(g)
     return total
 
 
-def rbar_matrix(case: KSolution, lam, nu, r: Optional[RMatrixFun] = None) -> Matrix:
+def rbar_matrix(case: KSolution, lam, nu) -> Matrix:
     """The induced matrix rbar_ab(lam, nu) = sum_j g^(j) k_b^(j) r_ab(lam, tau^j(nu)) k_b^(j)^-1."""
-    return _rbar_at(case, r or case.base_r, as_scalar(lam), point_frame(case, nu))
+    return _rbar_at(case, as_scalar(lam), point_frame(case, nu))
 
 
-def nre_residual(case: KSolution, lam, nu, r: Optional[RMatrixFun] = None) -> Matrix:
+def nre_residual(case: KSolution, lam, nu) -> Matrix:
     """LHS - RHS of the N-fold reflection residual at exact points, in the
     compact form rbar_ab(lam, nu) k_a(lam) - k_a(lam) rbar_ab(tau(lam), nu);
     both terms share the frame at nu."""
-    r = r or case.base_r
     lam = as_scalar(lam)
     frame = point_frame(case, nu)
     k_a = tensor_pair(case.k(lam), Matrix.identity(case.n))
-    lhs = _rbar_at(case, r, lam, frame) * k_a
-    rhs = k_a * _rbar_at(case, r, case.tau(lam), frame)
+    lhs = _rbar_at(case, lam, frame) * k_a
+    rhs = k_a * _rbar_at(case, case.tau(lam), frame)
     return lhs - rhs
 
 
-def symmetry_relation_residual(case: KSolution, omega, lam, nu, r: Optional[RMatrixFun] = None) -> Matrix:
+def symmetry_relation_residual(case: KSolution, omega, lam, nu) -> Matrix:
     """r_ab(l, n) - omega k_a k_b r_ab(tau l, tau n) k_b^-1 k_a^-1 (needs omega^N = 1)."""
-    r = r or case.base_r
+    r = case.base_r
     omega = as_scalar(omega)
     if omega**case.N != 1:
         raise ConstraintError(f"omega^{case.N} != 1 for omega = {omega}")
@@ -269,13 +265,12 @@ def scalar_functional_residual(case: KSolution, lam, nu) -> Scalar:
     return total
 
 
-def build_rbar(case: KSolution, r: Optional[RMatrixFun] = None) -> RMatrixFun:
+def build_rbar(case: KSolution) -> RMatrixFun:
     """Evaluator for the induced matrix rbar.  It solves the classical
     Yang-Baxter equation only for cases whose reflection residual vanishes;
     ``verify nre`` and ``verify rbar-cybe`` check both."""
-    r = r or case.base_r
     return RMatrixFun(n=case.n, kind="constructed", label=f"rbar[{case.label}]",
-                      evaluate=lambda lam, mu: rbar_matrix(case, lam, mu, r))
+                      evaluate=lambda lam, mu: rbar_matrix(case, lam, mu))
 
 
 def tamper(case: KSolution, mode: str) -> KSolution:
@@ -362,6 +357,29 @@ def equivalence_residual(case: KSolution, lam, mu) -> Matrix:
         raise PoleError(f"p(lam) = p(mu) at ({lam}, {mu})")
     rhs = permutation_operator(case.n).scale(transform.prefactor(mu) / diff)
     return lhs - rhs
+
+
+def sampled_check(case: KSolution, subject: str, omega=None) -> tuple:
+    """(arity, evaluate) of the ``verify`` subject checked on ``case``: the
+    sampler draws points of ``arity`` rationals and redraws where
+    ``evaluate`` raises a pole error.  ``compact`` names the form
+    :func:`nre_residual` computes; ``nunitarity`` is sampled where the frame
+    of rbar evaluates, so that k^(N) is checked on the domain of the induced
+    matrix; ``symmetry`` uses ``omega``, zeta_N by default.  Nothing about
+    the case is evaluated before the first call of ``evaluate``."""
+    if subject in ("nre", "compact"):
+        return 2, lambda lam, nu: nre_residual(case, lam, nu)
+    if subject == "nunitarity":
+        return 1, lambda nu: point_frame(case, nu)
+    if subject == "symmetry":
+        omega = zeta(case.N) if omega is None else omega
+        return 2, lambda lam, nu: symmetry_relation_residual(case, omega, lam, nu)
+    if subject == "equivalence":
+        return 2, lambda lam, mu: equivalence_residual(case, lam, mu)
+    if subject == "rbar-cybe":
+        rbar = build_rbar(case)
+        return 3, lambda *pt: cybe_residual(rbar, *pt)
+    raise ValueError(f"unknown verify subject {subject!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ from .scalars import scalar_to_str
 
 
 def render_sample(point) -> list:
-    return [scalar_to_str(x) for x in point]
+    """Exact scalars as :func:`scalar_to_str` renders them, labels such as
+    "H_1" as they are."""
+    return [_render(x) for x in point]
 
 
 def residual_entry(point, residual) -> dict:

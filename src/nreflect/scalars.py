@@ -370,7 +370,10 @@ def scalar_from_str(text: str, order: int | None = None) -> Scalar:
         m = _TERM_RE.match(term)
         if not m or (m.group("coeff") is None and m.group("z") is None):
             raise ValueError(f"cannot parse scalar term {term!r} in {text!r}")
-        coeff = sign * Fraction(m.group("coeff") or 1)
+        try:
+            coeff = sign * Fraction(m.group("coeff") or 1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar {text!r}") from None
         if m.group("z"):
             if order is None:
                 raise ValueError(f"scalar {text!r} uses z but no cyclotomic order was given")

@@ -165,9 +165,6 @@ class SpinPoly:
             terms[tuple(new)] = e * coeff
         return SpinPoly(self.sites, terms)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def evaluate(self, assignment: dict):
         """Evaluate at values keyed by (site, kind).  Exact throughout when
         every value is exact; numeric (complex) when any value is a float or
@@ -189,9 +186,6 @@ class SpinPoly:
         if total is None:
             return 0j if numeric else ZERO
         return total
-
-    def gradient(self) -> list:
-        return [self.diff(i) for i in range(3 * self.sites)]
 
     def __str__(self):
         if not self.terms:

@@ -279,3 +279,46 @@ def test_params_the_case_takes_are_applied(capsys):
     assert code == 0 and json.loads(out)["case"] == "linear-k-N2-diag-th3"
     code, out, _ = run(capsys, "verify", "nre", "--case", "id-3refl", "--params", "n=3", "--samples", "2")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "nre", "--params", "a=1/0"],
+    ["verify", "symmetry", "--omega", "1/0"],
+    ["gaudin", "involution", "--config", "{zero_site}"],
+])
+def test_zero_denominator_is_config_error(capsys, tmp_path, argv):
+    zero_site = write_config(tmp_path, {"case": "bcl", "z": ["1/0", "2"]})
+    code, out, err = run(capsys, *(word.format(zero_site=zero_site) for word in argv))
+    assert code == 2 and out == ""
+    assert "zero denominator" in err and "1/0" in err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["verify", "cybe", "--case", "nope", "--params", "foo=1"], "--case, --params"),
+    (["verify", "cybe", "--tamper", "g1-sign"], "--tamper"),
+    (["verify", "cybe", "--omega", "-1"], "--omega"),
+    (["verify", "cybe", "--r", "trig", "--n", "3"], "--n must be 2"),
+    (["verify", "nre", "--r", "trig"], "--r"),
+    (["verify", "compact", "--case", "id-3refl", "--n", "3"], "--n"),
+    (["verify", "nunitarity", "--omega", "-1"], "--omega"),
+])
+def test_options_the_subject_does_not_read_are_config_errors(capsys, argv, named):
+    code, out, err = run(capsys, *argv, "--samples", "1")
+    assert code == 2 and out == ""
+    assert named in err
+
+
+def test_options_the_subject_reads_are_accepted(capsys):
+    assert run(capsys, "verify", "cybe", "--r", "trig", "--n", "2", "--samples", "1")[0] == 0
+    code, out, _ = run(capsys, "verify", "symmetry", "--case", "id-2refl", "--omega", "-1", "--samples", "1")
+    assert code in (0, 1) and json.loads(out)["omega"] == "-1"
+
+
+@pytest.mark.parametrize("flag,value", [("--t", "inf"), ("--t", "nan"), ("--dt", "inf"), ("--dt", "nan")])
+def test_simulate_non_finite_time_is_config_error(capsys, tmp_path, flag, value):
+    config = write_config(tmp_path, BCL)
+    times = {"--t": "0.01", "--dt": "0.001", flag: value}
+    code, out, err = run(capsys, "simulate", "--config", config, "--t", times["--t"], "--dt", times["--dt"],
+                         "--out", str(tmp_path / "x.csv"))
+    assert code == 2 and out == ""
+    assert "finite" in err

@@ -49,28 +49,19 @@ from pathlib import Path
 
 import pytest
 
+from nreflect.cli import VERIFY_SUBJECTS
 from nreflect.errors import PoleError
 from nreflect.gaudin import model_from_config, sampled_residual, site_values
-from nreflect.reflection import (
-    CATALOG,
-    build_rbar,
-    case_by_label,
-    equivalence_residual,
-    nre_residual,
-    point_frame,
-    symmetry_relation_residual,
-    tamper,
-)
+from nreflect.reflection import CATALOG, case_by_label, sampled_check, tamper
 from nreflect.rmatrix import cybe_residual, rational_r, trig_r
 from nreflect.sampling import SplitMix64, first_admissible, sample_fraction
-from nreflect.scalars import zeta
 
 DATA = Path(__file__).parent / "data" / "domain_digests.json"
 SEED = 2024
 SEEDED = {2: 40, 3: 8}
 VALUES = sorted({Fraction(p, q) for p in range(-20, 21) for q in range(1, 21)})
 PARTNERS = VALUES[::32]
-SUBJECTS = ("nre", "nunitarity", "compact", "symmetry", "equivalence", "rbar-cybe")
+SUBJECTS = [subject for subject in VERIFY_SUBJECTS if subject != "cybe"]
 GAUDIN_SAMPLED = ("rbb", "lax", "mk", "trbrackets")
 MODELS = {
     "two": {"case": "two-reflection", "params": {"a": "1", "b": "2", "c": "3"}, "z": ["1", "2"]},
@@ -136,23 +127,12 @@ def point_list(arity, tau, order, rejected):
 
 
 # ---------------------------------------------------------------------------
-# the checks, each as (arity, evaluation), the evaluations the CLI samples
+# the checks, each as (arity, evaluation): for a reflection case the
+# evaluation ``verify`` samples, from ``sampled_check``
 # ---------------------------------------------------------------------------
 
 def identity(x):
     return x
-
-
-def reflection_checks(case):
-    """{subject: (arity, evaluation)} for one reflection case."""
-    return {
-        "nre": (2, lambda l, n: nre_residual(case, l, n)),
-        "compact": (2, lambda l, n: nre_residual(case, l, n)),
-        "nunitarity": (1, lambda nu: point_frame(case, nu)),
-        "symmetry": (2, lambda l, n: symmetry_relation_residual(case, zeta(case.N), l, n)),
-        "equivalence": (2, lambda l, m: equivalence_residual(case, l, m)),
-        "rbar-cybe": (3, lambda *pt: cybe_residual(build_rbar(case), *pt)),
-    }
 
 
 _REJECTED = {}
@@ -175,14 +155,14 @@ def all_checks() -> dict:
         for subject in SUBJECTS:
             def spec(label=label, subject=subject):
                 case = case_by_label(label)
-                checks = reflection_checks(case)
-                return (*checks[subject], case.tau, case.N, rejected_singles(label, checks["nunitarity"][1]))
+                return (*sampled_check(case, subject), case.tau, case.N,
+                        rejected_singles(label, sampled_check(case, "nunitarity")[1]))
             table[f"{subject} {label}"] = spec
 
         def tampered(label=label):
             case = tamper(case_by_label(label), "g1-sign")
-            checks = reflection_checks(case)
-            return (*checks["nre"], case.tau, case.N, rejected_singles(case.label, checks["nunitarity"][1]))
+            return (*sampled_check(case, "nre"), case.tau, case.N,
+                    rejected_singles(case.label, sampled_check(case, "nunitarity")[1]))
         table[f"nre {label} tamper"] = tampered
     for name, config in MODELS.items():
         for sub in GAUDIN_SAMPLED:

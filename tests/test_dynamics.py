@@ -11,7 +11,7 @@ from nreflect.dynamics import (
     default_probes,
     rk4_simulate,
     spectral_scan,
-    vector_field,
+    vector_field_callables,
     write_csv,
 )
 from nreflect.errors import ModelError
@@ -41,6 +41,11 @@ def compact_state(spins=((0.8, -0.3, 0.5), (-0.2, 0.9, -0.6)), scale=5.0):
                    complex(-scale * sx, scale * sy),
                    2j * scale * sz]
     return PhaseState(tuple(values))
+
+
+def vector_field(model, hamiltonian, state):
+    """The derivatives {x, H} at the state, by the compiled fields RK4 steps with."""
+    return [f(list(state.values)) for f in vector_field_callables(model, hamiltonian)]
 
 
 class TestVectorField:
@@ -75,7 +80,7 @@ class TestVectorField:
             down[idx] -= eps
             return (h_fn(up) - h_fn(down)) / (2 * eps)
 
-        derivs = vector_field(model, 1, state)
+        derivs = vector_field(model, h, state)
         for site in range(model.L):
             base = 3 * site
             sp, sm, sz_val = vals[base], vals[base + 1], vals[base + 2]
@@ -236,7 +241,7 @@ class TestProbesAndCsv:
 
 
 def test_phase_state_helpers():
-    state = PhaseState.from_site_values([(1, 2, 3), (4, 5, 6)])
+    state = PhaseState((1, 2, 3, 4, 5, 6))
     assert state.sites == 2
     assert state.value(2, "z") == 6
     with pytest.raises(ValueError):

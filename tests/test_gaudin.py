@@ -12,7 +12,6 @@ from nreflect.gaudin import (
     hamiltonians_text,
     involution_residual,
     lax_residual,
-    local_lax,
     m_matrix,
     mk_residual,
     model_from_config,
@@ -21,7 +20,6 @@ from nreflect.gaudin import (
     residue_sum_check,
     s_pair,
     site_values,
-    spin_site_matrix,
     trB_bracket_residual,
 )
 from nreflect.linalg import Matrix
@@ -48,6 +46,16 @@ def bcl_model(z=(1, 2)):
 
 def z3_model(z=(1, 2)):
     return model_from_config({"case": "z3", "z": list(z)})
+
+
+def spin_block(L, m):
+    """ell_m = [[s_m^z/2, s_m^+], [s_m^-, -s_m^z/2]]."""
+    return Matrix([[F(1, 2) * s_z(L, m), s_plus(L, m)], [s_minus(L, m), F(-1, 2) * s_z(L, m)]])
+
+
+def local_block(L, m, x):
+    """ell_m / x, the single-site block at the shifted argument x != 0."""
+    return spin_block(L, m).scale(1 / x)
 
 
 class TestModelValidation:
@@ -79,15 +87,16 @@ class TestModelValidation:
 
 
 class TestLocalLax:
+    # B of the one-site model with no reflection is the local block ell_1 / (lam - z_1)
     def test_entry(self):
-        model = bcl_model()
-        ell = local_lax(model, 1, F(2))
-        assert ell[0, 0] == F(1, 4) * s_z(2, 1)
-        assert ell[0, 1] == F(1, 2) * s_plus(2, 1)
+        model = model_from_config({"case": "plain", "z": [0]})
+        ell = big_B_at(model, F(2))
+        assert ell[0, 0] == F(1, 4) * s_z(1, 1)
+        assert ell[0, 1] == F(1, 2) * s_plus(1, 1)
 
     def test_pole_at_zero(self):
         with pytest.raises(PoleError):
-            local_lax(bcl_model(), 1, F(0))
+            big_B_at(model_from_config({"case": "plain", "z": [0]}), F(0))
 
     def test_local_poisson_relation(self):
         # {ell_a(1,lam), ell_b(1,mu)} = [P/(lam-mu), ell_a + ell_b], checked
@@ -97,7 +106,7 @@ class TestLocalLax:
 
         model = bcl_model()
         lam, mu = F(2), F(3)
-        ea, eb = local_lax(model, 1, lam), local_lax(model, 1, mu)
+        ea, eb = local_block(model.L, 1, lam), local_block(model.L, 1, mu)
         eye = Matrix.identity(2)
         lhs = _bracket_matrix(model.L, ea, eb)
         r_val = rational_r(2)(lam, mu)
@@ -109,13 +118,13 @@ class TestBigB:
     def test_trivial_structure_is_plain_sum(self):
         model = model_from_config({"case": "plain", "z": [1, 2]})
         lam = F(5)
-        expected = local_lax(model, 1, lam - 1) + local_lax(model, 2, lam - 2)
+        expected = local_block(2, 1, lam - 1) + local_block(2, 2, lam - 2)
         assert big_B_at(model, lam) == expected
 
     def test_bcl_single_site(self):
         model = model_from_config({"case": "bcl", "z": [1]})
         lam = F(5)
-        expected = local_lax(model, 1, lam - 1) - local_lax(model, 1, -lam - 1)
+        expected = local_block(1, 1, lam - 1) - local_block(1, 1, -lam - 1)
         assert big_B_at(model, lam) == expected
 
     def test_pole_raises(self):
@@ -139,10 +148,10 @@ class TestBigB:
             from_coefficients = None
             by_definition = None
             for m, (zm, c) in enumerate(zip(model.sites, model.site_coefficients), start=1):
-                term = spin_site_matrix(model.L, m).scale(c.eval_at(lam))
+                term = spin_block(model.L, m).scale(c.eval_at(lam))
                 from_coefficients = term if from_coefficients is None else from_coefficients + term
                 for j, point in enumerate(case.orbit(lam)):
-                    term = local_lax(model, m, point - zm).scale(case.weights(j, lam))
+                    term = local_block(model.L, m, point - zm).scale(case.weights(j, lam))
                     by_definition = term if by_definition is None else by_definition + term
             fixed = big_B_at(model, lam)
             assert from_coefficients == fixed
@@ -192,16 +201,6 @@ class TestHamiltonians:
         probe = s_plus(2, 1) * s_minus(2, 2)
         (expo,) = probe.terms
         assert h1.terms[expo] == expected
-
-    def test_casimir_substitution(self):
-        model = bcl_model(z=(1, 2))
-        text = hamiltonians_text(model, casimir_as="value")
-        assert "s1z^2" not in text
-
-    def test_explicit_rejects_unknown_family(self):
-        model = bcl_model(z=(1, 2))
-        with pytest.raises(ValueError):
-            hamiltonian_explicit(model, 1, casimir_as="spam")
 
 
 class TestInvolution:
@@ -277,7 +276,7 @@ class TestStructuralIdentities:
         model = two_reflection_model(z=(1, 2))
         m = m_matrix(model, F(5), F(7), 1)
         # spin-independent: tr_a(rbar_ba) of a permutation-type matrix is scalar
-        assert all(not isinstance(entry, SpinPoly) or entry.total_degree() == 0
+        assert all(not isinstance(entry, SpinPoly) or set(entry.terms) <= {(0,) * 6}
                    for row in m.rows for entry in row)
         assert lax_residual(model, F(5), F(7), 1).is_zero()
 
@@ -285,6 +284,18 @@ class TestStructuralIdentities:
         model = three_reflection_model(z=(2, 5))
         for lam, nu in seeded_structural_pairs(model, count=3):
             assert mk_residual(model, lam, nu, 2).is_zero()
+
+    @pytest.mark.parametrize("check", [
+        lambda model: lax_residual(model, F(5), F(7), 0),
+        lambda model: m_matrix(model, F(5), F(7), 0),
+        lambda model: mk_residual(model, F(5), F(7), -1),
+        lambda model: trB_bracket_residual(model, 0, 2, F(5), F(7)),
+        lambda model: trB_bracket_residual(model, 2, 0, F(5), F(7)),
+    ], ids=["lax-p0", "m-p0", "mk-p-1", "trbrackets-p0", "trbrackets-q0"])
+    def test_power_below_one_is_a_model_error(self, check):
+        # tr B^0 = 2 and B^-1 would need a spin-polynomial inverse: neither is a check
+        with pytest.raises(ModelError, match="at least 1"):
+            check(bcl_model())
 
 
 class TestConfig:

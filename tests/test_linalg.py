@@ -125,6 +125,28 @@ class TestMatrixAlgebra:
         assert m**2 == Matrix.identity(2)
         assert m**-1 == m
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_power_is_repeated_product(self, k):
+        m = frac_matrix([[1, 2, 0], [Fraction(-1, 3), 0, 5], [2, 1, 1]])
+        product = m
+        for _ in range(k - 1):
+            product = product * m
+        assert m**k == product
+
+    @pytest.mark.parametrize("k,products", [(1, 1), (2, 2), (3, 3), (4, 3), (5, 4), (8, 4)])
+    def test_power_squares_only_while_bits_remain(self, monkeypatch, k, products):
+        # one product per set bit, one squaring per later bit; none past the top bit
+        count = []
+        multiply = Matrix.__mul__
+
+        def counted(self, other):
+            count.append(1)
+            return multiply(self, other)
+
+        monkeypatch.setattr(Matrix, "__mul__", counted)
+        frac_matrix([[1, 2], [3, 4]]) ** k
+        assert len(count) == products
+
     def test_pretty(self):
         text = frac_matrix([[1, -2], [Fraction(1, 3), 0]]).pretty()
         assert "1/3" in text and "-2" in text

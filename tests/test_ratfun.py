@@ -25,9 +25,9 @@ class TestPoly:
         assert p.derivative() == Poly([F(2), F(6)])
 
     def test_divmod_linear(self):
-        p = Poly([F(-1), F(0), F(1)])  # x^2 - 1
-        q, r = p.divmod_linear(F(1))
-        assert q == Poly([F(1), F(1)]) and r == 0
+        # a common linear factor cancels by synthetic division: (x^2 - 1)/(x - 1)
+        f = RatFun(Poly([F(-1), F(0), F(1)]), [(F(1), 1)])
+        assert f.num == Poly([F(1), F(1)]) and f.roots == ()
 
     def test_divmod_by(self):
         p = Poly([F(1), F(0), F(0), F(2)])  # 2x^3 + 1
@@ -67,10 +67,10 @@ class TestRatFunArith:
         assert f.roots == () and f.eval_at(F(7)) == F(1, 5)
 
     def test_div_scalar(self):
-        f = simple_pole(1).div_scalar(F(2))
-        assert f.eval_at(F(3)) == F(1, 4)
-        with pytest.raises(ZeroDivisionError):
-            f.div_scalar(F(0))
+        # scalar division is multiplication by the inverse scalar
+        f = simple_pole(1) * (1 / F(2))
+        assert f.eval_at(F(3)) == F(1, 4) and f.roots == ((F(1), 1),)
+        assert (0 * simple_pole(1)).is_zero()
 
 
 class TestResidues:

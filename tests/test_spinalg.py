@@ -54,9 +54,9 @@ class TestEvaluateGradient:
 
     def test_gradient(self):
         f = s_plus(1, 1) * s_minus(1, 1)
-        grads = f.gradient()
-        assert grads[var_index(1, "+")] == s_minus(1, 1)
-        assert grads[var_index(1, "-")] == s_plus(1, 1)
+        assert f.diff(var_index(1, "+")) == s_minus(1, 1)
+        assert f.diff(var_index(1, "-")) == s_plus(1, 1)
+        assert f.diff(var_index(1, "z")).is_zero()
 
     def test_missing_variable(self):
         with pytest.raises(KeyError, match="s1z"):
