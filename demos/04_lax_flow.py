@@ -3,8 +3,6 @@ conserved quantities drift below 1e-8 and the spectrum of B(lam) at fixed
 probes stays put (isospectrality of the Lax form).
 """
 
-import numpy as np
-
 from nreflect.dynamics import (
     PhaseState,
     convergence_order,

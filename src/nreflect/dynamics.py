@@ -19,13 +19,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ModelError
 from .gaudin import GaudinModel, hamiltonian_explicit, site_values
 from .sampling import POLE_ERRORS, first_admissible
 from .scalars import to_complex
-from .spinalg import KINDS, SpinPoly, casimir, poisson_bracket, var_index
+from .spinalg import KINDS, SpinPoly, bracket_partials, casimir, partials, var_index
 
 
 @dataclass
@@ -69,13 +67,10 @@ def hamiltonian_for(model: GaudinModel, selection) -> SpinPoly:
 
 
 def vector_field_callables(model: GaudinModel, hamiltonian: SpinPoly):
-    """Compiled {x, H} for every coordinate x."""
-    compiled = []
-    for idx in range(3 * model.L):
-        j, k = divmod(idx, 3)
-        gen = SpinPoly.generator(model.L, j + 1, KINDS[k])
-        compiled.append(compile_spinpoly(poisson_bracket(gen, hamiltonian)))
-    return compiled
+    """Compiled {x, H} for every coordinate x; H is differentiated once."""
+    dh = partials(hamiltonian)
+    return [compile_spinpoly(bracket_partials(partials(SpinPoly.generator(j, kind)), dh))
+            for j in range(1, model.L + 1) for kind in KINDS]
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +184,7 @@ def rk4_simulate(model: GaudinModel, selection, initial: PhaseState, t_end: floa
     for i in range(1, model.L + 1):
         monitors[f"H{i}"] = compile_spinpoly(hamiltonian_explicit(model, i))
     for j in range(1, model.L + 1):
-        monitors[f"C{j}"] = compile_spinpoly(casimir(model.L, j))
+        monitors[f"C{j}"] = compile_spinpoly(casimir(j))
     for idx, probe in enumerate(probes):
         monitors[f"detB@{idx}"] = probe_evaluator(model, probe)
 
@@ -250,16 +245,11 @@ def convergence_order(model: GaudinModel, selection, initial: PhaseState, t_end:
     drifts = []
     for dt in dts:
         traj = rk4_simulate(model, selection, initial, t_end, dt, log_every=100)
-        finals.append(np.asarray(traj.final_state().values))
+        finals.append(traj.final_state().values)
         keys = [key for key in traj.conserved if key.startswith("H")]
         drifts.append(max(traj.drift(key) for key in keys))
-    orders = []
-    for i in range(len(finals) - 2):
-        d1 = float(np.max(np.abs(finals[i] - finals[i + 1])))
-        d2 = float(np.max(np.abs(finals[i + 1] - finals[i + 2])))
-        if d2 == 0:
-            continue
-        orders.append(math.log2(d1 / d2))
+    gaps = [max(abs(a - b) for a, b in zip(x, y)) for x, y in zip(finals, finals[1:])]
+    orders = [math.log2(d1 / d2) for d1, d2 in zip(gaps, gaps[1:]) if d2 != 0]
     return {"orders": orders, "order": min(orders) if orders else float("nan"),
             "drifts": drifts}
 

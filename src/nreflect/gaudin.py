@@ -29,13 +29,14 @@ from .linalg import Matrix, commutator, partial_trace, swap_pair, tensor_pair
 from .ratfun import Poly, RatFun
 from .reflection import (
     KSolution,
+    case_by_label,
     identity_k_three_reflection,
     identity_k_two_reflection,
     rbar_matrix,
     trivial_case,
 )
 from .scalars import ZERO, as_scalar, scalar_from_str, scalar_to_str, zeta
-from .spinalg import SpinPoly, casimir, poisson_bracket, s_minus, s_plus, s_z
+from .spinalg import SpinPoly, bracket_partials, casimir, partials, poisson_bracket, s_minus, s_plus, s_z
 
 HALF = Fraction(1, 2)
 
@@ -126,12 +127,11 @@ def site_values(model: GaudinModel, lam) -> list:
 def big_B_at(model: GaudinModel, lam) -> Matrix:
     """B(lam) = sum_m c_m(lam) ell_m at a fixed exact spectral point, as a
     traceless 2x2 spin-polynomial matrix."""
-    L = model.L
-    top, plus, minus = SpinPoly.zero(L), SpinPoly.zero(L), SpinPoly.zero(L)
+    top = plus = minus = SpinPoly()
     for m, c in enumerate(site_values(model, lam), start=1):
-        top = top + (HALF * c) * s_z(L, m)
-        plus = plus + c * s_plus(L, m)
-        minus = minus + c * s_minus(L, m)
+        top = top + (HALF * c) * s_z(m)
+        plus = plus + c * s_plus(m)
+        minus = minus + c * s_minus(m)
     return Matrix([[top, plus], [minus, -top]])
 
 
@@ -145,8 +145,8 @@ def _inverse_shift(tau_j, z) -> RatFun:
 # Hamiltonians
 # ---------------------------------------------------------------------------
 
-def s_pair(L: int, i: int, k: int) -> SpinPoly:
-    return HALF * s_z(L, i) * s_z(L, k) + s_plus(L, i) * s_minus(L, k) + s_minus(L, i) * s_plus(L, k)
+def s_pair(i: int, k: int) -> SpinPoly:
+    return HALF * s_z(i) * s_z(k) + s_plus(i) * s_minus(k) + s_minus(i) * s_plus(k)
 
 
 def _check_site(model: GaudinModel, i: int) -> None:
@@ -159,58 +159,52 @@ def hamiltonian_residue(model: GaudinModel, m: int) -> SpinPoly:
     products c_m c_k.  Model validation keeps z_m off every other c_k's poles,
     so the products without c_m contribute nothing."""
     _check_site(model, m)
-    L = model.L
     zm = model.sites[m - 1]
     cs = model.site_coefficients
     cm = cs[m - 1]
-    total = HALF * (cm * cm).residue(zm) * casimir(L, m)
+    total = HALF * (cm * cm).residue(zm) * casimir(m)
     for k, ck in enumerate(cs, start=1):
         if k != m:
-            total = total + (cm * ck).residue(zm) * s_pair(L, m, k)
+            total = total + (cm * ck).residue(zm) * s_pair(m, k)
     return total
 
 
 def hamiltonian_explicit(model: GaudinModel, i: int) -> SpinPoly:
     """The closed quadratic form of H_i for the identity-k families."""
     case = model.case
-    L = model.L
     z = model.sites
     _check_site(model, i)
     zi = z[i - 1]
     params = case.params
-    cas_i = casimir(L, i)
-
+    total = SpinPoly()
     try:
         if case.family == "trivial":
-            total = SpinPoly.zero(L)
             for k, zk in enumerate(z, start=1):
                 if k != i:
-                    total = total + (1 / (zi - zk)) * s_pair(L, i, k)
+                    total = total + (1 / (zi - zk)) * s_pair(i, k)
             return total
         if case.family == "id-2refl":
             a, b, c = params["a"], params["b"], params["c"]
             kappa = a * a + b * c
-            total = SpinPoly.zero(L)
             for k, zk in enumerate(z, start=1):
                 if k == i:
                     continue
                 coeff = 1 / (zi - zk) + kappa / ((a - c * zi) * (b + a * (zi + zk) - c * zi * zk))
-                total = total + coeff * s_pair(L, i, k)
+                total = total + coeff * s_pair(i, k)
             cas_coeff = kappa / ((a - c * zi) * (b + 2 * a * zi - c * zi * zi))
-            return total + cas_coeff * cas_i
+            return total + cas_coeff * casimir(i)
         if case.family == "id-3refl":
             a, b, c, d = params["a"], params["b"], params["c"], params["d"]
             det = a * d - b * c
-            total = SpinPoly.zero(L)
             for k, zk in enumerate(z, start=1):
                 if k == i:
                     continue
                 coeff = (1 / (zi - zk)
                          + det / ((d + c * zi) * (b + a * zi - d * zk - c * zi * zk))
                          - det / ((a - c * zi) * (b + a * zk - d * zi - c * zi * zk)))
-                total = total + coeff * s_pair(L, i, k)
+                total = total + coeff * s_pair(i, k)
             cas_coeff = (det / (b + (a - d) * zi - c * zi * zi)) * (1 / (d + c * zi) - 1 / (a - c * zi))
-            return total + cas_coeff * cas_i
+            return total + cas_coeff * casimir(i)
     except ZeroDivisionError as exc:
         raise ModelError(f"displayed coefficient of H_{i} hits a pole: {exc}") from exc
     raise ModelError(f"no closed Hamiltonian for family {case.family!r}")
@@ -239,23 +233,13 @@ def residue_sum_check(model: GaudinModel) -> dict:
 # structural identities at fixed spectral points
 # ---------------------------------------------------------------------------
 
-def _bracket_matrix(L: int, left: Matrix, right: Matrix) -> Matrix:
-    """{left_a, right_b} on the tensor square: entrywise Poisson brackets."""
-    n = left.nrows
-    dim = n * n
-    rows = [[SpinPoly.zero(L)] * dim for _ in range(dim)]
-    for u1 in range(n):
-        for v1 in range(n):
-            f = SpinPoly.coerce(L, left[u1, v1])
-            if f.is_zero():
-                continue
-            for u2 in range(n):
-                for v2 in range(n):
-                    g = SpinPoly.coerce(L, right[u2, v2])
-                    if g.is_zero():
-                        continue
-                    rows[u1 * n + u2][v1 * n + v2] = poisson_bracket(f, g)
-    return Matrix(rows)
+def _bracket_matrix(left: Matrix, right: Matrix) -> Matrix:
+    """{left_a, right_b}: entry (u1 u2, v1 v2) of the tensor product is the
+    Poisson bracket {left[u1, v1], right[u2, v2]}; each entry of either
+    matrix is differentiated once."""
+    dl = [[partials(f) for f in row] for row in left.rows]
+    dr = [[partials(g) for g in row] for row in right.rows]
+    return Matrix([[bracket_partials(f, g) for f in lrow for g in rrow] for lrow in dl for rrow in dr])
 
 
 def rbb_inputs(model: GaudinModel, lam, mu) -> tuple:
@@ -273,7 +257,7 @@ def rbb_residual(model: GaudinModel, lam, mu) -> Matrix:
     eye = Matrix.identity(2)
     b_a = tensor_pair(b_lam, eye)
     b_b = tensor_pair(eye, b_mu)
-    bracket = _bracket_matrix(model.L, b_lam, b_mu)
+    bracket = _bracket_matrix(b_lam, b_mu)
     return bracket - commutator(rbar_ab, b_a) + commutator(rbar_ba, b_b)
 
 
@@ -285,9 +269,7 @@ def _check_powers(*powers) -> None:
 def trB_bracket_residual(model: GaudinModel, p: int, q: int, lam, nu) -> SpinPoly:
     """{tr B(lam)^p, tr B(nu)^q} as an exact spin polynomial."""
     _check_powers(p, q)
-    t1 = SpinPoly.coerce(model.L, (big_B_at(model, lam) ** p).trace())
-    t2 = SpinPoly.coerce(model.L, (big_B_at(model, nu) ** q).trace())
-    return poisson_bracket(t1, t2)
+    return poisson_bracket((big_B_at(model, lam) ** p).trace(), (big_B_at(model, nu) ** q).trace())
 
 
 def m_matrix(model: GaudinModel, lam, nu, p: int) -> Matrix:
@@ -304,11 +286,9 @@ def lax_residual(model: GaudinModel, lam, nu, p: int) -> Matrix:
     """{tr B(lam)^p, B(nu)} - [B(nu), M(lam, nu)]."""
     _check_powers(p)
     lam, nu = as_scalar(lam), as_scalar(nu)
-    h = SpinPoly.coerce(model.L, (big_B_at(model, lam) ** p).trace())
+    tr_b = Matrix([[(big_B_at(model, lam) ** p).trace()]])
     b_nu = big_B_at(model, nu)
-    flow = Matrix([[poisson_bracket(h, SpinPoly.coerce(model.L, entry)) for entry in row]
-                   for row in b_nu.rows])
-    return flow - commutator(b_nu, m_matrix(model, lam, nu, p))
+    return _bracket_matrix(tr_b, b_nu) - commutator(b_nu, m_matrix(model, lam, nu, p))
 
 
 def mk_residual(model: GaudinModel, lam, nu, p: int) -> Matrix:
@@ -346,18 +326,22 @@ MODEL_KINDS = ("two-reflection", "three-reflection", "bcl", "z3", "plain")
 
 
 def case_for_config(kind: str, params: dict) -> KSolution:
-    if kind == "two-reflection":
-        return identity_k_two_reflection(params.get("a", 1), params.get("b", 2), params.get("c", 3))
-    if kind == "three-reflection":
-        return identity_k_three_reflection(params.get("a", 1), params.get("b", 3),
-                                           params.get("c", -1), params.get("d", 1))
+    """The reflection case of a model kind.  two- and three-reflection take
+    the catalog parameters of id-2refl and id-3refl, bcl takes only a, and
+    z3 and plain take none; any other name is an error."""
+    if kind in ("two-reflection", "three-reflection"):
+        return case_by_label("id-2refl" if kind == "two-reflection" else "id-3refl", params)
+    if kind not in MODEL_KINDS:
+        raise ModelError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    takes = ("a",) if kind == "bcl" else ()
+    for name in params:
+        if name not in takes:
+            raise ModelError(f"model kind {kind!r} has no parameter {name!r}; it takes {', '.join(takes) or 'none'}")
     if kind == "bcl":
         return identity_k_two_reflection(params.get("a", 1), 0, 0)
     if kind == "z3":
         return identity_k_three_reflection(zeta(3), 0, 0, 1)
-    if kind == "plain":
-        return trivial_case()
-    raise ModelError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    return trivial_case()
 
 
 def model_from_config(config: dict) -> GaudinModel:

@@ -167,9 +167,9 @@ class Matrix:
                 out.append([a * b for a in ra for b in rb])
         return Matrix(out)
 
-    def pretty(self, render=None) -> str:
-        render = render or (lambda x: scalar_to_str(x) if isinstance(x, (int, Fraction)) or hasattr(x, "coeffs") else str(x))
-        cells = [[render(a) for a in row] for row in self.rows]
+    def pretty(self) -> str:
+        cells = [[scalar_to_str(a) if isinstance(a, (int, Fraction)) or hasattr(a, "coeffs") else str(a) for a in row]
+                 for row in self.rows]
         widths = [max(len(cells[i][j]) for i in range(self.nrows)) for j in range(self.ncols)]
         lines = ["[" + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + "]" for row in cells]
         return "\n".join(lines)

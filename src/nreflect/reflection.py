@@ -390,12 +390,12 @@ def _const_weights(values) -> WeightFamily:
     return WeightFamily(tuple(RatFun.const(as_scalar(v)) for v in values))
 
 
-def linear_k_case(N: int, theta, G: Matrix, g_label: str = "G", n: Optional[int] = None) -> KSolution:
+def linear_k_case(N: int, theta, G: Matrix, g_label: str = "G") -> KSolution:
     """k(nu) = theta 1 + nu G with G^N = 1, tau scaling by the primitive
     N-th root of unity, constant weights omega^j.  Satisfies the N-fold
     unitarity product with f(nu) = theta^N + (-1)^(N-1) nu^N."""
     theta = as_scalar(theta)
-    n = n or G.nrows
+    n = G.nrows
     if G**N != Matrix.identity(n):
         raise ConstraintError(f"G^{N} != identity for the supplied G")
     omega = zeta(N)
@@ -566,7 +566,8 @@ CATALOG["trivial"] = trivial_case
 
 def case_by_label(label: str, params: Optional[dict] = None) -> KSolution:
     """The cataloged case with ``params`` overriding its defaults; an unknown
-    parameter name or a non-integer factor size n raises ConstraintError."""
+    parameter name or a factor size n that is not a positive integer raises
+    ConstraintError."""
     if label not in CATALOG:
         raise KeyError(f"unknown catalog case {label!r}; see catalog list")
     build = CATALOG[label]
@@ -578,8 +579,8 @@ def case_by_label(label: str, params: Optional[dict] = None) -> KSolution:
             raise ConstraintError(f"{label} has no parameter {name!r}; it takes {', '.join(names)}")
     if "n" in params:
         n = params["n"]
-        if not isinstance(n, (int, Fraction)) or n != int(n):
-            raise ConstraintError(f"factor size n must be an integer, got {n}")
+        if not isinstance(n, (int, Fraction)) or n != int(n) or n < 1:
+            raise ConstraintError(f"factor size n must be a positive integer, got {n}")
         params["n"] = int(n)
     return build(**params)
 

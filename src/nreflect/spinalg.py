@@ -4,14 +4,19 @@ Lie-Poisson bracket, extended to products by the Leibniz rule:
     {s_j^+, s_k^-} = delta_jk s_j^z,   {s_j^z, s_k^+-} = +-2 delta_jk s_j^+-
 
 Spins are independent commuting coordinates; no reality condition ties
-s^+ to s^-.  Coefficients are exact scalars.
+s^+ to s^-.  Coefficients are exact scalars.  A polynomial does not know
+how many sites it lives on: a monomial's key is its exponent tuple over
+the flat variables (s_1^+, s_1^-, s_1^z, s_2^+, ...) with trailing zeros
+dropped, so the constant key is ().  Sorting trimmed keys gives the order
+of their zero-padded forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
-from .scalars import ONE, ZERO, Cyclotomic, Scalar, as_scalar, scalar_to_str, to_complex
+from .scalars import ONE, ZERO, Cyclotomic, as_scalar, scalar_to_str, to_complex
 
 KINDS = ("+", "-", "z")
 HALF = Fraction(1, 2)
@@ -28,58 +33,33 @@ def var_name(index: int) -> str:
 
 
 class SpinPoly:
-    """Sparse polynomial: exponent tuple (length 3L) -> scalar coefficient."""
+    """Sparse polynomial: trimmed exponent tuple -> scalar coefficient."""
 
-    __slots__ = ("sites", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, sites: int, terms=None):
-        self.sites = sites
-        self.terms = {}
-        if terms:
-            for expo, coeff in terms.items():
-                if coeff:
-                    self.terms[expo] = coeff
+    def __init__(self, terms=None):
+        self.terms = {expo: coeff for expo, coeff in terms.items() if coeff} if terms else {}
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(sites: int) -> "SpinPoly":
-        return SpinPoly(sites)
+    def const(value) -> "SpinPoly":
+        return SpinPoly({(): as_scalar(value)})
 
     @staticmethod
-    def const(sites: int, value) -> "SpinPoly":
-        value = as_scalar(value)
-        return SpinPoly(sites, {(0,) * (3 * sites): value} if value else None)
-
-    @staticmethod
-    def generator(sites: int, j: int, kind: str) -> "SpinPoly":
-        if not 1 <= j <= sites:
-            raise IndexError(f"site {j} out of range 1..{sites}")
-        expo = [0] * (3 * sites)
-        expo[var_index(j, kind)] = 1
-        return SpinPoly(sites, {tuple(expo): ONE})
-
-    @staticmethod
-    def coerce(sites: int, value) -> "SpinPoly":
-        if isinstance(value, SpinPoly):
-            if value.sites != sites:
-                raise ValueError(f"site count mismatch: {value.sites} vs {sites}")
-            return value
-        return SpinPoly.const(sites, value)
+    def generator(j: int, kind: str) -> "SpinPoly":
+        if j < 1:
+            raise IndexError(f"site {j} out of range: sites are numbered from 1")
+        return SpinPoly({(0,) * var_index(j, kind) + (1,): ONE})
 
     # -- ring structure --------------------------------------------------------
-
-    def _check(self, other):
-        if self.sites != other.sites:
-            raise ValueError(f"site count mismatch: {self.sites} vs {other.sites}")
 
     def __add__(self, other):
         if not isinstance(other, SpinPoly):
             if isinstance(other, (int, Fraction, Cyclotomic)):
-                other = SpinPoly.const(self.sites, other)
+                other = SpinPoly.const(other)
             else:
                 return NotImplemented
-        self._check(other)
         terms = dict(self.terms)
         for expo, coeff in other.terms.items():
             new = terms.get(expo, ZERO) + coeff
@@ -87,15 +67,15 @@ class SpinPoly:
                 terms[expo] = new
             else:
                 terms.pop(expo, None)
-        return SpinPoly(self.sites, terms)
+        return SpinPoly(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SpinPoly(self.sites, {e: -c for e, c in self.terms.items()})
+        return SpinPoly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, SpinPoly) else SpinPoly.const(self.sites, -as_scalar(other)))
+        return self + (-other if isinstance(other, SpinPoly) else SpinPoly.const(-as_scalar(other)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -103,19 +83,21 @@ class SpinPoly:
     def __mul__(self, other):
         if not isinstance(other, SpinPoly):
             if isinstance(other, (int, Fraction, Cyclotomic)):
-                return SpinPoly(self.sites, {e: c * other for e, c in self.terms.items()} if other else None)
+                return SpinPoly({e: c * other for e, c in self.terms.items()} if other else None)
             return NotImplemented
-        self._check(other)
         terms = {}
         for e1, c1 in self.terms.items():
+            n1 = len(e1)
             for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
+                # a sum of trimmed keys is trimmed: the longer key's last entry is nonzero
+                n2 = len(e2)
+                expo = tuple(map(add, e1, e2)) + (e1[n2:] if n1 > n2 else e2[n1:])
                 new = terms.get(expo, ZERO) + c1 * c2
                 if new:
                     terms[expo] = new
                 else:
                     terms.pop(expo, None)
-        return SpinPoly(self.sites, terms)
+        return SpinPoly(terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
@@ -126,11 +108,11 @@ class SpinPoly:
         if isinstance(other, (int, Fraction, Cyclotomic)):
             if not other:
                 raise ZeroDivisionError("division of a spin polynomial by zero")
-            return SpinPoly(self.sites, {e: c / other for e, c in self.terms.items()})
+            return SpinPoly({e: c / other for e, c in self.terms.items()})
         return NotImplemented
 
     def __pow__(self, exponent: int):
-        out = SpinPoly.const(self.sites, ONE)
+        out = SpinPoly.const(ONE)
         for _ in range(exponent):
             out = out * self
         return out
@@ -140,13 +122,13 @@ class SpinPoly:
 
     def __eq__(self, other):
         if isinstance(other, SpinPoly):
-            return self.sites == other.sites and self.terms == other.terms
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction, Cyclotomic)):
-            return self == SpinPoly.const(self.sites, other)
+            return self == SpinPoly.const(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.sites, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def is_zero(self):
         return not self.terms
@@ -157,13 +139,13 @@ class SpinPoly:
         """Formal partial derivative with respect to the flat variable index."""
         terms = {}
         for expo, coeff in self.terms.items():
-            e = expo[index]
-            if not e:
+            if index >= len(expo) or not expo[index]:
                 continue
-            new = list(expo)
-            new[index] = e - 1
-            terms[tuple(new)] = e * coeff
-        return SpinPoly(self.sites, terms)
+            new = expo[:index] + (expo[index] - 1,) + expo[index + 1:]
+            while new and not new[-1]:
+                new = new[:-1]
+            terms[new] = expo[index] * coeff
+        return SpinPoly(terms)
 
     def evaluate(self, assignment: dict):
         """Evaluate at values keyed by (site, kind).  Exact throughout when
@@ -205,37 +187,47 @@ class SpinPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self):
-        return f"SpinPoly(L={self.sites}, {self})"
+        return f"SpinPoly({self})"
 
 
-def s_plus(sites: int, j: int) -> SpinPoly:
-    return SpinPoly.generator(sites, j, "+")
+def s_plus(j: int) -> SpinPoly:
+    return SpinPoly.generator(j, "+")
 
 
-def s_minus(sites: int, j: int) -> SpinPoly:
-    return SpinPoly.generator(sites, j, "-")
+def s_minus(j: int) -> SpinPoly:
+    return SpinPoly.generator(j, "-")
 
 
-def s_z(sites: int, j: int) -> SpinPoly:
-    return SpinPoly.generator(sites, j, "z")
+def s_z(j: int) -> SpinPoly:
+    return SpinPoly.generator(j, "z")
 
 
-def casimir(sites: int, j: int) -> SpinPoly:
+def casimir(j: int) -> SpinPoly:
     """(1/2)(s_j^z)^2 + 2 s_j^+ s_j^-; central for the bracket."""
-    return HALF * s_z(sites, j) ** 2 + 2 * s_plus(sites, j) * s_minus(sites, j)
+    return HALF * s_z(j) ** 2 + 2 * s_plus(j) * s_minus(j)
 
 
-def poisson_bracket(f: SpinPoly, g: SpinPoly) -> SpinPoly:
-    """Bilinear antisymmetric extension of the generator table by Leibniz."""
-    f._check(g)
-    sites = f.sites
-    out = SpinPoly.zero(sites)
-    for j in range(1, sites + 1):
-        ip, im, iz = var_index(j, "+"), var_index(j, "-"), var_index(j, "z")
-        fp, fm, fz = f.diff(ip), f.diff(im), f.diff(iz)
-        gp, gm, gz = g.diff(ip), g.diff(im), g.diff(iz)
-        if fp or fm or fz:
-            out = out + (fp * gm - fm * gp) * s_z(sites, j)
-            out = out + 2 * (fz * gp - fp * gz) * s_plus(sites, j)
-            out = out - 2 * (fz * gm - fm * gz) * s_minus(sites, j)
+def partials(f) -> dict:
+    """Site j -> (df/ds_j^+, df/ds_j^-, df/ds_j^z) for every site f depends
+    on; a scalar has none."""
+    if not isinstance(f, SpinPoly):
+        return {}
+    sites = {i // 3 + 1 for expo in f.terms for i, e in enumerate(expo) if e}
+    return {j: tuple(f.diff(var_index(j, kind)) for kind in KINDS) for j in sorted(sites)}
+
+
+def bracket_partials(df: dict, dg: dict) -> SpinPoly:
+    """{f, g} from the :func:`partials` of f and g: the generator table
+    extended by the Leibniz rule, summed over the sites both depend on."""
+    out = SpinPoly()
+    for j in sorted(df.keys() & dg.keys()):
+        fp, fm, fz = df[j]
+        gp, gm, gz = dg[j]
+        out = (out + (fp * gm - fm * gp) * s_z(j) + 2 * (fz * gp - fp * gz) * s_plus(j)
+               - 2 * (fz * gm - fm * gz) * s_minus(j))
     return out
+
+
+def poisson_bracket(f, g) -> SpinPoly:
+    """Bilinear antisymmetric extension of the generator table by Leibniz."""
+    return bracket_partials(partials(f), partials(g))

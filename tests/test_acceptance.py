@@ -200,8 +200,8 @@ def test_09_structural_identities():
 
 
 def _random_quadratic(rng, sites):
-    gens = [SpinPoly.generator(sites, j, k) for j in range(1, sites + 1) for k in "+-z"]
-    poly = SpinPoly.const(sites, F(rng.randint(-3, 3)))
+    gens = [SpinPoly.generator(j, k) for j in range(1, sites + 1) for k in "+-z"]
+    poly = SpinPoly.const(F(rng.randint(-3, 3)))
     for _ in range(4):
         a = gens[rng.randint(0, len(gens) - 1)]
         b = gens[rng.randint(0, len(gens) - 1)]
@@ -225,9 +225,9 @@ def test_10_spin_algebra():
                      + poisson_bracket(g, poisson_bracket(h, f))
                      + poisson_bracket(h, poisson_bracket(f, g))).is_zero()
     for j in (1, 2):
-        for gen in (s_plus(2, j), s_minus(2, j), s_z(2, j)):
+        for gen in (s_plus(j), s_minus(j), s_z(j)):
             for i in (1, 2):
-                ok = ok and poisson_bracket(casimir(2, i), gen).is_zero()
+                ok = ok and poisson_bracket(casimir(i), gen).is_zero()
     record(10, "spin bracket: antisymmetry, Leibniz, Jacobi, Casimir centrality", ok, started)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -273,6 +277,13 @@ def test_params_the_case_does_not_take_are_config_errors(capsys, label, params, 
     assert named in err
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_factor_size_below_one_is_config_error(capsys, n):
+    code, out, err = run(capsys, "verify", "nre", "--case", "id-2refl", "--params", f"n={n}", "--samples", "1")
+    assert code == 2 and out == ""
+    assert "factor size n" in err and f"got {n}" in err
+
+
 def test_params_the_case_takes_are_applied(capsys):
     code, out, _ = run(capsys, "verify", "nunitarity", "--case", "linear-k-N2-diag-th2",
                        "--params", "theta=3", "--samples", "2")
@@ -322,3 +333,36 @@ def test_simulate_non_finite_time_is_config_error(capsys, tmp_path, flag, value)
                          "--out", str(tmp_path / "x.csv"))
     assert code == 2 and out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("config,named", [
+    ({"case": "two-reflection", "params": {"e": "5"}, "z": ["1", "2"]}, "'e'"),
+    ({"case": "three-reflection", "params": {"e": "5"}, "z": ["2", "5"]}, "'e'"),
+    ({"case": "bcl", "params": {"b": "5"}, "z": ["1", "2"]}, "'b'"),
+    ({"case": "z3", "params": {"a": "5"}, "z": ["1", "2"]}, "'a'"),
+    ({"case": "plain", "params": {"a": "5"}, "z": ["1", "2"]}, "'a'"),
+])
+def test_model_params_the_kind_does_not_read_are_config_errors(capsys, tmp_path, config, named):
+    code, out, err = run(capsys, "gaudin", "involution", "--config", write_config(tmp_path, config))
+    assert code == 2 and out == ""
+    assert named in err
+
+
+def test_model_params_the_kind_reads_are_applied(capsys, tmp_path):
+    # bcl's B does not depend on a != 0, so a = 0 is how to see that a is read
+    bcl_a2 = write_config(tmp_path, dict(BCL, params={"a": "2"}), name="a2.json")
+    assert run(capsys, "gaudin", "involution", "--config", bcl_a2)[0] == 0
+    code, _, err = run(capsys, "gaudin", "involution", "--config",
+                       write_config(tmp_path, dict(BCL, params={"a": "0"}), name="a0.json"))
+    assert code == 2 and "a^2 + bc = 0" in err
+    three = {"case": "three-reflection", "params": {"a": "1", "b": "3", "c": "-1", "d": "1"}, "z": ["2", "5"]}
+    assert run(capsys, "gaudin", "involution", "--config", write_config(tmp_path, three, name="t.json"))[0] == 0
+
+
+def test_cli_import_loads_no_numpy():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    probe = "import sys, nreflect.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -52,14 +52,14 @@ class TestVectorField:
     def test_casimir_generates_no_flow(self):
         model = bcl_model()
         state = generic_state(model)
-        derivs = vector_field(model, casimir(2, 1), state)
+        derivs = vector_field(model, casimir(1), state)
         assert all(abs(d) < 1e-15 for d in derivs)
 
     def test_sz_flow_sign(self):
         # H = s_1^z: ds+/dt = {s+, sz} = -2 s+ by the generator table
         model = bcl_model()
         state = generic_state(model)
-        derivs = vector_field(model, s_z(2, 1), state)
+        derivs = vector_field(model, s_z(1), state)
         assert abs(derivs[0] - (-2) * state.values[0]) < 1e-15
         assert abs(derivs[1] - 2 * state.values[1]) < 1e-15
 
@@ -98,7 +98,7 @@ class TestRk4:
     def test_zero_hamiltonian_is_constant(self):
         model = bcl_model()
         state = generic_state(model)
-        traj = rk4_simulate(model, SpinPoly.zero(2), state, t_end=0.1, dt=0.01)
+        traj = rk4_simulate(model, SpinPoly(), state, t_end=0.1, dt=0.01)
         assert traj.ok
         assert traj.states[0] == traj.states[-1]
 
@@ -140,7 +140,7 @@ class TestRk4:
         # huge dt forces overflow to inf within a few steps
         model = bcl_model()
         big = PhaseState((1e150, 1e150, 1e150, 1e150, 1e150, 1e150))
-        h = s_z(2, 1) * s_z(2, 1) * s_z(2, 1)
+        h = s_z(1) * s_z(1) * s_z(1)
         traj = rk4_simulate(model, h, big, t_end=1.0, dt=0.5)
         assert not traj.ok
         assert "non-finite" in traj.message

@@ -139,7 +139,7 @@ class TestNUnitarity:
 
 class TestNreResidual:
     def test_linear_N3_cyclic(self):
-        case = linear_k_case(3, 1, cyclic_shift_G(3), g_label="shift", n=3)
+        case = linear_k_case(3, 1, cyclic_shift_G(3), g_label="shift")
         assert nre_residual(case, F(2), F(5)).is_zero()
 
     def test_identity_k_two_reflection(self):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from nreflect.gaudin import lax_residual, model_from_config, rbb_residual
 from nreflect.sampling import SplitMix64
 from nreflect.scalars import to_complex, zeta
 from nreflect.spinalg import (
@@ -19,48 +20,48 @@ F = Fraction
 
 class TestGeneratorTable:
     def test_plus_minus(self):
-        assert poisson_bracket(s_plus(1, 1), s_minus(1, 1)) == s_z(1, 1)
+        assert poisson_bracket(s_plus(1), s_minus(1)) == s_z(1)
 
     def test_locality(self):
-        assert poisson_bracket(s_z(2, 1), s_plus(2, 2)).is_zero()
+        assert poisson_bracket(s_z(1), s_plus(2)).is_zero()
 
     def test_z_with_plus(self):
-        assert poisson_bracket(s_z(1, 1), s_plus(1, 1)) == 2 * s_plus(1, 1)
-        assert poisson_bracket(s_z(1, 1), s_minus(1, 1)) == -2 * s_minus(1, 1)
+        assert poisson_bracket(s_z(1), s_plus(1)) == 2 * s_plus(1)
+        assert poisson_bracket(s_z(1), s_minus(1)) == -2 * s_minus(1)
 
     def test_leibniz_example(self):
         # {s+ s-, sz} = s+ {s-, sz} + {s+, sz} s- = s+(2s-) + (-2s+)s- = 0
-        f = s_plus(1, 1) * s_minus(1, 1)
-        assert poisson_bracket(f, s_z(1, 1)).is_zero()
+        f = s_plus(1) * s_minus(1)
+        assert poisson_bracket(f, s_z(1)).is_zero()
 
 
 class TestCasimir:
     def test_commutes_with_generators(self):
-        c = casimir(1, 1)
-        for g in (s_plus(1, 1), s_minus(1, 1), s_z(1, 1)):
+        c = casimir(1)
+        for g in (s_plus(1), s_minus(1), s_z(1)):
             assert poisson_bracket(c, g).is_zero()
 
     def test_disjoint_site(self):
-        assert poisson_bracket(casimir(2, 1), s_z(2, 2)).is_zero()
+        assert poisson_bracket(casimir(1), s_z(2)).is_zero()
 
     def test_value(self):
-        got = casimir(1, 1).evaluate({(1, "z"): F(2), (1, "+"): F(1), (1, "-"): F(3)})
+        got = casimir(1).evaluate({(1, "z"): F(2), (1, "+"): F(1), (1, "-"): F(3)})
         assert got == 8
 
 
 class TestEvaluateGradient:
     def test_single_variable(self):
-        assert s_z(1, 1).evaluate({(1, "z"): F(5)}) == 5
+        assert s_z(1).evaluate({(1, "z"): F(5)}) == 5
 
     def test_gradient(self):
-        f = s_plus(1, 1) * s_minus(1, 1)
-        assert f.diff(var_index(1, "+")) == s_minus(1, 1)
-        assert f.diff(var_index(1, "-")) == s_plus(1, 1)
+        f = s_plus(1) * s_minus(1)
+        assert f.diff(var_index(1, "+")) == s_minus(1)
+        assert f.diff(var_index(1, "-")) == s_plus(1)
         assert f.diff(var_index(1, "z")).is_zero()
 
     def test_missing_variable(self):
         with pytest.raises(KeyError, match="s1z"):
-            s_z(1, 1).evaluate({(1, "+"): F(1)})
+            s_z(1).evaluate({(1, "+"): F(1)})
 
     def test_numeric_matches_exact(self):
         rng = SplitMix64(5)
@@ -72,14 +73,14 @@ class TestEvaluateGradient:
         assert abs(to_complex(exact) - numeric) < 1e-12
 
     def test_cyclotomic_coefficients(self):
-        f = zeta(3) * s_z(1, 1)
+        f = zeta(3) * s_z(1)
         value = f.evaluate({(1, "z"): 2.0})
         assert abs(value - 2 * to_complex(zeta(3))) < 1e-12
 
 
 def _random_quadratic(rng, sites):
-    gens = [SpinPoly.generator(sites, j, k) for j in range(1, sites + 1) for k in "+-z"]
-    poly = SpinPoly.const(sites, F(rng.randint(-3, 3)))
+    gens = [SpinPoly.generator(j, k) for j in range(1, sites + 1) for k in "+-z"]
+    poly = SpinPoly.const(F(rng.randint(-3, 3)))
     for _ in range(4):
         a = gens[rng.randint(0, len(gens) - 1)]
         b = gens[rng.randint(0, len(gens) - 1)]
@@ -123,6 +124,59 @@ class TestBracketProperties:
 
 
 def test_str_rendering():
-    f = F(5, 2) * s_z(2, 1) * s_z(2, 2) + s_plus(2, 1) * s_minus(2, 2)
+    f = F(5, 2) * s_z(1) * s_z(2) + s_plus(1) * s_minus(2)
     text = str(f)
     assert "5/2*s1z*s2z" in text and "s1+*s2-" in text
+
+
+def _padded(key, width=9):
+    return key + (0,) * (width - len(key))
+
+
+class TestTrimmedKeys:
+    def test_constant_key_is_empty(self):
+        assert set(SpinPoly.const(F(3)).terms) == {()}
+        assert set(s_z(2).terms) == {(0, 0, 0, 0, 0, 1)}
+
+    def test_no_key_ends_in_zero(self):
+        rng = SplitMix64(0x7123)
+        for _ in range(60):
+            f, g = _random_quadratic(rng, rng.randint(1, 3)), _random_quadratic(rng, rng.randint(1, 3))
+            results = [f + g, f - g, f * g, poisson_bracket(f, g)]
+            results += [f.diff(i) for i in range(9)]
+            for poly in results:
+                keys = list(poly.terms)
+                assert all(not key or key[-1] for key in keys)
+                assert [_padded(key) for key in sorted(keys)] == sorted(_padded(key) for key in keys)
+
+    def test_cancelling_sum_drops_the_key(self):
+        f = s_plus(1) * s_z(3) + s_minus(2)
+        assert (f - s_plus(1) * s_z(3)).terms == s_minus(2).terms
+        assert (f.diff(var_index(3, "z")) * s_minus(1)).terms == {(1, 1): F(1)}
+
+
+class TestDifferentiatedOnce:
+    """Each operand of a bracket routine is differentiated once, not once
+    per pairing: 3 partials per site an entry depends on."""
+
+    @pytest.fixture
+    def diff_calls(self, monkeypatch):
+        calls = []
+        original = SpinPoly.diff
+
+        def counted(self, index):
+            calls.append(index)
+            return original(self, index)
+
+        monkeypatch.setattr(SpinPoly, "diff", counted)
+        return calls
+
+    def test_rbb(self, diff_calls):
+        model = model_from_config({"case": "two-reflection", "z": ["1", "2"]})
+        assert rbb_residual(model, F(5), F(7)).is_zero()
+        assert 0 < len(diff_calls) <= 48
+
+    def test_lax(self, diff_calls):
+        model = model_from_config({"case": "two-reflection", "z": ["1", "2"]})
+        assert lax_residual(model, F(5), F(7), 2).is_zero()
+        assert 0 < len(diff_calls) <= 30
