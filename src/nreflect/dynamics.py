@@ -60,8 +60,10 @@ def compile_spinpoly(poly: SpinPoly):
 
 
 def hamiltonian_for(model: GaudinModel, selection) -> SpinPoly:
-    """An index picks H_i; a SpinPoly passes through."""
+    """An index picks H_i; a SpinPoly passes through if it lives on the model's sites."""
     if isinstance(selection, SpinPoly):
+        if any(len(expo) > 3 * model.L for expo in selection.terms):
+            raise ModelError(f"the Hamiltonian uses a site beyond the model's {model.L}")
         return selection
     return hamiltonian_explicit(model, selection)
 

@@ -102,6 +102,14 @@ class TestRk4:
         assert traj.ok
         assert traj.states[0] == traj.states[-1]
 
+    @pytest.mark.parametrize("h", [s_z(3), s_z(1) * s_z(3)], ids=["silent-zero-flow", "index-past-state"])
+    def test_hamiltonian_beyond_model_sites(self, h):
+        # on L = 2, s_3 is no coordinate: the first would flow by zero, the
+        # second would read past the end of the state
+        model = bcl_model()
+        with pytest.raises(ModelError, match="beyond the model's 2"):
+            rk4_simulate(model, h, generic_state(model), t_end=0.1, dt=0.01)
+
     def test_invalid_dt(self):
         model = bcl_model()
         with pytest.raises(ModelError):
