@@ -12,8 +12,8 @@ from nreflect.sampling import DEFAULT_SEED, SplitMix64, sample_evaluated
 print("== a Mobius involution and an order-three map ==")
 case2 = case_by_label("id-2refl")       # tau(nu) = (nu + 2)/(3 nu - 1)
 case3 = case_by_label("id-3refl")       # tau(nu) = (nu + 3)/(1 - nu)
-print("2-reflection orbit of 0 :", [str(x) for x in case2.orbit(F(0))], " tau order", case2.tau.order())
-print("3-reflection orbit of 0 :", [str(x) for x in case3.orbit(F(0))], " tau order", case3.tau.order())
+print("2-reflection orbit of 0 :", [str(x) for x in case2.orbit(F(0))], " tau^2(0) =", case2.tau.iterate(2)(F(0)))
+print("3-reflection orbit of 0 :", [str(x) for x in case3.orbit(F(0))], " tau^3(0) =", case3.tau.iterate(3)(F(0)))
 
 print("\n== residual scorecard over the whole catalog (5 seeded samples each) ==")
 for case in catalog():

@@ -20,7 +20,7 @@ from .reflection import (
 from .rmatrix import RMatrixFun, cybe_residual, rational_r, skew_residual, trig_r
 from .scalars import Cyclotomic, Rational, cyclotomic_polynomial, scalar_from_str, scalar_to_str, to_complex, zeta
 from .spinalg import SpinPoly, casimir, poisson_bracket, s_minus, s_plus, s_z
-from .gaudin import GaudinModel, big_B_at, hamiltonian_explicit, hamiltonian_residue, model_from_config
+from .gaudin import GaudinModel, hamiltonian_explicit, hamiltonian_residue, model_from_config, sampled_residual
 from .dynamics import PhaseState, rk4_simulate, spectral_scan
 
 __version__ = "0.1.0"

@@ -165,6 +165,11 @@ def default_initial_state(model, seed: int) -> dynamics.PhaseState:
 def _load_state(path) -> dynamics.PhaseState:
     with open(path) as handle:
         raw = json.load(handle)
+    if not isinstance(raw, list):
+        raise NReflectError("the state must be a JSON list of [re, im] number pairs")
+    for idx, entry in enumerate(raw):
+        if not (isinstance(entry, list) and len(entry) == 2 and all(type(x) in (int, float) for x in entry)):
+            raise NReflectError(f"state entry {idx} is {json.dumps(entry)}, not an [re, im] pair of numbers")
     return dynamics.PhaseState(tuple(complex(re, im) for re, im in raw))
 
 
@@ -189,8 +194,6 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_catalog(args) -> int:
-    if args.action != "list":  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown catalog action {args.action!r}")
     for label in sorted(CATALOG):
         case = case_by_label(label)
         descriptor = {

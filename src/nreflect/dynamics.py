@@ -20,10 +20,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ModelError
-from .gaudin import GaudinModel, hamiltonian_explicit, site_values
+from .gaudin import GaudinModel, _check_site, site_values
 from .sampling import POLE_ERRORS, first_admissible
 from .scalars import to_complex
-from .spinalg import KINDS, SpinPoly, bracket_partials, casimir, partials, var_index
+from .spinalg import KINDS, SpinPoly, bracket_partials, casimir, partials
 
 
 @dataclass
@@ -40,13 +40,6 @@ class PhaseState:
         if len(self.values) % 3:
             raise ValueError("phase state length must be 3 L")
 
-    @property
-    def sites(self) -> int:
-        return len(self.values) // 3
-
-    def value(self, j: int, kind: str) -> complex:
-        return self.values[var_index(j, kind)]
-
 
 def compile_spinpoly(poly: SpinPoly):
     """Compile a spin polynomial to a fast numeric callable of the flat
@@ -60,12 +53,14 @@ def compile_spinpoly(poly: SpinPoly):
 
 
 def hamiltonian_for(model: GaudinModel, selection) -> SpinPoly:
-    """An index picks H_i; a SpinPoly passes through if it lives on the model's sites."""
+    """An index picks the model's H_i; a SpinPoly passes through if it lives
+    on the model's sites."""
     if isinstance(selection, SpinPoly):
         if any(len(expo) > 3 * model.L for expo in selection.terms):
             raise ModelError(f"the Hamiltonian uses a site beyond the model's {model.L}")
         return selection
-    return hamiltonian_explicit(model, selection)
+    _check_site(model, selection)
+    return model.hamiltonians[selection - 1]
 
 
 def vector_field_callables(model: GaudinModel, hamiltonian: SpinPoly):
@@ -183,8 +178,8 @@ def rk4_simulate(model: GaudinModel, selection, initial: PhaseState, t_end: floa
     probes = default_probes(model)
 
     monitors = {}
-    for i in range(1, model.L + 1):
-        monitors[f"H{i}"] = compile_spinpoly(hamiltonian_explicit(model, i))
+    for i, hamiltonian in enumerate(model.hamiltonians, start=1):
+        monitors[f"H{i}"] = compile_spinpoly(hamiltonian)
     for j in range(1, model.L + 1):
         monitors[f"C{j}"] = compile_spinpoly(casimir(j))
     for idx, probe in enumerate(probes):

@@ -16,6 +16,11 @@ lam = z_m is
 
 a partial-fraction computation over Q or Q(zeta_N) alone.  These residues
 are compared exactly with the closed quadratic expressions in the S_ik.
+
+At exact spectral points, B is built from the reflection layer's point
+frame (:func:`nreflect.reflection.point_frame`): the orbit tau^j(lam) and
+the weights g^(j)(lam).  The structural identities at a sample pair have
+one entry, :func:`sampled_residual`, which evaluates one frame per point.
 """
 
 from __future__ import annotations
@@ -29,12 +34,15 @@ from .linalg import Matrix, commutator, partial_trace, swap_pair, tensor_pair
 from .ratfun import Poly, RatFun
 from .reflection import (
     KSolution,
+    PointFrame,
     case_by_label,
     identity_k_three_reflection,
     identity_k_two_reflection,
-    rbar_matrix,
+    point_frame,
+    rbar_at,
     trivial_case,
 )
+from .reflection import rbar_matrix  # noqa: F401 - perfbench/test_perfbench.py reads it off this module
 from .scalars import ZERO, as_scalar, scalar_from_str, scalar_to_str, zeta
 from .spinalg import SpinPoly, bracket_partials, casimir, partials, poisson_bracket, s_minus, s_plus, s_z
 
@@ -111,24 +119,29 @@ def _validate(model: GaudinModel) -> None:
 # the generating matrix B
 # ---------------------------------------------------------------------------
 
-def site_values(model: GaudinModel, lam) -> list:
-    """c_1(lam), ..., c_L(lam) at an exact point, summed term by term, so
+def _frame_site_values(model: GaudinModel, frame: PointFrame) -> list:
+    """c_1(lam), ..., c_L(lam) from the frame at lam, summed term by term, so
     that PoleError is raised wherever a term g^(j)(lam) / (tau^j(lam) - z_m)
     of B is undefined, even if the terms' poles cancel in the sum."""
-    lam = as_scalar(lam)
-    terms = [(model.case.weights(j, lam), point) for j, point in enumerate(model.case.orbit(lam))]
-    for j, (_, point) in enumerate(terms):
+    for j, point in enumerate(frame.orbit):
         for m, zm in enumerate(model.sites, start=1):
             if point == zm:
-                raise PoleError(f"B(lam) pole: tau^{j}(lam) = z_{m} at lam = {scalar_to_str(lam)}")
-    return [sum((g / (point - zm) for g, point in terms), start=ZERO) for zm in model.sites]
+                raise PoleError(f"B(lam) pole: tau^{j}(lam) = z_{m} at lam = {scalar_to_str(frame.orbit[0])}")
+    return [sum((g / (point - zm) for g, point in zip(frame.weights, frame.orbit)), start=ZERO)
+            for zm in model.sites]
 
 
-def big_B_at(model: GaudinModel, lam) -> Matrix:
-    """B(lam) = sum_m c_m(lam) ell_m at a fixed exact spectral point, as a
-    traceless 2x2 spin-polynomial matrix."""
+def site_values(model: GaudinModel, lam) -> list:
+    """c_1(lam), ..., c_L(lam) at an exact point; raises PoleError where the
+    frame at lam or a term of B is undefined."""
+    return _frame_site_values(model, point_frame(model.case, lam))
+
+
+def big_B(values) -> Matrix:
+    """B = sum_m c_m ell_m from the site values c_1, ..., c_L at one point,
+    as a traceless 2x2 spin-polynomial matrix."""
     top = plus = minus = SpinPoly()
-    for m, c in enumerate(site_values(model, lam), start=1):
+    for m, c in enumerate(values, start=1):
         top = top + (HALF * c) * s_z(m)
         plus = plus + c * s_plus(m)
         minus = minus + c * s_minus(m)
@@ -242,80 +255,46 @@ def _bracket_matrix(left: Matrix, right: Matrix) -> Matrix:
     return Matrix([[bracket_partials(f, g) for f in lrow for g in rrow] for lrow in dl for rrow in dr])
 
 
-def rbb_inputs(model: GaudinModel, lam, mu) -> tuple:
-    """(B(lam), B(mu), rbar_ab(lam, mu), rbar_ba(mu, lam)); raises PoleError
-    wherever one of them is undefined.  The sampled structural checks all
-    draw their pairs from this domain (see ``nreflect gaudin``)."""
-    lam, mu = as_scalar(lam), as_scalar(mu)
-    return (big_B_at(model, lam), big_B_at(model, mu), rbar_matrix(model.case, lam, mu),
-            swap_pair(rbar_matrix(model.case, mu, lam)))
-
-
-def rbb_residual(model: GaudinModel, lam, mu) -> Matrix:
-    """{B_a(lam), B_b(mu)} - [rbar_ab(lam,mu), B_a(lam)] + [rbar_ba(mu,lam), B_b(mu)]."""
-    b_lam, b_mu, rbar_ab, rbar_ba = rbb_inputs(model, lam, mu)
-    eye = Matrix.identity(2)
-    b_a = tensor_pair(b_lam, eye)
-    b_b = tensor_pair(eye, b_mu)
-    bracket = _bracket_matrix(b_lam, b_mu)
-    return bracket - commutator(rbar_ab, b_a) + commutator(rbar_ba, b_b)
-
-
-def _check_powers(*powers) -> None:
-    if min(powers) < 1:
-        raise ModelError(f"the powers of B must be at least 1, got {', '.join(map(str, powers))}")
-
-
-def trB_bracket_residual(model: GaudinModel, p: int, q: int, lam, nu) -> SpinPoly:
-    """{tr B(lam)^p, tr B(nu)^q} as an exact spin polynomial."""
-    _check_powers(p, q)
-    return poisson_bracket((big_B_at(model, lam) ** p).trace(), (big_B_at(model, nu) ** q).trace())
-
-
-def m_matrix(model: GaudinModel, lam, nu, p: int) -> Matrix:
-    """M(lam, nu) = p tr_a(B_a(lam)^(p-1) rbar_ba(nu, lam))."""
-    _check_powers(p)
-    lam, nu = as_scalar(lam), as_scalar(nu)
-    b_pow = big_B_at(model, lam) ** (p - 1)
-    b_a = tensor_pair(b_pow, Matrix.identity(2))
-    rbar_ba = swap_pair(rbar_matrix(model.case, nu, lam))
-    return partial_trace(b_a * rbar_ba, "a").scale(Fraction(p))
-
-
-def lax_residual(model: GaudinModel, lam, nu, p: int) -> Matrix:
-    """{tr B(lam)^p, B(nu)} - [B(nu), M(lam, nu)]."""
-    _check_powers(p)
-    lam, nu = as_scalar(lam), as_scalar(nu)
-    tr_b = Matrix([[(big_B_at(model, lam) ** p).trace()]])
-    b_nu = big_B_at(model, nu)
-    return _bracket_matrix(tr_b, b_nu) - commutator(b_nu, m_matrix(model, lam, nu, p))
-
-
-def mk_residual(model: GaudinModel, lam, nu, p: int) -> Matrix:
-    """M(lam, nu) k(nu) - k(nu) M(lam, tau(nu))."""
-    lam, nu = as_scalar(lam), as_scalar(nu)
-    k_nu = model.case.k(nu)
-    left = m_matrix(model, lam, nu, p) * k_nu
-    right = k_nu * m_matrix(model, lam, model.case.tau(nu), p)
-    return left - right
-
-
 def sampled_residual(model: GaudinModel, sub: str, lam, mu, p: int = 2, q: int = 2):
-    """The structural identity ``sub`` (rbb, lax, mk or trbrackets) at one
-    sample pair.  All four are sampled where the rbb identity evaluates, so
-    that they draw the same pairs at a seed: lax is defined on exactly that
-    domain, while mk and trbrackets are defined on larger ones and so are
-    evaluated only after the rbb inputs."""
+    """The structural identity ``sub`` at one sample pair (lam, mu):
+
+        rbb         {B_a(lam), B_b(mu)} - [rbar_ab(lam, mu), B_a(lam)] + [rbar_ba(mu, lam), B_b(mu)]
+        lax         {tr B(lam)^p, B(mu)} - [B(mu), M(lam, mu)]
+        mk          M(lam, mu) k(mu) - k(mu) M(lam, tau(mu))
+        trbrackets  {tr B(lam)^p, tr B(mu)^q}
+
+    with M(lam, nu) = p tr_a(B_a(lam)^(p-1) rbar_ba(nu, lam)).  B(lam), B(mu),
+    rbar_ab(lam, mu) and rbar_ba(mu, lam) are built from one point frame at
+    lam and one at mu, for every identity, so all four raise a pole error on
+    the same pairs and draw the same pairs at a seed: lax is defined on
+    exactly that domain, mk and trbrackets on larger ones."""
+    if sub not in ("rbb", "lax", "mk", "trbrackets"):
+        raise ValueError(f"unknown structural identity {sub!r}")
+    if min(p, q) < 1:
+        raise ModelError(f"the powers of B must be at least 1, got p = {p}, q = {q}")
+    case = model.case
+    lam, mu = as_scalar(lam), as_scalar(mu)
+    at_lam, at_mu = point_frame(case, lam), point_frame(case, mu)
+    b_lam = big_B(_frame_site_values(model, at_lam))
+    b_mu = big_B(_frame_site_values(model, at_mu))
+    rbar_ab = rbar_at(case, lam, at_mu)
+    rbar_ba = swap_pair(rbar_at(case, mu, at_lam))
+    eye = Matrix.identity(2)
     if sub == "rbb":
-        return rbb_residual(model, lam, mu)
-    if sub == "lax":
-        return lax_residual(model, lam, mu, p)
-    rbb_inputs(model, lam, mu)
-    if sub == "mk":
-        return mk_residual(model, lam, mu, p)
+        return (_bracket_matrix(b_lam, b_mu) - commutator(rbar_ab, tensor_pair(b_lam, eye))
+                + commutator(rbar_ba, tensor_pair(eye, b_mu)))
     if sub == "trbrackets":
-        return trB_bracket_residual(model, p, q, lam, mu)
-    raise ValueError(f"unknown structural identity {sub!r}")
+        return poisson_bracket((b_lam ** p).trace(), (b_mu ** q).trace())
+    b_pow = tensor_pair(b_lam ** (p - 1), eye)
+
+    def m_at(rbar_nu_lam):  # M(lam, nu) from rbar_ba(nu, lam)
+        return partial_trace(b_pow * rbar_nu_lam, "a").scale(Fraction(p))
+
+    m = m_at(rbar_ba)
+    if sub == "lax":
+        return _bracket_matrix(Matrix([[(b_lam ** p).trace()]]), b_mu) - commutator(b_mu, m)
+    k_mu = case.k(mu)
+    return m * k_mu - k_mu * m_at(swap_pair(rbar_at(case, case.tau(mu), at_lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -344,29 +323,39 @@ def case_for_config(kind: str, params: dict) -> KSolution:
     return trivial_case()
 
 
+def _config_scalar(val, what: str):
+    """An exact scalar from a config value: an exact string like "5/3" or an
+    exact number, but not a JSON true or false."""
+    if isinstance(val, bool):
+        raise ModelError(f"bad {what} value: {val!r} is not a number")
+    try:
+        return scalar_from_str(val) if isinstance(val, str) else as_scalar(val)
+    except (ValueError, TypeError) as exc:
+        raise ModelError(f"bad {what} value: {exc}") from exc
+
+
 def model_from_config(config: dict) -> GaudinModel:
     """Build a model from a JSON-style dict:
     {"case": kind, "params": {...}, "L": int, "z": [...]}.
-    Scalars are exact strings like "5/3"."""
+    Scalars are integers or exact strings like "5/3"."""
     if not isinstance(config, dict):
         raise ModelError("model config must be a JSON object")
     kind = config.get("case", "plain")
     raw_params = config.get("params", {})
-    try:
-        params = {key: scalar_from_str(str(val)) if isinstance(val, str) else as_scalar(val)
-                  for key, val in raw_params.items()}
-    except (ValueError, TypeError) as exc:
-        raise ModelError(f"bad parameter value: {exc}") from exc
+    if not isinstance(raw_params, dict):
+        raise ModelError("model config 'params' must be a JSON object")
+    params = {key: _config_scalar(val, "parameter") for key, val in raw_params.items()}
     case = case_for_config(kind, params)
     z_raw = config.get("z")
-    if not z_raw:
+    if not isinstance(z_raw, list) or not z_raw:
         raise ModelError("model config needs a non-empty site list 'z'")
-    try:
-        z = [scalar_from_str(str(val)) if isinstance(val, str) else as_scalar(val) for val in z_raw]
-    except (ValueError, TypeError) as exc:
-        raise ModelError(f"bad site value: {exc}") from exc
-    if "L" in config and int(config["L"]) != len(z):
-        raise ModelError(f"L = {config['L']} does not match {len(z)} sites")
+    z = [_config_scalar(val, "site") for val in z_raw]
+    if "L" in config:
+        L = config["L"]
+        if isinstance(L, bool) or not isinstance(L, int):
+            raise ModelError(f"L must be an integer, got {L!r}")
+        if L != len(z):
+            raise ModelError(f"L = {L} does not match {len(z)} sites")
     return GaudinModel(sites=tuple(z), case=case)
 
 

@@ -84,19 +84,6 @@ class MobiusMap:
             out = self.compose(out)
         return out
 
-    def is_identity(self) -> bool:
-        """Identity as a projective map."""
-        return not self.b and not self.c and self.a == self.d
-
-    def order(self, max_order: int = 8) -> Optional[int]:
-        """Smallest m <= max_order with tau^m = id projectively, else None."""
-        power = self
-        for m in range(1, max_order + 1):
-            if power.is_identity():
-                return m
-            power = self.compose(power)
-        return None
-
 
 # ---------------------------------------------------------------------------
 # weight families and k-matrix cases
@@ -212,7 +199,7 @@ def n_unitarity(case: KSolution, points) -> dict:
 # residuals
 # ---------------------------------------------------------------------------
 
-def _rbar_at(case: KSolution, lam, frame: PointFrame) -> Matrix:
+def rbar_at(case: KSolution, lam, frame: PointFrame) -> Matrix:
     """sum_j g^(j)(nu) k_b^(j)(nu) r_ab(lam, tau^j(nu)) k_b^(j)(nu)^-1 from the frame at nu."""
     eye = Matrix.identity(case.n)
     r = case.base_r
@@ -224,7 +211,7 @@ def _rbar_at(case: KSolution, lam, frame: PointFrame) -> Matrix:
 
 def rbar_matrix(case: KSolution, lam, nu) -> Matrix:
     """The induced matrix rbar_ab(lam, nu) = sum_j g^(j) k_b^(j) r_ab(lam, tau^j(nu)) k_b^(j)^-1."""
-    return _rbar_at(case, as_scalar(lam), point_frame(case, nu))
+    return rbar_at(case, as_scalar(lam), point_frame(case, nu))
 
 
 def nre_residual(case: KSolution, lam, nu) -> Matrix:
@@ -234,8 +221,8 @@ def nre_residual(case: KSolution, lam, nu) -> Matrix:
     lam = as_scalar(lam)
     frame = point_frame(case, nu)
     k_a = tensor_pair(case.k(lam), Matrix.identity(case.n))
-    lhs = _rbar_at(case, lam, frame) * k_a
-    rhs = k_a * _rbar_at(case, case.tau(lam), frame)
+    lhs = rbar_at(case, lam, frame) * k_a
+    rhs = k_a * rbar_at(case, case.tau(lam), frame)
     return lhs - rhs
 
 

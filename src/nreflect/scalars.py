@@ -142,19 +142,11 @@ class Cyclotomic:
     positive common denominator ``den``, in lowest terms, so equal elements
     have equal data.  ``coeffs`` gives the coordinates as Fractions.
 
-    Do not call the constructor with unreduced data; use :func:`cyclotomic`
-    or :meth:`zeta`, which reduce modulo Phi_N and demote rational values.
+    Elements are made by :func:`cyclotomic` and :meth:`zeta`, which reduce
+    modulo Phi_N and demote rational values, and by the arithmetic.
     """
 
     __slots__ = ("order", "num", "den")
-
-    def __init__(self, order, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        coeffs += [ZERO] * (euler_phi(order) - len(coeffs))
-        den = lcm(*(c.denominator for c in coeffs))
-        self.order = order
-        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
-        self.den = den
 
     @property
     def coeffs(self) -> tuple:

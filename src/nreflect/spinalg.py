@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .scalars import ONE, ZERO, Cyclotomic, as_scalar, scalar_to_str, to_complex
+from .scalars import ONE, ZERO, Cyclotomic, as_scalar, scalar_to_str
 
 KINDS = ("+", "-", "z")
 HALF = Fraction(1, 2)
@@ -146,28 +146,6 @@ class SpinPoly:
                 new = new[:-1]
             terms[new] = expo[index] * coeff
         return SpinPoly(terms)
-
-    def evaluate(self, assignment: dict):
-        """Evaluate at values keyed by (site, kind).  Exact throughout when
-        every value is exact; numeric (complex) when any value is a float or
-        complex, in which case coefficients are floated too."""
-        values = {var_index(j, kind): val for (j, kind), val in assignment.items()}
-        numeric = any(isinstance(v, (float, complex)) for v in values.values())
-        if numeric:
-            values = {i: to_complex(v) for i, v in values.items()}
-        total = None
-        for expo, coeff in self.terms.items():
-            term = to_complex(coeff) if numeric else coeff
-            for idx, e in enumerate(expo):
-                if not e:
-                    continue
-                if idx not in values:
-                    raise KeyError(f"no value supplied for {var_name(idx)}")
-                term = term * values[idx] ** e
-            total = term if total is None else total + term
-        if total is None:
-            return 0j if numeric else ZERO
-        return total
 
     def __str__(self):
         if not self.terms:

@@ -17,11 +17,8 @@ from nreflect.gaudin import (
     hamiltonian_explicit,
     hamiltonian_residue,
     involution_residual,
-    lax_residual,
-    mk_residual,
     model_from_config,
-    rbb_residual,
-    trB_bracket_residual,
+    sampled_residual,
 )
 from nreflect.ratfun import Poly, RatFun
 from nreflect.reflection import (
@@ -188,14 +185,13 @@ def test_09_structural_identities():
     ):
         model = model_from_config(config)
         rng = SplitMix64(DEFAULT_SEED)
-        samples = sample_evaluated(rng, 10, 2, lambda lam, mu: rbb_residual(model, lam, mu))
+        samples = sample_evaluated(rng, 10, 2, lambda lam, mu: sampled_residual(model, "rbb", lam, mu))
         for (lam, mu), rbb in samples:
             ok = ok and rbb.is_zero()
-            ok = ok and trB_bracket_residual(model, 2, 2, lam, mu).is_zero()
-            ok = ok and trB_bracket_residual(model, 2, 3, lam, mu).is_zero()
-            ok = ok and trB_bracket_residual(model, 3, 3, lam, mu).is_zero()
-            ok = ok and lax_residual(model, lam, mu, 2).is_zero()
-            ok = ok and mk_residual(model, lam, mu, 2).is_zero()
+            for p, q in ((2, 2), (2, 3), (3, 3)):
+                ok = ok and sampled_residual(model, "trbrackets", lam, mu, p, q).is_zero()
+            ok = ok and sampled_residual(model, "lax", lam, mu, 2).is_zero()
+            ok = ok and sampled_residual(model, "mk", lam, mu, 2).is_zero()
     record(9, "Poisson structure, trace brackets, Lax form, M-k relation", ok, started)
 
 

@@ -211,6 +211,23 @@ class TestSimulate:
         assert "non-finite" in err
 
 
+    @pytest.mark.parametrize("state,named", [
+        ([1, 2, 3, 4, 5, 6], "entry 0 is 1"),
+        ([["x", 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]], 'entry 0 is ["x", 0]'),
+        ([[0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0, 0]], "entry 5 is [0, 0, 0]"),
+        ([[0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [True, 0]], "entry 5 is [true, 0]"),
+        ({"a": 1}, "JSON list"),
+    ], ids=["flat-numbers", "string-part", "triple", "boolean-part", "object"])
+    def test_malformed_state_exit_2(self, capsys, tmp_path, state, named):
+        config = write_config(tmp_path, BCL)
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(state))
+        code, out, err = run(capsys, "simulate", "--config", config, "--t", "0.01", "--dt", "0.001",
+                             "--out", str(tmp_path / "t.csv"), "--state", str(state_path))
+        assert code == 2 and out == ""
+        assert named in err and "[re, im]" in err
+
+
 class TestCatalog:
     def test_list(self, capsys):
         code, out, _ = run(capsys, "catalog", "list")
@@ -344,6 +361,20 @@ def test_simulate_non_finite_time_is_config_error(capsys, tmp_path, flag, value)
 ])
 def test_model_params_the_kind_does_not_read_are_config_errors(capsys, tmp_path, config, named):
     code, out, err = run(capsys, "gaudin", "involution", "--config", write_config(tmp_path, config))
+    assert code == 2 and out == ""
+    assert named in err
+
+
+@pytest.mark.parametrize("change,named", [
+    ({"params": [1]}, "'params' must be a JSON object"),
+    ({"z": "12"}, "non-empty site list"),
+    ({"z": [True, 2]}, "True is not a number"),
+    ({"L": None}, "L must be an integer, got None"),
+    ({"L": 2.5}, "L must be an integer, got 2.5"),
+], ids=["params-list", "z-string", "z-boolean", "L-null", "L-fraction"])
+def test_malformed_model_config_is_config_error(capsys, tmp_path, change, named):
+    config = write_config(tmp_path, dict(BCL, **change))
+    code, out, err = run(capsys, "gaudin", "rbb", "--config", config, "--samples", "1")
     assert code == 2 and out == ""
     assert named in err
 

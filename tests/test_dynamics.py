@@ -250,7 +250,27 @@ class TestProbesAndCsv:
 
 def test_phase_state_helpers():
     state = PhaseState((1, 2, 3, 4, 5, 6))
-    assert state.sites == 2
-    assert state.value(2, "z") == 6
-    with pytest.raises(ValueError):
+    assert state.values == tuple(complex(v) for v in range(1, 7))
+    with pytest.raises(ValueError, match="finite"):
         PhaseState((float("nan"), 0, 0))
+    with pytest.raises(ValueError, match="3 L"):
+        PhaseState((1, 2))
+
+
+def test_flow_builds_each_hamiltonian_once(monkeypatch):
+    # the flow, its H monitors and repeated runs all read model.hamiltonians
+    from nreflect import gaudin
+
+    built = []
+    original = gaudin.hamiltonian_explicit
+
+    def counted(model, i):
+        built.append(i)
+        return original(model, i)
+
+    monkeypatch.setattr(gaudin, "hamiltonian_explicit", counted)
+    model = bcl_model(z=(1, 2, 4))
+    convergence_order(model, 2, generic_state(model), t_end=0.02, dts=(0.01, 0.005, 0.0025))
+    assert built == [1, 2, 3]
+    with pytest.raises(ModelError, match="H_0"):
+        rk4_simulate(model, 0, generic_state(model), t_end=0.02, dt=0.01)

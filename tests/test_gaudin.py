@@ -3,24 +3,20 @@ from fractions import Fraction
 import pytest
 
 from nreflect.errors import ModelError, PoleError
+from nreflect import gaudin
 from nreflect.gaudin import (
     GaudinModel,
-    big_B_at,
+    big_B,
     case_for_config,
     hamiltonian_explicit,
     hamiltonian_residue,
     hamiltonians_text,
     involution_residual,
-    lax_residual,
-    m_matrix,
-    mk_residual,
     model_from_config,
-    rbb_inputs,
-    rbb_residual,
     residue_sum_check,
     s_pair,
+    sampled_residual,
     site_values,
-    trB_bracket_residual,
 )
 from nreflect.linalg import Matrix
 from nreflect.reflection import identity_k_two_reflection, trivial_case
@@ -58,6 +54,10 @@ def local_block(m, x):
     return spin_block(m).scale(1 / x)
 
 
+def B_at(model, lam):
+    return big_B(site_values(model, lam))
+
+
 class TestModelValidation:
     def test_distinct_sites(self):
         with pytest.raises(ModelError, match="mutually distinct"):
@@ -90,13 +90,13 @@ class TestLocalLax:
     # B of the one-site model with no reflection is the local block ell_1 / (lam - z_1)
     def test_entry(self):
         model = model_from_config({"case": "plain", "z": [0]})
-        ell = big_B_at(model, F(2))
+        ell = B_at(model, F(2))
         assert ell[0, 0] == F(1, 4) * s_z(1)
         assert ell[0, 1] == F(1, 2) * s_plus(1)
 
     def test_pole_at_zero(self):
         with pytest.raises(PoleError):
-            big_B_at(model_from_config({"case": "plain", "z": [0]}), F(0))
+            B_at(model_from_config({"case": "plain", "z": [0]}), F(0))
 
     def test_local_poisson_relation(self):
         # {ell_a(1,lam), ell_b(1,mu)} = [P/(lam-mu), ell_a + ell_b], checked
@@ -119,17 +119,17 @@ class TestBigB:
         model = model_from_config({"case": "plain", "z": [1, 2]})
         lam = F(5)
         expected = local_block(1, lam - 1) + local_block(2, lam - 2)
-        assert big_B_at(model, lam) == expected
+        assert B_at(model, lam) == expected
 
     def test_bcl_single_site(self):
         model = model_from_config({"case": "bcl", "z": [1]})
         lam = F(5)
         expected = local_block(1, lam - 1) - local_block(1, -lam - 1)
-        assert big_B_at(model, lam) == expected
+        assert B_at(model, lam) == expected
 
     def test_pole_raises(self):
         with pytest.raises(PoleError):
-            big_B_at(bcl_model(), F(1))
+            B_at(bcl_model(), F(1))
 
     def test_symbolic_root_set(self):
         # c_m has poles at z_m, at tau(z_m) (tau is an involution) and at the
@@ -141,7 +141,7 @@ class TestBigB:
 
     def test_symbolic_matches_fixed_evaluation(self):
         # sum_m c_m(lam) ell_m from the rational functions c_m, and the defining
-        # double sum over sites and orbit points, both give big_B_at
+        # double sum over sites and orbit points, both give B_at
         model = three_reflection_model()
         case = model.case
         for lam in (F(7), F(-3, 2), F(11, 5)):
@@ -153,7 +153,7 @@ class TestBigB:
                 for j, point in enumerate(case.orbit(lam)):
                     term = local_block(m, point - zm).scale(case.weights(j, lam))
                     by_definition = term if by_definition is None else by_definition + term
-            fixed = big_B_at(model, lam)
+            fixed = B_at(model, lam)
             assert from_coefficients == fixed
             assert by_definition == fixed
 
@@ -243,9 +243,10 @@ class TestResidueTheorem:
             assert all(not total for total in totals.values())
 
 
-def seeded_structural_pairs(model, count=5):
+def seeded_structural_pairs(model, sub, count=5, p=2, q=2):
+    """[((lam, mu), residual)] of ``sub`` at seeded sample pairs."""
     rng = SplitMix64(DEFAULT_SEED)
-    return [pt for pt, _ in sample_evaluated(rng, count, 2, lambda lam, mu: rbb_inputs(model, lam, mu))]
+    return list(sample_evaluated(rng, count, 2, lambda lam, mu: sampled_residual(model, sub, lam, mu, p, q)))
 
 
 class TestStructuralIdentities:
@@ -255,47 +256,68 @@ class TestStructuralIdentities:
     ])
     def test_rbb(self, builder, z):
         model = builder(z=z)
-        for lam, mu in seeded_structural_pairs(model, count=3):
-            assert rbb_residual(model, lam, mu).is_zero()
+        for _, residual in seeded_structural_pairs(model, "rbb", count=3):
+            assert residual.is_zero()
 
     def test_rbb_trivial_structure(self):
         model = model_from_config({"case": "plain", "z": [1, 2]})
-        assert rbb_residual(model, F(5), F(7)).is_zero()
+        assert sampled_residual(model, "rbb", F(5), F(7)).is_zero()
 
     def test_trB_brackets(self):
         model = two_reflection_model(z=(1, 2))
-        assert trB_bracket_residual(model, 2, 2, F(5), F(7)).is_zero()
-        assert trB_bracket_residual(model, 2, 3, F(5), F(7)).is_zero()
-        assert trB_bracket_residual(model, 2, 2, F(5), F(5)).is_zero()
+        assert sampled_residual(model, "trbrackets", F(5), F(7), 2, 2).is_zero()
+        assert sampled_residual(model, "trbrackets", F(5), F(7), 2, 3).is_zero()
+        # rbar has a pole at lam = mu, so the bracket there is taken of B(5) directly
+        b = B_at(model, F(5))
+        assert poisson_bracket((b ** 2).trace(), (b ** 2).trace()).is_zero()
 
     def test_lax(self):
         model = two_reflection_model(z=(1, 2))
-        assert lax_residual(model, F(5), F(7), 2).is_zero()
+        assert sampled_residual(model, "lax", F(5), F(7), 2).is_zero()
 
     def test_lax_p1(self):
+        # tr B(lam) = 0, so the residual is [B(mu), M] with the spin-free M = tr_a(rbar_ba)
         model = two_reflection_model(z=(1, 2))
-        m = m_matrix(model, F(5), F(7), 1)
-        # spin-independent: tr_a(rbar_ba) of a permutation-type matrix is scalar
-        assert all(not isinstance(entry, SpinPoly) or set(entry.terms) <= {()}
-                   for row in m.rows for entry in row)
-        assert lax_residual(model, F(5), F(7), 1).is_zero()
+        assert sampled_residual(model, "lax", F(5), F(7), 1).is_zero()
 
     def test_mk(self):
         model = three_reflection_model(z=(2, 5))
-        for lam, nu in seeded_structural_pairs(model, count=3):
-            assert mk_residual(model, lam, nu, 2).is_zero()
+        for _, residual in seeded_structural_pairs(model, "mk", count=3):
+            assert residual.is_zero()
 
-    @pytest.mark.parametrize("check", [
-        lambda model: lax_residual(model, F(5), F(7), 0),
-        lambda model: m_matrix(model, F(5), F(7), 0),
-        lambda model: mk_residual(model, F(5), F(7), -1),
-        lambda model: trB_bracket_residual(model, 0, 2, F(5), F(7)),
-        lambda model: trB_bracket_residual(model, 2, 0, F(5), F(7)),
-    ], ids=["lax-p0", "m-p0", "mk-p-1", "trbrackets-p0", "trbrackets-q0"])
-    def test_power_below_one_is_a_model_error(self, check):
+    @pytest.mark.parametrize("sub,p,q", [
+        ("lax", 0, 2),
+        ("mk", -1, 2),
+        ("trbrackets", 0, 2),
+        ("trbrackets", 2, 0),
+    ], ids=["lax-p0", "mk-p-1", "trbrackets-p0", "trbrackets-q0"])
+    def test_power_below_one_is_a_model_error(self, sub, p, q):
         # tr B^0 = 2 and B^-1 would need a spin-polynomial inverse: neither is a check
         with pytest.raises(ModelError, match="at least 1"):
-            check(bcl_model())
+            sampled_residual(bcl_model(), sub, F(5), F(7), p, q)
+
+    def test_unknown_identity(self):
+        with pytest.raises(ValueError, match="unknown structural identity"):
+            sampled_residual(bcl_model(), "spam", F(5), F(7))
+
+
+class TestOneFramePerPoint:
+    """B(lam), B(mu) and both rbar matrices of a sample pair come from one
+    point frame at lam and one at mu, whichever identity is asked for."""
+
+    @pytest.mark.parametrize("sub", ["rbb", "lax", "trbrackets", "mk"])
+    def test_two_frames_per_call(self, sub, monkeypatch):
+        evaluated = []
+        original = gaudin.point_frame
+
+        def counted(case, nu):
+            evaluated.append(nu)
+            return original(case, nu)
+
+        monkeypatch.setattr(gaudin, "point_frame", counted)
+        model = three_reflection_model(z=(2, 5))
+        assert sampled_residual(model, sub, F(7), F(-3, 2)).is_zero()
+        assert sorted(evaluated) == [F(-3, 2), F(7)]
 
 
 class TestConfig:

@@ -54,7 +54,7 @@ class TestMobius:
         tau = MobiusMap(1, 2, 3, -1)
         assert tau(F(0)) == -2
         assert tau(F(-2)) == 0
-        assert tau.order() == 2
+        assert tau.iterate(2)(F(5)) == 5 != tau(F(5))
 
     def test_reflection_shape_recovers_negation(self):
         tau = MobiusMap(1, 0, 0, -1)
@@ -66,7 +66,7 @@ class TestMobius:
         assert tau(F(0)) == 3
         assert tau(F(3)) == -3
         assert tau(F(-3)) == 0
-        assert tau.order() == 3
+        assert tau.iterate(3)(F(5)) == 5 != tau.iterate(2)(F(5))
 
     def test_compose_is_iterate(self):
         tau = MobiusMap(1, 3, -1, 1)
@@ -124,7 +124,9 @@ class TestNUnitarity:
         for label in sorted(CATALOG):
             if label.startswith("linear-k"):
                 case = case_by_label(label)
-                assert case.tau.order() == case.N, label
+                x = F(5, 7)
+                assert case.tau.iterate(case.N)(x) == x, label
+                assert all(case.tau.iterate(m)(x) != x for m in range(1, case.N)), label
 
     def test_non_scalar_product_reported_not_raised(self):
         # k = diag(nu, 1) with tau = -nu gives k^(2) = diag(-nu^2, 1)
