@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import dynamics, gaudin, reporting
-from .errors import NReflectError
+from .errors import ConstraintError, NReflectError
 from .reflection import CATALOG, case_by_label, n_unitarity_entry, sampled_check, tamper
 from .reflection import nre_residual  # noqa: F401 - perfbench/test_perfbench.py reads it off this module
 from .rmatrix import cybe_residual, rational_r, trig_r
@@ -35,7 +35,7 @@ def _parse_params(text):
         return params
     for piece in text.split(","):
         if "=" not in piece:
-            raise ValueError(f"parameter {piece!r} is not of the form name=value")
+            raise ConstraintError(f"parameter {piece!r} is not of the form name=value")
         name, value = piece.split("=", 1)
         params[name.strip()] = scalar_from_str(value)
     return params
@@ -90,7 +90,10 @@ def cmd_verify(args) -> int:
     else:
         case = case_by_label(args.case or "id-2refl", _parse_params(args.params))
         if args.tamper:
-            case = tamper(case, args.tamper)
+            try:
+                case = tamper(case, args.tamper)
+            except ValueError as exc:  # a case the mode cannot break, such as N = 1
+                raise ConstraintError(str(exc)) from exc
         omega = None
         if args.subject == "symmetry":
             omega = scalar_from_str(args.omega, order=case.N) if args.omega else zeta(case.N)
@@ -269,7 +272,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (NReflectError, KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (NReflectError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

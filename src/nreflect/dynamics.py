@@ -36,9 +36,9 @@ class PhaseState:
     def __post_init__(self):
         self.values = tuple(complex(v) for v in self.values)
         if any(not (math.isfinite(v.real) and math.isfinite(v.imag)) for v in self.values):
-            raise ValueError("phase-state entries must be finite")
+            raise ModelError("phase-state entries must be finite")
         if len(self.values) % 3:
-            raise ValueError("phase state length must be 3 L")
+            raise ModelError("phase state length must be 3 L")
 
 
 def compile_spinpoly(poly: SpinPoly):

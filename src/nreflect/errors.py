@@ -22,7 +22,8 @@ class PoleError(NReflectError, ZeroDivisionError):
 
 
 class ConstraintError(NReflectError, ValueError):
-    """Constructor parameters are unknown or violate an exact algebraic constraint."""
+    """A given value or parameter is malformed or unknown, or violates an
+    exact algebraic constraint."""
 
 
 class UnsupportedCaseError(NReflectError, ValueError):

@@ -1,34 +1,67 @@
-"""Dense exact linear algebra over scalars (or any commutative ring), and
+"""Exact linear algebra over scalars (or any commutative ring), and
 tensor-leg operations on (C^n)^x2 and (C^n)^x3 that read the factor size n
 from the matrix shape.
 
-Entries only need ``+``, ``-``, ``*`` and truthiness; inversion and
-determinants additionally need ``/``.  Matrix products skip zero entries,
-which keeps permutation-built operators at desk scale essentially free.
+A matrix whose entries are all exact scalars -- ``Fraction``s, possibly
+mixed with ``Cyclotomic``s of one order N -- is stored as sparse rows that
+map a column to the phi(N) integer numerators of a nonzero entry, over one
+positive common denominator in lowest terms for the whole matrix (the
+layout of FLINT's ``fmpq_mat``/``nf_elem``).  Products, sums, scaling,
+Kronecker products and the tensor-leg operations run as integer arithmetic
+on that form: a product reduces x^k through the table :mod:`nreflect.scalars`
+keeps for Q(zeta_N), and one gcd normalizes each result.  ``Fraction`` and
+``Cyclotomic`` values are built, in canonical form, only where a caller reads
+entries: ``rows``, ``m[i, j]``, ``trace``, ``==``, ``inverse`` and the
+witness of ``first_nonzero``.
+
+A matrix holding any other entry, such as the Gaudin B with ``SpinPoly``
+entries, keeps its entries as given and works entrywise; its entries only
+need ``+``, ``-``, ``*`` and truthiness, and inversion additionally ``/``.
+The form is chosen by entry type alone.  Either way, products skip zero
+entries, which keeps permutation-built operators at desk scale essentially
+free.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import ShapeError, SingularMatrixError
-from .scalars import ZERO, ONE, scalar_to_str
+from .scalars import ONE, ZERO, Cyclotomic, _canonical, _fold, _mul_reduce, _power_rows, euler_phi, scalar_to_str
 
 PLACEMENTS = ("ab", "ac", "bc", "ba", "ca", "cb")
 
 
 class Matrix:
-    __slots__ = ("rows",)
+    """A matrix of exact scalars in the integer form, or of any ring
+    elements in ``_rows``; ``_order`` is N for the integer form (1 over Q)
+    and None otherwise."""
+
+    __slots__ = ("nrows", "ncols", "_rows", "_order", "_den", "_sparse")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(row) for row in rows)
-        if not self.rows or any(len(r) != len(self.rows[0]) for r in self.rows):
+        rows = tuple(tuple(row) for row in rows)
+        if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ShapeError("rows must be non-empty and of equal length")
+        self.nrows, self.ncols = len(rows), len(rows[0])
+        self._rows = self._order = self._den = self._sparse = None
+        order = _exact_order(rows)
+        if order is None:
+            self._rows = rows
+            return
+        den = math.lcm(*(a.den if type(a) is Cyclotomic else a.denominator for row in rows for a in row if a))
+        pad = (0,) * (euler_phi(order) - 1)
+        self._order, self._den = order, den
+        self._sparse = [{j: (tuple(c * (den // a.den) for c in a.num) if type(a) is Cyclotomic
+                             else (a.numerator * (den // a.denominator),) + pad)
+                         for j, a in enumerate(row) if a}
+                        for row in rows]
 
     @staticmethod
     def identity(dim):
-        return Matrix([[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)])
+        return _exact_matrix(1, 1, [{i: (1,)} for i in range(dim)], dim, dim)
 
     @staticmethod
     def diagonal(entries):
@@ -36,16 +69,26 @@ class Matrix:
         return Matrix([[entries[i] if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @property
-    def nrows(self):
-        return len(self.rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0])
+    def rows(self):
+        """The entries, row by row; for the integer form, canonical
+        ``Fraction``/``Cyclotomic`` values built on each read."""
+        if self._order is None:
+            return self._rows
+        order, den = self._order, self._den
+        out = []
+        for row in self._sparse:
+            full = [ZERO] * self.ncols
+            for j, vec in row.items():
+                full[j] = _canonical(order, vec, den)
+            out.append(tuple(full))
+        return tuple(out)
 
     def __getitem__(self, idx):
         i, j = idx
-        return self.rows[i][j]
+        if self._order is None:
+            return self._rows[i][j]
+        vec = self._sparse[i].get(range(self.ncols)[j])
+        return ZERO if vec is None else _canonical(self._order, vec, self._den)
 
     # -- ring operations ----------------------------------------------------
 
@@ -56,41 +99,83 @@ class Matrix:
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._same_shape(other)
-        return Matrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign * other."""
         self._same_shape(other)
-        return Matrix([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
+        order = _field(self, other)
+        if order is None:
+            op = operator.add if sign > 0 else operator.sub
+            return Matrix([[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
+        sa, sb = _lifted(self, order), _lifted(other, order)
+        den = math.lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        out = []
+        for ra, rb in zip(sa, sb):
+            row = {j: tuple(c * fa for c in vec) for j, vec in ra.items()} if fa != 1 else dict(ra)
+            for j, vec in rb.items():
+                old = row.get(j)
+                if old is None:
+                    row[j] = tuple(c * fb for c in vec)
+                else:
+                    new = tuple(x + c * fb for x, c in zip(old, vec))
+                    if any(new):
+                        row[j] = new
+                    else:
+                        del row[j]
+            out.append(row)
+        return _exact_matrix(order, den, out, self.nrows, self.ncols)
 
     def __neg__(self):
-        return Matrix([[-a for a in row] for row in self.rows])
+        if self._order is None:
+            return Matrix([[-a for a in row] for row in self._rows])
+        return _exact_matrix(self._order, self._den,
+                             [{j: tuple(-c for c in vec) for j, vec in row.items()} for row in self._sparse],
+                             self.nrows, self.ncols)
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.ncols != other.nrows:
-                raise ShapeError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-            bt = other.rows
-            out = []
-            for row in self.rows:
-                acc = [ZERO] * other.ncols
-                for k, a in enumerate(row):
-                    if not a:
-                        continue
-                    brow = bt[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] = acc[j] + a * b
-                out.append(acc)
-            return Matrix(out)
-        return self.scale(other)
+        if not isinstance(other, Matrix):
+            return self.scale(other)
+        if self.ncols != other.nrows:
+            raise ShapeError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
+        order = _field(self, other)
+        if order is not None:
+            return _exact_matrix(order, self._den * other._den, _product(order, self._sparse, other._sparse),
+                                 self.nrows, other.ncols)
+        bt = other.rows
+        out = []
+        for row in self.rows:
+            acc = [None] * other.ncols  # each entry starts from its first term
+            for k, a in enumerate(row):
+                if not a:
+                    continue
+                for j, b in enumerate(bt[k]):
+                    if b:
+                        acc[j] = a * b if acc[j] is None else acc[j] + a * b
+            out.append([ZERO if c is None else c for c in acc])
+        return Matrix(out)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, s):
+        kind = type(s)
+        order = self._order
+        if order is not None and (kind is Fraction or kind is int or (kind is Cyclotomic and order in (1, s.order))):
+            if not s:
+                return _exact_matrix(order, 1, [{} for _ in range(self.nrows)], self.nrows, self.ncols)
+            if kind is Cyclotomic:
+                order, num, den = s.order, s.num, s.den
+            else:
+                num, den = (s.numerator,), s.denominator
+            out = [{j: _times(order, vec, num) for j, vec in row.items()} for row in self._sparse]
+            return _exact_matrix(order, self._den * den, out, self.nrows, self.ncols)
         return Matrix([[s * a for a in row] for row in self.rows])
 
     def __pow__(self, exponent: int):
@@ -111,17 +196,29 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
+        if self._order is not None and self._order == other._order:
+            # both in lowest terms over one order: equal values, equal data
+            return ((self.nrows, self.ncols, self._den, self._sparse)
+                    == (other.nrows, other.ncols, other._den, other._sparse))
         return self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)
 
     def is_zero(self) -> bool:
-        return all(not a for row in self.rows for a in row)
+        if self._order is not None:
+            return not any(self._sparse)
+        return all(not a for row in self._rows for a in row)
 
     def first_nonzero(self):
         """(row, col, value) of the first nonzero entry, or None."""
-        for i, row in enumerate(self.rows):
+        if self._order is not None:
+            for i, row in enumerate(self._sparse):
+                if row:
+                    j = min(row)
+                    return (i, j, _canonical(self._order, row[j], self._den))
+            return None
+        for i, row in enumerate(self._rows):
             for j, a in enumerate(row):
                 if a:
                     return (i, j, a)
@@ -132,9 +229,16 @@ class Matrix:
     def trace(self):
         if self.nrows != self.ncols:
             raise ShapeError("trace needs a square matrix")
-        total = ZERO
-        for i in range(self.nrows):
-            total = total + self.rows[i][i]
+        if self._order is not None:
+            total = [0] * euler_phi(self._order)
+            for i, row in enumerate(self._sparse):
+                vec = row.get(i)
+                if vec is not None:
+                    total = [x + c for x, c in zip(total, vec)]
+            return _canonical(self._order, total, self._den)
+        total = self._rows[0][0]
+        for i in range(1, self.nrows):
+            total = total + self._rows[i][i]
         return total
 
     def inverse(self, label: str = "matrix"):
@@ -151,21 +255,23 @@ class Matrix:
                 raise SingularMatrixError(f"{label} is singular (column {col})")
             work[col], work[pivot] = work[pivot], work[col]
             inv = 1 / work[col][col]
-            work[col] = [a * inv for a in work[col]]
+            work[col] = [a * inv if a else a for a in work[col]]
             for r in range(n):
                 if r == col or not work[r][col]:
                     continue
                 factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+                work[r] = [a - factor * b if b else a for a, b in zip(work[r], work[col])]
         return Matrix([row[n:] for row in work])
 
     def kron(self, other):
         """Tensor (Kronecker) product."""
-        out = []
-        for ra in self.rows:
-            for rb in other.rows:
-                out.append([a * b for a in ra for b in rb])
-        return Matrix(out)
+        order = _field(self, other)
+        if order is None:
+            return Matrix([[a * b for a in ra for b in rb] for ra in self.rows for rb in other.rows])
+        nb = other.ncols
+        out = [{ja * nb + jb: _times(order, x, y) for ja, x in ra.items() for jb, y in rb.items()}
+               for ra in self._sparse for rb in other._sparse]
+        return _exact_matrix(order, self._den * other._den, out, self.nrows * other.nrows, self.ncols * nb)
 
     def pretty(self) -> str:
         cells = [[scalar_to_str(a) if isinstance(a, (int, Fraction)) or hasattr(a, "coeffs") else str(a) for a in row]
@@ -176,6 +282,134 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
+
+
+# ---------------------------------------------------------------------------
+# the integer form
+# ---------------------------------------------------------------------------
+
+def _exact_order(rows):
+    """N when every entry is an int, a Fraction or a Cyclotomic of order N
+    (1 when there is none); None otherwise."""
+    order = 1
+    for row in rows:
+        for a in row:
+            kind = type(a)
+            if kind is Cyclotomic:
+                if a.order != order:
+                    if order != 1:
+                        return None
+                    order = a.order
+            elif kind is not Fraction and kind is not int:
+                return None
+    return order
+
+
+def _exact_matrix(order, den, sparse, nrows, ncols):
+    """The matrix of sparse rows of numerator vectors over den, after
+    dividing den and every numerator by their gcd."""
+    g = den
+    for row in sparse:
+        for vec in row.values():
+            g = math.gcd(g, *vec)
+            if g == 1:
+                break
+        if g == 1:
+            break
+    if g != 1:
+        den //= g
+        sparse = [{j: tuple(c // g for c in vec) for j, vec in row.items()} for row in sparse]
+    m = object.__new__(Matrix)
+    m.nrows, m.ncols, m._rows = nrows, ncols, None
+    m._order, m._den, m._sparse = order, den, sparse
+    return m
+
+
+def _field(a, b):
+    """The order N of the field Q(zeta_N) that holds both matrices, when
+    both are in the integer form (a rational one lies in every field);
+    None otherwise."""
+    oa, ob = a._order, b._order
+    if oa is None or ob is None:
+        return None
+    if oa == 1 or oa == ob:
+        return ob
+    return oa if ob == 1 else None
+
+
+def _lifted(m, order):
+    """m's sparse rows with every vector of the phi(order) coordinates of
+    Q(zeta_order): rational vectors are padded with zeros."""
+    if m._order == order:
+        return m._sparse
+    pad = (0,) * (euler_phi(order) - 1)
+    return [{j: vec + pad for j, vec in row.items()} for row in m._sparse]
+
+
+def _times(order, x, y):
+    """The product of two numerator vectors of Q(zeta_order), either of
+    which may be a rational one of length 1."""
+    if len(x) == 1:
+        return tuple(x[0] * c for c in y)
+    if len(y) == 1:
+        return tuple(c * y[0] for c in x)
+    return tuple(_mul_reduce(order, x, y))
+
+
+def _product(order, sa, sb):
+    """Sparse rows of the product of two sparse row lists over Q(zeta_order):
+    integer dot products of the coordinate convolutions, each output entry
+    reduced mod Phi_N once.  Rational vectors may have length 1."""
+    out = []
+    if order == 1:
+        for ra in sa:
+            acc = {}
+            for k, (x,) in ra.items():
+                for j, (y,) in sb[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append({j: (c,) for j, c in acc.items() if c})
+        return out
+    phi = euler_phi(order)
+    table = _power_rows(order)
+    for ra in sa:
+        acc = {}
+        for k, x in ra.items():
+            for j, y in sb[k].items():
+                c = acc.get(j)
+                if c is None:
+                    c = acc[j] = [0] * (2 * phi - 1)
+                for s, xs in enumerate(x):
+                    if xs:
+                        for t, yt in enumerate(y, s):
+                            c[t] += xs * yt
+        row = {}
+        for j, c in acc.items():
+            vec = tuple(_fold(table, c, phi))
+            if any(vec):
+                row[j] = vec
+        out.append(row)
+    return out
+
+
+def _sparse_rows(m):
+    """m's rows as {column: entry} dicts of its nonzero entries: numerator
+    vectors in the integer form, the entries themselves otherwise."""
+    if m._order is not None:
+        return m._sparse
+    return [{j: a for j, a in enumerate(row) if a} for row in m._rows]
+
+
+def _like(m, sparse, dim):
+    """A dim x dim matrix of m's form and denominator from sparse rows of m's entries."""
+    if m._order is not None:
+        return _exact_matrix(m._order, m._den, sparse, dim, dim)
+    rows = []
+    for row in sparse:
+        full = [ZERO] * dim
+        for j, a in row.items():
+            full[j] = a
+        rows.append(full)
+    return Matrix(rows)
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -189,11 +423,7 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 def permutation_operator(n: int) -> Matrix:
     """P on C^n x C^n with P(e_i x e_j) = e_j x e_i."""
     dim = n * n
-    rows = [[ZERO] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            rows[i * n + j][j * n + i] = ONE
-    return Matrix(rows)
+    return _exact_matrix(1, 1, [{(r % n) * n + r // n: (1,)} for r in range(dim)], dim, dim)
 
 
 def _pair_factor(m: Matrix, what: str) -> int:
@@ -214,59 +444,53 @@ def embed_pair(m: Matrix, placement: str, n: int) -> Matrix:
         raise ShapeError(f"expected a {n * n}x{n * n} pair-leg matrix, got {m.nrows}x{m.ncols}")
     first, second = "abc".index(placement[0]), "abc".index(placement[1])
     spare = 3 - first - second
-    dim = n**3
-    rows = [[ZERO] * dim for _ in range(dim)]
-    for ri in range(dim):
+    weight = (n * n, n, 1)
+    # column of the (C^n)^x3 row or column where the pair index is k and the spare leg s
+    column = [[k // n * weight[first] + k % n * weight[second] + s * weight[spare] for k in range(n * n)]
+              for s in range(n)]
+    mrows = _sparse_rows(m)
+    out = []
+    for ri in range(n**3):
         x = (ri // (n * n), (ri // n) % n, ri % n)
-        mrow = m.rows[x[first] * n + x[second]]
-        for k, val in enumerate(mrow):
-            if not val:
-                continue
-            y = [0, 0, 0]
-            y[first], y[second] = divmod(k, n)
-            y[spare] = x[spare]
-            rows[ri][y[0] * n * n + y[1] * n + y[2]] = val
-    return Matrix(rows)
+        place = column[x[spare]]
+        out.append({place[k]: val for k, val in mrows[x[first] * n + x[second]].items()})
+    return _like(m, out, n**3)
 
 
 def swap_pair(m: Matrix) -> Matrix:
     """Conjugation P m P on a pair-leg matrix, done by index relabelling."""
     n = _pair_factor(m, "swap_pair")
     dim = n * n
-    rows = [[ZERO] * dim for _ in range(dim)]
-    for i1 in range(n):
-        for i2 in range(n):
-            src_row = m.rows[i1 * n + i2]
-            dst = rows[i2 * n + i1]
-            for j1 in range(n):
-                for j2 in range(n):
-                    val = src_row[j1 * n + j2]
-                    if val:
-                        dst[j2 * n + j1] = val
-    return Matrix(rows)
+    mrows = _sparse_rows(m)
+    swapped = [(r % n) * n + r // n for r in range(dim)]  # i1 n + i2 -> i2 n + i1
+    return _like(m, [{swapped[k]: val for k, val in mrows[swapped[r]].items()} for r in range(dim)], dim)
 
 
 def partial_trace(m: Matrix, leg: str) -> Matrix:
     """Trace a pair-leg matrix over leg "a" (first factor) or "b" (second)."""
     n = _pair_factor(m, "partial_trace")
-    out = [[ZERO] * n for _ in range(n)]
-    if leg == "a":
-        for j1 in range(n):
-            for j2 in range(n):
-                total = ZERO
-                for i in range(n):
-                    total = total + m.rows[i * n + j1][i * n + j2]
-                out[j1][j2] = total
-    elif leg == "b":
-        for i1 in range(n):
-            for i2 in range(n):
-                total = ZERO
-                for j in range(n):
-                    total = total + m.rows[i1 * n + j][i2 * n + j]
-                out[i1][i2] = total
-    else:
+    if leg not in ("a", "b"):
         raise ShapeError(f"leg must be 'a' or 'b', got {leg!r}")
-    return Matrix(out)
+    exact = m._order is not None
+    out = [{} for _ in range(n)]
+    for r, row in enumerate(_sparse_rows(m)):
+        i1, i2 = divmod(r, n)
+        for c, val in row.items():
+            j1, j2 = divmod(c, n)
+            if leg == "a" and i1 == j1:
+                i, j = i2, j2
+            elif leg == "b" and i2 == j2:
+                i, j = i1, j1
+            else:
+                continue
+            old = out[i].get(j)
+            if old is None:
+                out[i][j] = val
+            else:
+                out[i][j] = tuple(x + y for x, y in zip(old, val)) if exact else old + val
+    if exact:
+        out = [{j: vec for j, vec in row.items() if any(vec)} for row in out]
+    return _like(m, out, n)
 
 
 def tensor_pair(a: Matrix, b: Matrix) -> Matrix:

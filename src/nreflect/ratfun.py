@@ -10,7 +10,6 @@ arithmetic we need and makes residues exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
 from .errors import PoleError

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional
 
-from .errors import ConstraintError, PoleError, SingularMatrixError, UnsupportedCaseError
+from .errors import ConstraintError, PoleError, UnsupportedCaseError
 from .linalg import Matrix, tensor_pair
 from .ratfun import Poly, RatFun
 from .reporting import build_report, render_sample
@@ -269,7 +269,7 @@ def tamper(case: KSolution, mode: str) -> KSolution:
         gs[1] = -gs[1]
         return replace(case, label=f"{case.label}[tampered:g1-sign]",
                        weights=WeightFamily(tuple(gs)), expected_f=None)
-    raise ValueError(f"unknown tamper mode {mode!r}")
+    raise ConstraintError(f"unknown tamper mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +553,10 @@ CATALOG["trivial"] = trivial_case
 
 def case_by_label(label: str, params: Optional[dict] = None) -> KSolution:
     """The cataloged case with ``params`` overriding its defaults; an unknown
-    parameter name or a factor size n that is not a positive integer raises
-    ConstraintError."""
+    label, an unknown parameter name or a factor size n that is not a
+    positive integer raises ConstraintError."""
     if label not in CATALOG:
-        raise KeyError(f"unknown catalog case {label!r}; see catalog list")
+        raise ConstraintError(f"unknown catalog case {label!r}; see catalog list")
     build = CATALOG[label]
     fixed = getattr(build, "keywords", {})
     names = [name for name in inspect.signature(build).parameters if name not in fixed]

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Union
 
-from .errors import OrderMismatchError
+from .errors import ConstraintError, OrderMismatchError
 
 Rational = Fraction
 Scalar = Union[Fraction, "Cyclotomic"]
@@ -82,6 +82,17 @@ def _power_rows(order: int) -> tuple:
     return tuple(rows)
 
 
+def _fold(rows, coeffs, phi: int) -> list:
+    """The phi coordinates of sum_k coeffs[k] x^k, each x^k with k >= phi
+    replaced by its row of the reduction table ``rows``."""
+    out = list(coeffs[:phi]) + [0] * (phi - len(coeffs))
+    for c, row in zip(coeffs[phi:], rows):
+        if c:
+            for i, t in enumerate(row):
+                out[i] += c * t
+    return out
+
+
 def _reduce(order: int, coeffs) -> list:
     """Integer coefficients of any polynomial in zeta_N -> its phi(N)
     coordinates in the power basis."""
@@ -92,13 +103,7 @@ def _reduce(order: int, coeffs) -> list:
         for k, c in enumerate(coeffs):
             folded[k % order] += c
         coeffs = folded
-    out = list(coeffs[:phi]) + [0] * (phi - len(coeffs))
-    for k in range(phi, len(coeffs)):
-        c = coeffs[k]
-        if c:
-            for i, t in enumerate(rows[k - phi]):
-                out[i] += c * t
-    return out
+    return _fold(rows, coeffs, phi)
 
 
 def _mul_reduce(order: int, a, b) -> list:
@@ -109,12 +114,7 @@ def _mul_reduce(order: int, a, b) -> list:
         if x:
             for j, y in enumerate(b, i):
                 out[j] += x * y
-    res = out[:phi]
-    for c, row in zip(out[phi:], _power_rows(order)):
-        if c:
-            for i, t in enumerate(row):
-                res[i] += c * t
-    return res
+    return _fold(_power_rows(order), out, phi)
 
 
 def _canonical(order: int, num, den: int) -> Scalar:
@@ -217,9 +217,8 @@ class Cyclotomic:
 
     def inverse(self) -> Scalar:
         """Multiplicative inverse: the product of the other Galois conjugates
-        sigma_k (zeta -> zeta^k, gcd(k, N) = 1) divided by the norm."""
-        if not any(self.num):
-            raise ZeroDivisionError("inversion of zero cyclotomic element")
+        sigma_k (zeta -> zeta^k, gcd(k, N) = 1) divided by the norm.  A
+        stored element is never zero: zero demotes to ``Fraction``."""
         order, num = self.order, self.num
         others = [1] + [0] * (len(num) - 1)
         for k in range(2, order):
@@ -352,7 +351,7 @@ def scalar_from_str(text: str, order: int | None = None) -> Scalar:
     """
     text = text.strip().replace(" ", "")
     if not text:
-        raise ValueError("empty scalar")
+        raise ConstraintError("empty scalar")
     total: Scalar = ZERO
     for term in re.findall(r"[+-]?[^+-]+", text):
         sign = 1
@@ -361,14 +360,14 @@ def scalar_from_str(text: str, order: int | None = None) -> Scalar:
             term = term[1:]
         m = _TERM_RE.match(term)
         if not m or (m.group("coeff") is None and m.group("z") is None):
-            raise ValueError(f"cannot parse scalar term {term!r} in {text!r}")
+            raise ConstraintError(f"cannot parse scalar term {term!r} in {text!r}")
         try:
             coeff = sign * Fraction(m.group("coeff") or 1)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in scalar {text!r}") from None
+            raise ConstraintError(f"zero denominator in scalar {text!r}") from None
         if m.group("z"):
             if order is None:
-                raise ValueError(f"scalar {text!r} uses z but no cyclotomic order was given")
+                raise ConstraintError(f"scalar {text!r} uses z but no cyclotomic order was given")
             total = total + coeff * zeta(order, int(m.group("pow") or 1))
         else:
             total = total + coeff

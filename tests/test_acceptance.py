@@ -9,10 +9,8 @@ import json
 import time
 from fractions import Fraction
 
-import pytest
-
 from nreflect.cli import main as cli_main
-from nreflect.dynamics import PhaseState, convergence_order, default_probes, rk4_simulate
+from nreflect.dynamics import PhaseState, convergence_order, rk4_simulate
 from nreflect.gaudin import (
     hamiltonian_explicit,
     hamiltonian_residue,

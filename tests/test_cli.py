@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from nreflect import reflection
 from nreflect.cli import main
 
 
@@ -340,6 +341,43 @@ def test_options_the_subject_reads_are_accepted(capsys):
     assert run(capsys, "verify", "cybe", "--r", "trig", "--n", "2", "--samples", "1")[0] == 0
     code, out, _ = run(capsys, "verify", "symmetry", "--case", "id-2refl", "--omega", "-1", "--samples", "1")
     assert code in (0, 1) and json.loads(out)["omega"] == "-1"
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["verify", "nre", "--params", "a"], "name=value"),
+    (["verify", "nre", "--params", "a=z"], "cyclotomic order"),
+    (["verify", "nre", "--params", "a="], "empty scalar"),
+    (["verify", "nre", "--case", "trivial", "--tamper", "g1-sign"], "N >= 2"),
+])
+def test_user_input_errors_name_the_input(capsys, argv, named):
+    code, out, err = run(capsys, *argv, "--samples", "1")
+    assert code == 2 and out == ""
+    assert named in err
+
+
+@pytest.mark.parametrize("state,named", [
+    ("[[NaN, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]", "finite"),
+    ("[[0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]", "3 L"),
+], ids=["nan", "five-values"])
+def test_simulate_bad_state_values_are_config_errors(capsys, tmp_path, state, named):
+    config = write_config(tmp_path, BCL)
+    state_path = tmp_path / "state.json"
+    state_path.write_text(state)
+    code, out, err = run(capsys, "simulate", "--config", config, "--t", "0.01", "--dt", "0.001",
+                         "--out", str(tmp_path / "t.csv"), "--state", str(state_path))
+    assert code == 2 and out == ""
+    assert named in err
+
+
+@pytest.mark.parametrize("error", [KeyError, ValueError])
+def test_a_fault_inside_a_residual_is_not_a_user_error(monkeypatch, error):
+    # exit 2 is kept for bad input; an internal fault surfaces as itself
+    def broken(*args):
+        raise error("internal fault")
+
+    monkeypatch.setattr(reflection, "nre_residual", broken)
+    with pytest.raises(error, match="internal fault"):
+        main(["verify", "nre", "--case", "id-2refl", "--samples", "1"])
 
 
 @pytest.mark.parametrize("flag,value", [("--t", "inf"), ("--t", "nan"), ("--dt", "inf"), ("--dt", "nan")])

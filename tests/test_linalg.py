@@ -12,7 +12,10 @@ from nreflect.linalg import (
     swap_pair,
     tensor_pair,
 )
+from nreflect.reflection import build_rbar, case_by_label
+from nreflect.rmatrix import RMatrixFun, cybe_residual
 from nreflect.sampling import SplitMix64
+from nreflect.scalars import Cyclotomic, zeta
 
 
 def frac_matrix(rows):
@@ -150,3 +153,31 @@ class TestMatrixAlgebra:
     def test_pretty(self):
         text = frac_matrix([[1, -2], [Fraction(1, 3), 0]]).pretty()
         assert "1/3" in text and "-2" in text
+
+
+class TestIntegerFormCounts:
+    """The 27x27 products of a CYBE residual over Q(zeta_3) run on the
+    integer form: they build no Cyclotomic per multiply-add.  A matrix that
+    fell back to the entrywise path would multiply and add Cyclotomics."""
+
+    def test_rbar_cybe_products_make_no_cyclotomic_operation(self, monkeypatch):
+        rbar = build_rbar(case_by_label("linear-k-N3-shift-th2"))
+        lam, mu, nu = Fraction(5, 3), Fraction(-7, 2), Fraction(11, 5)
+        values = {pair: rbar(*pair) for pair in ((lam, mu), (lam, nu), (mu, nu), (nu, mu))}
+        assert any(isinstance(v, Cyclotomic) for row in values[lam, mu].rows for v in row)
+        frozen = RMatrixFun(n=3, kind="constructed", evaluate=lambda x, y: values[x, y])
+
+        calls = []
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            original = getattr(Cyclotomic, name)
+
+            def counted(self, other, original=original, name=name):
+                calls.append(name)
+                return original(self, other)
+
+            monkeypatch.setattr(Cyclotomic, name, counted)
+        residual = cybe_residual(frozen, lam, mu, nu)
+        assert residual.nrows == 27 and residual.is_zero()
+        assert calls == []
+        zeta(3) * zeta(3)  # the counter sees a Cyclotomic product
+        assert calls == ["__mul__"]

@@ -323,7 +323,7 @@ class TestCatalogConstruction:
         assert sorted(c.label for c in cases) == sorted(CATALOG)
 
     def test_unknown_label(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConstraintError, match="unknown catalog case"):
             case_by_label("nope")
 
     def test_weights_start_at_one(self):
