@@ -2,24 +2,17 @@
 tensor-leg operations on (C^n)^x2 and (C^n)^x3 that read the factor size n
 from the matrix shape.
 
-A matrix whose entries are all exact scalars -- ``Fraction``s, possibly
-mixed with ``Cyclotomic``s of one order N -- is stored as sparse rows that
-map a column to the phi(N) integer numerators of a nonzero entry, over one
-positive common denominator in lowest terms for the whole matrix (the
-layout of FLINT's ``fmpq_mat``/``nf_elem``).  Products, sums, scaling,
-Kronecker products and the tensor-leg operations run as integer arithmetic
-on that form: a product reduces x^k through the table :mod:`nreflect.scalars`
-keeps for Q(zeta_N), and one gcd normalizes each result.  ``Fraction`` and
-``Cyclotomic`` values are built, in canonical form, only where a caller reads
-entries: ``rows``, ``m[i, j]``, ``trace``, ``==``, ``inverse`` and the
-witness of ``first_nonzero``.
-
-A matrix holding any other entry, such as the Gaudin B with ``SpinPoly``
-entries, keeps its entries as given and works entrywise; its entries only
-need ``+``, ``-``, ``*`` and truthiness, and inversion additionally ``/``.
-The form is chosen by entry type alone.  Either way, products skip zero
-entries, which keeps permutation-built operators at desk scale essentially
-free.
+A matrix of exact scalars (``Fraction``s, possibly with ``Cyclotomic``s of
+one order N) is stored as sparse rows mapping a column to the phi(N)
+integer numerators of a nonzero entry, over one positive denominator in
+lowest terms for the whole matrix, as FLINT's ``fmpq_mat``/``nf_elem`` do.
+Arithmetic and the tensor-leg operations run on the integers; a product
+reduces mod Phi_N once per entry with the table of :mod:`nreflect.scalars`.
+Canonical scalars are built only where entries are read: ``rows``,
+``m[i, j]``, ``trace``, ``==``, ``inverse`` and the ``first_nonzero``
+witness.  A matrix with any other entry, such as the Gaudin B of
+``SpinPoly``s, keeps its entries and works entrywise: they need ``+``,
+``-``, ``*`` and truthiness, and inversion also ``/``.
 """
 
 from __future__ import annotations
@@ -133,11 +126,7 @@ class Matrix:
         return _exact_matrix(order, den, out, self.nrows, self.ncols)
 
     def __neg__(self):
-        if self._order is None:
-            return Matrix([[-a for a in row] for row in self._rows])
-        return _exact_matrix(self._order, self._den,
-                             [{j: tuple(-c for c in vec) for j, vec in row.items()} for row in self._sparse],
-                             self.nrows, self.ncols)
+        return self.scale(-ONE)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -206,22 +195,14 @@ class Matrix:
         return hash(self.rows)
 
     def is_zero(self) -> bool:
-        if self._order is not None:
-            return not any(self._sparse)
-        return all(not a for row in self._rows for a in row)
+        return self.first_nonzero() is None
 
     def first_nonzero(self):
         """(row, col, value) of the first nonzero entry, or None."""
-        if self._order is not None:
-            for i, row in enumerate(self._sparse):
-                if row:
-                    j = min(row)
-                    return (i, j, _canonical(self._order, row[j], self._den))
-            return None
-        for i, row in enumerate(self._rows):
-            for j, a in enumerate(row):
-                if a:
-                    return (i, j, a)
+        for i, row in enumerate(_sparse_rows(self)):
+            if row:
+                j = min(row)
+                return (i, j, self[i, j])
         return None
 
     # -- linear algebra ------------------------------------------------------
@@ -229,16 +210,9 @@ class Matrix:
     def trace(self):
         if self.nrows != self.ncols:
             raise ShapeError("trace needs a square matrix")
-        if self._order is not None:
-            total = [0] * euler_phi(self._order)
-            for i, row in enumerate(self._sparse):
-                vec = row.get(i)
-                if vec is not None:
-                    total = [x + c for x, c in zip(total, vec)]
-            return _canonical(self._order, total, self._den)
-        total = self._rows[0][0]
+        total = self[0, 0]
         for i in range(1, self.nrows):
-            total = total + self._rows[i][i]
+            total = total + self[i, i]
         return total
 
     def inverse(self, label: str = "matrix"):
