@@ -27,7 +27,7 @@ from nreflect.scalars import ZERO, Cyclotomic, cyclotomic, euler_phi, zeta  # no
 from nreflect.spinalg import s_minus, s_plus, s_z  # noqa: E402
 
 ORDERS = (1, 3, 4, 5, 6, 8)
-PROFILE = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+PROFILE = settings(max_examples=15, deadline=None, derandomize=True, database=None)
 # the 27 x 27 references of embed_pair dominate the pair-leg test
 PAIR_LEG_PROFILE = settings(PROFILE, max_examples=8)
 
