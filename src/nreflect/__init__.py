@@ -12,7 +12,6 @@ from .reflection import (
     case_by_label,
     catalog,
     equivalence_residual,
-    k_iter,
     n_unitarity,
     nre_residual,
     symmetry_relation_residual,

@@ -8,7 +8,7 @@ gaudin <subcommand> ...      exact model-level identity checks / dumps
 simulate ...                 RK4 flow with conservation monitoring (CSV out)
 
 Exit codes: 0 pass, 1 verification failure, 2 configuration error,
-3 runtime numeric failure.
+3 runtime numeric failure, 4 internal fault (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import dynamics, gaudin, reporting
 from .errors import ConstraintError, NReflectError
@@ -278,7 +279,11 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:  # console-script hook
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except Exception:  # a fault in nreflect, kept apart from a verification failure
+        traceback.print_exc()
+        sys.exit(4)
 
 
 if __name__ == "__main__":

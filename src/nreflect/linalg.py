@@ -408,14 +408,13 @@ def _pair_factor(m: Matrix, what: str) -> int:
     return n
 
 
-def embed_pair(m: Matrix, placement: str, n: int) -> Matrix:
+def embed_pair(m: Matrix, placement: str) -> Matrix:
     """Place a pair-leg operator on the named ordered pair of the factors
     a, b, c, acting as the identity on the remaining leg.  Reversed placements (ba,
     ca, cb) are handled by the same index bookkeeping."""
     if placement not in PLACEMENTS:
         raise ShapeError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
-    if m.nrows != n * n or m.ncols != n * n:
-        raise ShapeError(f"expected a {n * n}x{n * n} pair-leg matrix, got {m.nrows}x{m.ncols}")
+    n = _pair_factor(m, "embed_pair")
     first, second = "abc".index(placement[0]), "abc".index(placement[1])
     spare = 3 - first - second
     weight = (n * n, n, 1)

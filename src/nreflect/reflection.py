@@ -14,9 +14,10 @@ by :func:`build_rbar`.  In terms of rbar the residual takes the compact form
 
     rbar_ab(lam, nu) k_a(lam) - k_a(lam) rbar_ab(tau(lam), nu),
 
-which is how :func:`nre_residual` computes it.  Everything rbar needs at nu
-comes from one :func:`point_frame`, which raises ``PoleError`` or
-``SingularMatrixError`` outside the case's domain.
+which is how :func:`nre_residual` computes it.  Everything rbar needs at nu,
+the b-leg conjugations by k^(j)(nu) included, comes from one
+:func:`point_frame`, which raises ``PoleError`` or ``SingularMatrixError``
+outside the case's domain; ``verify rbar-cybe`` shares one frame per point.
 """
 
 from __future__ import annotations
@@ -141,33 +142,27 @@ def _k_products(case: KSolution, points) -> list:
     return ks
 
 
-def k_iter(case: KSolution, j: int, nu) -> Matrix:
-    """k^(j)(nu); k^(0) is the identity."""
-    if not 0 <= j <= case.N:
-        raise ValueError(f"iterate index must be in [0, {case.N}], got {j}")
-    return _k_products(case, case.orbit(nu, j)[:j])[-1]
-
-
 @dataclass(frozen=True)
 class PointFrame:
     """What the induced matrix needs at one point nu, for j < N: the orbit
-    tau^j(nu), the weights g^(j)(nu), and k^(j)(nu) with its inverse."""
+    tau^j(nu), the weights g^(j)(nu), and conj[j] = (1 x k^(j)(nu),
+    1 x k^(j)(nu)^-1), or None where k^(j)(nu) is the identity (as for j = 0)."""
 
     orbit: tuple
     weights: tuple
-    k: tuple
-    k_inv: tuple
+    conj: tuple
 
 
 def point_frame(case: KSolution, nu) -> PointFrame:
     """The frame at nu; raises PoleError at a pole of tau^j, g^(j) or k and
     SingularMatrixError where some k^(j)(nu) is singular."""
-    nu = as_scalar(nu)
     orbit = tuple(case.orbit(nu))
     weights = tuple(case.weights(j, nu) for j in range(case.N))
-    ks = _k_products(case, orbit[:-1])
-    inverses = [ks[0]] + [kj.inverse(label=f"k^({j})(nu)") for j, kj in enumerate(ks[1:], start=1)]
-    return PointFrame(orbit, weights, tuple(ks), tuple(inverses))
+    eye = Matrix.identity(case.n)
+    conj = tuple(None if kj == eye else
+                 (tensor_pair(eye, kj), tensor_pair(eye, kj.inverse(label=f"k^({j})(nu)")))
+                 for j, kj in enumerate(_k_products(case, orbit[:-1])))
+    return PointFrame(orbit, weights, conj)
 
 
 def n_unitarity_entry(case: KSolution, nu) -> dict:
@@ -176,7 +171,7 @@ def n_unitarity_entry(case: KSolution, nu) -> dict:
     nu = as_scalar(nu)
     entry = {"sample": render_sample([nu])}
     try:
-        kn = k_iter(case, case.N, nu)
+        kn = _k_products(case, case.orbit(nu))[-1]
     except PoleError as exc:
         entry.update(status="fail", reason=str(exc))
         return entry
@@ -201,12 +196,11 @@ def n_unitarity(case: KSolution, points) -> dict:
 
 def rbar_at(case: KSolution, lam, frame: PointFrame) -> Matrix:
     """sum_j g^(j)(nu) k_b^(j)(nu) r_ab(lam, tau^j(nu)) k_b^(j)(nu)^-1 from the frame at nu."""
-    eye = Matrix.identity(case.n)
-    r = case.base_r
-    total = r(lam, frame.orbit[0]).scale(frame.weights[0])
-    for g, point, kj, kj_inv in zip(frame.weights[1:], frame.orbit[1:], frame.k[1:], frame.k_inv[1:]):
-        total = total + (tensor_pair(eye, kj) * r(lam, point) * tensor_pair(eye, kj_inv)).scale(g)
-    return total
+    terms = []
+    for g, point, conj in zip(frame.weights, frame.orbit, frame.conj):
+        term = case.base_r(lam, point)
+        terms.append((term if conj is None else conj[0] * term * conj[1]).scale(g))
+    return sum(terms[1:], terms[0])
 
 
 def rbar_matrix(case: KSolution, lam, nu) -> Matrix:
@@ -256,7 +250,7 @@ def build_rbar(case: KSolution) -> RMatrixFun:
     """Evaluator for the induced matrix rbar.  It solves the classical
     Yang-Baxter equation only for cases whose reflection residual vanishes;
     ``verify nre`` and ``verify rbar-cybe`` check both."""
-    return RMatrixFun(n=case.n, kind="constructed", label=f"rbar[{case.label}]",
+    return RMatrixFun(kind="constructed", label=f"rbar[{case.label}]",
                       evaluate=lambda lam, mu: rbar_matrix(case, lam, mu))
 
 
@@ -352,8 +346,9 @@ def sampled_check(case: KSolution, subject: str, omega=None) -> tuple:
     ``evaluate`` raises a pole error.  ``compact`` names the form
     :func:`nre_residual` computes; ``nunitarity`` is sampled where the frame
     of rbar evaluates, so that k^(N) is checked on the domain of the induced
-    matrix; ``symmetry`` uses ``omega``, zeta_N by default.  Nothing about
-    the case is evaluated before the first call of ``evaluate``."""
+    matrix; ``symmetry`` uses ``omega``, zeta_N by default; ``rbar-cybe``
+    shares one frame at mu and one at nu among its four rbar matrices.
+    Nothing about the case is evaluated before the first call of ``evaluate``."""
     if subject in ("nre", "compact"):
         return 2, lambda lam, nu: nre_residual(case, lam, nu)
     if subject == "nunitarity":
@@ -364,8 +359,10 @@ def sampled_check(case: KSolution, subject: str, omega=None) -> tuple:
     if subject == "equivalence":
         return 2, lambda lam, mu: equivalence_residual(case, lam, mu)
     if subject == "rbar-cybe":
-        rbar = build_rbar(case)
-        return 3, lambda *pt: cybe_residual(rbar, *pt)
+        def rbar_cybe(lam, mu, nu):
+            frames = {mu: point_frame(case, mu), nu: point_frame(case, nu)}
+            return cybe_residual(lambda a, b: rbar_at(case, a, frames[b]), lam, mu, nu)
+        return 3, rbar_cybe
     raise ValueError(f"unknown verify subject {subject!r}")
 
 

@@ -19,7 +19,6 @@ from .scalars import Scalar, as_scalar
 class RMatrixFun:
     """Matrix-valued function of two spectral parameters on C^n x C^n."""
 
-    n: int
     kind: str  # "rational" | "trigonometric" | "constructed"
     evaluate: Callable[[Scalar, Scalar], Matrix]  # raises PoleError at a pole
     label: str = ""
@@ -43,7 +42,7 @@ def rational_r(n: int) -> RMatrixFun:
         _check_diagonal(label, lam, mu)
         return perm.scale(1 / (lam - mu))
 
-    return RMatrixFun(n=n, kind="rational", evaluate=evaluate, label=label)
+    return RMatrixFun(kind="rational", evaluate=evaluate, label=label)
 
 
 def trig_r() -> RMatrixFun:
@@ -60,21 +59,21 @@ def trig_r() -> RMatrixFun:
                 [zero, zero, zero, -s]]
         return Matrix(rows).scale(pref)
 
-    return RMatrixFun(n=2, kind="trigonometric", evaluate=evaluate, label="trigonometric")
+    return RMatrixFun(kind="trigonometric", evaluate=evaluate, label="trigonometric")
 
 
-def cybe_residual(r: RMatrixFun, lam, mu, nu) -> Matrix:
+def cybe_residual(r: Callable[[Scalar, Scalar], Matrix], lam, mu, nu) -> Matrix:
     """[r_ab(l,m), r_ac(l,n)] + [r_ab(l,m), r_bc(m,n)] - [r_ac(l,n), r_cb(n,m)].
 
-    Exactly zero iff the classical Yang-Baxter equation holds at the sample.
+    Exactly zero iff the classical Yang-Baxter equation holds at the sample;
+    r(a, b) may be any function returning an n^2 x n^2 matrix.
     Built as [r_ab, r_ac + r_bc] - [r_ac, r_cb], the same matrix from four
     dense products instead of six.
     """
-    n = r.n
-    r_ab = embed_pair(r(lam, mu), "ab", n)
-    r_ac = embed_pair(r(lam, nu), "ac", n)
-    r_bc = embed_pair(r(mu, nu), "bc", n)
-    r_cb = embed_pair(r(nu, mu), "cb", n)
+    r_ab = embed_pair(r(lam, mu), "ab")
+    r_ac = embed_pair(r(lam, nu), "ac")
+    r_bc = embed_pair(r(mu, nu), "bc")
+    r_cb = embed_pair(r(nu, mu), "cb")
     return commutator(r_ab, r_ac + r_bc) - commutator(r_ac, r_cb)
 
 

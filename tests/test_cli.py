@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from nreflect import reflection
-from nreflect.cli import main
+from nreflect.cli import entry, main
 
 
 def run(capsys, *argv):
@@ -378,6 +378,20 @@ def test_a_fault_inside_a_residual_is_not_a_user_error(monkeypatch, error):
     monkeypatch.setattr(reflection, "nre_residual", broken)
     with pytest.raises(error, match="internal fault"):
         main(["verify", "nre", "--case", "id-2refl", "--samples", "1"])
+
+
+def test_the_console_entry_exits_4_on_an_internal_fault(monkeypatch, capsys):
+    def broken(*args):
+        raise KeyError("internal fault")
+
+    monkeypatch.setattr(reflection, "nre_residual", broken)
+    monkeypatch.setattr(sys, "argv", ["nreflect", "verify", "nre", "--case", "id-2refl", "--samples", "1"])
+    with pytest.raises(SystemExit) as exited:
+        entry()
+    assert exited.value.code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "KeyError: 'internal fault'" in captured.err
 
 
 @pytest.mark.parametrize("flag,value", [("--t", "inf"), ("--t", "nan"), ("--dt", "inf"), ("--dt", "nan")])

@@ -5,7 +5,6 @@ import pytest
 from nreflect.errors import ModelError, PoleError
 from nreflect import gaudin
 from nreflect.gaudin import (
-    GaudinModel,
     big_B,
     case_for_config,
     hamiltonian_explicit,
@@ -19,7 +18,6 @@ from nreflect.gaudin import (
     site_values,
 )
 from nreflect.linalg import Matrix
-from nreflect.reflection import identity_k_two_reflection, trivial_case
 from nreflect.rmatrix import rational_r
 from nreflect.sampling import DEFAULT_SEED, SplitMix64, sample_evaluated
 from nreflect.scalars import zeta

@@ -42,11 +42,11 @@ class TestEmbedPair:
     def test_identity_anywhere(self):
         eye = Matrix.identity(4)
         for placement in ("ab", "ac", "bc", "ba", "ca", "cb"):
-            assert embed_pair(eye, placement, 2) == Matrix.identity(8)
+            assert embed_pair(eye, placement) == Matrix.identity(8)
 
     def test_ab_is_kron_with_identity(self):
         p = permutation_operator(2)
-        assert embed_pair(p, "ab", 2) == p.kron(Matrix.identity(2))
+        assert embed_pair(p, "ab") == p.kron(Matrix.identity(2))
 
     def test_ac_matches_index_oracle(self):
         # oracle: conjugate the bc-embedding by the ab-swap, i.e.
@@ -55,23 +55,23 @@ class TestEmbedPair:
         eye2 = Matrix.identity(2)
         swap_ab = p.kron(eye2)
         oracle = swap_ab * eye2.kron(p) * swap_ab
-        assert embed_pair(p, "ac", 2) == oracle
+        assert embed_pair(p, "ac") == oracle
 
     def test_reversed_placement(self):
         rng = SplitMix64(7)
         m = frac_matrix([[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)])
-        assert embed_pair(m, "ba", 2) == embed_pair(swap_pair(m), "ab", 2)
+        assert embed_pair(m, "ba") == embed_pair(swap_pair(m), "ab")
 
     def test_composition(self):
         rng = SplitMix64(13)
         a = Matrix([[Fraction(rng.randint(-5, 5)) for _ in range(4)] for _ in range(4)])
         b = Matrix([[Fraction(rng.randint(-5, 5)) for _ in range(4)] for _ in range(4)])
         for placement in ("ab", "ac", "cb"):
-            assert embed_pair(a * b, placement, 2) == embed_pair(a, placement, 2) * embed_pair(b, placement, 2)
+            assert embed_pair(a * b, placement) == embed_pair(a, placement) * embed_pair(b, placement)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            embed_pair(Matrix.identity(3), "ab", 2)
+            embed_pair(Matrix.identity(3), "ab")
 
 
 class TestMatrixAlgebra:
@@ -165,7 +165,7 @@ class TestIntegerFormCounts:
         lam, mu, nu = Fraction(5, 3), Fraction(-7, 2), Fraction(11, 5)
         values = {pair: rbar(*pair) for pair in ((lam, mu), (lam, nu), (mu, nu), (nu, mu))}
         assert any(isinstance(v, Cyclotomic) for row in values[lam, mu].rows for v in row)
-        frozen = RMatrixFun(n=3, kind="constructed", evaluate=lambda x, y: values[x, y])
+        frozen = RMatrixFun(kind="constructed", evaluate=lambda x, y: values[x, y])
 
         calls = []
         for name in ("__mul__", "__rmul__", "__add__", "__radd__"):

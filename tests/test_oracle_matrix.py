@@ -194,7 +194,7 @@ def test_pair_leg_operations(order):
         n, m, (a, b) = drawn
         M = Matrix(m)
         for placement in PLACEMENTS:
-            check(embed_pair(M, placement, n), ref_embed(m, placement, n))
+            check(embed_pair(M, placement), ref_embed(m, placement, n))
         check(swap_pair(M), ref_swap(m, n))
         for leg in "ab":
             check(partial_trace(M, leg), ref_partial_trace(m, n, leg))

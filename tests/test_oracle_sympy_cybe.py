@@ -79,7 +79,7 @@ def test_sympy_rbar_is_the_computed_rbar():
         if any(entry.has(sympy.zoo, sympy.nan) for m in theirs.values() for entry in m):
             continue
         for key, m in ours.items():
-            got = embed_pair(m, key, 2)
+            got = embed_pair(m, key)
             want = [[Fraction(int(x.p), int(x.q)) for x in theirs[key].row(i)] for i in range(8)]
             assert [list(row) for row in got.rows] == want, key
         checked += 1

@@ -4,9 +4,11 @@ import pytest
 
 from nreflect.errors import ConstraintError, PoleError, UnsupportedCaseError
 from nreflect.linalg import Matrix, permutation_operator, tensor_pair
+from nreflect import reflection
 from nreflect.ratfun import RatFun
 from nreflect.reflection import (
     CATALOG,
+    _k_products,
     MobiusMap,
     build_rbar,
     case_by_label,
@@ -17,16 +19,17 @@ from nreflect.reflection import (
     equivalence_transform,
     identity_k_three_reflection,
     identity_k_two_reflection,
-    k_iter,
     linear_k_case,
     n_unitarity,
     nre_residual,
+    point_frame,
+    rbar_at,
     rbar_matrix,
+    sampled_check,
     scalar_functional_residual,
     symmetry_relation_residual,
     tamper,
     trig_three_reflection,
-    trig_two_reflection,
     trivial_case,
 )
 from nreflect.rmatrix import cybe_residual, rational_r
@@ -83,19 +86,19 @@ class TestMobius:
             MobiusMap(1, 2, 2, 4)
 
 
-class TestKIter:
+class TestKProducts:
     def test_zeroth_is_identity(self):
         case = case_by_label("linear-k-N2-diag-th2")
-        assert k_iter(case, 0, F(1)) == Matrix.identity(2)
+        assert _k_products(case, case.orbit(F(1)))[0] == Matrix.identity(2)
 
     def test_first_is_k(self):
         case = case_by_label("linear-k-N2-diag-th2")
-        assert k_iter(case, 1, F(5)) == case.k(F(5))
+        assert _k_products(case, [F(5)])[1] == case.k(F(5))
 
     def test_linear_family_square(self):
         # k(1) k(tau(1)) = (2 + G)(2 - G) = 3 for G = diag(1, -1)
         case = case_by_label("linear-k-N2-diag-th2")
-        assert k_iter(case, 2, F(1)) == Matrix.identity(2).scale(F(3))
+        assert _k_products(case, case.orbit(F(1)))[2] == Matrix.identity(2).scale(F(3))
 
 
 class TestNUnitarity:
@@ -206,6 +209,53 @@ class TestBuildRbar:
             rng = SplitMix64(DEFAULT_SEED)
             for triple, residual in sample_evaluated(rng, 5, 3, lambda *pt: cybe_residual(rbar, *pt)):
                 assert residual.is_zero(), (label, triple)
+
+
+class TestOneFramePerPoint:
+    """The k-dependent data of rbar at nu is evaluated once, in the frame at
+    nu: a rbar-cybe sample builds one frame at mu and one at nu, an identity
+    k^(j) is never inverted or applied, and rbar_at only sums over the frame."""
+
+    @staticmethod
+    def counted(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    def test_rbar_cybe_builds_one_frame_per_point(self, monkeypatch):
+        calls = self.counted(monkeypatch, reflection, "point_frame")
+        _, evaluate = sampled_check(case_by_label("linear-k-N2-shift-th2"), "rbar-cybe")
+        assert evaluate(F(5, 3), F(-7, 2), F(11, 5)).is_zero()
+        assert sorted(nu for _case, nu in calls) == [F(-7, 2), F(11, 5)]
+
+    def test_identity_k_is_never_inverted(self, monkeypatch):
+        calls = self.counted(monkeypatch, Matrix, "inverse")
+        frame = point_frame(case_by_label("id-3refl", {"n": 3}), F(5, 3))
+        assert calls == []
+        assert frame.conj == (None, None, None)
+
+    def test_each_nonidentity_k_is_inverted_once(self, monkeypatch):
+        case = case_by_label("linear-k-N3-shift-th2")
+        calls = self.counted(monkeypatch, Matrix, "inverse")
+        frame = point_frame(case, F(5, 3))
+        assert len(calls) == case.N - 1
+        eye = Matrix.identity(case.n)
+        assert frame.conj[0] is None
+        for kj, conj in zip(_k_products(case, frame.orbit[:-1])[1:], frame.conj[1:]):
+            assert conj == (tensor_pair(eye, kj), tensor_pair(eye, kj.inverse()))
+
+    def test_rbar_at_makes_no_tensor_product(self, monkeypatch):
+        case = case_by_label("linear-k-N3-shift-th2")
+        frame = point_frame(case, F(11, 5))
+        calls = self.counted(monkeypatch, reflection, "tensor_pair")
+        assert not rbar_at(case, F(5, 3), frame).is_zero()
+        assert calls == []
 
 
 class TestCompactAndSymmetry:

@@ -51,7 +51,7 @@ class TestCybeResidual:
     def test_broken_r_fails(self):
         perm = permutation_operator(2)
         broken = RMatrixFun(
-            n=2, kind="rational",
+            kind="rational",
             evaluate=lambda lam, mu: perm.scale(1 / (lam - 2 * mu)),
             label="broken")
         assert not cybe_residual(broken, F(1), F(2), F(3)).is_zero()
