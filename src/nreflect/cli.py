@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
 from . import dynamics, gaudin, reporting
 from .errors import ConstraintError, NReflectError
@@ -282,7 +281,7 @@ def entry() -> None:  # console-script hook
     try:
         sys.exit(main())
     except Exception:  # a fault in nreflect, kept apart from a verification failure
-        traceback.print_exc()
+        sys.excepthook(*sys.exc_info())
         sys.exit(4)
 
 

@@ -2,14 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from nreflect import reflection
 from nreflect.errors import ConstraintError, PoleError, UnsupportedCaseError
 from nreflect.linalg import Matrix, permutation_operator, tensor_pair
-from nreflect import reflection
 from nreflect.ratfun import RatFun
 from nreflect.reflection import (
     CATALOG,
-    _k_products,
     MobiusMap,
+    _k_products,
     build_rbar,
     case_by_label,
     catalog,
