@@ -3,7 +3,8 @@
 ``tests/data/gaudin_digests.json`` holds the exit code and the sha256 of the
 stdout of ``nreflect gaudin <subcommand>`` for all seven subcommands on the
 two-reflection, three-reflection, bcl, z3 and plain models at L = 2, 3, 4,
-at a fixed seed and a small sample count.  Any change to the residue
+and on two larger models (two-reflection at L = 16, z3 at L = 8), at a fixed
+seed and a small sample count.  Any change to the residue
 extraction, the generating matrix B, the sampler or the rendering that moves
 a single byte of a report fails here.
 
@@ -38,17 +39,19 @@ MODELS = {
     "z3": {"case": "z3", "z": SITES},
     "plain": {"case": "plain", "z": SITES},
 }
+LARGE = {
+    "two-L16": {"case": "two-reflection", "z": [str(1 + 3 * i) for i in range(16)]},
+    "z3-L8": {"case": "z3", "z": [str(1 + 3 * i) for i in range(8)]},
+}
 
 
 def commands() -> dict:
     """Name -> (model config, argv after ``--config <path>``)."""
-    cmds = {}
-    for name, config in MODELS.items():
-        for L in (2, 3, 4):
-            sized = dict(config, z=config["z"][:L])
-            for sub in GAUDIN_SUBCOMMANDS:
-                cmds[f"{sub} {name}-L{L}"] = (sized, ["gaudin", sub, "--seed", SEED, "--samples", SAMPLES])
-    return cmds
+    models = {f"{name}-L{L}": dict(config, z=config["z"][:L])
+              for name, config in MODELS.items() for L in (2, 3, 4)}
+    models.update(LARGE)
+    return {f"{sub} {name}": (config, ["gaudin", sub, "--seed", SEED, "--samples", SAMPLES])
+            for name, config in models.items() for sub in GAUDIN_SUBCOMMANDS}
 
 
 def digest(config, argv) -> dict:
