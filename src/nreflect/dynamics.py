@@ -45,7 +45,7 @@ def compile_spinpoly(poly: SpinPoly):
     """Compile a spin polynomial to a fast numeric callable of the flat
     coordinate vector."""
     parts = []
-    for expo, coeff in sorted(poly.terms.items()):
+    for expo, coeff in poly.monomials():
         factors = "".join(f"*v[{idx}]" * e for idx, e in enumerate(expo))
         parts.append(f"({to_complex(coeff)!r})" + factors)
     source = " + ".join(parts) if parts else "0j"
@@ -56,7 +56,7 @@ def hamiltonian_for(model: GaudinModel, selection) -> SpinPoly:
     """An index picks the model's H_i; a SpinPoly passes through if it lives
     on the model's sites."""
     if isinstance(selection, SpinPoly):
-        if any(len(expo) > 3 * model.L for expo in selection.terms):
+        if any(len(expo) > 3 * model.L for expo, _ in selection.monomials()):
             raise ModelError(f"the Hamiltonian uses a site beyond the model's {model.L}")
         return selection
     _check_site(model, selection)

@@ -30,5 +30,9 @@ class UnsupportedCaseError(NReflectError, ValueError):
     """Operation not defined for this catalog case (e.g. c = 0 reparametrization)."""
 
 
+class DegreeError(NReflectError, OverflowError):
+    """A spin-polynomial exponent exceeds what a packed monomial key holds."""
+
+
 class ModelError(NReflectError, ValueError):
     """Invalid Gaudin model configuration."""

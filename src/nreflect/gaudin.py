@@ -83,6 +83,12 @@ class GaudinModel:
         once per model."""
         return tuple(hamiltonian_explicit(self, i) for i in range(1, self.L + 1))
 
+    @cached_property
+    def hamiltonian_partials(self) -> tuple:
+        """The :func:`partials` of H_1, ..., H_L, so that the L(L-1)/2
+        involution brackets differentiate each H_i once."""
+        return tuple(partials(h) for h in self.hamiltonians)
+
 
 def _validate(model: GaudinModel) -> None:
     z = model.sites
@@ -227,7 +233,7 @@ def involution_residual(model: GaudinModel, i: int, k: int) -> SpinPoly:
     """{H_i, H_k}; the zero polynomial certifies involution."""
     _check_site(model, i)
     _check_site(model, k)
-    return poisson_bracket(model.hamiltonians[i - 1], model.hamiltonians[k - 1])
+    return bracket_partials(model.hamiltonian_partials[i - 1], model.hamiltonian_partials[k - 1])
 
 
 def residue_sum_check(model: GaudinModel) -> dict:

@@ -172,11 +172,13 @@ class Matrix:
             raise ShapeError("matrix power needs a square matrix")
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        acc = Matrix.identity(self.nrows)
+        if not exponent:
+            return Matrix.identity(self.nrows)
+        acc = None
         base = self
         while exponent:
             if exponent & 1:
-                acc = acc * base
+                acc = base if acc is None else acc * base
             exponent >>= 1
             if exponent:
                 base = base * base

@@ -211,23 +211,33 @@ def rbar_matrix(case: KSolution, lam, nu) -> Matrix:
 def nre_residual(case: KSolution, lam, nu) -> Matrix:
     """LHS - RHS of the N-fold reflection residual at exact points, in the
     compact form rbar_ab(lam, nu) k_a(lam) - k_a(lam) rbar_ab(tau(lam), nu);
-    both terms share the frame at nu."""
+    both terms share the frame at nu, and an identity k_a multiplies nothing."""
     lam = as_scalar(lam)
     frame = point_frame(case, nu)
-    k_a = tensor_pair(case.k(lam), Matrix.identity(case.n))
-    lhs = rbar_at(case, lam, frame) * k_a
-    rhs = k_a * rbar_at(case, case.tau(lam), frame)
+    eye = Matrix.identity(case.n)
+    k = case.k(lam)
+    lhs = rbar_at(case, lam, frame)
+    rhs = rbar_at(case, case.tau(lam), frame)
+    if k != eye:
+        k_a = tensor_pair(k, eye)
+        lhs, rhs = lhs * k_a, k_a * rhs
     return lhs - rhs
 
 
 def symmetry_relation_residual(case: KSolution, omega, lam, nu) -> Matrix:
-    """r_ab(l, n) - omega k_a k_b r_ab(tau l, tau n) k_b^-1 k_a^-1 (needs omega^N = 1)."""
+    """r_ab(l, n) - omega k_a k_b r_ab(tau l, tau n) k_b^-1 k_a^-1 (needs
+    omega^N = 1); where k(l) and k(n) are both the identity, nothing is
+    inverted or conjugated."""
     r = case.base_r
     omega = as_scalar(omega)
     if omega**case.N != 1:
         raise ConstraintError(f"omega^{case.N} != 1 for omega = {omega}")
     lam, nu = as_scalar(lam), as_scalar(nu)
     ka, kb = case.k(lam), case.k(nu)
+    eye = Matrix.identity(case.n)
+    if ka == eye and kb == eye:
+        inner = r(case.tau(lam), case.tau(nu))
+        return r(lam, nu) - inner.scale(omega)
     k_ab = tensor_pair(ka, kb)
     k_ab_inv = tensor_pair(ka.inverse(label="k(lam)"), kb.inverse(label="k(nu)"))
     inner = r(case.tau(lam), case.tau(nu))

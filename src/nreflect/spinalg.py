@@ -5,21 +5,37 @@ Lie-Poisson bracket, extended to products by the Leibniz rule:
 
 Spins are independent commuting coordinates; no reality condition ties
 s^+ to s^-.  Coefficients are exact scalars.  A polynomial does not know
-how many sites it lives on: a monomial's key is its exponent tuple over
-the flat variables (s_1^+, s_1^-, s_1^z, s_2^+, ...) with trailing zeros
-dropped, so the constant key is ().  Sorting trimmed keys gives the order
-of their zero-padded forms.
+how many sites it lives on.
+
+A monomial's key is one packed int (Monagan & Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007): the
+exponent of flat variable i (s_1^+, s_1^-, s_1^z, s_2^+, ... numbered from
+0) fills the byte at bit WIDTH * i, so the constant key is 0, a monomial
+product is one integer add and d/dx_i subtracts 1 << WIDTH * i.  The top
+bit of each byte is a guard: exponents stay at most MAX_EXPONENT, so a sum
+of two never carries into the next variable, and a product or bracket that
+reaches a guard bit raises DegreeError.  Only this module reads the keys;
+:meth:`SpinPoly.monomials` gives everyone else exponent tuples.
+
+:func:`partials` differentiates a polynomial by every variable in one pass
+over its terms, and :func:`bracket_partials` combines two such sets of
+partials by the Leibniz rule into one accumulator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from functools import reduce
+from operator import or_
 
-from .scalars import ONE, ZERO, Cyclotomic, as_scalar, scalar_to_str
+from .errors import DegreeError
+from .scalars import ONE, Cyclotomic, as_scalar, scalar_to_str
 
 KINDS = ("+", "-", "z")
 HALF = Fraction(1, 2)
+WIDTH = 8  # bits per variable: one byte, so bytes unpack a key
+MASK = (1 << WIDTH) - 1
+MAX_EXPONENT = MASK >> 1  # the top bit of each field is the carry guard
 
 
 def var_index(j: int, kind: str) -> int:
@@ -32,25 +48,44 @@ def var_name(index: int) -> str:
     return f"s{j + 1}{KINDS[k]}"
 
 
+def _wrap(terms: dict) -> "SpinPoly":
+    """The polynomial over ``terms`` as given: no copy, no zero filter."""
+    poly = object.__new__(SpinPoly)
+    poly.terms = terms
+    return poly
+
+
+def _guarded(terms: dict) -> "SpinPoly":
+    """The polynomial over the nonzero ``terms`` of a product; raises
+    DegreeError where an exponent reached its field's guard bit."""
+    terms = {key: coeff for key, coeff in terms.items() if coeff}
+    bits = reduce(or_, terms, 0)
+    over = bits & int.from_bytes(bytes([MAX_EXPONENT + 1]) * ((bits.bit_length() + 7) // 8), "little")
+    if over:
+        name = var_name(((over & -over).bit_length() - 1) // WIDTH)
+        raise DegreeError(f"an exponent of {name} exceeds {MAX_EXPONENT}, the most a packed monomial holds")
+    return _wrap(terms)
+
+
 class SpinPoly:
-    """Sparse polynomial: trimmed exponent tuple -> scalar coefficient."""
+    """Sparse polynomial: packed monomial key -> nonzero scalar coefficient."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {expo: coeff for expo, coeff in terms.items() if coeff} if terms else {}
+        self.terms = {key: coeff for key, coeff in terms.items() if coeff} if terms else {}
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def const(value) -> "SpinPoly":
-        return SpinPoly({(): as_scalar(value)})
+        return SpinPoly({0: as_scalar(value)})
 
     @staticmethod
     def generator(j: int, kind: str) -> "SpinPoly":
         if j < 1:
             raise IndexError(f"site {j} out of range: sites are numbered from 1")
-        return SpinPoly({(0,) * var_index(j, kind) + (1,): ONE})
+        return _wrap({1 << WIDTH * var_index(j, kind): ONE})
 
     # -- ring structure --------------------------------------------------------
 
@@ -61,18 +96,19 @@ class SpinPoly:
             else:
                 return NotImplemented
         terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            new = terms.get(expo, ZERO) + coeff
+        for key, coeff in other.terms.items():
+            old = terms.get(key)
+            new = coeff if old is None else old + coeff
             if new:
-                terms[expo] = new
+                terms[key] = new
             else:
-                terms.pop(expo, None)
-        return SpinPoly(terms)
+                del terms[key]
+        return _wrap(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SpinPoly({e: -c for e, c in self.terms.items()})
+        return _wrap({key: -coeff for key, coeff in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, SpinPoly) else SpinPoly.const(-as_scalar(other)))
@@ -83,21 +119,16 @@ class SpinPoly:
     def __mul__(self, other):
         if not isinstance(other, SpinPoly):
             if isinstance(other, (int, Fraction, Cyclotomic)):
-                return SpinPoly({e: c * other for e, c in self.terms.items()} if other else None)
+                return _wrap({key: coeff * other for key, coeff in self.terms.items()} if other else {})
             return NotImplemented
         terms = {}
-        for e1, c1 in self.terms.items():
-            n1 = len(e1)
-            for e2, c2 in other.terms.items():
-                # a sum of trimmed keys is trimmed: the longer key's last entry is nonzero
-                n2 = len(e2)
-                expo = tuple(map(add, e1, e2)) + (e1[n2:] if n1 > n2 else e2[n1:])
-                new = terms.get(expo, ZERO) + c1 * c2
-                if new:
-                    terms[expo] = new
-                else:
-                    terms.pop(expo, None)
-        return SpinPoly(terms)
+        right = other.terms.items()
+        for k1, c1 in self.terms.items():
+            for k2, c2 in right:
+                key = k1 + k2
+                old = terms.get(key)
+                terms[key] = c1 * c2 if old is None else old + c1 * c2
+        return _guarded(terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
@@ -108,7 +139,7 @@ class SpinPoly:
         if isinstance(other, (int, Fraction, Cyclotomic)):
             if not other:
                 raise ZeroDivisionError("division of a spin polynomial by zero")
-            return SpinPoly({e: c / other for e, c in self.terms.items()})
+            return _wrap({key: coeff / other for key, coeff in self.terms.items()})
         return NotImplemented
 
     def __pow__(self, exponent: int):
@@ -133,25 +164,20 @@ class SpinPoly:
     def is_zero(self):
         return not self.terms
 
-    # -- calculus ---------------------------------------------------------------
+    # -- reading ------------------------------------------------------------------
 
-    def diff(self, index: int) -> "SpinPoly":
-        """Formal partial derivative with respect to the flat variable index."""
-        terms = {}
-        for expo, coeff in self.terms.items():
-            if index >= len(expo) or not expo[index]:
-                continue
-            new = expo[:index] + (expo[index] - 1,) + expo[index + 1:]
-            while new and not new[-1]:
-                new = new[:-1]
-            terms[new] = expo[index] * coeff
-        return SpinPoly(terms)
+    def monomials(self) -> list:
+        """(exponent tuple over the flat variables, coefficient) for every
+        term, the tuple without trailing zeros (so the constant's is ()),
+        sorted as the zero-padded tuples sort."""
+        return sorted((tuple(key.to_bytes((key.bit_length() + 7) // 8, "little")), coeff)
+                      for key, coeff in self.terms.items())
 
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
-        for expo, coeff in sorted(self.terms.items(), key=lambda t: (-sum(t[0]), t[0])):
+        for expo, coeff in sorted(self.monomials(), key=lambda term: -sum(term[0])):
             factors = []
             for idx, e in enumerate(expo):
                 if e:
@@ -187,23 +213,48 @@ def casimir(j: int) -> SpinPoly:
 
 def partials(f) -> dict:
     """Site j -> (df/ds_j^+, df/ds_j^-, df/ds_j^z) for every site f depends
-    on; a scalar has none."""
+    on, in one pass over the terms of f; a scalar has none."""
     if not isinstance(f, SpinPoly):
         return {}
-    sites = {i // 3 + 1 for expo in f.terms for i, e in enumerate(expo) if e}
-    return {j: tuple(f.diff(var_index(j, kind)) for kind in KINDS) for j in sorted(sites)}
+    sites = {}
+    for key, coeff in f.terms.items():
+        rest = key
+        while rest:
+            index = ((rest & -rest).bit_length() - 1) // WIDTH
+            shift = WIDTH * index
+            e = (rest >> shift) & MASK
+            rest -= e << shift
+            j, kind = divmod(index, 3)
+            if j not in sites:
+                sites[j] = ({}, {}, {})
+            # distinct terms have distinct derivatives by one variable
+            sites[j][kind][key - (1 << shift)] = coeff if e == 1 else e * coeff
+    return {j + 1: tuple(map(_wrap, trio)) for j, trio in sites.items()}
 
 
 def bracket_partials(df: dict, dg: dict) -> SpinPoly:
     """{f, g} from the :func:`partials` of f and g: the generator table
-    extended by the Leibniz rule, summed over the sites both depend on."""
-    out = SpinPoly()
-    for j in sorted(df.keys() & dg.keys()):
-        fp, fm, fz = df[j]
-        gp, gm, gz = dg[j]
-        out = (out + (fp * gm - fm * gp) * s_z(j) + 2 * (fz * gp - fp * gz) * s_plus(j)
-               - 2 * (fz * gm - fm * gz) * s_minus(j))
-    return out
+    extended by the Leibniz rule, summed over the sites both depend on,
+
+        (f_+ g_- - f_- g_+) s_z + 2 (f_z g_+ - f_+ g_z) s_+ - 2 (f_z g_- - f_- g_z) s_-,
+
+    all six products of each site accumulated into one dict."""
+    acc = {}
+    for j in df.keys() & dg.keys():
+        fp, fm, fz = (d.terms.items() for d in df[j])
+        gp, gm, gz = (d.terms.items() for d in dg[j])
+        up = 1 << WIDTH * var_index(j, "+")
+        um, uz = up << WIDTH, up << 2 * WIDTH
+        for left, right, unit, scale in ((fp, gm, uz, 1), (fm, gp, uz, -1), (fz, gp, up, 2),
+                                         (fp, gz, up, -2), (fz, gm, um, -2), (fm, gz, um, 2)):
+            for k1, c1 in left:
+                k1 += unit
+                c1 = c1 * scale
+                for k2, c2 in right:
+                    key = k1 + k2
+                    old = acc.get(key)
+                    acc[key] = c1 * c2 if old is None else old + c1 * c2
+    return _guarded(acc)
 
 
 def poisson_bracket(f, g) -> SpinPoly:

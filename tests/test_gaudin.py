@@ -214,6 +214,25 @@ class TestInvolution:
             for k in range(i + 1, model.L + 1):
                 assert involution_residual(model, i, k).is_zero()
 
+    def test_each_hamiltonian_is_differentiated_once(self, monkeypatch):
+        calls = []
+        differentiate = gaudin.partials
+        monkeypatch.setattr(gaudin, "partials", lambda f: calls.append(f) or differentiate(f))
+        model = two_reflection_model(z=(1, 2, 4, 5, 7, 8, 10, 11))
+        for i in range(1, model.L + 1):
+            for k in range(i + 1, model.L + 1):
+                assert involution_residual(model, i, k).is_zero()
+        assert len(calls) == model.L
+
+    def test_tampered_model_hamiltonian_fails(self):
+        # involution reads the model's cached partials: each must be its own H_i's
+        model = two_reflection_model(z=(1, 2, 4))
+        h1, h2, h3 = model.hamiltonians
+        model.__dict__["hamiltonians"] = (h1, h2 + s_plus(2) * s_minus(3), h3)
+        assert not involution_residual(model, 1, 2).is_zero()
+        assert not involution_residual(model, 2, 3).is_zero()
+        assert involution_residual(model, 1, 3).is_zero()
+
     def test_tampered_hamiltonian_fails(self):
         model = two_reflection_model(z=(1, 2, 4))
         h1 = hamiltonian_explicit(model, 1)

@@ -127,6 +127,7 @@ class TestMatrixAlgebra:
         m = frac_matrix([[0, 1], [1, 0]])
         assert m**2 == Matrix.identity(2)
         assert m**-1 == m
+        assert frac_matrix([[1, 2], [3, 4]]) ** 0 == Matrix.identity(2)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_power_is_repeated_product(self, k):
@@ -136,9 +137,11 @@ class TestMatrixAlgebra:
             product = product * m
         assert m**k == product
 
-    @pytest.mark.parametrize("k,products", [(1, 1), (2, 2), (3, 3), (4, 3), (5, 4), (8, 4)])
-    def test_power_squares_only_while_bits_remain(self, monkeypatch, k, products):
-        # one product per set bit, one squaring per later bit; none past the top bit
+    @pytest.mark.parametrize("k,from_identity", [(1, 1), (2, 2), (3, 3), (4, 3), (5, 4), (8, 4)])
+    def test_power_squares_only_while_bits_remain(self, monkeypatch, k, from_identity):
+        # square-and-multiply from the identity makes one product per set bit
+        # and one squaring per later bit, none past the top bit; starting
+        # from the base saves the first product
         count = []
         multiply = Matrix.__mul__
 
@@ -148,7 +151,7 @@ class TestMatrixAlgebra:
 
         monkeypatch.setattr(Matrix, "__mul__", counted)
         frac_matrix([[1, 2], [3, 4]]) ** k
-        assert len(count) == products
+        assert len(count) == from_identity - 1
 
     def test_pretty(self):
         text = frac_matrix([[1, -2], [Fraction(1, 3), 0]]).pretty()

@@ -36,7 +36,7 @@ def generator_table(j):
 
 def to_sympy(poly):
     total = sympy.Integer(0)
-    for expo, coeff in poly.terms.items():
+    for expo, coeff in poly.monomials():
         term = sympy.Rational(coeff.numerator, coeff.denominator)
         for sym, e in zip(SYMBOLS, expo):
             term *= sym**e

@@ -250,6 +250,19 @@ class TestOneFramePerPoint:
         for kj, conj in zip(_k_products(case, frame.orbit[:-1])[1:], frame.conj[1:]):
             assert conj == (tensor_pair(eye, kj), tensor_pair(eye, kj.inverse()))
 
+    @pytest.mark.parametrize("label", ["id-2refl", "trivial"])
+    def test_symmetry_inverts_no_identity_k(self, monkeypatch, label):
+        calls = self.counted(monkeypatch, Matrix, "inverse")
+        _, evaluate = sampled_check(case_by_label(label), "symmetry")
+        rng = SplitMix64(DEFAULT_SEED)
+        assert len(list(sample_evaluated(rng, 25, 2, evaluate))) == 25
+        assert calls == []
+
+    def test_nre_applies_no_identity_k(self, monkeypatch):
+        calls = self.counted(monkeypatch, reflection, "tensor_pair")
+        assert nre_residual(case_by_label("id-3refl"), F(5, 3), F(11, 5)).is_zero()
+        assert calls == []
+
     def test_rbar_at_makes_no_tensor_product(self, monkeypatch):
         case = case_by_label("linear-k-N3-shift-th2")
         frame = point_frame(case, F(11, 5))

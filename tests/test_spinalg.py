@@ -2,18 +2,21 @@ from fractions import Fraction
 
 import pytest
 
+import nreflect.gaudin
 from nreflect.dynamics import compile_spinpoly
-from nreflect.gaudin import model_from_config, sampled_residual
+from nreflect.errors import DegreeError
+from nreflect.gaudin import model_from_config, s_pair, sampled_residual
 from nreflect.sampling import SplitMix64
 from nreflect.scalars import to_complex, zeta
 from nreflect.spinalg import (
+    MAX_EXPONENT,
     SpinPoly,
     casimir,
+    partials,
     poisson_bracket,
     s_minus,
     s_plus,
     s_z,
-    var_index,
 )
 
 F = Fraction
@@ -53,7 +56,7 @@ class TestCasimir:
 def exact_value(poly, values):
     """sum of coeff * prod values[i]^e over the terms, in exact arithmetic."""
     total = F(0)
-    for expo, coeff in poly.terms.items():
+    for expo, coeff in poly.monomials():
         term = coeff
         for value, e in zip(values, expo):
             term = term * value**e
@@ -69,9 +72,11 @@ class TestEvaluateGradient:
 
     def test_gradient(self):
         f = s_plus(1) * s_minus(1)
-        assert f.diff(var_index(1, "+")) == s_minus(1)
-        assert f.diff(var_index(1, "-")) == s_plus(1)
-        assert f.diff(var_index(1, "z")).is_zero()
+        (site, (d_plus, d_minus, d_z)), = partials(f).items()
+        assert site == 1
+        assert d_plus == s_minus(1)
+        assert d_minus == s_plus(1)
+        assert d_z.is_zero()
 
     def test_missing_variable(self):
         with pytest.raises(IndexError):
@@ -145,50 +150,103 @@ def _padded(key, width=9):
     return key + (0,) * (width - len(key))
 
 
+def _exponents(poly):
+    return [expo for expo, _ in poly.monomials()]
+
+
 class TestTrimmedKeys:
+    """``SpinPoly.monomials`` reads the packed keys as exponent tuples
+    without trailing zeros, in the order of the zero-padded tuples."""
+
     def test_constant_key_is_empty(self):
-        assert set(SpinPoly.const(F(3)).terms) == {()}
-        assert set(s_z(2).terms) == {(0, 0, 0, 0, 0, 1)}
+        assert _exponents(SpinPoly.const(F(3))) == [()]
+        assert _exponents(s_z(2)) == [(0, 0, 0, 0, 0, 1)]
 
     def test_no_key_ends_in_zero(self):
         rng = SplitMix64(0x7123)
         for _ in range(60):
             f, g = _random_quadratic(rng, rng.randint(1, 3)), _random_quadratic(rng, rng.randint(1, 3))
             results = [f + g, f - g, f * g, poisson_bracket(f, g)]
-            results += [f.diff(i) for i in range(9)]
+            results += [d for trio in partials(f).values() for d in trio]
             for poly in results:
-                keys = list(poly.terms)
+                keys = _exponents(poly)
                 assert all(not key or key[-1] for key in keys)
-                assert [_padded(key) for key in sorted(keys)] == sorted(_padded(key) for key in keys)
+                assert [_padded(key) for key in keys] == sorted(_padded(key) for key in keys)
 
     def test_cancelling_sum_drops_the_key(self):
         f = s_plus(1) * s_z(3) + s_minus(2)
         assert (f - s_plus(1) * s_z(3)).terms == s_minus(2).terms
-        assert (f.diff(var_index(3, "z")) * s_minus(1)).terms == {(1, 1): F(1)}
+        assert (partials(f)[3][2] * s_minus(1)).monomials() == [((1, 1), F(1))]
+
+
+class TestExponentOverflow:
+    """Each variable owns a fixed field of the packed key.  An exponent up to
+    MAX_EXPONENT is kept exactly; one past it raises DegreeError, never
+    carrying into the next variable's field."""
+
+    def test_largest_exponent_by_power_and_product(self):
+        top = s_z(1) ** MAX_EXPONENT
+        assert top.monomials() == [((0, 0, MAX_EXPONENT), F(1))]
+        assert (s_z(1) ** 100 * s_z(1) ** (MAX_EXPONENT - 100)) == top
+        assert (top * s_plus(2)).monomials() == [((0, 0, MAX_EXPONENT, 1), F(1))]
+        assert (top * s_minus(1)).monomials() == [((0, 1, MAX_EXPONENT), F(1))]
+
+    def test_past_the_field_by_power(self):
+        with pytest.raises(DegreeError, match="s1z"):
+            s_z(1) ** (MAX_EXPONENT + 1)
+
+    def test_past_the_field_by_product(self):
+        neighbour = s_plus(2) * 3
+        f = s_z(1) ** 100 * neighbour
+        with pytest.raises(DegreeError, match="s1z"):
+            f * (s_z(1) ** 100 + s_minus(1))
+        assert f.monomials() == [((0, 0, 100, 1), F(3))]
+        assert neighbour.monomials() == [((0, 0, 0, 1), F(3))]
+
+    def test_past_the_field_by_bracket(self):
+        with pytest.raises(DegreeError, match="s1z"):
+            poisson_bracket(s_z(1) ** MAX_EXPONENT * s_plus(1), s_z(1) ** MAX_EXPONENT * s_minus(1))
 
 
 class TestDifferentiatedOnce:
     """Each operand of a bracket routine is differentiated once, not once
-    per pairing: 3 partials per site an entry depends on."""
+    per pairing: one ``partials`` call per matrix entry, and each call reads
+    the terms of its polynomial once."""
 
     @pytest.fixture
-    def diff_calls(self, monkeypatch):
+    def partials_calls(self, monkeypatch):
         calls = []
-        original = SpinPoly.diff
 
-        def counted(self, index):
-            calls.append(index)
-            return original(self, index)
+        def counted(f):
+            calls.append(f)
+            return partials(f)
 
-        monkeypatch.setattr(SpinPoly, "diff", counted)
+        monkeypatch.setattr(nreflect.gaudin, "partials", counted)
         return calls
 
-    def test_rbb(self, diff_calls):
+    def test_rbb(self, partials_calls):
         model = model_from_config({"case": "two-reflection", "z": ["1", "2"]})
         assert sampled_residual(model, "rbb", F(5), F(7)).is_zero()
-        assert 0 < len(diff_calls) <= 48
+        assert len(partials_calls) == 4 + 4  # the entries of B(lam) and of B(mu)
 
-    def test_lax(self, diff_calls):
+    def test_lax(self, partials_calls):
         model = model_from_config({"case": "two-reflection", "z": ["1", "2"]})
         assert sampled_residual(model, "lax", F(5), F(7), 2).is_zero()
-        assert 0 < len(diff_calls) <= 30
+        assert len(partials_calls) == 1 + 4  # tr B(lam)^2 and the entries of B(mu)
+
+    def test_partials_reads_the_terms_once(self):
+        class CountedTerms(dict):
+            reads = 0
+
+            def items(self):
+                CountedTerms.reads += 1
+                return super().items()
+
+        f = casimir(1) * s_pair(2, 3) + s_z(2) * s_minus(3)
+        counted = SpinPoly()
+        counted.terms = CountedTerms(f.terms)
+        got = partials(counted)
+        assert CountedTerms.reads == 1
+        assert got.keys() == {1, 2, 3}
+        for site, trio in got.items():
+            assert trio == partials(f)[site]
