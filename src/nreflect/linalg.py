@@ -2,17 +2,16 @@
 tensor-leg operations on (C^n)^x2 and (C^n)^x3 that read the factor size n
 from the matrix shape.
 
-A matrix of exact scalars (``Fraction``s, possibly with ``Cyclotomic``s of
-one order N) is stored as sparse rows mapping a column to the phi(N)
-integer numerators of a nonzero entry, over one positive denominator in
-lowest terms for the whole matrix, as FLINT's ``fmpq_mat``/``nf_elem`` do.
-Arithmetic and the tensor-leg operations run on the integers; a product
-reduces mod Phi_N once per entry with the table of :mod:`nreflect.scalars`.
-Canonical scalars are built only where entries are read: ``rows``,
-``m[i, j]``, ``trace``, ``==``, ``inverse`` and the ``first_nonzero``
-witness.  A matrix with any other entry, such as the Gaudin B of
-``SpinPoly``s, keeps its entries and works entrywise: they need ``+``,
-``-``, ``*`` and truthiness, and inversion also ``/``.
+Every matrix is stored as sparse rows mapping a column to a nonzero entry.
+For exact scalars (``Fraction``s, possibly with ``Cyclotomic``s of one
+order N) an entry is the phi(N) integer numerators of its value, over one
+positive denominator in lowest terms for the whole matrix, as FLINT's
+``fmpq_mat``/``nf_elem`` do; arithmetic runs on the integers, a product
+reducing mod Phi_N once per entry with the table of :mod:`nreflect.scalars`,
+and canonical scalars are built only where entries are read: ``rows``,
+``m[i, j]``, ``trace``, ``==``, ``inverse`` and ``first_nonzero``.  Any
+other entries, such as the ``SpinPoly``s of the Gaudin B, are stored as
+they are and need ``+``, ``-``, ``*`` and truthiness (inversion also ``/``).
 """
 
 from __future__ import annotations
@@ -22,39 +21,46 @@ import operator
 from fractions import Fraction
 
 from .errors import ShapeError, SingularMatrixError
-from .scalars import ONE, ZERO, Cyclotomic, _canonical, _fold, _mul_reduce, _power_rows, euler_phi, scalar_to_str
+from .scalars import (ONE, ZERO, Cyclotomic, _canonical, _fold, _mul_reduce, _power, _power_rows, euler_phi,
+                      scalar_to_str)
 
 PLACEMENTS = ("ab", "ac", "bc", "ba", "ca", "cb")
 
 
 class Matrix:
-    """A matrix of exact scalars in the integer form, or of any ring
-    elements in ``_rows``; ``_order`` is N for the integer form (1 over Q)
-    and None otherwise."""
+    """A matrix as sparse rows ``{column: value}`` of its nonzero entries.
+    In the integer form ``_order`` is N (1 over Q) and a value is a vector
+    of integer numerators over ``_den``; otherwise ``_order`` and ``_den``
+    are None and a value is the ring entry itself."""
 
-    __slots__ = ("nrows", "ncols", "_rows", "_order", "_den", "_sparse")
+    __slots__ = ("nrows", "ncols", "_order", "_den", "_sparse")
 
     def __init__(self, rows):
         rows = tuple(tuple(row) for row in rows)
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ShapeError("rows must be non-empty and of equal length")
-        self.nrows, self.ncols = len(rows), len(rows[0])
-        self._rows = self._order = self._den = self._sparse = None
-        order = _exact_order(rows)
+        self._fill([{j: a for j, a in enumerate(row) if a} for row in rows], len(rows[0]))
+
+    def _fill(self, entries, ncols):
+        """Store sparse rows of nonzero ring values, in the integer form
+        when every value is an exact scalar of one order."""
+        self.nrows, self.ncols = len(entries), ncols
+        order = _exact_order(entries)
         if order is None:
-            self._rows = rows
+            self._order = self._den = None
+            self._sparse = entries
             return
-        den = math.lcm(*(a.den if type(a) is Cyclotomic else a.denominator for row in rows for a in row if a))
+        den = math.lcm(*(a.den if type(a) is Cyclotomic else a.denominator for row in entries for a in row.values()))
         pad = (0,) * (euler_phi(order) - 1)
         self._order, self._den = order, den
         self._sparse = [{j: (tuple(c * (den // a.den) for c in a.num) if type(a) is Cyclotomic
                              else (a.numerator * (den // a.denominator),) + pad)
-                         for j, a in enumerate(row) if a}
-                        for row in rows]
+                         for j, a in row.items()}
+                        for row in entries]
 
     @staticmethod
     def identity(dim):
-        return _exact_matrix(1, 1, [{i: (1,)} for i in range(dim)], dim, dim)
+        return _matrix(1, 1, [{i: (1,)} for i in range(dim)], dim, dim)
 
     @staticmethod
     def diagonal(entries):
@@ -63,49 +69,43 @@ class Matrix:
 
     @property
     def rows(self):
-        """The entries, row by row; for the integer form, canonical
-        ``Fraction``/``Cyclotomic`` values built on each read."""
-        if self._order is None:
-            return self._rows
-        order, den = self._order, self._den
-        out = []
-        for row in self._sparse:
-            full = [ZERO] * self.ncols
-            for j, vec in row.items():
-                full[j] = _canonical(order, vec, den)
-            out.append(tuple(full))
-        return tuple(out)
+        """The entries, row by row, with ``ZERO`` in the gaps; for the
+        integer form, canonical ``Fraction``/``Cyclotomic`` values built on
+        each read."""
+        cols, order, den = range(self.ncols), self._order, self._den
+        if order is None:
+            return tuple(tuple([r.get(j, ZERO) for j in cols]) for r in self._sparse)
+        return tuple(tuple([_canonical(order, r[j], den) if j in r else ZERO for j in cols]) for r in self._sparse)
 
     def __getitem__(self, idx):
         i, j = idx
-        if self._order is None:
-            return self._rows[i][j]
-        vec = self._sparse[i].get(range(self.ncols)[j])
-        return ZERO if vec is None else _canonical(self._order, vec, self._den)
+        val = self._sparse[i].get(range(self.ncols)[j])
+        if val is None:
+            return ZERO
+        return val if self._order is None else _canonical(self._order, val, self._den)
 
     # -- ring operations ----------------------------------------------------
 
-    def _same_shape(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ShapeError(f"shape mismatch {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
-
     def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
         return self._combine(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
         return self._combine(other, -1)
 
     def _combine(self, other, sign):
         """self + sign * other."""
-        self._same_shape(other)
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ShapeError(f"shape mismatch {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
         order = _field(self, other)
         if order is None:
             op = operator.add if sign > 0 else operator.sub
-            return Matrix([[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
+            out = [dict(ra) for ra in _values(self)]
+            for row, rb in zip(out, _values(other)):
+                for j, b in rb.items():
+                    row[j] = op(row.get(j, ZERO), b)
+            return _matrix(None, None, out, self.nrows, self.ncols)
         sa, sb = _lifted(self, order), _lifted(other, order)
         den = math.lcm(self._den, other._den)
         fa, fb = den // self._den, sign * (den // other._den)
@@ -123,7 +123,7 @@ class Matrix:
                     else:
                         del row[j]
             out.append(row)
-        return _exact_matrix(order, den, out, self.nrows, self.ncols)
+        return _matrix(order, den, out, self.nrows, self.ncols)
 
     def __neg__(self):
         return self.scale(-ONE)
@@ -135,20 +135,17 @@ class Matrix:
             raise ShapeError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
         order = _field(self, other)
         if order is not None:
-            return _exact_matrix(order, self._den * other._den, _product(order, self._sparse, other._sparse),
-                                 self.nrows, other.ncols)
-        bt = other.rows
+            return _matrix(order, self._den * other._den, _product(order, self._sparse, other._sparse),
+                           self.nrows, other.ncols)
+        vb = _values(other)
         out = []
-        for row in self.rows:
-            acc = [None] * other.ncols  # each entry starts from its first term
-            for k, a in enumerate(row):
-                if not a:
-                    continue
-                for j, b in enumerate(bt[k]):
-                    if b:
-                        acc[j] = a * b if acc[j] is None else acc[j] + a * b
-            out.append([ZERO if c is None else c for c in acc])
-        return Matrix(out)
+        for ra in _values(self):
+            acc = {}  # each entry starts from its first term
+            for k, a in ra.items():
+                for j, b in vb[k].items():
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append(acc)
+        return _matrix(None, None, out, self.nrows, other.ncols)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -158,14 +155,15 @@ class Matrix:
         order = self._order
         if order is not None and (kind is Fraction or kind is int or (kind is Cyclotomic and order in (1, s.order))):
             if not s:
-                return _exact_matrix(order, 1, [{} for _ in range(self.nrows)], self.nrows, self.ncols)
+                return _matrix(order, 1, [{} for _ in range(self.nrows)], self.nrows, self.ncols)
             if kind is Cyclotomic:
                 order, num, den = s.order, s.num, s.den
             else:
                 num, den = (s.numerator,), s.denominator
             out = [{j: _times(order, vec, num) for j, vec in row.items()} for row in self._sparse]
-            return _exact_matrix(order, self._den * den, out, self.nrows, self.ncols)
-        return Matrix([[s * a for a in row] for row in self.rows])
+            return _matrix(order, self._den * den, out, self.nrows, self.ncols)
+        return _matrix(None, None, [{j: s * a for j, a in row.items()} for row in _values(self)],
+                       self.nrows, self.ncols)
 
     def __pow__(self, exponent: int):
         if self.nrows != self.ncols:
@@ -174,15 +172,7 @@ class Matrix:
             return self.inverse() ** (-exponent)
         if not exponent:
             return Matrix.identity(self.nrows)
-        acc = None
-        base = self
-        while exponent:
-            if exponent & 1:
-                acc = base if acc is None else acc * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return acc
+        return _power(self, exponent)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -201,7 +191,7 @@ class Matrix:
 
     def first_nonzero(self):
         """(row, col, value) of the first nonzero entry, or None."""
-        for i, row in enumerate(_sparse_rows(self)):
+        for i, row in enumerate(self._sparse):
             if row:
                 j = min(row)
                 return (i, j, self[i, j])
@@ -242,12 +232,15 @@ class Matrix:
     def kron(self, other):
         """Tensor (Kronecker) product."""
         order = _field(self, other)
-        if order is None:
-            return Matrix([[a * b for a in ra for b in rb] for ra in self.rows for rb in other.rows])
         nb = other.ncols
+        if order is None:
+            vb = _values(other)
+            out = [{ja * nb + jb: x * y for ja, x in ra.items() for jb, y in rb.items()}
+                   for ra in _values(self) for rb in vb]
+            return _matrix(None, None, out, self.nrows * other.nrows, self.ncols * nb)
         out = [{ja * nb + jb: _times(order, x, y) for ja, x in ra.items() for jb, y in rb.items()}
                for ra in self._sparse for rb in other._sparse]
-        return _exact_matrix(order, self._den * other._den, out, self.nrows * other.nrows, self.ncols * nb)
+        return _matrix(order, self._den * other._den, out, self.nrows * other.nrows, self.ncols * nb)
 
     def pretty(self) -> str:
         cells = [[scalar_to_str(a) if isinstance(a, (int, Fraction)) or hasattr(a, "coeffs") else str(a) for a in row]
@@ -261,15 +254,15 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# the integer form
+# sparse rows and the integer form
 # ---------------------------------------------------------------------------
 
 def _exact_order(rows):
-    """N when every entry is an int, a Fraction or a Cyclotomic of order N
-    (1 when there is none); None otherwise."""
+    """N when every value of the sparse rows is an int, a Fraction or a
+    Cyclotomic of order N (1 when there is none); None otherwise."""
     order = 1
     for row in rows:
-        for a in row:
+        for a in row.values():
             kind = type(a)
             if kind is Cyclotomic:
                 if a.order != order:
@@ -281,9 +274,14 @@ def _exact_order(rows):
     return order
 
 
-def _exact_matrix(order, den, sparse, nrows, ncols):
-    """The matrix of sparse rows of numerator vectors over den, after
-    dividing den and every numerator by their gcd."""
+def _matrix(order, den, sparse, nrows, ncols):
+    """The matrix of sparse rows of numerator vectors over den, after dividing
+    out their gcd; for order None, of ring values, after dropping the zeros,
+    in the form their kind decides."""
+    m = object.__new__(Matrix)
+    if order is None:
+        m._fill([{j: a for j, a in row.items() if a} for row in sparse], ncols)
+        return m
     g = den
     for row in sparse:
         for vec in row.values():
@@ -295,8 +293,7 @@ def _exact_matrix(order, den, sparse, nrows, ncols):
     if g != 1:
         den //= g
         sparse = [{j: tuple(c // g for c in vec) for j, vec in row.items()} for row in sparse]
-    m = object.__new__(Matrix)
-    m.nrows, m.ncols, m._rows = nrows, ncols, None
+    m.nrows, m.ncols = nrows, ncols
     m._order, m._den, m._sparse = order, den, sparse
     return m
 
@@ -311,6 +308,14 @@ def _field(a, b):
     if oa == 1 or oa == ob:
         return ob
     return oa if ob == 1 else None
+
+
+def _values(m):
+    """m's sparse rows of ring values: canonical scalars for the integer form."""
+    if m._order is None:
+        return m._sparse
+    order, den = m._order, m._den
+    return [{j: _canonical(order, vec, den) for j, vec in row.items()} for row in m._sparse]
 
 
 def _lifted(m, order):
@@ -367,27 +372,6 @@ def _product(order, sa, sb):
     return out
 
 
-def _sparse_rows(m):
-    """m's rows as {column: entry} dicts of its nonzero entries: numerator
-    vectors in the integer form, the entries themselves otherwise."""
-    if m._order is not None:
-        return m._sparse
-    return [{j: a for j, a in enumerate(row) if a} for row in m._rows]
-
-
-def _like(m, sparse, dim):
-    """A dim x dim matrix of m's form and denominator from sparse rows of m's entries."""
-    if m._order is not None:
-        return _exact_matrix(m._order, m._den, sparse, dim, dim)
-    rows = []
-    for row in sparse:
-        full = [ZERO] * dim
-        for j, a in row.items():
-            full[j] = a
-        rows.append(full)
-    return Matrix(rows)
-
-
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a * b - b * a
 
@@ -399,7 +383,7 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 def permutation_operator(n: int) -> Matrix:
     """P on C^n x C^n with P(e_i x e_j) = e_j x e_i."""
     dim = n * n
-    return _exact_matrix(1, 1, [{(r % n) * n + r // n: (1,)} for r in range(dim)], dim, dim)
+    return _matrix(1, 1, [{(r % n) * n + r // n: (1,)} for r in range(dim)], dim, dim)
 
 
 def _pair_factor(m: Matrix, what: str) -> int:
@@ -423,22 +407,23 @@ def embed_pair(m: Matrix, placement: str) -> Matrix:
     # column of the (C^n)^x3 row or column where the pair index is k and the spare leg s
     column = [[k // n * weight[first] + k % n * weight[second] + s * weight[spare] for k in range(n * n)]
               for s in range(n)]
-    mrows = _sparse_rows(m)
+    mrows = m._sparse
     out = []
     for ri in range(n**3):
         x = (ri // (n * n), (ri // n) % n, ri % n)
         place = column[x[spare]]
         out.append({place[k]: val for k, val in mrows[x[first] * n + x[second]].items()})
-    return _like(m, out, n**3)
+    return _matrix(m._order, m._den, out, n**3, n**3)
 
 
 def swap_pair(m: Matrix) -> Matrix:
     """Conjugation P m P on a pair-leg matrix, done by index relabelling."""
     n = _pair_factor(m, "swap_pair")
     dim = n * n
-    mrows = _sparse_rows(m)
+    mrows = m._sparse
     swapped = [(r % n) * n + r // n for r in range(dim)]  # i1 n + i2 -> i2 n + i1
-    return _like(m, [{swapped[k]: val for k, val in mrows[swapped[r]].items()} for r in range(dim)], dim)
+    out = [{swapped[k]: val for k, val in mrows[swapped[r]].items()} for r in range(dim)]
+    return _matrix(m._order, m._den, out, dim, dim)
 
 
 def partial_trace(m: Matrix, leg: str) -> Matrix:
@@ -448,7 +433,7 @@ def partial_trace(m: Matrix, leg: str) -> Matrix:
         raise ShapeError(f"leg must be 'a' or 'b', got {leg!r}")
     exact = m._order is not None
     out = [{} for _ in range(n)]
-    for r, row in enumerate(_sparse_rows(m)):
+    for r, row in enumerate(m._sparse):
         i1, i2 = divmod(r, n)
         for c, val in row.items():
             j1, j2 = divmod(c, n)
@@ -465,7 +450,7 @@ def partial_trace(m: Matrix, leg: str) -> Matrix:
                 out[i][j] = tuple(x + y for x, y in zip(old, val)) if exact else old + val
     if exact:
         out = [{j: vec for j, vec in row.items() if any(vec)} for row in out]
-    return _like(m, out, n)
+    return _matrix(m._order, m._den, out, n, n)
 
 
 def tensor_pair(a: Matrix, b: Matrix) -> Matrix:

@@ -235,13 +235,11 @@ def symmetry_relation_residual(case: KSolution, omega, lam, nu) -> Matrix:
     lam, nu = as_scalar(lam), as_scalar(nu)
     ka, kb = case.k(lam), case.k(nu)
     eye = Matrix.identity(case.n)
-    if ka == eye and kb == eye:
-        inner = r(case.tau(lam), case.tau(nu))
-        return r(lam, nu) - inner.scale(omega)
-    k_ab = tensor_pair(ka, kb)
-    k_ab_inv = tensor_pair(ka.inverse(label="k(lam)"), kb.inverse(label="k(nu)"))
     inner = r(case.tau(lam), case.tau(nu))
-    return r(lam, nu) - (k_ab * inner * k_ab_inv).scale(omega)
+    if ka != eye or kb != eye:
+        k_ab_inv = tensor_pair(ka.inverse(label="k(lam)"), kb.inverse(label="k(nu)"))
+        inner = tensor_pair(ka, kb) * inner * k_ab_inv
+    return r(lam, nu) - inner.scale(omega)
 
 
 def scalar_functional_residual(case: KSolution, lam, nu) -> Scalar:

@@ -24,6 +24,20 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _power(base, exponent: int):
+    """base ** exponent for exponent >= 1, by squaring from the base: the
+    first factor is the base itself, and nothing is squared past the top
+    bit of the exponent."""
+    acc = None
+    while True:
+        if exponent & 1:
+            acc = base if acc is None else acc * base
+        exponent >>= 1
+        if not exponent:
+            return acc
+        base = base * base
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and the reduction table, over Z
 # ---------------------------------------------------------------------------
@@ -248,14 +262,7 @@ class Cyclotomic:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        acc: Scalar = ONE
-        base: Scalar = self
-        while exponent:
-            if exponent & 1:
-                acc = acc * base
-            base = base * base
-            exponent >>= 1
-        return acc
+        return _power(self, exponent) if exponent else ONE
 
     # -- comparisons / hashing ---------------------------------------------
 

@@ -29,7 +29,7 @@ from functools import reduce
 from operator import or_
 
 from .errors import DegreeError
-from .scalars import ONE, Cyclotomic, as_scalar, scalar_to_str
+from .scalars import ONE, Cyclotomic, _power, as_scalar, scalar_to_str
 
 KINDS = ("+", "-", "z")
 HALF = Fraction(1, 2)
@@ -143,10 +143,9 @@ class SpinPoly:
         return NotImplemented
 
     def __pow__(self, exponent: int):
-        out = SpinPoly.const(ONE)
-        for _ in range(exponent):
-            out = out * self
-        return out
+        if exponent < 0:
+            raise ValueError(f"a spin polynomial has no inverse, so no power {exponent}")
+        return _power(self, exponent) if exponent else SpinPoly.const(ONE)
 
     def __bool__(self):
         return bool(self.terms)

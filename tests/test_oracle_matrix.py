@@ -4,7 +4,9 @@ matrices is compared with a test-local entrywise reference over
 Inputs mix rational and cyclotomic entries and many zeros; some results
 cancel to the zero matrix, some demote to rationals.  Every result must
 also be in canonical form: no entry read back is a zero or rational
-``Cyclotomic``, and the stored numerators are in lowest terms."""
+``Cyclotomic``, and the stored numerators are in lowest terms.  Matrices of
+spin polynomials, stored in the same sparse rows, are checked against the
+same references."""
 
 from fractions import Fraction
 from math import gcd
@@ -24,7 +26,7 @@ from nreflect.linalg import (  # noqa: E402
     tensor_pair,
 )
 from nreflect.scalars import ZERO, Cyclotomic, cyclotomic, euler_phi, zeta  # noqa: E402
-from nreflect.spinalg import s_minus, s_plus, s_z  # noqa: E402
+from nreflect.spinalg import SpinPoly, s_minus, s_plus, s_z  # noqa: E402
 
 ORDERS = (1, 3, 4, 5, 6, 8)
 PROFILE = settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -230,11 +232,64 @@ def test_orders_that_differ_do_not_mix():
     assert (Matrix([[zeta(3), ZERO]]) + Matrix([[ZERO, zeta(4)]])).rows == ((zeta(3), zeta(4)),)
 
 
+# -- matrices of spin polynomials ------------------------------------------------
+
+SPINS = (s_z(1), s_plus(1), s_minus(2), s_z(2))
+
+
+def spin_entries(nrows, ncols):
+    """Zeros, rationals and small spin polynomials, at least one of them a
+    spin polynomial, so that the matrix is never an exact-scalar one."""
+    term = st.tuples(rationals.filter(bool), st.sampled_from(SPINS)).map(lambda t: t[0] * t[1])
+    entry = st.one_of(st.just(ZERO), rationals, st.lists(term, min_size=1, max_size=2).map(sum))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    return st.lists(row, min_size=nrows, max_size=nrows).filter(
+        lambda rows: any(isinstance(value, SpinPoly) and value for r in rows for value in r))
+
+
+def check_spin(m: Matrix, ref):
+    """m agrees with the reference, stores no zero value, and is in the
+    integer form exactly when no entry is a spin polynomial."""
+    assert m.rows == tuple(tuple(row) for row in ref)
+    assert m == Matrix(ref)
+    assert all(value for row in m._sparse for value in row.values()), "a zero value is stored"
+    if any(isinstance(value, SpinPoly) and value for row in ref for value in row):
+        assert m._order is None
+    else:
+        assert_canonical(m)
+    assert m.first_nonzero() == ref_first_nonzero(ref)
+    assert m.is_zero() == (ref_first_nonzero(ref) is None)
+
+
 def test_spin_polynomial_matrix_by_scalar_matrix():
-    # a SpinPoly entry keeps the entrywise path; its product with an exact matrix agrees with the reference
-    spins = [[s_z(1), s_plus(1)], [s_minus(2), -s_z(2)]]
-    exact = [[zeta(3), Fraction(1, 2)], [ZERO, Fraction(-3) + zeta(3)]]
-    product = Matrix(spins) * Matrix(exact)
-    assert product._order is None
-    assert product.rows == tuple(tuple(row) for row in ref_mul(spins, exact))
-    assert (Matrix(exact) * Matrix(spins)).rows == tuple(tuple(row) for row in ref_mul(exact, spins))
+    # matrices of SpinPoly entries run on the same sparse rows; every operation agrees with the reference
+    @PROFILE
+    @given(spin_entries(2, 2), spin_entries(2, 2), spin_entries(4, 4), scalars(3), spin_entries(1, 1))
+    def run(a, b, m, s, p):
+        A, B, M = Matrix(a), Matrix(b), Matrix(m)
+        exact = [[zeta(3), Fraction(1, 2)], [ZERO, s]]
+        E = Matrix(exact)
+        check_spin(A, a)
+        check_spin(A + B, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+        check_spin(A - B, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+        check_spin(A * B, ref_mul(a, b))
+        check_spin(B * A, ref_mul(b, a))
+        check_spin(A * E, ref_mul(a, exact))
+        check_spin(E * A, ref_mul(exact, a))
+        check_spin(A + E, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, exact)])
+        check_spin(tensor_pair(A, B), ref_kron(a, b))
+        check_spin(tensor_pair(E, A), ref_kron(exact, a))
+        check_spin(swap_pair(M), ref_swap(m, 2))
+        for leg in "ab":
+            check_spin(partial_trace(M, leg), ref_partial_trace(m, 2, leg))
+        for factor in (s, p[0][0], ZERO):
+            check_spin(A.scale(factor), [[factor * x for x in row] for row in a])
+        assert A.trace() == a[0][0] + a[1][1]
+        # a sum whose first entry cancels exactly, and differences that cancel everywhere
+        C = Matrix([[-a[0][0], ZERO], [ZERO, s_z(1)]])
+        check_spin(A + C, [[ZERO, a[0][1]], [a[1][0], a[1][1] + s_z(1)]])
+        zero = [[ZERO] * 2 for _ in range(2)]
+        check_spin(A - A, zero)
+        check_spin(A + (-A), zero)
+
+    run()

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -299,6 +300,21 @@ class TestCompactAndSymmetry:
     def test_symmetry_trivial(self):
         case = trivial_case()
         assert symmetry_relation_residual(case, F(1), F(2), F(5)).is_zero()
+
+    @pytest.mark.parametrize("identity_at", ["lam", "nu"])
+    def test_symmetry_conjugates_where_one_k_is_the_identity(self, identity_at):
+        # k(lam) or k(nu) alone is the identity: the other still conjugates
+        base = case_by_label("linear-k-N2-diag-th2")
+        lam, nu = F(3), F(1, 2)
+        eye = Matrix.identity(base.n)
+        at = lam if identity_at == "lam" else nu
+        case = dataclasses.replace(base, k=lambda x: eye if x == at else base.k(x))
+        r, ka, kb = case.base_r, case.k(lam), case.k(nu)
+        k_ab = tensor_pair(ka, kb)
+        expected = r(lam, nu) - (k_ab * r(case.tau(lam), case.tau(nu)) * k_ab.inverse()).scale(F(-1))
+        assert (ka == eye) != (kb == eye)
+        assert symmetry_relation_residual(case, F(-1), lam, nu) == expected
+        assert expected != r(lam, nu) - r(case.tau(lam), case.tau(nu)).scale(F(-1))
 
     def test_symmetry_omega_constraint(self):
         case = case_by_label("linear-k-N2-diag-th0")

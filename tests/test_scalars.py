@@ -67,6 +67,19 @@ class TestFieldOps:
         assert z**-1 == z**5
         assert (3 / (1 + z)) * (1 + z) == 3
 
+    @pytest.mark.parametrize("order", (3, 4, 5, 8))
+    def test_pow_equals_repeated_products(self, order):
+        x = cyclotomic(order, [frac(1, 2), frac(-2), frac(3)][:euler_phi(order)])
+        product = frac(1)
+        for k in range(10):
+            assert x**k == product
+            product = product * x
+        inverse = 1 / x
+        product = frac(1)
+        for k in range(1, 4):
+            product = product * inverse
+            assert x**-k == product
+
     def test_zero_inversion(self):
         assert zeta(3) * 0 == 0
         with pytest.raises(ZeroDivisionError):

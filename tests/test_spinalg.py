@@ -179,6 +179,36 @@ class TestTrimmedKeys:
         assert (partials(f)[3][2] * s_minus(1)).monomials() == [((1, 1), F(1))]
 
 
+class TestPower:
+    def test_negative_exponent_raises(self):
+        with pytest.raises(ValueError, match="no inverse"):
+            s_z(1) ** -1
+
+    def test_zeroth_power_is_one(self):
+        assert s_z(1) ** 0 == SpinPoly.const(1)
+        assert s_z(1) ** 1 == s_z(1)
+
+    def test_square_is_one_product(self, monkeypatch):
+        calls = []
+        product = SpinPoly.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return product(self, other)
+
+        monkeypatch.setattr(SpinPoly, "__mul__", counted)
+        square = s_z(1) ** 2
+        assert len(calls) == 1
+        assert square.monomials() == [((0, 0, 2), F(1))]
+
+    def test_powers_equal_repeated_products(self):
+        f = s_plus(1) + 2 * s_z(2)
+        expected = SpinPoly.const(1)
+        for k in range(8):
+            assert f**k == expected
+            expected = expected * f
+
+
 class TestExponentOverflow:
     """Each variable owns a fixed field of the packed key.  An exponent up to
     MAX_EXPONENT is kept exactly; one past it raises DegreeError, never
