@@ -2,8 +2,9 @@
 
 ``tests/data/simulate_digests.json`` holds the exit code and the sha256 of
 the stdout and of the trajectory CSV of ``nreflect simulate`` on
-two-reflection L = 6 with H_1 and H_6 and on bcl L = 2 with H_2, over 200
-RK4 steps.  The vector field and the monitors are compiled from exact spin
+two-reflection L = 6 with H_1 and H_6, two-reflection L = 16 with H_1 and
+H_16, three-reflection L = 3 with H_2 and bcl L = 2 with H_2, over 200 RK4
+steps.  The vector field and the monitors are compiled from exact spin
 polynomials, and float addition depends on the order of the summed terms,
 so any change to that order (or to the exact terms) fails here.
 
@@ -30,9 +31,13 @@ DATA = Path(__file__).parent / "data" / "simulate_digests.json"
 MODELS = {
     "two-L6": {"case": "two-reflection", "params": {"a": "1", "b": "2", "c": "3"},
                "z": ["1", "2", "4", "5", "7", "8"]},
+    "two-L16": {"case": "two-reflection", "z": [str(1 + 3 * i) for i in range(16)]},
+    "three-L3": {"case": "three-reflection", "params": {"a": "1", "b": "3", "c": "-1", "d": "1"},
+                 "z": ["2", "5", "9"]},
     "bcl-L2": {"case": "bcl", "z": ["1", "2"]},
 }
-RUNS = (("two-L6", 1), ("two-L6", 6), ("bcl-L2", 2))
+RUNS = (("two-L6", 1), ("two-L6", 6), ("two-L16", 1), ("two-L16", 16), ("three-L3", 2),
+        ("bcl-L2", 2))
 
 
 def commands() -> dict:
