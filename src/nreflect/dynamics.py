@@ -7,14 +7,20 @@ Casimirs, and det B(lam) at fixed exact probe points (isospectrality; B is
 traceless, so det B fixes its spectrum).  B is read only through
 :func:`nreflect.gaudin.site_values`, which also decides where it has a pole.
 
+A run compiles its RK4 step, and all its monitors, each into one generated
+straight-line function over locals; one emitter writes every spin polynomial
+as its terms in ``monomials()`` order, which float addition depends on.
+
 Spin coordinates are independent complex variables, matching the algebra
 layer; no reality projection is applied.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -41,15 +47,30 @@ class PhaseState:
             raise ModelError("phase state length must be 3 L")
 
 
+def _terms(poly: SpinPoly, name: str) -> str:
+    """The terms ``(c)*x*...`` of ``poly`` in ``monomials()`` order, flat
+    variable i written ``name.format(i)``."""
+    parts = []
+    for expo, coeff in poly.monomials():
+        factors = "".join(f"*{name.format(idx)}" * e for idx, e in enumerate(expo) if e)
+        parts.append(f"({to_complex(coeff)!r})" + factors)
+    return " + ".join(parts) if parts else "0j"
+
+
+def _compile(params: str, lines: list, namespace: dict):
+    """The function of ``params`` with the body ``lines`` and the globals ``namespace``."""
+    exec(f"def generated({params}):\n" + "".join(f"    {line}\n" for line in lines), namespace)  # noqa: S102
+    return namespace.pop("generated")
+
+
+def _unpack(dim: int) -> str:
+    return "".join(f"v{i}, " for i in range(dim)) + "= v"
+
+
 def compile_spinpoly(poly: SpinPoly):
     """Compile a spin polynomial to a fast numeric callable of the flat
     coordinate vector."""
-    parts = []
-    for expo, coeff in poly.monomials():
-        factors = "".join(f"*v[{idx}]" * e for idx, e in enumerate(expo))
-        parts.append(f"({to_complex(coeff)!r})" + factors)
-    source = " + ".join(parts) if parts else "0j"
-    return eval(f"lambda v: {source}", {}, {})  # noqa: S307 - source built from exact terms
+    return _compile("v", [f"return {_terms(poly, 'v[{}]')}"], {})
 
 
 def hamiltonian_for(model: GaudinModel, selection) -> SpinPoly:
@@ -63,11 +84,28 @@ def hamiltonian_for(model: GaudinModel, selection) -> SpinPoly:
     return model.hamiltonians[selection - 1]
 
 
-def vector_field_callables(model: GaudinModel, hamiltonian: SpinPoly):
-    """Compiled {x, H} for every coordinate x; H is differentiated once."""
+def vector_field(model: GaudinModel, hamiltonian: SpinPoly) -> list:
+    """{x, H} for every coordinate x, as exact spin polynomials; H is
+    differentiated once."""
     dh = partials(hamiltonian)
-    return [compile_spinpoly(bracket_partials(partials(SpinPoly.generator(j, kind)), dh))
+    return [bracket_partials(partials(SpinPoly.generator(j, kind)), dh)
             for j in range(1, model.L + 1) for kind in KINDS]
+
+
+def compile_rk4_step(fields: list):
+    """``step(v, dt)``: one classical RK4 step of x_dot = fields(x) from the
+    state values ``v`` as one straight-line function, the stages a, b, c, d
+    and every component combination held in locals."""
+    dim = len(fields)
+    lines = [_unpack(dim)]
+    sources = [_terms(f, "v{}") for f in fields]  # a coefficient's repr holds no "v"
+    for stage, point, ahead, scale in (("a", "v", "p", "0.5 * dt"), ("b", "p", "q", "0.5 * dt"),
+                                       ("c", "q", "r", "dt"), ("d", "r", None, None)):
+        lines += [f"{stage}{i} = {source.replace('v', point)}" for i, source in enumerate(sources)]
+        if ahead:
+            lines += [f"{ahead}{i} = v{i} + {scale} * {stage}{i}" for i in range(dim)]
+    update = ", ".join(f"v{i} + dt / 6.0 * (a{i} + 2 * b{i} + 2 * c{i} + d{i})" for i in range(dim))
+    return _compile("v, dt", lines + [f"return [{update}]"], {})
 
 
 # ---------------------------------------------------------------------------
@@ -88,24 +126,36 @@ def default_probes(model: GaudinModel, offsets=(3, 5, 7)):
     return tuple(probes)
 
 
+def _det_b(model: GaudinModel, probe, name: str, namespace: dict) -> str:
+    """det B at an exact probe as one expression over the flat variables
+    ``name.format(i)``, each entry of B summed from 0j over the sites; binds
+    the site values in ``namespace``.  Raises PoleError where B is undefined
+    at the probe."""
+    b00 = b01 = b10 = "0j"
+    for m, c in enumerate(site_values(model, probe)):
+        coeff = f"c{len(namespace)}"
+        namespace[coeff] = to_complex(c)
+        b00 += f" + {coeff} * 0.5 * {name.format(3 * m + 2)}"
+        b01 += f" + {coeff} * {name.format(3 * m)}"
+        b10 += f" + {coeff} * {name.format(3 * m + 1)}"
+    # B is traceless for the su(2) block structure: B11 = -B00
+    return f"-(b00 := {b00}) * b00 - ({b01}) * ({b10})"
+
+
 def probe_evaluator(model: GaudinModel, probe):
     """callable(state values) -> det B at an exact probe (tr B is identically
     0); raises PoleError where B is undefined at the probe."""
-    coeffs = [to_complex(c) for c in site_values(model, probe)]
+    namespace = {}
+    return _compile("v", [f"return {_det_b(model, probe, 'v[{}]', namespace)}"], namespace)
 
-    def evaluate(vals):
-        b00 = 0j
-        b01 = 0j
-        b10 = 0j
-        for m, c in enumerate(coeffs):
-            base = 3 * m
-            b00 += c * 0.5 * vals[base + 2]
-            b01 += c * vals[base]
-            b10 += c * vals[base + 1]
-        # B is traceless for the su(2) block structure: B11 = -B00
-        return -b00 * b00 - b01 * b10
 
-    return evaluate
+def compile_monitors(model: GaudinModel, probes):
+    """One function of the state values returning [H_1..H_L, C_1..C_L, det B
+    at each probe]."""
+    namespace = {}
+    polys = [*model.hamiltonians, *(casimir(j) for j in range(1, model.L + 1))]
+    values = [_terms(poly, "v{}") for poly in polys] + [_det_b(model, probe, "v{}", namespace) for probe in probes]
+    return _compile("v", [_unpack(3 * model.L), f"return [{', '.join(values)}]"], namespace)
 
 
 def spectral_scan(model: GaudinModel, state: PhaseState, probes) -> list:
@@ -160,65 +210,42 @@ def rk4_simulate(model: GaudinModel, selection, initial: PhaseState, t_end: floa
                  dt: float, log_every: int = 1) -> Trajectory:
     """Classical fixed-step RK4 for x_dot = {x, H}.
 
-    Monitors each H_k, each Casimir, and det B at the default probes at
-    every step, keeping the largest drift of each; logs a row every
+    The step and one monitor pass over each H_k, each Casimir, and det B
+    at the default probes are compiled once per run; the monitors run at
+    every step, keeping the largest drift of each.  A row is logged every
     ``log_every`` steps and at the last step, so memory grows with the
-    number of logged rows only.  A non-finite state aborts the run and logs the last good
-    state.
+    number of logged rows only.  A non-finite state aborts the run and logs
+    the last good state.
     """
     if not (0 < dt < math.inf and 0 < t_end < math.inf):
         raise ModelError(f"dt and t_end must be positive and finite, got dt = {dt}, t_end = {t_end}")
     if log_every < 1:
         raise ModelError(f"log_every must be at least 1, got {log_every}")
     h = hamiltonian_for(model, selection)
-    fields = vector_field_callables(model, h)
+    advance = compile_rk4_step(vector_field(model, h))
     dim = 3 * model.L
     if len(initial.values) != dim:
         raise ModelError(f"initial state has {len(initial.values)} values, model needs {dim}")
     probes = default_probes(model)
-
-    monitors = {}
-    for i, hamiltonian in enumerate(model.hamiltonians, start=1):
-        monitors[f"H{i}"] = compile_spinpoly(hamiltonian)
-    for j in range(1, model.L + 1):
-        monitors[f"C{j}"] = compile_spinpoly(casimir(j))
-    for idx, probe in enumerate(probes):
-        monitors[f"detB@{idx}"] = probe_evaluator(model, probe)
-
+    monitor = compile_monitors(model, probes)
+    keys = [f"{kind}{j}" for kind in "HC" for j in range(1, model.L + 1)] + [f"detB@{idx}" for idx in range(len(probes))]
     steps = round(t_end / dt)
-    traj = Trajectory(probes=probes, conserved={key: [] for key in monitors})
-
-    def observe(vals):
-        values = {key: fn(vals) for key, fn in monitors.items()}
-        for key, q in values.items():
-            change = abs(q - traj.initial[key])
-            if change > traj.max_change[key]:
-                traj.max_change[key] = change
-        return values
+    traj = Trajectory(probes=probes, conserved={key: [] for key in keys})
 
     def log(t, vals, values):
         traj.times.append(t)
         traj.states.append(tuple(vals))
-        for key, q in values.items():
-            traj.conserved[key].append(q)
+        for column, q in zip(traj.conserved.values(), values):
+            column.append(q)
 
     vals = list(initial.values)
     t = initial.t
-    traj.initial = {key: fn(vals) for key, fn in monitors.items()}
-    traj.max_change = dict.fromkeys(monitors, 0.0)
-    values = traj.initial
+    first = values = monitor(vals)
+    top = [0.0] * len(keys)
     log(t, vals, values)
     for step in range(1, steps + 1):
-        k1 = [f(vals) for f in fields]
-        mid1 = [v + 0.5 * dt * d for v, d in zip(vals, k1)]
-        k2 = [f(mid1) for f in fields]
-        mid2 = [v + 0.5 * dt * d for v, d in zip(vals, k2)]
-        k3 = [f(mid2) for f in fields]
-        end = [v + dt * d for v, d in zip(vals, k3)]
-        k4 = [f(end) for f in fields]
-        new_vals = [v + dt / 6.0 * (a + 2 * b + 2 * c + d)
-                    for v, a, b, c, d in zip(vals, k1, k2, k3, k4)]
-        if any(not (math.isfinite(v.real) and math.isfinite(v.imag)) for v in new_vals):
+        new_vals = advance(vals, dt)
+        if not all(map(cmath.isfinite, new_vals)):
             traj.ok = False
             traj.message = f"non-finite state at t = {t + dt:.6g}; keeping last good state"
             if traj.times[-1] != t:
@@ -226,9 +253,13 @@ def rk4_simulate(model: GaudinModel, selection, initial: PhaseState, t_end: floa
             break
         vals = new_vals
         t = initial.t + step * dt
-        values = observe(vals)
+        values = monitor(vals)
+        top = [change if change > was else was
+               for was, change in zip(top, map(abs, map(operator.sub, values, first)))]
         if step % log_every == 0 or step == steps:
             log(t, vals, values)
+    traj.initial = dict(zip(keys, first))
+    traj.max_change = dict(zip(keys, top))
     return traj
 
 

@@ -393,10 +393,11 @@ def linear_k_case(N: int, theta, G: Matrix, g_label: str = "G") -> KSolution:
     omega = zeta(N)
     tau = MobiusMap.scaling(omega)
     weights = _const_weights([omega**j for j in range(N)])
-    eye = Matrix.identity(n)
+    shift = Matrix.identity(n).scale(theta)
 
     def k(nu):
-        return eye.scale(as_scalar(theta)) + G.scale(as_scalar(nu))
+        scaled = G.scale(as_scalar(nu))
+        return shift + scaled if theta else scaled
 
     sign = ONE if N % 2 else -ONE
 

@@ -1,4 +1,6 @@
+import gc
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,11 +13,11 @@ from nreflect.dynamics import (
     default_probes,
     rk4_simulate,
     spectral_scan,
-    vector_field_callables,
     write_csv,
 )
 from nreflect.errors import ModelError
-from nreflect.gaudin import hamiltonian_explicit, model_from_config
+from nreflect.gaudin import hamiltonian_explicit, model_from_config, site_values
+from nreflect.scalars import to_complex
 from nreflect.spinalg import SpinPoly, casimir, s_z
 
 F = Fraction
@@ -44,8 +46,8 @@ def compact_state(spins=((0.8, -0.3, 0.5), (-0.2, 0.9, -0.6)), scale=5.0):
 
 
 def vector_field(model, hamiltonian, state):
-    """The derivatives {x, H} at the state, by the compiled fields RK4 steps with."""
-    return [f(list(state.values)) for f in vector_field_callables(model, hamiltonian)]
+    """The derivatives {x, H} at the state, each field compiled from the terms RK4 steps with."""
+    return [compile_spinpoly(f)(list(state.values)) for f in dynamics.vector_field(model, hamiltonian)]
 
 
 class TestVectorField:
@@ -153,6 +155,140 @@ class TestRk4:
         assert not traj.ok
         assert "non-finite" in traj.message
         assert all(math.isfinite(v.real) for v in traj.states[-1])
+
+
+def walk(poly, vals):
+    """poly at vals without generated code: each term c * x * ... left to
+    right in monomials() order, the terms summed left to right."""
+    total = None
+    for expo, coeff in poly.monomials():
+        term = to_complex(coeff)
+        for idx, e in enumerate(expo):
+            for _ in range(e):
+                term = term * vals[idx]
+        total = term if total is None else total + term
+    return 0j if total is None else total
+
+
+def walked_det_b(coeffs, vals):
+    b00 = b01 = b10 = 0j
+    for m, c in enumerate(coeffs):
+        b00 += c * 0.5 * vals[3 * m + 2]
+        b01 += c * vals[3 * m]
+        b10 += c * vals[3 * m + 1]
+    return -b00 * b00 - b01 * b10
+
+
+def oracle_rk4(model, h, state, t_end, dt):
+    """RK4 with every row logged, by walking the exact polynomials; returns
+    the trajectory's fields and the first rejected (non-finite) state."""
+    fields = dynamics.vector_field(model, h)
+    polys = {f"H{i}": hi for i, hi in enumerate(model.hamiltonians, start=1)}
+    polys.update({f"C{j}": casimir(j) for j in range(1, model.L + 1)})
+    coeffs = [[to_complex(c) for c in site_values(model, probe)] for probe in default_probes(model)]
+
+    def monitors(vals):
+        values = {key: walk(poly, vals) for key, poly in polys.items()}
+        values.update({f"detB@{idx}": walked_det_b(c, vals) for idx, c in enumerate(coeffs)})
+        return values
+
+    def field(vals):
+        return [walk(f, vals) for f in fields]
+
+    vals = list(state.values)
+    initial = monitors(vals)
+    out = {"times": [state.t], "states": [tuple(vals)], "conserved": {key: [q] for key, q in initial.items()},
+           "initial": initial, "max_change": dict.fromkeys(initial, 0.0), "rejected": None}
+    for step in range(1, round(t_end / dt) + 1):
+        k1 = field(vals)
+        k2 = field([v + 0.5 * dt * d for v, d in zip(vals, k1)])
+        k3 = field([v + 0.5 * dt * d for v, d in zip(vals, k2)])
+        k4 = field([v + dt * d for v, d in zip(vals, k3)])
+        new = [v + dt / 6.0 * (a + 2 * b + 2 * c + d) for v, a, b, c, d in zip(vals, k1, k2, k3, k4)]
+        if not all(math.isfinite(x.real) and math.isfinite(x.imag) for x in new):
+            out["rejected"] = new
+            break
+        vals = new
+        out["times"].append(state.t + step * dt)
+        out["states"].append(tuple(vals))
+        for key, q in monitors(vals).items():
+            out["conserved"][key].append(q)
+            change = abs(q - initial[key])
+            if change > out["max_change"][key]:
+                out["max_change"][key] = change
+    return out
+
+
+def assert_bitwise_equal(traj, want):
+    assert traj.times == want["times"]
+    assert traj.states == want["states"]
+    assert traj.conserved == want["conserved"]
+    assert traj.initial == want["initial"]
+    assert traj.max_change == want["max_change"]
+    assert traj.ok == (want["rejected"] is None)
+
+
+class TestCompiledStep:
+    """The generated RK4 step and monitor pass against the walked oracle,
+    compared with ==, and the Python calls a step makes."""
+
+    @pytest.mark.parametrize("config, h", [
+        ({"case": "bcl", "z": ["1", "2"]}, 2),
+        ({"case": "two-reflection", "params": {"a": "1", "b": "2", "c": "3"}, "z": ["1", "2", "4"]}, 2),
+        ({"case": "z3", "z": ["1", "2", "4"]}, 3),
+    ], ids=["bcl-L2", "two-L3", "z3-L3"])
+    def test_matches_walked_oracle(self, config, h):
+        model = model_from_config(config)
+        state = generic_state(model)
+        traj = rk4_simulate(model, h, state, t_end=0.3, dt=0.02)
+        assert traj.ok and len(traj.times) == 16
+        assert_bitwise_equal(traj, oracle_rk4(model, model.hamiltonians[h - 1], state, 0.3, 0.02))
+
+    def test_abort_on_a_non_finite_imaginary_part_only(self):
+        # H = s_1^z scales s_1^- by about 8221 per step at dt = 10; the third
+        # step overflows only the imaginary part of s_1^-, in the last update
+        model = bcl_model()
+        state = PhaseState((0, complex(1.0, 4.4e296), 0.5, 0, 0, 0))
+        want = oracle_rk4(model, s_z(1), state, 100.0, 10.0)
+        rejected = want["rejected"]
+        assert all(math.isfinite(x.real) for x in rejected)
+        assert not all(math.isfinite(x.imag) for x in rejected)
+        traj = rk4_simulate(model, s_z(1), state, t_end=100.0, dt=10.0)
+        assert not traj.ok and "non-finite state at t = 30" in traj.message
+        assert_bitwise_equal(traj, want)
+        assert len(traj.times) == 3
+
+    @staticmethod
+    def calls_per_step(model, h):
+        rk4_simulate(model, h, generic_state(model), t_end=0.01, dt=0.01)  # builds the model's H_i
+        counts = []
+        for steps in (20, 40):
+            calls = 0
+
+            def profile(frame, event, arg):
+                nonlocal calls
+                calls += event == "call"
+
+            # a collection inside the window could close some earlier, unfinished
+            # generator, which is one more call
+            gc.collect()
+            gc.disable()
+            sys.setprofile(profile)
+            try:
+                rk4_simulate(model, h, generic_state(model), t_end=steps * 0.01, dt=0.01)
+            finally:
+                sys.setprofile(None)
+                gc.enable()
+            counts.append(calls)
+        return (counts[1] - counts[0]) / 20
+
+    def test_python_calls_per_step_do_not_grow_with_L(self):
+        # host-independent: the fields and the monitors are one call each,
+        # whatever the number of sites
+        two_l6 = model_from_config({"case": "two-reflection", "params": {"a": "1", "b": "2", "c": "3"},
+                                    "z": ["1", "2", "4", "5", "7", "8"]})
+        small = self.calls_per_step(bcl_model(), 1)
+        assert 0 < small == self.calls_per_step(two_l6, 6)
 
 
 class TestSpectralScan:
