@@ -18,27 +18,35 @@ import json
 import sys
 
 from . import dynamics, gaudin, reporting
-from .errors import ConstraintError, NReflectError
+from .errors import ConstraintError, ModelError, NReflectError
 from .reflection import CATALOG, case_by_label, n_unitarity_entry, sampled_check, tamper
 from .reflection import nre_residual  # noqa: F401 - perfbench/test_perfbench.py reads it off this module
 from .rmatrix import cybe_residual, rational_r, trig_r
 from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64, sample_evaluated
-from .scalars import scalar_from_str, scalar_to_str, zeta
+from .scalars import scalar_from_str, zeta
 
 VERIFY_SUBJECTS = ("cybe", "nre", "nunitarity", "compact", "symmetry", "equivalence", "rbar-cybe")
 GAUDIN_SUBCOMMANDS = ("hamiltonians", "involution", "residue-equality", "rbb", "lax", "mk", "trbrackets")
 
 
+def _unique(pairs, error, what: str) -> dict:
+    """The (name, value) pairs as a dict; a name given twice raises ``error``."""
+    out = {}
+    for name, value in pairs:
+        if name in out:
+            raise error(f"{what} {name!r} is given more than once")
+        out[name] = value
+    return out
+
+
 def _parse_params(text):
-    params = {}
-    if not text:
-        return params
-    for piece in text.split(","):
+    pairs = []
+    for piece in text.split(",") if text else ():
         if "=" not in piece:
             raise ConstraintError(f"parameter {piece!r} is not of the form name=value")
         name, value = piece.split("=", 1)
-        params[name.strip()] = scalar_from_str(value)
-    return params
+        pairs.append((name.strip(), scalar_from_str(value)))
+    return _unique(pairs, ConstraintError, "parameter")
 
 
 def _at_least_one(text: str) -> int:
@@ -51,13 +59,12 @@ def _at_least_one(text: str) -> int:
     return count
 
 
-def _emit(report: dict, out_path) -> None:
-    payload = reporting.dumps(report)
+def _emit(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w") as handle:
-            handle.write(payload)
+            handle.write(text)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(text)
 
 
 def _exit_code(report: dict) -> int:
@@ -97,7 +104,7 @@ def cmd_verify(args) -> int:
         omega = None
         if args.subject == "symmetry":
             omega = scalar_from_str(args.omega, order=case.N) if args.omega else zeta(case.N)
-            extra = {"omega": scalar_to_str(omega)}
+            extra = {"omega": str(omega)}
         label = case.label
         arity, evaluate = sampled_check(case, args.subject, omega)
     samples = sample_evaluated(SplitMix64(args.seed), args.samples, arity, evaluate)
@@ -106,7 +113,7 @@ def cmd_verify(args) -> int:
     else:
         entries = [reporting.residual_entry(point, value) for point, value in samples]
     report = reporting.build_report(args.subject, label, args.seed, entries, extra=extra)
-    _emit(report, args.out)
+    _emit(reporting.dumps(report), args.out)
     return _exit_code(report)
 
 
@@ -116,7 +123,7 @@ def cmd_verify(args) -> int:
 
 def _load_model(path):
     with open(path) as handle:
-        config = json.load(handle)
+        config = json.load(handle, object_pairs_hook=lambda pairs: _unique(pairs, ModelError, "model config key"))
     return gaudin.model_from_config(config)
 
 
@@ -125,12 +132,7 @@ def cmd_gaudin(args) -> int:
     sub = args.subcommand
 
     if sub == "hamiltonians":
-        text = gaudin.hamiltonians_text(model)
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(text + "\n")
-        else:
-            sys.stdout.write(text + "\n")
+        _emit(gaudin.hamiltonians_text(model) + "\n", args.out)
         return 0
 
     sites = range(1, model.L + 1)
@@ -145,8 +147,8 @@ def cmd_gaudin(args) -> int:
             model, sub, lam, mu, args.power, args.power_q))
     entries = [reporting.residual_entry(point, value) for point, value in checks]
     report = reporting.build_report(f"gaudin-{sub}", model.case.label, args.seed, entries,
-                                    extra={"sites": [scalar_to_str(z) for z in model.sites]})
-    _emit(report, args.out)
+                                    extra={"sites": [str(z) for z in model.sites]})
+    _emit(reporting.dumps(report), args.out)
     return _exit_code(report)
 
 
@@ -182,8 +184,7 @@ def cmd_simulate(args) -> int:
     traj = dynamics.rk4_simulate(model, args.hamiltonian, state, t_end=args.t, dt=args.dt,
                                  log_every=args.log_every)
     dynamics.write_csv(traj, args.out, model)
-    keys = sorted(traj.conserved)
-    for key in keys:
+    for key in sorted(traj.conserved):
         sys.stdout.write(f"drift {key}: {traj.drift(key):.3e}\n")
     if not traj.ok:
         sys.stderr.write(traj.message + "\n")
@@ -205,7 +206,7 @@ def cmd_catalog(args) -> int:
             "N": case.N,
             "n": case.n,
             "r": case.base_r.kind,
-            "params": {key: scalar_to_str(val) for key, val in sorted(case.params.items())},
+            "params": {key: str(val) for key, val in sorted(case.params.items())},
         }
         sys.stdout.write(json.dumps(descriptor, sort_keys=True) + "\n")
     return 0

@@ -142,13 +142,6 @@ def _det_b(model: GaudinModel, probe, name: str, namespace: dict) -> str:
     return f"-(b00 := {b00}) * b00 - ({b01}) * ({b10})"
 
 
-def probe_evaluator(model: GaudinModel, probe):
-    """callable(state values) -> det B at an exact probe (tr B is identically
-    0); raises PoleError where B is undefined at the probe."""
-    namespace = {}
-    return _compile("v", [f"return {_det_b(model, probe, 'v[{}]', namespace)}"], namespace)
-
-
 def compile_monitors(model: GaudinModel, probes):
     """One function of the state values returning [H_1..H_L, C_1..C_L, det B
     at each probe]."""
@@ -165,12 +158,13 @@ def spectral_scan(model: GaudinModel, state: PhaseState, probes) -> list:
     results = []
     for probe in probes:
         lam = complex(to_complex(probe))
+        namespace = {}
         try:
-            det_b = probe_evaluator(model, probe)
+            det_b = _det_b(model, probe, "v[{}]", namespace)
         except POLE_ERRORS as exc:
             results.append({"lam": lam, "skipped": True, "warning": str(exc)})
             continue
-        tr, det = 0j, det_b(list(state.values))
+        tr, det = 0j, _compile("v", [f"return {det_b}"], namespace)(list(state.values))
         disc = (tr * tr - 4 * det) ** 0.5
         eigs = ((tr + disc) / 2, (tr - disc) / 2)
         results.append({"lam": lam, "trB": tr, "detB": det, "eigenvalues": eigs})
@@ -201,9 +195,6 @@ class Trajectory:
         baseline = abs(self.initial[key])
         top = self.max_change[key]
         return top / baseline if baseline > 1e-300 else top
-
-    def final_state(self) -> PhaseState:
-        return PhaseState(self.states[-1], t=self.times[-1])
 
 
 def rk4_simulate(model: GaudinModel, selection, initial: PhaseState, t_end: float,
@@ -273,9 +264,8 @@ def convergence_order(model: GaudinModel, selection, initial: PhaseState, t_end:
     drifts = []
     for dt in dts:
         traj = rk4_simulate(model, selection, initial, t_end, dt, log_every=100)
-        finals.append(traj.final_state().values)
-        keys = [key for key in traj.conserved if key.startswith("H")]
-        drifts.append(max(traj.drift(key) for key in keys))
+        finals.append(traj.states[-1])
+        drifts.append(max(traj.drift(key) for key in list(traj.conserved)[:model.L]))  # H_1..H_L come first
     gaps = [max(abs(a - b) for a, b in zip(x, y)) for x, y in zip(finals, finals[1:])]
     orders = [math.log2(d1 / d2) for d1, d2 in zip(gaps, gaps[1:]) if d2 != 0]
     return {"orders": orders, "order": min(orders) if orders else float("nan"),
@@ -289,8 +279,8 @@ def _complex_str(value: complex) -> str:
 
 def write_csv(traj: Trajectory, path, model: GaudinModel) -> None:
     """One row per logged step.  CSV schema: t, H_1..H_L, C_1..C_L, then
-    per-probe detB_re, detB_im.  H and C columns hold complex literals
-    "re+imj"."""
+    per-probe detB_re, detB_im, in the order of ``traj.conserved``.  H and
+    C columns hold complex literals "re+imj"."""
     import csv
 
     L = model.L
@@ -300,13 +290,8 @@ def write_csv(traj: Trajectory, path, model: GaudinModel) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row_idx, t in enumerate(traj.times):
-            row = [repr(t)]
-            for i in range(1, L + 1):
-                row.append(_complex_str(traj.conserved[f"H{i}"][row_idx]))
-            for j in range(1, L + 1):
-                row.append(_complex_str(traj.conserved[f"C{j}"][row_idx]))
-            for idx in range(len(traj.probes)):
-                det = traj.conserved[f"detB@{idx}"][row_idx]
+        for t, *values in zip(traj.times, *traj.conserved.values()):
+            row = [repr(t)] + [_complex_str(q) for q in values[:2 * L]]
+            for det in values[2 * L:]:
                 row += [repr(det.real), repr(det.imag)]
             writer.writerow(row)

@@ -43,7 +43,7 @@ from .reflection import (
     trivial_case,
 )
 from .reflection import rbar_matrix  # noqa: F401 - perfbench/test_perfbench.py reads it off this module
-from .scalars import ZERO, as_scalar, scalar_from_str, scalar_to_str, zeta
+from .scalars import ZERO, as_scalar, scalar_from_str, zeta
 from .spinalg import SpinPoly, bracket_partials, casimir, partials, poisson_bracket, s_minus, s_plus, s_z
 
 HALF = Fraction(1, 2)
@@ -94,10 +94,8 @@ def _validate(model: GaudinModel) -> None:
     z = model.sites
     if not z:
         raise ModelError("model needs at least one site")
-    for i in range(len(z)):
-        for k in range(i + 1, len(z)):
-            if z[i] == z[k]:
-                raise ModelError("sites must be mutually distinct")
+    if len(set(z)) < len(z):
+        raise ModelError("sites must be mutually distinct")
     case = model.case
     if case.family not in GAUDIN_FAMILIES:
         raise ModelError(f"case family {case.family!r} is not supported by the Gaudin layer")
@@ -109,9 +107,9 @@ def _validate(model: GaudinModel) -> None:
         try:
             orbit = case.orbit(zm, case.N + 1)[:-1]  # tau is defined on the whole orbit
         except PoleError as exc:
-            raise ModelError(f"orbit of site {scalar_to_str(zm)} hits a spectral-map pole: {exc}") from exc
+            raise ModelError(f"orbit of site {zm} hits a spectral-map pole: {exc}") from exc
         if weight_poles.intersection(orbit):
-            raise ModelError(f"orbit of site {scalar_to_str(zm)} hits a weight pole")
+            raise ModelError(f"orbit of site {zm} hits a weight pole")
         orbits.append(orbit)
     # no site may collide with a nontrivial orbit point of any site
     for orbit in orbits:
@@ -132,7 +130,7 @@ def _frame_site_values(model: GaudinModel, frame: PointFrame) -> list:
     for j, point in enumerate(frame.orbit):
         for m, zm in enumerate(model.sites, start=1):
             if point == zm:
-                raise PoleError(f"B(lam) pole: tau^{j}(lam) = z_{m} at lam = {scalar_to_str(frame.orbit[0])}")
+                raise PoleError(f"B(lam) pole: tau^{j}(lam) = z_{m} at lam = {frame.orbit[0]}")
     return [sum((g / (point - zm) for g, point in zip(frame.weights, frame.orbit)), start=ZERO)
             for zm in model.sites]
 

@@ -21,8 +21,7 @@ import operator
 from fractions import Fraction
 
 from .errors import ShapeError, SingularMatrixError
-from .scalars import (ONE, ZERO, Cyclotomic, _canonical, _fold, _mul_reduce, _power, _power_rows, euler_phi,
-                      scalar_to_str)
+from .scalars import ONE, ZERO, Cyclotomic, _canonical, _fold, _mul_reduce, _power, _power_rows, euler_phi
 
 PLACEMENTS = ("ab", "ac", "bc", "ba", "ca", "cb")
 
@@ -243,11 +242,9 @@ class Matrix:
         return _matrix(order, self._den * other._den, out, self.nrows * other.nrows, self.ncols * nb)
 
     def pretty(self) -> str:
-        cells = [[scalar_to_str(a) if isinstance(a, (int, Fraction)) or hasattr(a, "coeffs") else str(a) for a in row]
-                 for row in self.rows]
+        cells = [[str(a) for a in row] for row in self.rows]
         widths = [max(len(cells[i][j]) for i in range(self.nrows)) for j in range(self.ncols)]
-        lines = ["[" + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + "]" for row in cells]
-        return "\n".join(lines)
+        return "\n".join("[" + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + "]" for row in cells)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"

@@ -1,9 +1,11 @@
 """Deterministic JSON verification reports.
 
 A report records the case, the seed, every sample point and a per-sample
-status: "exact-zero", or "nonzero" with a witness entry.  Identical inputs
-produce byte-identical output (sorted keys, exact scalar rendering, no
-timestamps).
+status: "exact-zero", or "nonzero" with a witness entry.  Every value, an
+exact scalar, a spin polynomial or a label such as "H_1", is written as
+``str`` renders it; for a ``Cyclotomic`` that is the form its ``__str__``
+owns and ``scalar_from_str`` parses.  Identical inputs produce
+byte-identical output (sorted keys, exact values, no timestamps).
 """
 
 from __future__ import annotations
@@ -11,39 +13,18 @@ from __future__ import annotations
 import json
 
 from .linalg import Matrix
-from .scalars import scalar_to_str
-
-
-def render_sample(point) -> list:
-    """Exact scalars as :func:`scalar_to_str` renders them, labels such as
-    "H_1" as they are."""
-    return [_render(x) for x in point]
 
 
 def residual_entry(point, residual) -> dict:
-    entry = {"sample": render_sample(point)}
+    entry = {"sample": [str(x) for x in point], "status": "exact-zero"}
     if isinstance(residual, Matrix):
         witness = residual.first_nonzero()
-        if witness is None:
-            entry["status"] = "exact-zero"
-        else:
+        if witness is not None:
             i, j, val = witness
-            entry["status"] = "nonzero"
-            entry["witness"] = {"row": i, "col": j, "value": _render(val)}
-    else:
-        if not residual:
-            entry["status"] = "exact-zero"
-        else:
-            entry["status"] = "nonzero"
-            entry["witness"] = {"value": _render(residual)}
+            entry.update(status="nonzero", witness={"row": i, "col": j, "value": str(val)})
+    elif residual:
+        entry.update(status="nonzero", witness={"value": str(residual)})
     return entry
-
-
-def _render(value):
-    try:
-        return scalar_to_str(value)
-    except (TypeError, ValueError):
-        return str(value)
 
 
 def build_report(subject: str, case: str, seed: int, entries: list, extra: dict | None = None) -> dict:

@@ -4,6 +4,10 @@ A "scalar" throughout the package is either a ``fractions.Fraction`` or a
 :class:`Cyclotomic`.  Mixed arithmetic promotes rationals into Q(zeta_N);
 cyclotomic results whose non-constant coordinates vanish demote back to
 ``Fraction``, so a stored ``Cyclotomic`` is never secretly rational.
+
+A scalar's text is ``str`` of it: "p/q" (or "p") for a ``Fraction``, and
+for a ``Cyclotomic`` the form "c0 + c1*z + ..." that its ``__str__`` owns
+and :func:`scalar_from_str` parses.
 """
 
 from __future__ import annotations
@@ -156,7 +160,7 @@ class Cyclotomic:
     positive common denominator ``den``, in lowest terms, so equal elements
     have equal data.  ``coeffs`` gives the coordinates as Fractions.
 
-    Elements are made by :func:`cyclotomic` and :meth:`zeta`, which reduce
+    Elements are made by :func:`cyclotomic` and :func:`zeta`, which reduce
     modulo Phi_N and demote rational values, and by the arithmetic.
     """
 
@@ -166,12 +170,6 @@ class Cyclotomic:
     def coeffs(self) -> tuple:
         den = self.den
         return tuple(Fraction(c, den) for c in self.num)
-
-    @staticmethod
-    def zeta(order: int, power: int = 1) -> Scalar:
-        """Primitive N-th root of unity zeta_N raised to ``power``."""
-        power %= order
-        return _canonical(order, _reduce(order, [0] * power + [1]), 1)
 
     def to_complex(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.order)
@@ -280,10 +278,23 @@ class Cyclotomic:
         return hash((self.order, self.coeffs))
 
     def __repr__(self):
-        return f"Cyclotomic({self.order}, {scalar_to_str(self)!r})"
+        return f"Cyclotomic({self.order}, {str(self)!r})"
 
     def __str__(self):
-        return scalar_to_str(self)
+        parts = []
+        for k, c in enumerate(self.coeffs):
+            mono = "z" if k == 1 else f"z^{k}"
+            if not c:
+                continue
+            if k == 0:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(mono)
+            elif c == -1:
+                parts.append(f"-{mono}")
+            else:
+                parts.append(f"{c}*{mono}")
+        return " + ".join(parts).replace("+ -", "- ")
 
 
 def cyclotomic(order: int, coeffs) -> Scalar:
@@ -295,7 +306,9 @@ def cyclotomic(order: int, coeffs) -> Scalar:
 
 
 def zeta(order: int, power: int = 1) -> Scalar:
-    return Cyclotomic.zeta(order, power)
+    """Primitive N-th root of unity zeta_N raised to ``power``."""
+    power %= order
+    return _canonical(order, _reduce(order, [0] * power + [1]), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -326,32 +339,16 @@ def scalar_sort_key(x):
 
 
 def scalar_to_str(x) -> str:
-    """Render "p/q" for rationals, "c0 + c1*z + ..." for cyclotomics."""
-    if isinstance(x, Cyclotomic):
-        parts = []
-        for k, c in enumerate(x.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(scalar_to_str(c))
-            else:
-                mono = "z" if k == 1 else f"z^{k}"
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{scalar_to_str(c)}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    """An exact scalar, or a number ``Fraction`` takes (so 1.5 gives
+    "3/2"), as ``str`` renders it; anything else raises."""
+    return str(x if isinstance(x, Cyclotomic) else Fraction(x))
 
 
 _TERM_RE = re.compile(r"^(?:(?P<coeff>\d+(?:/\d+)?)\*?)?(?P<z>z(?:\^(?P<pow>\d+))?)?$")
 
 
 def scalar_from_str(text: str, order: int | None = None) -> Scalar:
-    """Parse the forms produced by :func:`scalar_to_str`.
+    """Parse the forms that ``str`` gives a scalar.
 
     Plain "p/q" needs no order; any "z" term needs the cyclotomic order of
     the enclosing case.

@@ -29,7 +29,7 @@ from functools import reduce
 from operator import or_
 
 from .errors import DegreeError
-from .scalars import ONE, Cyclotomic, _power, as_scalar, scalar_to_str
+from .scalars import ONE, Cyclotomic, _power, as_scalar
 
 KINDS = ("+", "-", "z")
 HALF = Fraction(1, 2)
@@ -182,7 +182,7 @@ class SpinPoly:
                 if e:
                     factors.append(var_name(idx) if e == 1 else f"{var_name(idx)}^{e}")
             body = "*".join(factors)
-            cs = scalar_to_str(coeff)
+            cs = str(coeff)
             if body:
                 parts.append(body if cs == "1" else (f"-{body}" if cs == "-1" else f"{cs}*{body}"))
             else:

@@ -17,8 +17,9 @@ def run(capsys, *argv):
 
 
 def write_config(tmp_path, config, name="model.json"):
+    """config as JSON, or as it is when it is already JSON text."""
     path = tmp_path / name
-    path.write_text(json.dumps(config))
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
     return str(path)
 
 
@@ -348,6 +349,7 @@ def test_options_the_subject_reads_are_accepted(capsys):
     (["verify", "nre", "--params", "a=z"], "cyclotomic order"),
     (["verify", "nre", "--params", "a="], "empty scalar"),
     (["verify", "nre", "--case", "trivial", "--tamper", "g1-sign"], "N >= 2"),
+    (["verify", "nre", "--case", "id-2refl", "--params", "a=1,a=2"], "'a' is given more than once"),
 ])
 def test_user_input_errors_name_the_input(capsys, argv, named):
     code, out, err = run(capsys, *argv, "--samples", "1")
@@ -410,6 +412,7 @@ def test_simulate_non_finite_time_is_config_error(capsys, tmp_path, flag, value)
     ({"case": "bcl", "params": {"b": "5"}, "z": ["1", "2"]}, "'b'"),
     ({"case": "z3", "params": {"a": "5"}, "z": ["1", "2"]}, "'a'"),
     ({"case": "plain", "params": {"a": "5"}, "z": ["1", "2"]}, "'a'"),
+    ('{"case": "bcl", "params": {"a": "1", "a": "2"}, "z": ["1", "2"]}', "key 'a' is given more than once"),
 ])
 def test_model_params_the_kind_does_not_read_are_config_errors(capsys, tmp_path, config, named):
     code, out, err = run(capsys, "gaudin", "involution", "--config", write_config(tmp_path, config))
