@@ -237,18 +237,6 @@ def symmetry_relation_residual(case: KSolution, omega, lam, nu) -> Matrix:
     return r(lam, nu) - inner.scale(omega)
 
 
-def scalar_functional_residual(case: KSolution, lam, nu) -> Scalar:
-    """For identity-k cases with the rational base r, the reflection residual
-    collapses to sum_j g^(j)(nu) [1/(lam - tau^j(nu)) - 1/(tau(lam) - tau^j(nu))]."""
-    lam, nu = as_scalar(lam), as_scalar(nu)
-    total = ZERO
-    tl = case.tau(lam)
-    for j, point in enumerate(case.orbit(nu)):
-        g = case.weights(j, nu)
-        total = total + g * (1 / (lam - point) - 1 / (tl - point))
-    return total
-
-
 def build_rbar(case: KSolution) -> RMatrixFun:
     """Evaluator for the induced matrix rbar.  It solves the classical
     Yang-Baxter equation only for cases whose reflection residual vanishes;

@@ -28,7 +28,6 @@ from nreflect.reflection import (
     n_unitarity,
     nre_residual,
     point_frame,
-    scalar_functional_residual,
     tamper,
 )
 from nreflect.rmatrix import cybe_residual, rational_r, skew_residual, trig_r
@@ -36,6 +35,7 @@ from nreflect.sampling import DEFAULT_SEED, SplitMix64, sample_evaluated
 from nreflect.scalars import ONE
 from nreflect.spinalg import SpinPoly, casimir, poisson_bracket, s_minus, s_plus, s_z
 from nreflect.linalg import permutation_operator
+from test_rbar_oracle import scalar_functional_residual
 
 F = Fraction
 

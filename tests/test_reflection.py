@@ -27,7 +27,6 @@ from nreflect.reflection import (
     rbar_at,
     rbar_matrix,
     sampled_check,
-    scalar_functional_residual,
     symmetry_relation_residual,
     tamper,
     trig_three_reflection,
@@ -36,6 +35,7 @@ from nreflect.reflection import (
 from nreflect.rmatrix import cybe_residual, rational_r
 from nreflect.sampling import DEFAULT_SEED, SplitMix64, sample_evaluated
 from nreflect.scalars import zeta
+from test_rbar_oracle import scalar_functional_residual
 
 F = Fraction
 
