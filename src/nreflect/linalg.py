@@ -369,6 +369,53 @@ def _product(order, sa, sb):
     return out
 
 
+def combination(pairs) -> Matrix:
+    """sum c * m over the (scalar, matrix) pairs, at least one, in one pass
+    over the integer numerators: one lcm of the denominators, each
+    coefficient folded into the numerators, one gcd normalization.  Pairs
+    the integer form cannot hold together (ring entries, or two cyclotomic
+    orders) are summed with ``scale`` and ``+``."""
+    pairs = list(pairs)
+    nrows, ncols = pairs[0][1].nrows, pairs[0][1].ncols
+    order, terms = 1, []
+    for c, m in pairs:
+        if m.nrows != nrows or m.ncols != ncols:
+            raise ShapeError(f"shape mismatch {nrows}x{ncols} vs {m.nrows}x{m.ncols}")
+        kind = type(c)
+        if kind is Cyclotomic:
+            num, den, orders = c.num, c.den, (m._order, c.order)
+        elif kind is Fraction or kind is int:
+            num, den, orders = (c.numerator,), c.denominator, (m._order,)
+        else:
+            orders = (None,)
+        for o in orders:
+            if o is None or (o != order and 1 not in (o, order)):
+                return sum((m.scale(c) for c, m in pairs[1:]), pairs[0][1].scale(pairs[0][0]))
+            order = max(order, o)
+        if any(num):
+            terms.append((num, den * m._den, m._sparse))
+    den = math.lcm(*(d for _, d, _ in terms))
+    out = [{} for _ in range(nrows)]
+    if order == 1:
+        for (c,), d, sparse in terms:
+            c *= den // d
+            for acc, row in zip(out, sparse):
+                for j, (x,) in row.items():
+                    acc[j] = acc.get(j, 0) + x * c
+        return _matrix(1, den, [{j: (x,) for j, x in acc.items() if x} for acc in out], nrows, ncols)
+    pad = (0,) * (euler_phi(order) - 1)
+    for num, d, sparse in terms:
+        num = tuple(x * (den // d) for x in num)
+        for acc, row in zip(out, sparse):
+            for j, vec in row.items():
+                vec = _times(order, vec, num)
+                if len(vec) == 1:
+                    vec += pad
+                old = acc.get(j)
+                acc[j] = vec if old is None else tuple(x + y for x, y in zip(old, vec))
+    return _matrix(order, den, [{j: vec for j, vec in acc.items() if any(vec)} for acc in out], nrows, ncols)
+
+
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a * b - b * a
 

@@ -14,10 +14,15 @@ by :func:`build_rbar`.  In terms of rbar the residual takes the compact form
 
     rbar_ab(lam, nu) k_a(lam) - k_a(lam) rbar_ab(tau(lam), nu),
 
-which is how :func:`nre_residual` computes it.  Everything rbar needs at nu,
-the b-leg conjugations by k^(j)(nu) included, comes from one
-:func:`point_frame`, which raises ``PoleError`` or ``SingularMatrixError``
-outside the case's domain; ``verify rbar-cybe`` shares one frame per point.
+which is how :func:`nre_residual` computes it.  Everything rbar needs at nu
+comes from one :func:`point_frame`, which raises ``PoleError`` or
+``SingularMatrixError`` outside the case's domain: the orbit, the weights,
+and k^(j)(nu) with its inverse.  A base r is sum_i f_i(lam, mu) M_i with
+constant M_i, so rbar(., nu) lies in the span of the conjugated matrices
+(1 x k^(j)(nu)) M_i (1 x k^(j)(nu))^-1; the frame builds them on the
+first rbar it serves, and :func:`rbar_at` is one exact combination of
+them with the scalars g^(j)(nu) f_i(lam, tau^j(nu)).  ``verify rbar-cybe``
+and ``nre_residual`` read each frame twice and conjugate once.
 """
 
 from __future__ import annotations
@@ -25,11 +30,11 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 from .errors import ConstraintError, PoleError, UnsupportedCaseError
-from .linalg import Matrix, tensor_pair
+from .linalg import Matrix, combination, tensor_pair
 from .ratfun import Poly, RatFun
 from .reporting import build_report
 from .rmatrix import RMatrixFun, cybe_residual, rational_r, trig_r
@@ -141,12 +146,28 @@ def _k_products(case: KSolution, points) -> list:
 @dataclass(frozen=True)
 class PointFrame:
     """What the induced matrix needs at one point nu, for j < N: the orbit
-    tau^j(nu), the weights g^(j)(nu), and conj[j] = (1 x k^(j)(nu),
-    1 x k^(j)(nu)^-1), or None where k^(j)(nu) is the identity (as for j = 0)."""
+    tau^j(nu), the weights g^(j)(nu), ks[j] = (k^(j)(nu), k^(j)(nu)^-1), or
+    None where k^(j)(nu) is the identity (as for j = 0), and the base
+    r-matrix's constant matrices M_i.  ``conjugated`` is built on its first
+    read, once per frame."""
 
     orbit: tuple
     weights: tuple
-    conj: tuple
+    ks: tuple
+    basis: tuple
+
+    @cached_property
+    def conjugated(self) -> tuple:
+        """For each j, the matrices (1 x k^(j)(nu)) M_i (1 x k^(j)(nu))^-1."""
+        out = []
+        for kj in self.ks:
+            if kj is None:
+                out.append(self.basis)
+                continue
+            eye = Matrix.identity(kj[0].nrows)
+            left, right = tensor_pair(eye, kj[0]), tensor_pair(eye, kj[1])
+            out.append(tuple(left * m * right for m in self.basis))
+        return tuple(out)
 
 
 def point_frame(case: KSolution, nu) -> PointFrame:
@@ -155,10 +176,9 @@ def point_frame(case: KSolution, nu) -> PointFrame:
     orbit = tuple(case.orbit(nu))
     weights = tuple(case.weights(j, nu) for j in range(case.N))
     eye = Matrix.identity(case.n)
-    conj = tuple(None if kj == eye else
-                 (tensor_pair(eye, kj), tensor_pair(eye, kj.inverse(label=f"k^({j})(nu)")))
-                 for j, kj in enumerate(_k_products(case, orbit[:-1])))
-    return PointFrame(orbit, weights, conj)
+    ks = tuple(None if kj == eye else (kj, kj.inverse(label=f"k^({j})(nu)"))
+               for j, kj in enumerate(_k_products(case, orbit[:-1])))
+    return PointFrame(orbit, weights, ks, case.base_r.basis)
 
 
 def n_unitarity_entry(case: KSolution, nu) -> dict:
@@ -190,12 +210,13 @@ def n_unitarity(case: KSolution, points) -> dict:
 # ---------------------------------------------------------------------------
 
 def rbar_at(case: KSolution, lam, frame: PointFrame) -> Matrix:
-    """sum_j g^(j)(nu) k_b^(j)(nu) r_ab(lam, tau^j(nu)) k_b^(j)(nu)^-1 from the frame at nu."""
-    terms = []
-    for g, point, conj in zip(frame.weights, frame.orbit, frame.conj):
-        term = case.base_r(lam, point)
-        terms.append((term if conj is None else conj[0] * term * conj[1]).scale(g))
-    return sum(terms[1:], terms[0])
+    """sum_j g^(j)(nu) k_b^(j)(nu) r_ab(lam, tau^j(nu)) k_b^(j)(nu)^-1 from the
+    frame at nu, as sum_j sum_i g^(j)(nu) f_i(lam, tau^j(nu)) times the
+    conjugated M_i: one exact combination."""
+    lam, coefficients = as_scalar(lam), case.base_r.coefficients
+    return combination((g * f, m)
+                       for g, point, basis in zip(frame.weights, frame.orbit, frame.conjugated)
+                       for f, m in zip(coefficients(lam, point), basis))
 
 
 def rbar_matrix(case: KSolution, lam, nu) -> Matrix:

@@ -8,23 +8,37 @@ rational sample points (see :mod:`nreflect.sampling`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from .errors import PoleError
-from .linalg import Matrix, commutator, embed_pair, permutation_operator, swap_pair
+from .linalg import Matrix, combination, commutator, embed_pair, permutation_operator, swap_pair
 from .scalars import Scalar, as_scalar
 
 
 @dataclass(frozen=True)
 class RMatrixFun:
-    """Matrix-valued function of two spectral parameters on C^n x C^n."""
+    """Matrix-valued function of two spectral parameters on C^n x C^n.
+
+    A base r-matrix is a combination sum_i f_i(lam, mu) M_i of constant
+    matrices: ``coefficients(lam, mu)`` gives the scalars f_i and raises
+    PoleError at a pole, ``basis`` holds the M_i, and ``evaluate`` is the
+    one :func:`~nreflect.linalg.combination` of the two.  A constructed
+    r-matrix has only ``evaluate``."""
 
     kind: str  # "rational" | "trigonometric" | "constructed"
     evaluate: Callable[[Scalar, Scalar], Matrix]  # raises PoleError at a pole
     label: str = ""
+    coefficients: Optional[Callable[[Scalar, Scalar], tuple]] = None
+    basis: tuple = ()
 
     def __call__(self, lam, mu) -> Matrix:
         return self.evaluate(as_scalar(lam), as_scalar(mu))
+
+
+def _combined(kind: str, label: str, coefficients, basis: tuple) -> RMatrixFun:
+    """The r-matrix sum_i coefficients(lam, mu)[i] basis[i]."""
+    return RMatrixFun(kind=kind, label=label, coefficients=coefficients, basis=basis,
+                      evaluate=lambda lam, mu: combination(zip(coefficients(lam, mu), basis)))
 
 
 def _check_diagonal(label, lam, mu) -> None:
@@ -34,32 +48,34 @@ def _check_diagonal(label, lam, mu) -> None:
 
 def rational_r(n: int) -> RMatrixFun:
     """P/(lam - mu) on C^n x C^n."""
-    perm = permutation_operator(n)
-
     label = f"rational (n={n})"
 
-    def evaluate(lam, mu):
+    def coefficients(lam, mu):
         _check_diagonal(label, lam, mu)
-        return perm.scale(1 / (lam - mu))
+        return (1 / (lam - mu),)
 
-    return RMatrixFun(kind="rational", evaluate=evaluate, label=label)
+    return _combined("rational", label, coefficients, (permutation_operator(n),))
 
 
 def trig_r() -> RMatrixFun:
-    """The standard 4x4 trigonometric solution (n = 2)."""
+    """The standard 4x4 trigonometric solution (n = 2):
 
-    def evaluate(lam, nu):
+        1/(2 (lam - nu)) [[-s, 0, 0, 0], [0, s, -4 nu, 0], [0, -4 lam, s, 0], [0, 0, 0, -s]]
+
+    with s = lam + nu, as s/(2 (lam - nu)) diag(-1, 1, 1, -1) plus
+    -2 nu/(lam - nu) and -2 lam/(lam - nu) times the units at (1, 2) and
+    (2, 1), counted from 0."""
+
+    def unit(i, j):
+        return Matrix([[int((r, c) == (i, j)) for c in range(4)] for r in range(4)])
+
+    def coefficients(lam, nu):
         _check_diagonal("trigonometric", lam, nu)
         pref = 1 / (2 * (lam - nu))
-        s = lam + nu
-        zero = as_scalar(0)
-        rows = [[-s, zero, zero, zero],
-                [zero, s, -4 * nu, zero],
-                [zero, -4 * lam, s, zero],
-                [zero, zero, zero, -s]]
-        return Matrix(rows).scale(pref)
+        return ((lam + nu) * pref, -4 * nu * pref, -4 * lam * pref)
 
-    return RMatrixFun(kind="trigonometric", evaluate=evaluate, label="trigonometric")
+    return _combined("trigonometric", "trigonometric", coefficients,
+                     (Matrix.diagonal([-1, 1, 1, -1]), unit(1, 2), unit(2, 1)))
 
 
 def cybe_residual(r: Callable[[Scalar, Scalar], Matrix], lam, mu, nu) -> Matrix:

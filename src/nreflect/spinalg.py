@@ -184,6 +184,8 @@ class SpinPoly:
             body = "*".join(factors)
             cs = str(coeff)
             if body:
+                if type(coeff) is Cyclotomic and sum(1 for c in coeff.num if c) > 1:
+                    cs = f"({cs})"  # a sum of powers of z multiplies the monomial as one factor
                 parts.append(body if cs == "1" else (f"-{body}" if cs == "-1" else f"{cs}*{body}"))
             else:
                 parts.append(cs)

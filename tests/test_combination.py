@@ -1,0 +1,107 @@
+"""Property tests for ``linalg.combination``: sum c * m over (scalar,
+matrix) pairs equals the fold of ``scale`` and ``+`` over the same pairs,
+with the same data (one lowest-terms form), for int, Fraction and
+Q(zeta_3), Q(zeta_4) coefficients on rational and cyclotomic matrices."""
+
+from fractions import Fraction
+from functools import reduce
+from math import gcd
+from operator import add
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from nreflect.errors import ShapeError  # noqa: E402
+from nreflect.linalg import Matrix, combination  # noqa: E402
+from nreflect.scalars import cyclotomic, euler_phi  # noqa: E402
+from nreflect.spinalg import s_plus, s_z  # noqa: E402
+
+PROFILE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+sparse_rationals = st.one_of(st.just(Fraction(0)), rationals)
+
+
+def elements(order):
+    """Q(zeta_order): rationals too (a drawn vector is often rational)."""
+    return st.lists(rationals, min_size=1, max_size=euler_phi(order)).map(lambda c: cyclotomic(order, c))
+
+
+def coefficients(order):
+    scalars = [st.integers(-9, 9), rationals, st.just(0), st.just(Fraction(0))]
+    return st.one_of(*scalars, *([elements(order)] if order > 1 else []))
+
+
+@st.composite
+def pair_lists(draw):
+    """1-4 (coefficient, matrix) pairs of one shape over Q(zeta_order); each
+    matrix is rational or, over a cyclotomic field, may be cyclotomic."""
+    order = draw(st.sampled_from((1, 3, 4)))
+    nrows, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        entries = sparse_rationals if order == 1 or draw(st.booleans()) else elements(order)
+        rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+        pairs.append((draw(coefficients(order)), Matrix(rows)))
+    return pairs
+
+
+def fold(pairs):
+    return reduce(add, (m.scale(c) for c, m in pairs))
+
+
+def data(m):
+    return m.nrows, m.ncols, m._order, m._den, m._sparse
+
+
+def assert_lowest_terms(m):
+    assert m._den > 0
+    assert gcd(m._den, *(c for row in m._sparse for vec in row.values() for c in vec)) == 1
+    assert all(any(vec) for row in m._sparse for vec in row.values())
+
+
+@PROFILE
+@given(pair_lists())
+def test_combination_is_the_fold_of_scale_and_add(pairs):
+    result = combination(pairs)
+    assert data(result) == data(fold(pairs))
+    assert result == fold(pairs)
+    assert_lowest_terms(result)
+
+
+@PROFILE
+@given(pair_lists())
+def test_full_cancellation_is_zero(pairs):
+    result = combination(pairs + [(-c, m) for c, m in pairs])
+    assert result.is_zero()
+    assert data(result) == data(fold(pairs + [(-c, m) for c, m in pairs]))
+
+
+def test_rational_matrix_with_cyclotomic_coefficient():
+    w = cyclotomic(3, [0, 1])
+    m = Matrix([[Fraction(1, 2), 0], [0, Fraction(-3)]])
+    result = combination([(w, m), (Fraction(1, 3), m)])
+    assert result._order == 3
+    assert result == m.scale(w) + m.scale(Fraction(1, 3))
+    assert result[0, 0] == w / 2 + Fraction(1, 6)
+
+
+def test_zero_coefficients_keep_shape_and_field():
+    m = Matrix([[cyclotomic(4, [1, 1]), 0]])
+    result = combination([(0, m), (Fraction(0), m)])
+    assert result.is_zero()
+    assert data(result) == data(fold([(0, m), (Fraction(0), m)]))
+
+
+def test_ring_entries_are_summed_by_the_fold():
+    b = Matrix([[s_plus(1), 0], [s_z(1), Fraction(1, 2)]])
+    assert combination([(Fraction(2), b), (s_z(2), b)]) == b.scale(Fraction(2)) + b.scale(s_z(2))
+
+
+def test_mismatched_shapes_raise():
+    with pytest.raises(ShapeError):
+        combination([(1, Matrix.identity(2)), (1, Matrix.identity(3))])
+    with pytest.raises(ShapeError):
+        combination([(1, Matrix([[1, 2]])), (1, Matrix([[1], [2]]))])

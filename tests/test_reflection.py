@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nreflect import reflection
+from nreflect.cli import main as cli_main
 from nreflect.errors import ConstraintError, PoleError, UnsupportedCaseError
 from nreflect.linalg import Matrix, permutation_operator, tensor_pair
 from nreflect.ratfun import RatFun
@@ -215,7 +216,9 @@ class TestBuildRbar:
 class TestOneFramePerPoint:
     """The k-dependent data of rbar at nu is evaluated once, in the frame at
     nu: a rbar-cybe sample builds one frame at mu and one at nu, an identity
-    k^(j) is never inverted or applied, and rbar_at only sums over the frame."""
+    k^(j) is never inverted or applied, a frame conjugates the base
+    r-matrix's constant matrices on its first rbar and never again, and a
+    frame that no rbar reads makes no tensor product."""
 
     @staticmethod
     def counted(monkeypatch, owner, name):
@@ -238,18 +241,23 @@ class TestOneFramePerPoint:
     def test_identity_k_is_never_inverted(self, monkeypatch):
         calls = self.counted(monkeypatch, Matrix, "inverse")
         frame = point_frame(case_by_label("id-3refl", {"n": 3}), F(5, 3))
+        assert frame.ks == (None, None, None)
+        assert frame.conjugated == (frame.basis,) * 3
         assert calls == []
-        assert frame.conj == (None, None, None)
 
     def test_each_nonidentity_k_is_inverted_once(self, monkeypatch):
         case = case_by_label("linear-k-N3-shift-th2")
         calls = self.counted(monkeypatch, Matrix, "inverse")
         frame = point_frame(case, F(5, 3))
         assert len(calls) == case.N - 1
+        assert frame.ks[0] is None
+        for kj, pair in zip(_k_products(case, frame.orbit[:-1])[1:], frame.ks[1:]):
+            assert pair == (kj, kj.inverse())
+        calls.clear()
         eye = Matrix.identity(case.n)
-        assert frame.conj[0] is None
-        for kj, conj in zip(_k_products(case, frame.orbit[:-1])[1:], frame.conj[1:]):
-            assert conj == (tensor_pair(eye, kj), tensor_pair(eye, kj.inverse()))
+        for (kj, kj_inv), conjugated in zip(frame.ks[1:], frame.conjugated[1:]):
+            assert conjugated == tuple(tensor_pair(eye, kj) * m * tensor_pair(eye, kj_inv) for m in frame.basis)
+        assert calls == []
 
     @pytest.mark.parametrize("label", ["id-2refl", "trivial"])
     def test_symmetry_inverts_no_identity_k(self, monkeypatch, label):
@@ -267,9 +275,34 @@ class TestOneFramePerPoint:
     def test_rbar_at_makes_no_tensor_product(self, monkeypatch):
         case = case_by_label("linear-k-N3-shift-th2")
         frame = point_frame(case, F(11, 5))
+        assert len(frame.conjugated) == case.N
         calls = self.counted(monkeypatch, reflection, "tensor_pair")
         assert not rbar_at(case, F(5, 3), frame).is_zero()
         assert calls == []
+
+    def test_each_frame_conjugates_its_basis_once(self, monkeypatch):
+        case = case_by_label("linear-k-N3-shift-th2")
+        frame = point_frame(case, F(11, 5))
+        calls = self.counted(monkeypatch, reflection, "tensor_pair")
+        assert not rbar_at(case, F(5, 3), frame).is_zero()
+        assert len(calls) == 2 * (case.N - 1)
+        calls.clear()
+        assert not rbar_at(case, F(7, 4), frame).is_zero()
+        assert calls == []
+
+    def test_nunitarity_makes_no_tensor_product(self, monkeypatch, capsys):
+        calls = self.counted(monkeypatch, Matrix, "kron")
+        assert cli_main(["verify", "nunitarity", "--case", "linear-k-N3-shift-th2"]) == 0
+        assert '"verdict": "pass"' in capsys.readouterr().out
+        assert calls == []
+
+    def test_rbar_cybe_sample_conjugates_each_frame_once(self, monkeypatch):
+        # 2 frames x 2 non-identity k^(j) x 2 products; 16 when every rbar
+        # conjugated its own terms
+        _, evaluate = sampled_check(case_by_label("linear-k-N3-shift-th2"), "rbar-cybe")
+        calls = self.counted(monkeypatch, Matrix, "__mul__")
+        assert evaluate(F(5, 3), F(-7, 2), F(11, 5)).is_zero()
+        assert sum(1 for a, b in calls if isinstance(b, Matrix) and (a.nrows, b.nrows) == (9, 9)) == 8
 
 
 class TestCompactAndSymmetry:
