@@ -280,16 +280,6 @@ class TestOneFramePerPoint:
         assert not rbar_at(case, F(5, 3), frame).is_zero()
         assert calls == []
 
-    def test_each_frame_conjugates_its_basis_once(self, monkeypatch):
-        case = case_by_label("linear-k-N3-shift-th2")
-        frame = point_frame(case, F(11, 5))
-        calls = self.counted(monkeypatch, reflection, "tensor_pair")
-        assert not rbar_at(case, F(5, 3), frame).is_zero()
-        assert len(calls) == 2 * (case.N - 1)
-        calls.clear()
-        assert not rbar_at(case, F(7, 4), frame).is_zero()
-        assert calls == []
-
     def test_nunitarity_makes_no_tensor_product(self, monkeypatch, capsys):
         calls = self.counted(monkeypatch, Matrix, "kron")
         assert cli_main(["verify", "nunitarity", "--case", "linear-k-N3-shift-th2"]) == 0
