@@ -9,9 +9,15 @@ positive denominator in lowest terms for the whole matrix, as FLINT's
 ``fmpq_mat``/``nf_elem`` do; arithmetic runs on the integers, a product
 reducing mod Phi_N once per entry with the table of :mod:`nreflect.scalars`,
 and canonical scalars are built only where entries are read: ``rows``,
-``m[i, j]``, ``trace``, ``==``, ``inverse`` and ``first_nonzero``.  Any
-other entries, such as the ``SpinPoly``s of the Gaudin B, are stored as
-they are and need ``+``, ``-``, ``*`` and truthiness (inversion also ``/``).
+``m[i, j]``, ``trace``, ``==``, ``inverse`` and ``first_nonzero``.  Two
+kernels make one pass for a whole sum: :func:`combination` sums scaled
+matrices, and :func:`product_sum` sums signed products, packing each
+Q(zeta_N) numerator vector into one integer so that a coordinate
+convolution is one integer product (Kronecker substitution; D. Harvey,
+"Faster polynomial multiplication via multipoint Kronecker substitution",
+J. Symbolic Comput. 44, 2009).  Any other entries, such as the
+``SpinPoly``s of the Gaudin B, are stored as they are and need ``+``,
+``-``, ``*`` and truthiness (inversion also ``/``).
 """
 
 from __future__ import annotations
@@ -334,19 +340,26 @@ def _times(order, x, y):
     return tuple(_mul_reduce(order, x, y))
 
 
+def _accumulate(out, sa, sb, factor=1):
+    """Add factor times the product of two sparse row lists whose values are
+    1-tuples of ints (rational numerators, or packed vectors) to ``out``,
+    one dict of plain ints per output row."""
+    for acc, ra in zip(out, sa):
+        for k, (x,) in ra.items():
+            x *= factor
+            for j, (y,) in sb[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+
+
 def _product(order, sa, sb):
     """Sparse rows of the product of two sparse row lists over Q(zeta_order):
     integer dot products of the coordinate convolutions, each output entry
     reduced mod Phi_N once.  Rational vectors may have length 1."""
-    out = []
     if order == 1:
-        for ra in sa:
-            acc = {}
-            for k, (x,) in ra.items():
-                for j, (y,) in sb[k].items():
-                    acc[j] = acc.get(j, 0) + x * y
-            out.append({j: (c,) for j, c in acc.items() if c})
-        return out
+        out = [{} for _ in sa]
+        _accumulate(out, sa, sb)
+        return [{j: (c,) for j, c in acc.items() if c} for acc in out]
+    out = []
     phi = euler_phi(order)
     table = _power_rows(order)
     for ra in sa:
@@ -414,6 +427,76 @@ def combination(pairs) -> Matrix:
                 old = acc.get(j)
                 acc[j] = vec if old is None else tuple(x + y for x, y in zip(old, vec))
     return _matrix(order, den, [{j: vec for j, vec in acc.items() if any(vec)} for acc in out], nrows, ncols)
+
+
+def product_sum(terms) -> Matrix:
+    """sum sign * a * b over the (sign, a, b) terms, at least one, each sign
+    1 or -1, in one pass over the integer numerators: one lcm of the
+    denominators, each scale factor folded into the numerators, one
+    accumulator per row, one Phi_N fold per entry, one gcd normalization.
+    Over Q(zeta_N) each numerator vector is packed into one int, its
+    coordinates w bits apart, so that a coordinate convolution is one
+    integer product (Kronecker substitution); w bounds every accumulated
+    coefficient, from the largest numerators, the longest row of each a,
+    phi(N) and the scale factors.  Terms the integer form cannot hold
+    together (ring entries, or two cyclotomic orders) are summed with
+    ``*``, ``+`` and ``-``."""
+    terms = list(terms)
+    nrows, ncols = terms[0][1].nrows, terms[0][2].ncols
+    order = 1
+    for _, a, b in terms:
+        if a.ncols != b.nrows or (a.nrows, b.ncols) != (nrows, ncols):
+            raise ShapeError(f"cannot sum the {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols} product "
+                             f"into {nrows}x{ncols}")
+        for o in (a._order, b._order):
+            if o is None or (o != order and 1 not in (o, order)):
+                out = None
+                for sign, x, y in terms:
+                    p = x * y
+                    out = (p if sign > 0 else -p) if out is None else out._combine(p, sign)
+                return out
+            order = max(order, o)
+    den = math.lcm(*(a._den * b._den for _, a, b in terms))
+    scaled = [(sign * (den // (a._den * b._den)), a, b) for sign, a, b in terms]
+    out = [{} for _ in range(nrows)]
+    if order == 1:
+        for factor, a, b in scaled:
+            _accumulate(out, a._sparse, b._sparse, factor)
+        return _matrix(1, den, [{j: (c,) for j, c in acc.items() if c} for acc in out], nrows, ncols)
+    phi = euler_phi(order)
+    operands = {id(m): m for _, a, b in terms for m in (a, b)}
+    top = {key: max((max(map(abs, vec)) for row in m._sparse for vec in row.values()), default=0)
+           for key, m in operands.items()}
+    bound = phi * sum(abs(factor) * top[id(a)] * top[id(b)] * max(map(len, a._sparse))
+                      for factor, a, b in scaled)
+    width = bound.bit_length() + 1  # every accumulated coordinate lies in [-2^(width-1), 2^(width-1))
+    packed = {key: [{j: (_pack(vec, width),) for j, vec in row.items()} for row in m._sparse]
+              for key, m in operands.items()}
+    for factor, a, b in scaled:
+        _accumulate(out, packed[id(a)], packed[id(b)], factor)
+    table, half, mask = _power_rows(order), 1 << (width - 1), (1 << width) - 1
+    rows = []
+    for acc in out:
+        row = {}
+        for j, v in acc.items():
+            digits = []
+            for _ in range(2 * phi - 1):
+                digit = ((v + half) & mask) - half
+                digits.append(digit)
+                v = (v - digit) >> width
+            vec = _fold(table, digits, phi)
+            if any(vec):
+                row[j] = tuple(vec)
+        rows.append(row)
+    return _matrix(order, den, rows, nrows, ncols)
+
+
+def _pack(vec, width):
+    """The numerator vector as one int, coordinate s times 2^(width s)."""
+    x = 0
+    for c in reversed(vec):
+        x = (x << width) + c
+    return x
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:

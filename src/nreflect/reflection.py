@@ -136,10 +136,13 @@ def identity_k(n: int) -> Callable[[Scalar], Matrix]:
 
 def _k_products(case: KSolution, points) -> list:
     """[k^(0), k^(1), ...] along the orbit points nu, tau(nu), ... by the
-    product recursion k^(j+1)(nu) = k^(j)(nu) k(tau^j(nu)); k^(0) = 1."""
-    ks = [Matrix.identity(case.n)]
+    product recursion k^(j+1)(nu) = k^(j)(nu) k(tau^j(nu)); k^(0) = 1, and
+    where k^(j)(nu) is the identity, k^(j+1)(nu) is k(tau^j(nu)) itself."""
+    eye = Matrix.identity(case.n)
+    ks = [eye]
     for point in points:
-        ks.append(ks[-1] * case.k(point))
+        k = case.k(point)
+        ks.append(k if ks[-1] == eye else ks[-1] * k)
     return ks
 
 

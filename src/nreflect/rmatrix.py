@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import PoleError
-from .linalg import Matrix, combination, commutator, embed_pair, permutation_operator, swap_pair
+from .linalg import Matrix, combination, embed_pair, permutation_operator, product_sum, swap_pair
 from .scalars import Scalar, as_scalar
 
 
@@ -83,14 +83,16 @@ def cybe_residual(r: Callable[[Scalar, Scalar], Matrix], lam, mu, nu) -> Matrix:
 
     Exactly zero iff the classical Yang-Baxter equation holds at the sample;
     r(a, b) may be any function returning an n^2 x n^2 matrix.
-    Built as [r_ab, r_ac + r_bc] - [r_ac, r_cb], the same matrix from four
-    dense products instead of six.
+    Built as [r_ab, s] - [r_ac, r_cb] with s = r_ac + r_bc: one
+    :func:`~nreflect.linalg.product_sum` of four signed products instead
+    of six.
     """
     r_ab = embed_pair(r(lam, mu), "ab")
     r_ac = embed_pair(r(lam, nu), "ac")
     r_bc = embed_pair(r(mu, nu), "bc")
     r_cb = embed_pair(r(nu, mu), "cb")
-    return commutator(r_ab, r_ac + r_bc) - commutator(r_ac, r_cb)
+    s = r_ac + r_bc
+    return product_sum([(1, r_ab, s), (-1, s, r_ab), (-1, r_ac, r_cb), (1, r_cb, r_ac)])
 
 
 def skew_residual(r: RMatrixFun, lam, mu) -> Matrix:

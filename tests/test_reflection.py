@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nreflect import reflection
+from nreflect import reflection, rmatrix
 from nreflect.cli import main as cli_main
 from nreflect.errors import ConstraintError, PoleError, UnsupportedCaseError
 from nreflect.linalg import Matrix, permutation_operator, tensor_pair
@@ -293,6 +293,23 @@ class TestOneFramePerPoint:
         calls = self.counted(monkeypatch, Matrix, "__mul__")
         assert evaluate(F(5, 3), F(-7, 2), F(11, 5)).is_zero()
         assert sum(1 for a, b in calls if isinstance(b, Matrix) and (a.nrows, b.nrows) == (9, 9)) == 8
+
+    def test_rbar_cybe_sample_is_one_product_sum(self, monkeypatch):
+        # the four 27x27 products of the residual are one product_sum, not
+        # four Matrix.__mul__ calls
+        _, evaluate = sampled_check(case_by_label("linear-k-N3-shift-th2"), "rbar-cybe")
+        products = self.counted(monkeypatch, Matrix, "__mul__")
+        sums = self.counted(monkeypatch, rmatrix, "product_sum")
+        assert evaluate(F(5, 3), F(-7, 2), F(11, 5)).is_zero()
+        assert [a.nrows for a, _ in products if a.nrows == 27] == []
+        assert len(sums) == 1
+
+    @pytest.mark.parametrize("label", ["id-2refl", "id-3refl", "trig-3refl-id"])
+    def test_identity_k_frame_multiplies_nothing(self, monkeypatch, label):
+        calls = self.counted(monkeypatch, Matrix, "__mul__")
+        frame = point_frame(case_by_label(label), F(5, 3))
+        assert frame.ks == (None,) * len(frame.ks)
+        assert calls == []
 
 
 class TestCompactAndSymmetry:
