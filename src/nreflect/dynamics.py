@@ -67,12 +67,6 @@ def _unpack(dim: int) -> str:
     return "".join(f"v{i}, " for i in range(dim)) + "= v"
 
 
-def compile_spinpoly(poly: SpinPoly):
-    """Compile a spin polynomial to a fast numeric callable of the flat
-    coordinate vector."""
-    return _compile("v", [f"return {_terms(poly, 'v[{}]')}"], {})
-
-
 def hamiltonian_for(model: GaudinModel, selection) -> SpinPoly:
     """An index picks the model's H_i; a SpinPoly passes through if it lives
     on the model's sites."""

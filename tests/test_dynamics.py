@@ -2,13 +2,14 @@ import gc
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from nreflect import dynamics
 from nreflect.dynamics import (
     PhaseState,
-    compile_spinpoly,
+    compile_monitors,
     convergence_order,
     default_probes,
     rk4_simulate,
@@ -45,9 +46,17 @@ def compact_state(spins=((0.8, -0.3, 0.5), (-0.2, 0.9, -0.6)), scale=5.0):
     return PhaseState(tuple(values))
 
 
+def evaluated(polys, values):
+    """The spin polynomials at the flat coordinates ``values`` (3 per site),
+    by the monitor pass that ``rk4_simulate`` compiles: the monitors of a
+    stand-in model whose Hamiltonians are ``polys``, with no probe."""
+    model = SimpleNamespace(L=-(-len(values) // 3), hamiltonians=tuple(polys))
+    return compile_monitors(model, ())(list(values))[:len(polys)]
+
+
 def vector_field(model, hamiltonian, state):
-    """The derivatives {x, H} at the state, each field compiled from the terms RK4 steps with."""
-    return [compile_spinpoly(f)(list(state.values)) for f in dynamics.vector_field(model, hamiltonian)]
+    """The derivatives {x, H} at the state, through the emitter RK4 steps with."""
+    return evaluated(dynamics.vector_field(model, hamiltonian), state.values)
 
 
 class TestVectorField:
@@ -71,7 +80,6 @@ class TestVectorField:
         model = bcl_model()
         state = generic_state(model)
         h = hamiltonian_explicit(model, 1)
-        h_fn = compile_spinpoly(h)
         eps = 1e-6
         vals = list(state.values)
 
@@ -80,7 +88,8 @@ class TestVectorField:
             down = list(vals)
             up[idx] += eps
             down[idx] -= eps
-            return (h_fn(up) - h_fn(down)) / (2 * eps)
+            (h_up,), (h_down,) = evaluated([h], up), evaluated([h], down)
+            return (h_up - h_down) / (2 * eps)
 
         derivs = vector_field(model, h, state)
         for site in range(model.L):

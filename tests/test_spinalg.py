@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 import nreflect.gaudin
-from nreflect.dynamics import compile_spinpoly
 from nreflect.errors import DegreeError
 from nreflect.gaudin import model_from_config, s_pair, sampled_residual
 from nreflect.sampling import SplitMix64
@@ -18,6 +17,7 @@ from nreflect.spinalg import (
     s_plus,
     s_z,
 )
+from test_dynamics import evaluated
 
 F = Fraction
 
@@ -50,7 +50,7 @@ class TestCasimir:
 
     def test_value(self):
         # flat coordinates (s1+, s1-, s1z) = (1, 3, 2): C = sz^2/2 + 2 s+ s- = 8
-        assert compile_spinpoly(casimir(1))([1, 3, 2]) == 8
+        assert evaluated([casimir(1)], [1, 3, 2]) == [8]
 
 
 def exact_value(poly, values):
@@ -65,10 +65,10 @@ def exact_value(poly, values):
 
 
 class TestEvaluateGradient:
-    """Numeric evaluation goes through dynamics.compile_spinpoly."""
+    """Numeric evaluation goes through the monitors that ``simulate`` compiles."""
 
     def test_single_variable(self):
-        assert compile_spinpoly(s_z(1))([0, 0, 5]) == 5
+        assert evaluated([s_z(1)], [0, 0, 5]) == [5]
 
     def test_gradient(self):
         f = s_plus(1) * s_minus(1)
@@ -79,19 +79,19 @@ class TestEvaluateGradient:
         assert d_z.is_zero()
 
     def test_missing_variable(self):
-        with pytest.raises(IndexError):
-            compile_spinpoly(s_z(1))([1])
+        with pytest.raises(ValueError, match="not enough values to unpack"):
+            evaluated([s_z(1)], [1])
 
     def test_numeric_matches_exact(self):
         rng = SplitMix64(5)
         f = _random_quadratic(rng, 2)
         values = [F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(6)]
-        numeric = compile_spinpoly(f)([complex(v) for v in values])
+        (numeric,) = evaluated([f], [complex(v) for v in values])
         assert abs(to_complex(exact_value(f, values)) - numeric) < 1e-12
 
     def test_cyclotomic_coefficients(self):
         f = zeta(3) * s_z(1)
-        value = compile_spinpoly(f)([0.0, 0.0, 2.0])
+        (value,) = evaluated([f], [0.0, 0.0, 2.0])
         assert abs(value - 2 * to_complex(zeta(3))) < 1e-12
 
 
