@@ -7,7 +7,6 @@ operands put an accumulated coordinate exactly at the bound the packing
 width is chosen from."""
 
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -18,6 +17,7 @@ from nreflect.errors import OrderMismatchError, ShapeError  # noqa: E402
 from nreflect.linalg import Matrix, product_sum  # noqa: E402
 from nreflect.scalars import cyclotomic, euler_phi, zeta  # noqa: E402
 from nreflect.spinalg import s_plus, s_z  # noqa: E402
+from test_combination import assert_lowest_terms, data  # noqa: E402
 
 PROFILE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 ORDERS = (1, 3, 4, 5, 8)
@@ -60,16 +60,6 @@ def fold(terms):
         p = a * b
         out = (p if sign > 0 else -p) if out is None else (out + p if sign > 0 else out - p)
     return out
-
-
-def data(m):
-    return m.nrows, m.ncols, m._order, m._den, m._sparse
-
-
-def assert_lowest_terms(m):
-    assert m._den > 0
-    assert gcd(m._den, *(c for row in m._sparse for vec in row.values() for c in vec)) == 1
-    assert all(any(vec) for row in m._sparse for vec in row.values())
 
 
 @PROFILE
