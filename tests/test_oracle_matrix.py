@@ -9,6 +9,7 @@ spin polynomials, stored in the same sparse rows, are checked against the
 same references."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -25,7 +26,8 @@ from nreflect.linalg import (  # noqa: E402
     swap_pair,
     tensor_pair,
 )
-from nreflect.scalars import ZERO, Cyclotomic, cyclotomic, euler_phi, zeta  # noqa: E402
+from nreflect.reflection import PointFrame  # noqa: E402
+from nreflect.scalars import ONE, ZERO, Cyclotomic, cyclotomic, euler_phi, zeta  # noqa: E402
 from nreflect.spinalg import SpinPoly, s_minus, s_plus, s_z  # noqa: E402
 
 ORDERS = (1, 3, 4, 5, 6, 8)
@@ -37,18 +39,27 @@ PAIR_LEG_PROFILE = settings(PROFILE, max_examples=8)
 NO_SHRINK_PROFILE = settings(PROFILE, phases=[phase for phase in Phase if phase is not Phase.shrink])
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+# numerators and denominators of 200 to 230 bits, either sign
+wide = st.integers(2**200, 2**230)
+wide_rationals = st.builds(lambda p, q, negative: Fraction(-p if negative else p, q), wide, wide, st.booleans())
+
+
+def field_elements(order, coordinates):
+    """Rationals drawn from ``coordinates`` and, over Q(zeta_N), elements
+    with such coordinates, often rational."""
+    if order == 1:
+        return coordinates
+    elements = st.lists(coordinates, min_size=1, max_size=euler_phi(order)).map(lambda c: cyclotomic(order, c))
+    return st.one_of(coordinates, elements)
 
 
 def scalars(order):
     """Zero, a rational, or (over Q(zeta_N)) an element that is often rational."""
-    if order == 1:
-        return st.one_of(st.just(ZERO), rationals)
-    elements = st.lists(rationals, min_size=1, max_size=euler_phi(order)).map(lambda c: cyclotomic(order, c))
-    return st.one_of(st.just(ZERO), rationals, elements)
+    return st.one_of(st.just(ZERO), field_elements(order, rationals))
 
 
-def entries(order, nrows, ncols):
-    row = st.lists(scalars(order), min_size=ncols, max_size=ncols)
+def entries(order, nrows, ncols, element=None):
+    row = st.lists(scalars(order) if element is None else element, min_size=ncols, max_size=ncols)
     return st.lists(row, min_size=nrows, max_size=nrows)
 
 
@@ -121,6 +132,17 @@ def ref_inverse(a, det):
         return [[1 / det]]
     minor = lambda i, j: [row[:j] + row[j + 1:] for k, row in enumerate(a) if k != i]  # noqa: E731
     return [[(-1) ** (i + j) * ref_det(minor(j, i)) / det for j in range(n)] for i in range(n)]
+
+
+def ref_singular_column(a):
+    """The first column c whose leading c + 1 columns are linearly dependent:
+    where Gauss-Jordan elimination over the field finds no pivot.  None for
+    an invertible matrix."""
+    n = len(a)
+    for c in range(n):
+        if not any(ref_det([[a[r][j] for j in range(c + 1)] for r in rows]) for rows in combinations(range(n), c + 1)):
+            return c
+    return None
 
 
 def ref_first_nonzero(m):
@@ -216,19 +238,74 @@ def test_pair_leg_operations(order):
 
 
 @pytest.mark.parametrize("order", ORDERS)
+def test_leg_conjugation(order):
+    # a point frame conjugates each basis matrix M by a pair (L, R) on leg b: (1 x L) M (1 x R)
+    @PAIR_LEG_PROFILE
+    @given(st.sampled_from((1, 2, 3)).flatmap(
+        lambda n: st.tuples(st.just(n), entries(order, n * n, n * n), square(order, sizes=(n,)))))
+    def run(drawn):
+        n, m, (left, right) = drawn
+        eye = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+        frame = PointFrame((), (), ((Matrix(left), Matrix(right)),), (Matrix(m),))
+        check(frame.conjugated[0][0], ref_mul(ref_mul(ref_kron(eye, left), m), ref_kron(eye, right)))
+
+    run()
+
+
+def check_inverse(a, label="matrix"):
+    """Matrix(a).inverse() is the adjugate over the determinant, and a
+    singular matrix is refused naming the label and the column without a
+    pivot."""
+    det = ref_det(a)
+    if not det:
+        with pytest.raises(SingularMatrixError) as refused:
+            Matrix(a).inverse(label=label)
+        assert str(refused.value) == f"{label} is singular (column {ref_singular_column(a)})"
+        return
+    assert ref_singular_column(a) is None
+    inverse = Matrix(a).inverse(label=label)
+    check(inverse, ref_inverse(a, det))
+    assert Matrix(a) * inverse == Matrix.identity(len(a))
+
+
+@pytest.mark.parametrize("order", ORDERS)
 def test_inverse(order):
     @PROFILE
-    @given(square(order, count=1))
+    @given(square(order, sizes=(1, 2, 3, 4), count=1))
     def run(single):
-        (a,) = single
-        det = ref_det(a)
-        if not det:
-            with pytest.raises(SingularMatrixError):
-                Matrix(a).inverse()
-            return
-        inverse = Matrix(a).inverse()
-        check(inverse, ref_inverse(a, det))
-        assert Matrix(a) * inverse == Matrix.identity(len(a))
+        check_inverse(single[0])
+
+    run()
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_inverse_of_wide_entries(order):
+    # entries of 200 to 230 bits among small ones and zeros
+    element = st.one_of(scalars(order), field_elements(order, wide_rationals))
+
+    @PROFILE
+    @given(st.sampled_from((1, 2, 3, 4)).flatmap(lambda n: entries(order, n, n, element)))
+    def run(a):
+        check_inverse(a, label="k^(1)(nu)")
+
+    run()
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_singular_matrices_of_full_looking_rank(order):
+    # every entry nonzero, one row a combination of the others, placed anywhere
+    element = field_elements(order, st.one_of(rationals, wide_rationals).filter(bool))
+
+    @PROFILE
+    @given(st.sampled_from((2, 3, 4)).flatmap(lambda n: st.tuples(
+        entries(order, n - 1, n, element), st.lists(element, min_size=n - 1, max_size=n - 1),
+        st.integers(0, n - 1))))
+    def run(drawn):
+        rows, coefficients, position = drawn
+        dependent = [ref_sum(c * row[j] for c, row in zip(coefficients, rows)) for j in range(len(rows[0]))]
+        a = rows[:position] + [dependent] + rows[position:]
+        assert not ref_det(a)
+        check_inverse(a, label="k^(2)(nu)")
 
     run()
 
