@@ -27,7 +27,8 @@ import operator
 from fractions import Fraction
 
 from .errors import ShapeError, SingularMatrixError
-from .scalars import ONE, ZERO, Cyclotomic, _canonical, _fold, _mul_reduce, _power, _power_rows, euler_phi
+from .scalars import (ONE, ZERO, Cyclotomic, _canonical, _fold, _inverse_parts, _mul_reduce, _power, _power_rows,
+                      _reduce, euler_phi)
 
 PLACEMENTS = ("ab", "ac", "bc", "ba", "ca", "cb")
 
@@ -213,26 +214,64 @@ class Matrix:
         return total
 
     def inverse(self, label: str = "matrix"):
-        """Gauss-Jordan inverse over the exact field; entries auto-normalize,
-        so no fraction-free bookkeeping is needed."""
+        """The inverse, by fraction-free Gauss-Jordan elimination on the
+        integer numerators A of the rows [A | 1] (Bareiss, "Sylvester's
+        identity and multistep integer-preserving Gaussian elimination",
+        Math. Comp. 22, 1968): the pivot of each column is the first row at
+        or below it with a nonzero entry there, and every other row with an
+        entry f there becomes p row - f (pivot row), p the pivot, with its
+        content (the gcd of its integers) divided out.  Row i then reads
+        d_i e_i beside d_i times row i of A^-1; each d_i is inverted once
+        with :func:`~nreflect.scalars._inverse_parts`, and one
+        normalization makes the result.  The rows stay dense; over Q they
+        are plain ints.  A matrix is refused where Gauss-Jordan over the
+        field finds no pivot: SingularMatrixError names ``label`` and that
+        column.  Ring entries cannot be inverted."""
         if self.nrows != self.ncols:
             raise ShapeError("inverse needs a square matrix")
-        n = self.nrows
-        work = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-                for i, row in enumerate(self.rows)]
+        order, n, den = self._order, self.nrows, self._den
+        if order is None:
+            raise TypeError(f"{label}: inverse needs exact scalar entries of one field")
+        if order == 1:
+            rows = [[row[j][0] if j in row else 0 for j in range(n)] + [int(i == j) for j in range(n)]
+                    for i, row in enumerate(self._sparse)]
+            for col in range(n):
+                top = _pivot_row(rows, col, label, bool)
+                p = top[col]
+                for r, row in enumerate(rows):
+                    f = row[col]
+                    if f and r != col:
+                        row = [p * x - f * y for x, y in zip(row, top)]
+                        g = math.gcd(*row)
+                        rows[r] = [x // g for x in row] if g != 1 else row
+            lcm = math.lcm(*(row[i] for i, row in enumerate(rows)))
+            out = []
+            for i, row in enumerate(rows):
+                factor = den * lcm // row[i]  # the sign of d_i goes with it
+                out.append({j: (x * factor,) for j, x in enumerate(row[n:]) if x})
+            return _matrix(1, lcm, out, n, n)
+        zero = (0,) * euler_phi(order)
+        unit = (1,) + zero[1:]
+        rows = [[row.get(j, zero) for j in range(n)] + [unit if i == j else zero for j in range(n)]
+                for i, row in enumerate(self._sparse)]
         for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col]), None)
-            if pivot is None:
-                raise SingularMatrixError(f"{label} is singular (column {col})")
-            work[col], work[pivot] = work[pivot], work[col]
-            inv = 1 / work[col][col]
-            work[col] = [a * inv if a else a for a in work[col]]
-            for r in range(n):
-                if r == col or not work[r][col]:
-                    continue
-                factor = work[r][col]
-                work[r] = [a - factor * b if b else a for a, b in zip(work[r], work[col])]
-        return Matrix([row[n:] for row in work])
+            top = _pivot_row(rows, col, label, any)
+            p = top[col]
+            for r, row in enumerate(rows):
+                f = row[col]
+                if any(f) and r != col:
+                    row = [tuple(a - b for a, b in zip(_mul_reduce(order, p, x), _mul_reduce(order, f, y)))
+                           for x, y in zip(row, top)]
+                    g = math.gcd(*(c for vec in row for c in vec))
+                    rows[r] = [tuple(c // g for c in vec) for vec in row] if g != 1 else row
+        parts = [_inverse_parts(order, row[i]) for i, row in enumerate(rows)]
+        lcm = math.lcm(*(norm for _, norm in parts))
+        out = []
+        for row, (others, norm) in zip(rows, parts):
+            factor = den * (lcm // norm)
+            out.append({j: tuple(c * factor for c in _mul_reduce(order, x, others))
+                        for j, x in enumerate(row[n:]) if any(x)})
+        return _matrix(order, lcm, out, n, n)
 
     def kron(self, other):
         """Tensor (Kronecker) product."""
@@ -259,6 +298,17 @@ class Matrix:
 # ---------------------------------------------------------------------------
 # sparse rows and the integer form
 # ---------------------------------------------------------------------------
+
+def _pivot_row(rows, col, label, nonzero):
+    """Swap the first of the dense rows at or below ``col`` whose entry in
+    ``col`` is ``nonzero`` into place ``col`` and return it;
+    SingularMatrixError naming ``label`` and the column where there is none."""
+    pivot = next((r for r in range(col, len(rows)) if nonzero(rows[r][col])), None)
+    if pivot is None:
+        raise SingularMatrixError(f"{label} is singular (column {col})")
+    rows[col], rows[pivot] = rows[pivot], rows[col]
+    return rows[col]
+
 
 def _exact_order(rows):
     """N when every value of the sparse rows is an int, a Fraction or a
@@ -301,16 +351,17 @@ def _matrix(order, den, sparse, nrows, ncols):
     return m
 
 
-def _field(a, b):
-    """The order N of the field Q(zeta_N) that holds both matrices, when
-    both are in the integer form (a rational one lies in every field);
-    None otherwise."""
-    oa, ob = a._order, b._order
-    if oa is None or ob is None:
-        return None
-    if oa == 1 or oa == ob:
-        return ob
-    return oa if ob == 1 else None
+def _field(*matrices):
+    """The order N of the field Q(zeta_N) that holds every one of the
+    matrices, when all are in the integer form (a rational one lies in
+    every field); None otherwise."""
+    order = 1
+    for m in matrices:
+        other = m._order
+        if other is None or (other != order and 1 not in (other, order)):
+            return None
+        order = max(order, other)
+    return order
 
 
 def _values(m):
@@ -465,8 +516,7 @@ def product_sum(terms) -> Matrix:
         return _matrix(1, den, [{j: (c,) for j, c in acc.items() if c} for acc in out], nrows, ncols)
     phi = euler_phi(order)
     operands = {id(m): m for _, a, b in terms for m in (a, b)}
-    top = {key: max((max(map(abs, vec)) for row in m._sparse for vec in row.values()), default=0)
-           for key, m in operands.items()}
+    top = {key: _top(m) for key, m in operands.items()}
     bound = phi * sum(abs(factor) * top[id(a)] * top[id(b)] * max(map(len, a._sparse))
                       for factor, a, b in scaled)
     width = bound.bit_length() + 1  # every accumulated coordinate lies in [-2^(width-1), 2^(width-1))
@@ -474,17 +524,12 @@ def product_sum(terms) -> Matrix:
               for key, m in operands.items()}
     for factor, a, b in scaled:
         _accumulate(out, packed[id(a)], packed[id(b)], factor)
-    table, half, mask = _power_rows(order), 1 << (width - 1), (1 << width) - 1
+    table = _power_rows(order)
     rows = []
     for acc in out:
         row = {}
         for j, v in acc.items():
-            digits = []
-            for _ in range(2 * phi - 1):
-                digit = ((v + half) & mask) - half
-                digits.append(digit)
-                v = (v - digit) >> width
-            vec = _fold(table, digits, phi)
+            vec = _fold(table, _unpack(v, width, 2 * phi - 1), phi)
             if any(vec):
                 row[j] = tuple(vec)
         rows.append(row)
@@ -497,6 +542,24 @@ def _pack(vec, width):
     for c in reversed(vec):
         x = (x << width) + c
     return x
+
+
+def _unpack(v, width, count):
+    """The ``count`` lowest coordinates of a packed int, each a balanced
+    digit in [-2^(width-1), 2^(width-1)): the coordinates that sums of
+    products of packed vectors accumulate."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    digits = []
+    for _ in range(count):
+        digit = ((v + half) & mask) - half
+        digits.append(digit)
+        v = (v - digit) >> width
+    return digits
+
+
+def _top(m):
+    """The largest absolute value of m's integer numerators."""
+    return max((max(map(abs, vec)) for row in m._sparse for vec in row.values()), default=0)
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -578,6 +641,66 @@ def partial_trace(m: Matrix, leg: str) -> Matrix:
     if exact:
         out = [{j: vec for j, vec in row.items() if any(vec)} for row in out]
     return _matrix(m._order, m._den, out, n, n)
+
+
+def leg_product(left: Matrix, m: Matrix, right: Matrix, leg: str) -> Matrix:
+    """(left on leg) m (right on leg) for a pair-leg matrix m and n x n
+    factors acting on leg "a" (as left x 1) or "b" (as 1 x left), so that
+    leg_product(k, m, k^-1, "b") is (1 x k) m (1 x k)^-1: one pass over m's
+    sparse rows, each entry times a column of left and a row of right, one
+    normalization, and no Kronecker product.  Over Q(zeta_N) each numerator
+    vector is packed into one int as :func:`product_sum` packs it, w bits
+    apart, w bounding every accumulated coordinate by n^2 phi(N)^2 times
+    the three largest numerators.  Factors the integer form cannot hold
+    together are multiplied as Kronecker products."""
+    n = _pair_factor(m, "leg_product")
+    if leg not in ("a", "b"):
+        raise ShapeError(f"leg must be 'a' or 'b', got {leg!r}")
+    if any((f.nrows, f.ncols) != (n, n) for f in (left, right)):
+        raise ShapeError(f"leg_product needs {n}x{n} factors for a {m.nrows}x{m.ncols} matrix")
+    order = _field(left, m, right)
+    if order is None:
+        eye = Matrix.identity(n)
+        on_leg = (lambda f: f.kron(eye)) if leg == "a" else eye.kron
+        return on_leg(left) * m * on_leg(right)
+    operands = (left, m, right)
+    if order == 1:
+        sl, sm, sr = (f._sparse for f in operands)
+    else:
+        phi = euler_phi(order)
+        width = (n * n * phi * phi * _top(left) * _top(m) * _top(right)).bit_length() + 1
+        sl, sm, sr = ([{j: (_pack(vec, width),) for j, vec in row.items()} for row in f._sparse] for f in operands)
+    # index r of the pair space as (spare index, leg index), and back
+    split = [divmod(r, n) if leg == "b" else (r % n, r // n) for r in range(n * n)]
+    place = [[s * n + t if leg == "b" else t * n + s for t in range(n)] for s in range(n)]
+    columns = [[] for _ in range(n)]  # column j of left as (i, entry) pairs
+    for i, row in enumerate(sl):
+        for j, (a,) in row.items():
+            columns[j].append((i, a))
+    out = [{} for _ in range(n * n)]
+    for r, row in enumerate(sm):
+        spare, j = split[r]
+        targets = place[spare]
+        for c, (x,) in row.items():
+            spare, t = split[c]
+            keys, right_row = place[spare], sr[t]
+            for i, a in columns[j]:
+                ax, acc = a * x, out[targets[i]]
+                for l, (b,) in right_row.items():
+                    key = keys[l]
+                    acc[key] = acc.get(key, 0) + ax * b
+    if order == 1:
+        rows = [{j: (v,) for j, v in acc.items() if v} for acc in out]
+    else:
+        rows = []
+        for acc in out:
+            row = {}
+            for j, v in acc.items():
+                vec = _reduce(order, _unpack(v, width, 3 * phi - 2))
+                if any(vec):
+                    row[j] = tuple(vec)
+            rows.append(row)
+    return _matrix(order, left._den * m._den * right._den, rows, n * n, n * n)
 
 
 def tensor_pair(a: Matrix, b: Matrix) -> Matrix:

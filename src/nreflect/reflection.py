@@ -34,7 +34,7 @@ from functools import cached_property, partial
 from typing import Callable, Optional
 
 from .errors import ConstraintError, PoleError, UnsupportedCaseError
-from .linalg import Matrix, combination, tensor_pair
+from .linalg import Matrix, combination, leg_product, tensor_pair
 from .ratfun import Poly, RatFun
 from .reporting import build_report
 from .rmatrix import RMatrixFun, cybe_residual, rational_r, trig_r
@@ -161,16 +161,10 @@ class PointFrame:
 
     @cached_property
     def conjugated(self) -> tuple:
-        """For each j, the matrices (1 x k^(j)(nu)) M_i (1 x k^(j)(nu))^-1."""
-        out = []
-        for kj in self.ks:
-            if kj is None:
-                out.append(self.basis)
-                continue
-            eye = Matrix.identity(kj[0].nrows)
-            left, right = tensor_pair(eye, kj[0]), tensor_pair(eye, kj[1])
-            out.append(tuple(left * m * right for m in self.basis))
-        return tuple(out)
+        """For each j, the matrices (1 x k^(j)(nu)) M_i (1 x k^(j)(nu))^-1,
+        each one :func:`~nreflect.linalg.leg_product` on leg b."""
+        return tuple(self.basis if kj is None else tuple(leg_product(kj[0], m, kj[1], "b") for m in self.basis)
+                     for kj in self.ks)
 
 
 def point_frame(case: KSolution, nu) -> PointFrame:

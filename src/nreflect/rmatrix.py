@@ -8,6 +8,7 @@ rational sample points (see :mod:`nreflect.sampling`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import PoleError
@@ -64,15 +65,18 @@ def trig_r() -> RMatrixFun:
 
     with s = lam + nu, as s/(2 (lam - nu)) diag(-1, 1, 1, -1) plus
     -2 nu/(lam - nu) and -2 lam/(lam - nu) times the units at (1, 2) and
-    (2, 1), counted from 0."""
+    (2, 1), counted from 0.  The points are rational: for lam = p/q and
+    nu = r/s the three scalars are (ps + rq)/(2d), -2rq/d and -2ps/d over
+    d = ps - rq, each normalized once."""
 
     def unit(i, j):
         return Matrix([[int((r, c) == (i, j)) for c in range(4)] for r in range(4)])
 
     def coefficients(lam, nu):
         _check_diagonal("trigonometric", lam, nu)
-        pref = 1 / (2 * (lam - nu))
-        return ((lam + nu) * pref, -4 * nu * pref, -4 * lam * pref)
+        ps, rq = lam.numerator * nu.denominator, nu.numerator * lam.denominator
+        d = ps - rq
+        return (Fraction(ps + rq, 2 * d), Fraction(-2 * rq, d), Fraction(-2 * ps, d))
 
     return _combined("trigonometric", "trigonometric", coefficients,
                      (Matrix.diagonal([-1, 1, 1, -1]), unit(1, 2), unit(2, 1)))

@@ -135,6 +135,25 @@ def _mul_reduce(order: int, a, b) -> list:
     return _fold(_power_rows(order), out, phi)
 
 
+def _inverse_parts(order: int, num) -> tuple:
+    """(others, norm) for a nonzero numerator vector num of Q(zeta_N), with
+    num^-1 = others / norm: others is the product of the other Galois
+    conjugates sigma_k (zeta -> zeta^k, gcd(k, N) = 1) and norm, their
+    product with num, a positive int.  Over Q (N = 1) others is the sign
+    of num and norm its absolute value."""
+    others = [1] + [0] * (len(num) - 1)
+    for k in range(2, order):
+        if gcd(k, order) == 1:
+            conjugate = [0] * order
+            for j, c in enumerate(num):
+                conjugate[j * k % order] += c
+            others = _mul_reduce(order, others, _reduce(order, conjugate))
+    norm = _mul_reduce(order, num, others)[0]  # a rational integer
+    if norm < 0:
+        norm, others = -norm, [-c for c in others]
+    return others, norm
+
+
 def _canonical(order: int, num, den: int) -> Scalar:
     """The element num/den (den > 0) in lowest terms; rational values
     demote to Fraction."""
@@ -228,21 +247,10 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> Scalar:
-        """Multiplicative inverse: the product of the other Galois conjugates
-        sigma_k (zeta -> zeta^k, gcd(k, N) = 1) divided by the norm.  A
-        stored element is never zero: zero demotes to ``Fraction``."""
-        order, num = self.order, self.num
-        others = [1] + [0] * (len(num) - 1)
-        for k in range(2, order):
-            if gcd(k, order) == 1:
-                conjugate = [0] * order
-                for j, c in enumerate(num):
-                    conjugate[j * k % order] += c
-                others = _mul_reduce(order, others, _reduce(order, conjugate))
-        norm = _mul_reduce(order, num, others)[0]  # a rational integer
-        if norm < 0:
-            norm, others = -norm, [-c for c in others]
-        return _canonical(order, [self.den * c for c in others], norm)
+        """Multiplicative inverse, by :func:`_inverse_parts`.  A stored
+        element is never zero: zero demotes to ``Fraction``."""
+        others, norm = _inverse_parts(self.order, self.num)
+        return _canonical(self.order, [self.den * c for c in others], norm)
 
     def __truediv__(self, other):
         if type(other) is Cyclotomic:

@@ -22,6 +22,7 @@ from nreflect.linalg import (  # noqa: E402
     PLACEMENTS,
     Matrix,
     embed_pair,
+    leg_product,
     partial_trace,
     swap_pair,
     tensor_pair,
@@ -239,7 +240,8 @@ def test_pair_leg_operations(order):
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_leg_conjugation(order):
-    # a point frame conjugates each basis matrix M by a pair (L, R) on leg b: (1 x L) M (1 x R)
+    # leg_product(L, M, R, leg) is (L on leg) M (R on leg), and a point frame conjugates each basis
+    # matrix M by a pair (L, R) on leg b with it
     @PAIR_LEG_PROFILE
     @given(st.sampled_from((1, 2, 3)).flatmap(
         lambda n: st.tuples(st.just(n), entries(order, n * n, n * n), square(order, sizes=(n,)))))
@@ -247,7 +249,11 @@ def test_leg_conjugation(order):
         n, m, (left, right) = drawn
         eye = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
         frame = PointFrame((), (), ((Matrix(left), Matrix(right)),), (Matrix(m),))
-        check(frame.conjugated[0][0], ref_mul(ref_mul(ref_kron(eye, left), m), ref_kron(eye, right)))
+        on_b = ref_mul(ref_mul(ref_kron(eye, left), m), ref_kron(eye, right))
+        check(frame.conjugated[0][0], on_b)
+        check(leg_product(Matrix(left), Matrix(m), Matrix(right), "b"), on_b)
+        check(leg_product(Matrix(left), Matrix(m), Matrix(right), "a"),
+              ref_mul(ref_mul(ref_kron(left, eye), m), ref_kron(right, eye)))
 
     run()
 

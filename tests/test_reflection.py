@@ -287,12 +287,18 @@ class TestOneFramePerPoint:
         assert calls == []
 
     def test_rbar_cybe_sample_conjugates_each_frame_once(self, monkeypatch):
-        # 2 frames x 2 non-identity k^(j) x 2 products; 16 when every rbar
-        # conjugated its own terms
-        _, evaluate = sampled_check(case_by_label("linear-k-N3-shift-th2"), "rbar-cybe")
-        calls = self.counted(monkeypatch, Matrix, "__mul__")
+        # 2 frames x 2 non-identity k^(j) x 1 basis matrix: 4 leg products, and
+        # neither a Kronecker product nor a 9x9 product
+        case = case_by_label("linear-k-N3-shift-th2")
+        _, evaluate = sampled_check(case, "rbar-cybe")
+        products = self.counted(monkeypatch, Matrix, "__mul__")
+        krons = self.counted(monkeypatch, Matrix, "kron")
+        legs = self.counted(monkeypatch, reflection, "leg_product")
         assert evaluate(F(5, 3), F(-7, 2), F(11, 5)).is_zero()
-        assert sum(1 for a, b in calls if isinstance(b, Matrix) and (a.nrows, b.nrows) == (9, 9)) == 8
+        assert not any(isinstance(b, Matrix) and (a.nrows, b.nrows) == (9, 9) for a, b in products)
+        assert krons == []
+        assert len(case.base_r.basis) == 1
+        assert len(legs) == 2 * (case.N - 1) * len(case.base_r.basis)
 
     def test_rbar_cybe_sample_is_one_product_sum(self, monkeypatch):
         # the four 27x27 products of the residual are one product_sum, not
