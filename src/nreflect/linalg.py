@@ -9,15 +9,18 @@ positive denominator in lowest terms for the whole matrix, as FLINT's
 ``fmpq_mat``/``nf_elem`` do; arithmetic runs on the integers, a product
 reducing mod Phi_N once per entry with the table of :mod:`nreflect.scalars`,
 and canonical scalars are built only where entries are read: ``rows``,
-``m[i, j]``, ``trace``, ``==``, ``inverse`` and ``first_nonzero``.  Two
-kernels make one pass for a whole sum: :func:`combination` sums scaled
-matrices, and :func:`product_sum` sums signed products, packing each
-Q(zeta_N) numerator vector into one integer so that a coordinate
-convolution is one integer product (Kronecker substitution; D. Harvey,
-"Faster polynomial multiplication via multipoint Kronecker substitution",
-J. Symbolic Comput. 44, 2009).  Any other entries, such as the
-``SpinPoly``s of the Gaudin B, are stored as they are and need ``+``,
-``-``, ``*`` and truthiness (inversion also ``/``).
+``m[i, j]``, ``trace``, ``==`` and ``first_nonzero``.  ``inverse`` is
+fraction-free elimination on the integer numerators.  Three kernels each
+make one pass with one normalization: :func:`combination` sums scaled
+matrices, :func:`product_sum` sums signed products, and
+:func:`leg_product` multiplies a pair-leg matrix from both sides by n x n
+factors on one leg, (1 x k) m (1 x k)^-1 among them, with no Kronecker
+product.  The last two pack each Q(zeta_N) numerator vector into one
+integer so that a coordinate convolution is one integer product
+(Kronecker substitution; D. Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009).  Any other entries, such as
+the ``SpinPoly``s of the Gaudin B, are stored as they are and need ``+``,
+``-``, ``*`` and truthiness; such a matrix has no ``inverse``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from fractions import Fraction
 
 from .errors import ShapeError, SingularMatrixError
 from .scalars import (ONE, ZERO, Cyclotomic, _canonical, _fold, _inverse_parts, _mul_reduce, _power, _power_rows,
-                      _reduce, euler_phi)
+                      euler_phi)
 
 PLACEMENTS = ("ab", "ac", "bc", "ba", "ca", "cb")
 
@@ -215,12 +218,13 @@ class Matrix:
 
     def inverse(self, label: str = "matrix"):
         """The inverse, by fraction-free Gauss-Jordan elimination on the
-        integer numerators A of the rows [A | 1] (Bareiss, "Sylvester's
-        identity and multistep integer-preserving Gaussian elimination",
-        Math. Comp. 22, 1968): the pivot of each column is the first row at
-        or below it with a nonzero entry there, and every other row with an
-        entry f there becomes p row - f (pivot row), p the pivot, with its
-        content (the gcd of its integers) divided out.  Row i then reads
+        integer numerators A of the rows [A | 1]: the pivot of each column
+        is the first row at or below it with a nonzero entry there, and
+        every other row with an entry f there becomes p row - f (pivot
+        row), p the pivot, with its content (the gcd of its integers)
+        divided out, where Bareiss divides by the previous pivot
+        ("Sylvester's identity and multistep integer-preserving Gaussian
+        elimination", Math. Comp. 22, 1968).  Row i then reads
         d_i e_i beside d_i times row i of A^-1; each d_i is inverted once
         with :func:`~nreflect.scalars._inverse_parts`, and one
         normalization makes the result.  The rows stay dense; over Q they
@@ -692,11 +696,11 @@ def leg_product(left: Matrix, m: Matrix, right: Matrix, leg: str) -> Matrix:
     if order == 1:
         rows = [{j: (v,) for j, v in acc.items() if v} for acc in out]
     else:
-        rows = []
+        table, rows = _power_rows(order), []
         for acc in out:
             row = {}
             for j, v in acc.items():
-                vec = _reduce(order, _unpack(v, width, 3 * phi - 2))
+                vec = _fold(table, _unpack(v, width, 3 * phi - 2), phi)
                 if any(vec):
                     row[j] = tuple(vec)
             rows.append(row)

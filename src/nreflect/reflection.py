@@ -17,12 +17,15 @@ by :func:`build_rbar`.  In terms of rbar the residual takes the compact form
 which is how :func:`nre_residual` computes it.  Everything rbar needs at nu
 comes from one :func:`point_frame`, which raises ``PoleError`` or
 ``SingularMatrixError`` outside the case's domain: the orbit, the weights,
-and k^(j)(nu) with its inverse.  A base r is sum_i f_i(lam, mu) M_i with
-constant M_i, so rbar(., nu) lies in the span of the conjugated matrices
+and k^(j)(nu) with its inverse, taken by fraction-free elimination on the
+integer numerators.  A base r is sum_i f_i(lam, mu) M_i with constant
+M_i, so rbar(., nu) lies in the span of the conjugated matrices
 (1 x k^(j)(nu)) M_i (1 x k^(j)(nu))^-1; the frame builds them on the
-first rbar it serves, and :func:`rbar_at` is one exact combination of
-them with the scalars g^(j)(nu) f_i(lam, tau^j(nu)).  ``verify rbar-cybe``
-and ``nre_residual`` read each frame twice and conjugate once.
+first rbar it serves, each one :func:`~nreflect.linalg.leg_product` on
+leg b with no Kronecker product, and :func:`rbar_at` is one exact
+combination of them with the scalars g^(j)(nu) f_i(lam, tau^j(nu)).
+``verify rbar-cybe`` and ``nre_residual`` read each frame twice and
+conjugate once.
 """
 
 from __future__ import annotations
@@ -152,7 +155,8 @@ class PointFrame:
     tau^j(nu), the weights g^(j)(nu), ks[j] = (k^(j)(nu), k^(j)(nu)^-1), or
     None where k^(j)(nu) is the identity (as for j = 0), and the base
     r-matrix's constant matrices M_i.  ``conjugated`` is built on its first
-    read, once per frame."""
+    read, once per frame, by one leg product per M_i and non-identity
+    k^(j)(nu)."""
 
     orbit: tuple
     weights: tuple

@@ -84,14 +84,15 @@ def euler_phi(order: int) -> int:
 
 @lru_cache(maxsize=None)
 def _power_rows(order: int) -> tuple:
-    """Integer rows x^k mod Phi_N for phi <= k < max(2*phi - 1, N), so that
-    both a product of two reduced elements and an exponent already folded
-    mod N reduce in one pass.  Phi_N is monic, so every row is integral."""
+    """Integer rows x^k mod Phi_N for phi <= k < max(3*phi - 2, N), so that
+    a product of two or three reduced elements and an exponent already
+    folded mod N all reduce in one pass.  Phi_N is monic, so every row is
+    integral."""
     phi_coeffs = _int_cyclotomic(order)
     phi = len(phi_coeffs) - 1
     row = [-c for c in phi_coeffs[:phi]]  # x^phi
     rows = []
-    for _ in range(phi, max(2 * phi - 1, order)):
+    for _ in range(phi, max(3 * phi - 2, order)):
         rows.append(tuple(row))
         top = row[-1]  # x * row: shift up, then replace x^phi by its row
         row = [0] + row[:-1]

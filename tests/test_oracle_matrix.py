@@ -258,6 +258,22 @@ def test_leg_conjugation(order):
     run()
 
 
+@pytest.mark.parametrize("order", ORDERS[1:])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_leg_product_reaches_the_packing_bound(order, n):
+    # dense factors whose numerators are all +-top: each output entry sums n^2 triple
+    # convolutions at their largest coordinate, 3/4 of the bound n^2 phi^2 top^3 for
+    # these orders, which for these tops needs every bit of the packing width
+    eye = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    for top in (3, 3 * 2**200):
+        entry = cyclotomic(order, [top] * euler_phi(order))
+        left, right = [[entry] * n for _ in range(n)], [[-entry] * n for _ in range(n)]
+        for m in ([[entry] * n * n for _ in range(n * n)], [[-entry] * n * n for _ in range(n * n)]):
+            for leg, on_leg in (("b", lambda f: ref_kron(eye, f)), ("a", lambda f: ref_kron(f, eye))):
+                check(leg_product(Matrix(left), Matrix(m), Matrix(right), leg),
+                      ref_mul(ref_mul(on_leg(left), m), on_leg(right)))
+
+
 def check_inverse(a, label="matrix"):
     """Matrix(a).inverse() is the adjugate over the determinant, and a
     singular matrix is refused naming the label and the column without a
@@ -390,3 +406,17 @@ def test_spin_polynomial_matrix_by_scalar_matrix():
         check_spin(A + (-A), zero)
 
     run()
+
+
+def test_spin_polynomial_leg_product_and_no_inverse():
+    # ring entries are multiplied on the named leg as Kronecker products; only a matrix
+    # of exact scalars has an inverse
+    m = [[SPINS[(i + j) % 4] if (i * j) % 3 else Fraction(i - j, 2) for j in range(4)] for i in range(4)]
+    left, right = [[s_z(1), ONE], [ZERO, Fraction(2)]], [[zeta(3), ZERO], [ONE, -ONE]]
+    eye = [[ONE, ZERO], [ZERO, ONE]]
+    check_spin(leg_product(Matrix(left), Matrix(m), Matrix(right), "b"),
+               ref_mul(ref_mul(ref_kron(eye, left), m), ref_kron(eye, right)))
+    check_spin(leg_product(Matrix(left), Matrix(m), Matrix(right), "a"),
+               ref_mul(ref_mul(ref_kron(left, eye), m), ref_kron(right, eye)))
+    with pytest.raises(TypeError, match="exact scalar"):
+        Matrix(left).inverse()

@@ -5,6 +5,8 @@ import pytest
 from nreflect.errors import OrderMismatchError
 from nreflect.sampling import SplitMix64
 from nreflect.scalars import (
+    _inverse_parts,
+    _mul_reduce,
     cyclotomic,
     cyclotomic_polynomial,
     euler_phi,
@@ -79,6 +81,15 @@ class TestFieldOps:
         for k in range(1, 4):
             product = product * inverse
             assert x**-k == product
+
+    @pytest.mark.parametrize("order,num", [(1, (-6,)), (1, (7,)), (3, (2, -5)), (4, (-1, -1)),
+                                           (5, (3, 0, -2, 1)), (8, (0, 0, 0, -4))])
+    def test_inverse_parts(self, order, num):
+        # the rule Cyclotomic.inverse and Matrix.inverse share: num * others is the
+        # norm, a positive int, for every order (over Q the sign moves to others)
+        others, norm = _inverse_parts(order, num)
+        assert norm > 0
+        assert list(_mul_reduce(order, num, others)) == [norm] + [0] * (len(num) - 1)
 
     def test_zero_inversion(self):
         assert zeta(3) * 0 == 0
