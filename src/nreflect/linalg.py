@@ -13,9 +13,9 @@ and canonical scalars are built only where entries are read: ``rows``,
 fraction-free elimination on the integer numerators.  Three kernels each
 make one pass with one normalization: :func:`combination` sums scaled
 matrices, :func:`product_sum` sums signed products, and
-:func:`leg_product` multiplies a pair-leg matrix from both sides by n x n
-factors on one leg, (1 x k) m (1 x k)^-1 among them, with no Kronecker
-product.  The last two pack each Q(zeta_N) numerator vector into one
+:func:`leg_b_product` multiplies a pair-leg matrix from both sides by
+n x n factors on leg b, (1 x k) m (1 x k)^-1 among them, with no
+Kronecker product.  The last two pack each Q(zeta_N) numerator vector into one
 integer so that a coordinate convolution is one integer product
 (Kronecker substitution; D. Harvey, "Faster polynomial multiplication via
 multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009).  Any other entries, such as
@@ -498,19 +498,17 @@ def product_sum(terms) -> Matrix:
     ``*``, ``+`` and ``-``."""
     terms = list(terms)
     nrows, ncols = terms[0][1].nrows, terms[0][2].ncols
-    order = 1
     for _, a, b in terms:
         if a.ncols != b.nrows or (a.nrows, b.ncols) != (nrows, ncols):
             raise ShapeError(f"cannot sum the {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols} product "
                              f"into {nrows}x{ncols}")
-        for o in (a._order, b._order):
-            if o is None or (o != order and 1 not in (o, order)):
-                out = None
-                for sign, x, y in terms:
-                    p = x * y
-                    out = (p if sign > 0 else -p) if out is None else out._combine(p, sign)
-                return out
-            order = max(order, o)
+    order = _field(*(m for _, a, b in terms for m in (a, b)))
+    if order is None:
+        out = None
+        for sign, x, y in terms:
+            p = x * y
+            out = (p if sign > 0 else -p) if out is None else out._combine(p, sign)
+        return out
     den = math.lcm(*(a._den * b._den for _, a, b in terms))
     scaled = [(sign * (den // (a._den * b._den)), a, b) for sign, a, b in terms]
     out = [{} for _ in range(nrows)]
@@ -647,26 +645,22 @@ def partial_trace(m: Matrix, leg: str) -> Matrix:
     return _matrix(m._order, m._den, out, n, n)
 
 
-def leg_product(left: Matrix, m: Matrix, right: Matrix, leg: str) -> Matrix:
-    """(left on leg) m (right on leg) for a pair-leg matrix m and n x n
-    factors acting on leg "a" (as left x 1) or "b" (as 1 x left), so that
-    leg_product(k, m, k^-1, "b") is (1 x k) m (1 x k)^-1: one pass over m's
-    sparse rows, each entry times a column of left and a row of right, one
-    normalization, and no Kronecker product.  Over Q(zeta_N) each numerator
-    vector is packed into one int as :func:`product_sum` packs it, w bits
-    apart, w bounding every accumulated coordinate by n^2 phi(N)^2 times
-    the three largest numerators.  Factors the integer form cannot hold
-    together are multiplied as Kronecker products."""
-    n = _pair_factor(m, "leg_product")
-    if leg not in ("a", "b"):
-        raise ShapeError(f"leg must be 'a' or 'b', got {leg!r}")
+def leg_b_product(left: Matrix, m: Matrix, right: Matrix) -> Matrix:
+    """(1 x left) m (1 x right) for a pair-leg matrix m and n x n factors,
+    so that leg_b_product(k, m, k^-1) conjugates m by k on leg b: one pass
+    over m's sparse rows, each entry times a column of left and a row of
+    right, one normalization, and no Kronecker product.  Over Q(zeta_N)
+    each numerator vector is packed into one int as :func:`product_sum`
+    packs it, w bits apart, w bounding every accumulated coordinate by
+    n^2 phi(N)^2 times the three largest numerators.  Factors the integer
+    form cannot hold together are multiplied as Kronecker products."""
+    n = _pair_factor(m, "leg_b_product")
     if any((f.nrows, f.ncols) != (n, n) for f in (left, right)):
-        raise ShapeError(f"leg_product needs {n}x{n} factors for a {m.nrows}x{m.ncols} matrix")
+        raise ShapeError(f"leg_b_product needs {n}x{n} factors for a {m.nrows}x{m.ncols} matrix")
     order = _field(left, m, right)
     if order is None:
         eye = Matrix.identity(n)
-        on_leg = (lambda f: f.kron(eye)) if leg == "a" else eye.kron
-        return on_leg(left) * m * on_leg(right)
+        return eye.kron(left) * m * eye.kron(right)
     operands = (left, m, right)
     if order == 1:
         sl, sm, sr = (f._sparse for f in operands)
@@ -674,25 +668,20 @@ def leg_product(left: Matrix, m: Matrix, right: Matrix, leg: str) -> Matrix:
         phi = euler_phi(order)
         width = (n * n * phi * phi * _top(left) * _top(m) * _top(right)).bit_length() + 1
         sl, sm, sr = ([{j: (_pack(vec, width),) for j, vec in row.items()} for row in f._sparse] for f in operands)
-    # index r of the pair space as (spare index, leg index), and back
-    split = [divmod(r, n) if leg == "b" else (r % n, r // n) for r in range(n * n)]
-    place = [[s * n + t if leg == "b" else t * n + s for t in range(n)] for s in range(n)]
     columns = [[] for _ in range(n)]  # column j of left as (i, entry) pairs
     for i, row in enumerate(sl):
         for j, (a,) in row.items():
             columns[j].append((i, a))
     out = [{} for _ in range(n * n)]
     for r, row in enumerate(sm):
-        spare, j = split[r]
-        targets = place[spare]
+        spare, j = divmod(r, n)  # the index on leg a, and on leg b
         for c, (x,) in row.items():
-            spare, t = split[c]
-            keys, right_row = place[spare], sr[t]
+            col_spare, t = divmod(c, n)
+            base = col_spare * n
             for i, a in columns[j]:
-                ax, acc = a * x, out[targets[i]]
-                for l, (b,) in right_row.items():
-                    key = keys[l]
-                    acc[key] = acc.get(key, 0) + ax * b
+                ax, acc = a * x, out[spare * n + i]
+                for l, (b,) in sr[t].items():
+                    acc[base + l] = acc.get(base + l, 0) + ax * b
     if order == 1:
         rows = [{j: (v,) for j, v in acc.items() if v} for acc in out]
     else:

@@ -21,8 +21,8 @@ and k^(j)(nu) with its inverse, taken by fraction-free elimination on the
 integer numerators.  A base r is sum_i f_i(lam, mu) M_i with constant
 M_i, so rbar(., nu) lies in the span of the conjugated matrices
 (1 x k^(j)(nu)) M_i (1 x k^(j)(nu))^-1; the frame builds them on the
-first rbar it serves, each one :func:`~nreflect.linalg.leg_product` on
-leg b with no Kronecker product, and :func:`rbar_at` is one exact
+first rbar it serves, each one :func:`~nreflect.linalg.leg_b_product`
+with no Kronecker product, and :func:`rbar_at` is one exact
 combination of them with the scalars g^(j)(nu) f_i(lam, tau^j(nu)).
 ``verify rbar-cybe`` and ``nre_residual`` read each frame twice and
 conjugate once.
@@ -37,7 +37,7 @@ from functools import cached_property, partial
 from typing import Callable, Optional
 
 from .errors import ConstraintError, PoleError, UnsupportedCaseError
-from .linalg import Matrix, combination, leg_product, tensor_pair
+from .linalg import Matrix, combination, leg_b_product, tensor_pair
 from .ratfun import Poly, RatFun
 from .reporting import build_report
 from .rmatrix import RMatrixFun, cybe_residual, rational_r, trig_r
@@ -166,8 +166,8 @@ class PointFrame:
     @cached_property
     def conjugated(self) -> tuple:
         """For each j, the matrices (1 x k^(j)(nu)) M_i (1 x k^(j)(nu))^-1,
-        each one :func:`~nreflect.linalg.leg_product` on leg b."""
-        return tuple(self.basis if kj is None else tuple(leg_product(kj[0], m, kj[1], "b") for m in self.basis)
+        each one :func:`~nreflect.linalg.leg_b_product`."""
+        return tuple(self.basis if kj is None else tuple(leg_b_product(kj[0], m, kj[1]) for m in self.basis)
                      for kj in self.ks)
 
 

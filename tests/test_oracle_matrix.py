@@ -22,7 +22,7 @@ from nreflect.linalg import (  # noqa: E402
     PLACEMENTS,
     Matrix,
     embed_pair,
-    leg_product,
+    leg_b_product,
     partial_trace,
     swap_pair,
     tensor_pair,
@@ -240,8 +240,8 @@ def test_pair_leg_operations(order):
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_leg_conjugation(order):
-    # leg_product(L, M, R, leg) is (L on leg) M (R on leg), and a point frame conjugates each basis
-    # matrix M by a pair (L, R) on leg b with it
+    # leg_b_product(L, M, R) is (1 x L) M (1 x R), and a point frame conjugates each basis matrix M
+    # by a pair (L, R) with it
     @PAIR_LEG_PROFILE
     @given(st.sampled_from((1, 2, 3)).flatmap(
         lambda n: st.tuples(st.just(n), entries(order, n * n, n * n), square(order, sizes=(n,)))))
@@ -251,16 +251,14 @@ def test_leg_conjugation(order):
         frame = PointFrame((), (), ((Matrix(left), Matrix(right)),), (Matrix(m),))
         on_b = ref_mul(ref_mul(ref_kron(eye, left), m), ref_kron(eye, right))
         check(frame.conjugated[0][0], on_b)
-        check(leg_product(Matrix(left), Matrix(m), Matrix(right), "b"), on_b)
-        check(leg_product(Matrix(left), Matrix(m), Matrix(right), "a"),
-              ref_mul(ref_mul(ref_kron(left, eye), m), ref_kron(right, eye)))
+        check(leg_b_product(Matrix(left), Matrix(m), Matrix(right)), on_b)
 
     run()
 
 
 @pytest.mark.parametrize("order", ORDERS[1:])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_leg_product_reaches_the_packing_bound(order, n):
+def test_leg_b_product_reaches_the_packing_bound(order, n):
     # dense factors whose numerators are all +-top: each output entry sums n^2 triple
     # convolutions at their largest coordinate, 3/4 of the bound n^2 phi^2 top^3 for
     # these orders, which for these tops needs every bit of the packing width
@@ -269,9 +267,8 @@ def test_leg_product_reaches_the_packing_bound(order, n):
         entry = cyclotomic(order, [top] * euler_phi(order))
         left, right = [[entry] * n for _ in range(n)], [[-entry] * n for _ in range(n)]
         for m in ([[entry] * n * n for _ in range(n * n)], [[-entry] * n * n for _ in range(n * n)]):
-            for leg, on_leg in (("b", lambda f: ref_kron(eye, f)), ("a", lambda f: ref_kron(f, eye))):
-                check(leg_product(Matrix(left), Matrix(m), Matrix(right), leg),
-                      ref_mul(ref_mul(on_leg(left), m), on_leg(right)))
+            check(leg_b_product(Matrix(left), Matrix(m), Matrix(right)),
+                  ref_mul(ref_mul(ref_kron(eye, left), m), ref_kron(eye, right)))
 
 
 def check_inverse(a, label="matrix"):
@@ -408,15 +405,13 @@ def test_spin_polynomial_matrix_by_scalar_matrix():
     run()
 
 
-def test_spin_polynomial_leg_product_and_no_inverse():
-    # ring entries are multiplied on the named leg as Kronecker products; only a matrix
-    # of exact scalars has an inverse
+def test_spin_polynomial_leg_b_product_and_no_inverse():
+    # ring entries are multiplied on leg b as Kronecker products; only a matrix of exact
+    # scalars has an inverse
     m = [[SPINS[(i + j) % 4] if (i * j) % 3 else Fraction(i - j, 2) for j in range(4)] for i in range(4)]
     left, right = [[s_z(1), ONE], [ZERO, Fraction(2)]], [[zeta(3), ZERO], [ONE, -ONE]]
     eye = [[ONE, ZERO], [ZERO, ONE]]
-    check_spin(leg_product(Matrix(left), Matrix(m), Matrix(right), "b"),
+    check_spin(leg_b_product(Matrix(left), Matrix(m), Matrix(right)),
                ref_mul(ref_mul(ref_kron(eye, left), m), ref_kron(eye, right)))
-    check_spin(leg_product(Matrix(left), Matrix(m), Matrix(right), "a"),
-               ref_mul(ref_mul(ref_kron(left, eye), m), ref_kron(right, eye)))
     with pytest.raises(TypeError, match="exact scalar"):
         Matrix(left).inverse()

@@ -293,7 +293,7 @@ class TestOneFramePerPoint:
         _, evaluate = sampled_check(case, "rbar-cybe")
         products = self.counted(monkeypatch, Matrix, "__mul__")
         krons = self.counted(monkeypatch, Matrix, "kron")
-        legs = self.counted(monkeypatch, reflection, "leg_product")
+        legs = self.counted(monkeypatch, reflection, "leg_b_product")
         assert evaluate(F(5, 3), F(-7, 2), F(11, 5)).is_zero()
         assert not any(isinstance(b, Matrix) and (a.nrows, b.nrows) == (9, 9) for a, b in products)
         assert krons == []
