@@ -15,12 +15,13 @@ make one pass with one normalization: :func:`combination` sums scaled
 matrices, :func:`product_sum` sums signed products, and
 :func:`leg_b_product` multiplies a pair-leg matrix from both sides by
 n x n factors on leg b, (1 x k) m (1 x k)^-1 among them, with no
-Kronecker product.  The last two pack each Q(zeta_N) numerator vector into one
-integer so that a coordinate convolution is one integer product
-(Kronecker substitution; D. Harvey, "Faster polynomial multiplication via
-multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009).  Any other entries, such as
-the ``SpinPoly``s of the Gaudin B, are stored as they are and need ``+``,
-``-``, ``*`` and truthiness; such a matrix has no ``inverse``.
+Kronecker product.  The last two pack each Q(zeta_N) numerator vector
+into one integer so that a coordinate convolution is one integer product
+(Kronecker substitution; D. Harvey, "Faster polynomial multiplication
+via multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009).
+Any other entries, such as the ``SpinPoly``s of the Gaudin B, are stored
+as they are and need ``+``, ``-``, ``*`` and truthiness; such a matrix
+has no ``inverse``.
 """
 
 from __future__ import annotations
