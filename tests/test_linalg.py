@@ -95,15 +95,18 @@ class TestMatrixAlgebra:
         assert partial_trace(ab, "b") == a.scale(b.trace())
         assert partial_trace(ab, "a") == b.scale(a.trace())
 
-    @pytest.mark.parametrize("op", [swap_pair, lambda m: partial_trace(m, "a"), lambda m: leg_b_product(m, m, m)])
+    @pytest.mark.parametrize("op", [swap_pair, lambda m: partial_trace(m, "a")])
     @pytest.mark.parametrize("shape", [(3, 3), (2, 3)])
     def test_pair_leg_ops_need_square_of_square(self, op, shape):
         # the factor size n comes from the shape: 3x3 and 2x3 are no n^2 x n^2
         with pytest.raises(ShapeError, match="n\\^2 x n\\^2"):
             op(Matrix([[Fraction(1)] * shape[1]] * shape[0]))
 
-    def test_leg_b_product_needs_factors_of_size_n(self):
+    def test_leg_b_product_needs_a_pair_leg_matrix_and_factors_of_size_n(self):
         m, eye = permutation_operator(2), Matrix.identity(2)
+        for shape in ((3, 3), (2, 3)):
+            with pytest.raises(ShapeError, match="n\\^2 x n\\^2"):
+                leg_b_product(eye, Matrix([[Fraction(1)] * shape[1]] * shape[0]), eye)
         with pytest.raises(ShapeError, match="2x2 factors"):
             leg_b_product(Matrix.identity(3), m, eye)
         with pytest.raises(ShapeError, match="2x2 factors"):
