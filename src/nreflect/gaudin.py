@@ -44,7 +44,7 @@ from .reflection import (
 )
 from .reflection import rbar_matrix  # noqa: F401 - perfbench/test_perfbench.py reads it off this module
 from .scalars import ZERO, as_scalar, scalar_from_str, zeta
-from .spinalg import SpinPoly, bracket_partials, casimir, partials, poisson_bracket, s_minus, s_plus, s_z
+from .spinalg import SpinPoly, _combination, _product_sum, bracket_partials, casimir, partials, poisson_bracket, s_minus, s_plus, s_z
 
 HALF = Fraction(1, 2)
 
@@ -144,11 +144,9 @@ def site_values(model: GaudinModel, lam) -> list:
 def big_B(values) -> Matrix:
     """B = sum_m c_m ell_m from the site values c_1, ..., c_L at one point,
     as a traceless 2x2 spin-polynomial matrix."""
-    top = plus = minus = SpinPoly()
-    for m, c in enumerate(values, start=1):
-        top = top + (HALF * c) * s_z(m)
-        plus = plus + c * s_plus(m)
-        minus = minus + c * s_minus(m)
+    top = _combination((HALF * c, s_z(m)) for m, c in enumerate(values, start=1))
+    plus = _combination((c, s_plus(m)) for m, c in enumerate(values, start=1))
+    minus = _combination((c, s_minus(m)) for m, c in enumerate(values, start=1))
     return Matrix([[top, plus], [minus, -top]])
 
 
@@ -163,7 +161,8 @@ def _inverse_shift(tau_j, z) -> RatFun:
 # ---------------------------------------------------------------------------
 
 def s_pair(i: int, k: int) -> SpinPoly:
-    return HALF * s_z(i) * s_z(k) + s_plus(i) * s_minus(k) + s_minus(i) * s_plus(k)
+    """S_ik = s_i^z s_k^z / 2 + s_i^+ s_k^- + s_i^- s_k^+, as one sum of products."""
+    return _product_sum(((1, 0, s_z(i), s_z(k)), (2, 0, s_plus(i), s_minus(k)), (2, 0, s_minus(i), s_plus(k)))) / 2
 
 
 def _check_site(model: GaudinModel, i: int) -> None:
@@ -179,49 +178,38 @@ def hamiltonian_residue(model: GaudinModel, m: int) -> SpinPoly:
     zm = model.sites[m - 1]
     cs = model.site_coefficients
     cm = cs[m - 1]
-    total = HALF * (cm * cm).residue(zm) * casimir(m)
-    for k, ck in enumerate(cs, start=1):
-        if k != m:
-            total = total + (cm * ck).residue(zm) * s_pair(m, k)
-    return total
+    pairs = [((cm * ck).residue(zm), s_pair(m, k)) for k, ck in enumerate(cs, start=1) if k != m]
+    return _combination([(HALF * (cm * cm).residue(zm), casimir(m))] + pairs)
 
 
 def hamiltonian_explicit(model: GaudinModel, i: int) -> SpinPoly:
-    """The closed quadratic form of H_i for the identity-k families."""
+    """The closed quadratic form of H_i for the identity-k families, summed
+    in one pass."""
     case = model.case
     z = model.sites
     _check_site(model, i)
     zi = z[i - 1]
     params = case.params
-    total = SpinPoly()
+    others = [(k, zk) for k, zk in enumerate(z, start=1) if k != i]
     try:
         if case.family == "trivial":
-            for k, zk in enumerate(z, start=1):
-                if k != i:
-                    total = total + (1 / (zi - zk)) * s_pair(i, k)
-            return total
+            return _combination((1 / (zi - zk), s_pair(i, k)) for k, zk in others)
         if case.family == "id-2refl":
             a, b, c = params["a"], params["b"], params["c"]
             kappa = a * a + b * c
-            for k, zk in enumerate(z, start=1):
-                if k == i:
-                    continue
-                coeff = 1 / (zi - zk) + kappa / ((a - c * zi) * (b + a * (zi + zk) - c * zi * zk))
-                total = total + coeff * s_pair(i, k)
+            pairs = [(1 / (zi - zk) + kappa / ((a - c * zi) * (b + a * (zi + zk) - c * zi * zk)), s_pair(i, k))
+                     for k, zk in others]
             cas_coeff = kappa / ((a - c * zi) * (b + 2 * a * zi - c * zi * zi))
-            return total + cas_coeff * casimir(i)
+            return _combination(pairs + [(cas_coeff, casimir(i))])
         if case.family == "id-3refl":
             a, b, c, d = params["a"], params["b"], params["c"], params["d"]
             det = a * d - b * c
-            for k, zk in enumerate(z, start=1):
-                if k == i:
-                    continue
-                coeff = (1 / (zi - zk)
-                         + det / ((d + c * zi) * (b + a * zi - d * zk - c * zi * zk))
-                         - det / ((a - c * zi) * (b + a * zk - d * zi - c * zi * zk)))
-                total = total + coeff * s_pair(i, k)
+            pairs = [(1 / (zi - zk)
+                      + det / ((d + c * zi) * (b + a * zi - d * zk - c * zi * zk))
+                      - det / ((a - c * zi) * (b + a * zk - d * zi - c * zi * zk)), s_pair(i, k))
+                     for k, zk in others]
             cas_coeff = (det / (b + (a - d) * zi - c * zi * zi)) * (1 / (d + c * zi) - 1 / (a - c * zi))
-            return total + cas_coeff * casimir(i)
+            return _combination(pairs + [(cas_coeff, casimir(i))])
     except ZeroDivisionError as exc:
         raise ModelError(f"displayed coefficient of H_{i} hits a pole: {exc}") from exc
     raise ModelError(f"no closed Hamiltonian for family {case.family!r}")

@@ -29,10 +29,11 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import chain
 
 from .errors import ShapeError, SingularMatrixError
-from .scalars import (ONE, ZERO, Cyclotomic, _canonical, _fold, _inverse_parts, _mul_reduce, _power, _power_rows,
-                      euler_phi)
+from .scalars import (ONE, ZERO, Cyclotomic, _canonical, _content, _fold, _inverse_parts, _mul_reduce, _pack, _power,
+                      _power_rows, _unpack, euler_phi)
 
 PLACEMENTS = ("ab", "ac", "bc", "ba", "ca", "cb")
 
@@ -340,14 +341,7 @@ def _matrix(order, den, sparse, nrows, ncols):
     if order is None:
         m._fill([{j: a for j, a in row.items() if a} for row in sparse], ncols)
         return m
-    g = den
-    for row in sparse:
-        for vec in row.values():
-            g = math.gcd(g, *vec)
-            if g == 1:
-                break
-        if g == 1:
-            break
+    g = _content(den, chain.from_iterable(chain.from_iterable(map(dict.values, sparse))))
     if g != 1:
         den //= g
         sparse = [{j: tuple(c // g for c in vec) for j, vec in row.items()} for row in sparse]
@@ -537,27 +531,6 @@ def product_sum(terms) -> Matrix:
                 row[j] = tuple(vec)
         rows.append(row)
     return _matrix(order, den, rows, nrows, ncols)
-
-
-def _pack(vec, width):
-    """The numerator vector as one int, coordinate s times 2^(width s)."""
-    x = 0
-    for c in reversed(vec):
-        x = (x << width) + c
-    return x
-
-
-def _unpack(v, width, count):
-    """The ``count`` lowest coordinates of a packed int, each a balanced
-    digit in [-2^(width-1), 2^(width-1)): the coordinates that sums of
-    products of packed vectors accumulate."""
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    digits = []
-    for _ in range(count):
-        digit = ((v + half) & mask) - half
-        digits.append(digit)
-        v = (v - digit) >> width
-    return digits
 
 
 def _top(m):

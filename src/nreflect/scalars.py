@@ -112,6 +112,39 @@ def _fold(rows, coeffs, phi: int) -> list:
     return out
 
 
+def _pack(vec, width: int) -> int:
+    """The numerator vector as one int, coordinate s times 2^(width s)."""
+    x = 0
+    for c in reversed(vec):
+        x = (x << width) + c
+    return x
+
+
+def _unpack(v: int, width: int, count: int) -> list:
+    """The ``count`` lowest coordinates of a packed int, each a balanced
+    digit in [-2^(width-1), 2^(width-1)): the coordinates that sums of
+    products of packed vectors accumulate (Kronecker substitution)."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    digits = []
+    for _ in range(count):
+        digit = ((v + half) & mask) - half
+        digits.append(digit)
+        v = (v - digit) >> width
+    return digits
+
+
+def _content(den: int, numbers) -> int:
+    """gcd(den, *numbers) for den > 0: dividing den and every integer
+    numerator by it puts their quotients in lowest terms.  Reading stops
+    once the gcd is 1, as it is for most results."""
+    g = den
+    for c in numbers:
+        if g == 1:
+            return 1
+        g = gcd(g, c)
+    return g
+
+
 def _reduce(order: int, coeffs) -> list:
     """Integer coefficients of any polynomial in zeta_N -> its phi(N)
     coordinates in the power basis."""

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -175,7 +176,7 @@ class TestTrimmedKeys:
 
     def test_cancelling_sum_drops_the_key(self):
         f = s_plus(1) * s_z(3) + s_minus(2)
-        assert (f - s_plus(1) * s_z(3)).terms == s_minus(2).terms
+        assert (f - s_plus(1) * s_z(3)).monomials() == s_minus(2).monomials()
         assert (partials(f)[3][2] * s_minus(1)).monomials() == [((1, 1), F(1))]
 
 
@@ -273,8 +274,8 @@ class TestDifferentiatedOnce:
                 return super().items()
 
         f = casimir(1) * s_pair(2, 3) + s_z(2) * s_minus(3)
-        counted = SpinPoly()
-        counted.terms = CountedTerms(f.terms)
+        counted = copy.copy(f)  # shares f's denominator; only the terms are counted
+        counted.terms = CountedTerms(counted.terms)
         got = partials(counted)
         assert CountedTerms.reads == 1
         assert got.keys() == {1, 2, 3}
