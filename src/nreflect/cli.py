@@ -109,7 +109,7 @@ def cmd_verify(args) -> int:
         arity, evaluate = sampled_check(case, args.subject, omega)
     samples = sample_evaluated(SplitMix64(args.seed), args.samples, arity, evaluate)
     if args.subject == "nunitarity":
-        entries = [n_unitarity_entry(case, nu) for (nu,), _frame in samples]
+        entries = [n_unitarity_entry(case, nu, frame) for (nu,), frame in samples]
     else:
         entries = [reporting.residual_entry(point, value) for point, value in samples]
     report = reporting.build_report(args.subject, label, args.seed, entries, extra=extra)

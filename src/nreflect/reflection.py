@@ -182,12 +182,19 @@ def point_frame(case: KSolution, nu) -> PointFrame:
     return PointFrame(orbit, weights, ks, case.base_r.basis)
 
 
-def n_unitarity_entry(case: KSolution, nu) -> dict:
+def n_unitarity_entry(case: KSolution, nu, frame: Optional[PointFrame] = None) -> dict:
     """The report entry of the check k^(N)(nu) = f(nu) 1 at nu; never raises
-    on failure."""
+    on failure.  Given the frame at nu, k^(N)(nu) is the one product
+    k^(N-1)(nu) k(tau^(N-1)(nu)) of what the frame holds; without one (the
+    frame is undefined where some k^(j)(nu) is singular), the orbit and
+    every k^(j)(nu) are built here."""
     entry = {"sample": [str(nu)]}
     try:
-        kn = _k_products(case, case.orbit(nu))[-1]
+        if frame is None:
+            kn = _k_products(case, case.orbit(nu))[-1]
+        else:
+            k, last = case.k(frame.orbit[-1]), frame.ks[-1]
+            kn = k if last is None else last[0] * k
     except PoleError as exc:
         entry.update(status="fail", reason=str(exc))
         return entry

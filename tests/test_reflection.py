@@ -23,6 +23,7 @@ from nreflect.reflection import (
     identity_k_two_reflection,
     linear_k_case,
     n_unitarity,
+    n_unitarity_entry,
     nre_residual,
     point_frame,
     rbar_at,
@@ -34,7 +35,7 @@ from nreflect.reflection import (
     trivial_case,
 )
 from nreflect.rmatrix import cybe_residual, rational_r
-from nreflect.sampling import DEFAULT_SEED, SplitMix64, sample_evaluated
+from nreflect.sampling import DEFAULT_SEED, POLE_ERRORS, SplitMix64, sample_evaluated
 from nreflect.scalars import zeta
 from test_rbar_oracle import scalar_functional_residual
 
@@ -142,6 +143,41 @@ class TestNUnitarity:
         report = n_unitarity(bad, [F(2)])
         assert report["verdict"] == "fail"
         assert "not a scalar multiple" in report["results"][0]["reason"]
+
+    @pytest.mark.parametrize("label", sorted(CATALOG))
+    def test_entry_from_the_frame_equals_the_rebuilt_one(self, label):
+        for case in (case_by_label(label), dataclasses.replace(case_by_label(label), expected_f=None)):
+            for nu in (F(2), F(-5, 3), F(7, 2), F(1, 3)):
+                try:
+                    frame = point_frame(case, nu)
+                except POLE_ERRORS:
+                    continue
+                assert n_unitarity_entry(case, nu, frame) == n_unitarity_entry(case, nu)
+
+    def test_the_frame_pole_of_the_last_k_is_the_rebuilt_reason(self):
+        # k(tau^(N-1)(nu)) is the one factor the frame does not hold
+        case = case_by_label("linear-k-N2-diag-th2")
+        pole = F(3)
+
+        def k(nu):
+            if nu == -pole:
+                raise PoleError(f"k pole at {nu}")
+            return case.k(nu)
+
+        poled = dataclasses.replace(case, k=k)
+        frame = point_frame(poled, pole)
+        entry = n_unitarity_entry(poled, pole, frame)
+        assert entry == n_unitarity_entry(poled, pole)
+        assert entry["status"] == "fail" and entry["reason"] == "k pole at -3"
+
+    def test_verify_reads_k_products_once_per_frame(self, monkeypatch):
+        frames, products = [], []
+        build, multiply = reflection.point_frame, reflection._k_products
+        monkeypatch.setattr(reflection, "point_frame", lambda case, nu: frames.append(nu) or build(case, nu))
+        monkeypatch.setattr(reflection, "_k_products", lambda case, points: products.append(points) or
+                            multiply(case, points))
+        assert cli_main(["verify", "nunitarity", "--case", "linear-k-N3-shift-th2", "--samples", "4"]) == 0
+        assert len(frames) >= 4 and len(products) == len(frames)
 
 
 class TestNreResidual:
