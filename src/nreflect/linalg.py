@@ -220,27 +220,32 @@ class Matrix:
 
     def inverse(self, label: str = "matrix"):
         """The inverse, by fraction-free Gauss-Jordan elimination on the
-        integer numerators A of the rows [A | 1]: the pivot of each column
-        is the first row at or below it with a nonzero entry there, and
-        every other row with an entry f there becomes p row - f (pivot
-        row), p the pivot, with its content (the gcd of its integers)
-        divided out, where Bareiss divides by the previous pivot
-        ("Sylvester's identity and multistep integer-preserving Gaussian
-        elimination", Math. Comp. 22, 1968).  Row i then reads
-        d_i e_i beside d_i times row i of A^-1; each d_i is inverted once
-        with :func:`~nreflect.scalars._inverse_parts`, and one
-        normalization makes the result.  The rows stay dense; over Q they
-        are plain ints.  A matrix is refused where Gauss-Jordan over the
-        field finds no pivot: SingularMatrixError names ``label`` and that
-        column.  Ring entries cannot be inverted."""
+        integer numerators.  Each row of the numerators has its content
+        c_i (the gcd of its integers) divided out first, giving A' with
+        A = D A', D = diag(c_i), so that A^-1 = A'^-1 D^-1 and column j of
+        A'^-1 is divided by c_j at the end.  On the rows [A' | 1] the pivot
+        of each column is the first row at or below it with a nonzero entry
+        there, and every other row with an entry f there becomes
+        p row - f (pivot row), p the pivot, with its content divided out,
+        where Bareiss divides by the previous pivot ("Sylvester's identity
+        and multistep integer-preserving Gaussian elimination", Math.
+        Comp. 22, 1968).  Row i then reads d_i e_i beside d_i times row i
+        of A'^-1; each d_i is inverted once with
+        :func:`~nreflect.scalars._inverse_parts`, and one normalization
+        makes the result.  The rows stay dense; over Q they are plain ints.
+        A matrix is refused where Gauss-Jordan over the field finds no
+        pivot: SingularMatrixError names ``label`` and that column.  Ring
+        entries cannot be inverted."""
         if self.nrows != self.ncols:
             raise ShapeError("inverse needs a square matrix")
         order, n, den = self._order, self.nrows, self._den
         if order is None:
             raise TypeError(f"{label}: inverse needs exact scalar entries of one field")
         if order == 1:
-            rows = [[row[j][0] if j in row else 0 for j in range(n)] + [int(i == j) for j in range(n)]
-                    for i, row in enumerate(self._sparse)]
+            rows = [[row[j][0] if j in row else 0 for j in range(n)] for row in self._sparse]
+            contents = [math.gcd(*row) or 1 for row in rows]
+            rows = [[x // c for x in row] + [int(i == j) for j in range(n)]
+                    for i, (row, c) in enumerate(zip(rows, contents))]
             for col in range(n):
                 top = _pivot_row(rows, col, label, bool)
                 p = top[col]
@@ -250,16 +255,19 @@ class Matrix:
                         row = [p * x - f * y for x, y in zip(row, top)]
                         g = math.gcd(*row)
                         rows[r] = [x // g for x in row] if g != 1 else row
-            lcm = math.lcm(*(row[i] for i, row in enumerate(rows)))
+            lcm, content = math.lcm(*(row[i] for i, row in enumerate(rows))), math.lcm(*contents)
+            shares = [content // c for c in contents]
             out = []
             for i, row in enumerate(rows):
                 factor = den * lcm // row[i]  # the sign of d_i goes with it
-                out.append({j: (x * factor,) for j, x in enumerate(row[n:]) if x})
-            return _matrix(1, lcm, out, n, n)
+                out.append({j: (x * factor * shares[j],) for j, x in enumerate(row[n:]) if x})
+            return _matrix(1, lcm * content, out, n, n)
         zero = (0,) * euler_phi(order)
         unit = (1,) + zero[1:]
-        rows = [[row.get(j, zero) for j in range(n)] + [unit if i == j else zero for j in range(n)]
-                for i, row in enumerate(self._sparse)]
+        rows = [[row.get(j, zero) for j in range(n)] for row in self._sparse]
+        contents = [math.gcd(*(c for vec in row for c in vec)) or 1 for row in rows]
+        rows = [[tuple(x // c for x in vec) for vec in row] + [unit if i == j else zero for j in range(n)]
+                for i, (row, c) in enumerate(zip(rows, contents))]
         for col in range(n):
             top = _pivot_row(rows, col, label, any)
             p = top[col]
@@ -271,13 +279,14 @@ class Matrix:
                     g = math.gcd(*(c for vec in row for c in vec))
                     rows[r] = [tuple(c // g for c in vec) for vec in row] if g != 1 else row
         parts = [_inverse_parts(order, row[i]) for i, row in enumerate(rows)]
-        lcm = math.lcm(*(norm for _, norm in parts))
+        lcm, content = math.lcm(*(norm for _, norm in parts)), math.lcm(*contents)
+        shares = [content // c for c in contents]
         out = []
         for row, (others, norm) in zip(rows, parts):
             factor = den * (lcm // norm)
-            out.append({j: tuple(c * factor for c in _mul_reduce(order, x, others))
+            out.append({j: tuple(c * factor * shares[j] for c in _mul_reduce(order, x, others))
                         for j, x in enumerate(row[n:]) if any(x)})
-        return _matrix(order, lcm, out, n, n)
+        return _matrix(order, lcm * content, out, n, n)
 
     def kron(self, other):
         """Tensor (Kronecker) product."""
