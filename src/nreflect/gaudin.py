@@ -44,7 +44,8 @@ from .reflection import (
 )
 from .reflection import rbar_matrix  # noqa: F401 - perfbench/test_perfbench.py reads it off this module
 from .scalars import ZERO, as_scalar, scalar_from_str, zeta
-from .spinalg import SpinPoly, _combination, _product_sum, bracket_partials, casimir, partials, poisson_bracket, s_minus, s_plus, s_z
+from .spinalg import (SpinPoly, _combination, _product_sum, bracket_partials, casimir, partials, poisson_bracket,
+                      s_minus, s_plus, s_z)
 
 HALF = Fraction(1, 2)
 

@@ -210,19 +210,6 @@ def _product_sum(quads) -> "SpinPoly":
     return _poly(order, dl * dr, terms)
 
 
-def _scaled(poly: "SpinPoly", s) -> "SpinPoly":
-    """poly times the nonzero exact scalar s."""
-    kind, num, den = _parts(s)
-    order = _order(poly.order, kind)
-    if order == 1:
-        terms = {key: c * num for key, c in poly.terms.items()}
-    elif type(num) is int:
-        terms = {key: tuple(c * num for c in vec) for key, vec in poly.terms.items()}
-    else:
-        terms = {key: tuple(_mul_reduce(order, vec, num)) for key, vec in _vectors(poly, order).items()}
-    return _poly(order, poly.den * den, terms)
-
-
 class SpinPoly:
     """Sparse polynomial: ``terms`` maps a packed monomial key to a nonzero
     integer numerator (a tuple of phi(N) ints when ``order`` is N > 1),
@@ -258,9 +245,7 @@ class SpinPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        if self.order == 1:
-            return _wrap(1, self.den, {key: -c for key, c in self.terms.items()})
-        return _wrap(self.order, self.den, {key: tuple(-c for c in vec) for key, vec in self.terms.items()})
+        return _combination(((-1, self),))
 
     def __sub__(self, other):
         if isinstance(other, SpinPoly):
@@ -273,7 +258,7 @@ class SpinPoly:
     def __mul__(self, other):
         if not isinstance(other, SpinPoly):
             if isinstance(other, _EXACT):
-                return _scaled(self, other) if other and self.terms else SpinPoly()
+                return _combination(((other, self),))
             return NotImplemented
         return _product_sum(((1, 0, self, other),))
 
