@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import chain
 
 from .errors import ShapeError, SingularMatrixError
 from .scalars import (ONE, ZERO, Cyclotomic, _canonical, _content, _fold, _inverse_parts, _mul_reduce, _pack, _power,
@@ -220,17 +219,17 @@ class Matrix:
 
     def inverse(self, label: str = "matrix"):
         """The inverse, by fraction-free Gauss-Jordan elimination on the
-        integer numerators.  Each row of the numerators has its content
-        c_i (the gcd of its integers) divided out first, giving A' with
-        A = D A', D = diag(c_i), so that A^-1 = A'^-1 D^-1 and column j of
-        A'^-1 is divided by c_j at the end.  On the rows [A' | 1] the pivot
-        of each column is the first row at or below it with a nonzero entry
+        integer numerators A (the matrix is A / den).  Each row of A has
+        its content c_i (the gcd of its integers) divided out first: with
+        A = D A', D = diag(c_i), A^-1 = A'^-1 D^-1, so elimination starts
+        from the rows [A' | C D^-1], C the lcm of the c_i.  The pivot of
+        each column is the first row at or below it with a nonzero entry
         there, and every other row with an entry f there becomes
         p row - f (pivot row), p the pivot, with its content divided out,
         where Bareiss divides by the previous pivot ("Sylvester's identity
         and multistep integer-preserving Gaussian elimination", Math.
-        Comp. 22, 1968).  Row i then reads d_i e_i beside d_i times row i
-        of A'^-1; each d_i is inverted once with
+        Comp. 22, 1968).  Row i then reads d_i e_i beside d_i C / den
+        times row i of the inverse; each d_i is inverted once with
         :func:`~nreflect.scalars._inverse_parts`, and one normalization
         makes the result.  The rows stay dense; over Q they are plain ints.
         A matrix is refused where Gauss-Jordan over the field finds no
@@ -244,7 +243,8 @@ class Matrix:
         if order == 1:
             rows = [[row[j][0] if j in row else 0 for j in range(n)] for row in self._sparse]
             contents = [math.gcd(*row) or 1 for row in rows]
-            rows = [[x // c for x in row] + [int(i == j) for j in range(n)]
+            content = math.lcm(*contents)
+            rows = [(row if c == 1 else [x // c for x in row]) + [content // c if i == j else 0 for j in range(n)]
                     for i, (row, c) in enumerate(zip(rows, contents))]
             for col in range(n):
                 top = _pivot_row(rows, col, label, bool)
@@ -255,18 +255,18 @@ class Matrix:
                         row = [p * x - f * y for x, y in zip(row, top)]
                         g = math.gcd(*row)
                         rows[r] = [x // g for x in row] if g != 1 else row
-            lcm, content = math.lcm(*(row[i] for i, row in enumerate(rows))), math.lcm(*contents)
-            shares = [content // c for c in contents]
+            lcm = math.lcm(*(row[i] for i, row in enumerate(rows)))
             out = []
             for i, row in enumerate(rows):
                 factor = den * lcm // row[i]  # the sign of d_i goes with it
-                out.append({j: (x * factor * shares[j],) for j, x in enumerate(row[n:]) if x})
+                out.append({j: (x * factor,) for j, x in enumerate(row[n:]) if x})
             return _matrix(1, lcm * content, out, n, n)
         zero = (0,) * euler_phi(order)
-        unit = (1,) + zero[1:]
         rows = [[row.get(j, zero) for j in range(n)] for row in self._sparse]
-        contents = [math.gcd(*(c for vec in row for c in vec)) or 1 for row in rows]
-        rows = [[tuple(x // c for x in vec) for vec in row] + [unit if i == j else zero for j in range(n)]
+        contents = [_content(0, (row,)) or 1 for row in rows]
+        content = math.lcm(*contents)
+        rows = [(row if c == 1 else [tuple(x // c for x in vec) for vec in row])
+                + [(content // c,) + zero[1:] if i == j else zero for j in range(n)]
                 for i, (row, c) in enumerate(zip(rows, contents))]
         for col in range(n):
             top = _pivot_row(rows, col, label, any)
@@ -279,12 +279,11 @@ class Matrix:
                     g = math.gcd(*(c for vec in row for c in vec))
                     rows[r] = [tuple(c // g for c in vec) for vec in row] if g != 1 else row
         parts = [_inverse_parts(order, row[i]) for i, row in enumerate(rows)]
-        lcm, content = math.lcm(*(norm for _, norm in parts)), math.lcm(*contents)
-        shares = [content // c for c in contents]
+        lcm = math.lcm(*(norm for _, norm in parts))
         out = []
         for row, (others, norm) in zip(rows, parts):
             factor = den * (lcm // norm)
-            out.append({j: tuple(c * factor * shares[j] for c in _mul_reduce(order, x, others))
+            out.append({j: tuple(c * factor for c in _mul_reduce(order, x, others))
                         for j, x in enumerate(row[n:]) if any(x)})
         return _matrix(order, lcm * content, out, n, n)
 
@@ -350,7 +349,7 @@ def _matrix(order, den, sparse, nrows, ncols):
     if order is None:
         m._fill([{j: a for j, a in row.items() if a} for row in sparse], ncols)
         return m
-    g = _content(den, chain.from_iterable(chain.from_iterable(map(dict.values, sparse))))
+    g = _content(den, map(dict.values, sparse))
     if g != 1:
         den //= g
         sparse = [{j: tuple(c // g for c in vec) for j, vec in row.items()} for row in sparse]

@@ -133,15 +133,17 @@ def _unpack(v: int, width: int, count: int) -> list:
     return digits
 
 
-def _content(den: int, numbers) -> int:
-    """gcd(den, *numbers) for den > 0: dividing den and every integer
-    numerator by it puts their quotients in lowest terms.  Reading stops
-    once the gcd is 1, as it is for most results."""
+def _content(den: int, rows) -> int:
+    """The gcd of den > 0 and every integer of the numerator vectors in
+    ``rows``, iterables of vectors: dividing den and the numerators by it
+    puts them in lowest terms.  Reading stops once the gcd is 1, as it is
+    for most results."""
     g = den
-    for c in numbers:
-        if g == 1:
-            return 1
-        g = gcd(g, c)
+    for row in rows:
+        for vec in row:
+            g = gcd(g, *vec)
+            if g == 1:
+                return 1
     return g
 
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
 from math import lcm
 from operator import add, or_
 
@@ -77,7 +76,7 @@ def _poly(order: int, den: int, terms: dict) -> "SpinPoly":
     and den and the numerators divided by their gcd."""
     if order != 1 and not any(any(vec[1:]) for vec in terms.values()):
         order, terms = 1, {key: vec[0] for key, vec in terms.items()}
-    g = _content(den, terms.values() if order == 1 else chain.from_iterable(terms.values()))
+    g = _content(den, (zip(terms.values()) if order == 1 else terms.values(),))  # over Q, 1-tuples
     if g != 1:
         den //= g
         if order == 1:
@@ -151,8 +150,8 @@ def _product_sum(quads) -> "SpinPoly":
     """sum scale * x^shift * left * right over the (scale, shift, left,
     right) quads, x^shift the monomial of packed key ``shift``, in one
     pass over one denominator, the lcm of the left operands' denominators
-    times that of the right ones': each term of a left operand is
-    multiplied once per quad by the scale and both operands' factors to
+    times that of the right ones': each term of the shorter operand of a
+    quad is multiplied once by the scale and both operands' factors to
     it, the integer products are accumulated in one dict, and the sum is
     normalized once.  Over Q(zeta_N) each numerator vector is packed into
     one int, its coordinates w bits apart, w bounding every accumulated
