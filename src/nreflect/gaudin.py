@@ -44,8 +44,8 @@ from .reflection import (
 )
 from .reflection import rbar_matrix  # noqa: F401 - perfbench/test_perfbench.py reads it off this module
 from .scalars import ZERO, as_scalar, scalar_from_str, zeta
-from .spinalg import (SpinPoly, _combination, _product_sum, bracket_partials, casimir, partials, poisson_bracket,
-                      s_minus, s_plus, s_z)
+from .spinalg import (SpinPoly, _combination, bracket_partials, casimir, partials, poisson_bracket, s_minus, s_pair,
+                      s_plus, s_z)
 
 HALF = Fraction(1, 2)
 
@@ -160,11 +160,6 @@ def _inverse_shift(tau_j, z) -> RatFun:
 # ---------------------------------------------------------------------------
 # Hamiltonians
 # ---------------------------------------------------------------------------
-
-def s_pair(i: int, k: int) -> SpinPoly:
-    """S_ik = s_i^z s_k^z / 2 + s_i^+ s_k^- + s_i^- s_k^+, as one sum of products."""
-    return _product_sum(((1, 0, s_z(i), s_z(k)), (2, 0, s_plus(i), s_minus(k)), (2, 0, s_minus(i), s_plus(k)))) / 2
-
 
 def _check_site(model: GaudinModel, i: int) -> None:
     if not 1 <= i <= model.L:

@@ -347,6 +347,16 @@ def casimir(j: int) -> SpinPoly:
     return HALF * s_z(j) ** 2 + 2 * s_plus(j) * s_minus(j)
 
 
+def s_pair(i: int, k: int) -> SpinPoly:
+    """S_ik = s_i^z s_k^z / 2 + s_i^+ s_k^- + s_i^- s_k^+, the coupling
+    tr(ell_i ell_k) of the spin blocks of sites i and k, built from its
+    keys; S_ii is the Casimir."""
+    if i == k:
+        return casimir(i)
+    up_i, up_k = (next(iter(s_plus(j).terms)) for j in (i, k))
+    return _wrap(1, 2, {(up_i + up_k) << 2 * WIDTH: 1, up_i + (up_k << WIDTH): 2, (up_i << WIDTH) + up_k: 2})
+
+
 def partials(f) -> dict:
     """Site j -> (df/ds_j^+, df/ds_j^-, df/ds_j^z) for every site f depends
     on, in one pass over the terms of f; a scalar has none."""

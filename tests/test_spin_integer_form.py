@@ -26,9 +26,11 @@ from nreflect.spinalg import (  # noqa: E402
     MAX_EXPONENT,
     SpinPoly,
     bracket_partials,
+    casimir,
     partials,
     poisson_bracket,
     s_minus,
+    s_pair,
     s_plus,
     s_z,
 )
@@ -272,6 +274,15 @@ class TestEdges:
             poisson_bracket(s_z(1) ** MAX_EXPONENT * s_plus(1), s_z(1) ** MAX_EXPONENT * s_minus(1))
         # an exponent that reaches the guard bit only in a cancelled term does not raise
         assert (top * s_plus(2) - top * s_plus(2)).is_zero()
+
+    def test_pair_coupling_from_its_keys(self):
+        for i, k in ((1, 2), (3, 1), (2, 7)):
+            products = Fraction(1, 2) * s_z(i) * s_z(k) + s_plus(i) * s_minus(k) + s_minus(i) * s_plus(k)
+            assert_lowest_terms(s_pair(i, k))
+            assert s_pair(i, k) == products and hash(s_pair(i, k)) == hash(products)
+        assert s_pair(2, 2) == casimir(2)
+        with pytest.raises(IndexError):
+            s_pair(0, 1)
 
     def test_two_orders_meet(self):
         f3, f4 = zeta(3) * s_z(1), zeta(4) * s_z(2)
