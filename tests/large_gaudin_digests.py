@@ -1,13 +1,14 @@
 """Byte-identity of the ``gaudin`` reports on large models, outside tier-1.
 
 ``tests/data/large_gaudin_digests.json`` holds the exit code and the sha256
-of the stdout of ``nreflect gaudin <subcommand> --seed 7 --samples 2`` for
-all seven subcommands on three models: two-reflection at L = 32 and at
+of the stdout of ``nreflect gaudin <subcommand> --seed 7 --samples 2``.
+All seven subcommands run on three models: two-reflection at L = 32 and at
 L = 64 (sites z = 1, 4, 7, ...), and z3 at L = 16, whose coefficients lie
-in Q(zeta_3).  The L = 64 set takes close to a minute, too long for the
-tier-1 suite, so pytest does not collect this file (its name does not start
-with ``test_``).  Run it by hand before and after any change to the spin
-polynomials or the Gaudin layer::
+in Q(zeta_3).  Two-reflection at L = 128 runs only ``residue-equality`` and
+``hamiltonians``; its brackets take minutes.  The L = 64 set takes tens of
+seconds, too long for the tier-1 suite, so pytest does not collect this
+file (its name does not start with ``test_``).  Run it by hand before and
+after any change to the spin polynomials or the Gaudin layer::
 
     PYTHONPATH=src python tests/large_gaudin_digests.py            # check
     PYTHONPATH=src python tests/large_gaudin_digests.py two-L32    # names containing "two-L32"
@@ -31,17 +32,20 @@ sys.path.insert(0, str(Path(__file__).parent))
 from test_gaudin_digests import SAMPLES, SEED, digest  # noqa: E402
 
 DATA = Path(__file__).parent / "data" / "large_gaudin_digests.json"
+# name -> (model config, the gaudin subcommands run on it)
 MODELS = {
-    "two-L32": {"case": "two-reflection", "z": [str(1 + 3 * i) for i in range(32)]},
-    "two-L64": {"case": "two-reflection", "z": [str(1 + 3 * i) for i in range(64)]},
-    "z3-L16": {"case": "z3", "z": [str(1 + 3 * i) for i in range(16)]},
+    "two-L32": ({"case": "two-reflection", "z": [str(1 + 3 * i) for i in range(32)]}, GAUDIN_SUBCOMMANDS),
+    "two-L64": ({"case": "two-reflection", "z": [str(1 + 3 * i) for i in range(64)]}, GAUDIN_SUBCOMMANDS),
+    "two-L128": ({"case": "two-reflection", "z": [str(1 + 3 * i) for i in range(128)]},
+                 ("hamiltonians", "residue-equality")),
+    "z3-L16": ({"case": "z3", "z": [str(1 + 3 * i) for i in range(16)]}, GAUDIN_SUBCOMMANDS),
 }
 
 
 def commands() -> dict:
     """Name -> (model config, argv after ``--config <path>``)."""
     return {f"{sub} {name}": (config, ["gaudin", sub, "--seed", SEED, "--samples", SAMPLES])
-            for name, config in MODELS.items() for sub in GAUDIN_SUBCOMMANDS}
+            for name, (config, subs) in MODELS.items() for sub in subs}
 
 
 def main(argv=None) -> int:
