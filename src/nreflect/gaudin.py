@@ -6,21 +6,36 @@ The generating matrix is
     B(lam) = sum_m c_m(lam) ell_m,   c_m(lam) = sum_j g^(j)(lam) / (tau^j(lam) - z_m)
 
 with spin blocks ell_m = [[s_m^z/2, s_m^+], [s_m^-, -s_m^z/2]] at mutually
-distinct sites z_m.  The site coefficients c_m are scalar rational functions
-of lam, built once per model.  Since tr(ell_m ell_k) = S_mk, the pair
-coupling S_ik = s_i^z s_k^z / 2 + s_i^+ s_k^- + s_i^- s_k^+, and
-tr(ell_m^2) = C_m, the Casimir, the residue of (1/2) tr B(lam)^2 at
-lam = z_m is
+distinct sites z_m.  Since tr(ell_m ell_k) = S_mk, the pair coupling
+S_ik = s_i^z s_k^z / 2 + s_i^+ s_k^- + s_i^- s_k^+, and tr(ell_m^2) = C_m,
+the Casimir,
 
-    H_m = sum_{k != m} res_{z_m}(c_m c_k) S_mk + (1/2) res_{z_m}(c_m^2) C_m,
+    (1/2) tr B(lam)^2 = sum_{m < k} c_m c_k S_mk + (1/2) sum_m c_m^2 C_m,
 
-a partial-fraction computation over Q or Q(zeta_N) alone.  These residues
-are compared exactly with the closed quadratic expressions in the S_ik.
+and H_m is its residue at lam = z_m.  That residue is read off the Laurent
+expansion at z_m, with no rational function of lam formed.  g^(0) = 1 and
+tau^0 = id, and model validation keeps the whole orbit of z_m off the
+weight poles and every tau^j(z_m) with j >= 1 off every site.  So near z_m
+only the term (m, j = 0) of B is singular:
 
-At exact spectral points, B is built from the reflection layer's point
-frame (:func:`nreflect.reflection.point_frame`): the orbit tau^j(lam) and
-the weights g^(j)(lam).  The structural identities at a sample pair have
-one entry, :func:`sampled_residual`, which evaluates one frame per point.
+    c_m(lam) = 1/(lam - z_m) + h_m(lam),   h_m(lam) = sum_{j >= 1} g^(j)(lam) / (tau^j(lam) - z_m),
+
+with h_m and every c_k, k != m, regular at z_m.  Then
+res_{z_m}(c_m c_k) = c_k(z_m), res_{z_m}(c_m^2) = 2 h_m(z_m) (the double
+pole has no residue), and
+
+    H_m = sum_{k != m} c_k(z_m) S_mk + h_m(z_m) C_m.
+
+Each coefficient is a site sum of B over the point frame at z_m
+(:func:`nreflect.reflection.point_frame`: the orbit tau^j(z_m) and the
+weights g^(j)(z_m)) with the one term (m, j = 0) left out.  These
+Hamiltonians are compared exactly with the closed quadratic expressions in
+the S_ik, derived by hand.  The site coefficients c_m as scalar rational
+functions of lam serve only the residue-theorem check.
+
+At exact spectral points, B is built from the same site sums over the
+point frame at lam.  The structural identities at a sample pair have one
+entry, :func:`sampled_residual`, which evaluates one frame per point.
 """
 
 from __future__ import annotations
@@ -72,7 +87,8 @@ class GaudinModel:
     @cached_property
     def site_coefficients(self) -> tuple:
         """c_1, ..., c_L: c_m(lam) = sum_j g^(j)(lam) / (tau^j(lam) - z_m) as
-        scalar rational functions of lam, so that B(lam) = sum_m c_m(lam) ell_m."""
+        scalar rational functions of lam, so that B(lam) = sum_m c_m(lam) ell_m;
+        read by :func:`residue_sum_check`."""
         case = self.case
         terms = [(g, case.tau.iterate(j)) for j, g in enumerate(case.weights.gs)]
         return tuple(sum((g * _inverse_shift(tau_j, zm) for g, tau_j in terms), start=RatFun(Poly()))
@@ -124,22 +140,25 @@ def _validate(model: GaudinModel) -> None:
 # the generating matrix B
 # ---------------------------------------------------------------------------
 
-def _frame_site_values(model: GaudinModel, frame: PointFrame) -> list:
-    """c_1(lam), ..., c_L(lam) from the frame at lam, summed term by term, so
-    that PoleError is raised wherever a term g^(j)(lam) / (tau^j(lam) - z_m)
-    of B is undefined, even if the terms' poles cancel in the sum."""
+def _site_sums(model: GaudinModel, frame: PointFrame, skip: int = 0) -> list:
+    """sum_j g^(j)(lam) / (tau^j(lam) - z_m) for m = 1, ..., L from the frame
+    at lam, summed term by term, so that PoleError is raised wherever a term
+    of B is undefined, even if the terms' poles cancel in the sum.  Site
+    ``skip`` leaves out its term j = 0: at lam = z_skip that is the pole of
+    B, and its sum is h_skip(lam)."""
     for j, point in enumerate(frame.orbit):
         for m, zm in enumerate(model.sites, start=1):
-            if point == zm:
+            if point == zm and (j, m) != (0, skip):
                 raise PoleError(f"B(lam) pole: tau^{j}(lam) = z_{m} at lam = {frame.orbit[0]}")
-    return [sum((g / (point - zm) for g, point in zip(frame.weights, frame.orbit)), start=ZERO)
-            for zm in model.sites]
+    terms = tuple(zip(frame.weights, frame.orbit))
+    return [sum((g / (point - zm) for g, point in (terms[1:] if m == skip else terms)), start=ZERO)
+            for m, zm in enumerate(model.sites, start=1)]
 
 
 def site_values(model: GaudinModel, lam) -> list:
     """c_1(lam), ..., c_L(lam) at an exact point; raises PoleError where the
     frame at lam or a term of B is undefined."""
-    return _frame_site_values(model, point_frame(model.case, lam))
+    return _site_sums(model, point_frame(model.case, lam))
 
 
 def big_B(values) -> Matrix:
@@ -167,15 +186,19 @@ def _check_site(model: GaudinModel, i: int) -> None:
 
 
 def hamiltonian_residue(model: GaudinModel, m: int) -> SpinPoly:
-    """H_m = (1/2) res at z_m of tr B(lam)^2, by exact residues of the scalar
-    products c_m c_k.  Model validation keeps z_m off every other c_k's poles,
-    so the products without c_m contribute nothing."""
+    """H_m = (1/2) res at z_m of tr B(lam)^2 = sum_{k != m} c_k(z_m) S_mk +
+    h_m(z_m) C_m, from the point frame at z_m in one combination.
+
+    Near z_m, c_m(lam) = 1/(lam - z_m) + h_m(lam), since g^(0) = 1 and
+    tau^0 = id.  Model validation keeps the orbit of z_m off the weight
+    poles and every tau^j(z_m), j >= 1, off every site, so h_m and the other
+    c_k are regular there.  Hence res(c_m c_k) = c_k(z_m) and
+    (1/2) res(c_m^2) = h_m(z_m), and no rational function of lam is
+    formed."""
     _check_site(model, m)
-    zm = model.sites[m - 1]
-    cs = model.site_coefficients
-    cm = cs[m - 1]
-    pairs = [((cm * ck).residue(zm), s_pair(m, k)) for k, ck in enumerate(cs, start=1) if k != m]
-    return _combination([(HALF * (cm * cm).residue(zm), casimir(m))] + pairs)
+    values = _site_sums(model, point_frame(model.case, model.sites[m - 1]), skip=m)
+    pairs = [(c, s_pair(m, k)) for k, c in enumerate(values, start=1) if k != m]
+    return _combination([(values[m - 1], casimir(m))] + pairs)
 
 
 def hamiltonian_explicit(model: GaudinModel, i: int) -> SpinPoly:
@@ -263,8 +286,8 @@ def sampled_residual(model: GaudinModel, sub: str, lam, mu, p: int = 2, q: int =
     case = model.case
     lam, mu = as_scalar(lam), as_scalar(mu)
     at_lam, at_mu = point_frame(case, lam), point_frame(case, mu)
-    b_lam = big_B(_frame_site_values(model, at_lam))
-    b_mu = big_B(_frame_site_values(model, at_mu))
+    b_lam = big_B(_site_sums(model, at_lam))
+    b_mu = big_B(_site_sums(model, at_mu))
     rbar_ab = rbar_at(case, lam, at_mu)
     rbar_ba = swap_pair(rbar_at(case, mu, at_lam))
     eye = Matrix.identity(2)

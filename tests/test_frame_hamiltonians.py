@@ -9,15 +9,21 @@ with every product formed and every residue taken by ``RatFun`` and the sum
 built by the public ``SpinPoly`` operators.  It is compared with ``==``
 against ``hamiltonian_residue`` on all five model kinds at L = 1 to 5, with
 fractional and negative sites (L = 1 has no pair term at all).
+
+``residue-equality`` reads each H_m off one point frame at z_m and forms no
+rational function of lam: a count guard runs it on two-reflection at L = 4.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from nreflect import gaudin
 from nreflect.errors import ModelError
 from nreflect.gaudin import hamiltonian_residue, model_from_config
+from nreflect.ratfun import RatFun
 from nreflect.spinalg import casimir, s_pair
+from test_gaudin_digests import MODELS, RECORDED, SAMPLES, SEED, digest
 
 F = Fraction
 
@@ -80,3 +86,26 @@ def test_single_site_has_only_the_casimir_term():
     h = hamiltonian_residue(built, 1)
     assert h == residue_oracle(built, 1)
     assert {key for key, _ in h.monomials()} <= {key for key, _ in casimir(1).monomials()}
+
+
+def counted(monkeypatch, owner, name) -> list:
+    """The argument tuples of every call of owner.name from now on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_residue_equality_builds_one_frame_per_site_and_no_rational_function(monkeypatch):
+    frames = counted(monkeypatch, gaudin, "point_frame")
+    ratfun_calls = [counted(monkeypatch, RatFun, name) for name in ("__mul__", "__rmul__", "residue")]
+    config = MODELS["two"]
+    got = digest(config, ["gaudin", "residue-equality", "--seed", SEED, "--samples", SAMPLES])
+    assert got == RECORDED["residue-equality two-L4"]
+    assert [nu for _case, nu in frames] == [F(z) for z in config["z"]]
+    assert ratfun_calls == [[], [], []]

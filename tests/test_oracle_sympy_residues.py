@@ -1,10 +1,12 @@
 """Residues of scalar rational functions against sympy.
 
 An independent oracle for ``RatFun.residue`` and
-``RatFun.residue_at_infinity``, and for the residues res_{z_m}(c_m c_k) of
-the Gaudin site coefficients from which ``hamiltonian_residue`` assembles
-H_m.  sympy builds c_m from the closed forms of tau and g^(1), not from
-``nreflect``'s rational functions.
+``RatFun.residue_at_infinity``, for the residues res_{z_m}(c_m c_k) of the
+Gaudin site coefficients that ``residue_sum_check`` sums, and for the
+coefficients of H_m that ``hamiltonian_residue`` reads off the point frame
+at z_m: the coefficient of S_mk is res_{z_m}(c_m c_k) and that of C_m is
+(1/2) res_{z_m}(c_m^2).  sympy builds c_m from the closed forms of tau and
+the weights g^(j), not from ``nreflect``'s rational functions or frames.
 """
 
 from fractions import Fraction
@@ -13,9 +15,10 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from nreflect.gaudin import model_from_config  # noqa: E402
+from nreflect.gaudin import hamiltonian_residue, model_from_config  # noqa: E402
 from nreflect.ratfun import Poly, RatFun  # noqa: E402
 from nreflect.sampling import SplitMix64  # noqa: E402
+from nreflect.spinalg import casimir, s_minus, s_pair, s_plus  # noqa: E402
 
 X = sympy.Symbol("x")
 
@@ -61,3 +64,44 @@ def test_site_coefficient_residues_match_sympy_on_two_reflection_l3():
         # no product of two other coefficients has a pole at z_m
         others = [e for i, e in enumerate(expected) if i != m]
         assert all(sympy.denom(sympy.cancel(p * q)).subs(X, zm) for p in others for q in others)
+
+
+def coefficient(h, probe):
+    """The coefficient in h of the one monomial of ``probe``."""
+    ((key, _),) = probe.monomials()
+    return dict(h.monomials()).get(key, 0)
+
+
+def two_reflection_coefficients(a, b, c, z):
+    tau = (a * X + b) / (c * X - a)
+    g1 = -sympy.Integer(a * a + b * c) / (a - c * X) ** 2
+    return [1 / (X - zm) + g1 / (tau - zm) for zm in z]
+
+
+def three_reflection_coefficients(a, b, c, d, z):
+    tau = (a * X + b) / (c * X + d)
+    tau2 = sympy.cancel(tau.subs(X, tau))
+    det = sympy.Integer(a * d - b * c)
+    g1, g2 = det / (d + c * X) ** 2, det / (a - c * X) ** 2
+    return [1 / (X - zm) + g1 / (tau - zm) + g2 / (tau2 - zm) for zm in z]
+
+
+@pytest.mark.parametrize("kind,params,z,expected", [
+    ("two-reflection", {"a": 1, "b": 2, "c": 3}, (1, 2, 4), two_reflection_coefficients(1, 2, 3, (1, 2, 4))),
+    ("three-reflection", {"a": 1, "b": 3, "c": -1, "d": 1}, (2, 5, 9),
+     three_reflection_coefficients(1, 3, -1, 1, (2, 5, 9))),
+], ids=["two-reflection-L3", "three-reflection-L3"])
+def test_hamiltonian_coefficients_are_sympy_residues(kind, params, z, expected):
+    model = model_from_config({"case": kind, "params": params, "z": list(z)})
+    for m, zm in enumerate(z, start=1):
+        h = hamiltonian_residue(model, m)
+        pair_coefficients = {k: coefficient(h, s_plus(m) * s_minus(k)) for k in range(1, len(z) + 1) if k != m}
+        casimir_coefficient = coefficient(h, s_plus(m) * s_minus(m)) / 2
+        for k, ours in pair_coefficients.items():
+            assert ours == sympy.residue(expected[m - 1] * expected[k - 1], X, zm)
+        assert casimir_coefficient == sympy.residue(expected[m - 1] ** 2, X, zm) / 2
+        # H_m holds nothing but these couplings
+        rebuilt = casimir_coefficient * casimir(m)
+        for k, ours in pair_coefficients.items():
+            rebuilt = rebuilt + ours * s_pair(m, k)
+        assert h == rebuilt
