@@ -145,7 +145,8 @@ def _site_sums(model: GaudinModel, frame: PointFrame, skip: int = 0) -> list:
     at lam, summed term by term, so that PoleError is raised wherever a term
     of B is undefined, even if the terms' poles cancel in the sum.  Site
     ``skip`` leaves out its term j = 0: at lam = z_skip that is the pole of
-    B, and its sum is h_skip(lam)."""
+    B, and its sum is h_skip(lam).  Sites are numbered from 1, so the
+    default leaves out nothing."""
     for j, point in enumerate(frame.orbit):
         for m, zm in enumerate(model.sites, start=1):
             if point == zm and (j, m) != (0, skip):

@@ -81,13 +81,6 @@ def test_sites_are_fractional_and_negative():
         assert any(z < 0 for z in sites) and any(F(z).denominator > 1 for z in sites)
 
 
-def test_single_site_has_only_the_casimir_term():
-    built = model("two-reflection", 1)
-    h = hamiltonian_residue(built, 1)
-    assert h == residue_oracle(built, 1)
-    assert {key for key, _ in h.monomials()} <= {key for key, _ in casimir(1).monomials()}
-
-
 def counted(monkeypatch, owner, name) -> list:
     """The argument tuples of every call of owner.name from now on."""
     calls = []
