@@ -95,6 +95,13 @@ class GaudinModel:
                      for zm in self.sites)
 
     @cached_property
+    def couplings(self) -> dict:
+        """(m, k) -> S_mk = S_km (:func:`s_pair`) for sites m != k, built
+        once per unordered pair and read by both Hamiltonian routes."""
+        pairs = {(m, k): s_pair(m, k) for m in range(1, self.L + 1) for k in range(m + 1, self.L + 1)}
+        return {**pairs, **{(k, m): s for (m, k), s in pairs.items()}}
+
+    @cached_property
     def hamiltonians(self) -> tuple:
         """H_1, ..., H_L in closed form (:func:`hamiltonian_explicit`), built
         once per model."""
@@ -198,7 +205,7 @@ def hamiltonian_residue(model: GaudinModel, m: int) -> SpinPoly:
     formed."""
     _check_site(model, m)
     values = _site_sums(model, point_frame(model.case, model.sites[m - 1]), skip=m)
-    pairs = [(c, s_pair(m, k)) for k, c in enumerate(values, start=1) if k != m]
+    pairs = [(c, model.couplings[m, k]) for k, c in enumerate(values, start=1) if k != m]
     return _combination([(values[m - 1], casimir(m))] + pairs)
 
 
@@ -213,11 +220,11 @@ def hamiltonian_explicit(model: GaudinModel, i: int) -> SpinPoly:
     others = [(k, zk) for k, zk in enumerate(z, start=1) if k != i]
     try:
         if case.family == "trivial":
-            return _combination((1 / (zi - zk), s_pair(i, k)) for k, zk in others)
+            return _combination((1 / (zi - zk), model.couplings[i, k]) for k, zk in others)
         if case.family == "id-2refl":
             a, b, c = params["a"], params["b"], params["c"]
             kappa = a * a + b * c
-            pairs = [(1 / (zi - zk) + kappa / ((a - c * zi) * (b + a * (zi + zk) - c * zi * zk)), s_pair(i, k))
+            pairs = [(1 / (zi - zk) + kappa / ((a - c * zi) * (b + a * (zi + zk) - c * zi * zk)), model.couplings[i, k])
                      for k, zk in others]
             cas_coeff = kappa / ((a - c * zi) * (b + 2 * a * zi - c * zi * zi))
             return _combination(pairs + [(cas_coeff, casimir(i))])
@@ -226,7 +233,7 @@ def hamiltonian_explicit(model: GaudinModel, i: int) -> SpinPoly:
             det = a * d - b * c
             pairs = [(1 / (zi - zk)
                       + det / ((d + c * zi) * (b + a * zi - d * zk - c * zi * zk))
-                      - det / ((a - c * zi) * (b + a * zk - d * zi - c * zi * zk)), s_pair(i, k))
+                      - det / ((a - c * zi) * (b + a * zk - d * zi - c * zi * zk)), model.couplings[i, k])
                      for k, zk in others]
             cas_coeff = (det / (b + (a - d) * zi - c * zi * zi)) * (1 / (d + c * zi) - 1 / (a - c * zi))
             return _combination(pairs + [(cas_coeff, casimir(i))])

@@ -9,16 +9,21 @@ positive denominator in lowest terms for the whole matrix, as FLINT's
 ``fmpq_mat``/``nf_elem`` do; arithmetic runs on the integers, a product
 reducing mod Phi_N once per entry with the table of :mod:`nreflect.scalars`,
 and canonical scalars are built only where entries are read: ``rows``,
-``m[i, j]``, ``trace``, ``==`` and ``first_nonzero``.  ``inverse`` is
-fraction-free elimination on the integer numerators.  Three kernels each
-make one pass with one normalization: :func:`combination` sums scaled
-matrices, :func:`product_sum` sums signed products, and
+``m[i, j]``, ``trace``, ``==`` and ``first_nonzero``.  ``inverse`` is one
+fraction-free elimination over Z: a Q(zeta_N) matrix is inverted through
+its rational regular representation, phi(N) times its size.  Three
+kernels each make one pass with one normalization: :func:`combination`
+sums scaled matrices, :func:`product_sum` sums signed products, and
 :func:`leg_b_product` multiplies a pair-leg matrix from both sides by
 n x n factors on leg b, (1 x k) m (1 x k)^-1 among them, with no
-Kronecker product.  The last two pack each Q(zeta_N) numerator vector
-into one integer so that a coordinate convolution is one integer product
-(Kronecker substitution; D. Harvey, "Faster polynomial multiplication
-via multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009).
+Kronecker product; all three take exact scalars of one field only.  The
+last two read each operand many times, so they pack each Q(zeta_N)
+numerator vector into one integer and a coordinate convolution is one
+integer product (Kronecker substitution; D. Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symbolic
+Comput. 44, 2009).  A single-use product (``*``, ``scale``, ``kron`` and
+the scaling in ``combination``) stays schoolbook: packing measured slower
+there, since no operand is reused to pay for its packing.
 Any other entries, such as the ``SpinPoly``s of the Gaudin B, are stored
 as they are and need ``+``, ``-``, ``*`` and truthiness; such a matrix
 has no ``inverse``.
@@ -31,8 +36,8 @@ import operator
 from fractions import Fraction
 
 from .errors import ShapeError, SingularMatrixError
-from .scalars import (ONE, ZERO, Cyclotomic, _canonical, _content, _fold, _inverse_parts, _mul_reduce, _pack, _power,
-                      _power_rows, _unpack, euler_phi)
+from .scalars import (ONE, ZERO, Cyclotomic, _canonical, _content, _fold, _mul_reduce, _one_field, _pack, _pack_width,
+                      _power, _power_rows, _unpack_fold, euler_phi)
 
 PLACEMENTS = ("ab", "ac", "bc", "ba", "ca", "cb")
 
@@ -218,74 +223,26 @@ class Matrix:
         return total
 
     def inverse(self, label: str = "matrix"):
-        """The inverse, by fraction-free Gauss-Jordan elimination on the
-        integer numerators A (the matrix is A / den).  Each row of A has
-        its content c_i (the gcd of its integers) divided out first: with
-        A = D A', D = diag(c_i), A^-1 = A'^-1 D^-1, so elimination starts
-        from the rows [A' | C D^-1], C the lcm of the c_i.  The pivot of
-        each column is the first row at or below it with a nonzero entry
-        there, and every other row with an entry f there becomes
-        p row - f (pivot row), p the pivot, with its content divided out,
-        where Bareiss divides by the previous pivot ("Sylvester's identity
-        and multistep integer-preserving Gaussian elimination", Math.
-        Comp. 22, 1968).  Row i then reads d_i e_i beside d_i C / den
-        times row i of the inverse; each d_i is inverted once with
-        :func:`~nreflect.scalars._inverse_parts`, and one normalization
-        makes the result.  The rows stay dense; over Q they are plain ints.
-        A matrix is refused where Gauss-Jordan over the field finds no
-        pivot: SingularMatrixError names ``label`` and that column.  Ring
-        entries cannot be inverted."""
+        """The inverse, by one fraction-free elimination over Z
+        (:func:`_eliminate`) of the rational regular representation R(A)
+        (:func:`_regular`): an entry a of A becomes the phi(N) x phi(N)
+        block whose column t holds the coordinates of a zeta^t, and over Q,
+        R(A) is A.  R is a ring homomorphism, so R(A)^-1 = R(A^-1), and each
+        entry of A^-1 is column 0 of its block.  A singular matrix is
+        refused with SingularMatrixError naming ``label`` and the first
+        column where Gauss-Jordan over the field finds no pivot: field
+        column k lies in the span of those before it exactly when column
+        phi k of R(A) does.  Ring entries cannot be inverted."""
         if self.nrows != self.ncols:
             raise ShapeError("inverse needs a square matrix")
-        order, n, den = self._order, self.nrows, self._den
+        order, n = self._order, self.nrows
         if order is None:
             raise TypeError(f"{label}: inverse needs exact scalar entries of one field")
-        if order == 1:
-            rows = [[row[j][0] if j in row else 0 for j in range(n)] for row in self._sparse]
-            contents = [math.gcd(*row) or 1 for row in rows]
-            content = math.lcm(*contents)
-            rows = [(row if c == 1 else [x // c for x in row]) + [content // c if i == j else 0 for j in range(n)]
-                    for i, (row, c) in enumerate(zip(rows, contents))]
-            for col in range(n):
-                top = _pivot_row(rows, col, label, bool)
-                p = top[col]
-                for r, row in enumerate(rows):
-                    f = row[col]
-                    if f and r != col:
-                        row = [p * x - f * y for x, y in zip(row, top)]
-                        g = math.gcd(*row)
-                        rows[r] = [x // g for x in row] if g != 1 else row
-            lcm = math.lcm(*(row[i] for i, row in enumerate(rows)))
-            out = []
-            for i, row in enumerate(rows):
-                factor = den * lcm // row[i]  # the sign of d_i goes with it
-                out.append({j: (x * factor,) for j, x in enumerate(row[n:]) if x})
-            return _matrix(1, lcm * content, out, n, n)
-        zero = (0,) * euler_phi(order)
-        rows = [[row.get(j, zero) for j in range(n)] for row in self._sparse]
-        contents = [_content(0, (row,)) or 1 for row in rows]
-        content = math.lcm(*contents)
-        rows = [(row if c == 1 else [tuple(x // c for x in vec) for vec in row])
-                + [(content // c,) + zero[1:] if i == j else zero for j in range(n)]
-                for i, (row, c) in enumerate(zip(rows, contents))]
-        for col in range(n):
-            top = _pivot_row(rows, col, label, any)
-            p = top[col]
-            for r, row in enumerate(rows):
-                f = row[col]
-                if any(f) and r != col:
-                    row = [tuple(a - b for a, b in zip(_mul_reduce(order, p, x), _mul_reduce(order, f, y)))
-                           for x, y in zip(row, top)]
-                    g = math.gcd(*(c for vec in row for c in vec))
-                    rows[r] = [tuple(c // g for c in vec) for vec in row] if g != 1 else row
-        parts = [_inverse_parts(order, row[i]) for i, row in enumerate(rows)]
-        lcm = math.lcm(*(norm for _, norm in parts))
-        out = []
-        for row, (others, norm) in zip(rows, parts):
-            factor = den * (lcm // norm)
-            out.append({j: tuple(c * factor for c in _mul_reduce(order, x, others))
-                        for j, x in enumerate(row[n:]) if any(x)})
-        return _matrix(order, lcm * content, out, n, n)
+        phi = euler_phi(order)
+        right, den = _eliminate(_regular(order, self._sparse, n), phi, label, self._den)
+        # the block of row i: its phi rows, read column by column
+        out = [{j: vec for j, vec in enumerate(zip(*right[i * phi:(i + 1) * phi])) if any(vec)} for i in range(n)]
+        return _matrix(order, den, out, n, n)
 
     def kron(self, other):
         """Tensor (Kronecker) product."""
@@ -313,15 +270,56 @@ class Matrix:
 # sparse rows and the integer form
 # ---------------------------------------------------------------------------
 
-def _pivot_row(rows, col, label, nonzero):
-    """Swap the first of the dense rows at or below ``col`` whose entry in
-    ``col`` is ``nonzero`` into place ``col`` and return it;
-    SingularMatrixError naming ``label`` and the column where there is none."""
-    pivot = next((r for r in range(col, len(rows)) if nonzero(rows[r][col])), None)
-    if pivot is None:
-        raise SingularMatrixError(f"{label} is singular (column {col})")
-    rows[col], rows[pivot] = rows[pivot], rows[col]
-    return rows[col]
+def _regular(order, sparse, n):
+    """The dense integer rows of the rational regular representation of the
+    n x n sparse rows of numerator vectors over Q(zeta_order): row
+    i phi + s, column j phi + t holds coordinate s of a_ij zeta^t."""
+    phi = euler_phi(order)
+    rows = [[0] * (n * phi) for _ in range(n * phi)]
+    for i, row in enumerate(sparse):
+        for j, vec in row.items():
+            for t in range(phi):
+                if t:
+                    vec = _fold(_power_rows(order), (0,) + tuple(vec), phi)  # times zeta
+                for s, c in enumerate(vec):
+                    rows[i * phi + s][j * phi + t] = c
+    return rows
+
+
+def _eliminate(rows, phi, label, scale):
+    """(X, d) with scale M^-1 e_(j phi) = column j of X / d for the dense
+    square integer rows M, by fraction-free Gauss-Jordan elimination.  Each
+    row of M has its content c_i divided out first (M = D M', D = diag(c_i),
+    M^-1 = M'^-1 D^-1), so elimination starts from [M' | C D^-1 E], C the
+    lcm of the c_i and E the columns e_(j phi).  The pivot of a column is
+    the first row at or below it with a nonzero entry f there, and every
+    other such row becomes p row - f (pivot row), p the pivot, with its
+    content divided out, where Bareiss divides by the previous pivot (Math.
+    Comp. 22, 1968).  Row i ends as d_i e_i beside d_i C times row i of
+    M^-1 E.  SingularMatrixError names ``label`` and column c // phi for
+    the first column c without a pivot."""
+    size = len(rows)
+    contents = [math.gcd(*row) or 1 for row in rows]
+    content = math.lcm(*contents)
+    rows = [(row if c == 1 else [x // c for x in row])
+            + [content // c if i == j * phi else 0 for j in range(size // phi)]
+            for i, (row, c) in enumerate(zip(rows, contents))]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            raise SingularMatrixError(f"{label} is singular (column {col // phi})")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        p = top[col]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != col:
+                row = [p * x - f * y for x, y in zip(row, top)]
+                g = math.gcd(*row)
+                rows[r] = [x // g for x in row] if g > 1 else row  # g = 0: a zero row, M is singular
+    lcm = math.lcm(*(row[i] for i, row in enumerate(rows)))
+    # the sign of d_i goes with its factor
+    return [[x * (scale * lcm // row[i]) for x in row[size:]] for i, row in enumerate(rows)], lcm * content
 
 
 def _exact_order(rows):
@@ -390,7 +388,9 @@ def _lifted(m, order):
 
 def _times(order, x, y):
     """The product of two numerator vectors of Q(zeta_order), either of
-    which may be a rational one of length 1."""
+    which may be a rational one of length 1, by schoolbook multiplication:
+    ``scale``, ``kron`` and ``combination`` use each vector once, and
+    packing it (:func:`_packed`) measured slower there."""
     if len(x) == 1:
         return tuple(x[0] * c for c in y)
     if len(y) == 1:
@@ -412,7 +412,9 @@ def _accumulate(out, sa, sb, factor=1):
 def _product(order, sa, sb):
     """Sparse rows of the product of two sparse row lists over Q(zeta_order):
     integer dot products of the coordinate convolutions, each output entry
-    reduced mod Phi_N once.  Rational vectors may have length 1."""
+    reduced mod Phi_N once.  Rational vectors may have length 1.  A
+    product reads each operand once, so the vectors stay unpacked: packing
+    them (:func:`_packed`) measured slower here."""
     if order == 1:
         out = [{} for _ in sa]
         _accumulate(out, sa, sb)
@@ -441,30 +443,31 @@ def _product(order, sa, sb):
 
 
 def combination(pairs) -> Matrix:
-    """sum c * m over the (scalar, matrix) pairs, at least one, in one pass
-    over the integer numerators: one lcm of the denominators, each
-    coefficient folded into the numerators, one gcd normalization.  Pairs
-    the integer form cannot hold together (ring entries, or two cyclotomic
-    orders) are summed with ``scale`` and ``+``."""
+    """sum c * m over the (exact scalar, matrix of exact scalars) pairs, at
+    least one, all over one field, in one pass over the integer numerators:
+    one lcm of the denominators, each coefficient folded into the
+    numerators (by :func:`_times`), one gcd normalization.  TypeError for
+    ring entries, OrderMismatchError for two cyclotomic orders."""
     pairs = list(pairs)
     nrows, ncols = pairs[0][1].nrows, pairs[0][1].ncols
-    order, terms = 1, []
+    orders, terms = [], []
     for c, m in pairs:
         if m.nrows != nrows or m.ncols != ncols:
             raise ShapeError(f"shape mismatch {nrows}x{ncols} vs {m.nrows}x{m.ncols}")
+        orders.append(m._order)
         kind = type(c)
         if kind is Cyclotomic:
-            num, den, orders = c.num, c.den, (m._order, c.order)
+            num, den = c.num, c.den
+            orders.append(c.order)
         elif kind is Fraction or kind is int:
-            num, den, orders = (c.numerator,), c.denominator, (m._order,)
+            num, den = (c.numerator,), c.denominator
         else:
-            orders = (None,)
-        for o in orders:
-            if o is None or (o != order and 1 not in (o, order)):
-                return sum((m.scale(c) for c, m in pairs[1:]), pairs[0][1].scale(pairs[0][0]))
-            order = max(order, o)
+            orders.append(None)
+            continue
         if any(num):
-            terms.append((num, den * m._den, m._sparse))
+            terms.append((num, den, m))
+    order = _exact_field("combination", orders)
+    terms = [(num, d * m._den, m._sparse) for num, d, m in terms]
     den = math.lcm(*(d for _, d, _ in terms))
     out = [{} for _ in range(nrows)]
     if order == 1:
@@ -489,56 +492,51 @@ def combination(pairs) -> Matrix:
 
 def product_sum(terms) -> Matrix:
     """sum sign * a * b over the (sign, a, b) terms, at least one, each sign
-    1 or -1, in one pass over the integer numerators: one lcm of the
-    denominators, each scale factor folded into the numerators, one
-    accumulator per row, one Phi_N fold per entry, one gcd normalization.
-    Over Q(zeta_N) each numerator vector is packed into one int, its
-    coordinates w bits apart, so that a coordinate convolution is one
-    integer product (Kronecker substitution); w bounds every accumulated
-    coefficient, from the largest numerators, the longest row of each a,
-    phi(N) and the scale factors.  Terms the integer form cannot hold
-    together (ring entries, or two cyclotomic orders) are summed with
-    ``*``, ``+`` and ``-``."""
+    1 or -1 and every matrix of exact scalars over one field, in one pass:
+    one lcm of the denominators, each scale factor folded into the
+    numerators, one accumulator per row, one Phi_N fold per entry, one gcd
+    normalization.  An operand is read once per row of the other, so its
+    numerator vectors are packed (:func:`_packed`) w bits apart, w bounding
+    every accumulated coordinate from the largest numerators, the longest
+    row of each a, phi(N) and the scale factors.  TypeError for ring
+    entries, OrderMismatchError for two cyclotomic orders."""
     terms = list(terms)
     nrows, ncols = terms[0][1].nrows, terms[0][2].ncols
     for _, a, b in terms:
         if a.ncols != b.nrows or (a.nrows, b.ncols) != (nrows, ncols):
             raise ShapeError(f"cannot sum the {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols} product "
                              f"into {nrows}x{ncols}")
-    order = _field(*(m for _, a, b in terms for m in (a, b)))
-    if order is None:
-        out = None
-        for sign, x, y in terms:
-            p = x * y
-            out = (p if sign > 0 else -p) if out is None else out._combine(p, sign)
-        return out
+    order = _exact_field("product_sum", [m._order for _, a, b in terms for m in (a, b)])
     den = math.lcm(*(a._den * b._den for _, a, b in terms))
     scaled = [(sign * (den // (a._den * b._den)), a, b) for sign, a, b in terms]
+    width, packed = _packed(order, {id(m): m for _, a, b in terms for m in (a, b)}.values(),
+                            lambda top: euler_phi(order) * sum(abs(factor) * top[id(a)] * top[id(b)]
+                                                               * max(map(len, a._sparse)) for factor, a, b in scaled))
     out = [{} for _ in range(nrows)]
-    if order == 1:
-        for factor, a, b in scaled:
-            _accumulate(out, a._sparse, b._sparse, factor)
-        return _matrix(1, den, [{j: (c,) for j, c in acc.items() if c} for acc in out], nrows, ncols)
-    phi = euler_phi(order)
-    operands = {id(m): m for _, a, b in terms for m in (a, b)}
-    top = {key: _top(m) for key, m in operands.items()}
-    bound = phi * sum(abs(factor) * top[id(a)] * top[id(b)] * max(map(len, a._sparse))
-                      for factor, a, b in scaled)
-    width = bound.bit_length() + 1  # every accumulated coordinate lies in [-2^(width-1), 2^(width-1))
-    packed = {key: [{j: (_pack(vec, width),) for j, vec in row.items()} for row in m._sparse]
-              for key, m in operands.items()}
     for factor, a, b in scaled:
         _accumulate(out, packed[id(a)], packed[id(b)], factor)
-    table = _power_rows(order)
-    rows = []
-    for acc in out:
-        row = {}
-        for j, v in acc.items():
-            vec = _fold(table, _unpack(v, width, 2 * phi - 1), phi)
-            if any(vec):
-                row[j] = tuple(vec)
-        rows.append(row)
-    return _matrix(order, den, rows, nrows, ncols)
+    return _matrix(order, den, _unpack_fold(order, out, width, 2), nrows, ncols)
+
+
+def _exact_field(what, orders):
+    """:func:`~nreflect.scalars._one_field` of the orders; TypeError for ring entries (order None)."""
+    if None in orders:
+        raise TypeError(f"{what} needs exact scalar entries of one field")
+    return _one_field(*orders)
+
+
+def _packed(order, matrices, bound):
+    """(w, id(m) -> rows) for matrices over Q(zeta_order): m's sparse rows
+    with each numerator vector packed into one int, its coordinates w bits
+    apart, as a 1-tuple that :func:`_accumulate` reads, w holding every
+    coordinate up to ``bound(top)`` in absolute value, top mapping id(m) to
+    m's largest numerator.  Rational rows pass through unchanged, as a
+    1-tuple is its own packed form, and over Q no bound is taken."""
+    if order == 1:
+        return 0, {id(m): m._sparse for m in matrices}
+    width = _pack_width(bound({id(m): _top(m) for m in matrices}))
+    return width, {id(m): m._sparse if m._order == 1 else [{j: (_pack(vec, width),) for j, vec in row.items()}
+                                                          for row in m._sparse] for m in matrices}
 
 
 def _top(m):
@@ -629,27 +627,20 @@ def partial_trace(m: Matrix, leg: str) -> Matrix:
 
 def leg_b_product(left: Matrix, m: Matrix, right: Matrix) -> Matrix:
     """(1 x left) m (1 x right) for a pair-leg matrix m and n x n factors,
-    so that leg_b_product(k, m, k^-1) conjugates m by k on leg b: one pass
-    over m's sparse rows, each entry times a column of left and a row of
-    right, one normalization, and no Kronecker product.  Over Q(zeta_N)
-    each numerator vector is packed into one int as :func:`product_sum`
-    packs it, w bits apart, w bounding every accumulated coordinate by
-    n^2 phi(N)^2 times the three largest numerators.  Factors the integer
-    form cannot hold together are multiplied as Kronecker products."""
+    all of exact scalars over one field, so that leg_b_product(k, m, k^-1)
+    conjugates m by k on leg b: one pass over m's sparse rows, each entry
+    times a column of left and a row of right, one normalization, and no
+    Kronecker product.  The numerator vectors are packed as in
+    :func:`product_sum`, w bounding every accumulated coordinate by
+    n^2 phi(N)^2 times the three largest numerators.  TypeError for ring
+    entries, OrderMismatchError for two cyclotomic orders."""
     n = _pair_factor(m, "leg_b_product")
     if any((f.nrows, f.ncols) != (n, n) for f in (left, right)):
         raise ShapeError(f"leg_b_product needs {n}x{n} factors for a {m.nrows}x{m.ncols} matrix")
-    order = _field(left, m, right)
-    if order is None:
-        eye = Matrix.identity(n)
-        return eye.kron(left) * m * eye.kron(right)
-    operands = (left, m, right)
-    if order == 1:
-        sl, sm, sr = (f._sparse for f in operands)
-    else:
-        phi = euler_phi(order)
-        width = (n * n * phi * phi * _top(left) * _top(m) * _top(right)).bit_length() + 1
-        sl, sm, sr = ([{j: (_pack(vec, width),) for j, vec in row.items()} for row in f._sparse] for f in operands)
+    order = _exact_field("leg_b_product", (left._order, m._order, right._order))
+    width, packed = _packed(order, (left, m, right),
+                            lambda top: (n * euler_phi(order)) ** 2 * top[id(left)] * top[id(m)] * top[id(right)])
+    sl, sm, sr = (packed[id(f)] for f in (left, m, right))
     columns = [[] for _ in range(n)]  # column j of left as (i, entry) pairs
     for i, row in enumerate(sl):
         for j, (a,) in row.items():
@@ -664,18 +655,7 @@ def leg_b_product(left: Matrix, m: Matrix, right: Matrix) -> Matrix:
                 ax, acc = a * x, out[spare * n + i]
                 for l, (b,) in sr[t].items():
                     acc[base + l] = acc.get(base + l, 0) + ax * b
-    if order == 1:
-        rows = [{j: (v,) for j, v in acc.items() if v} for acc in out]
-    else:
-        table, rows = _power_rows(order), []
-        for acc in out:
-            row = {}
-            for j, v in acc.items():
-                vec = _fold(table, _unpack(v, width, 3 * phi - 2), phi)
-                if any(vec):
-                    row[j] = tuple(vec)
-            rows.append(row)
-    return _matrix(order, left._den * m._den * right._den, rows, n * n, n * n)
+    return _matrix(order, left._den * m._den * right._den, _unpack_fold(order, out, width, 3), n * n, n * n)
 
 
 def tensor_pair(a: Matrix, b: Matrix) -> Matrix:

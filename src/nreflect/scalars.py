@@ -120,17 +120,48 @@ def _pack(vec, width: int) -> int:
     return x
 
 
-def _unpack(v: int, width: int, count: int) -> list:
-    """The ``count`` lowest coordinates of a packed int, each a balanced
-    digit in [-2^(width-1), 2^(width-1)): the coordinates that sums of
-    products of packed vectors accumulate (Kronecker substitution)."""
+def _pack_width(bound: int) -> int:
+    """The bits w between packed coordinates for sums of absolute value at
+    most ``bound``: each is a balanced digit in [-2^(w-1), 2^(w-1))."""
+    return bound.bit_length() + 1
+
+
+def _unpack_fold(order: int, sums: list, width: int, factors: int) -> list:
+    """The nonzero numerator vectors of the packed ints in each dict of
+    ``sums``, each a sum of products of ``factors`` vectors of Q(zeta_order)
+    packed ``width`` bits apart: the factors (phi - 1) + 1 lowest balanced
+    digits of each (Kronecker substitution), folded mod Phi_N once.  Over Q
+    a sum is its own numerator, kept as a 1-tuple."""
+    if order == 1:
+        return [{k: (v,) for k, v in acc.items() if v} for acc in sums]
+    phi = euler_phi(order)
+    table, count, out = _power_rows(order), factors * (phi - 1) + 1, []
     half, mask = 1 << (width - 1), (1 << width) - 1
-    digits = []
-    for _ in range(count):
-        digit = ((v + half) & mask) - half
-        digits.append(digit)
-        v = (v - digit) >> width
-    return digits
+    for acc in sums:
+        vectors = {}
+        for k, v in acc.items():
+            digits = []
+            for _ in range(count):
+                digit = ((v + half) & mask) - half
+                digits.append(digit)
+                v = (v - digit) >> width
+            vec = tuple(_fold(table, digits, phi))
+            if any(vec):
+                vectors[k] = vec
+        out.append(vectors)
+    return out
+
+
+def _one_field(*orders) -> int:
+    """The order N of the one field Q(zeta_N) holding every given order (1,
+    for Q, lies in each); OrderMismatchError where two orders N > 1 meet."""
+    out = 1
+    for order in orders:
+        if order != out and order != 1:
+            if out != 1:
+                raise OrderMismatchError(f"cannot mix Q(zeta_{out}) with Q(zeta_{order})")
+            out = order
+    return out
 
 
 def _content(den: int, rows) -> int:

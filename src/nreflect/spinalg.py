@@ -40,9 +40,9 @@ from functools import reduce
 from math import lcm
 from operator import add, or_
 
-from .errors import DegreeError, OrderMismatchError
-from .scalars import (ONE, Cyclotomic, _canonical, _content, _fold, _mul_reduce, _pack, _power, _power_rows, _unpack,
-                      as_scalar, euler_phi)
+from .errors import DegreeError
+from .scalars import (ONE, Cyclotomic, _canonical, _content, _mul_reduce, _one_field, _pack, _pack_width, _power,
+                      _unpack_fold, as_scalar, euler_phi)
 
 KINDS = ("+", "-", "z")
 HALF = Fraction(1, 2)
@@ -86,18 +86,6 @@ def _poly(order: int, den: int, terms: dict) -> "SpinPoly":
     return _wrap(order, den, terms)
 
 
-def _order(*orders) -> int:
-    """The order N of the one field Q(zeta_N) holding every given order (1,
-    for Q, lies in each); OrderMismatchError where two orders N > 1 meet."""
-    out = 1
-    for order in orders:
-        if order != out and order != 1:
-            if out != 1:
-                raise OrderMismatchError(f"cannot mix Q(zeta_{out}) with Q(zeta_{order})")
-            out = order
-    return out
-
-
 def _parts(s) -> tuple:
     """(order, numerator, denominator) of an exact scalar: an int numerator
     over Q, the numerator vector of a Cyclotomic."""
@@ -122,7 +110,7 @@ def _combination(pairs) -> "SpinPoly":
     for c, poly in pairs:
         kind, num, den = _parts(c)
         if num and poly.terms:
-            order = _order(order, kind, poly.order)
+            order = _one_field(order, kind, poly.order)
             parts.append((num, den * poly.den, poly))
     den = lcm(*(d for _, d, _ in parts))
     acc = {}
@@ -166,7 +154,7 @@ def _product_sum(quads) -> "SpinPoly":
             left_dens.add(left.den)
             right_dens.add(right.den)
             orders.update((left.order, right.order))
-    order = _order(*orders)
+    order = _one_field(*orders)
     dl, dr = lcm(*left_dens), lcm(*right_dens)
     left_share, right_share = {d: dl // d for d in left_dens}, {d: dr // d for d in right_dens}
     scaled = [(scale * left_share[left.den] * right_share[right.den], shift, left.terms, right.terms)
@@ -177,7 +165,7 @@ def _product_sum(quads) -> "SpinPoly":
         top = {key: sum(max(map(abs, c)) if type(c) is tuple else abs(c) for c in terms.values())
                for key, terms in operands.items()}
         bound = phi * sum(abs(factor) * top[id(lt)] * top[id(rt)] for factor, _, lt, rt in scaled)
-        width = bound.bit_length() + 1  # every accumulated coordinate lies in [-2^(width-1), 2^(width-1))
+        width = _pack_width(bound)
         packed = {key: {k: _pack(c, width) if type(c) is tuple else c for k, c in terms.items()}
                   for key, terms in operands.items()}
         scaled = [(factor, shift, packed[id(lt)], packed[id(rt)]) for factor, shift, lt, rt in scaled]
@@ -193,14 +181,7 @@ def _product_sum(quads) -> "SpinPoly":
             for k2, c2 in right:
                 key = k1 + k2
                 acc[key] = get(key, 0) + c1 * c2
-    if order == 1:
-        terms = {key: c for key, c in acc.items() if c}
-    else:
-        table, terms = _power_rows(order), {}
-        for key, v in acc.items():
-            vec = tuple(_fold(table, _unpack(v, width, 2 * phi - 1), phi))
-            if any(vec):
-                terms[key] = vec
+    terms = {key: c for key, c in acc.items() if c} if order == 1 else _unpack_fold(order, [acc], width, 2)[0]
     bits = reduce(or_, terms, 0)
     over = bits & int.from_bytes(bytes([MAX_EXPONENT + 1]) * ((bits.bit_length() + 7) // 8), "little")
     if over:

@@ -13,9 +13,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nreflect.errors import ShapeError  # noqa: E402
+from nreflect.errors import OrderMismatchError, ShapeError  # noqa: E402
 from nreflect.linalg import Matrix, combination  # noqa: E402
-from nreflect.scalars import cyclotomic, euler_phi  # noqa: E402
+from nreflect.scalars import cyclotomic, euler_phi, zeta  # noqa: E402
 from nreflect.spinalg import s_plus, s_z  # noqa: E402
 
 PROFILE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -95,9 +95,20 @@ def test_zero_coefficients_keep_shape_and_field():
     assert data(result) == data(fold([(0, m), (Fraction(0), m)]))
 
 
-def test_ring_entries_are_summed_by_the_fold():
+def test_ring_entries_are_refused():
+    # a matrix of ring entries, or a ring coefficient, is refused as inverse refuses it
     b = Matrix([[s_plus(1), 0], [s_z(1), Fraction(1, 2)]])
-    assert combination([(Fraction(2), b), (s_z(2), b)]) == b.scale(Fraction(2)) + b.scale(s_z(2))
+    exact = Matrix([[Fraction(1, 2), 0], [0, 1]])
+    for pairs in ([(Fraction(2), b)], [(1, exact), (0, b)], [(s_z(2), exact)]):
+        with pytest.raises(TypeError, match="^combination needs exact scalar entries of one field$"):
+            combination(pairs)
+
+
+def test_two_orders_are_refused():
+    third, fourth = Matrix([[zeta(3), 0]]), Matrix([[0, zeta(4)]])
+    for pairs in ([(1, third), (1, fourth)], [(zeta(4), third)], [(zeta(3), Matrix([[1, 2]])), (zeta(4), third)]):
+        with pytest.raises(OrderMismatchError):
+            combination(pairs)
 
 
 def test_mismatched_shapes_raise():

@@ -405,13 +405,14 @@ def test_spin_polynomial_matrix_by_scalar_matrix():
     run()
 
 
-def test_spin_polynomial_leg_b_product_and_no_inverse():
-    # ring entries are multiplied on leg b as Kronecker products; only a matrix of exact
-    # scalars has an inverse
+def test_spin_polynomial_leg_b_product_and_inverse_are_refused():
+    # only matrices of exact scalars are multiplied on leg b or inverted; any factor of ring
+    # entries is refused with the inverse's words
     m = [[SPINS[(i + j) % 4] if (i * j) % 3 else Fraction(i - j, 2) for j in range(4)] for i in range(4)]
     left, right = [[s_z(1), ONE], [ZERO, Fraction(2)]], [[zeta(3), ZERO], [ONE, -ONE]]
-    eye = [[ONE, ZERO], [ZERO, ONE]]
-    check_spin(leg_b_product(Matrix(left), Matrix(m), Matrix(right)),
-               ref_mul(ref_mul(ref_kron(eye, left), m), ref_kron(eye, right)))
-    with pytest.raises(TypeError, match="exact scalar"):
+    exact = [[Fraction(i + j, 3) for j in range(4)] for i in range(4)]
+    for factors in ((left, m, right), (right, m, right), (right, exact, left)):
+        with pytest.raises(TypeError, match="^leg_b_product needs exact scalar entries of one field$"):
+            leg_b_product(*map(Matrix, factors))
+    with pytest.raises(TypeError, match="^matrix: inverse needs exact scalar entries of one field$"):
         Matrix(left).inverse()

@@ -110,26 +110,24 @@ def test_rational_times_cyclotomic():
     assert result[0, 0] == w / 2 - (w / 2 - 3 * (1 + w)) + Fraction(1, 4)
 
 
-def test_ring_entries_are_summed_by_the_fold():
+def test_ring_entries_are_refused():
+    # any operand of ring entries is refused as inverse refuses it, wherever it stands
     spins = Matrix([[s_plus(1), 0], [s_z(1), Fraction(1, 2)]])
     scalars = Matrix([[Fraction(2), 0], [zeta(3), 1]])
-    terms = [(1, spins, scalars), (-1, scalars, spins), (-1, spins, spins)]
-    result = product_sum(terms)
-    assert result._order is None
-    assert result == fold(terms)
+    for terms in ([(1, spins, scalars)], [(1, scalars, scalars), (-1, scalars, spins)], [(-1, spins, spins)]):
+        with pytest.raises(TypeError, match="^product_sum needs exact scalar entries of one field$"):
+            product_sum(terms)
 
 
-def test_two_orders_are_summed_by_the_fold():
-    # Q(zeta_3) and Q(zeta_4) entries in different places sum to a matrix of ring entries
+def test_two_orders_are_refused():
+    # Q(zeta_3) and Q(zeta_4) entries are refused even where their products would not meet
     third = Matrix([[zeta(3), 0], [0, 0]])
     fourth = Matrix([[0, 0], [0, zeta(4)]])
     fourth_shifted = Matrix([[0, 0], [0, 1 + zeta(4)]])
-    terms = [(1, third, third), (-1, fourth, fourth_shifted)]
-    result = product_sum(terms)
-    assert result._order is None
-    assert data(result) == data(fold(terms))
-    with pytest.raises(OrderMismatchError):
-        product_sum([(1, third, third), (1, Matrix([[zeta(4), 0], [0, 0]]), Matrix.identity(2))])
+    for terms in ([(1, third, third), (-1, fourth, fourth_shifted)], [(1, third, fourth)],
+                  [(1, third, third), (1, Matrix([[zeta(4), 0], [0, 0]]), Matrix.identity(2))]):
+        with pytest.raises(OrderMismatchError):
+            product_sum(terms)
 
 
 def test_mismatched_shapes_raise():

@@ -25,6 +25,7 @@ from nreflect.spinalg import (  # noqa: E402
     KINDS,
     MAX_EXPONENT,
     SpinPoly,
+    _product_sum,
     bracket_partials,
     casimir,
     partials,
@@ -293,3 +294,24 @@ class TestEdges:
                 meet()
         # a rational polynomial meets either field
         assert (f3 + s_z(2)).order == 3 and (f4 * s_z(2)).order == 4
+
+
+@pytest.mark.parametrize("order", [3, 5])
+@pytest.mark.parametrize("top", [3, 2**200 + 1, 2**213])
+def test_extremal_operands_reach_the_packing_bound(order, top):
+    # one-term operands whose numerators are all +-top over denominator 1: the middle
+    # coordinate of their convolution sums phi products top^2, and quads of one key add their
+    # scales, so each accumulated middle coordinate is phi * sum |scale| * top^2, the bound
+    # the packing width is chosen from; a term-by-term Cyclotomic product is the reference
+    full = cyclotomic(order, [top] * euler_phi(order))
+    x, y = s_z(1) * full, s_plus(2) * full
+    shift = next(iter(s_minus(1).terms))
+    for quads in ([(1, 0, x, y)], [(1, 0, -x, -y)], [(1, 0, x, y), (2, 0, -x, -y)],
+                  [(-1, shift, x, y), (-2, shift, x, y), (-3, shift, -x, -y)]):
+        expo = (s_z(1) * s_plus(2) * (s_minus(1) if quads[0][1] else 1)).monomials()[0][0]
+        coefficient = sum((scale * left.monomials()[0][1] * right.monomials()[0][1] for scale, _, left, right in quads),
+                          ZERO)
+        result = _product_sum(quads)
+        assert result.monomials() == [(expo, coefficient)]
+        assert_lowest_terms(result)
+    assert (x * y).monomials() == [((s_z(1) * s_plus(2)).monomials()[0][0], full * full)]
