@@ -204,6 +204,8 @@ def rk4_simulate(model: GaudinModel, selection, initial: PhaseState, t_end: floa
     """
     if not (0 < dt < math.inf and 0 < t_end < math.inf):
         raise ModelError(f"dt and t_end must be positive and finite, got dt = {dt}, t_end = {t_end}")
+    if not t_end / dt < math.inf:
+        raise ModelError(f"t_end / dt must be a finite step count, got t_end = {t_end}, dt = {dt}")
     if log_every < 1:
         raise ModelError(f"log_every must be at least 1, got {log_every}")
     h = hamiltonian_for(model, selection)

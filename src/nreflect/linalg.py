@@ -3,17 +3,21 @@ tensor-leg operations on (C^n)^x2 and (C^n)^x3 that read the factor size n
 from the matrix shape.
 
 Every matrix is stored as sparse rows mapping a column to a nonzero entry.
-For exact scalars (``Fraction``s, possibly with ``Cyclotomic``s of one
-order N) an entry is the phi(N) integer numerators of its value, over one
-positive denominator in lowest terms for the whole matrix, as FLINT's
-``fmpq_mat``/``nf_elem`` do; arithmetic runs on the integers, a product
-reducing mod Phi_N once per entry with the table of :mod:`nreflect.scalars`,
-and canonical scalars are built only where entries are read: ``rows``,
-``m[i, j]``, ``trace``, ``==`` and ``first_nonzero``.  ``inverse`` is one
-fraction-free elimination over Z: a Q(zeta_N) matrix is inverted through
-its rational regular representation, phi(N) times its size.  Three
-kernels each make one pass with one normalization: :func:`combination`
-sums scaled matrices, :func:`product_sum` sums signed products, and
+A matrix of exact scalars (``Fraction``s, possibly with ``Cyclotomic``s)
+keeps the normal form a ``SpinPoly`` keeps: one field Q(zeta_N), held over
+Q (N = 1) wherever every value is rational, an entry the phi(N) integer
+numerators of its value over one positive denominator in lowest terms for
+the whole matrix, as FLINT's ``fmpq_mat``/``nf_elem`` do.  So equal
+matrices have equal data, ``==`` compares it, and two cyclotomic orders
+raise OrderMismatchError wherever they meet.  Arithmetic runs on the
+integers, a product reducing mod Phi_N once per entry with the table of
+:mod:`nreflect.scalars`, and canonical scalars are built only where
+entries are read: ``rows``, ``m[i, j]``, ``trace`` and ``first_nonzero``.
+``inverse`` is one fraction-free elimination over Z: a Q(zeta_N) matrix is
+inverted through its rational regular representation, phi(N) times its
+size.  Three kernels each make one pass with one normalization:
+:func:`combination` sums scaled matrices, and ``+``, ``-`` and ``scale``
+are combinations; :func:`product_sum` sums signed products, and
 :func:`leg_b_product` multiplies a pair-leg matrix from both sides by
 n x n factors on leg b, (1 x k) m (1 x k)^-1 among them, with no
 Kronecker product; all three take exact scalars of one field only.  The
@@ -108,37 +112,19 @@ class Matrix:
         return self._combine(other, -1)
 
     def _combine(self, other, sign):
-        """self + sign * other."""
+        """self + sign * other: a :func:`combination` for exact scalars."""
         if not isinstance(other, Matrix):
             return NotImplemented
+        if self._order is not None and other._order is not None:
+            return combination(((1, self), (sign, other)))
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ShapeError(f"shape mismatch {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
-        order = _field(self, other)
-        if order is None:
-            op = operator.add if sign > 0 else operator.sub
-            out = [dict(ra) for ra in _values(self)]
-            for row, rb in zip(out, _values(other)):
-                for j, b in rb.items():
-                    row[j] = op(row.get(j, ZERO), b)
-            return _matrix(None, None, out, self.nrows, self.ncols)
-        sa, sb = _lifted(self, order), _lifted(other, order)
-        den = math.lcm(self._den, other._den)
-        fa, fb = den // self._den, sign * (den // other._den)
-        out = []
-        for ra, rb in zip(sa, sb):
-            row = {j: tuple(c * fa for c in vec) for j, vec in ra.items()} if fa != 1 else dict(ra)
-            for j, vec in rb.items():
-                old = row.get(j)
-                if old is None:
-                    row[j] = tuple(c * fb for c in vec)
-                else:
-                    new = tuple(x + c * fb for x, c in zip(old, vec))
-                    if any(new):
-                        row[j] = new
-                    else:
-                        del row[j]
-            out.append(row)
-        return _matrix(order, den, out, self.nrows, self.ncols)
+        op = operator.add if sign > 0 else operator.sub
+        out = [dict(ra) for ra in _values(self)]
+        for row, rb in zip(out, _values(other)):
+            for j, b in rb.items():
+                row[j] = op(row.get(j, ZERO), b)
+        return _matrix(None, None, out, self.nrows, self.ncols)
 
     def __neg__(self):
         return self.scale(-ONE)
@@ -166,17 +152,8 @@ class Matrix:
         return self.scale(other)
 
     def scale(self, s):
-        kind = type(s)
-        order = self._order
-        if order is not None and (kind is Fraction or kind is int or (kind is Cyclotomic and order in (1, s.order))):
-            if not s:
-                return _matrix(order, 1, [{} for _ in range(self.nrows)], self.nrows, self.ncols)
-            if kind is Cyclotomic:
-                order, num, den = s.order, s.num, s.den
-            else:
-                num, den = (s.numerator,), s.denominator
-            out = [{j: _times(order, vec, num) for j, vec in row.items()} for row in self._sparse]
-            return _matrix(order, self._den * den, out, self.nrows, self.ncols)
+        if self._order is not None and type(s) in (Fraction, int, Cyclotomic):
+            return combination(((s, self),))
         return _matrix(None, None, [{j: s * a for j, a in row.items()} for row in _values(self)],
                        self.nrows, self.ncols)
 
@@ -190,13 +167,14 @@ class Matrix:
         return _power(self, exponent)
 
     def __eq__(self, other):
+        """Equal values: equal data for two exact matrices, both in normal
+        form; the entries of ``rows`` when one holds ring entries."""
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self._order is not None and self._order == other._order:
-            # both in lowest terms over one order: equal values, equal data
-            return ((self.nrows, self.ncols, self._den, self._sparse)
-                    == (other.nrows, other.ncols, other._den, other._sparse))
-        return self.rows == other.rows
+        if self._order is None or other._order is None:
+            return self.rows == other.rows
+        return ((self.nrows, self.ncols, self._order, self._den, self._sparse)
+                == (other.nrows, other.ncols, other._order, other._den, other._sparse))
 
     def __hash__(self):
         return hash(self.rows)
@@ -323,30 +301,34 @@ def _eliminate(rows, phi, label, scale):
 
 
 def _exact_order(rows):
-    """N when every value of the sparse rows is an int, a Fraction or a
-    Cyclotomic of order N (1 when there is none); None otherwise."""
+    """The order N of the one field Q(zeta_N) holding every value of the
+    sparse rows when each is an int, a Fraction or a Cyclotomic (1 when
+    none is a Cyclotomic); None when one is a ring entry.
+    OrderMismatchError for two cyclotomic orders."""
     order = 1
     for row in rows:
         for a in row.values():
             kind = type(a)
             if kind is Cyclotomic:
                 if a.order != order:
-                    if order != 1:
-                        return None
-                    order = a.order
+                    order = _one_field(order, a.order)
             elif kind is not Fraction and kind is not int:
                 return None
     return order
 
 
 def _matrix(order, den, sparse, nrows, ncols):
-    """The matrix of sparse rows of numerator vectors over den, after dividing
-    out their gcd; for order None, of ring values, after dropping the zeros,
-    in the form their kind decides."""
+    """The matrix of the nonzero numerator vectors ``sparse`` over den in
+    normal form: held over Q (order 1, 1-tuples) when no coordinate past the
+    first is nonzero, and den and the numerators divided by their gcd, so
+    equal matrices have equal data.  For order None, of ring values, after
+    dropping the zeros, in the form their kind decides."""
     m = object.__new__(Matrix)
     if order is None:
         m._fill([{j: a for j, a in row.items() if a} for row in sparse], ncols)
         return m
+    if order != 1 and not any(any(vec[1:]) for row in sparse for vec in row.values()):
+        order, sparse = 1, [{j: vec[:1] for j, vec in row.items()} for row in sparse]
     g = _content(den, map(dict.values, sparse))
     if g != 1:
         den //= g
@@ -357,16 +339,11 @@ def _matrix(order, den, sparse, nrows, ncols):
 
 
 def _field(*matrices):
-    """The order N of the field Q(zeta_N) that holds every one of the
-    matrices, when all are in the integer form (a rational one lies in
-    every field); None otherwise."""
-    order = 1
-    for m in matrices:
-        other = m._order
-        if other is None or (other != order and 1 not in (other, order)):
-            return None
-        order = max(order, other)
-    return order
+    """The order N of the one field Q(zeta_N) holding every one of the
+    matrices (a rational one lies in each); None when one holds ring
+    entries.  OrderMismatchError for two cyclotomic orders."""
+    orders = [m._order for m in matrices]
+    return None if None in orders else _one_field(*orders)
 
 
 def _values(m):
@@ -377,19 +354,10 @@ def _values(m):
     return [{j: _canonical(order, vec, den) for j, vec in row.items()} for row in m._sparse]
 
 
-def _lifted(m, order):
-    """m's sparse rows with every vector of the phi(order) coordinates of
-    Q(zeta_order): rational vectors are padded with zeros."""
-    if m._order == order:
-        return m._sparse
-    pad = (0,) * (euler_phi(order) - 1)
-    return [{j: vec + pad for j, vec in row.items()} for row in m._sparse]
-
-
 def _times(order, x, y):
     """The product of two numerator vectors of Q(zeta_order), either of
     which may be a rational one of length 1, by schoolbook multiplication:
-    ``scale``, ``kron`` and ``combination`` use each vector once, and
+    ``kron`` and ``combination`` use each vector once, and
     packing it (:func:`_packed`) measured slower there."""
     if len(x) == 1:
         return tuple(x[0] * c for c in y)
@@ -446,48 +414,73 @@ def combination(pairs) -> Matrix:
     """sum c * m over the (exact scalar, matrix of exact scalars) pairs, at
     least one, all over one field, in one pass over the integer numerators:
     one lcm of the denominators, each coefficient folded into the
-    numerators (by :func:`_times`), one gcd normalization.  TypeError for
-    ring entries, OrderMismatchError for two cyclotomic orders."""
+    numerators, one normalization (:func:`_matrix`).  ``+``, ``-`` and
+    ``scale`` of exact matrices are combinations.  A rational coefficient
+    multiplies the integers directly, and not at all when its folded factor
+    is 1; a cyclotomic one multiplies each vector by :func:`_times`.  Over
+    Q(zeta_N) a rational matrix's 1-tuples are padded once, and sums are
+    taken coordinatewise.  TypeError for ring entries, OrderMismatchError
+    for two cyclotomic orders."""
     pairs = list(pairs)
     nrows, ncols = pairs[0][1].nrows, pairs[0][1].ncols
     orders, terms = [], []
     for c, m in pairs:
         if m.nrows != nrows or m.ncols != ncols:
             raise ShapeError(f"shape mismatch {nrows}x{ncols} vs {m.nrows}x{m.ncols}")
-        orders.append(m._order)
         kind = type(c)
-        if kind is Cyclotomic:
-            num, den = c.num, c.den
-            orders.append(c.order)
-        elif kind is Fraction or kind is int:
-            num, den = (c.numerator,), c.denominator
+        if m._order is None or not (kind is Cyclotomic or kind is Fraction or kind is int):
+            raise TypeError("combination needs exact scalar entries of one field")
+        if kind is Cyclotomic:  # never zero
+            orders += (c.order, m._order)
+            terms.append((c.num, c.den * m._den, m))
         else:
-            orders.append(None)
-            continue
-        if any(num):
-            terms.append((num, den, m))
-    order = _exact_field("combination", orders)
-    terms = [(num, d * m._den, m._sparse) for num, d, m in terms]
+            orders.append(m._order)
+            if c:
+                terms.append((c.numerator, c.denominator * m._den, m))
+    order = _one_field(*orders)
     den = math.lcm(*(d for _, d, _ in terms))
-    out = [{} for _ in range(nrows)]
+    out = None  # the first term's scaled rows, then the sums
     if order == 1:
-        for (c,), d, sparse in terms:
+        for c, d, m in terms:
             c *= den // d
-            for acc, row in zip(out, sparse):
+            if out is None:
+                out = [{j: (x * c,) for j, (x,) in row.items()} for row in m._sparse]
+                continue
+            for acc, row in zip(out, m._sparse):
                 for j, (x,) in row.items():
-                    acc[j] = acc.get(j, 0) + x * c
-        return _matrix(1, den, [{j: (x,) for j, x in acc.items() if x} for acc in out], nrows, ncols)
+                    x = acc.get(j, (0,))[0] + x * c
+                    if x:
+                        acc[j] = (x,)
+                    else:
+                        del acc[j]
+        return _matrix(1, den, out or [{} for _ in range(nrows)], nrows, ncols)
     pad = (0,) * (euler_phi(order) - 1)
-    for num, d, sparse in terms:
-        num = tuple(x * (den // d) for x in num)
-        for acc, row in zip(out, sparse):
+    for num, d, m in terms:
+        factor, rows = den // d, m._sparse
+        if type(num) is not int:
+            num = [x * factor for x in num]
+            rows = [{j: _times(order, vec, num) for j, vec in row.items()} for row in rows]
+        else:
+            factor *= num
+            if m._order == 1:
+                rows = [{j: (x * factor,) + pad for j, (x,) in row.items()} for row in rows]
+            elif factor != 1:
+                rows = [{j: tuple([x * factor for x in vec]) for j, vec in row.items()} for row in rows]
+            elif out is None:  # the sums start from these rows, so they are copied
+                rows = list(map(dict, rows))
+        if out is None:
+            out = rows
+            continue
+        for acc, row in zip(out, rows):
             for j, vec in row.items():
-                vec = _times(order, vec, num)
-                if len(vec) == 1:
-                    vec += pad
                 old = acc.get(j)
-                acc[j] = vec if old is None else tuple(x + y for x, y in zip(old, vec))
-    return _matrix(order, den, [{j: vec for j, vec in acc.items() if any(vec)} for acc in out], nrows, ncols)
+                if old is not None:
+                    vec = tuple(map(operator.add, old, vec))
+                    if not any(vec):
+                        del acc[j]
+                        continue
+                acc[j] = vec
+    return _matrix(order, den, out or [{} for _ in range(nrows)], nrows, ncols)
 
 
 def product_sum(terms) -> Matrix:

@@ -41,7 +41,7 @@ from math import lcm
 from operator import add, or_
 
 from .errors import DegreeError
-from .scalars import (ONE, Cyclotomic, _canonical, _content, _mul_reduce, _one_field, _pack, _pack_width, _power,
+from .scalars import (ONE, ZERO, Cyclotomic, _canonical, _content, _mul_reduce, _one_field, _pack, _pack_width, _power,
                       _unpack_fold, as_scalar, euler_phi)
 
 KINDS = ("+", "-", "z")
@@ -271,6 +271,8 @@ class SpinPoly:
         return NotImplemented
 
     def __hash__(self):
+        if not self.terms.keys() - {0}:  # a constant equals its scalar, so it hashes as that
+            return hash(self.monomials()[0][1] if self.terms else ZERO)
         return hash((self.den, frozenset(self.terms.items())))
 
     def is_zero(self):

@@ -396,11 +396,11 @@ def test_the_console_entry_exits_4_on_an_internal_fault(monkeypatch, capsys):
     assert "Traceback" in captured.err and "KeyError: 'internal fault'" in captured.err
 
 
-@pytest.mark.parametrize("flag,value", [("--t", "inf"), ("--t", "nan"), ("--dt", "inf"), ("--dt", "nan")])
-def test_simulate_non_finite_time_is_config_error(capsys, tmp_path, flag, value):
+@pytest.mark.parametrize("t,dt", [("inf", "0.001"), ("nan", "0.001"), ("0.01", "inf"), ("0.01", "nan"),
+                                  ("1e300", "1e-300")])  # the last: t / dt overflows to an infinite step count
+def test_simulate_non_finite_time_is_config_error(capsys, tmp_path, t, dt):
     config = write_config(tmp_path, BCL)
-    times = {"--t": "0.01", "--dt": "0.001", flag: value}
-    code, out, err = run(capsys, "simulate", "--config", config, "--t", times["--t"], "--dt", times["--dt"],
+    code, out, err = run(capsys, "simulate", "--config", config, "--t", t, "--dt", dt,
                          "--out", str(tmp_path / "x.csv"))
     assert code == 2 and out == ""
     assert "finite" in err

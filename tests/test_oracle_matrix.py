@@ -163,6 +163,7 @@ def assert_canonical(m: Matrix):
             else:
                 assert type(value) is Fraction
     assert m._order is not None, "an exact-scalar matrix must be in the integer form"
+    assert (m._order == 1) == (not any(isinstance(value, Cyclotomic) for row in m.rows for value in row))
     assert m._den > 0
     vectors = [vec for row in m._sparse for vec in row.values()]
     assert all(any(vec) and len(vec) in (1, euler_phi(m._order)) for vec in vectors)
@@ -211,7 +212,7 @@ def test_results_that_demote_to_rationals(order):
     def run(pair):
         a, b = pair
         A, B = Matrix(a).scale(z), Matrix(b).scale(z ** -1)
-        assert A._order == order
+        assert A._order == (1 if A.is_zero() else order)  # the zero matrix is held over Q
         check(A * B, ref_mul(a, b))
         check(A.kron(B), ref_kron(a, b))
         check(A.scale(z ** -1), a)
@@ -330,12 +331,15 @@ def test_singular_matrices_of_full_looking_rank(order):
 
 
 def test_orders_that_differ_do_not_mix():
-    # the entrywise path raises exactly where two entries of different fields meet
-    with pytest.raises(OrderMismatchError):
-        Matrix([[zeta(3)]]) * Matrix([[zeta(4)]])
-    with pytest.raises(OrderMismatchError):
-        Matrix([[zeta(3)]]).scale(zeta(4))
-    assert (Matrix([[zeta(3), ZERO]]) + Matrix([[ZERO, zeta(4)]])).rows == ((zeta(3), zeta(4)),)
+    # a matrix of exact scalars lies in one field: two cyclotomic orders are refused wherever they meet
+    third, fourth = Matrix([[zeta(3), ZERO]]), Matrix([[ZERO, zeta(4)]])
+    for mixed in (lambda: Matrix([[zeta(3)]]) * Matrix([[zeta(4)]]), lambda: Matrix([[zeta(3)]]).scale(zeta(4)),
+                  lambda: third + fourth, lambda: third - fourth, lambda: third.kron(fourth),
+                  lambda: Matrix([[zeta(3), zeta(4)]])):
+        with pytest.raises(OrderMismatchError):
+            mixed()
+    # equal data over two fields is not equal values: zeta_3 and zeta_4 both store (0, 1)
+    assert Matrix([[zeta(3)]]) != Matrix([[zeta(4)]])
 
 
 # -- matrices of spin polynomials ------------------------------------------------

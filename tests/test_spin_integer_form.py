@@ -20,6 +20,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nreflect.errors import DegreeError, OrderMismatchError  # noqa: E402
+from nreflect.linalg import Matrix  # noqa: E402
 from nreflect.scalars import ZERO, Cyclotomic, cyclotomic, euler_phi, zeta  # noqa: E402
 from nreflect.spinalg import (  # noqa: E402
     KINDS,
@@ -241,6 +242,15 @@ def test_equal_values_have_equal_data_and_hashes(args):
         assert_lowest_terms(poly)
         assert poly == f
         assert hash(poly) == hash(f)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(0), 1, -3, zeta(3), zeta(5, 2) / 7])
+def test_a_constant_hashes_as_its_scalar(value):
+    poly = SpinPoly.const(value)
+    for route in (poly, s_z(1) + poly - s_z(1), (s_plus(2) + poly) * 1 - s_plus(2)):
+        assert route == value and hash(route) == hash(value)
+    assert len({poly, value}) == 1
+    assert hash(Matrix([[poly, 0]])) == hash(Matrix([[value, 0]])) and Matrix([[poly, 0]]) == Matrix([[value, 0]])
 
 
 # ---------------------------------------------------------------------------
