@@ -10,7 +10,8 @@ arithmetic we need and makes residues exact.
 
 from __future__ import annotations
 
-from math import factorial
+from fractions import Fraction
+from math import factorial, lcm
 
 from .errors import PoleError
 from .scalars import ZERO, ONE, scalar_sort_key
@@ -141,7 +142,7 @@ def _horner_div_check(poly: Poly, root):
 class RatFun:
     """numerator / prod (x - root)^mult, roots sorted canonically."""
 
-    __slots__ = ("num", "roots")
+    __slots__ = ("num", "roots", "_integers")
 
     def __init__(self, num: Poly, roots=()):
         root_map = {}
@@ -151,6 +152,7 @@ class RatFun:
         self.num = num
         self.roots = tuple(sorted(((r, m) for r, m in root_map.items() if m),
                                   key=lambda rm: scalar_sort_key(rm[0])))
+        self._integers = None  # built by the first eval_at at a Fraction
 
     @staticmethod
     def const(value):
@@ -187,6 +189,17 @@ class RatFun:
         return _root_poly(self.roots)
 
     def eval_at(self, x):
+        """The value at x; PoleError at a root of the denominator.  Where the
+        coefficients and roots are rational, a Fraction point p/q is
+        evaluated on integers: Horner's scheme on the numerator with its
+        denominators cleared, each root u/v as the factor p v - u q, and
+        one normalization of the quotient.  Anything over Q(zeta_N) takes
+        field arithmetic."""
+        if type(x) is Fraction:
+            if self._integers is None:
+                self._integers = _integer_form(self)
+            if self._integers:
+                return _eval_integer(self._integers, x)
         den = ONE
         for root, mult in self.roots:
             diff = x - root
@@ -274,6 +287,46 @@ class RatFun:
 
     def __repr__(self):
         return f"RatFun(num={self.num!r}, roots={self.roots!r})"
+
+
+def _integer_form(f: RatFun) -> tuple:
+    """f = sum_i C_i x^i / (L prod_k (x - u_k/v_k)^m_k) with integers C_i
+    (highest degree first), L, u_k and v_k, as (C, L, ((u_k, v_k, m_k), ...),
+    prod_k v_k^m_k, sum_k m_k - deg f); () where a coefficient or root is
+    not rational."""
+    coeffs = f.num.coeffs
+    if not all(type(c) is Fraction or type(c) is int for c in coeffs + tuple(r for r, _ in f.roots)):
+        return ()
+    den = lcm(*(c.denominator for c in coeffs))
+    scale = 1
+    for root, mult in f.roots:
+        scale *= root.denominator**mult
+    return (tuple(c.numerator * (den // c.denominator) for c in reversed(coeffs)), den,
+            tuple((root.numerator, root.denominator, mult) for root, mult in f.roots), scale,
+            sum(mult for _, mult in f.roots) - len(coeffs) + 1)
+
+
+def _eval_integer(form: tuple, x: Fraction) -> Fraction:
+    """The function of :func:`_integer_form` at x = p/q: over q^deg the
+    numerator is the homogeneous Horner sum of C_i p^i q^(deg - i), and
+    over q^(sum m_k) prod_k v_k^m_k the denominator is prod_k (p v_k - u_k q)^m_k."""
+    coeffs, den, roots, scale, shift = form
+    p, q = x.numerator, x.denominator
+    for u, v, mult in roots:
+        factor = p * v - u * q
+        if not factor:
+            raise PoleError(f"rational function has a pole at {x}")
+        den *= factor**mult
+    num, power = 0, 1
+    for c in coeffs:
+        num = num * p + c * power
+        power *= q
+    num *= scale
+    if shift >= 0:
+        num *= q**shift
+    else:
+        den *= q**-shift
+    return Fraction(num, den)
 
 
 def _root_poly(factors) -> Poly:

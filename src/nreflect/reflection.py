@@ -34,6 +34,7 @@ import inspect
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
+from math import lcm
 from typing import Callable, Optional
 
 from .errors import ConstraintError, PoleError, UnsupportedCaseError
@@ -50,25 +51,45 @@ from .scalars import ONE, ZERO, Scalar, as_scalar, zeta
 
 @dataclass(frozen=True)
 class MobiusMap:
-    """nu -> (a nu + b) / (c nu + d) with ad - bc != 0."""
+    """nu -> (a nu + b) / (c nu + d) with ad - bc != 0.  A map with rational
+    coefficients also keeps them as the integers (A, B, C, D) over their
+    common denominator, which define the same map."""
 
     a: Scalar
     b: Scalar
     c: Scalar
     d: Scalar
+    _integers: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in "abcd":
-            object.__setattr__(self, name, as_scalar(getattr(self, name)))
+        coefficients = [as_scalar(getattr(self, name)) for name in "abcd"]
+        for name, x in zip("abcd", coefficients):
+            object.__setattr__(self, name, x)
         if not (self.a * self.d - self.b * self.c):
             raise ConstraintError("degenerate Mobius map: ad - bc = 0")
+        integers = None
+        if all(type(x) is Fraction for x in coefficients):
+            den = lcm(*(x.denominator for x in coefficients))
+            integers = tuple(x.numerator * (den // x.denominator) for x in coefficients)
+        object.__setattr__(self, "_integers", integers)
 
     @staticmethod
     def identity():
         return MobiusMap(ONE, ZERO, ZERO, ONE)
 
     def __call__(self, nu):
+        """The image of nu; PoleError where c nu + d = 0.  A rational map at
+        a rational point p/q is (A p + B q) / (C p + D q) on its integer
+        coefficients, normalized once; a map or point over Q(zeta_N) takes
+        field arithmetic."""
         nu = as_scalar(nu)
+        if self._integers is not None and type(nu) is Fraction:
+            a, b, c, d = self._integers
+            p, q = nu.numerator, nu.denominator
+            den = c * p + d * q
+            if not den:
+                raise PoleError(f"Mobius map has a pole at nu = {nu}")
+            return Fraction(a * p + b * q, den)
         den = self.c * nu + self.d
         if not den:
             raise PoleError(f"Mobius map has a pole at nu = {nu}")

@@ -48,11 +48,16 @@ def _check_diagonal(label, lam, mu) -> None:
 
 
 def rational_r(n: int) -> RMatrixFun:
-    """P/(lam - mu) on C^n x C^n."""
+    """P/(lam - mu) on C^n x C^n.  Where the points are rational, lam = p/q
+    and mu = r/s, the scalar is qs/(ps - rq), normalized once; a point over
+    Q(zeta_N) takes field arithmetic."""
     label = f"rational (n={n})"
 
     def coefficients(lam, mu):
         _check_diagonal(label, lam, mu)
+        if type(lam) is Fraction and type(mu) is Fraction:
+            q, s = lam.denominator, mu.denominator
+            return (Fraction(q * s, lam.numerator * s - mu.numerator * q),)
         return (1 / (lam - mu),)
 
     return _combined("rational", label, coefficients, (permutation_operator(n),))

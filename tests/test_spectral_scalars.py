@@ -143,3 +143,48 @@ def test_field_cases_reach_cyclotomic_points():
         assert not isinstance(mu, F)
         assert outcome(case.base_r.coefficients, F(1, 3), mu) == outcome(coefficients_definition, case, F(1, 3), mu)
         assert not isinstance(case.weights(1, F(2, 5)), F)
+
+
+def is_rational(case):
+    """tau and every weight have rational coefficients (and roots)."""
+    t, gs = case.tau, case.weights.gs
+    values = [t.a, t.b, t.c, t.d] + [c for g in gs for c in g.num.coeffs] + [r for g in gs for r, _ in g.roots]
+    return all(isinstance(x, F) for x in values)
+
+
+FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                      "__truediv__", "__rtruediv__")
+
+
+def test_rational_scalars_make_no_fraction_arithmetic(monkeypatch):
+    """At Fraction points, tau, the weights and the base-r coefficients of
+    every rational case are integer work with one normalization per value:
+    not one Fraction operator runs."""
+    rational = {name: case for name, case in ((name, build()) for name, build in CASES.items()) if is_rational(case)}
+    assert len([name for name in rational if not name.startswith("gaudin-")]) == 15
+    lams, nus = [F(-7, 3), F(5, 11), F(0), F(13, 2)], [F(2, 9), F(-19, 20), F(1), F(0)]
+    calls = []
+    for name in FRACTION_OPERATORS:
+        original = getattr(F, name)
+
+        def counting(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(F, name, counting)
+    values, poles = 0, 0
+    for case in rational.values():
+        for lam in lams:
+            for nu in nus:
+                point = nu
+                for j in range(case.N):
+                    try:
+                        case.weights(j, nu)
+                        case.base_r.coefficients(lam, point)
+                        point = case.tau(point)
+                        values += 3
+                    except PoleError:
+                        poles += 1
+                        break
+    assert calls == []
+    assert values > 1000 and poles > 0
