@@ -422,11 +422,10 @@ def linear_k_case(N: int, theta, G: Matrix, g_label: str = "G") -> KSolution:
     omega = zeta(N)
     tau = MobiusMap(omega, ZERO, ZERO, ONE)
     weights = WeightFamily(tuple(RatFun.const(omega**j) for j in range(N)))
-    shift = Matrix.identity(n).scale(theta)
+    eye = Matrix.identity(n)
 
     def k(nu):
-        scaled = G.scale(as_scalar(nu))
-        return shift + scaled if theta else scaled
+        return combination(((theta, eye), (as_scalar(nu), G)))
 
     sign = ONE if N % 2 else -ONE
 

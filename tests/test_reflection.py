@@ -462,6 +462,17 @@ class TestCatalogConstruction:
         with pytest.raises(ConstraintError):
             linear_k_case(2, 0, bad)
 
+    @pytest.mark.parametrize("theta", [0, 2])
+    @pytest.mark.parametrize("G", [cyclic_shift_G(3), diag_roots_G(3)], ids=["shift", "diag"])
+    def test_linear_k_is_theta_one_plus_nu_G(self, theta, G):
+        """k(nu) holds the data of theta 1 + nu G, at rational, zero and
+        Q(zeta_3) points."""
+        k, eye = linear_k_case(3, theta, G).k, Matrix.identity(3)
+        for nu in (F(0), F(3, 7), F(2, 5) * zeta(3)):
+            want = eye.scale(F(theta)) + G.scale(nu)
+            got = k(nu)
+            assert (got._order, got._den, got._sparse) == (want._order, want._den, want._sparse)
+
     def test_trig_solutions_pass(self):
         for label in ("trig-2refl-id", "trig-2refl-tau"):
             case = case_by_label(label)
