@@ -18,8 +18,12 @@ which is how :func:`nre_residual` computes it.  Everything rbar needs at nu
 comes from one :func:`point_frame`, which raises ``PoleError`` or
 ``SingularMatrixError`` outside the case's domain: the orbit, the weights,
 and k^(j)(nu) with its inverse, taken by fraction-free elimination on the
-integer numerators.  A base r is sum_i f_i(lam, mu) M_i with constant
-M_i, so rbar(., nu) lies in the span of the conjugated matrices
+integer numerators.  At a rational nu of a case with rational data, the
+orbit, the weights and the base-r scalars f_i are evaluated on integers,
+with one ``Fraction`` normalization per value and no ``Fraction``
+arithmetic; data or points over Q(zeta_N) take field arithmetic.  A base
+r is sum_i f_i(lam, mu) M_i with constant M_i, so rbar(., nu) lies in
+the span of the conjugated matrices
 (1 x k^(j)(nu)) M_i (1 x k^(j)(nu))^-1; the frame builds them on the
 first rbar it serves, each one :func:`~nreflect.linalg.leg_b_product`
 with no Kronecker product, and :func:`rbar_at` is one exact
