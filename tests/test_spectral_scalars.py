@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nreflect.errors import PoleError  # noqa: E402
 from nreflect.gaudin import MODEL_KINDS, case_for_config  # noqa: E402
+from nreflect.ratfun import Poly, RatFun  # noqa: E402
 from nreflect.reflection import CATALOG, case_by_label  # noqa: E402
 
 PROFILE = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -38,10 +39,9 @@ def tau_definition(case, nu):
     return (t.a * nu + t.b) / den
 
 
-def weight_definition(case, j, nu):
+def ratfun_definition(g, nu):
     """sum_i c_i nu^i / prod (nu - root)^mult over the stored numerator and
-    roots of g^(j)."""
-    g = case.weights.gs[j]
+    roots of the rational function g."""
     den = F(1)
     for root, mult in g.roots:
         if nu == root:
@@ -79,7 +79,7 @@ def assert_scalars_match(case, lam, nu):
     at (lam, tau^j(nu)) and at the diagonal (mu, mu) of each orbit point."""
     point = nu
     for j in range(case.N):
-        assert outcome(case.weights, j, nu) == outcome(weight_definition, case, j, nu), (j, nu)
+        assert outcome(case.weights, j, nu) == outcome(ratfun_definition, case.weights.gs[j], nu), (j, nu)
         assert outcome(case.base_r.coefficients, lam, point) == outcome(coefficients_definition, case, lam, point)
         assert outcome(case.base_r.coefficients, point, point) == outcome(coefficients_definition, case, point, point)
         got = outcome(case.tau, point)
@@ -99,6 +99,19 @@ def test_scalars_at_sampled_points(name):
         assert_scalars_match(case, lam, nu)
 
     check()
+
+
+rationals = st.fractions(min_value=-30, max_value=30, max_denominator=25)
+
+
+@PROFILE
+@given(st.lists(rationals, max_size=5), st.lists(st.tuples(rationals, st.integers(1, 3)), max_size=3), points)
+def test_rational_functions_at_sampled_points_and_poles(coeffs, roots, x):
+    """A weight is one rational function: any numerator and roots of any
+    multiplicity, at a sampled point and at each root."""
+    g = RatFun(Poly(coeffs), roots)
+    for point in [x] + [root for root, _ in g.roots]:
+        assert outcome(g.eval_at, point) == outcome(ratfun_definition, g, point)
 
 
 def pole_points(case):
