@@ -295,7 +295,7 @@ def _integer_form(f: RatFun) -> tuple:
     prod_k v_k^m_k, sum_k m_k - deg f); () where a coefficient or root is
     not rational."""
     coeffs = f.num.coeffs
-    if not all(type(c) is Fraction or type(c) is int for c in coeffs + tuple(r for r, _ in f.roots)):
+    if not all(type(c) in (Fraction, int) for c in coeffs + tuple(r for r, _ in f.roots)):
         return ()
     den = lcm(*(c.denominator for c in coeffs))
     scale = 1

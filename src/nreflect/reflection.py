@@ -66,12 +66,11 @@ class MobiusMap:
     _integers: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coefficients = [as_scalar(getattr(self, name)) for name in "abcd"]
-        for name, x in zip("abcd", coefficients):
-            object.__setattr__(self, name, x)
+        for name in "abcd":
+            object.__setattr__(self, name, as_scalar(getattr(self, name)))
         if not (self.a * self.d - self.b * self.c):
             raise ConstraintError("degenerate Mobius map: ad - bc = 0")
-        integers = None
+        coefficients, integers = (self.a, self.b, self.c, self.d), None
         if all(type(x) is Fraction for x in coefficients):
             den = lcm(*(x.denominator for x in coefficients))
             integers = tuple(x.numerator * (den // x.denominator) for x in coefficients)
