@@ -8,7 +8,11 @@ inverse (for j = 0 too), scaled by g^(j)(nu), and the terms added with
 ``+``.  The iterated products k^(j) are built here, not read from the
 package.  Every catalog case, ``id-3refl`` at n = 3 and a tampered case
 are compared exactly at seeded points, for rbar and for the compact form
-of the reflection residual.
+of the reflection residual; rbar also at points whose numerators and
+denominators are about 2^200, rational and, for the rational base r,
+cyclotomic.  Frames built directly, over Q and Q(zeta_N) for every N the
+matrix oracle takes, with every numerator +-top, reach the widest sums
+that rbar's integer arithmetic has to hold.
 
 :func:`scalar_functional_residual` is a second route to the residual of
 the identity-k cases over the rational r, read by ``tests/test_reflection.py``
@@ -16,13 +20,14 @@ and ``tests/test_acceptance.py``.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from nreflect.linalg import Matrix, tensor_pair
-from nreflect.reflection import CATALOG, case_by_label, nre_residual, rbar_matrix, tamper
-from nreflect.sampling import DEFAULT_SEED, SplitMix64, sample_evaluated
-from nreflect.scalars import ZERO, as_scalar
+from nreflect.reflection import CATALOG, PointFrame, case_by_label, nre_residual, rbar_at, rbar_matrix, tamper
+from nreflect.sampling import DEFAULT_SEED, POLE_ERRORS, SplitMix64, sample_evaluated
+from nreflect.scalars import ZERO, as_scalar, cyclotomic, euler_phi, zeta
 
 F = Fraction
 
@@ -104,3 +109,80 @@ def test_the_oracle_reproduces_a_known_value():
     case = case_by_label("id-2refl")
     assert oracle_rbar(case, F(1), F(0)) == rbar_matrix(case, F(1), F(0))
     assert oracle_rbar(case, F(1), F(0))[0, 0] == F(-4, 3)
+
+
+def big_fraction(rng):
+    """A rational whose numerator and denominator are about 2^200."""
+    def big():
+        return 2**200 + sum(rng.next_u64() << (64 * k) for k in range(3))
+    return F((-1) ** rng.randint(0, 1) * big(), big())
+
+
+def big_points(case, count, cyclotomic_lam=False):
+    """``count`` admissible (lam, nu) of big rationals; with ``cyclotomic_lam``,
+    lam = x + y zeta_N' for big rationals x and y, N' = 3 for a case whose
+    matrices lie over Q(zeta_3) and 5 otherwise."""
+    rng, out = SplitMix64(DEFAULT_SEED), []
+    root = zeta(3 if case.N == 3 and case.family == "linear-k" else 5)
+    while len(out) < count:
+        lam, nu = big_fraction(rng), big_fraction(rng)
+        if cyclotomic_lam:
+            lam = lam + big_fraction(rng) * root
+        try:
+            out.append((lam, nu, rbar_matrix(case, lam, nu)))
+        except POLE_ERRORS:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("name", CASES[:-1])
+def test_rbar_matches_the_oracle_at_big_points(name):
+    case = build(name)
+    for lam, nu, rbar in big_points(case, 3):
+        assert rbar == oracle_rbar(case, lam, nu), (name, lam, nu)
+
+
+@pytest.mark.parametrize("name", [name for name in CASES[:-1] if build(name).base_r.kind == "rational"])
+def test_rbar_matches_the_oracle_at_big_cyclotomic_lam(name):
+    case = build(name)
+    for lam, nu, rbar in big_points(case, 2, cyclotomic_lam=True):
+        assert rbar == oracle_rbar(case, lam, nu), (name, lam, nu)
+
+
+def conjugated_sum(frame, coefficients):
+    """sum_j g_j sum_i f_ji (1 x left_j) M_i (1 x right_j) for a frame whose
+    ks[j] is (left_j, right_j) or None (both the identity), by Kronecker
+    products and matrix products."""
+    n = frame.ks[1][0].nrows
+    eye = Matrix.identity(n)
+    total = None
+    for g, point, kj in zip(frame.weights, frame.orbit, frame.ks):
+        left, right = (eye, eye) if kj is None else kj
+        for f, m in zip(coefficients(None, point), frame.basis):
+            term = (tensor_pair(eye, left) * m * tensor_pair(eye, right)).scale(g * f)
+            total = term if total is None else total + term
+    return total
+
+
+@pytest.mark.parametrize("order", (1, 3, 4, 5, 6, 8))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rbar_of_a_direct_frame_reaches_the_packing_bound(order, n):
+    # every numerator of every factor, weight and coefficient is +-top with one sign per
+    # operand, so no sum cancels before it is reduced mod Phi_N: the largest
+    # unreduced coordinates the integer arithmetic of rbar can meet at these tops.
+    # The lower-triangular left factor of k^(2) tells the two sides of leg b apart.
+    def dense(size, x):
+        return Matrix([[x] * size for _ in range(size)])
+
+    def lower(size, x):
+        return Matrix([[x if i >= j else ZERO for j in range(size)] for i in range(size)])
+
+    for top in (3, 3 * 2**200):
+        entry = cyclotomic(order, [top] * euler_phi(order))
+        for sign in (1, -1):
+            weight = entry * sign
+            basis = (dense(n * n, entry), lower(n * n, entry))
+            ks = (None, (dense(n, entry), dense(n, -entry)), (lower(n, entry), dense(n, weight)))
+            frame = PointFrame((F(0), F(1), F(2)), (weight, entry, weight), ks, basis)
+            case = SimpleNamespace(base_r=SimpleNamespace(coefficients=lambda lam, point: (entry, weight)))
+            assert rbar_at(case, F(0), frame) == conjugated_sum(frame, case.base_r.coefficients), (top, sign)
