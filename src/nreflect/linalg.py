@@ -15,19 +15,18 @@ integers, a product reducing mod Phi_N once per entry with the table of
 entries are read: ``rows``, ``m[i, j]``, ``trace`` and ``first_nonzero``.
 ``inverse`` is one fraction-free elimination over Z: a Q(zeta_N) matrix is
 inverted through its rational regular representation, phi(N) times its
-size.  Three kernels each make one pass with one normalization:
+size.  Two kernels each make one pass with one normalization:
 :func:`combination` sums scaled matrices, and ``+``, ``-`` and ``scale``
-are combinations; :func:`product_sum` sums signed products, and
-:func:`leg_b_product` multiplies a pair-leg matrix from both sides by
-n x n factors on leg b, (1 x k) m (1 x k)^-1 among them, with no
-Kronecker product; all three take exact scalars of one field only.  The
-last two read each operand many times, so they pack each Q(zeta_N)
-numerator vector into one integer and a coordinate convolution is one
-integer product (Kronecker substitution; D. Harvey, "Faster polynomial
+are combinations; :func:`product_sum` sums signed products.  A
+:func:`leg_table` holds pair-leg matrices conjugated on leg b by n x n
+factors, (1 x k) m (1 x k)^-1, over one denominator and indexed per entry,
+and its ``combination`` of scalar weights is one dot per entry.  The
+kernels that read an operand many times pack each Q(zeta_N) numerator
+vector into one integer, so a coordinate convolution is one integer
+product (Kronecker substitution; D. Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symbolic
-Comput. 44, 2009).  A single-use product (``*``, ``scale``, ``kron`` and
-the scaling in ``combination``) stays schoolbook: packing measured slower
-there, since no operand is reused to pay for its packing.
+Comput. 44, 2009); a single-use product (``*``, ``scale``, ``kron``)
+stays schoolbook, as packing measured slower there.
 Any other entries, such as the ``SpinPoly``s of the Gaudin B, are stored
 as they are and need ``+``, ``-``, ``*`` and truthiness; such a matrix
 has no ``inverse``.
@@ -35,9 +34,11 @@ has no ``inverse``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ShapeError, SingularMatrixError
 from .scalars import (ONE, ZERO, Cyclotomic, _canonical, _content, _fold, _mul_reduce, _one_field, _pack, _pack_width,
@@ -618,37 +619,151 @@ def partial_trace(m: Matrix, leg: str) -> Matrix:
     return _matrix(m._order, m._den, out, n, n)
 
 
-def leg_b_product(left: Matrix, m: Matrix, right: Matrix) -> Matrix:
-    """(1 x left) m (1 x right) for a pair-leg matrix m and n x n factors,
-    all of exact scalars over one field, so that leg_b_product(k, m, k^-1)
-    conjugates m by k on leg b: one pass over m's sparse rows, each entry
-    times a column of left and a row of right, one normalization, and no
-    Kronecker product.  The numerator vectors are packed as in
-    :func:`product_sum`, w bounding every accumulated coordinate by
-    n^2 phi(N)^2 times the three largest numerators.  TypeError for ring
-    entries, OrderMismatchError for two cyclotomic orders."""
-    n = _pair_factor(m, "leg_b_product")
-    if any((f.nrows, f.ncols) != (n, n) for f in (left, right)):
-        raise ShapeError(f"leg_b_product needs {n}x{n} factors for a {m.nrows}x{m.ncols} matrix")
-    order = _exact_field("leg_b_product", (left._order, m._order, right._order))
-    width, packed = _packed(order, (left, m, right),
-                            lambda top: (n * euler_phi(order)) ** 2 * top[id(left)] * top[id(m)] * top[id(right)])
-    sl, sm, sr = (packed[id(f)] for f in (left, m, right))
-    columns = [[] for _ in range(n)]  # column j of left as (i, entry) pairs
-    for i, row in enumerate(sl):
-        for j, (a,) in row.items():
-            columns[j].append((i, a))
-    out = [{} for _ in range(n * n)]
-    for r, row in enumerate(sm):
-        spare, j = divmod(r, n)  # the index on leg a, and on leg b
-        for c, (x,) in row.items():
-            col_spare, t = divmod(c, n)
-            base = col_spare * n
-            for i, a in columns[j]:
-                ax, acc = a * x, out[spare * n + i]
-                for l, (b,) in sr[t].items():
-                    acc[base + l] = acc.get(base + l, 0) + ax * b
-    return _matrix(order, left._den * m._den * right._den, _unpack_fold(order, out, width, 3), n * n, n * n)
+class Basis(tuple):
+    """Constant pair-leg matrices M_i of exact scalars over one field, as a
+    tuple that builds their :func:`leg_table` with no factor pair once."""
+
+    @cached_property
+    def table(self):
+        return leg_table(self, ())
+
+
+class LegTable:
+    """The matrices T_t = (1 x left_j) M_i (1 x right_j), t = offsets[j] + i,
+    over one common denominator ``den``, indexed per entry: the entries of
+    row r are at the columns cols[r], entry e holds nums[k] for a <= k < b,
+    (a, b) = bounds[e], and nums[k] is coordinate u of T_t[r, c] over
+    Q(zeta_order), index[k] = t phi + u, phi = phi(order).  Terms 0, 1, ...
+    are the M_i themselves, shared by every identity pair."""
+
+    __slots__ = ("order", "den", "terms", "offsets", "cols", "bounds", "index", "nums")
+
+    def __init__(self, order, den, terms, offsets, rows):
+        """From ``rows[r]`` mapping each column c to the (indices, nums) of entry (r, c)."""
+        entries = [entry for row in rows for entry in row.values()]
+        ends = list(itertools.accumulate(len(ts) for ts, _ in entries))
+        self.order, self.den, self.terms, self.offsets = order, den, terms, offsets
+        self.cols, self.bounds = [list(row) for row in rows], list(zip([0] + ends, ends))
+        self.index = list(itertools.chain.from_iterable(ts for ts, _ in entries))
+        self.nums = list(itertools.chain.from_iterable(nums for _, nums in entries))
+
+    def combination(self, terms) -> Matrix:
+        """sum_j g_j sum_i f_ji T_(offsets[j] + i) over one (g_j, (f_j0, ...))
+        per factor pair, exact scalars over Q or the table's field.  The
+        weight w_t of a term sums its products g_j f_ji on the integer
+        numerators, each scaled to one lcm L of the products of
+        denominators; coordinate c of an entry is one dot of its numerators
+        with the coordinates c of the w_t zeta^u, over L den, and the matrix
+        is normalized once.  OrderMismatchError for two cyclotomic orders."""
+        parts, orders = [], [self.order]
+        for (g, fs), offset in zip(terms, self.offsets):
+            gn, gd = (g.num, g.den) if type(g) is Cyclotomic else ((g.numerator,), g.denominator)
+            orders.append(g.order if type(g) is Cyclotomic else 1)
+            for t, f in enumerate(fs, offset):
+                if type(f) is Cyclotomic:
+                    orders.append(f.order)
+                    parts.append((t, gn, f.num, gd * f.den))
+                else:
+                    parts.append((t, gn, (f.numerator,), gd * f.denominator))
+        order, den = _one_field(*orders), math.lcm(*(d for *_, d in parts))
+        if order == 1:
+            coords = [[0] * self.terms]  # coords[c][t stride + u]: coordinate c of w_t zeta^u
+            for t, (g,), (f,), d in parts:
+                coords[0][t] += g * f * (den // d)
+        else:
+            phi, stride = euler_phi(order), euler_phi(self.order)
+            weights = [[0] * phi for _ in range(self.terms)]
+            for t, g, f, d in parts:
+                for s, c in enumerate(_times(order, g, f)):
+                    weights[t][s] += c * (den // d)
+            coords = [[0] * (self.terms * stride) for _ in range(phi)]
+            for t, w in enumerate(weights):
+                for u in range(stride):
+                    if u:
+                        w = [a + w[-1] * z for a, z in zip([0] + w[:-1], _power_rows(order)[0])]
+                    for c, x in enumerate(w):
+                        coords[c][t * stride + u] = x
+        flats = []
+        for column in coords:
+            sums = list(itertools.accumulate(map(operator.mul, map(column.__getitem__, self.index), self.nums), initial=0))
+            flats.append([sums[b] - sums[a] for a, b in self.bounds])
+        den *= self.den
+        content = math.gcd(den, *itertools.chain.from_iterable(flats))
+        if content != 1:
+            den //= content
+            flats = [[x // content for x in flat] for flat in flats]
+        values = zip(*flats)
+        out = [{c: vec for c in cols if any(vec := next(values))} for cols in self.cols]
+        return _matrix(order, den, out, len(out), len(out))
+
+
+def leg_table(basis, pairs) -> LegTable:
+    """The :class:`LegTable` of the pair-leg matrices ``basis`` and, per
+    entry of ``pairs``, n x n factors (left, right) or None for the
+    identity, all exact scalars over one field; where every pair is None,
+    the table built once per :class:`Basis`.  Each M_i is read in one pass
+    over its sparse rows per pair, each entry times a column of left and a
+    row of right, with no Kronecker product and no Matrix per term.  The
+    numerator vectors are packed as in :func:`product_sum`, w bounding
+    every accumulated coordinate by n^2 phi(N)^2 times the three largest
+    numerators.  TypeError for ring entries, OrderMismatchError for two
+    cyclotomic orders."""
+    if pairs and not any(pairs):
+        return (basis if type(basis) is Basis else Basis(basis)).table
+    n, factors, count = _pair_factor(basis[0], "leg_table"), [pair for pair in pairs if pair], itertools.count(1)
+    if any((f.nrows, f.ncols) != (n, n) for pair in factors for f in pair):
+        raise ShapeError(f"leg_table needs {n}x{n} factors for a {n * n}x{n * n} matrix")
+    order = _exact_field("leg_table", [m._order for m in basis] + [f._order for pair in factors for f in pair])
+    den = math.lcm(*(m._den for m in basis), *(left._den * m._den * right._den for left, right in factors for m in basis))
+    width, packed = _packed(order, {id(m): m for m in (*basis, *(f for pair in factors for f in pair))}.values(),
+                            lambda top: (n * euler_phi(order)) ** 2 * max(top[id(m)] for m in basis)
+                            * max((top[id(left)] * top[id(right)] for left, right in factors), default=0))
+    rows = [{} for _ in range(n * n)]
+    for t, m in enumerate(basis):
+        _index(rows, t, m._sparse, den // m._den, order)
+    t = len(basis)
+    for left, right in factors:
+        columns = [[] for _ in range(n)]  # column j of left as (i, entry) pairs
+        for i, row in enumerate(packed[id(left)]):
+            for j, (a,) in row.items():
+                columns[j].append((i, a))
+        right_rows = [list(row.items()) for row in packed[id(right)]]
+        for m in basis:
+            scale = den // (left._den * m._den * right._den)
+            out, inner = [{} for _ in range(n * n)], scale if order == 1 else 1  # over Q(zeta_N), scaled once unpacked
+            for r, row in enumerate(packed[id(m)]):
+                spare, j = divmod(r, n)  # the index on leg a, and on leg b
+                for c, (x,) in row.items():
+                    col_spare, s = divmod(c, n)
+                    first, x = col_spare * n, x * inner
+                    for i, a in columns[j]:
+                        ax, acc = a * x, out[spare * n + i]
+                        for l, (b,) in right_rows[s]:
+                            acc[first + l] = acc.get(first + l, 0) + ax * b
+            if order == 1:
+                for entries, acc in zip(rows, out):
+                    for c, x in acc.items():
+                        ts, nums = entries.setdefault(c, ([], []))
+                        ts.append(t)
+                        nums.append(x)
+            else:
+                _index(rows, t, _unpack_fold(order, out, width, 3), scale, order)
+            t += 1
+    return LegTable(order, den, len(basis) * (1 + len(factors)),
+                    [0 if pair is None else len(basis) * next(count) for pair in pairs] or itertools.repeat(0), rows)
+
+
+def _index(rows, t, sparse, scale, order):
+    """Add term t, the sparse rows of numerator vectors over Q(zeta_order)
+    times ``scale``, to the per-entry index ``rows``."""
+    stride = euler_phi(order)
+    for entries, row in zip(rows, sparse):
+        for c, vec in row.items():
+            ts, nums = entries.setdefault(c, ([], []))
+            for u, x in enumerate(vec, t * stride):
+                if x:
+                    ts.append(u)
+                    nums.append(x * scale)
 
 
 def tensor_pair(a: Matrix, b: Matrix) -> Matrix:

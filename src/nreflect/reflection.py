@@ -20,16 +20,14 @@ comes from one :func:`point_frame`, which raises ``PoleError`` or
 and k^(j)(nu) with its inverse, taken by fraction-free elimination on the
 integer numerators.  At a rational nu of a case with rational data, the
 orbit, the weights and the base-r scalars f_i are evaluated on integers,
-with one ``Fraction`` normalization per value and no ``Fraction``
-arithmetic; data or points over Q(zeta_N) take field arithmetic.  A base
-r is sum_i f_i(lam, mu) M_i with constant M_i, so rbar(., nu) lies in
-the span of the conjugated matrices
-(1 x k^(j)(nu)) M_i (1 x k^(j)(nu))^-1; the frame builds them on the
-first rbar it serves, each one :func:`~nreflect.linalg.leg_b_product`
-with no Kronecker product, and :func:`rbar_at` is one exact
-combination of them with the scalars g^(j)(nu) f_i(lam, tau^j(nu)).
-``verify rbar-cybe`` and ``nre_residual`` read each frame twice and
-conjugate once.
+with one ``Fraction`` normalization per value.  A base r is
+sum_i f_i(lam, mu) M_i with constant M_i, so rbar(., nu) lies in the span
+of the (1 x k^(j)(nu)) M_i (1 x k^(j)(nu))^-1, which the frame holds as
+one integer :func:`~nreflect.linalg.leg_table`, built on the first rbar it
+serves; identity-k frames share the table the base r builds once.
+:func:`rbar_at` reads g^(j)(nu) and f_i(lam, tau^j(nu)) as integer
+numerators and denominators, with no ``Fraction`` product, and takes one
+dot per entry over one lcm.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from math import lcm
 from typing import Callable, Optional
 
 from .errors import ConstraintError, PoleError, UnsupportedCaseError
-from .linalg import Matrix, combination, leg_b_product, tensor_pair
+from .linalg import LegTable, Matrix, combination, leg_table, product_sum, tensor_pair
 from .ratfun import Poly, RatFun
 from .reporting import build_report
 from .rmatrix import RMatrixFun, cybe_residual, rational_r, trig_r
@@ -178,9 +176,8 @@ class PointFrame:
     """What the induced matrix needs at one point nu, for j < N: the orbit
     tau^j(nu), the weights g^(j)(nu), ks[j] = (k^(j)(nu), k^(j)(nu)^-1), or
     None where k^(j)(nu) is the identity (as for j = 0), and the base
-    r-matrix's constant matrices M_i.  ``conjugated`` is built on its first
-    read, once per frame, by one leg product per M_i and non-identity
-    k^(j)(nu)."""
+    r-matrix's constant matrices M_i.  ``table`` is built on its first
+    read, once per frame."""
 
     orbit: tuple
     weights: tuple
@@ -188,11 +185,10 @@ class PointFrame:
     basis: tuple
 
     @cached_property
-    def conjugated(self) -> tuple:
-        """For each j, the matrices (1 x k^(j)(nu)) M_i (1 x k^(j)(nu))^-1,
-        each one :func:`~nreflect.linalg.leg_b_product`."""
-        return tuple(self.basis if kj is None else tuple(leg_b_product(kj[0], m, kj[1]) for m in self.basis)
-                     for kj in self.ks)
+    def table(self) -> LegTable:
+        """The matrices (1 x k^(j)(nu)) M_i (1 x k^(j)(nu))^-1 as one
+        :func:`~nreflect.linalg.leg_table`."""
+        return leg_table(self.basis, self.ks)
 
 
 def point_frame(case: KSolution, nu) -> PointFrame:
@@ -243,12 +239,10 @@ def n_unitarity(case: KSolution, points) -> dict:
 
 def rbar_at(case: KSolution, lam, frame: PointFrame) -> Matrix:
     """sum_j g^(j)(nu) k_b^(j)(nu) r_ab(lam, tau^j(nu)) k_b^(j)(nu)^-1 from the
-    frame at nu, as sum_j sum_i g^(j)(nu) f_i(lam, tau^j(nu)) times the
-    conjugated M_i: one exact combination."""
+    frame at nu, as sum_j g^(j)(nu) sum_i f_i(lam, tau^j(nu)) times the
+    conjugated M_i: one combination of the frame's table."""
     lam, coefficients = as_scalar(lam), case.base_r.coefficients
-    return combination((g * f, m)
-                       for g, point, basis in zip(frame.weights, frame.orbit, frame.conjugated)
-                       for f, m in zip(coefficients(lam, point), basis))
+    return frame.table.combination([(g, coefficients(lam, point)) for g, point in zip(frame.weights, frame.orbit)])
 
 
 def rbar_matrix(case: KSolution, lam, nu) -> Matrix:
@@ -259,17 +253,18 @@ def rbar_matrix(case: KSolution, lam, nu) -> Matrix:
 def nre_residual(case: KSolution, lam, nu) -> Matrix:
     """LHS - RHS of the N-fold reflection residual at exact points, in the
     compact form rbar_ab(lam, nu) k_a(lam) - k_a(lam) rbar_ab(tau(lam), nu);
-    both terms share the frame at nu, and an identity k_a multiplies nothing."""
+    both terms share the frame at nu, an identity k_a multiplies nothing, and
+    the two products are one :func:`~nreflect.linalg.product_sum`."""
     lam = as_scalar(lam)
     frame = point_frame(case, nu)
     eye = Matrix.identity(case.n)
     k = case.k(lam)
     lhs = rbar_at(case, lam, frame)
     rhs = rbar_at(case, case.tau(lam), frame)
-    if k != eye:
-        k_a = tensor_pair(k, eye)
-        lhs, rhs = lhs * k_a, k_a * rhs
-    return lhs - rhs
+    if k == eye:
+        return lhs - rhs
+    k_a = tensor_pair(k, eye)
+    return product_sum([(1, lhs, k_a), (-1, k_a, rhs)])
 
 
 def symmetry_relation_residual(case: KSolution, omega, lam, nu) -> Matrix:

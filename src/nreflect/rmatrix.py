@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import PoleError
-from .linalg import Matrix, combination, embed_pair, permutation_operator, product_sum, swap_pair
+from .linalg import Basis, Matrix, combination, embed_pair, permutation_operator, product_sum, swap_pair
 from .scalars import Scalar, as_scalar
 
 
@@ -38,7 +38,7 @@ class RMatrixFun:
 
 def _combined(kind: str, label: str, coefficients, basis: tuple) -> RMatrixFun:
     """The r-matrix sum_i coefficients(lam, mu)[i] basis[i]."""
-    return RMatrixFun(kind=kind, label=label, coefficients=coefficients, basis=basis,
+    return RMatrixFun(kind=kind, label=label, coefficients=coefficients, basis=Basis(basis),
                       evaluate=lambda lam, mu: combination(zip(coefficients(lam, mu), basis)))
 
 

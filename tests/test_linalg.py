@@ -7,7 +7,7 @@ from nreflect.linalg import (
     Matrix,
     commutator,
     embed_pair,
-    leg_b_product,
+    leg_table,
     partial_trace,
     permutation_operator,
     swap_pair,
@@ -102,15 +102,15 @@ class TestMatrixAlgebra:
         with pytest.raises(ShapeError, match="n\\^2 x n\\^2"):
             op(Matrix([[Fraction(1)] * shape[1]] * shape[0]))
 
-    def test_leg_b_product_needs_a_pair_leg_matrix_and_factors_of_size_n(self):
+    def test_leg_table_needs_a_pair_leg_matrix_and_factors_of_size_n(self):
         m, eye = permutation_operator(2), Matrix.identity(2)
         for shape in ((3, 3), (2, 3)):
             with pytest.raises(ShapeError, match="n\\^2 x n\\^2"):
-                leg_b_product(eye, Matrix([[Fraction(1)] * shape[1]] * shape[0]), eye)
+                leg_table((Matrix([[Fraction(1)] * shape[1]] * shape[0]),), [(eye, eye)])
         with pytest.raises(ShapeError, match="2x2 factors"):
-            leg_b_product(Matrix.identity(3), m, eye)
+            leg_table((m,), [None, (Matrix.identity(3), eye)])
         with pytest.raises(ShapeError, match="2x2 factors"):
-            leg_b_product(eye, m, frac_matrix([[1, 2]]))
+            leg_table((m,), [(eye, frac_matrix([[1, 2]]))])
 
     def test_inverse_and_product_rule(self):
         rng = SplitMix64(2024)

@@ -11,6 +11,7 @@ same references."""
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,12 +23,12 @@ from nreflect.linalg import (  # noqa: E402
     PLACEMENTS,
     Matrix,
     embed_pair,
-    leg_b_product,
+    leg_table,
     partial_trace,
     swap_pair,
     tensor_pair,
 )
-from nreflect.reflection import PointFrame  # noqa: E402
+from nreflect.reflection import PointFrame, rbar_at  # noqa: E402
 from nreflect.scalars import ONE, ZERO, Cyclotomic, cyclotomic, euler_phi, zeta  # noqa: E402
 from nreflect.spinalg import SpinPoly, s_minus, s_plus, s_z  # noqa: E402
 
@@ -239,27 +240,33 @@ def test_pair_leg_operations(order):
     run()
 
 
+def conjugated(left, m, right):
+    """(1 x left) m (1 x right) from one term of a leg table, weight 1."""
+    return leg_table((Matrix(m),), [(Matrix(left), Matrix(right))]).combination([(ONE, (ONE,))])
+
+
 @pytest.mark.parametrize("order", ORDERS)
 def test_leg_conjugation(order):
-    # leg_b_product(L, M, R) is (1 x L) M (1 x R), and a point frame conjugates each basis matrix M
-    # by a pair (L, R) with it
+    # the term of a leg table for the pair (L, R) is (1 x L) M (1 x R), and a point frame's rbar
+    # with unit weights and coefficients reads it
     @PAIR_LEG_PROFILE
     @given(st.sampled_from((1, 2, 3)).flatmap(
         lambda n: st.tuples(st.just(n), entries(order, n * n, n * n), square(order, sizes=(n,)))))
     def run(drawn):
         n, m, (left, right) = drawn
         eye = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        frame = PointFrame((), (), ((Matrix(left), Matrix(right)),), (Matrix(m),))
+        frame = PointFrame((ZERO,), (ONE,), ((Matrix(left), Matrix(right)),), (Matrix(m),))
+        unit = SimpleNamespace(base_r=SimpleNamespace(coefficients=lambda lam, point: (ONE,)))
         on_b = ref_mul(ref_mul(ref_kron(eye, left), m), ref_kron(eye, right))
-        check(frame.conjugated[0][0], on_b)
-        check(leg_b_product(Matrix(left), Matrix(m), Matrix(right)), on_b)
+        check(rbar_at(unit, ZERO, frame), on_b)
+        check(conjugated(left, m, right), on_b)
 
     run()
 
 
 @pytest.mark.parametrize("order", ORDERS[1:])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_leg_b_product_reaches_the_packing_bound(order, n):
+def test_leg_table_reaches_the_packing_bound(order, n):
     # dense factors whose numerators are all +-top: each output entry sums n^2 triple
     # convolutions at their largest coordinate, 3/4 of the bound n^2 phi^2 top^3 for
     # these orders, which for these tops needs every bit of the packing width
@@ -268,8 +275,7 @@ def test_leg_b_product_reaches_the_packing_bound(order, n):
         entry = cyclotomic(order, [top] * euler_phi(order))
         left, right = [[entry] * n for _ in range(n)], [[-entry] * n for _ in range(n)]
         for m in ([[entry] * n * n for _ in range(n * n)], [[-entry] * n * n for _ in range(n * n)]):
-            check(leg_b_product(Matrix(left), Matrix(m), Matrix(right)),
-                  ref_mul(ref_mul(ref_kron(eye, left), m), ref_kron(eye, right)))
+            check(conjugated(left, m, right), ref_mul(ref_mul(ref_kron(eye, left), m), ref_kron(eye, right)))
 
 
 def check_inverse(a, label="matrix"):
@@ -409,14 +415,14 @@ def test_spin_polynomial_matrix_by_scalar_matrix():
     run()
 
 
-def test_spin_polynomial_leg_b_product_and_inverse_are_refused():
-    # only matrices of exact scalars are multiplied on leg b or inverted; any factor of ring
+def test_spin_polynomial_leg_table_and_inverse_are_refused():
+    # only matrices of exact scalars are tabled on leg b or inverted; any factor of ring
     # entries is refused with the inverse's words
     m = [[SPINS[(i + j) % 4] if (i * j) % 3 else Fraction(i - j, 2) for j in range(4)] for i in range(4)]
     left, right = [[s_z(1), ONE], [ZERO, Fraction(2)]], [[zeta(3), ZERO], [ONE, -ONE]]
     exact = [[Fraction(i + j, 3) for j in range(4)] for i in range(4)]
     for factors in ((left, m, right), (right, m, right), (right, exact, left)):
-        with pytest.raises(TypeError, match="^leg_b_product needs exact scalar entries of one field$"):
-            leg_b_product(*map(Matrix, factors))
+        with pytest.raises(TypeError, match="^leg_table needs exact scalar entries of one field$"):
+            conjugated(*factors)
     with pytest.raises(TypeError, match="^matrix: inverse needs exact scalar entries of one field$"):
         Matrix(left).inverse()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nreflect import reflection, rmatrix
+from nreflect import gaudin, reflection, rmatrix
 from nreflect.cli import main as cli_main
 from nreflect.errors import ConstraintError, PoleError, UnsupportedCaseError
 from nreflect.linalg import Matrix, permutation_operator, tensor_pair
@@ -252,9 +252,11 @@ class TestBuildRbar:
 class TestOneFramePerPoint:
     """The k-dependent data of rbar at nu is evaluated once, in the frame at
     nu: a rbar-cybe sample builds one frame at mu and one at nu, an identity
-    k^(j) is never inverted or applied, a frame conjugates the base
-    r-matrix's constant matrices on its first rbar and never again, and a
-    frame that no rbar reads makes no tensor product."""
+    k^(j) is never inverted or applied, a frame builds one leg table, of the
+    base r-matrix's constant matrices conjugated by each k^(j), on its first
+    rbar and never again, an identity-k frame reads the table the base
+    r-matrix builds once, and a frame that no rbar reads makes no tensor
+    product and no table."""
 
     @staticmethod
     def counted(monkeypatch, owner, name):
@@ -278,8 +280,15 @@ class TestOneFramePerPoint:
         calls = self.counted(monkeypatch, Matrix, "inverse")
         frame = point_frame(case_by_label("id-3refl", {"n": 3}), F(5, 3))
         assert frame.ks == (None, None, None)
-        assert frame.conjugated == (frame.basis,) * 3
         assert calls == []
+
+    @pytest.mark.parametrize("label", ["id-3refl", "trivial", "trig-3refl-id"])
+    def test_an_identity_k_frame_adds_no_term(self, monkeypatch, label):
+        # the table of an identity-k frame is the base r-matrix's own, built once for every frame
+        case = case_by_label(label, {"n": 3} if label == "id-3refl" else {})
+        tables = [point_frame(case, nu).table for nu in (F(5, 3), F(-7, 2))]
+        assert all(table is case.base_r.basis.table for table in tables)
+        assert tables[0].terms == len(case.base_r.basis)
 
     def test_each_nonidentity_k_is_inverted_once(self, monkeypatch):
         case = case_by_label("linear-k-N3-shift-th2")
@@ -291,8 +300,12 @@ class TestOneFramePerPoint:
             assert pair == (kj, kj.inverse())
         calls.clear()
         eye = Matrix.identity(case.n)
-        for (kj, kj_inv), conjugated in zip(frame.ks[1:], frame.conjugated[1:]):
-            assert conjugated == tuple(tensor_pair(eye, kj) * m * tensor_pair(eye, kj_inv) for m in frame.basis)
+        assert frame.table.terms == case.N * len(frame.basis)
+        for j, (kj, kj_inv) in enumerate(frame.ks[1:], 1):
+            # the terms of k^(j) alone, each basis matrix weighted 1
+            weights = [(F(int(i == j)), (F(1),) * len(frame.basis)) for i in range(case.N)]
+            expected = [tensor_pair(eye, kj) * m * tensor_pair(eye, kj_inv) for m in frame.basis]
+            assert frame.table.combination(weights) == expected[0] and len(expected) == 1
         assert calls == []
 
     @pytest.mark.parametrize("label", ["id-2refl", "trivial"])
@@ -311,7 +324,7 @@ class TestOneFramePerPoint:
     def test_rbar_at_makes_no_tensor_product(self, monkeypatch):
         case = case_by_label("linear-k-N3-shift-th2")
         frame = point_frame(case, F(11, 5))
-        assert len(frame.conjugated) == case.N
+        assert frame.table.terms == case.N * len(case.base_r.basis)
         calls = self.counted(monkeypatch, reflection, "tensor_pair")
         assert not rbar_at(case, F(5, 3), frame).is_zero()
         assert calls == []
@@ -322,19 +335,31 @@ class TestOneFramePerPoint:
         assert '"verdict": "pass"' in capsys.readouterr().out
         assert calls == []
 
-    def test_rbar_cybe_sample_conjugates_each_frame_once(self, monkeypatch):
-        # 2 frames x 2 non-identity k^(j) x 1 basis matrix: 4 leg products, and
-        # neither a Kronecker product nor a 9x9 product
+    def test_rbar_cybe_sample_builds_one_table_per_frame(self, monkeypatch):
+        # 2 frames, each read by 2 rbar: 2 leg tables, and neither a
+        # Kronecker product nor a 9x9 product nor a combination
         case = case_by_label("linear-k-N3-shift-th2")
         _, evaluate = sampled_check(case, "rbar-cybe")
         products = self.counted(monkeypatch, Matrix, "__mul__")
         krons = self.counted(monkeypatch, Matrix, "kron")
-        legs = self.counted(monkeypatch, reflection, "leg_b_product")
+        tables = self.counted(monkeypatch, reflection, "leg_table")
+        combinations = self.counted(monkeypatch, reflection, "combination")
         assert evaluate(F(5, 3), F(-7, 2), F(11, 5)).is_zero()
         assert not any(isinstance(b, Matrix) and (a.nrows, b.nrows) == (9, 9) for a, b in products)
         assert krons == []
-        assert len(case.base_r.basis) == 1
-        assert len(legs) == 2 * (case.N - 1) * len(case.base_r.basis)
+        assert len(tables) == 2
+        assert [len(ks) for _, ks in tables] == [case.N, case.N]
+        # k(nu) = theta 1 + nu G is one combination at each orbit point but the last, and rbar none
+        assert len(combinations) == 2 * (case.N - 1)
+
+    def test_nunitarity_and_gaudin_site_values_build_no_table(self, monkeypatch, capsys):
+        tables = self.counted(monkeypatch, reflection, "leg_table")
+        assert cli_main(["verify", "nunitarity", "--case", "linear-k-N3-shift-th2"]) == 0
+        assert '"verdict": "pass"' in capsys.readouterr().out
+        model = gaudin.model_from_config({"case": "bcl", "z": ["1", "2", "4"]})
+        assert len(gaudin.site_values(model, F(5, 3))) == 3
+        assert gaudin.hamiltonian_residue(model, 2)
+        assert tables == []
 
     def test_rbar_cybe_sample_is_one_product_sum(self, monkeypatch):
         # the four 27x27 products of the residual are one product_sum, not

@@ -6,7 +6,9 @@ Every cataloged case and every Gaudin model kind is covered, at points drawn
 as ``sample_fraction`` draws them, along each orbit (so the z3 and
 ``linear-k-N3-*`` coefficients see Q(zeta_3) points), and at each case's
 poles, where both sides must raise PoleError with the same text.  Values are
-compared with their type and their text, since reports print them.
+compared with their type and their text, since reports print them.  At
+rational points of the rational cases, these scalars and rbar itself are
+integer work: no ``Fraction`` operator runs.
 """
 
 from fractions import Fraction as F
@@ -16,10 +18,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from nreflect import linalg, reflection  # noqa: E402
 from nreflect.errors import PoleError  # noqa: E402
 from nreflect.gaudin import MODEL_KINDS, case_for_config  # noqa: E402
 from nreflect.ratfun import Poly, RatFun  # noqa: E402
-from nreflect.reflection import CATALOG, case_by_label  # noqa: E402
+from nreflect.reflection import CATALOG, case_by_label, point_frame, rbar_at  # noqa: E402
+from nreflect.sampling import POLE_ERRORS  # noqa: E402
 
 PROFILE = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
@@ -201,3 +205,51 @@ def test_rational_scalars_make_no_fraction_arithmetic(monkeypatch):
                         break
     assert calls == []
     assert values > 1000 and poles > 0
+
+
+def count_fraction_operators(monkeypatch):
+    """The list that every Fraction operator call appends its name to."""
+    calls = []
+    for name in FRACTION_OPERATORS:
+        original = getattr(F, name)
+
+        def counting(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(F, name, counting)
+    return calls
+
+
+def test_rbar_at_makes_no_fraction_arithmetic_and_no_combination(monkeypatch):
+    """On a built frame of every rational catalog case and of the bcl, two-
+    and three-reflection models, rbar at a Fraction lam reads the weights and
+    coefficients as integers: not one Fraction operator runs, and no
+    ``linalg.combination``; the first read builds the frame's table."""
+    rational = {name: build() for name, build in CASES.items()
+                if not name.startswith("gaudin-") or name[7:] in ("bcl", "two-reflection", "three-reflection")}
+    rational = {name: case for name, case in rational.items() if is_rational(case)}
+    assert len(rational) == 15 + 3
+    lams, nus = [F(-7, 3), F(5, 11), F(0), F(13, 2)], [F(2, 9), F(-19, 20), F(1), F(0)]
+    frames = []
+    for case in rational.values():
+        for nu in nus:
+            try:
+                frames.append((case, point_frame(case, nu)))
+            except POLE_ERRORS:
+                continue
+    calls = count_fraction_operators(monkeypatch)
+    for owner in (linalg, reflection):
+        original = owner.combination
+        monkeypatch.setattr(owner, "combination", lambda *args, original=original: calls.append("combination")
+                            or original(*args))
+    values, poles = 0, 0
+    for case, frame in frames:
+        for lam in lams:
+            try:
+                assert rbar_at(case, lam, frame).nrows == case.n ** 2
+                values += 1
+            except PoleError:
+                poles += 1
+    assert calls == []
+    assert values > 200 and poles > 0
