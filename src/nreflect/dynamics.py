@@ -197,7 +197,8 @@ def rk4_simulate(model: GaudinModel, selection, initial: PhaseState, t_end: floa
 
     The step and one monitor pass over each H_k, each Casimir, and det B
     at the default probes are compiled once per run; the monitors run at
-    every step, keeping the largest drift of each.  A row is logged every
+    every step, keeping the largest drift of each.  A run of no step, where
+    t_end / dt rounds to 0, is refused with ModelError.  A row is logged every
     ``log_every`` steps and at the last step, so memory grows with the
     number of logged rows only.  A non-finite state aborts the run and logs
     the last good state.
@@ -206,6 +207,9 @@ def rk4_simulate(model: GaudinModel, selection, initial: PhaseState, t_end: floa
         raise ModelError(f"dt and t_end must be positive and finite, got dt = {dt}, t_end = {t_end}")
     if not t_end / dt < math.inf:
         raise ModelError(f"t_end / dt must be a finite step count, got t_end = {t_end}, dt = {dt}")
+    steps = round(t_end / dt)
+    if not steps:
+        raise ModelError(f"t_end / dt rounds to 0 steps, got t_end = {t_end}, dt = {dt}")
     if log_every < 1:
         raise ModelError(f"log_every must be at least 1, got {log_every}")
     h = hamiltonian_for(model, selection)
@@ -216,7 +220,6 @@ def rk4_simulate(model: GaudinModel, selection, initial: PhaseState, t_end: floa
     probes = default_probes(model)
     monitor = compile_monitors(model, probes)
     keys = [f"{kind}{j}" for kind in "HC" for j in range(1, model.L + 1)] + [f"detB@{idx}" for idx in range(len(probes))]
-    steps = round(t_end / dt)
     traj = Trajectory(probes=probes, conserved={key: [] for key in keys})
 
     def log(t, vals, values):

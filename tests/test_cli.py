@@ -406,6 +406,15 @@ def test_simulate_non_finite_time_is_config_error(capsys, tmp_path, t, dt):
     assert "finite" in err
 
 
+def test_simulate_of_no_step_is_config_error(capsys, tmp_path):
+    # t / dt rounds to 0 steps: no drift was measured, so nothing is reported
+    config = write_config(tmp_path, BCL)
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run(capsys, "simulate", "--config", config, "--t", "1e-9", "--dt", "0.001", "--out", str(out_csv))
+    assert code == 2 and out == "" and not out_csv.exists()
+    assert "rounds to 0 steps, got t_end = 1e-09, dt = 0.001" in err
+
+
 @pytest.mark.parametrize("config,named", [
     ({"case": "two-reflection", "params": {"e": "5"}, "z": ["1", "2"]}, "'e'"),
     ({"case": "three-reflection", "params": {"e": "5"}, "z": ["2", "5"]}, "'e'"),

@@ -126,6 +126,13 @@ class TestRk4:
         with pytest.raises(ModelError):
             rk4_simulate(model, 1, generic_state(model), t_end=1.0, dt=0.0)
 
+    @pytest.mark.parametrize("t_end,dt", [(1e-9, 1e-3), (0.5e-3, 1e-3)])
+    def test_a_run_of_no_step_is_refused(self, t_end, dt):
+        # round(t_end / dt) = 0: a run would monitor nothing and report zero drift
+        model = bcl_model()
+        with pytest.raises(ModelError, match=f"rounds to 0 steps, got t_end = {t_end}, dt = {dt}$"):
+            rk4_simulate(model, 1, generic_state(model), t_end=t_end, dt=dt)
+
     @pytest.mark.parametrize("flow", [1, 2])
     def test_conservation_under_each_flow(self, flow):
         model = bcl_model()
