@@ -730,7 +730,7 @@ def leg_table(basis, pairs) -> LegTable:
         right_rows = [list(row.items()) for row in packed[id(right)]]
         for m in basis:
             scale = den // (left._den * m._den * right._den)
-            out, inner = [{} for _ in range(n * n)], scale if order == 1 else 1  # over Q(zeta_N), scaled once unpacked
+            out, inner = [{} for _ in range(n * n)], scale if order == 1 else 1  # packed sums are scaled once unpacked
             for r, row in enumerate(packed[id(m)]):
                 spare, j = divmod(r, n)  # the index on leg a, and on leg b
                 for c, (x,) in row.items():
@@ -749,6 +749,7 @@ def leg_table(basis, pairs) -> LegTable:
             else:
                 _index(rows, t, _unpack_fold(order, out, width, 3), scale, order)
             t += 1
+    # the table of a Basis, built with no pair, serves every identity pair of any frame
     return LegTable(order, den, len(basis) * (1 + len(factors)),
                     [0 if pair is None else len(basis) * next(count) for pair in pairs] or itertools.repeat(0), rows)
 
