@@ -640,12 +640,13 @@ class LegTable:
 
     def __init__(self, order, den, terms, offsets, rows):
         """From ``rows[r]`` mapping each column c to the (indices, nums) of entry (r, c)."""
-        entries = [entry for row in rows for entry in row.values()]
-        ends = list(itertools.accumulate(len(ts) for ts, _ in entries))
         self.order, self.den, self.terms, self.offsets = order, den, terms, offsets
-        self.cols, self.bounds = [list(row) for row in rows], list(zip([0] + ends, ends))
-        self.index = list(itertools.chain.from_iterable(ts for ts, _ in entries))
-        self.nums = list(itertools.chain.from_iterable(nums for _, nums in entries))
+        self.cols, self.bounds, self.index, self.nums = [list(row) for row in rows], [], [], []
+        for row in rows:
+            for ts, nums in row.values():
+                self.bounds.append((len(self.index), len(self.index) + len(ts)))
+                self.index += ts
+                self.nums += nums
 
     def combination(self, terms) -> Matrix:
         """sum_j g_j sum_i f_ji T_(offsets[j] + i) over one (g_j, (f_j0, ...))
