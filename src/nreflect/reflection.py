@@ -35,12 +35,12 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from math import lcm
 from typing import Callable, Optional
 
 from .errors import ConstraintError, PoleError, UnsupportedCaseError
-from .linalg import LegTable, Matrix, combination, leg_table, product_sum, tensor_pair
+from .linalg import LegTable, Matrix, combination, leg_table, tensor_pair
 from .ratfun import Poly, RatFun
 from .reporting import build_report
 from .rmatrix import RMatrixFun, cybe_residual, rational_r, trig_r
@@ -253,18 +253,17 @@ def rbar_matrix(case: KSolution, lam, nu) -> Matrix:
 def nre_residual(case: KSolution, lam, nu) -> Matrix:
     """LHS - RHS of the N-fold reflection residual at exact points, in the
     compact form rbar_ab(lam, nu) k_a(lam) - k_a(lam) rbar_ab(tau(lam), nu);
-    both terms share the frame at nu, an identity k_a multiplies nothing, and
-    the two products are one :func:`~nreflect.linalg.product_sum`."""
+    both terms share the frame at nu, and an identity k_a multiplies nothing."""
     lam = as_scalar(lam)
     frame = point_frame(case, nu)
     eye = Matrix.identity(case.n)
     k = case.k(lam)
     lhs = rbar_at(case, lam, frame)
     rhs = rbar_at(case, case.tau(lam), frame)
-    if k == eye:
-        return lhs - rhs
-    k_a = tensor_pair(k, eye)
-    return product_sum([(1, lhs, k_a), (-1, k_a, rhs)])
+    if k != eye:
+        k_a = tensor_pair(k, eye)
+        lhs, rhs = lhs * k_a, k_a * rhs
+    return lhs - rhs
 
 
 def symmetry_relation_residual(case: KSolution, omega, lam, nu) -> Matrix:
@@ -320,34 +319,49 @@ class EquivalenceTransform:
     prefactor: Callable[[Scalar], Scalar]
 
 
+def _over(num, den, mu):
+    if not den:
+        raise PoleError(f"reparametrization has a pole at mu = {mu}")
+    return num / den
+
+
 def equivalence_transform(case: KSolution) -> EquivalenceTransform:
-    """p and the prefactor of an identity-k rational family as exact rational
-    functions of mu, evaluated on integers at a rational point (see
-    :meth:`~nreflect.ratfun.RatFun.eval_at`); built once per family and
-    parameters, as every sample of ``verify equivalence`` reads them."""
-    if case.family not in ("id-2refl", "id-3refl"):
-        raise UnsupportedCaseError(f"no equivalence transform for family {case.family!r}")
-    return _equivalence_transform(case.family, *(case.params.get(name) for name in "abcd"))
+    a = case.params.get("a")
+    b = case.params.get("b")
+    c = case.params.get("c")
+    if case.family == "id-2refl":
+        if not c:
+            raise UnsupportedCaseError("reparametrization needs c != 0")
 
+        def p(mu):
+            mu = as_scalar(mu)
+            return _over(b + c * mu**2, 2 * c * (a - c * mu), mu)
 
-@lru_cache(maxsize=8)
-def _equivalence_transform(family, a, b, c, d) -> EquivalenceTransform:
-    if not c:
-        raise UnsupportedCaseError("reparametrization needs c != 0")
-    if not b and family == "id-3refl":
-        raise UnsupportedCaseError("reparametrization needs b != 0")
-    if family == "id-2refl":
-        # p = (b + c mu^2) / (2c (a - c mu)), prefactor = (b + 2a mu - c mu^2) / (2 (a - c mu)^2)
-        p = RatFun.over_linears(Poly([b, ZERO, c]), [(-2 * c * c, 2 * c * a)])
-        prefactor = RatFun.over_linears(Poly([b, 2 * a, -c]), [(-c, a), (-2 * c, 2 * a)])
-    else:
-        # p = (c^3 mu^3 - (a-d)^2 c^2 mu^2 - c (a+2d)(2a+d) mu + (a-d)(a+d)^2) / (c^3 b^2 (c mu - a)(c mu + d)),
-        # prefactor = (c mu^2 - (a-d) mu - b)^2 / (b^2 (c mu - a)^2 (c mu + d)^2)
-        p = RatFun.over_linears(Poly([(a - d) * (a + d) ** 2, -c * (a + 2 * d) * (2 * a + d), -(a - d) ** 2 * c**2, c**3]),
-                                [(c**4 * b**2, -a * c**3 * b**2), (c, d)])
-        q = Poly([-b, d - a, c])
-        prefactor = RatFun.over_linears(q * q, [(b * c, -a * b), (b * c, -a * b), (c, d), (c, d)])
-    return EquivalenceTransform(p.eval_at, prefactor.eval_at)
+        def prefactor(mu):
+            mu = as_scalar(mu)
+            return _over(b + 2 * a * mu - c * mu**2, 2 * (a - c * mu) ** 2, mu)
+
+        return EquivalenceTransform(p, prefactor)
+
+    if case.family == "id-3refl":
+        d = case.params.get("d")
+        if not c:
+            raise UnsupportedCaseError("reparametrization needs c != 0")
+
+        def p(mu):
+            mu = as_scalar(mu)
+            num = (c**3 * mu**3 - (a - d) ** 2 * c**2 * mu**2
+                   - c * (a + 2 * d) * (2 * a + d) * mu + (a - d) * (a + d) ** 2)
+            return _over(num, c**3 * b**2 * (c * mu - a) * (c * mu + d), mu)
+
+        def prefactor(mu):
+            mu = as_scalar(mu)
+            return _over((c * mu**2 - (a - d) * mu - b) ** 2,
+                         b**2 * (c * mu - a) ** 2 * (c * mu + d) ** 2, mu)
+
+        return EquivalenceTransform(p, prefactor)
+
+    raise UnsupportedCaseError(f"no equivalence transform for family {case.family!r}")
 
 
 def equivalence_residual(case: KSolution, lam, mu) -> Matrix:

@@ -476,13 +476,6 @@ class TestEquivalence:
         with pytest.raises(UnsupportedCaseError, match="c != 0"):
             equivalence_transform(case)
 
-    def test_b_zero_unsupported_for_three_reflections(self):
-        # a = zeta_3 d solves a^2 + ad + bc + d^2 = 0 at b = 0, where c^3 b^2 (c mu - a)(c mu + d),
-        # the denominator of p, vanishes for every mu
-        case = identity_k_three_reflection(zeta(3), 0, -1, 1)
-        with pytest.raises(UnsupportedCaseError, match="b != 0"):
-            equivalence_transform(case)
-
 
 class TestCatalogConstruction:
     def test_three_reflection_constraint(self):
