@@ -654,8 +654,10 @@ class LegTable:
         weight w_t of a term sums its products g_j f_ji on the integer
         numerators, each scaled to one lcm L of the products of
         denominators; coordinate c of an entry is one dot of its numerators
-        with the coordinates c of the w_t zeta^u, over L den, and the matrix
-        is normalized once.  OrderMismatchError for two cyclotomic orders."""
+        with the coordinates c of the w_t zeta^u, over L den.  Over Q each
+        w_t is one int, summed directly.  The content is divided out of the
+        flat sums, cheaper than dividing each built vector in
+        :func:`_matrix`.  OrderMismatchError for two cyclotomic orders."""
         parts, orders = [], [self.order]
         for (g, fs), offset in zip(terms, self.offsets):
             gn, gd = (g.num, g.den) if type(g) is Cyclotomic else ((g.numerator,), g.denominator)
@@ -707,8 +709,9 @@ def leg_table(basis, pairs) -> LegTable:
     row of right, with no Kronecker product and no Matrix per term.  The
     numerator vectors are packed as in :func:`product_sum`, w bounding
     every accumulated coordinate by n^2 phi(N)^2 times the three largest
-    numerators.  TypeError for ring entries, OrderMismatchError for two
-    cyclotomic orders."""
+    numerators; over Q the sums are the numerators, scaled before they are
+    summed and indexed directly.  TypeError for ring entries,
+    OrderMismatchError for two cyclotomic orders."""
     if pairs and not any(pairs):
         return (basis if type(basis) is Basis else Basis(basis)).table
     n, factors, count = _pair_factor(basis[0], "leg_table"), [pair for pair in pairs if pair], itertools.count(1)
