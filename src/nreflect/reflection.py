@@ -40,7 +40,7 @@ from math import lcm
 from typing import Callable, Optional
 
 from .errors import ConstraintError, PoleError, UnsupportedCaseError
-from .linalg import LegTable, Matrix, combination, leg_table, tensor_pair
+from .linalg import LegTable, Matrix, combination, leg_table, permutation_operator, product_sum, tensor_pair
 from .ratfun import Poly, RatFun
 from .reporting import build_report
 from .rmatrix import RMatrixFun, cybe_residual, rational_r, trig_r
@@ -153,6 +153,11 @@ class KSolution:
             points.append(self.tau(points[-1]))
         return points
 
+    @cached_property
+    def reparametrization(self) -> "EquivalenceTransform":
+        """:func:`equivalence_transform` of this case, built on the first read."""
+        return equivalence_transform(self)
+
 
 def identity_k(n: int) -> Callable[[Scalar], Matrix]:
     eye = Matrix.identity(n)
@@ -252,18 +257,20 @@ def rbar_matrix(case: KSolution, lam, nu) -> Matrix:
 
 def nre_residual(case: KSolution, lam, nu) -> Matrix:
     """LHS - RHS of the N-fold reflection residual at exact points, in the
-    compact form rbar_ab(lam, nu) k_a(lam) - k_a(lam) rbar_ab(tau(lam), nu);
-    both terms share the frame at nu, and an identity k_a multiplies nothing."""
+    compact form rbar_ab(lam, nu) k_a(lam) - k_a(lam) rbar_ab(tau(lam), nu):
+    both terms share the frame at nu, the two products are one
+    :func:`~nreflect.linalg.product_sum`, and an identity k_a multiplies
+    nothing."""
     lam = as_scalar(lam)
     frame = point_frame(case, nu)
     eye = Matrix.identity(case.n)
     k = case.k(lam)
     lhs = rbar_at(case, lam, frame)
     rhs = rbar_at(case, case.tau(lam), frame)
-    if k != eye:
-        k_a = tensor_pair(k, eye)
-        lhs, rhs = lhs * k_a, k_a * rhs
-    return lhs - rhs
+    if k == eye:
+        return lhs - rhs
+    k_a = tensor_pair(k, eye)
+    return product_sum(((1, lhs, k_a), (-1, k_a, rhs)))
 
 
 def symmetry_relation_residual(case: KSolution, omega, lam, nu) -> Matrix:
@@ -311,71 +318,48 @@ def tamper(case: KSolution, mode: str) -> KSolution:
 @dataclass(frozen=True)
 class EquivalenceTransform:
     """Reparametrization p and prefactor relating rbar to the rational r:
-    rbar(lam, mu) = prefactor(mu) * r(p(lam) - p(mu)).  The prefactor equals
-    p'(mu): matching the simple pole at lam = mu forces that normalization.
-    Both raise PoleError at their poles."""
+    rbar(lam, mu) = prefactor(mu) * r(p(lam) - p(mu)), with
+
+        p(mu) = -(1/(N c)) sum_{j<N} tau^j(mu),
+
+    c the lower-left coefficient of tau.  The prefactor equals p'(mu):
+    matching the simple pole at lam = mu forces that normalization.  Both
+    evaluate a rational function and raise PoleError at its poles."""
 
     p: Callable[[Scalar], Scalar]
     prefactor: Callable[[Scalar], Scalar]
 
 
-def _over(num, den, mu):
-    if not den:
-        raise PoleError(f"reparametrization has a pole at mu = {mu}")
-    return num / den
-
-
 def equivalence_transform(case: KSolution) -> EquivalenceTransform:
-    a = case.params.get("a")
-    b = case.params.get("b")
-    c = case.params.get("c")
-    if case.family == "id-2refl":
-        if not c:
-            raise UnsupportedCaseError("reparametrization needs c != 0")
-
-        def p(mu):
-            mu = as_scalar(mu)
-            return _over(b + c * mu**2, 2 * c * (a - c * mu), mu)
-
-        def prefactor(mu):
-            mu = as_scalar(mu)
-            return _over(b + 2 * a * mu - c * mu**2, 2 * (a - c * mu) ** 2, mu)
-
-        return EquivalenceTransform(p, prefactor)
-
-    if case.family == "id-3refl":
-        d = case.params.get("d")
-        if not c:
-            raise UnsupportedCaseError("reparametrization needs c != 0")
-
-        def p(mu):
-            mu = as_scalar(mu)
-            num = (c**3 * mu**3 - (a - d) ** 2 * c**2 * mu**2
-                   - c * (a + 2 * d) * (2 * a + d) * mu + (a - d) * (a + d) ** 2)
-            return _over(num, c**3 * b**2 * (c * mu - a) * (c * mu + d), mu)
-
-        def prefactor(mu):
-            mu = as_scalar(mu)
-            return _over((c * mu**2 - (a - d) * mu - b) ** 2,
-                         b**2 * (c * mu - a) ** 2 * (c * mu + d) ** 2, mu)
-
-        return EquivalenceTransform(p, prefactor)
-
-    raise UnsupportedCaseError(f"no equivalence transform for family {case.family!r}")
+    """p and p' as rational functions, for the identity-k rational families
+    with c != 0; UnsupportedCaseError for any other case."""
+    if case.family not in ("id-2refl", "id-3refl"):
+        raise UnsupportedCaseError(f"no equivalence transform for family {case.family!r}")
+    c = case.params["c"]
+    if not c:
+        raise UnsupportedCaseError("reparametrization needs c != 0")
+    orbit = (case.tau.iterate(j) for j in range(case.N))
+    p = sum((RatFun.over_linears(Poly.linear(t.a, t.b), [(t.c, t.d)]) for t in orbit), RatFun.const(ZERO))
+    p = p.scale(-1 / (case.N * c))
+    return EquivalenceTransform(p.eval_at, p.derivative().eval_at)
 
 
 def equivalence_residual(case: KSolution, lam, mu) -> Matrix:
-    """rbar(lam, mu) - prefactor(mu) r(p(lam) - p(mu)), exactly."""
-    from .linalg import permutation_operator
-
-    transform = equivalence_transform(case)
+    """rbar(lam, mu) - prefactor(mu) r(p(lam) - p(mu)), exactly, with the
+    case's transform built on the first call."""
+    transform = case.reparametrization
     lam, mu = as_scalar(lam), as_scalar(mu)
     lhs = rbar_matrix(case, lam, mu)
-    diff = transform.p(lam) - transform.p(mu)
+    point = lam
+    try:
+        p_lam = transform.p(point)
+        point = mu
+        diff, prefactor = p_lam - transform.p(point), transform.prefactor(point)
+    except PoleError:
+        raise PoleError(f"reparametrization has a pole at mu = {point}") from None
     if not diff:
         raise PoleError(f"p(lam) = p(mu) at ({lam}, {mu})")
-    rhs = permutation_operator(case.n).scale(transform.prefactor(mu) / diff)
-    return lhs - rhs
+    return lhs - permutation_operator(case.n).scale(prefactor / diff)
 
 
 def sampled_check(case: KSolution, subject: str, omega=None) -> tuple:
@@ -425,10 +409,7 @@ def linear_k_case(N: int, theta, G: Matrix, g_label: str = "G") -> KSolution:
         return combination(((theta, eye), (as_scalar(nu), G)))
 
     sign = ONE if N % 2 else -ONE
-
-    def expected_f(nu):
-        return theta**N + sign * as_scalar(nu) ** N
-
+    expected_f = RatFun(Poly([theta**N] + [ZERO] * (N - 1) + [sign])).eval_at
     label = f"linear-k-N{N}-{g_label}-th{theta}"
     return KSolution(label=label, family="linear-k", n=n, N=N, base_r=rational_r(n),
                      tau=tau, weights=weights, k=k,
@@ -535,13 +516,14 @@ def trig_three_reflection(a=1, b=3, c=-1, d=1, which: str = "id") -> KSolution:
         return k
 
     tau2 = lambda nu: tau(tau(nu))
+    quadratic = RatFun(Poly.linear(c, -a) * Poly.linear(d, -b)).eval_at
     builders = {
         "id": identity_k(2),
         "tau-nu": diag(tau, lambda nu: nu),
         "tau2-nu": diag(tau2, lambda nu: nu),
         "tau-tau2": diag(tau, tau2),
-        "poly-1": diag(lambda nu: (a + d) * (a * nu + b), lambda nu: (c * nu - a) * (d * nu - b)),
-        "poly-2": diag(lambda nu: (c * nu - a) * (d * nu - b), lambda nu: (a + d) * (c * nu + d)),
+        "poly-1": diag(RatFun(Poly.linear(a, b).scale(a + d)).eval_at, quadratic),
+        "poly-2": diag(quadratic, RatFun(Poly.linear(c, d).scale(a + d)).eval_at),
     }
     if which not in builders:
         raise ValueError(f"unknown trig 3-reflection candidate {which!r}")

@@ -77,6 +77,12 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "equivalence", "--case", "id-3refl", "--samples", "4")
         assert code == 0
 
+    def test_equivalence_away_from_the_defaults(self, capsys):
+        # a valid three-reflection: 1 + 2 - 7 + 4 = 0
+        code, out, _ = run(capsys, "verify", "equivalence", "--case", "id-3refl",
+                           "--params", "a=1,b=7,c=-1,d=2")
+        assert code == 0 and json.loads(out)["verdict"] == "pass"
+
     def test_rbar_cybe(self, capsys):
         code, _, _ = run(capsys, "verify", "rbar-cybe", "--case", "id-2refl", "--samples", "3")
         assert code == 0

@@ -7,7 +7,7 @@ from nreflect import gaudin, reflection, rmatrix
 from nreflect.cli import main as cli_main
 from nreflect.errors import ConstraintError, PoleError, UnsupportedCaseError
 from nreflect.linalg import Matrix, permutation_operator, tensor_pair
-from nreflect.ratfun import RatFun
+from nreflect.ratfun import Poly, RatFun
 from nreflect.reflection import (
     CATALOG,
     MobiusMap,
@@ -371,6 +371,16 @@ class TestOneFramePerPoint:
         assert [a.nrows for a, _ in products if a.nrows == 27] == []
         assert len(sums) == 1
 
+    def test_nre_sample_is_one_product_sum(self, monkeypatch):
+        # rbar k_a and k_a rbar are one product_sum, not two 9x9
+        # Matrix.__mul__ calls and a subtraction
+        _, evaluate = sampled_check(case_by_label("linear-k-N3-shift-th2"), "nre")
+        products = self.counted(monkeypatch, Matrix, "__mul__")
+        sums = self.counted(monkeypatch, reflection, "product_sum")
+        assert evaluate(F(5, 3), F(11, 5)).is_zero()
+        assert not any(isinstance(b, Matrix) and (a.nrows, b.nrows) == (9, 9) for a, b in products)
+        assert len(sums) == 1
+
     @pytest.mark.parametrize("label", ["id-2refl", "id-3refl", "trig-3refl-id"])
     def test_identity_k_frame_multiplies_nothing(self, monkeypatch, label):
         calls = self.counted(monkeypatch, Matrix, "__mul__")
@@ -436,6 +446,32 @@ class TestCompactAndSymmetry:
         assert all(residual.is_zero() for _, residual in samples)
 
 
+# the identity-k rational cases at their defaults and away from them: a
+# three-reflection with a^2 + ad + bc + d^2 = 0 at other rationals, one over
+# Q(zeta_3) with b = 0, and a two-reflection at other rationals
+IDENTITY_K = {
+    "id-2refl": lambda: case_by_label("id-2refl"),
+    "id-3refl": lambda: case_by_label("id-3refl"),
+    "id-3refl-1,7,-1,2": lambda: identity_k_three_reflection(1, 7, -1, 2),
+    "id-3refl-1,3,-1,-2": lambda: identity_k_three_reflection(1, 3, -1, -2),
+    "id-3refl-zeta3,0,1,1": lambda: identity_k_three_reflection(zeta(3), 0, 1, 1),
+    "id-2refl-2,5,7": lambda: identity_k_two_reflection(2, 5, 7),
+}
+
+
+def tau_power_derivative(case, j):
+    """(tau^j)'(nu) as a rational function, from tau^j = (a_j nu + b_j)/(c_j nu + d_j)."""
+    t = case.tau.iterate(j)
+    return RatFun.over_linears(Poly.linear(t.a, t.b), [(t.c, t.d)]).derivative()
+
+
+@pytest.mark.parametrize("build", [*IDENTITY_K.values(), trivial_case], ids=[*IDENTITY_K, "trivial"])
+def test_identity_k_weights_are_derivatives_of_the_orbit(build):
+    # the weights the constructors write out are g^(j) = (tau^j)'
+    case = build()
+    assert [tau_power_derivative(case, j) for j in range(case.N)] == list(case.weights.gs)
+
+
 class TestEquivalence:
     def test_hand_checked_point(self):
         case = case_by_label("id-2refl")
@@ -444,23 +480,11 @@ class TestEquivalence:
         assert transform.prefactor(F(0)) == 1
         assert equivalence_residual(case, F(1), F(0)).is_zero()
 
-    def test_two_reflection_samples(self):
-        case = case_by_label("id-2refl")
-        rng = SplitMix64(DEFAULT_SEED)
-        samples = sample_evaluated(rng, 10, 2, lambda lam, mu: equivalence_residual(case, lam, mu))
-        assert all(residual.is_zero() for _, residual in samples)
-
-    def test_three_reflection_samples(self):
-        case = case_by_label("id-3refl")
-        rng = SplitMix64(DEFAULT_SEED)
-        samples = sample_evaluated(rng, 10, 2, lambda lam, mu: equivalence_residual(case, lam, mu))
-        assert all(residual.is_zero() for _, residual in samples)
-
     @pytest.mark.parametrize("label,lam", [("id-2refl", F(1, 3)), ("id-3refl", F(-1)), ("id-3refl", F(1))])
     def test_reparametrization_pole_is_a_pole_error(self, label, lam):
         # lam at a pole of p: a PoleError the sampler rejects, not a bare
         # ZeroDivisionError that would end the run
-        with pytest.raises(PoleError):
+        with pytest.raises(PoleError, match=f"^reparametrization has a pole at mu = {lam}$"):
             equivalence_residual(case_by_label(label), lam, F(2))
 
     def test_prefactor_is_derivative_of_p(self):
@@ -470,6 +494,27 @@ class TestEquivalence:
         mu, h = F(7), F(1, 10**6)
         numeric = (transform.p(mu + h) - transform.p(mu - h)) / (2 * h)
         assert abs(float(numeric - transform.prefactor(mu))) < 1e-9
+
+    @pytest.mark.parametrize("name", list(IDENTITY_K))
+    def test_samples(self, name):
+        # p = -(1/(N c)) sum_j tau^j holds at the defaults and at every
+        # other parameter of both families, including a three-reflection
+        # with b = 0
+        case = IDENTITY_K[name]()
+        rng = SplitMix64(DEFAULT_SEED)
+        samples = sample_evaluated(rng, 10, 2, lambda lam, mu: equivalence_residual(case, lam, mu))
+        assert all(residual.is_zero() for _, residual in samples)
+
+    def test_transform_is_built_once_on_the_first_sample(self, monkeypatch):
+        case = case_by_label("id-3refl")
+        calls = []
+        original = reflection.equivalence_transform
+        monkeypatch.setattr(reflection, "equivalence_transform", lambda case: calls.append(case) or original(case))
+        _, evaluate = sampled_check(case, "equivalence")
+        assert calls == []
+        rng = SplitMix64(DEFAULT_SEED)
+        assert len(list(sample_evaluated(rng, 10, 2, evaluate))) == 10
+        assert calls == [case]
 
     def test_c_zero_unsupported(self):
         case = identity_k_two_reflection(1, 0, 0)

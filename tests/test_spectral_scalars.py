@@ -8,7 +8,8 @@ as ``sample_fraction`` draws them, along each orbit (so the z3 and
 poles, where both sides must raise PoleError with the same text.  Values are
 compared with their type and their text, since reports print them.  At
 rational points of the rational cases, these scalars and rbar itself are
-integer work: no ``Fraction`` operator runs.
+integer work: no ``Fraction`` operator runs, nor in k(nu) or in the
+reparametrizations of the identity-k cases.
 """
 
 from fractions import Fraction as F
@@ -22,7 +23,7 @@ from nreflect import linalg, reflection  # noqa: E402
 from nreflect.errors import PoleError  # noqa: E402
 from nreflect.gaudin import MODEL_KINDS, case_for_config  # noqa: E402
 from nreflect.ratfun import Poly, RatFun  # noqa: E402
-from nreflect.reflection import CATALOG, case_by_label, point_frame, rbar_at  # noqa: E402
+from nreflect.reflection import CATALOG, case_by_label, equivalence_transform, point_frame, rbar_at  # noqa: E402
 from nreflect.sampling import POLE_ERRORS  # noqa: E402
 
 PROFILE = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -180,15 +181,7 @@ def test_rational_scalars_make_no_fraction_arithmetic(monkeypatch):
     rational = {name: case for name, case in ((name, build()) for name, build in CASES.items()) if is_rational(case)}
     assert len([name for name in rational if not name.startswith("gaudin-")]) == 15
     lams, nus = [F(-7, 3), F(5, 11), F(0), F(13, 2)], [F(2, 9), F(-19, 20), F(1), F(0)]
-    calls = []
-    for name in FRACTION_OPERATORS:
-        original = getattr(F, name)
-
-        def counting(*args, name=name, original=original):
-            calls.append(name)
-            return original(*args)
-
-        monkeypatch.setattr(F, name, counting)
+    calls = count_fraction_operators(monkeypatch)
     values, poles = 0, 0
     for case in rational.values():
         for lam in lams:
@@ -219,6 +212,29 @@ def count_fraction_operators(monkeypatch):
 
         monkeypatch.setattr(F, name, counting)
     return calls
+
+
+def test_k_and_reparametrizations_make_no_fraction_arithmetic(monkeypatch):
+    """k(nu) of every rational catalog case, and p(mu) and p'(mu) of the
+    two-reflection and three-reflection transforms, evaluate at Fraction
+    points with one normalization per value: not one Fraction operator runs."""
+    cases = [build() for name, build in CASES.items() if not name.startswith("gaudin-")]
+    cases = [case for case in cases if is_rational(case)]
+    assert len(cases) == 15
+    transforms = [equivalence_transform(case_by_label(label)) for label in ("id-2refl", "id-3refl")]
+    functions = [case.k for case in cases] + [f for t in transforms for f in (t.p, t.prefactor)]
+    points = [F(-7, 3), F(5, 11), F(0), F(13, 2), F(2, 9), F(-19, 20), F(1), F(1, 3)]
+    calls = count_fraction_operators(monkeypatch)
+    values, poles = 0, 0
+    for f in functions:
+        for point in points:
+            try:
+                f(point)
+                values += 1
+            except PoleError:
+                poles += 1
+    assert calls == []
+    assert values > 100 and poles > 0
 
 
 def test_rbar_at_makes_no_fraction_arithmetic_and_no_combination(monkeypatch):
