@@ -30,6 +30,10 @@ class UnsupportedCaseError(NReflectError, ValueError):
     """Operation not defined for this catalog case (e.g. c = 0 reparametrization)."""
 
 
+class SamplingError(NReflectError, RuntimeError):
+    """Rejection sampling found no point where the check evaluates."""
+
+
 class DegreeError(NReflectError, OverflowError):
     """A spin-polynomial exponent exceeds what a packed monomial key holds."""
 

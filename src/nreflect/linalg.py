@@ -34,6 +34,7 @@ has no ``inverse``.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import operator
@@ -621,32 +622,75 @@ def partial_trace(m: Matrix, leg: str) -> Matrix:
 
 class Basis(tuple):
     """Constant pair-leg matrices M_i of exact scalars over one field, as a
-    tuple that builds their :func:`leg_table` with no factor pair once."""
+    tuple that builds their :func:`leg_table` once."""
 
     @cached_property
     def table(self):
-        return leg_table(self, ())
+        return leg_table(self)
 
 
 class LegTable:
-    """The matrices T_t = (1 x left_j) M_i (1 x right_j), t = offsets[j] + i,
-    over one common denominator ``den``, indexed per entry: the entries of
-    row r are at the columns cols[r], entry e holds nums[k] for a <= k < b,
-    (a, b) = bounds[e], and nums[k] is coordinate u of T_t[r, c] over
-    Q(zeta_order), index[k] = t phi + u, phi = phi(order).  Terms 0, 1, ...
-    are the M_i themselves, shared by every identity pair."""
+    """Pair-leg matrices T_t over one common denominator ``den``, indexed
+    per entry: the entries of row r are at the columns cols[r], entry e
+    holds nums[k] for a <= k < b, (a, b) = bounds[e], and nums[k] is
+    coordinate u of T_t[r, c] over Q(zeta_order), index[k] = t phi + u,
+    phi = phi(order).  Factor pair j of a frame reads the terms from
+    offsets[j] on.  In a compiled table (:func:`polynomial_table`) each
+    nums[k] is instead the integer coefficients of that coordinate as a
+    polynomial in nu, highest degree first, all of one length, and
+    :meth:`at` evaluates them."""
 
-    __slots__ = ("order", "den", "terms", "offsets", "cols", "bounds", "index", "nums")
+    __slots__ = ("order", "den", "terms", "offsets", "cols", "bounds", "index", "nums", "_top", "_packed")
 
     def __init__(self, order, den, terms, offsets, rows):
         """From ``rows[r]`` mapping each column c to the (indices, nums) of entry (r, c)."""
         self.order, self.den, self.terms, self.offsets = order, den, terms, offsets
         self.cols, self.bounds, self.index, self.nums = [list(row) for row in rows], [], [], []
+        self._top, self._packed = None, {}
         for row in rows:
             for ts, nums in row.values():
                 self.bounds.append((len(self.index), len(self.index) + len(ts)))
                 self.index += ts
                 self.nums += nums
+
+    def at(self, nu) -> "LegTable":
+        """The table of a compiled table's values at nu, on the same index.
+        At nu = p/q each value is the homogeneous sum sum_d c_d p^d q^(D - d)
+        over den q^D, D the degree, in one integer Horner pass over every
+        numerator at once: the coefficients of each degree are packed w bits
+        apart into one int (Kronecker substitution), w holding each sum, at
+        most its coefficients' absolute sum times max(|p|, q)^D, and the
+        sums are read back from the bytes of the result.  A point over
+        Q(zeta_N) takes field arithmetic, term by term, and the terms are
+        indexed again by :func:`leg_table`."""
+        out = copy.copy(self)
+        if not self.nums:
+            return out
+        degree = len(self.nums[0]) - 1
+        if type(nu) is not Fraction:
+            phi, size = euler_phi(self.order), len(self.cols)
+            units = [_canonical(self.order, [int(u == v) for v in range(phi)], self.den) for u in range(phi)]
+            terms, entries = [[[ZERO] * size for _ in range(size)] for _ in range(self.terms)], iter(self.bounds)
+            for r, cols in enumerate(self.cols):
+                for c, (a, b) in zip(cols, entries):
+                    for t_u, coeffs in zip(self.index[a:b], self.nums[a:b]):
+                        value = ZERO
+                        for x in coeffs:
+                            value = value * nu + x
+                        t, u = divmod(t_u, phi)
+                        terms[t][r][c] = terms[t][r][c] + value * units[u]
+            return leg_table([Matrix(term) for term in terms], self.offsets)
+        if self._top is None:
+            self._top = max(sum(map(abs, coeffs)) for coeffs in self.nums)
+        p, q = nu.numerator, nu.denominator
+        width = -(-(self._top.bit_length() + degree * max(abs(p), q).bit_length() + 1) // 64) * 64
+        if width not in self._packed:
+            self._packed[width] = [_pack_slots(column, width) for column in zip(*self.nums)]
+        acc, power = 0, 1
+        for row in self._packed[width]:
+            acc, power = acc * p + row * power, power * q
+        out.nums, out.den = _unpack_slots(acc, len(self.nums), width), self.den * (power // q)
+        return out
 
     def combination(self, terms) -> Matrix:
         """sum_j g_j sum_i f_ji T_(offsets[j] + i) over one (g_j, (f_j0, ...))
@@ -700,62 +744,68 @@ class LegTable:
         return _matrix(order, den, out, len(out), len(out))
 
 
-def leg_table(basis, pairs) -> LegTable:
-    """The :class:`LegTable` of the pair-leg matrices ``basis`` and, per
-    entry of ``pairs``, n x n factors (left, right) or None for the
-    identity, all exact scalars over one field; where every pair is None,
-    the table built once per :class:`Basis`.  Each M_i is read in one pass
-    over its sparse rows per pair, each entry times a column of left and a
-    row of right, with no Kronecker product and no Matrix per term.  The
-    numerator vectors are packed as in :func:`product_sum`, w bounding
-    every accumulated coordinate by n^2 phi(N)^2 times the three largest
-    numerators; over Q the sums are the numerators, scaled before they are
-    summed and indexed directly.  TypeError for ring entries,
-    OrderMismatchError for two cyclotomic orders."""
-    if pairs and not any(pairs):
-        return (basis if type(basis) is Basis else Basis(basis)).table
-    n, factors, count = _pair_factor(basis[0], "leg_table"), [pair for pair in pairs if pair], itertools.count(1)
-    if any((f.nrows, f.ncols) != (n, n) for pair in factors for f in pair):
-        raise ShapeError(f"leg_table needs {n}x{n} factors for a {n * n}x{n * n} matrix")
-    order = _exact_field("leg_table", [m._order for m in basis] + [f._order for pair in factors for f in pair])
-    den = math.lcm(*(m._den for m in basis), *(left._den * m._den * right._den for left, right in factors for m in basis))
-    width, packed = _packed(order, {id(m): m for m in (*basis, *(f for pair in factors for f in pair))}.values(),
-                            lambda top: (n * euler_phi(order)) ** 2 * max(top[id(m)] for m in basis)
-                            * max((top[id(left)] * top[id(right)] for left, right in factors), default=0))
-    rows = [{} for _ in range(n * n)]
-    for t, m in enumerate(basis):
+def _pack_slots(values, width: int) -> int:
+    """The ints ``values``, each below 2^(width - 1) in absolute value, as
+    one int, value k times 2^(width k); width is a multiple of 8."""
+    size, half = width // 8, 1 << (width - 1)
+    return int.from_bytes(b"".join((x + half).to_bytes(size, "little") for x in values), "little") - _bias(len(values), width)
+
+
+def _unpack_slots(packed: int, count: int, width: int) -> list:
+    """The ``count`` values of :func:`_pack_slots`, read from the bytes of
+    packed plus 2^(width - 1) in every slot, where no slot carries."""
+    size, half = width // 8, 1 << (width - 1)
+    raw = (packed + _bias(count, width)).to_bytes(count * size, "little")
+    return [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, count * size, size)]
+
+
+def _bias(count: int, width: int) -> int:
+    """2^(width - 1) in each of ``count`` slots ``width`` bits apart."""
+    return int.from_bytes((1 << (width - 1)).to_bytes(width // 8, "little") * count, "little")
+
+
+def leg_table(terms, offsets=()) -> LegTable:
+    """The :class:`LegTable` of the pair-leg matrices ``terms``, exact
+    scalars over one field, factor pair j reading them from offsets[j] on,
+    or every pair from term 0 where no offsets are given.  TypeError for
+    ring entries, OrderMismatchError for two cyclotomic orders."""
+    _pair_factor(terms[0], "leg_table")
+    order = _exact_field("leg_table", [m._order for m in terms])
+    den = math.lcm(*(m._den for m in terms))
+    rows = [{} for _ in range(terms[0].nrows)]
+    for t, m in enumerate(terms):
         _index(rows, t, m._sparse, den // m._den, order)
-    t = len(basis)
-    for left, right in factors:
-        columns = [[] for _ in range(n)]  # column j of left as (i, entry) pairs
-        for i, row in enumerate(packed[id(left)]):
-            for j, (a,) in row.items():
-                columns[j].append((i, a))
-        right_rows = [list(row.items()) for row in packed[id(right)]]
-        for m in basis:
-            scale = den // (left._den * m._den * right._den)
-            out, inner = [{} for _ in range(n * n)], scale if order == 1 else 1  # packed sums are scaled once unpacked
-            for r, row in enumerate(packed[id(m)]):
-                spare, j = divmod(r, n)  # the index on leg a, and on leg b
-                for c, (x,) in row.items():
-                    col_spare, s = divmod(c, n)
-                    first, x = col_spare * n, x * inner
-                    for i, a in columns[j]:
-                        ax, acc = a * x, out[spare * n + i]
-                        for l, (b,) in right_rows[s]:
-                            acc[first + l] = acc.get(first + l, 0) + ax * b
-            if order == 1:
-                for entries, acc in zip(rows, out):
-                    for c, x in acc.items():
-                        ts, nums = entries.setdefault(c, ([], []))
-                        ts.append(t)
-                        nums.append(x)
-            else:
-                _index(rows, t, _unpack_fold(order, out, width, 3), scale, order)
-            t += 1
-    # the table of a Basis, built with no pair, serves every identity pair of any frame
-    return LegTable(order, den, len(basis) * (1 + len(factors)),
-                    [0 if pair is None else len(basis) * next(count) for pair in pairs] or itertools.repeat(0), rows)
+    return LegTable(order, den, len(terms), list(offsets) or itertools.repeat(0), rows)
+
+
+def polynomial_table(terms, offsets) -> LegTable:
+    """The compiled :class:`LegTable` whose term t holds at (r, c) the
+    polynomial in nu with the exact scalar coefficients terms[t][r][c],
+    lowest degree first, given as sparse rows over one field: the
+    coefficients over one denominator, and each coordinate's integers,
+    padded to the highest degree, indexed where one is nonzero.  TypeError
+    for ring coefficients, OrderMismatchError for two cyclotomic orders."""
+    polys = [coeffs for term in terms for row in term for coeffs in row.values()]
+    values = [x for coeffs in polys for x in coeffs]
+    if any(type(x) not in (Fraction, int, Cyclotomic) for x in values):
+        raise TypeError("polynomial_table needs exact scalar coefficients of one field")
+    order = _one_field(*(x.order for x in values if type(x) is Cyclotomic))
+    den = math.lcm(*(x.den if type(x) is Cyclotomic else x.denominator for x in values))
+    phi, length = euler_phi(order), max(map(len, polys), default=1)
+    pad = (0,) * (phi - 1)
+    rows = [{} for _ in terms[0]]
+    for t, term in enumerate(terms):
+        for entries, row in zip(rows, term):
+            for c, coeffs in row.items():
+                vectors = [(0,) * phi] * (length - len(coeffs)) + [
+                    tuple(y * (den // x.den) for y in x.num) if type(x) is Cyclotomic
+                    else (x.numerator * (den // x.denominator),) + pad for x in reversed(coeffs)]
+                ts, nums = entries.setdefault(c, ([], []))
+                for u, poly in enumerate(zip(*vectors), t * phi):
+                    if any(poly):
+                        ts.append(u)
+                        nums.append(poly)
+    return LegTable(order, den, len(terms), list(offsets), rows)
 
 
 def _index(rows, t, sparse, scale, order):

@@ -216,13 +216,8 @@ class RatFun:
                 other = RatFun(other)
             else:
                 other = RatFun.const(other)
-        mine = dict(self.roots)
-        theirs = dict(other.roots)
-        union = {root: max(mine.get(root, 0), theirs.get(root, 0))
-                 for root in set(mine) | set(theirs)}
-        num = self.num * _root_poly((r, m - mine.get(r, 0)) for r, m in union.items())
-        num = num + other.num * _root_poly((r, m - theirs.get(r, 0)) for r, m in union.items())
-        return RatFun(num, union.items())
+        (mine, theirs), roots = over_one_denominator((self, other))
+        return RatFun(mine + theirs, roots)
 
     __radd__ = __add__
 
@@ -248,6 +243,21 @@ class RatFun:
     def scale(self, s):
         """Multiply by a scalar."""
         return RatFun(self.num.scale(s), self.roots)
+
+    def mobius(self, a, b, c, d):
+        """f((a x + b) / (c x + d)) for ad - bc != 0, as a rational function of
+        x: with T = a x + b and B = c x + d, a numerator of degree D and
+        denominator degree M, it is sum_i f_i T^i B^(D - i) B^(M - D) over
+        prod_k (T - u_k B)^m_k, each factor linear."""
+        if not self.num:
+            return self
+        degree, factors = self.num.degree, [(a - root * c, b - root * d) for root, mult in self.roots for _ in range(mult)]
+        tops, bottoms = _powers(Poly.linear(a, b), degree), _powers(Poly.linear(c, d), max(degree, len(factors)))
+        num = Poly()
+        for i, coeff in enumerate(self.num.coeffs):
+            num = num + (tops[i] * bottoms[degree - i]).scale(coeff)
+        excess = len(factors) - degree
+        return RatFun.over_linears(num * bottoms[max(excess, 0)], factors + [(c, d)] * max(-excess, 0))
 
     def derivative(self):
         """(p'q - pq') / q^2 with q the split-linear denominator."""
@@ -327,6 +337,25 @@ def _eval_integer(form: tuple, x: Fraction) -> Fraction:
     else:
         den *= q**-shift
     return Fraction(num, den)
+
+
+def over_one_denominator(fs) -> tuple:
+    """([p_1, ...], roots) with each f_i = p_i / prod (x - root)^mult over
+    the one denominator of the (root, mult) pairs ``roots``, the least
+    common multiple of the f_i's denominators."""
+    union = {}
+    for f in fs:
+        for root, mult in f.roots:
+            union[root] = max(union.get(root, 0), mult)
+    return [f.num * _root_poly((r, m - f.multiplicity(r)) for r, m in union.items()) for f in fs], list(union.items())
+
+
+def _powers(poly: Poly, top: int) -> list:
+    """[1, poly, poly^2, ..., poly^top]."""
+    out = [Poly.const(ONE)]
+    for _ in range(top):
+        out.append(out[-1] * poly)
+    return out
 
 
 def _root_poly(factors) -> Poly:

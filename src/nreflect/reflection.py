@@ -33,6 +33,7 @@ dot per entry over one lcm.
 from __future__ import annotations
 
 import inspect
+import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
@@ -40,8 +41,8 @@ from math import lcm
 from typing import Callable, Optional
 
 from .errors import ConstraintError, PoleError, UnsupportedCaseError
-from .linalg import LegTable, Matrix, combination, leg_table, permutation_operator, product_sum, tensor_pair
-from .ratfun import Poly, RatFun
+from .linalg import LegTable, Matrix, permutation_operator, polynomial_table, product_sum, tensor_pair
+from .ratfun import Poly, RatFun, over_one_denominator
 from .reporting import build_report
 from .rmatrix import RMatrixFun, cybe_residual, rational_r, trig_r
 from .scalars import ONE, ZERO, Scalar, as_scalar, zeta
@@ -130,6 +131,19 @@ class WeightFamily:
         return self.gs[j].eval_at(as_scalar(nu))
 
 
+class KMatrix(tuple):
+    """k as data: rows of :class:`~nreflect.ratfun.RatFun` entries, each
+    raising PoleError at its poles where k is called at a point."""
+
+    def __call__(self, nu) -> Matrix:
+        nu = as_scalar(nu)
+        return Matrix([[f.eval_at(nu) for f in row] for row in self])
+
+    @staticmethod
+    def identity(n: int) -> "KMatrix":
+        return KMatrix(tuple(RatFun.const(ONE if i == j else ZERO) for j in range(n)) for i in range(n))
+
+
 @dataclass(frozen=True)
 class KSolution:
     """A candidate solution of the N-fold reflection residual."""
@@ -141,7 +155,7 @@ class KSolution:
     base_r: RMatrixFun
     tau: MobiusMap
     weights: WeightFamily
-    k: Callable[[Scalar], Matrix]
+    k: KMatrix
     params: dict = field(default_factory=dict)
     expected_f: Optional[Callable] = None
 
@@ -154,72 +168,175 @@ class KSolution:
         return points
 
     @cached_property
+    def identity_k(self) -> bool:
+        return self.k == KMatrix.identity(self.n)
+
+    @cached_property
+    def poles(self) -> frozenset:
+        """The points where an entry of k has a pole."""
+        return frozenset(root for row in self.k for f in row for root, _ in f.roots)
+
+    @cached_property
+    def compiled(self) -> "CompiledK":
+        """:func:`compile_k` of this case, built on the first read."""
+        return compile_k(self)
+
+    @cached_property
     def reparametrization(self) -> "EquivalenceTransform":
         """:func:`equivalence_transform` of this case, built on the first read."""
         return equivalence_transform(self)
 
 
-def identity_k(n: int) -> Callable[[Scalar], Matrix]:
-    eye = Matrix.identity(n)
-    return lambda nu: eye
+@dataclass(frozen=True)
+class CompiledK:
+    """k^(j)(nu) = k(nu) k(tau(nu)) ... k(tau^(j-1)(nu)) = P_j(nu) / q_j(nu)
+    for j = 1, ..., N, each factor k(tau^i(nu)) composed in closed form and
+    put over one denominator, held as: ``products[j - 1]``, P_j as rows of
+    polynomials and the roots of q_j; ``dets[j]`` = det P_j for
+    j < N (1 for j = 0); and ``table``, the
+    :func:`~nreflect.linalg.polynomial_table` of the numerators
+    (1 x P_j) M_i (1 x adj P_j) of (1 x k^(j)) M_i (1 x k^(j))^-1 =
+    (1 x P_j) M_i (1 x adj P_j) / det P_j, term j B + i for the B
+    matrices M_i of the base r."""
+
+    products: tuple
+    dets: tuple
+    table: LegTable
+
+    def product(self, j: int) -> KMatrix:
+        """k^(j) as a KMatrix, P_j over q_j, for j = 1, ..., N."""
+        rows, roots = self.products[j - 1]
+        return KMatrix(tuple(RatFun(x, roots) for x in row) for row in rows)
+
+    @cached_property
+    def power(self) -> KMatrix:
+        """k^(N), built on the first read."""
+        return self.product(len(self.products))
 
 
-def _k_products(case: KSolution, points) -> list:
-    """[k^(0), k^(1), ...] along the orbit points nu, tau(nu), ... by the
-    product recursion k^(j+1)(nu) = k^(j)(nu) k(tau^j(nu)); k^(0) = 1, and
-    where k^(j)(nu) is the identity, k^(j+1)(nu) is k(tau^j(nu)) itself."""
-    eye = Matrix.identity(case.n)
-    ks = [eye]
+def _poly(x) -> Poly:
+    return x if isinstance(x, Poly) else Poly.const(x)
+
+
+def _adjugate(rows) -> tuple:
+    """(adj m, det m) of the square matrix m of polynomial rows, by cofactors."""
+    def det(rows):  # Laplace expansion along the first row
+        return sum(((-1) ** j * rows[0][j] * det([r[:j] + r[j + 1:] for r in rows[1:]])
+                    for j in range(len(rows)) if rows[0][j]), Poly()) if rows else Poly.const(ONE)
+
+    n = len(rows)
+    adj = [[(-1) ** (i + j) * det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j]) for j in range(n)]
+           for i in range(n)]
+    return adj, sum((rows[0][j] * adj[j][0] for j in range(n)), Poly())
+
+
+def _coefficients(m: Matrix) -> list:
+    """m's sparse rows of coefficient tuples, lowest degree first, of its
+    exact scalar entries."""
+    return [{c: (x,) for c, x in enumerate(row) if x} for row in m.rows]
+
+
+def _conjugated(left: list, m: Matrix, right: list) -> list:
+    """(1 x left) m (1 x right) for n x n rows of polynomials, as sparse rows
+    of coefficient tuples: entry (a x, c y) of m, times left[b][x] and
+    right[y][d], goes to (a b, c d), and each product left[b][x] right[y][d]
+    is formed once for every m."""
+    n, out, products = len(left), [{} for _ in range(m.nrows)], {}
+    for r, row in enumerate(m.rows):
+        a, x = divmod(r, n)
+        for col, value in enumerate(row):
+            c, y = divmod(col, n)
+            for b, d in itertools.product(range(n), repeat=2) if value else ():
+                if left[b][x] and right[y][d]:
+                    if (b, x, y, d) not in products:
+                        products[b, x, y, d] = left[b][x] * right[y][d]
+                    entry = out[a * n + b]
+                    entry[c * n + d] = entry.get(c * n + d, Poly()) + products[b, x, y, d].scale(value)
+    return [{c: p.coeffs for c, p in row.items() if p} for row in out]
+
+
+def compile_k(case: KSolution) -> CompiledK:
+    """The :class:`CompiledK` of a case: k(tau^i(nu)) by
+    :meth:`~nreflect.ratfun.RatFun.mobius` with tau^i, over one denominator
+    by :func:`~nreflect.ratfun.over_one_denominator`, and P_j, adj P_j,
+    det P_j and the numerators as matrices of polynomials."""
+    n, basis = case.n, case.base_r.basis
+    product, roots = Matrix.identity(n), []
+    products, dets, terms = [], [RatFun.const(ONE)], [_coefficients(m) for m in basis]
+    for j in range(case.N):
+        t = case.tau.iterate(j)
+        nums, extra = over_one_denominator([f.mobius(t.a, t.b, t.c, t.d) if j else f for row in case.k for f in row])
+        product, roots = product * Matrix([nums[i * n:(i + 1) * n] for i in range(n)]), roots + extra
+        rows = [[_poly(x) for x in row] for row in product.rows]
+        products.append((rows, roots))
+        if j < case.N - 1:
+            adj, det = _adjugate(rows)
+            dets.append(RatFun(det))
+            terms += [_conjugated(rows, m, adj) for m in basis]
+    return CompiledK(tuple(products), tuple(dets),
+                     polynomial_table(terms, [j * len(basis) for j in range(case.N)]))
+
+
+def _check_poles(case: KSolution, points) -> None:
+    """Raise k's own PoleError where k has a pole at one of the points."""
     for point in points:
-        k = case.k(point)
-        ks.append(k if ks[-1] == eye else ks[-1] * k)
-    return ks
+        if point in case.poles:
+            case.k(point)
 
 
 @dataclass(frozen=True)
 class PointFrame:
     """What the induced matrix needs at one point nu, for j < N: the orbit
-    tau^j(nu), the weights g^(j)(nu), ks[j] = (k^(j)(nu), k^(j)(nu)^-1), or
-    None where k^(j)(nu) is the identity (as for j = 0), and the base
-    r-matrix's constant matrices M_i.  ``table`` is built on its first
-    read, once per frame."""
+    tau^j(nu), the weights g^(j)(nu), the weights g^(j)(nu) / det P_j(nu)
+    of the table's terms of k^(j), and the compiled k, None for identity
+    k.  ``table`` holds the matrices (1 x P_j) M_i (1 x adj P_j) at nu,
+    built on its first read, once per frame; for identity k it is the
+    table the base r-matrix builds once."""
 
     orbit: tuple
     weights: tuple
-    ks: tuple
-    basis: tuple
+    scaled: tuple
+    base_r: RMatrixFun
+    compiled: Optional[CompiledK] = None
 
     @cached_property
     def table(self) -> LegTable:
-        """The matrices (1 x k^(j)(nu)) M_i (1 x k^(j)(nu))^-1 as one
-        :func:`~nreflect.linalg.leg_table`."""
-        return leg_table(self.basis, self.ks)
+        if self.compiled is None:
+            return self.base_r.basis.table
+        return self.compiled.table.at(self.orbit[0])
 
 
 def point_frame(case: KSolution, nu) -> PointFrame:
-    """The frame at nu; raises PoleError at a pole of tau^j, g^(j) or k and
-    SingularMatrixError where some k^(j)(nu) is singular."""
+    """The frame at nu; raises PoleError at a pole of tau^j, g^(j) or k and,
+    where det P_j(nu) = 0, the SingularMatrixError of inverting k^(j)(nu)."""
     orbit = tuple(case.orbit(nu))
     weights = tuple(case.weights(j, nu) for j in range(case.N))
-    eye = Matrix.identity(case.n)
-    ks = tuple(None if kj == eye else (kj, kj.inverse(label=f"k^({j})(nu)"))
-               for j, kj in enumerate(_k_products(case, orbit[:-1])))
-    return PointFrame(orbit, weights, ks, case.base_r.basis)
+    if case.identity_k:
+        return PointFrame(orbit, weights, weights, case.base_r)
+    _check_poles(case, orbit[:-1])
+    compiled, scaled = case.compiled, [weights[0]]
+    for j in range(1, case.N):
+        det = compiled.dets[j].eval_at(orbit[0])
+        if not det:
+            compiled.product(j)(orbit[0]).inverse(label=f"k^({j})(nu)")
+        scaled.append(weights[j] / det)
+    return PointFrame(orbit, weights, tuple(scaled), case.base_r, compiled)
 
 
 def n_unitarity_entry(case: KSolution, nu, frame: Optional[PointFrame] = None) -> dict:
     """The report entry of the check k^(N)(nu) = f(nu) 1 at nu; never raises
-    on failure.  Given the frame at nu, k^(N)(nu) is the one product
-    k^(N-1)(nu) k(tau^(N-1)(nu)) of what the frame holds; without one (the
-    frame is undefined where some k^(j)(nu) is singular), the orbit and
-    every k^(j)(nu) are built here."""
+    on failure.  k^(N)(nu) is the compiled product, read at the orbit of
+    the frame at nu or, without one (the frame is undefined where some
+    k^(j)(nu) is singular), at the orbit built here; a pole of k on the
+    orbit raises k's own PoleError first."""
     entry = {"sample": [str(nu)]}
     try:
-        if frame is None:
-            kn = _k_products(case, case.orbit(nu))[-1]
+        orbit = case.orbit(nu) if frame is None else frame.orbit
+        if case.identity_k:
+            kn = Matrix.identity(case.n)
         else:
-            k, last = case.k(frame.orbit[-1]), frame.ks[-1]
-            kn = k if last is None else last[0] * k
+            _check_poles(case, orbit)
+            kn = case.compiled.power(orbit[0])
     except PoleError as exc:
         entry.update(status="fail", reason=str(exc))
         return entry
@@ -247,7 +364,7 @@ def rbar_at(case: KSolution, lam, frame: PointFrame) -> Matrix:
     frame at nu, as sum_j g^(j)(nu) sum_i f_i(lam, tau^j(nu)) times the
     conjugated M_i: one combination of the frame's table."""
     lam, coefficients = as_scalar(lam), case.base_r.coefficients
-    return frame.table.combination([(g, coefficients(lam, point)) for g, point in zip(frame.weights, frame.orbit)])
+    return frame.table.combination([(g, coefficients(lam, point)) for g, point in zip(frame.scaled, frame.orbit)])
 
 
 def rbar_matrix(case: KSolution, lam, nu) -> Matrix:
@@ -263,29 +380,28 @@ def nre_residual(case: KSolution, lam, nu) -> Matrix:
     nothing."""
     lam = as_scalar(lam)
     frame = point_frame(case, nu)
-    eye = Matrix.identity(case.n)
-    k = case.k(lam)
+    k = None if case.identity_k else case.k(lam)
     lhs = rbar_at(case, lam, frame)
     rhs = rbar_at(case, case.tau(lam), frame)
-    if k == eye:
+    if k is None:
         return lhs - rhs
-    k_a = tensor_pair(k, eye)
+    k_a = tensor_pair(k, Matrix.identity(case.n))
     return product_sum(((1, lhs, k_a), (-1, k_a, rhs)))
 
 
 def symmetry_relation_residual(case: KSolution, omega, lam, nu) -> Matrix:
     """r_ab(l, n) - omega k_a k_b r_ab(tau l, tau n) k_b^-1 k_a^-1 (needs
-    omega^N = 1); where k(l) and k(n) are both the identity, nothing is
-    inverted or conjugated."""
+    omega^N = 1); for identity k, k is neither evaluated nor inverted nor
+    applied.  k(l) and k(n) are inverted by elimination: reading them from
+    the adjugate and determinant of k's numerator measured slower."""
     r = case.base_r
     omega = as_scalar(omega)
     if omega**case.N != 1:
         raise ConstraintError(f"omega^{case.N} != 1 for omega = {omega}")
     lam, nu = as_scalar(lam), as_scalar(nu)
-    ka, kb = case.k(lam), case.k(nu)
-    eye = Matrix.identity(case.n)
+    ka, kb = (None, None) if case.identity_k else (case.k(lam), case.k(nu))
     inner = r(case.tau(lam), case.tau(nu))
-    if ka != eye or kb != eye:
+    if ka is not None:
         k_ab_inv = tensor_pair(ka.inverse(label="k(lam)"), kb.inverse(label="k(nu)"))
         inner = tensor_pair(ka, kb) * inner * k_ab_inv
     return r(lam, nu) - inner.scale(omega)
@@ -339,7 +455,7 @@ def equivalence_transform(case: KSolution) -> EquivalenceTransform:
     if not c:
         raise UnsupportedCaseError("reparametrization needs c != 0")
     orbit = (case.tau.iterate(j) for j in range(case.N))
-    p = sum((RatFun.over_linears(Poly.linear(t.a, t.b), [(t.c, t.d)]) for t in orbit), RatFun.const(ZERO))
+    p = sum(map(_mobius, orbit), RatFun.const(ZERO))
     p = p.scale(-1 / (case.N * c))
     return EquivalenceTransform(p.eval_at, p.derivative().eval_at)
 
@@ -403,10 +519,7 @@ def linear_k_case(N: int, theta, G: Matrix, g_label: str = "G") -> KSolution:
     omega = zeta(N)
     tau = MobiusMap(omega, ZERO, ZERO, ONE)
     weights = WeightFamily(tuple(RatFun.const(omega**j) for j in range(N)))
-    eye = Matrix.identity(n)
-
-    def k(nu):
-        return combination(((theta, eye), (as_scalar(nu), G)))
+    k = KMatrix(tuple(RatFun(Poly([theta if i == j else ZERO, G[i, j]])) for j in range(n)) for i in range(n))
 
     sign = ONE if N % 2 else -ONE
     expected_f = RatFun(Poly([theta**N] + [ZERO] * (N - 1) + [sign])).eval_at
@@ -427,6 +540,15 @@ def cyclic_shift_G(N: int) -> Matrix:
     return Matrix(rows)
 
 
+def _mobius(t: MobiusMap) -> RatFun:
+    return RatFun.over_linears(Poly.linear(t.a, t.b), [(t.c, t.d)])
+
+
+def _diagonal(*entries) -> KMatrix:
+    return KMatrix(tuple(f if i == j else RatFun.const(ZERO) for j, f in enumerate(entries))
+                   for i in range(len(entries)))
+
+
 def identity_k_two_reflection(a=1, b=2, c=3, n: int = 2) -> KSolution:
     """k = 1 with tau(nu) = (a nu + b)/(c nu - a) and
     g^(1)(nu) = -(a^2 + bc)/(a - c nu)^2; tau is an involution."""
@@ -438,7 +560,7 @@ def identity_k_two_reflection(a=1, b=2, c=3, n: int = 2) -> KSolution:
     weights = WeightFamily((RatFun.const(ONE), g1))
     return KSolution(label="id-2refl", family="id-2refl", n=n, N=2,
                      base_r=rational_r(n), tau=tau, weights=weights,
-                     k=identity_k(n), params={"a": a, "b": b, "c": c},
+                     k=KMatrix.identity(n), params={"a": a, "b": b, "c": c},
                      expected_f=lambda nu: ONE)
 
 
@@ -457,7 +579,7 @@ def identity_k_three_reflection(a=1, b=3, c=-1, d=1, n: int = 2) -> KSolution:
     weights = WeightFamily((RatFun.const(ONE), g1, g2))
     return KSolution(label="id-3refl", family="id-3refl", n=n, N=3,
                      base_r=rational_r(n), tau=tau, weights=weights,
-                     k=identity_k(n), params={"a": a, "b": b, "c": c, "d": d},
+                     k=KMatrix.identity(n), params={"a": a, "b": b, "c": c, "d": d},
                      expected_f=lambda nu: ONE)
 
 
@@ -476,11 +598,9 @@ def trig_two_reflection(a=1, b=2, c=3, which: str = "identity") -> KSolution:
     weights = WeightFamily((RatFun.const(ONE), g1))
 
     if which == "identity":
-        k = identity_k(2)
+        k = KMatrix.identity(2)
     elif which == "tau":
-        def k(nu):
-            nu = as_scalar(nu)
-            return Matrix.diagonal([tau(nu), nu])
+        k = _diagonal(_mobius(tau), RatFun(Poly.linear(ONE, ZERO)))
     else:
         raise ValueError(f"unknown trig 2-reflection solution {which!r}")
     return KSolution(label=f"trig-2refl-{'id' if which == 'identity' else 'tau'}",
@@ -509,21 +629,15 @@ def trig_three_reflection(a=1, b=3, c=-1, d=1, which: str = "id") -> KSolution:
     g2 = RatFun.over_linears(Poly.linear(s2, ZERO), [(d, -b), (-c, a)])
     weights = WeightFamily((RatFun.const(ONE), g1, g2))
 
-    def diag(f1, f2):
-        def k(nu):
-            nu = as_scalar(nu)
-            return Matrix.diagonal([f1(nu), f2(nu)])
-        return k
-
-    tau2 = lambda nu: tau(tau(nu))
-    quadratic = RatFun(Poly.linear(c, -a) * Poly.linear(d, -b)).eval_at
+    nu, tau1, tau2 = RatFun(Poly.linear(ONE, ZERO)), _mobius(tau), _mobius(tau.iterate(2))
+    quadratic = RatFun(Poly.linear(c, -a) * Poly.linear(d, -b))
     builders = {
-        "id": identity_k(2),
-        "tau-nu": diag(tau, lambda nu: nu),
-        "tau2-nu": diag(tau2, lambda nu: nu),
-        "tau-tau2": diag(tau, tau2),
-        "poly-1": diag(RatFun(Poly.linear(a, b).scale(a + d)).eval_at, quadratic),
-        "poly-2": diag(quadratic, RatFun(Poly.linear(c, d).scale(a + d)).eval_at),
+        "id": KMatrix.identity(2),
+        "tau-nu": _diagonal(tau1, nu),
+        "tau2-nu": _diagonal(tau2, nu),
+        "tau-tau2": _diagonal(tau1, tau2),
+        "poly-1": _diagonal(RatFun(Poly.linear(a, b).scale(a + d)), quadratic),
+        "poly-2": _diagonal(quadratic, RatFun(Poly.linear(c, d).scale(a + d))),
     }
     if which not in builders:
         raise ValueError(f"unknown trig 3-reflection candidate {which!r}")
@@ -537,7 +651,7 @@ def trivial_case(n: int = 2) -> KSolution:
     return KSolution(label="trivial", family="trivial", n=n, N=1,
                      base_r=rational_r(n), tau=MobiusMap.identity(),
                      weights=WeightFamily((RatFun.const(ONE),)),
-                     k=identity_k(n), params={},
+                     k=KMatrix.identity(n), params={},
                      expected_f=lambda nu: ONE)
 
 

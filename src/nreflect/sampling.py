@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import PoleError, SingularMatrixError
+from .errors import PoleError, SamplingError, SingularMatrixError
 
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_SAMPLES = 25
@@ -52,13 +52,13 @@ POLE_ERRORS = (PoleError, SingularMatrixError)
 
 def first_admissible(points, evaluate):
     """(point, evaluate(*point)) at the first point where ``evaluate`` does not
-    raise a pole error."""
+    raise a pole error; SamplingError where there is none."""
     for point in points:
         try:
             return point, evaluate(*point)
         except POLE_ERRORS:
             continue
-    raise RuntimeError("rejection sampling did not find an admissible point")
+    raise SamplingError("rejection sampling did not find an admissible point")
 
 
 def sample_evaluated(rng, count, arity, evaluate, max_tries=10_000):

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from nreflect import reflection
+from nreflect import cli, reflection
 from nreflect.cli import entry, main
+from nreflect.errors import PoleError
 
 
 def run(capsys, *argv):
@@ -386,6 +387,17 @@ def test_a_fault_inside_a_residual_is_not_a_user_error(monkeypatch, error):
     monkeypatch.setattr(reflection, "nre_residual", broken)
     with pytest.raises(error, match="internal fault"):
         main(["verify", "nre", "--case", "id-2refl", "--samples", "1"])
+
+
+def test_sampler_exhaustion_is_an_error_exit_2(monkeypatch, capsys):
+    # a check with no admissible point ends with the sampler's message, not a traceback
+    def nowhere(*point):
+        raise PoleError(f"no value at {point}")
+
+    monkeypatch.setattr(cli, "sampled_check", lambda case, subject, omega=None: (2, nowhere))
+    code, out, err = run(capsys, "verify", "nre", "--case", "id-2refl", "--samples", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: rejection sampling did not find an admissible point\n"
 
 
 def test_the_console_entry_exits_4_on_an_internal_fault(monkeypatch, capsys):

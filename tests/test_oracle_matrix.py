@@ -25,10 +25,12 @@ from nreflect.linalg import (  # noqa: E402
     embed_pair,
     leg_table,
     partial_trace,
+    polynomial_table,
     swap_pair,
     tensor_pair,
 )
-from nreflect.reflection import PointFrame, rbar_at  # noqa: E402
+from nreflect.ratfun import Poly  # noqa: E402
+from nreflect.reflection import PointFrame, _conjugated, rbar_at  # noqa: E402
 from nreflect.scalars import ONE, ZERO, Cyclotomic, cyclotomic, euler_phi, zeta  # noqa: E402
 from nreflect.spinalg import SpinPoly, s_minus, s_plus, s_z  # noqa: E402
 
@@ -240,42 +242,69 @@ def test_pair_leg_operations(order):
     run()
 
 
-def conjugated(left, m, right):
-    """(1 x left) m (1 x right) from one term of a leg table, weight 1."""
-    return leg_table((Matrix(m),), [(Matrix(left), Matrix(right))]).combination([(ONE, (ONE,))])
+def conjugated(left, m, right, nu=ONE):
+    """(1 x left(nu)) m (1 x right(nu)) for n x n rows of polynomials: the
+    numerators the compile forms, tabled, evaluated at nu and read with
+    weight 1."""
+    table = polynomial_table([_conjugated(left, Matrix(m), right)], [0])
+    return table.at(nu).combination([(ONE, (ONE,))])
+
+
+def at(rows, nu):
+    return [[p.eval_at(nu) for p in row] for row in rows]
 
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_leg_conjugation(order):
-    # the term of a leg table for the pair (L, R) is (1 x L) M (1 x R), and a point frame's rbar
-    # with unit weights and coefficients reads it
+    # the one term of the compiled numerators of (1 x L) M (1 x R), L = L0 + nu L1 and R constant,
+    # is (1 x L(nu)) M (1 x R) at a rational nu and, over Q(zeta_N), at nu + zeta_N, and a
+    # point frame's rbar with unit weights and coefficients reads it
     @PAIR_LEG_PROFILE
-    @given(st.sampled_from((1, 2, 3)).flatmap(
-        lambda n: st.tuples(st.just(n), entries(order, n * n, n * n), square(order, sizes=(n,)))))
+    @given(st.sampled_from((1, 2, 3)).flatmap(lambda n: st.tuples(
+        st.just(n), entries(order, n * n, n * n), square(order, sizes=(n,), count=3), rationals)))
     def run(drawn):
-        n, m, (left, right) = drawn
+        n, m, (left0, left1, right), nu = drawn
         eye = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        frame = PointFrame((ZERO,), (ONE,), ((Matrix(left), Matrix(right)),), (Matrix(m),))
+        left = [[Poly([a, b]) for a, b in zip(r0, r1)] for r0, r1 in zip(left0, left1)]
+        right = [[Poly([a]) for a in row] for row in right]
         unit = SimpleNamespace(base_r=SimpleNamespace(coefficients=lambda lam, point: (ONE,)))
-        on_b = ref_mul(ref_mul(ref_kron(eye, left), m), ref_kron(eye, right))
-        check(rbar_at(unit, ZERO, frame), on_b)
-        check(conjugated(left, m, right), on_b)
+        table = polynomial_table([_conjugated(left, Matrix(m), right)], [0])
+        for point in (nu,) if order == 1 else (nu, nu + zeta(order)):
+            on_b = ref_mul(ref_mul(ref_kron(eye, at(left, point)), m), ref_kron(eye, at(right, point)))
+            frame = PointFrame((point,), (ONE,), (ONE,), None, SimpleNamespace(table=table))
+            check(rbar_at(unit, ZERO, frame), on_b)
+            check(conjugated(left, m, right, point), on_b)
 
     run()
 
 
-@pytest.mark.parametrize("order", ORDERS[1:])
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_leg_table_reaches_the_packing_bound(order, n):
-    # dense factors whose numerators are all +-top: each output entry sums n^2 triple
-    # convolutions at their largest coordinate, 3/4 of the bound n^2 phi^2 top^3 for
-    # these orders, which for these tops needs every bit of the packing width
-    eye = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    for top in (3, 3 * 2**200):
-        entry = cyclotomic(order, [top] * euler_phi(order))
-        left, right = [[entry] * n for _ in range(n)], [[-entry] * n for _ in range(n)]
-        for m in ([[entry] * n * n for _ in range(n * n)], [[-entry] * n * n for _ in range(n * n)]):
-            check(conjugated(left, m, right), ref_mul(ref_mul(ref_kron(eye, left), m), ref_kron(eye, right)))
+@pytest.mark.parametrize("order", ORDERS)
+def test_compiled_table_reaches_the_packing_bound(order):
+    # numerators of degree 6 whose 7 coefficients are +-top, (2^63 - 1) / 7 and larger: at
+    # nu = +-1 each sum is the absolute sum 7 top, for the first top 2^63 - 1, one below
+    # the slot's 2^63, and neighbouring slots of either sign must not borrow from each other
+    phi = euler_phi(order)
+    for top in ((2**63 - 1) // 7, (2**127 - 1) // 7, 3 * 2**200):
+        for nu in (Fraction(1), Fraction(-1), Fraction(2**64 + 1, 2**64)):
+            signs = [1, -1, 1, 1, -1, -1]
+            rows = [{c: tuple(cyclotomic(order, [s * top * int(nu) ** d if nu.denominator == 1 else s * top] * phi)
+                              for d in range(7)) for c, s in enumerate(signs)}]
+            table = polynomial_table([rows], [0])
+            p, q = nu.numerator, nu.denominator
+            want = [sum(x * p**d * q**(6 - d) for d, x in enumerate(reversed(coeffs))) for coeffs in table.nums]
+            assert table.at(nu).nums == want, (order, top, nu)
+            assert table.at(nu).den == table.den * q**6
+
+
+def test_spin_polynomial_leg_table_polynomial_table_and_inverse_are_refused():
+    # only matrices of exact scalars are tabled or inverted, and only exact coefficients compiled
+    m = [[SPINS[(i + j) % 4] if (i * j) % 3 else Fraction(i - j, 2) for j in range(4)] for i in range(4)]
+    with pytest.raises(TypeError, match="^leg_table needs exact scalar entries of one field$"):
+        leg_table((Matrix(m),))
+    with pytest.raises(TypeError, match="^polynomial_table needs exact scalar coefficients of one field$"):
+        polynomial_table([[{0: (ONE, s_z(1))}]], [0])
+    with pytest.raises(TypeError, match="^matrix: inverse needs exact scalar entries of one field$"):
+        Matrix([[s_z(1), ONE], [ZERO, Fraction(2)]]).inverse()
 
 
 def check_inverse(a, label="matrix"):
@@ -415,14 +444,3 @@ def test_spin_polynomial_matrix_by_scalar_matrix():
     run()
 
 
-def test_spin_polynomial_leg_table_and_inverse_are_refused():
-    # only matrices of exact scalars are tabled on leg b or inverted; any factor of ring
-    # entries is refused with the inverse's words
-    m = [[SPINS[(i + j) % 4] if (i * j) % 3 else Fraction(i - j, 2) for j in range(4)] for i in range(4)]
-    left, right = [[s_z(1), ONE], [ZERO, Fraction(2)]], [[zeta(3), ZERO], [ONE, -ONE]]
-    exact = [[Fraction(i + j, 3) for j in range(4)] for i in range(4)]
-    for factors in ((left, m, right), (right, m, right), (right, exact, left)):
-        with pytest.raises(TypeError, match="^leg_table needs exact scalar entries of one field$"):
-            conjugated(*factors)
-    with pytest.raises(TypeError, match="^matrix: inverse needs exact scalar entries of one field$"):
-        Matrix(left).inverse()

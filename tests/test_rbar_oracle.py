@@ -23,9 +23,12 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nreflect.linalg import Matrix, tensor_pair
-from nreflect.reflection import CATALOG, PointFrame, case_by_label, nre_residual, rbar_at, rbar_matrix, tamper
+from nreflect.errors import ConstraintError, PoleError
+from nreflect.linalg import Matrix, polynomial_table, tensor_pair
+from nreflect.reflection import (CATALOG, PointFrame, case_by_label, n_unitarity_entry, nre_residual, point_frame,
+                                 rbar_at, rbar_matrix, tamper)
 from nreflect.sampling import DEFAULT_SEED, POLE_ERRORS, SplitMix64, sample_evaluated
 from nreflect.scalars import ZERO, as_scalar, cyclotomic, euler_phi, zeta
 
@@ -43,16 +46,21 @@ def build(name):
 
 
 def oracle_rbar(case, lam, nu) -> Matrix:
-    """sum_j g^(j)(nu) (1 x k^(j)) r(lam, tau^j(nu)) (1 x k^(j))^-1, term by term."""
+    """sum_j g^(j)(nu) (1 x k^(j)) r(lam, tau^j(nu)) (1 x k^(j))^-1, term by
+    term, with every g^(j)(nu) and k^(j)(nu) and its inverse formed before
+    the first term, the order in which the domain of rbar is defined."""
     lam, nu = as_scalar(lam), as_scalar(nu)
     eye = Matrix.identity(case.n)
-    kj = eye  # k^(0)
+    orbit = case.orbit(nu)
+    weights = [case.weights(j, nu) for j in range(case.N)]
+    ks = [eye]  # k^(j+1)(nu) = k^(j)(nu) k(tau^j(nu))
+    for point in orbit[:-1]:
+        ks.append(ks[-1] * case.k(point))
+    pairs = [(kj, kj.inverse()) for kj in ks]
     total = None
-    for j, point in enumerate(case.orbit(nu)):
-        term = tensor_pair(eye, kj) * case.base_r(lam, point) * tensor_pair(eye, kj.inverse())
-        term = term.scale(case.weights(j, nu))
+    for g, point, (kj, kj_inv) in zip(weights, orbit, pairs):
+        term = (tensor_pair(eye, kj) * case.base_r(lam, point) * tensor_pair(eye, kj_inv)).scale(g)
         total = term if total is None else total + term
-        kj = kj * case.k(point)  # k^(j+1)(nu) = k^(j)(nu) k(tau^j(nu))
     return total
 
 
@@ -149,40 +157,121 @@ def test_rbar_matches_the_oracle_at_big_cyclotomic_lam(name):
         assert rbar == oracle_rbar(case, lam, nu), (name, lam, nu)
 
 
-def conjugated_sum(frame, coefficients):
-    """sum_j g_j sum_i f_ji (1 x left_j) M_i (1 x right_j) for a frame whose
-    ks[j] is (left_j, right_j) or None (both the identity), by Kronecker
-    products and matrix products."""
-    n = frame.ks[1][0].nrows
-    eye = Matrix.identity(n)
-    total = None
-    for g, point, kj in zip(frame.weights, frame.orbit, frame.ks):
-        left, right = (eye, eye) if kj is None else kj
-        for f, m in zip(coefficients(None, point), frame.basis):
-            term = (tensor_pair(eye, left) * m * tensor_pair(eye, right)).scale(g * f)
-            total = term if total is None else total + term
-    return total
-
-
 @pytest.mark.parametrize("order", (1, 3, 4, 5, 6, 8))
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_rbar_of_a_direct_frame_reaches_the_packing_bound(order, n):
-    # every numerator of every factor, weight and coefficient is +-top with one sign per
-    # operand, so no sum cancels before it is reduced mod Phi_N: the largest
-    # unreduced coordinates the integer arithmetic of rbar can meet at these tops.
-    # The lower-triangular left factor of k^(2) tells the two sides of leg b apart.
-    def dense(size, x):
-        return Matrix([[x] * size for _ in range(size)])
-
-    def lower(size, x):
-        return Matrix([[x if i >= j else ZERO for j in range(size)] for i in range(size)])
-
+def test_rbar_of_a_direct_compiled_frame_reaches_the_packing_bound(order, n):
+    # every coefficient of every compiled numerator, weight and base-r coefficient is +-top
+    # with one sign per operand, at nu = 1 and nu = -1 with the numerators' signs alternating
+    # by degree, so that no sum cancels: the largest numerators the frame's integer Horner
+    # pass and rbar's dot products meet at these tops, checked against the terms evaluated
+    # with field arithmetic and added with +
+    basis = [(0, 1), (1, 0)]  # (dense, lower) for the terms of k^(0) and of k^(1)
     for top in (3, 3 * 2**200):
         entry = cyclotomic(order, [top] * euler_phi(order))
-        for sign in (1, -1):
-            weight = entry * sign
-            basis = (dense(n * n, entry), lower(n * n, entry))
-            ks = (None, (dense(n, entry), dense(n, -entry)), (lower(n, entry), dense(n, weight)))
-            frame = PointFrame((F(0), F(1), F(2)), (weight, entry, weight), ks, basis)
-            case = SimpleNamespace(base_r=SimpleNamespace(coefficients=lambda lam, point: (entry, weight)))
-            assert rbar_at(case, F(0), frame) == conjugated_sum(frame, case.base_r.coefficients), (top, sign)
+        for nu in (F(1), F(-1)):
+            coeffs = tuple(entry * nu**d for d in range(3))
+            terms = [[{c: coeffs for c in range(n * n) if not lower or c <= r} for r in range(n * n)]
+                     for lower in (False, True, False, True)]
+            for sign in (1, -1):
+                weight = entry * sign
+                frame = PointFrame((nu, nu), (weight, entry), (weight, entry), None,
+                                   SimpleNamespace(table=polynomial_table(terms, [0, 2])))
+                case = SimpleNamespace(base_r=SimpleNamespace(coefficients=lambda lam, point: (entry, weight)))
+                want = None
+                for t, term in enumerate(terms):
+                    value = sum((x * nu**d for d, x in enumerate(coeffs)), ZERO)
+                    m = Matrix([[value if c in term[r] else ZERO for c in range(n * n)] for r in range(n * n)])
+                    m = m.scale(frame.scaled[t // 2] * (entry, weight)[t % 2])
+                    want = m if want is None else want + m
+                assert rbar_at(case, F(0), frame) == want, (top, nu, sign)
+
+
+# every value ``sample_fraction`` can return
+SUPPORT = sorted({F(p, q) for p in range(-20, 21) for q in range(1, 21)})
+LAM0 = F(1001, 997)
+
+
+def outcome(evaluate, *args):
+    """("value", evaluate(*args)), or ("raises", the exception class)."""
+    try:
+        return "value", evaluate(*args)
+    except POLE_ERRORS as exc:
+        return "raises", type(exc)
+
+
+def oracle_unitarity_entry(case, nu):
+    """n_unitarity_entry at nu with k^(N) multiplied out from ``case.k``."""
+    entry = {"sample": [str(nu)]}
+    try:
+        kn = Matrix.identity(case.n)
+        for point in case.orbit(nu):
+            kn = kn * case.k(point)
+    except PoleError as exc:
+        return dict(entry, status="fail", reason=str(exc))
+    f = kn[0, 0]
+    if kn != Matrix.identity(case.n).scale(f):
+        return dict(entry, status="fail", reason="k^(N) is not a scalar multiple of the identity")
+    if case.expected_f is not None and f != case.expected_f(nu):
+        return dict(entry, status="fail", f=str(f), expected_f=str(case.expected_f(nu)))
+    return dict(entry, status="pass", f=str(f))
+
+
+@pytest.mark.parametrize("label", sorted(CATALOG))
+def test_rbar_matches_the_oracle_on_the_whole_sampler_support(label):
+    # the compiled frame against k^(j) multiplied out and inverted by elimination, at every
+    # point the sampler can draw: the same value, or the same exception class; and the
+    # n-unitarity entry, reason texts included
+    case = case_by_label(label)
+    for nu in SUPPORT:
+        got = outcome(lambda: rbar_at(case, LAM0, point_frame(case, nu)))
+        assert got == outcome(oracle_rbar, case, LAM0, nu), (label, nu)
+        assert n_unitarity_entry(case, nu) == oracle_unitarity_entry(case, nu), (label, nu)
+
+
+PARAMETERS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+def compare_compiled(case, nus=(F(5, 3), F(-7, 2), F(11, 5))):
+    """rbar and k^(N) of the compiled case against the oracle at three points;
+    False where the case refuses its parameters."""
+    for nu in nus:
+        got = outcome(lambda: rbar_at(case, LAM0, point_frame(case, nu)))
+        assert got == outcome(oracle_rbar, case, LAM0, nu), (case.label, case.params, nu)
+        kn = Matrix.identity(case.n)
+        for point in case.orbit(nu) if got[0] == "value" else ():
+            kn = kn * case.k(point)
+        if got[0] == "value":
+            assert case.compiled.power(nu) == kn, (case.label, case.params, nu)
+
+
+def drawn(label, params):
+    """The case of ``label`` at ``params``; None where it refuses them."""
+    try:
+        return case_by_label(label, params)
+    except ConstraintError:
+        return None
+
+
+@pytest.mark.parametrize("label", [label for label in sorted(CATALOG) if label.startswith("linear-k")
+                                   or label == "trig-2refl-tau" or label.startswith("trig-3refl")])
+def test_compiled_k_at_drawn_parameters(label):
+    # theta of linear-k, (a, b, c) of trig-2refl-tau, and (a, c, d) of trig-3refl with
+    # b = -(a^2 + ad + d^2)/c solving the order-three constraint; refused draws are skipped
+    accepted = []
+
+    @PARAMETERS
+    @given(small, small, small)
+    def run(a, c, d):
+        if label.startswith("linear-k"):
+            case = drawn(label, {"theta": a})
+        elif label == "trig-2refl-tau":
+            case = drawn(label, {"a": a, "b": c, "c": d})
+        else:
+            case = drawn(label, {"a": a, "b": -(a * a + a * d + d * d) / c, "c": c, "d": d}) if c else None
+        if case is not None:
+            compare_compiled(case)
+            accepted.append(case)
+
+    run()
+    assert len(accepted) >= 8

@@ -6,12 +6,12 @@ import pytest
 from nreflect import gaudin, reflection, rmatrix
 from nreflect.cli import main as cli_main
 from nreflect.errors import ConstraintError, PoleError, UnsupportedCaseError
-from nreflect.linalg import Matrix, permutation_operator, tensor_pair
+from nreflect.linalg import LegTable, Matrix, permutation_operator, tensor_pair
 from nreflect.ratfun import Poly, RatFun
 from nreflect.reflection import (
     CATALOG,
+    KMatrix,
     MobiusMap,
-    _k_products,
     build_rbar,
     case_by_label,
     catalog,
@@ -90,18 +90,24 @@ class TestMobius:
 
 
 class TestKProducts:
-    def test_zeroth_is_identity(self):
-        case = case_by_label("linear-k-N2-diag-th2")
-        assert _k_products(case, case.orbit(F(1)))[0] == Matrix.identity(2)
-
     def test_first_is_k(self):
         case = case_by_label("linear-k-N2-diag-th2")
-        assert _k_products(case, [F(5)])[1] == case.k(F(5))
+        assert case.compiled.product(1)(F(5)) == case.k(F(5))
 
     def test_linear_family_square(self):
         # k(1) k(tau(1)) = (2 + G)(2 - G) = 3 for G = diag(1, -1)
         case = case_by_label("linear-k-N2-diag-th2")
-        assert _k_products(case, case.orbit(F(1)))[2] == Matrix.identity(2).scale(F(3))
+        assert case.compiled.power(F(1)) == Matrix.identity(2).scale(F(3))
+
+    @pytest.mark.parametrize("label", [label for label in sorted(CATALOG) if not case_by_label(label).identity_k])
+    def test_compiled_products_are_the_products_along_the_orbit(self, label):
+        # k^(j)(nu) = k(nu) k(tau(nu)) ... k(tau^(j-1)(nu)), multiplied out here
+        case = case_by_label(label)
+        for nu in (F(5, 3), F(-7, 2), F(11, 5)):
+            product = Matrix.identity(case.n)
+            for j, point in enumerate(case.orbit(nu), 1):
+                product = product * case.k(point)
+                assert case.compiled.product(j)(nu) == product, (label, nu, j)
 
 
 class TestNUnitarity:
@@ -137,9 +143,8 @@ class TestNUnitarity:
     def test_non_scalar_product_reported_not_raised(self):
         # k = diag(nu, 1) with tau = -nu gives k^(2) = diag(-nu^2, 1)
         case = case_by_label("id-2refl")
-        diag_k = lambda nu: Matrix.diagonal([nu, F(1)])
-        from dataclasses import replace
-        bad = replace(case, label="bad-k", k=diag_k, expected_f=None)
+        diag_k = KMatrix(((RatFun(Poly.linear(F(1), F(0))), RatFun.const(F(0))), (RatFun.const(F(0)), RatFun.const(F(1)))))
+        bad = dataclasses.replace(case, label="bad-k", k=diag_k, expected_f=None)
         report = n_unitarity(bad, [F(2)])
         assert report["verdict"] == "fail"
         assert "not a scalar multiple" in report["results"][0]["reason"]
@@ -155,29 +160,24 @@ class TestNUnitarity:
                 assert n_unitarity_entry(case, nu, frame) == n_unitarity_entry(case, nu)
 
     def test_the_frame_pole_of_the_last_k_is_the_rebuilt_reason(self):
-        # k(tau^(N-1)(nu)) is the one factor the frame does not hold
+        # k(tau^(N-1)(nu)) is the one factor the frame does not read: k = diag(2 + nu, (2 - nu)/(nu + 3))
         case = case_by_label("linear-k-N2-diag-th2")
         pole = F(3)
-
-        def k(nu):
-            if nu == -pole:
-                raise PoleError(f"k pole at {nu}")
-            return case.k(nu)
-
-        poled = dataclasses.replace(case, k=k)
+        (first, zero), (_, last) = case.k
+        poled = dataclasses.replace(case, k=KMatrix(((first, zero), (zero, RatFun(last.num, [(-pole, 1)])))))
         frame = point_frame(poled, pole)
         entry = n_unitarity_entry(poled, pole, frame)
         assert entry == n_unitarity_entry(poled, pole)
-        assert entry["status"] == "fail" and entry["reason"] == "k pole at -3"
+        assert entry["status"] == "fail" and entry["reason"] == "rational function has a pole at -3"
 
-    def test_verify_reads_k_products_once_per_frame(self, monkeypatch):
-        frames, products = [], []
-        build, multiply = reflection.point_frame, reflection._k_products
+    def test_verify_compiles_k_once_and_inverts_nothing(self, monkeypatch):
+        frames, compiles, inverses = [], [], []
+        build, compile_k, inverse = reflection.point_frame, reflection.compile_k, Matrix.inverse
         monkeypatch.setattr(reflection, "point_frame", lambda case, nu: frames.append(nu) or build(case, nu))
-        monkeypatch.setattr(reflection, "_k_products", lambda case, points: products.append(points) or
-                            multiply(case, points))
+        monkeypatch.setattr(reflection, "compile_k", lambda case: compiles.append(case) or compile_k(case))
+        monkeypatch.setattr(Matrix, "inverse", lambda *args, **kw: inverses.append(args) or inverse(*args, **kw))
         assert cli_main(["verify", "nunitarity", "--case", "linear-k-N3-shift-th2", "--samples", "4"]) == 0
-        assert len(frames) >= 4 and len(products) == len(frames)
+        assert len(frames) >= 4 and len(compiles) == 1 and inverses == []
 
 
 class TestNreResidual:
@@ -251,12 +251,11 @@ class TestBuildRbar:
 
 class TestOneFramePerPoint:
     """The k-dependent data of rbar at nu is evaluated once, in the frame at
-    nu: a rbar-cybe sample builds one frame at mu and one at nu, an identity
-    k^(j) is never inverted or applied, a frame builds one leg table, of the
-    base r-matrix's constant matrices conjugated by each k^(j), on its first
-    rbar and never again, an identity-k frame reads the table the base
-    r-matrix builds once, and a frame that no rbar reads makes no tensor
-    product and no table."""
+    nu, from the case's compiled k: a rbar-cybe sample builds one frame at
+    mu and one at nu, no sample inverts a matrix or builds a leg table
+    index, a frame evaluates the compiled numerators once, on its first
+    rbar, an identity-k frame reads the table the base r-matrix builds
+    once, and a frame that no rbar reads evaluates nothing."""
 
     @staticmethod
     def counted(monkeypatch, owner, name):
@@ -279,7 +278,7 @@ class TestOneFramePerPoint:
     def test_identity_k_is_never_inverted(self, monkeypatch):
         calls = self.counted(monkeypatch, Matrix, "inverse")
         frame = point_frame(case_by_label("id-3refl", {"n": 3}), F(5, 3))
-        assert frame.ks == (None, None, None)
+        assert frame.compiled is None and frame.scaled is frame.weights
         assert calls == []
 
     @pytest.mark.parametrize("label", ["id-3refl", "trivial", "trig-3refl-id"])
@@ -290,23 +289,23 @@ class TestOneFramePerPoint:
         assert all(table is case.base_r.basis.table for table in tables)
         assert tables[0].terms == len(case.base_r.basis)
 
-    def test_each_nonidentity_k_is_inverted_once(self, monkeypatch):
+    def test_each_term_is_the_conjugated_basis_over_its_determinant(self, monkeypatch):
+        # term j of the frame's table, weighted 1, is det P_j(nu) (1 x k^(j)) M (1 x k^(j))^-1,
+        # with k^(j) multiplied out and inverted here, the old way
         case = case_by_label("linear-k-N3-shift-th2")
         calls = self.counted(monkeypatch, Matrix, "inverse")
-        frame = point_frame(case, F(5, 3))
-        assert len(calls) == case.N - 1
-        assert frame.ks[0] is None
-        for kj, pair in zip(_k_products(case, frame.orbit[:-1])[1:], frame.ks[1:]):
-            assert pair == (kj, kj.inverse())
-        calls.clear()
-        eye = Matrix.identity(case.n)
-        (m,) = frame.basis
-        assert frame.table.terms == case.N
-        for j, (kj, kj_inv) in enumerate(frame.ks[1:], 1):
-            # the term of k^(j) alone, weighted 1
-            weights = [(F(int(i == j)), (F(1),)) for i in range(case.N)]
-            assert frame.table.combination(weights) == tensor_pair(eye, kj) * m * tensor_pair(eye, kj_inv)
+        nu = F(5, 3)
+        frame = point_frame(case, nu)
         assert calls == []
+        eye, kj = Matrix.identity(case.n), Matrix.identity(case.n)
+        (m,) = case.base_r.basis
+        assert frame.table.terms == case.N
+        for j, point in enumerate(frame.orbit):
+            weights = [(F(int(i == j)), (F(1),)) for i in range(case.N)]
+            want = (tensor_pair(eye, kj) * m * tensor_pair(eye, kj.inverse())).scale(case.compiled.dets[j].eval_at(nu))
+            assert frame.table.combination(weights) == want
+            assert frame.scaled[j] == frame.weights[j] / case.compiled.dets[j].eval_at(nu)
+            kj = kj * case.k(point)
 
     @pytest.mark.parametrize("label", ["id-2refl", "trivial"])
     def test_symmetry_inverts_no_identity_k(self, monkeypatch, label):
@@ -315,6 +314,24 @@ class TestOneFramePerPoint:
         rng = SplitMix64(DEFAULT_SEED)
         assert len(list(sample_evaluated(rng, 25, 2, evaluate))) == 25
         assert calls == []
+
+    @pytest.mark.parametrize("label", ["trig-3refl-poly-1", "linear-k-N3-shift-th2"])
+    def test_samples_invert_nothing_and_build_no_table_index(self, monkeypatch, label):
+        # after the case's one compile, a sample of every frame subject runs no elimination,
+        # symmetry inverts only k(lam) and k(nu), none indexes a LegTable, and a second case
+        # of the label compiles again
+        compiles = self.counted(monkeypatch, reflection, "compile_k")
+        case = case_by_label(label)
+        case.compiled
+        inverses = self.counted(monkeypatch, Matrix, "inverse")
+        tables = self.counted(monkeypatch, LegTable, "__init__")
+        for subject in ("nre", "rbar-cybe", "nunitarity", "symmetry"):
+            assert inverses == []
+            arity, evaluate = sampled_check(case, subject)
+            evaluate(*(F(5, 3), F(11, 5), F(-7, 2))[:arity])
+        assert [m.nrows for m, in inverses] == [case.n, case.n] and tables == []
+        assert case_by_label(label).compiled is not case.compiled
+        assert len(compiles) == 2
 
     def test_nre_applies_no_identity_k(self, monkeypatch):
         calls = self.counted(monkeypatch, reflection, "tensor_pair")
@@ -335,25 +352,25 @@ class TestOneFramePerPoint:
         assert '"verdict": "pass"' in capsys.readouterr().out
         assert calls == []
 
-    def test_rbar_cybe_sample_builds_one_table_per_frame(self, monkeypatch):
-        # 2 frames, each read by 2 rbar: 2 leg tables, and neither a
-        # Kronecker product nor a 9x9 product nor a combination
+    def test_rbar_cybe_sample_evaluates_one_table_per_frame(self, monkeypatch):
+        # 2 frames, each read by 2 rbar: 2 evaluations of the compiled table, and
+        # neither a Kronecker product nor a 9x9 product nor an evaluation of k
         case = case_by_label("linear-k-N3-shift-th2")
+        case.compiled
         _, evaluate = sampled_check(case, "rbar-cybe")
         products = self.counted(monkeypatch, Matrix, "__mul__")
         krons = self.counted(monkeypatch, Matrix, "kron")
-        tables = self.counted(monkeypatch, reflection, "leg_table")
-        combinations = self.counted(monkeypatch, reflection, "combination")
+        tables = self.counted(monkeypatch, LegTable, "at")
+        ks = self.counted(monkeypatch, KMatrix, "__call__")
         assert evaluate(F(5, 3), F(-7, 2), F(11, 5)).is_zero()
         assert not any(isinstance(b, Matrix) and (a.nrows, b.nrows) == (9, 9) for a, b in products)
         assert krons == []
-        assert len(tables) == 2
-        assert [len(ks) for _, ks in tables] == [case.N, case.N]
-        # k(nu) = theta 1 + nu G is one combination at each orbit point but the last, and rbar none
-        assert len(combinations) == 2 * (case.N - 1)
+        assert [nu for _, nu in tables] == [F(-7, 2), F(11, 5)]
+        # k itself is never evaluated in a frame
+        assert ks == []
 
     def test_nunitarity_and_gaudin_site_values_build_no_table(self, monkeypatch, capsys):
-        tables = self.counted(monkeypatch, reflection, "leg_table")
+        tables = self.counted(monkeypatch, LegTable, "at")
         assert cli_main(["verify", "nunitarity", "--case", "linear-k-N3-shift-th2"]) == 0
         assert '"verdict": "pass"' in capsys.readouterr().out
         model = gaudin.model_from_config({"case": "bcl", "z": ["1", "2", "4"]})
@@ -385,7 +402,7 @@ class TestOneFramePerPoint:
     def test_identity_k_frame_multiplies_nothing(self, monkeypatch, label):
         calls = self.counted(monkeypatch, Matrix, "__mul__")
         frame = point_frame(case_by_label(label), F(5, 3))
-        assert frame.ks == (None,) * len(frame.ks)
+        assert frame.compiled is None
         assert calls == []
 
 
@@ -425,7 +442,10 @@ class TestCompactAndSymmetry:
         lam, nu = F(3), F(1, 2)
         eye = Matrix.identity(base.n)
         at = lam if identity_at == "lam" else nu
-        case = dataclasses.replace(base, k=lambda x: eye if x == at else base.k(x))
+        # k(x) = 1 + (x - at) G for G = diag(1, -1)
+        zero, one = RatFun.const(F(0)), F(1)
+        k = KMatrix(((RatFun(Poly.linear(one, one - at)), zero), (zero, RatFun(Poly.linear(-one, one + at)))))
+        case = dataclasses.replace(base, k=k)
         r, ka, kb = case.base_r, case.k(lam), case.k(nu)
         k_ab = tensor_pair(ka, kb)
         expected = r(lam, nu) - (k_ab * r(case.tau(lam), case.tau(nu)) * k_ab.inverse()).scale(F(-1))
