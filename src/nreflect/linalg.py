@@ -18,9 +18,12 @@ inverted through its rational regular representation, phi(N) times its
 size.  Two kernels each make one pass with one normalization:
 :func:`combination` sums scaled matrices, and ``+``, ``-`` and ``scale``
 are combinations; :func:`product_sum` sums signed products.  A
-:func:`leg_table` holds pair-leg matrices conjugated on leg b by n x n
-factors, (1 x k) m (1 x k)^-1, over one denominator and indexed per entry,
-and its ``combination`` of scalar weights is one dot per entry.  The
+:class:`LegTable` holds pair-leg matrices over one denominator, indexed
+per entry, and its ``combination`` of scalar weights is one dot per
+entry.  It is built compiled, each numerator the integer coefficients of
+a polynomial in nu, such as the conjugated (1 x P(nu)) m (1 x adj P(nu))
+of a reflection case, and ``at`` evaluates all of them at a rational nu
+in one packed Horner pass.  The
 kernels that read an operand many times pack each Q(zeta_N) numerator
 vector into one integer, so a coordinate convolution is one integer
 product (Kronecker substitution; D. Harvey, "Faster polynomial
@@ -38,8 +41,9 @@ import copy
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .errors import ShapeError, SingularMatrixError
 from .scalars import (ONE, ZERO, Cyclotomic, _canonical, _content, _fold, _mul_reduce, _one_field, _pack, _pack_width,
@@ -622,11 +626,13 @@ def partial_trace(m: Matrix, leg: str) -> Matrix:
 
 class Basis(tuple):
     """Constant pair-leg matrices M_i of exact scalars over one field, as a
-    tuple that builds their :func:`leg_table` once."""
+    tuple that builds their :class:`LegTable` once: constant polynomials,
+    at nu = 1, which every factor pair reads from term 0."""
 
     @cached_property
     def table(self):
-        return leg_table(self)
+        _pair_factor(self[0], "Basis")
+        return LegTable([[{c: (x,) for c, x in enumerate(row) if x} for row in m.rows] for m in self]).at(ONE)
 
 
 class LegTable:
@@ -635,23 +641,49 @@ class LegTable:
     holds nums[k] for a <= k < b, (a, b) = bounds[e], and nums[k] is
     coordinate u of T_t[r, c] over Q(zeta_order), index[k] = t phi + u,
     phi = phi(order).  Factor pair j of a frame reads the terms from
-    offsets[j] on.  In a compiled table (:func:`polynomial_table`) each
-    nums[k] is instead the integer coefficients of that coordinate as a
-    polynomial in nu, highest degree first, all of one length, and
-    :meth:`at` evaluates them."""
+    offsets[j] on.  As built, the table is compiled: each nums[k] is the
+    integer coefficients of that coordinate as a polynomial in nu, highest
+    degree first, all of one length, and :meth:`at` evaluates them into a
+    table of integers that :meth:`combination` reads."""
 
     __slots__ = ("order", "den", "terms", "offsets", "cols", "bounds", "index", "nums", "_top", "_packed")
 
-    def __init__(self, order, den, terms, offsets, rows):
-        """From ``rows[r]`` mapping each column c to the (indices, nums) of entry (r, c)."""
-        self.order, self.den, self.terms, self.offsets = order, den, terms, offsets
+    def __init__(self, terms, offsets=()):
+        """The table whose term t holds at (r, c) the polynomial in nu with
+        the exact scalar coefficients terms[t][r][c], lowest degree first,
+        given as sparse rows over one field, factor pair j reading the terms
+        from offsets[j] on, or every pair from term 0 where no offsets are
+        given: the coefficients over one denominator, and each coordinate's
+        integers, padded to the highest degree, indexed where one is
+        nonzero.  TypeError for ring coefficients, OrderMismatchError for
+        two cyclotomic orders."""
+        polys = [coeffs for term in terms for row in term for coeffs in row.values()]
+        values = [x for coeffs in polys for x in coeffs]
+        if any(type(x) not in (Fraction, int, Cyclotomic) for x in values):
+            raise TypeError("LegTable needs exact scalar coefficients of one field")
+        order = _one_field(*(x.order for x in values if type(x) is Cyclotomic))
+        den = math.lcm(*(x.den if type(x) is Cyclotomic else x.denominator for x in values))
+        phi, length = euler_phi(order), max(map(len, polys), default=1)
+        pad, rows = (0,) * (phi - 1), [{} for _ in terms[0]]
+        for t, term in enumerate(terms):
+            for entries, row in zip(rows, term):
+                for c, coeffs in row.items():
+                    vectors = [(0,) * phi] * (length - len(coeffs)) + [
+                        tuple(y * (den // x.den) for y in x.num) if type(x) is Cyclotomic
+                        else (x.numerator * (den // x.denominator),) + pad for x in reversed(coeffs)]
+                    ts, nums = entries.setdefault(c, ([], []))
+                    for u, poly in enumerate(zip(*vectors), t * phi):
+                        if any(poly):
+                            ts.append(u)
+                            nums.append(poly)
+        self.order, self.den, self.terms, self.offsets = order, den, len(terms), list(offsets) or itertools.repeat(0)
         self.cols, self.bounds, self.index, self.nums = [list(row) for row in rows], [], [], []
-        self._top, self._packed = None, {}
         for row in rows:
             for ts, nums in row.values():
                 self.bounds.append((len(self.index), len(self.index) + len(ts)))
                 self.index += ts
                 self.nums += nums
+        self._top, self._packed = max((sum(map(abs, coeffs)) for coeffs in self.nums), default=0), {}
 
     def at(self, nu) -> "LegTable":
         """The table of a compiled table's values at nu, on the same index.
@@ -661,35 +693,30 @@ class LegTable:
         apart into one int (Kronecker substitution), w holding each sum, at
         most its coefficients' absolute sum times max(|p|, q)^D, and the
         sums are read back from the bytes of the result.  A point over
-        Q(zeta_N) takes field arithmetic, term by term, and the terms are
-        indexed again by :func:`leg_table`."""
-        out = copy.copy(self)
-        if not self.nums:
-            return out
-        degree = len(self.nums[0]) - 1
+        Q(zeta_N) takes field arithmetic, and each term's values are tabled
+        again as constant polynomials."""
         if type(nu) is not Fraction:
-            phi, size = euler_phi(self.order), len(self.cols)
+            phi, terms = euler_phi(self.order), [[{} for _ in self.cols] for _ in range(self.terms)]
             units = [_canonical(self.order, [int(u == v) for v in range(phi)], self.den) for u in range(phi)]
-            terms, entries = [[[ZERO] * size for _ in range(size)] for _ in range(self.terms)], iter(self.bounds)
-            for r, cols in enumerate(self.cols):
-                for c, (a, b) in zip(cols, entries):
-                    for t_u, coeffs in zip(self.index[a:b], self.nums[a:b]):
-                        value = ZERO
-                        for x in coeffs:
-                            value = value * nu + x
-                        t, u = divmod(t_u, phi)
-                        terms[t][r][c] = terms[t][r][c] + value * units[u]
-            return leg_table([Matrix(term) for term in terms], self.offsets)
-        if self._top is None:
-            self._top = max(sum(map(abs, coeffs)) for coeffs in self.nums)
+            for (r, c), (a, b) in zip(((r, c) for r, cols in enumerate(self.cols) for c in cols), self.bounds):
+                for t_u, coeffs in zip(self.index[a:b], self.nums[a:b]):
+                    (t, u), value = divmod(t_u, phi), reduce(lambda acc, x: acc * nu + x, coeffs, ZERO)
+                    terms[t][r][c] = (terms[t][r].get(c, (ZERO,))[0] + value * units[u],)
+            return LegTable(terms, self.offsets).at(ONE)
         p, q = nu.numerator, nu.denominator
+        degree, out = len(self.nums[0]) - 1 if self.nums else 0, copy.copy(self)
         width = -(-(self._top.bit_length() + degree * max(abs(p), q).bit_length() + 1) // 64) * 64
-        if width not in self._packed:
-            self._packed[width] = [_pack_slots(column, width) for column in zip(*self.nums)]
         acc, power = 0, 1
-        for row in self._packed[width]:
+        for row in self._packed.get(width) or self._packed.setdefault(width, [_pack(c, width) for c in zip(*self.nums)]):
             acc, power = acc * p + row * power, power * q
-        out.nums, out.den = _unpack_slots(acc, len(self.nums), width), self.den * (power // q)
+        out.den = self.den * q**degree
+        size, half = width // 8, 1 << (width - 1)
+        raw = (acc + int.from_bytes(half.to_bytes(size, "little") * len(self.nums), "little")).to_bytes(
+            size * len(self.nums), "little")
+        if width == 64 and sys.byteorder == "little":  # one machine word per slot
+            out.nums = [x - half for x in memoryview(raw).cast("Q")]
+        else:
+            out.nums = [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, len(raw), size)]
         return out
 
     def combination(self, terms) -> Matrix:
@@ -742,83 +769,6 @@ class LegTable:
         values = zip(*flats)
         out = [{c: vec for c in cols if any(vec := next(values))} for cols in self.cols]
         return _matrix(order, den, out, len(out), len(out))
-
-
-def _pack_slots(values, width: int) -> int:
-    """The ints ``values``, each below 2^(width - 1) in absolute value, as
-    one int, value k times 2^(width k); width is a multiple of 8."""
-    size, half = width // 8, 1 << (width - 1)
-    return int.from_bytes(b"".join((x + half).to_bytes(size, "little") for x in values), "little") - _bias(len(values), width)
-
-
-def _unpack_slots(packed: int, count: int, width: int) -> list:
-    """The ``count`` values of :func:`_pack_slots`, read from the bytes of
-    packed plus 2^(width - 1) in every slot, where no slot carries."""
-    size, half = width // 8, 1 << (width - 1)
-    raw = (packed + _bias(count, width)).to_bytes(count * size, "little")
-    return [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, count * size, size)]
-
-
-def _bias(count: int, width: int) -> int:
-    """2^(width - 1) in each of ``count`` slots ``width`` bits apart."""
-    return int.from_bytes((1 << (width - 1)).to_bytes(width // 8, "little") * count, "little")
-
-
-def leg_table(terms, offsets=()) -> LegTable:
-    """The :class:`LegTable` of the pair-leg matrices ``terms``, exact
-    scalars over one field, factor pair j reading them from offsets[j] on,
-    or every pair from term 0 where no offsets are given.  TypeError for
-    ring entries, OrderMismatchError for two cyclotomic orders."""
-    _pair_factor(terms[0], "leg_table")
-    order = _exact_field("leg_table", [m._order for m in terms])
-    den = math.lcm(*(m._den for m in terms))
-    rows = [{} for _ in range(terms[0].nrows)]
-    for t, m in enumerate(terms):
-        _index(rows, t, m._sparse, den // m._den, order)
-    return LegTable(order, den, len(terms), list(offsets) or itertools.repeat(0), rows)
-
-
-def polynomial_table(terms, offsets) -> LegTable:
-    """The compiled :class:`LegTable` whose term t holds at (r, c) the
-    polynomial in nu with the exact scalar coefficients terms[t][r][c],
-    lowest degree first, given as sparse rows over one field: the
-    coefficients over one denominator, and each coordinate's integers,
-    padded to the highest degree, indexed where one is nonzero.  TypeError
-    for ring coefficients, OrderMismatchError for two cyclotomic orders."""
-    polys = [coeffs for term in terms for row in term for coeffs in row.values()]
-    values = [x for coeffs in polys for x in coeffs]
-    if any(type(x) not in (Fraction, int, Cyclotomic) for x in values):
-        raise TypeError("polynomial_table needs exact scalar coefficients of one field")
-    order = _one_field(*(x.order for x in values if type(x) is Cyclotomic))
-    den = math.lcm(*(x.den if type(x) is Cyclotomic else x.denominator for x in values))
-    phi, length = euler_phi(order), max(map(len, polys), default=1)
-    pad = (0,) * (phi - 1)
-    rows = [{} for _ in terms[0]]
-    for t, term in enumerate(terms):
-        for entries, row in zip(rows, term):
-            for c, coeffs in row.items():
-                vectors = [(0,) * phi] * (length - len(coeffs)) + [
-                    tuple(y * (den // x.den) for y in x.num) if type(x) is Cyclotomic
-                    else (x.numerator * (den // x.denominator),) + pad for x in reversed(coeffs)]
-                ts, nums = entries.setdefault(c, ([], []))
-                for u, poly in enumerate(zip(*vectors), t * phi):
-                    if any(poly):
-                        ts.append(u)
-                        nums.append(poly)
-    return LegTable(order, den, len(terms), list(offsets), rows)
-
-
-def _index(rows, t, sparse, scale, order):
-    """Add term t, the sparse rows of numerator vectors over Q(zeta_order)
-    times ``scale``, to the per-entry index ``rows``."""
-    stride = euler_phi(order)
-    for entries, row in zip(rows, sparse):
-        for c, vec in row.items():
-            ts, nums = entries.setdefault(c, ([], []))
-            for u, x in enumerate(vec, t * stride):
-                if x:
-                    ts.append(u)
-                    nums.append(x * scale)
 
 
 def tensor_pair(a: Matrix, b: Matrix) -> Matrix:

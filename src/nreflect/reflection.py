@@ -14,20 +14,28 @@ by :func:`build_rbar`.  In terms of rbar the residual takes the compact form
 
     rbar_ab(lam, nu) k_a(lam) - k_a(lam) rbar_ab(tau(lam), nu),
 
-which is how :func:`nre_residual` computes it.  Everything rbar needs at nu
-comes from one :func:`point_frame`, which raises ``PoleError`` or
-``SingularMatrixError`` outside the case's domain: the orbit, the weights,
-and k^(j)(nu) with its inverse, taken by fraction-free elimination on the
-integer numerators.  At a rational nu of a case with rational data, the
-orbit, the weights and the base-r scalars f_i are evaluated on integers,
-with one ``Fraction`` normalization per value.  A base r is
-sum_i f_i(lam, mu) M_i with constant M_i, so rbar(., nu) lies in the span
-of the (1 x k^(j)(nu)) M_i (1 x k^(j)(nu))^-1, which the frame holds as
-one integer :func:`~nreflect.linalg.leg_table`, built on the first rbar it
-serves; identity-k frames share the table the base r builds once.
-:func:`rbar_at` reads g^(j)(nu) and f_i(lam, tau^j(nu)) as integer
-numerators and denominators, with no ``Fraction`` product, and takes one
-dot per entry over one lcm.
+which is how :func:`nre_residual` computes it.  k is data, a
+:class:`KMatrix` of :class:`~nreflect.ratfun.RatFun` entries, and each
+case compiles it once, on the first frame that needs it
+(:func:`compile_k`): every factor k(tau^i(nu)) composed with tau^i in
+closed form, so that k^(j)(nu) = P_j(nu) / q_j(nu) with polynomial
+matrices P_j, and, for the constant matrices M_i of the base
+r = sum_i f_i(lam, mu) M_i, the numerators of
+
+    (1 x k^(j)) M_i (1 x k^(j))^-1 = (1 x P_j) M_i (1 x adj P_j) / det P_j,
+
+held as one compiled :class:`~nreflect.linalg.LegTable` of integer polynomials.
+Everything rbar needs at nu comes from one :func:`point_frame`, which
+raises ``PoleError`` or ``SingularMatrixError`` outside the case's domain:
+the orbit, the weights g^(j)(nu) and, for j < N, det P_j(nu), with no
+elimination and no product of k.  Its table is the compiled one evaluated
+at nu in one integer Horner pass, built on the first rbar it serves;
+identity-k frames share the table the base r builds once.  At a rational
+nu of a case with rational data, the orbit, the weights and the base-r
+scalars f_i are evaluated on integers, with one ``Fraction``
+normalization per value.  :func:`rbar_at` reads g^(j)(nu) / det P_j(nu)
+and f_i(lam, tau^j(nu)) as integer numerators and denominators and takes
+one dot per entry over one lcm.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from math import lcm
 from typing import Callable, Optional
 
 from .errors import ConstraintError, PoleError, UnsupportedCaseError
-from .linalg import LegTable, Matrix, permutation_operator, polynomial_table, product_sum, tensor_pair
+from .linalg import LegTable, Matrix, permutation_operator, product_sum, tensor_pair
 from .ratfun import Poly, RatFun, over_one_denominator
 from .reporting import build_report
 from .rmatrix import RMatrixFun, cybe_residual, rational_r, trig_r
@@ -137,7 +145,7 @@ class KMatrix(tuple):
 
     def __call__(self, nu) -> Matrix:
         nu = as_scalar(nu)
-        return Matrix([[f.eval_at(nu) for f in row] for row in self])
+        return Matrix([[f.eval_at(nu) if f else ZERO for f in row] for row in self])
 
     @staticmethod
     def identity(n: int) -> "KMatrix":
@@ -177,41 +185,32 @@ class KSolution:
         return frozenset(root for row in self.k for f in row for root, _ in f.roots)
 
     @cached_property
-    def compiled(self) -> "CompiledK":
-        """:func:`compile_k` of this case, built on the first read."""
+    def compiled(self) -> tuple:
+        """:func:`compile_k` of this case, built on the first frame that needs it."""
         return compile_k(self)
+
+    @cached_property
+    def table(self) -> LegTable:
+        """The compiled :class:`~nreflect.linalg.LegTable` of the numerators
+        (1 x P_j) M_i (1 x adj P_j), j < N, of the base r's matrices M_i,
+        term j B + i for B matrices, built on the first rbar."""
+        basis = self.base_r.basis
+        terms = [[{c: (x,) for c, x in enumerate(row) if x} for row in m.rows] for m in basis]
+        for rows, _, adj, _ in self.compiled:
+            terms += [_conjugated(rows, m, adj) for m in basis]
+        return LegTable(terms, [j * len(basis) for j in range(self.N)])
+
+    @cached_property
+    def power(self) -> KMatrix:
+        """k^(N) = P_N / q_N, built on the first read."""
+        rows, roots = self.compiled[-1][:2] if self.compiled else (Matrix.identity(self.n).rows, [])
+        factor, extra = _factor(self, self.N - 1)
+        return KMatrix(tuple(RatFun(_poly(x), roots + extra) for x in row) for row in (Matrix(rows) * factor).rows)
 
     @cached_property
     def reparametrization(self) -> "EquivalenceTransform":
         """:func:`equivalence_transform` of this case, built on the first read."""
         return equivalence_transform(self)
-
-
-@dataclass(frozen=True)
-class CompiledK:
-    """k^(j)(nu) = k(nu) k(tau(nu)) ... k(tau^(j-1)(nu)) = P_j(nu) / q_j(nu)
-    for j = 1, ..., N, each factor k(tau^i(nu)) composed in closed form and
-    put over one denominator, held as: ``products[j - 1]``, P_j as rows of
-    polynomials and the roots of q_j; ``dets[j]`` = det P_j for
-    j < N (1 for j = 0); and ``table``, the
-    :func:`~nreflect.linalg.polynomial_table` of the numerators
-    (1 x P_j) M_i (1 x adj P_j) of (1 x k^(j)) M_i (1 x k^(j))^-1 =
-    (1 x P_j) M_i (1 x adj P_j) / det P_j, term j B + i for the B
-    matrices M_i of the base r."""
-
-    products: tuple
-    dets: tuple
-    table: LegTable
-
-    def product(self, j: int) -> KMatrix:
-        """k^(j) as a KMatrix, P_j over q_j, for j = 1, ..., N."""
-        rows, roots = self.products[j - 1]
-        return KMatrix(tuple(RatFun(x, roots) for x in row) for row in rows)
-
-    @cached_property
-    def power(self) -> KMatrix:
-        """k^(N), built on the first read."""
-        return self.product(len(self.products))
 
 
 def _poly(x) -> Poly:
@@ -228,12 +227,6 @@ def _adjugate(rows) -> tuple:
     adj = [[(-1) ** (i + j) * det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j]) for j in range(n)]
            for i in range(n)]
     return adj, sum((rows[0][j] * adj[j][0] for j in range(n)), Poly())
-
-
-def _coefficients(m: Matrix) -> list:
-    """m's sparse rows of coefficient tuples, lowest degree first, of its
-    exact scalar entries."""
-    return [{c: (x,) for c, x in enumerate(row) if x} for row in m.rows]
 
 
 def _conjugated(left: list, m: Matrix, right: list) -> list:
@@ -255,26 +248,27 @@ def _conjugated(left: list, m: Matrix, right: list) -> list:
     return [{c: p.coeffs for c, p in row.items() if p} for row in out]
 
 
-def compile_k(case: KSolution) -> CompiledK:
-    """The :class:`CompiledK` of a case: k(tau^i(nu)) by
-    :meth:`~nreflect.ratfun.RatFun.mobius` with tau^i, over one denominator
-    by :func:`~nreflect.ratfun.over_one_denominator`, and P_j, adj P_j,
-    det P_j and the numerators as matrices of polynomials."""
-    n, basis = case.n, case.base_r.basis
-    product, roots = Matrix.identity(n), []
-    products, dets, terms = [], [RatFun.const(ONE)], [_coefficients(m) for m in basis]
-    for j in range(case.N):
-        t = case.tau.iterate(j)
-        nums, extra = over_one_denominator([f.mobius(t.a, t.b, t.c, t.d) if j else f for row in case.k for f in row])
-        product, roots = product * Matrix([nums[i * n:(i + 1) * n] for i in range(n)]), roots + extra
+def _factor(case: KSolution, j: int) -> tuple:
+    """(A, roots): k(tau^j(nu)) = A(nu) / prod (nu - root)^mult, A a matrix of
+    polynomials, k's entries composed with tau^j by
+    :meth:`~nreflect.ratfun.RatFun.mobius`."""
+    t, n = case.tau.iterate(j), case.n
+    nums, roots = over_one_denominator([f.mobius(t.a, t.b, t.c, t.d) if j else f for row in case.k for f in row])
+    return Matrix([nums[i * n:(i + 1) * n] for i in range(n)]), roots
+
+
+def compile_k(case: KSolution) -> tuple:
+    """k^(j)(nu) = k(nu) k(tau(nu)) ... k(tau^(j-1)(nu)) = P_j(nu) / q_j(nu)
+    for j = 1, ..., N - 1, as (P_j, the roots of q_j, adj P_j, det P_j):
+    P_j and adj P_j as rows of polynomials, det P_j as a RatFun."""
+    product, roots, out = Matrix.identity(case.n), [], []
+    for j in range(case.N - 1):
+        factor, extra = _factor(case, j)
+        product, roots = product * factor, roots + extra
         rows = [[_poly(x) for x in row] for row in product.rows]
-        products.append((rows, roots))
-        if j < case.N - 1:
-            adj, det = _adjugate(rows)
-            dets.append(RatFun(det))
-            terms += [_conjugated(rows, m, adj) for m in basis]
-    return CompiledK(tuple(products), tuple(dets),
-                     polynomial_table(terms, [j * len(basis) for j in range(case.N)]))
+        adj, det = _adjugate(rows)
+        out.append((rows, roots, adj, RatFun(det)))
+    return tuple(out)
 
 
 def _check_poles(case: KSolution, points) -> None:
@@ -287,23 +281,22 @@ def _check_poles(case: KSolution, points) -> None:
 @dataclass(frozen=True)
 class PointFrame:
     """What the induced matrix needs at one point nu, for j < N: the orbit
-    tau^j(nu), the weights g^(j)(nu), the weights g^(j)(nu) / det P_j(nu)
-    of the table's terms of k^(j), and the compiled k, None for identity
-    k.  ``table`` holds the matrices (1 x P_j) M_i (1 x adj P_j) at nu,
-    built on its first read, once per frame; for identity k it is the
+    tau^j(nu), the weights g^(j)(nu), and the weights g^(j)(nu) /
+    det P_j(nu) of the table's terms of k^(j).  ``table`` holds the
+    matrices (1 x P_j) M_i (1 x adj P_j) at nu, the case's compiled table
+    evaluated on its first read, once per frame; for identity k it is the
     table the base r-matrix builds once."""
 
     orbit: tuple
     weights: tuple
     scaled: tuple
-    base_r: RMatrixFun
-    compiled: Optional[CompiledK] = None
+    case: KSolution
 
     @cached_property
     def table(self) -> LegTable:
-        if self.compiled is None:
-            return self.base_r.basis.table
-        return self.compiled.table.at(self.orbit[0])
+        if self.case.identity_k:
+            return self.case.base_r.basis.table
+        return self.case.table.at(self.orbit[0])
 
 
 def point_frame(case: KSolution, nu) -> PointFrame:
@@ -312,15 +305,15 @@ def point_frame(case: KSolution, nu) -> PointFrame:
     orbit = tuple(case.orbit(nu))
     weights = tuple(case.weights(j, nu) for j in range(case.N))
     if case.identity_k:
-        return PointFrame(orbit, weights, weights, case.base_r)
+        return PointFrame(orbit, weights, weights, case)
     _check_poles(case, orbit[:-1])
-    compiled, scaled = case.compiled, [weights[0]]
-    for j in range(1, case.N):
-        det = compiled.dets[j].eval_at(orbit[0])
-        if not det:
-            compiled.product(j)(orbit[0]).inverse(label=f"k^({j})(nu)")
-        scaled.append(weights[j] / det)
-    return PointFrame(orbit, weights, tuple(scaled), case.base_r, compiled)
+    scaled = [weights[0]]
+    for j, (rows, _, _, det) in enumerate(case.compiled, 1):
+        value = det.eval_at(orbit[0])
+        if not value:
+            Matrix([[p.eval_at(orbit[0]) for p in row] for row in rows]).inverse(label=f"k^({j})(nu)")
+        scaled.append(weights[j] / value)
+    return PointFrame(orbit, weights, tuple(scaled), case)
 
 
 def n_unitarity_entry(case: KSolution, nu, frame: Optional[PointFrame] = None) -> dict:
@@ -336,7 +329,7 @@ def n_unitarity_entry(case: KSolution, nu, frame: Optional[PointFrame] = None) -
             kn = Matrix.identity(case.n)
         else:
             _check_poles(case, orbit)
-            kn = case.compiled.power(orbit[0])
+            kn = case.power(orbit[0])
     except PoleError as exc:
         entry.update(status="fail", reason=str(exc))
         return entry

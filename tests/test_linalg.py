@@ -4,10 +4,10 @@ import pytest
 
 from nreflect.errors import ShapeError, SingularMatrixError
 from nreflect.linalg import (
+    Basis,
     Matrix,
     commutator,
     embed_pair,
-    leg_table,
     partial_trace,
     permutation_operator,
     swap_pair,
@@ -102,11 +102,11 @@ class TestMatrixAlgebra:
         with pytest.raises(ShapeError, match="n\\^2 x n\\^2"):
             op(Matrix([[Fraction(1)] * shape[1]] * shape[0]))
 
-    def test_leg_table_needs_a_pair_leg_matrix(self):
+    def test_a_basis_table_needs_a_pair_leg_matrix(self):
         for shape in ((3, 3), (2, 3)):
             with pytest.raises(ShapeError, match="n\\^2 x n\\^2"):
-                leg_table((Matrix([[Fraction(1)] * shape[1]] * shape[0]),))
-        assert leg_table((permutation_operator(2),)).terms == 1
+                Basis((Matrix([[Fraction(1)] * shape[1]] * shape[0]),)).table
+        assert Basis((permutation_operator(2),)).table.terms == 1
 
     def test_inverse_and_product_rule(self):
         rng = SplitMix64(2024)

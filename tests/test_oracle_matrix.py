@@ -21,11 +21,11 @@ from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 from nreflect.errors import OrderMismatchError, SingularMatrixError  # noqa: E402
 from nreflect.linalg import (  # noqa: E402
     PLACEMENTS,
+    Basis,
+    LegTable,
     Matrix,
     embed_pair,
-    leg_table,
     partial_trace,
-    polynomial_table,
     swap_pair,
     tensor_pair,
 )
@@ -246,7 +246,7 @@ def conjugated(left, m, right, nu=ONE):
     """(1 x left(nu)) m (1 x right(nu)) for n x n rows of polynomials: the
     numerators the compile forms, tabled, evaluated at nu and read with
     weight 1."""
-    table = polynomial_table([_conjugated(left, Matrix(m), right)], [0])
+    table = LegTable([_conjugated(left, Matrix(m), right)], [0])
     return table.at(nu).combination([(ONE, (ONE,))])
 
 
@@ -268,10 +268,10 @@ def test_leg_conjugation(order):
         left = [[Poly([a, b]) for a, b in zip(r0, r1)] for r0, r1 in zip(left0, left1)]
         right = [[Poly([a]) for a in row] for row in right]
         unit = SimpleNamespace(base_r=SimpleNamespace(coefficients=lambda lam, point: (ONE,)))
-        table = polynomial_table([_conjugated(left, Matrix(m), right)], [0])
+        table = LegTable([_conjugated(left, Matrix(m), right)], [0])
         for point in (nu,) if order == 1 else (nu, nu + zeta(order)):
             on_b = ref_mul(ref_mul(ref_kron(eye, at(left, point)), m), ref_kron(eye, at(right, point)))
-            frame = PointFrame((point,), (ONE,), (ONE,), None, SimpleNamespace(table=table))
+            frame = PointFrame((point,), (ONE,), (ONE,), SimpleNamespace(identity_k=False, table=table))
             check(rbar_at(unit, ZERO, frame), on_b)
             check(conjugated(left, m, right, point), on_b)
 
@@ -289,20 +289,20 @@ def test_compiled_table_reaches_the_packing_bound(order):
             signs = [1, -1, 1, 1, -1, -1]
             rows = [{c: tuple(cyclotomic(order, [s * top * int(nu) ** d if nu.denominator == 1 else s * top] * phi)
                               for d in range(7)) for c, s in enumerate(signs)}]
-            table = polynomial_table([rows], [0])
+            table = LegTable([rows], [0])
             p, q = nu.numerator, nu.denominator
             want = [sum(x * p**d * q**(6 - d) for d, x in enumerate(reversed(coeffs))) for coeffs in table.nums]
             assert table.at(nu).nums == want, (order, top, nu)
             assert table.at(nu).den == table.den * q**6
 
 
-def test_spin_polynomial_leg_table_polynomial_table_and_inverse_are_refused():
+def test_spin_polynomial_tables_and_inverse_are_refused():
     # only matrices of exact scalars are tabled or inverted, and only exact coefficients compiled
     m = [[SPINS[(i + j) % 4] if (i * j) % 3 else Fraction(i - j, 2) for j in range(4)] for i in range(4)]
-    with pytest.raises(TypeError, match="^leg_table needs exact scalar entries of one field$"):
-        leg_table((Matrix(m),))
-    with pytest.raises(TypeError, match="^polynomial_table needs exact scalar coefficients of one field$"):
-        polynomial_table([[{0: (ONE, s_z(1))}]], [0])
+    with pytest.raises(TypeError, match="^LegTable needs exact scalar coefficients of one field$"):
+        Basis((Matrix(m),)).table
+    with pytest.raises(TypeError, match="^LegTable needs exact scalar coefficients of one field$"):
+        LegTable([[{0: (ONE, s_z(1))}]], [0])
     with pytest.raises(TypeError, match="^matrix: inverse needs exact scalar entries of one field$"):
         Matrix([[s_z(1), ONE], [ZERO, Fraction(2)]]).inverse()
 

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nreflect.errors import ConstraintError, PoleError
-from nreflect.linalg import Matrix, polynomial_table, tensor_pair
+from nreflect.linalg import LegTable, Matrix, tensor_pair
 from nreflect.reflection import (CATALOG, PointFrame, case_by_label, n_unitarity_entry, nre_residual, point_frame,
                                  rbar_at, rbar_matrix, tamper)
 from nreflect.sampling import DEFAULT_SEED, POLE_ERRORS, SplitMix64, sample_evaluated
@@ -174,8 +174,8 @@ def test_rbar_of_a_direct_compiled_frame_reaches_the_packing_bound(order, n):
                      for lower in (False, True, False, True)]
             for sign in (1, -1):
                 weight = entry * sign
-                frame = PointFrame((nu, nu), (weight, entry), (weight, entry), None,
-                                   SimpleNamespace(table=polynomial_table(terms, [0, 2])))
+                table = SimpleNamespace(identity_k=False, table=LegTable(terms, [0, 2]))
+                frame = PointFrame((nu, nu), (weight, entry), (weight, entry), table)
                 case = SimpleNamespace(base_r=SimpleNamespace(coefficients=lambda lam, point: (entry, weight)))
                 want = None
                 for t, term in enumerate(terms):
@@ -242,7 +242,7 @@ def compare_compiled(case, nus=(F(5, 3), F(-7, 2), F(11, 5))):
         for point in case.orbit(nu) if got[0] == "value" else ():
             kn = kn * case.k(point)
         if got[0] == "value":
-            assert case.compiled.power(nu) == kn, (case.label, case.params, nu)
+            assert case.power(nu) == kn, (case.label, case.params, nu)
 
 
 def drawn(label, params):
