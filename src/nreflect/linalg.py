@@ -632,7 +632,8 @@ class Basis(tuple):
     @cached_property
     def table(self):
         _pair_factor(self[0], "Basis")
-        return LegTable([[{c: (x,) for c, x in enumerate(row) if x} for row in m.rows] for m in self]).at(ONE)
+        return LegTable([[{c: (_canonical(m._order, vec, m._den),) for c, vec in row.items()} for row in m._sparse]
+                         for m in self]).at(ONE)
 
 
 class LegTable:

@@ -149,7 +149,8 @@ class KMatrix(tuple):
 
     @staticmethod
     def identity(n: int) -> "KMatrix":
-        return KMatrix(tuple(RatFun.const(ONE if i == j else ZERO) for j in range(n)) for i in range(n))
+        one, zero = RatFun.const(ONE), RatFun.const(ZERO)
+        return KMatrix(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,8 @@ class KSolution:
 
     @cached_property
     def identity_k(self) -> bool:
-        return self.k == KMatrix.identity(self.n)
+        return all(not f.roots and f.num.coeffs == ((ONE,) if i == j else ()) for i, row in enumerate(self.k)
+                   for j, f in enumerate(row))
 
     @cached_property
     def poles(self) -> frozenset:
