@@ -632,8 +632,7 @@ class Basis(tuple):
     @cached_property
     def table(self):
         _pair_factor(self[0], "Basis")
-        return LegTable([[{c: (_canonical(m._order, vec, m._den),) for c, vec in row.items()} for row in m._sparse]
-                         for m in self]).at(ONE)
+        return LegTable([[{c: (x,) for c, x in row.items()} for row in _values(m)] for m in self]).at(ONE)
 
 
 class LegTable:
