@@ -676,7 +676,7 @@ class LegTable:
                         if any(poly):
                             ts.append(u)
                             nums.append(poly)
-        self.order, self.den, self.terms, self.offsets = order, den, len(terms), list(offsets) or itertools.repeat(0)
+        self.order, self.den, self.terms, self.offsets = order, den, len(terms), offsets or itertools.repeat(0)
         self.cols, self.bounds, self.index, self.nums = [list(row) for row in rows], [], [], []
         for row in rows:
             for ts, nums in row.values():
