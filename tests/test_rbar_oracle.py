@@ -12,7 +12,10 @@ of the reflection residual; rbar also at points whose numerators and
 denominators are about 2^200, rational and, for the rational base r,
 cyclotomic.  Frames built directly, over Q and Q(zeta_N) for every N the
 matrix oracle takes, with every numerator +-top, reach the widest sums
-that rbar's integer arithmetic has to hold.
+that rbar's integer arithmetic has to hold.  Every catalog label is also
+compared at each of the 511 values the sampler can draw (the same value or
+the same exception class, and the same n-unitarity entry), and the families
+with non-identity k at drawn parameters.
 
 :func:`scalar_functional_residual` is a second route to the residual of
 the identity-k cases over the rational r, read by ``tests/test_reflection.py``
@@ -165,7 +168,6 @@ def test_rbar_of_a_direct_compiled_frame_reaches_the_packing_bound(order, n):
     # by degree, so that no sum cancels: the largest numerators the frame's integer Horner
     # pass and rbar's dot products meet at these tops, checked against the terms evaluated
     # with field arithmetic and added with +
-    basis = [(0, 1), (1, 0)]  # (dense, lower) for the terms of k^(0) and of k^(1)
     for top in (3, 3 * 2**200):
         entry = cyclotomic(order, [top] * euler_phi(order))
         for nu in (F(1), F(-1)):
@@ -184,6 +186,15 @@ def test_rbar_of_a_direct_compiled_frame_reaches_the_packing_bound(order, n):
                     m = m.scale(frame.scaled[t // 2] * (entry, weight)[t % 2])
                     want = m if want is None else want + m
                 assert rbar_at(case, F(0), frame) == want, (top, nu, sign)
+
+
+@pytest.mark.parametrize("name", [name for name in CASES[:-1] if name.startswith("linear-k")])
+def test_rbar_matches_the_oracle_at_cyclotomic_nu(name):
+    # a frame at a point over Q(zeta_N) evaluates the compiled numerators with field arithmetic,
+    # also where the point's field is not the table's
+    case = build(name)
+    for nu in (F(2, 3) + zeta(3), F(-5, 7) * zeta(3) + 1, F(1, 3) + 2 * zeta(4 if case.N == 2 else 3)):
+        assert rbar_matrix(case, F(1, 7), nu) == oracle_rbar(case, F(1, 7), nu), (name, nu)
 
 
 # every value ``sample_fraction`` can return
@@ -233,15 +244,15 @@ small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
 def compare_compiled(case, nus=(F(5, 3), F(-7, 2), F(11, 5))):
-    """rbar and k^(N) of the compiled case against the oracle at three points;
-    False where the case refuses its parameters."""
+    """rbar and, where it is defined, k^(N) of the compiled case against the
+    oracle at three points."""
     for nu in nus:
         got = outcome(lambda: rbar_at(case, LAM0, point_frame(case, nu)))
         assert got == outcome(oracle_rbar, case, LAM0, nu), (case.label, case.params, nu)
-        kn = Matrix.identity(case.n)
-        for point in case.orbit(nu) if got[0] == "value" else ():
-            kn = kn * case.k(point)
         if got[0] == "value":
+            kn = Matrix.identity(case.n)
+            for point in case.orbit(nu):
+                kn = kn * case.k(point)
             assert case.power(nu) == kn, (case.label, case.params, nu)
 
 
