@@ -16,10 +16,10 @@ by :func:`build_rbar`.  In terms of rbar the residual takes the compact form
 
 which is how :func:`nre_residual` computes it.  k is data, a
 :class:`KMatrix` of :class:`~nreflect.ratfun.RatFun` entries, and each
-case compiles it once, on the first frame that needs it
-(:func:`compile_k`): every factor k(tau^i(nu)) composed with tau^i in
-closed form, so that k^(j)(nu) = P_j(nu) / q_j(nu) with polynomial
-matrices P_j, and, for the constant matrices M_i of the base
+case compiles it once, each part on its first use (:func:`compile_k`,
+``KSolution.table``, ``KSolution.power``): every factor k(tau^i(nu))
+composed with tau^i in closed form, so that k^(j)(nu) = P_j(nu) / q_j(nu)
+with polynomial matrices P_j, and, for the constant matrices M_i of the base
 r = sum_i f_i(lam, mu) M_i, the numerators of
 
     (1 x k^(j)) M_i (1 x k^(j))^-1 = (1 x P_j) M_i (1 x adj P_j) / det P_j,
