@@ -286,7 +286,8 @@ def sampled_residual(model: GaudinModel, sub: str, lam, mu, p: int = 2, q: int =
     rbar_ab(lam, mu) and rbar_ba(mu, lam) are built from one point frame at
     lam and one at mu, for every identity, so all four raise a pole error on
     the same pairs and draw the same pairs at a seed: lax is defined on
-    exactly that domain, mk and trbrackets on larger ones."""
+    exactly that domain, mk and trbrackets on larger ones.  k = 1 in every
+    family a model accepts, so mk multiplies by no k."""
     if sub not in ("rbb", "lax", "mk", "trbrackets"):
         raise ValueError(f"unknown structural identity {sub!r}")
     if min(p, q) < 1:
@@ -312,8 +313,7 @@ def sampled_residual(model: GaudinModel, sub: str, lam, mu, p: int = 2, q: int =
     m = m_at(rbar_ba)
     if sub == "lax":
         return _bracket_matrix(Matrix([[(b_lam ** p).trace()]]), b_mu) - commutator(b_mu, m)
-    k_mu = case.k(mu)
-    return m * k_mu - k_mu * m_at(swap_pair(rbar_at(case, case.tau(mu), at_lam)))
+    return m - m_at(swap_pair(rbar_at(case, case.tau(mu), at_lam)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,13 @@ inverted through its rational regular representation, phi(N) times its
 size.  Two kernels each make one pass with one normalization:
 :func:`combination` sums scaled matrices, and ``+``, ``-`` and ``scale``
 are combinations; :func:`product_sum` sums signed products.  A
-:class:`LegTable` holds pair-leg matrices over one denominator, indexed
-per entry, and its ``combination`` of scalar weights is one dot per
-entry.  It is built compiled, each numerator the integer coefficients of
-a polynomial in nu, such as the conjugated (1 x P(nu)) m (1 x adj P(nu))
-of a reflection case, and ``at`` evaluates all of them at a rational nu
-in one packed Horner pass.  The
-kernels that read an operand many times pack each Q(zeta_N) numerator
+:class:`LegTable` holds pair-leg matrices compiled, indexed per entry,
+each numerator the integer coefficients of a polynomial in nu, such as
+the conjugated (1 x P(nu)) m (1 x adj P(nu)) of a reflection case.  Its
+``at`` evaluates all of them at a rational nu in one packed Horner pass,
+into :class:`LegValues` over one denominator on the same index, whose
+``combination`` of scalar weights is one dot per entry.  The kernels
+that read an operand many times pack each Q(zeta_N) numerator
 vector into one integer, so a coordinate convolution is one integer
 product (Kronecker substitution; D. Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symbolic
@@ -37,13 +37,13 @@ has no ``inverse``.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 import operator
 import sys
 from fractions import Fraction
 from functools import cached_property, reduce
+from typing import NamedTuple
 
 from .errors import ShapeError, SingularMatrixError
 from .scalars import (ONE, ZERO, Cyclotomic, _canonical, _content, _fold, _mul_reduce, _one_field, _pack, _pack_width,
@@ -363,8 +363,8 @@ def _values(m):
 def _times(order, x, y):
     """The product of two numerator vectors of Q(zeta_order), either of
     which may be a rational one of length 1, by schoolbook multiplication:
-    ``kron`` and ``combination`` use each vector once, and
-    packing it (:func:`_packed`) measured slower there."""
+    ``kron`` and ``combination`` use each vector once, and packing it, as
+    :func:`product_sum` does, measured slower there."""
     if len(x) == 1:
         return tuple(x[0] * c for c in y)
     if len(y) == 1:
@@ -388,7 +388,7 @@ def _product(order, sa, sb):
     integer dot products of the coordinate convolutions, each output entry
     reduced mod Phi_N once.  Rational vectors may have length 1.  A
     product reads each operand once, so the vectors stay unpacked: packing
-    them (:func:`_packed`) measured slower here."""
+    them, as :func:`product_sum` does, measured slower here."""
     if order == 1:
         out = [{} for _ in sa]
         _accumulate(out, sa, sb)
@@ -494,53 +494,36 @@ def product_sum(terms) -> Matrix:
     1 or -1 and every matrix of exact scalars over one field, in one pass:
     one lcm of the denominators, each scale factor folded into the
     numerators, one accumulator per row, one Phi_N fold per entry, one gcd
-    normalization.  An operand is read once per row of the other, so its
-    numerator vectors are packed (:func:`_packed`) w bits apart, w bounding
-    every accumulated coordinate from the largest numerators, the longest
-    row of each a, phi(N) and the scale factors.  TypeError for ring
-    entries, OrderMismatchError for two cyclotomic orders."""
+    normalization.  An operand is read once per row of the other, so over
+    Q(zeta_N) each of its numerator vectors is packed into one int, its
+    coordinates w bits apart, w bounding every accumulated coordinate from
+    the largest numerators, the longest row of each a, phi(N) and the scale
+    factors.  TypeError for ring entries, OrderMismatchError for two
+    cyclotomic orders."""
     terms = list(terms)
     nrows, ncols = terms[0][1].nrows, terms[0][2].ncols
     for _, a, b in terms:
         if a.ncols != b.nrows or (a.nrows, b.ncols) != (nrows, ncols):
             raise ShapeError(f"cannot sum the {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols} product "
                              f"into {nrows}x{ncols}")
-    order = _exact_field("product_sum", [m._order for _, a, b in terms for m in (a, b)])
-    den = math.lcm(*(a._den * b._den for _, a, b in terms))
+    orders = [m._order for _, a, b in terms for m in (a, b)]
+    if None in orders:
+        raise TypeError("product_sum needs exact scalar entries of one field")
+    order, den = _one_field(*orders), math.lcm(*(a._den * b._den for _, a, b in terms))
     scaled = [(sign * (den // (a._den * b._den)), a, b) for sign, a, b in terms]
-    width, packed = _packed(order, {id(m): m for _, a, b in terms for m in (a, b)}.values(),
-                            lambda top: euler_phi(order) * sum(abs(factor) * top[id(a)] * top[id(b)]
-                                                               * max(map(len, a._sparse)) for factor, a, b in scaled))
+    matrices = {id(m): m for _, a, b in terms for m in (a, b)}
+    width, packed = 0, {key: m._sparse for key, m in matrices.items()}  # a 1-tuple is its own packed form
+    if order != 1:
+        top = {key: max((max(map(abs, vec)) for row in m._sparse for vec in row.values()), default=0)
+               for key, m in matrices.items()}
+        width = _pack_width(euler_phi(order) * sum(abs(factor) * top[id(a)] * top[id(b)] * max(map(len, a._sparse))
+                                                   for factor, a, b in scaled))
+        packed.update((key, [{j: (_pack(vec, width),) for j, vec in row.items()} for row in m._sparse])
+                      for key, m in matrices.items() if m._order != 1)
     out = [{} for _ in range(nrows)]
     for factor, a, b in scaled:
         _accumulate(out, packed[id(a)], packed[id(b)], factor)
     return _matrix(order, den, _unpack_fold(order, out, width, 2), nrows, ncols)
-
-
-def _exact_field(what, orders):
-    """:func:`~nreflect.scalars._one_field` of the orders; TypeError for ring entries (order None)."""
-    if None in orders:
-        raise TypeError(f"{what} needs exact scalar entries of one field")
-    return _one_field(*orders)
-
-
-def _packed(order, matrices, bound):
-    """(w, id(m) -> rows) for matrices over Q(zeta_order): m's sparse rows
-    with each numerator vector packed into one int, its coordinates w bits
-    apart, as a 1-tuple that :func:`_accumulate` reads, w holding every
-    coordinate up to ``bound(top)`` in absolute value, top mapping id(m) to
-    m's largest numerator.  Rational rows pass through unchanged, as a
-    1-tuple is its own packed form, and over Q no bound is taken."""
-    if order == 1:
-        return 0, {id(m): m._sparse for m in matrices}
-    width = _pack_width(bound({id(m): _top(m) for m in matrices}))
-    return width, {id(m): m._sparse if m._order == 1 else [{j: (_pack(vec, width),) for j, vec in row.items()}
-                                                          for row in m._sparse] for m in matrices}
-
-
-def _top(m):
-    """The largest absolute value of m's integer numerators."""
-    return max((max(map(abs, vec)) for row in m._sparse for vec in row.values()), default=0)
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -626,11 +609,11 @@ def partial_trace(m: Matrix, leg: str) -> Matrix:
 
 class Basis(tuple):
     """Constant pair-leg matrices M_i of exact scalars over one field, as a
-    tuple that builds their :class:`LegTable` once: constant polynomials,
-    at nu = 1, which every factor pair reads from term 0."""
+    tuple that builds their table once: the :class:`LegTable` of constant
+    polynomials at nu = 1, which every factor pair reads from term 0."""
 
     @cached_property
-    def table(self):
+    def table(self) -> "LegValues":
         _pair_factor(self[0], "Basis")
         return LegTable([[{c: (x,) for c, x in row.items()} for row in _values(m)] for m in self]).at(ONE)
 
@@ -641,10 +624,10 @@ class LegTable:
     holds nums[k] for a <= k < b, (a, b) = bounds[e], and nums[k] is
     coordinate u of T_t[r, c] over Q(zeta_order), index[k] = t phi + u,
     phi = phi(order).  Factor pair j of a frame reads the terms from
-    offsets[j] on.  As built, the table is compiled: each nums[k] is the
-    integer coefficients of that coordinate as a polynomial in nu, highest
-    degree first, all of one length, and :meth:`at` evaluates them into a
-    table of integers that :meth:`combination` reads."""
+    offsets[j] on.  The table is compiled: each nums[k] is the integer
+    coefficients of that coordinate as a polynomial in nu, highest degree
+    first, all of one length, and :meth:`at` evaluates them into the
+    :class:`LegValues` that a frame combines."""
 
     __slots__ = ("order", "den", "terms", "offsets", "cols", "bounds", "index", "nums", "_top", "_packed")
 
@@ -685,16 +668,17 @@ class LegTable:
                 self.nums += nums
         self._top, self._packed = max((sum(map(abs, coeffs)) for coeffs in self.nums), default=0), {}
 
-    def at(self, nu) -> "LegTable":
-        """The table of a compiled table's values at nu, on the same index.
-        At nu = p/q each value is the homogeneous sum sum_d c_d p^d q^(D - d)
-        over den q^D, D the degree, in one integer Horner pass over every
-        numerator at once: the coefficients of each degree are packed w bits
-        apart into one int (Kronecker substitution), w holding each sum, at
-        most its coefficients' absolute sum times max(|p|, q)^D, and the
-        sums are read back from the bytes of the result.  A point over
-        Q(zeta_N) takes field arithmetic, and each term's values are tabled
-        again as constant polynomials."""
+    def at(self, nu) -> "LegValues":
+        """The table's values at nu, on its index.  At nu = p/q each value is
+        the homogeneous sum sum_d c_d p^d q^(D - d) over den q^D, D the
+        degree, in one integer Horner pass over every numerator at once:
+        the coefficients of each degree are packed w bits apart into one
+        int (Kronecker substitution), w holding each sum, at most its
+        coefficients' absolute sum times max(|p|, q)^D, with its sign, and
+        the sums are read back from the bytes of the result, 64-bit slots
+        as machine words, which measured faster than slicing the bytes.  A
+        point over Q(zeta_N) takes field arithmetic, and each term's values
+        are tabled again as constant polynomials."""
         if type(nu) is not Fraction:
             phi, terms = euler_phi(self.order), [[{} for _ in self.cols] for _ in range(self.terms)]
             units = [_canonical(self.order, [int(u == v) for v in range(phi)], self.den) for u in range(phi)]
@@ -704,20 +688,28 @@ class LegTable:
                     terms[t][r][c] = (terms[t][r].get(c, (ZERO,))[0] + value * units[u],)
             return LegTable(terms, self.offsets).at(ONE)
         p, q = nu.numerator, nu.denominator
-        degree, out = len(self.nums[0]) - 1 if self.nums else 0, copy.copy(self)
+        degree = len(self.nums[0]) - 1 if self.nums else 0
         width = -(-(self._top.bit_length() + degree * max(abs(p), q).bit_length() + 1) // 64) * 64
         acc, power = 0, 1
         for row in self._packed.get(width) or self._packed.setdefault(width, [_pack(c, width) for c in zip(*self.nums)]):
             acc, power = acc * p + row * power, power * q
-        out.den = self.den * q**degree
         size, half = width // 8, 1 << (width - 1)
         raw = (acc + int.from_bytes(half.to_bytes(size, "little") * len(self.nums), "little")).to_bytes(
             size * len(self.nums), "little")
-        if width == 64 and sys.byteorder == "little":  # one machine word per slot
-            out.nums = [x - half for x in memoryview(raw).cast("Q")]
+        if width == 64 and sys.byteorder == "little":
+            nums = [x - half for x in memoryview(raw).cast("Q")]
         else:
-            out.nums = [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, len(raw), size)]
-        return out
+            nums = [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, len(raw), size)]
+        return LegValues(self, self.den * q**degree, nums)
+
+
+class LegValues(NamedTuple):
+    """A compiled :class:`LegTable`'s values at one point: integer
+    numerators on the table's index, over one denominator ``den``."""
+
+    table: LegTable
+    den: int
+    nums: list
 
     def combination(self, terms) -> Matrix:
         """sum_j g_j sum_i f_ji T_(offsets[j] + i) over one (g_j, (f_j0, ...))
@@ -729,8 +721,9 @@ class LegTable:
         w_t is one int, summed directly.  The content is divided out of the
         flat sums, cheaper than dividing each built vector in
         :func:`_matrix`.  OrderMismatchError for two cyclotomic orders."""
-        parts, orders = [], [self.order]
-        for (g, fs), offset in zip(terms, self.offsets):
+        table, parts = self.table, []
+        orders = [table.order]
+        for (g, fs), offset in zip(terms, table.offsets):
             gn, gd = (g.num, g.den) if type(g) is Cyclotomic else ((g.numerator,), g.denominator)
             orders.append(g.order if type(g) is Cyclotomic else 1)
             for t, f in enumerate(fs, offset):
@@ -741,16 +734,16 @@ class LegTable:
                     parts.append((t, gn, (f.numerator,), gd * f.denominator))
         order, den = _one_field(*orders), math.lcm(*(d for *_, d in parts))
         if order == 1:
-            coords = [[0] * self.terms]  # coords[c][t stride + u]: coordinate c of w_t zeta^u
+            coords = [[0] * table.terms]  # coords[c][t stride + u]: coordinate c of w_t zeta^u
             for t, (g,), (f,), d in parts:
                 coords[0][t] += g * f * (den // d)
         else:
-            phi, stride = euler_phi(order), euler_phi(self.order)
-            weights = [[0] * phi for _ in range(self.terms)]
+            phi, stride = euler_phi(order), euler_phi(table.order)
+            weights = [[0] * phi for _ in range(table.terms)]
             for t, g, f, d in parts:
                 for s, c in enumerate(_times(order, g, f)):
                     weights[t][s] += c * (den // d)
-            coords = [[0] * (self.terms * stride) for _ in range(phi)]
+            coords = [[0] * (table.terms * stride) for _ in range(phi)]
             for t, w in enumerate(weights):
                 for u in range(stride):
                     if u:
@@ -759,15 +752,15 @@ class LegTable:
                         coords[c][t * stride + u] = x
         flats = []
         for column in coords:
-            sums = list(itertools.accumulate(map(operator.mul, map(column.__getitem__, self.index), self.nums), initial=0))
-            flats.append([sums[b] - sums[a] for a, b in self.bounds])
+            sums = list(itertools.accumulate(map(operator.mul, map(column.__getitem__, table.index), self.nums), initial=0))
+            flats.append([sums[b] - sums[a] for a, b in table.bounds])
         den *= self.den
         content = math.gcd(den, *itertools.chain.from_iterable(flats))
         if content != 1:
             den //= content
             flats = [[x // content for x in flat] for flat in flats]
         values = zip(*flats)
-        out = [{c: vec for c in cols if any(vec := next(values))} for cols in self.cols]
+        out = [{c: vec for c in cols if any(vec := next(values))} for cols in table.cols]
         return _matrix(order, den, out, len(out), len(out))
 
 

@@ -245,19 +245,19 @@ class RatFun:
         return RatFun(self.num.scale(s), self.roots)
 
     def mobius(self, a, b, c, d):
-        """f((a x + b) / (c x + d)) for ad - bc != 0, as a rational function of
-        x: with T = a x + b and B = c x + d, a numerator of degree D and
-        denominator degree M, it is sum_i f_i T^i B^(D - i) B^(M - D) over
-        prod_k (T - u_k B)^m_k, each factor linear."""
-        if not self.num:
-            return self
-        degree, factors = self.num.degree, [(a - root * c, b - root * d) for root, mult in self.roots for _ in range(mult)]
-        tops, bottoms = _powers(Poly.linear(a, b), degree), _powers(Poly.linear(c, d), max(degree, len(factors)))
-        num = Poly()
-        for i, coeff in enumerate(self.num.coeffs):
-            num = num + (tops[i] * bottoms[degree - i]).scale(coeff)
-        excess = len(factors) - degree
-        return RatFun.over_linears(num * bottoms[max(excess, 0)], factors + [(c, d)] * max(-excess, 0))
+        """f((a x + b) / (c x + d)) for ad - bc != 0, as a rational function
+        of x: with T = a x + b, B = c x + d, a numerator of degree D and M
+        roots u_k counted with multiplicity, it is sum_i f_i T^i B^(D - i),
+        by a homogeneous Horner pass, times B^(M - D) over
+        prod_k (T - u_k B)."""
+        top, bottom = Poly.linear(a, b), Poly.linear(c, d)
+        num, power = Poly(), Poly.const(ONE)
+        for coeff in reversed(self.num.coeffs):
+            num, power = num * top + power.scale(coeff), power * bottom
+        factors = [(a - root * c, b - root * d) for root, mult in self.roots for _ in range(mult)]
+        for _ in range(len(factors) - self.num.degree):
+            num = num * bottom
+        return RatFun.over_linears(num, factors + [(c, d)] * (self.num.degree - len(factors)))
 
     def derivative(self):
         """(p'q - pq') / q^2 with q the split-linear denominator."""
@@ -348,14 +348,6 @@ def over_one_denominator(fs) -> tuple:
         for root, mult in f.roots:
             union[root] = max(union.get(root, 0), mult)
     return [f.num * _root_poly((r, m - f.multiplicity(r)) for r, m in union.items()) for f in fs], list(union.items())
-
-
-def _powers(poly: Poly, top: int) -> list:
-    """[1, poly, poly^2, ..., poly^top]."""
-    out = [Poly.const(ONE)]
-    for _ in range(top):
-        out.append(out[-1] * poly)
-    return out
 
 
 def _root_poly(factors) -> Poly:

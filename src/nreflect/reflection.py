@@ -16,10 +16,10 @@ by :func:`build_rbar`.  In terms of rbar the residual takes the compact form
 
 which is how :func:`nre_residual` computes it.  k is data, a
 :class:`KMatrix` of :class:`~nreflect.ratfun.RatFun` entries, and each
-case compiles it once, each part on its first use (:func:`compile_k`,
-``KSolution.table``, ``KSolution.power``): every factor k(tau^i(nu))
-composed with tau^i in closed form, so that k^(j)(nu) = P_j(nu) / q_j(nu)
-with polynomial matrices P_j, and, for the constant matrices M_i of the base
+case compiles it once, :func:`compile_k` on the first frame and
+``KSolution.table`` on the first rbar: every factor k(tau^i(nu)) composed
+with tau^i in closed form, so that k^(j)(nu) = P_j(nu) / q_j(nu) with
+polynomial matrices P_j, and, for the constant matrices M_i of the base
 r = sum_i f_i(lam, mu) M_i, the numerators of
 
     (1 x k^(j)) M_i (1 x k^(j))^-1 = (1 x P_j) M_i (1 x adj P_j) / det P_j,
@@ -49,7 +49,7 @@ from math import lcm
 from typing import Callable, Optional
 
 from .errors import ConstraintError, PoleError, UnsupportedCaseError
-from .linalg import LegTable, Matrix, permutation_operator, product_sum, tensor_pair
+from .linalg import LegTable, LegValues, Matrix, permutation_operator, product_sum, tensor_pair
 from .ratfun import Poly, RatFun, over_one_denominator
 from .reporting import build_report
 from .rmatrix import RMatrixFun, cybe_residual, rational_r, trig_r
@@ -198,16 +198,9 @@ class KSolution:
         term j B + i for B matrices, built on the first rbar."""
         basis = self.base_r.basis
         terms = [[{c: (x,) for c, x in enumerate(row) if x} for row in m.rows] for m in basis]
-        for rows, _, adj, _ in self.compiled:
+        for rows, _, adj, _ in self.compiled[0]:
             terms += [_conjugated(rows, m, adj) for m in basis]
         return LegTable(terms, [j * len(basis) for j in range(self.N)])
-
-    @cached_property
-    def power(self) -> KMatrix:
-        """k^(N) = P_N / q_N, built on the first read."""
-        rows, roots = self.compiled[-1][:2] if self.compiled else (Matrix.identity(self.n).rows, [])
-        factor, extra = _factor(self, self.N - 1)
-        return KMatrix(tuple(RatFun(_poly(x), roots + extra) for x in row) for row in (Matrix(rows) * factor).rows)
 
     @cached_property
     def reparametrization(self) -> "EquivalenceTransform":
@@ -220,7 +213,8 @@ def _poly(x) -> Poly:
 
 
 def _adjugate(rows) -> tuple:
-    """(adj m, det m) of the square matrix m of polynomial rows, by cofactors."""
+    """(adj m, det m) of the square matrix m of polynomial rows, by
+    cofactors, det m as a RatFun."""
     def det(rows):  # Laplace expansion along the first row
         return sum(((-1) ** j * rows[0][j] * det([r[:j] + r[j + 1:] for r in rows[1:]])
                     for j in range(len(rows)) if rows[0][j]), Poly()) if rows else Poly.const(ONE)
@@ -228,7 +222,7 @@ def _adjugate(rows) -> tuple:
     n = len(rows)
     adj = [[(-1) ** (i + j) * det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j]) for j in range(n)]
            for i in range(n)]
-    return adj, sum((rows[0][j] * adj[j][0] for j in range(n)), Poly())
+    return adj, RatFun(sum((rows[0][j] * adj[j][0] for j in range(n)), Poly()))
 
 
 def _conjugated(left: list, m: Matrix, right: list) -> list:
@@ -260,17 +254,18 @@ def _factor(case: KSolution, j: int) -> tuple:
 
 
 def compile_k(case: KSolution) -> tuple:
-    """k^(j)(nu) = k(nu) k(tau(nu)) ... k(tau^(j-1)(nu)) = P_j(nu) / q_j(nu)
-    for j = 1, ..., N - 1, as (P_j, the roots of q_j, adj P_j, det P_j):
-    P_j and adj P_j as rows of polynomials, det P_j as a RatFun."""
-    product, roots, out = Matrix.identity(case.n), [], []
-    for j in range(case.N - 1):
+    """(terms, k^(N)) for k^(j)(nu) = k(nu) k(tau(nu)) ... k(tau^(j-1)(nu))
+    = P_j(nu) / q_j(nu): for j = 1, ..., N - 1 the term (P_j, the roots of
+    q_j, adj P_j, det P_j), P_j and adj P_j as rows of polynomials, and
+    k^(N), which nothing inverts, as a :class:`KMatrix`."""
+    product, roots, terms = Matrix.identity(case.n), [], []
+    for j in range(case.N):
         factor, extra = _factor(case, j)
         product, roots = product * factor, roots + extra
         rows = [[_poly(x) for x in row] for row in product.rows]
-        adj, det = _adjugate(rows)
-        out.append((rows, roots, adj, RatFun(det)))
-    return tuple(out)
+        if j < case.N - 1:
+            terms.append((rows, roots, *_adjugate(rows)))
+    return tuple(terms), KMatrix(tuple(RatFun(p, roots) for p in row) for row in rows)
 
 
 def _check_poles(case: KSolution, points) -> None:
@@ -295,7 +290,7 @@ class PointFrame:
     case: KSolution
 
     @cached_property
-    def table(self) -> LegTable:
+    def table(self) -> LegValues:
         if self.case.identity_k:
             return self.case.base_r.basis.table
         return self.case.table.at(self.orbit[0])
@@ -310,7 +305,7 @@ def point_frame(case: KSolution, nu) -> PointFrame:
         return PointFrame(orbit, weights, weights, case)
     _check_poles(case, orbit[:-1])
     scaled = [weights[0]]
-    for j, (rows, _, _, det) in enumerate(case.compiled, 1):
+    for j, (rows, _, _, det) in enumerate(case.compiled[0], 1):
         value = det.eval_at(orbit[0])
         if not value:
             Matrix([[p.eval_at(orbit[0]) for p in row] for row in rows]).inverse(label=f"k^({j})(nu)")
@@ -331,7 +326,7 @@ def n_unitarity_entry(case: KSolution, nu, frame: Optional[PointFrame] = None) -
             kn = Matrix.identity(case.n)
         else:
             _check_poles(case, orbit)
-            kn = case.power(orbit[0])
+            kn = case.compiled[1](orbit[0])
     except PoleError as exc:
         entry.update(status="fail", reason=str(exc))
         return entry

@@ -106,7 +106,7 @@ class TestMatrixAlgebra:
         for shape in ((3, 3), (2, 3)):
             with pytest.raises(ShapeError, match="n\\^2 x n\\^2"):
                 Basis((Matrix([[Fraction(1)] * shape[1]] * shape[0]),)).table
-        assert Basis((permutation_operator(2),)).table.terms == 1
+        assert Basis((permutation_operator(2),)).table.table.terms == 1
 
     def test_inverse_and_product_rule(self):
         rng = SplitMix64(2024)

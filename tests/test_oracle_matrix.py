@@ -280,19 +280,24 @@ def test_leg_conjugation(order):
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_compiled_table_reaches_the_packing_bound(order):
-    # numerators of degree 6 whose 7 coefficients are +-top, (2^63 - 1) / 7 and larger: at
-    # nu = +-1 each sum is the absolute sum 7 top, for the first top 2^63 - 1, one below
-    # the slot's 2^63, and neighbouring slots of either sign must not borrow from each other
+    # numerators of degree 6 at nu = 255, -255 and 1/255, one coefficient +-(2^b - 7) and the
+    # others +-1, signed so that every term of a sum has one sign: the slot width
+    # b + 6 bits(255) + 1 is 64, 65, 128 and 129 for b = 15, 16, 79 and 80, each sum is
+    # above 2^(b + 47), so the 64- and 128-bit slots are filled up to their sign bit and the
+    # 65- and 129-bit ones need the next size, and neighbouring slots of either sign must
+    # not borrow from each other
     phi = euler_phi(order)
-    for top in ((2**63 - 1) // 7, (2**127 - 1) // 7, 3 * 2**200):
-        for nu in (Fraction(1), Fraction(-1), Fraction(2**64 + 1, 2**64)):
+    for bits in (15, 16, 79, 80):
+        for nu in (Fraction(255), Fraction(-255), Fraction(1, 255)):
+            lead, sign = (6 if nu.denominator == 1 else 0), (1 if nu > 0 else -1)
             signs = [1, -1, 1, 1, -1, -1]
-            rows = [{c: tuple(cyclotomic(order, [s * top * int(nu) ** d if nu.denominator == 1 else s * top] * phi)
+            rows = [{c: tuple(cyclotomic(order, [s * sign**d * (2**bits - 7 if d == lead else 1)] * phi)
                               for d in range(7)) for c, s in enumerate(signs)}]
             table = LegTable([rows], [0])
             p, q = nu.numerator, nu.denominator
             want = [sum(x * p**d * q**(6 - d) for d, x in enumerate(reversed(coeffs))) for coeffs in table.nums]
-            assert table.at(nu).nums == want, (order, top, nu)
+            assert min(map(abs, want)) > 2 ** (bits + 47)
+            assert table.at(nu).nums == want, (order, bits, nu)
             assert table.at(nu).den == table.den * q**6
 
 

@@ -253,7 +253,7 @@ def compare_compiled(case, nus=(F(5, 3), F(-7, 2), F(11, 5))):
             kn = Matrix.identity(case.n)
             for point in case.orbit(nu):
                 kn = kn * case.k(point)
-            assert case.power(nu) == kn, (case.label, case.params, nu)
+            assert case.compiled[1](nu) == kn, (case.label, case.params, nu)
 
 
 def drawn(label, params):
