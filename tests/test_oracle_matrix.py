@@ -282,12 +282,12 @@ def test_leg_conjugation(order):
 def test_compiled_table_reaches_the_packing_bound(order):
     # numerators of degree 6 at nu = 255, -255 and 1/255, one coefficient +-(2^b - 7) and the
     # others +-1, signed so that every term of a sum has one sign: the slot width
-    # b + 6 bits(255) + 1 is 64, 65, 128 and 129 for b = 15, 16, 79 and 80, each sum is
-    # above 2^(b + 47), so the 64- and 128-bit slots are filled up to their sign bit and the
-    # 65- and 129-bit ones need the next size, and neighbouring slots of either sign must
-    # not borrow from each other
+    # b + 6 bits(255) + 1 is 64, 65, 128, 129 and 249 for b = 15, 16, 79, 80 and 200, each
+    # sum is above 2^(b + 47), so the 64- and 128-bit slots are filled up to their sign bit
+    # and the 65- and 129-bit ones need the next size, and neighbouring slots of either sign
+    # must not borrow from each other
     phi = euler_phi(order)
-    for bits in (15, 16, 79, 80):
+    for bits in (15, 16, 79, 80, 200):
         for nu in (Fraction(255), Fraction(-255), Fraction(1, 255)):
             lead, sign = (6 if nu.denominator == 1 else 0), (1 if nu > 0 else -1)
             signs = [1, -1, 1, 1, -1, -1]
