@@ -17,22 +17,22 @@ entries are read: ``rows``, ``m[i, j]``, ``trace`` and ``first_nonzero``.
 inverted through its rational regular representation, phi(N) times its
 size.  Two kernels each make one pass with one normalization:
 :func:`combination` sums scaled matrices, and ``+``, ``-`` and ``scale``
-are combinations; :func:`product_sum` sums signed products.  A
+are combinations; :func:`product_sum` sums signed products, as in the
+reflection residual (:mod:`nreflect.rmatrix` has its own Yang-Baxter sum).  A
 :class:`LegTable` holds pair-leg matrices compiled, indexed per entry,
 each numerator the integer coefficients of a polynomial in nu, such as
 the conjugated (1 x P(nu)) m (1 x adj P(nu)) of a reflection case.  Its
 ``at`` evaluates all of them at a rational nu in one packed Horner pass,
 into :class:`LegValues` over one denominator on the same index, whose
-``combination`` of scalar weights is one dot per entry.  The kernels
-that read an operand many times pack each Q(zeta_N) numerator
-vector into one integer, so a coordinate convolution is one integer
-product (Kronecker substitution; D. Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", J. Symbolic
-Comput. 44, 2009); a single-use product (``*``, ``scale``, ``kron``)
-stays schoolbook, as packing measured slower there.
-Any other entries, such as the ``SpinPoly``s of the Gaudin B, are stored
-as they are and need ``+``, ``-``, ``*`` and truthiness; such a matrix
-has no ``inverse``.
+``combination`` of scalar weights is one dot per entry.  The kernels that
+read an operand many times pack each Q(zeta_N) numerator vector into one
+integer, so a coordinate convolution is one integer product (Kronecker
+substitution; D. Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", J. Symbolic Comput. 44, 2009); a single-use
+product (``*``, ``scale``, ``kron``) stays schoolbook, as packing measured
+slower there.  Any other entries, such as the ``SpinPoly``s of the Gaudin
+B, are stored as they are and need ``+``, ``-``, ``*`` and truthiness;
+such a matrix has no ``inverse``.
 """
 
 from __future__ import annotations

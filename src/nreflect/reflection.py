@@ -671,7 +671,7 @@ CATALOG["trivial"] = trivial_case
 def case_by_label(label: str, params: Optional[dict] = None) -> KSolution:
     """The cataloged case with ``params`` overriding its defaults; an unknown
     label, an unknown parameter name or a factor size n that is not a
-    positive integer raises ConstraintError."""
+    positive integer (or exceeds MAX_FACTOR_SIZE) raises ConstraintError."""
     if label not in CATALOG:
         raise ConstraintError(f"unknown catalog case {label!r}; see catalog list")
     build = CATALOG[label]

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from nreflect import cli, reflection
+from nreflect import cli, reflection, rmatrix
 from nreflect.cli import entry, main
 from nreflect.errors import PoleError
+from nreflect.rmatrix import MAX_FACTOR_SIZE
 
 
 def run(capsys, *argv):
@@ -308,6 +309,22 @@ def test_factor_size_below_one_is_config_error(capsys, n):
     code, out, err = run(capsys, "verify", "nre", "--case", "id-2refl", "--params", f"n={n}", "--samples", "1")
     assert code == 2 and out == ""
     assert "factor size n" in err and f"got {n}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("nre", "--case", "id-2refl", "--params", "n=99999999"),
+    ("rbar-cybe", "--case", "trivial", "--params", f"n={MAX_FACTOR_SIZE + 1}"),
+    ("cybe", "--r", "rational", "--n", "99999999"),
+    ("cybe", "--r", "rational", "--n", str(MAX_FACTOR_SIZE + 1)),
+])
+def test_factor_size_above_the_bound_is_config_error(monkeypatch, capsys, argv):
+    # refused before anything of size n is built; the stub keeps a regression
+    # from building the n^2 x n^2 permutation operator here
+    built = []
+    monkeypatch.setattr(rmatrix, "permutation_operator", built.append)
+    code, out, err = run(capsys, "verify", *argv, "--samples", "1")
+    assert code == 2 and out == "" and built == []
+    assert f"factor size n must be at most {MAX_FACTOR_SIZE}, got" in err
 
 
 def test_params_the_case_takes_are_applied(capsys):

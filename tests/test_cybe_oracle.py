@@ -12,12 +12,21 @@ not zero (two g1-sign tampers and the candidate ``trig-3refl-poly-2``),
 since a residual that vanishes hides a wrong sign or a dropped term.
 """
 
+import struct
+from fractions import Fraction
+from math import isqrt
+from types import SimpleNamespace
+
 import pytest
 
-from nreflect.linalg import embed_pair
+from nreflect import rmatrix
+from nreflect.errors import OrderMismatchError, ShapeError
+from nreflect.linalg import Matrix, embed_pair, swap_pair
 from nreflect.reflection import CATALOG, build_rbar, case_by_label, tamper
 from nreflect.rmatrix import cybe_residual, rational_r, trig_r
 from nreflect.sampling import SplitMix64, sample_evaluated
+from nreflect.scalars import cyclotomic, euler_phi, zeta
+from nreflect.spinalg import s_z
 
 POINTS = 3
 SEED = 0xCB
@@ -64,3 +73,130 @@ def test_nonzero_residual_is_the_definition(name):
     assert all(not oracle.is_zero() for oracle, _ in pairs)
     for oracle, residual in pairs:
         assert residual == oracle
+
+
+@pytest.mark.parametrize("name", ["rational-n3", "trig", "rbar[linear-k-N3-shift-th2]", "rbar[id-2refl-g1-sign]"])
+def test_only_sums_that_fold_to_nonzero_are_read_back(monkeypatch, name):
+    # a sum that is 0, or folds to 0 mod Phi_N, is dropped before the read-back,
+    # so a vanishing residual reads back no bytes; a nonzero one reads some
+    reads = []
+    monkeypatch.setattr(rmatrix, "struct", SimpleNamespace(
+        unpack=lambda layout, raw: reads.append(len(raw)) or struct.unpack(layout, raw)))
+    pairs = compared({**SOLUTIONS, **NONZERO}[name]())
+    assert len(reads) == POINTS
+    for (oracle, residual), read in zip(pairs, reads):
+        assert residual == oracle and bool(read) == (not oracle.is_zero())
+
+
+# ---------------------------------------------------------------------------
+# the kernel at its edges: four fixed pair-leg matrices A, B, C, D
+# ---------------------------------------------------------------------------
+
+def frozen(a, b, c, d):
+    """An r that returns A, B, C and D at (1, 2), (1, 3), (2, 3) and (3, 2),
+    the four pairs the residual at (1, 2, 3) reads."""
+    values = {(1, 2): a, (1, 3): b, (2, 3): c, (3, 2): d}
+    return lambda x, y: values[x, y]
+
+
+def kernel_and_oracle(a, b, c, d):
+    r = frozen(a, b, c, d)
+    return cybe_residual(r, 1, 2, 3), by_definition(r, 1, 2, 3)
+
+
+# signs of A, B, C and D on C^2 x C^2 under which all twelve products that
+# entry (000, 111) of the residual sums have the sign +
+SIGNS = (((1, -1, -1, 1), (1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1)),
+         ((1, -1, -1, -1), (1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1)),
+         ((1, -1, 1, -1), (1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1)),
+         ((1, -1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1)))
+
+
+@pytest.mark.parametrize("order", [1, 3, 5])
+@pytest.mark.parametrize("bits", [63, 64, 127, 128])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_width_bound_is_reached_at_a_full_slot(order, bits, sign):
+    # every entry is +-t, over Q(zeta_N) +-t (1 + zeta + ... + zeta^(phi-1)), so the
+    # width bound 2 phi n sum |f| top top' is 12 phi t^2 at n = 2; entry (000, 111)
+    # sums its twelve products with one sign, so its digit (the middle one of
+    # t^2 (1 + zeta + ...)^2 over Q(zeta_N)) is the bound itself.  t makes the bound
+    # exactly `bits` bits, so the width with its sign bit is 64, 65, 128 and 129: the
+    # 64- and 128-bit slots are full up to their sign bit, the 65- and 129-bit widths
+    # take two and three limbs, and a width without its sign bit fails both.  Over
+    # Q(zeta_5) at 63 bits a folded coordinate may reach 3 times the bound, past 2^64,
+    # so the sums are read back without the packed test for a zero fold.
+    # (-A, B, C, -D) negates the residual
+    phi = euler_phi(order)
+    t = isqrt((2**bits - 1) // (12 * phi))
+    assert (12 * phi * t * t).bit_length() == bits
+    unit = Fraction(t) if order == 1 else cyclotomic(order, [t] * phi)
+    a, b, c, d = (Matrix([[s * unit for s in row] for row in rows]) for rows in SIGNS)
+    residual, oracle = kernel_and_oracle(a.scale(sign), b, c, d.scale(sign))
+    assert residual == oracle
+    assert oracle[0, 7] == sign * 12 * unit * unit
+
+
+MIXED = ([[Fraction(1, 2), 0, Fraction(-3), 0], [0, 1, 0, Fraction(2, 7)], [Fraction(5, 3), 0, 0, 1],
+          [0, Fraction(-1, 4), 1, 0]],
+         [[zeta(3), 0, Fraction(1, 3), 0], [0, 0, 1 - zeta(3), 0], [0, Fraction(2, 5), 0, 0],
+          [zeta(3) / 7, 0, 0, Fraction(-1)]],
+         [[0, 1, 0, zeta(3, 2)], [Fraction(3, 2), 0, 0, 0], [0, 0, zeta(3) * 4, 1], [1, 0, 0, 0]],
+         [[1, 0, 0, 0], [0, zeta(3), 0, Fraction(1, 9)], [0, 0, 0, -zeta(3)], [Fraction(7, 2), 0, 1, 0]])
+
+
+def test_rational_operand_among_cyclotomic_ones():
+    # one operand over Q (MIXED[0]) and three over Q(zeta_3), the rational one in each position
+    rational, cyclotomics = Matrix(MIXED[0]), [Matrix(rows) for rows in MIXED[1:]]
+    assert rational._order == 1 and {m._order for m in cyclotomics} == {3}
+    for position in range(4):
+        ms = cyclotomics[:position] + [rational] + cyclotomics[position:]
+        residual, oracle = kernel_and_oracle(*ms)
+        assert not oracle.is_zero() and residual == oracle
+
+
+def test_zero_operands():
+    zero = Matrix([[0] * 4 for _ in range(4)])
+    ms = [Matrix(rows) for rows in MIXED]
+    for i in range(4):
+        residual, oracle = kernel_and_oracle(*(zero if j == i else m for j, m in enumerate(ms)))
+        assert residual == oracle
+    residual, oracle = kernel_and_oracle(zero, zero, zero, zero)
+    assert residual.is_zero() and residual == oracle and (residual.nrows, residual.ncols) == (8, 8)
+
+
+@pytest.mark.parametrize("values", [(Fraction(2), Fraction(-1, 3), zeta(3), Fraction(5)),
+                                    (0, Fraction(1, 2), 0, 1)])
+def test_one_dimensional_factors(values):
+    # on C^1 every operator is a scalar, and the six products cancel
+    residual, oracle = kernel_and_oracle(*(Matrix([[v]]) for v in values))
+    assert residual == oracle and residual.is_zero() and (residual.nrows, residual.ncols) == (1, 1)
+
+
+def test_refusals():
+    ms = [Matrix(rows) for rows in MIXED]
+    spins = Matrix([[s_z(1) if (i, j) == (1, 2) else int(i == j) for j in range(4)] for i in range(4)])
+    for i in range(4):
+        with pytest.raises(TypeError, match="^cybe_residual needs exact scalar entries of one field$"):
+            cybe_residual(frozen(*(spins if j == i else m for j, m in enumerate(ms))), 1, 2, 3)
+        fourth = Matrix([[zeta(4) if (r, c) == (i, 3 - i) else 0 for c in range(4)] for r in range(4)])
+        with pytest.raises(OrderMismatchError):
+            cybe_residual(frozen(*(fourth if j == i else m for j, m in enumerate(ms))), 1, 2, 3)
+        for odd in (Matrix.identity(3), Matrix.identity(9), Matrix([[1, 0, 0, 0]] * 2)):
+            with pytest.raises(ShapeError):
+                cybe_residual(frozen(*(odd if j == i else m for j, m in enumerate(ms))), 1, 2, 3)
+
+
+@pytest.mark.parametrize("order", [4, 5, 8, 12])
+def test_other_cyclotomic_fields(order):
+    # a solution scaled by w = 1 + 2 zeta + 3 zeta^2 + ...: its residual is w^2 times
+    # 0, while its sums before the fold mod Phi_N are not 0; and operands that are
+    # rational matrices times distinct powers of zeta, whose residual is not 0
+    w = cyclotomic(order, range(1, euler_phi(order) + 1))
+    for r in (rational_r(2), rational_r(3), trig_r()):
+        scaled = lambda x, y, r=r: r(x, y).scale(w)
+        residual, oracle = (f(scaled, Fraction(5, 3), Fraction(-7, 2), Fraction(11, 5))
+                            for f in (cybe_residual, by_definition))
+        assert residual.is_zero() and residual == oracle
+    ms = [Matrix(MIXED[0]).scale(zeta(order, power) * (power + 1)) for power in range(4)]
+    residual, oracle = kernel_and_oracle(ms[0], swap_pair(ms[1]), ms[2], swap_pair(ms[3]) + ms[0])
+    assert not oracle.is_zero() and residual == oracle

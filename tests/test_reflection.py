@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nreflect import gaudin, reflection, rmatrix
+from nreflect import gaudin, linalg, reflection, rmatrix
 from nreflect.cli import main as cli_main
 from nreflect.errors import ConstraintError, PoleError, UnsupportedCaseError
 from nreflect.linalg import LegTable, Matrix, permutation_operator, tensor_pair
@@ -384,15 +384,21 @@ class TestOneFramePerPoint:
         assert gaudin.hamiltonian_residue(model, 2)
         assert tables == []
 
-    def test_rbar_cybe_sample_is_one_product_sum(self, monkeypatch):
-        # the four 27x27 products of the residual are one product_sum, not
-        # four Matrix.__mul__ calls
-        _, evaluate = sampled_check(case_by_label("linear-k-N3-shift-th2"), "rbar-cybe")
+    @pytest.mark.parametrize("subject", ["linear-k-N3-shift-th2", "trig-3refl-poly-1", "rational-n3"])
+    def test_cybe_sample_embeds_nothing_and_sums_no_products(self, monkeypatch, subject):
+        # the six products of the residual are summed from the four pair-leg matrices:
+        # no operator is placed on (C^n)^x3, no product_sum is taken and no n^3 x n^3
+        # Matrix.__mul__ runs, under any name the package binds them to
+        if subject == "rational-n3":
+            evaluate = lambda *pt: cybe_residual(rational_r(3), *pt)  # noqa: E731
+        else:
+            _, evaluate = sampled_check(case_by_label(subject), "rbar-cybe")
+        calls = [self.counted(monkeypatch, owner, name) for owner in (linalg, rmatrix, reflection)
+                 for name in ("embed_pair", "product_sum") if hasattr(owner, name)]
         products = self.counted(monkeypatch, Matrix, "__mul__")
-        sums = self.counted(monkeypatch, rmatrix, "product_sum")
         assert evaluate(F(5, 3), F(-7, 2), F(11, 5)).is_zero()
-        assert [a.nrows for a, _ in products if a.nrows == 27] == []
-        assert len(sums) == 1
+        assert len(calls) >= 2 and not any(calls)
+        assert [a.nrows for a, _ in products if a.nrows > 9] == []
 
     def test_nre_sample_is_one_product_sum(self, monkeypatch):
         # rbar k_a and k_a rbar are one product_sum, not two 9x9

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from nreflect.errors import PoleError
+from nreflect.errors import ConstraintError, PoleError
 from nreflect.linalg import Matrix, permutation_operator, swap_pair
-from nreflect.rmatrix import RMatrixFun, cybe_residual, rational_r, skew_residual, trig_r
+from nreflect.rmatrix import MAX_FACTOR_SIZE, RMatrixFun, cybe_residual, rational_r, skew_residual, trig_r
 from nreflect.sampling import DEFAULT_SEED, SplitMix64, sample_evaluated
 
 F = Fraction
@@ -23,6 +23,12 @@ class TestRationalR:
         r = rational_r(2)
         # P/(2-5) + swap(P/(5-2)) = -P/3 + P/3
         assert skew_residual(r, F(2), F(5)).is_zero()
+
+    def test_factor_size_bound(self):
+        # the largest factor size is built; one more is refused before anything is built
+        assert rational_r(MAX_FACTOR_SIZE)(F(3), F(1)) == permutation_operator(MAX_FACTOR_SIZE).scale(F(1, 2))
+        with pytest.raises(ConstraintError, match=f"^factor size n must be at most {MAX_FACTOR_SIZE}, got"):
+            rational_r(MAX_FACTOR_SIZE + 1)
 
 
 class TestTrigR:
