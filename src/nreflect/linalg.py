@@ -201,10 +201,7 @@ class Matrix:
     def trace(self):
         if self.nrows != self.ncols:
             raise ShapeError("trace needs a square matrix")
-        total = self[0, 0]
-        for i in range(1, self.nrows):
-            total = total + self[i, i]
-        return total
+        return sum((self[i, i] for i in range(1, self.nrows)), self[0, 0])
 
     def inverse(self, label: str = "matrix"):
         """The inverse, by one fraction-free elimination over Z
@@ -407,12 +404,7 @@ def _product(order, sa, sb):
                     if xs:
                         for t, yt in enumerate(y, s):
                             c[t] += xs * yt
-        row = {}
-        for j, c in acc.items():
-            vec = tuple(_fold(table, c, phi))
-            if any(vec):
-                row[j] = vec
-        out.append(row)
+        out.append({j: vec for j, c in acc.items() if any(vec := tuple(_fold(table, c, phi)))})
     return out
 
 
@@ -555,29 +547,23 @@ def embed_pair(m: Matrix, placement: str) -> Matrix:
     if placement not in PLACEMENTS:
         raise ShapeError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
     n = _pair_factor(m, "embed_pair")
-    first, second = "abc".index(placement[0]), "abc".index(placement[1])
-    spare = 3 - first - second
-    weight = (n * n, n, 1)
-    # column of the (C^n)^x3 row or column where the pair index is k and the spare leg s
-    column = [[k // n * weight[first] + k % n * weight[second] + s * weight[spare] for k in range(n * n)]
-              for s in range(n)]
-    mrows = m._sparse
-    out = []
-    for ri in range(n**3):
-        x = (ri // (n * n), (ri // n) % n, ri % n)
-        place = column[x[spare]]
-        out.append({place[k]: val for k, val in mrows[x[first] * n + x[second]].items()})
+    weight = [n * n, n, 1]  # of the legs a, b and c in an index on (C^n)^x3
+    first, second = (weight["abc".index(leg)] for leg in placement)
+    spare = n**3 // (first * second)  # the weight of the third leg
+    out = [None] * n**3
+    for s in range(n):  # pair index k, spare leg s: row or column k // n first + k % n second + s spare
+        place = [k // n * first + k % n * second + s * spare for k in range(n * n)]
+        for k, row in enumerate(m._sparse):
+            out[place[k]] = {place[c]: val for c, val in row.items()}
     return _matrix(m._order, m._den, out, n**3, n**3)
 
 
 def swap_pair(m: Matrix) -> Matrix:
     """Conjugation P m P on a pair-leg matrix, done by index relabelling."""
     n = _pair_factor(m, "swap_pair")
-    dim = n * n
-    mrows = m._sparse
-    swapped = [(r % n) * n + r // n for r in range(dim)]  # i1 n + i2 -> i2 n + i1
-    out = [{swapped[k]: val for k, val in mrows[swapped[r]].items()} for r in range(dim)]
-    return _matrix(m._order, m._den, out, dim, dim)
+    swapped = [(r % n) * n + r // n for r in range(n * n)]  # i1 n + i2 -> i2 n + i1
+    out = [{swapped[k]: val for k, val in m._sparse[r].items()} for r in swapped]
+    return _matrix(m._order, m._den, out, n * n, n * n)
 
 
 def partial_trace(m: Matrix, leg: str) -> Matrix:
@@ -585,23 +571,15 @@ def partial_trace(m: Matrix, leg: str) -> Matrix:
     n = _pair_factor(m, "partial_trace")
     if leg not in ("a", "b"):
         raise ShapeError(f"leg must be 'a' or 'b', got {leg!r}")
-    exact = m._order is not None
-    out = [{} for _ in range(n)]
-    for r, row in enumerate(m._sparse):
-        i1, i2 = divmod(r, n)
+    pairs = [divmod(r, n) for r in range(n * n)]  # (traced, kept) leg of a pair index
+    legs = pairs if leg == "a" else [(kept, traced) for traced, kept in pairs]
+    exact, out = m._order is not None, [{} for _ in range(n)]
+    for (t, i), row in zip(legs, m._sparse):
         for c, val in row.items():
-            j1, j2 = divmod(c, n)
-            if leg == "a" and i1 == j1:
-                i, j = i2, j2
-            elif leg == "b" and i2 == j2:
-                i, j = i1, j1
-            else:
-                continue
-            old = out[i].get(j)
-            if old is None:
-                out[i][j] = val
-            else:
-                out[i][j] = tuple(x + y for x, y in zip(old, val)) if exact else old + val
+            s, j = legs[c]
+            if s == t:
+                old = out[i].get(j)
+                out[i][j] = val if old is None else tuple(map(operator.add, old, val)) if exact else old + val
     if exact:
         out = [{j: vec for j, vec in row.items() if any(vec)} for row in out]
     return _matrix(m._order, m._den, out, n, n)

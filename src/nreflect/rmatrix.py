@@ -2,9 +2,8 @@
 
 r-matrices are represented as exact evaluators that raise ``PoleError`` at
 their poles; identities about them are certified by evaluation at seeded
-rational sample points (see :mod:`nreflect.sampling`).  The residual is
-summed straight from four pair-leg matrices, packed into Kronecker slots
-over the spectator leg (:func:`cybe_residual`).
+rational sample points (see :mod:`nreflect.sampling`).  The Yang-Baxter residual
+sums four pair-leg matrices in Kronecker slots (:func:`cybe_residual`).
 """
 
 from __future__ import annotations
@@ -14,13 +13,14 @@ import struct
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import chain, compress, islice, repeat
-from operator import add, lshift, mul, or_, sub
+from operator import add, lshift, mul, ne, or_, sub
 from typing import Callable, Optional
 
 from .errors import ConstraintError, PoleError, ShapeError
 from .linalg import Basis, Matrix, _field, _matrix, _pair_factor, combination, permutation_operator, swap_pair
-from .scalars import Scalar, _pack, _power_rows, as_scalar, euler_phi
+from .scalars import Scalar, _pack, _pack_width, _power_rows, as_scalar, euler_phi
 
 MAX_FACTOR_SIZE = 16  # the largest n of C^n: the CYBE residual keeps n^5 sums of n^2 slots each
 
@@ -57,10 +57,9 @@ def _check_diagonal(label, lam, mu) -> None:
 
 
 def rational_r(n: int) -> RMatrixFun:
-    """P/(lam - mu) on C^n x C^n, n at most MAX_FACTOR_SIZE, or ConstraintError.
-    Where the points are rational, lam = p/q and mu = r/s, the scalar is
-    qs/(ps - rq), normalized once; a point over Q(zeta_N) takes field
-    arithmetic."""
+    """P/(lam - mu) on C^n x C^n, ConstraintError for n > MAX_FACTOR_SIZE.  At
+    rational points, lam = p/q and mu = r/s, the scalar is qs/(ps - rq),
+    normalized once; a point over Q(zeta_N) takes field arithmetic."""
     if n > MAX_FACTOR_SIZE:
         raise ConstraintError(f"factor size n must be at most {MAX_FACTOR_SIZE}, got {n}")
     label = f"rational (n={n})"
@@ -104,20 +103,21 @@ def cybe_residual(r: Callable[[Scalar, Scalar], Matrix], lam, mu, nu) -> Matrix:
 
     Exactly zero iff the classical Yang-Baxter equation holds at the sample;
     r(a, b) may be any function returning an n^2 x n^2 matrix.  The six
-    products are summed from the four pair-leg matrices by :func:`_cybe_kernel`,
-    entry (ijk, i'j'k') at slot k n + k' of one int per (i, j, i', j')
-    (Kronecker substitution): one multiply by a block over the spectator leg
-    c serves n^2 entries, which a :func:`~nreflect.linalg.product_sum` of the
-    embedded n^3 x n^3 operands multiplies one by one.  A slot holds 2 phi - 1
-    coordinates w bits apart, w the bits of phi n sum |f| top top' over the
-    six products plus a sign bit, rounded up to 64, f the factor to the lcm."""
+    products are summed by :func:`_cybe_kernel` from the four pair-leg
+    matrices, with no operator embedded on (C^n)^x3 and no
+    :func:`~nreflect.linalg.product_sum`, which would multiply entry by entry
+    what one multiply by a block over the spectator leg c does here."""
     return _cybe_kernel(r(lam, mu), r(lam, nu), r(mu, nu), r(nu, mu))
 
 
 def _cybe_kernel(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
-    """The residual from A, B, C, D = r(l,m), r(l,n), r(m,n), r(n,m).
-    TypeError for ring entries, OrderMismatchError for two cyclotomic orders,
-    ShapeError unless all four are n^2 x n^2."""
+    """The residual from A, B, C, D = r(l,m), r(l,n), r(m,n), r(n,m): entry
+    (ijk, i'j'k') at Kronecker slot k n + k' of one int per (i, j, i', j'), a
+    slot 2 phi - 1 coordinates w bits apart, w the bits of phi n sum |f| top
+    top' over the six products (f the factor to the lcm) plus a sign bit,
+    rounded up to 64.  Sums that are exactly 0 are skipped.  TypeError for ring
+    entries, OrderMismatchError for two cyclotomic orders, ShapeError unless
+    all four are n^2 x n^2."""
     n = _pair_factor(a, "cybe_residual")
     if any((m.nrows, m.ncols) != (a.nrows, a.ncols) for m in (b, c, d)):
         raise ShapeError(f"cybe_residual needs four {a.nrows}x{a.ncols} pair-leg matrices")
@@ -128,16 +128,15 @@ def _cybe_kernel(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
     fab, fac, fbd = den // (a._den * b._den), den // (a._den * c._den), den // (b._den * d._den)
     ta, tb, tc, td = (max(map(abs, flat(flat(map(dict.values, m._sparse)))), default=0) for m in (a, b, c, d))
     bound = 2 * phi * n * (fab * ta * tb + fac * ta * tc + fbd * tb * td)
-    width = -(-(bound.bit_length() + 1) // 64) * 64
+    width = -(-_pack_width(bound) // 64) * 64
     span, slot = 2 * phi - 1, (2 * phi - 1) * width  # digits per slot, bits per slot
 
     def entries(m):  # (row // n, row % n, col // n, col % n, packed numerator) per nonzero entry
         return [(*divmod(r, n), *divmod(col, n), vec[0] if len(vec) == 1 else _pack(vec, width))
                 for r, row in enumerate(m._sparse) for col, vec in row.items()]
-    # A_ab B_ac + A_ab C_bc - B_ac A_ab - C_bc A_ab - B_ac D_cb + D_cb B_ac, e.g. (A_ab B_ac)[ijk, i'j'k']
-    # = sum_x A[ij, xj'] B[xk, i'k']: sum t adds x y to acc[k n^4 + i n^3 + j n^2 + i' n + j'] = acc[o + o']
-    # over (o, x) in left[t][z], (o', y) in right[t][z]; k = 0 but in the B-D sums, where an entry times a
-    # row over k' fills n slots of a sum kept per k (a column over k times the row measured slower)
+    # A_ab B_ac + A_ab C_bc - B_ac A_ab - C_bc A_ab - B_ac D_cb + D_cb B_ac: sum t adds x y to acc[o + o'] =
+    # acc[k n^4 + i n^3 + j n^2 + i' n + j'] over (o, x) in left[t][z], (o', y) in right[t][z], as (A_ab B_ac)[ijk,
+    # i'j'k'] = sum_x A[ij, xj'] B[xk, i'k']; k = 0 but in the B-D sums: an entry times a row over k' fills a sum per k
     left, right = [[[] for _ in range(n)] for _ in range(6)], [[defaultdict(int) for _ in range(n)] for _ in range(6)]
     for u, k, v, k2, x in entries(b):  # B[uk, vk'] at slot k n + k'; B[ik, i'z] D[zj, k'j']; D[kj, zj'] B[iz, i'k']
         right[0][u][v * n] += (y := fab * x << slot * (k * n + k2))
@@ -165,29 +164,22 @@ def _cybe_kernel(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
         acc[key % n4] += acc[key] << key // n4 * n * slot
     keys, half, limbs, count = list(compress(range(n4), acc)), 1 << (width - 1), width // 64, nn * span
     offset, rows = int.from_bytes(half.to_bytes(width // 8, "little") * count, "little"), _power_rows(order)[:phi - 1]
-    if rows and bound * (1 + max(sum(abs(row[u]) for row in rows) for u in range(phi))) < 1 << width:
-        # drop the sums that fold to 0: acc - sum_t E_t (X^t - sum_u row_t[u] X^u), X = 2^w, holds the folded
-        # coordinates c, |c| < X, where E_t = sum_s d_st X^(span s), its digits t >= phi read with a mask
-        lane = int.from_bytes((b"\1" + bytes(slot // 8 - 1)) * nn, "little")  # 1 at the foot of each slot
-        mask, polys = lane * ((1 << width) - 1), [(t * width, (1 << t * width) - _pack(row, width))
-                                                  for t, row in enumerate(rows, phi)]
-        keys = [key for key in keys if acc[key] != sum(((acc[key] + offset >> t & mask) - half * lane) * poly
-                                                       for t, poly in polys)]
     raw = b"".join([(acc[key] + offset).to_bytes(count * width // 8, "little") for key in keys])
     words = struct.unpack(f"<{len(raw) // 8}Q", raw)
     digits = words[limbs - 1::limbs]  # each digit plus half, from its 64-bit limbs
     for t in range(limbs - 2, -1, -1):
         digits = list(map(or_, map(lshift, digits, repeat(64)), words[t::limbs]))
-    coords = []
-    for u in range(phi):  # d_u + sum_t row_t[u] d_t over t >= phi, less half (1 + sum_t row_t[u])
-        coord, shift = digits[u::span], half * (1 + sum(row[u] for row in rows))
-        for t, row in enumerate(rows, phi):
-            coord = list(map(add, coord, map(mul, digits[t::span], repeat(row[u])))) if row[u] else coord
-        coords.append(list(map(sub, coord, repeat(shift))) if shift else coord)
-    vectors, out = list(zip(*coords)), [{} for _ in range(cube)]
-    for at in compress(range(len(vectors)), map(any, vectors)):
+    coords = [digits[u::span] for u in range(phi)]  # coordinate u: d_u + sum_t row_t[u] d_t over t >= phi
+    for t, row in enumerate(rows, phi):
+        for u in compress(range(phi), row):
+            coords[u] = list(map(add, coords[u], map(mul, digits[t::span], repeat(row[u]))))
+    shifts = [half * (1 + sum(row[u] for row in rows)) for u in range(phi)]  # as each digit is read plus half
+    nonzero = reduce(partial(map, or_), [map(ne, coord, repeat(shift)) for coord, shift in zip(coords, shifts)])
+    live, out = list(compress(range(len(coords[0])), nonzero)), [{} for _ in range(cube)]  # the nonzero entries
+    vectors = zip(*[map(sub, map(coord.__getitem__, live), repeat(shift)) for coord, shift in zip(coords, shifts)])
+    for at, vec in zip(live, vectors):
         (hi, lo), (k, k2) = divmod(keys[at // nn], nn), divmod(at % nn, n)  # hi = i n + j, lo = i' n + j'
-        out[hi * n + k][lo * n + k2] = vectors[at]
+        out[hi * n + k][lo * n + k2] = vec
     return _matrix(order, den, out, cube, cube)
 
 
