@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, compress, islice, repeat
-from operator import add, lshift, mul, ne, or_, sub
+from operator import lshift, ne, or_, sub
 from typing import Callable, Optional
 
 from .errors import ConstraintError, PoleError, ShapeError
@@ -103,19 +103,20 @@ def cybe_residual(r: Callable[[Scalar, Scalar], Matrix], lam, mu, nu) -> Matrix:
 
     Exactly zero iff the classical Yang-Baxter equation holds at the sample;
     r(a, b) may be any function returning an n^2 x n^2 matrix.  The six
-    products are summed by :func:`_cybe_kernel` from the four pair-leg
-    matrices, with no operator embedded on (C^n)^x3 and no
-    :func:`~nreflect.linalg.product_sum`, which would multiply entry by entry
-    what one multiply by a block over the spectator leg c does here."""
+    products are summed from the four pair-leg matrices by :func:`_cybe_kernel`,
+    with no operator on (C^n)^x3 and no :func:`~nreflect.linalg.product_sum`,
+    which multiplies entry by entry what one multiply over the leg c does here."""
     return _cybe_kernel(r(lam, mu), r(lam, nu), r(mu, nu), r(nu, mu))
 
 
 def _cybe_kernel(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
     """The residual from A, B, C, D = r(l,m), r(l,n), r(m,n), r(n,m): entry
     (ijk, i'j'k') at Kronecker slot k n + k' of one int per (i, j, i', j'), a
-    slot 2 phi - 1 coordinates w bits apart, w the bits of phi n sum |f| top
-    top' over the six products (f the factor to the lcm) plus a sign bit,
-    rounded up to 64.  Sums that are exactly 0 are skipped.  TypeError for ring
+    slot 2 phi - 1 digits w bits apart.  Each sum is folded mod Phi_N packed,
+    and w holds a folded coordinate: the bits of phi n sum |f| top top' over the
+    six products (f the factor to the lcm) times 1 + sum_t |row_t[u]|, x^t =
+    sum_u row_t[u] x^u mod Phi_N, plus a sign bit, rounded up to 64.  Sums that
+    are 0 before or after the fold are not read back.  TypeError for ring
     entries, OrderMismatchError for two cyclotomic orders, ShapeError unless
     all four are n^2 x n^2."""
     n = _pair_factor(a, "cybe_residual")
@@ -127,8 +128,9 @@ def _cybe_kernel(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
     den = math.lcm(a._den * b._den, a._den * c._den, b._den * d._den)
     fab, fac, fbd = den // (a._den * b._den), den // (a._den * c._den), den // (b._den * d._den)
     ta, tb, tc, td = (max(map(abs, flat(flat(map(dict.values, m._sparse)))), default=0) for m in (a, b, c, d))
-    bound = 2 * phi * n * (fab * ta * tb + fac * ta * tc + fbd * tb * td)
-    width = -(-_pack_width(bound) // 64) * 64
+    rows = _power_rows(order)[:phi - 1]  # x^t mod Phi_N for t = phi, ..., 2 phi - 2
+    bound = 2 * phi * n * (fab * ta * tb + fac * ta * tc + fbd * tb * td)  # on a digit; folded, times the row sums
+    width = -(-_pack_width(bound * (1 + max(sum(abs(row[u]) for row in rows) for u in range(phi)))) // 64) * 64
     span, slot = 2 * phi - 1, (2 * phi - 1) * width  # digits per slot, bits per slot
 
     def entries(m):  # (row // n, row % n, col // n, col % n, packed numerator) per nonzero entry
@@ -163,21 +165,22 @@ def _cybe_kernel(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
     for key in compress(range(n4, len(acc)), islice(acc, n4, None)):
         acc[key % n4] += acc[key] << key // n4 * n * slot
     keys, half, limbs, count = list(compress(range(n4), acc)), 1 << (width - 1), width // 64, nn * span
-    offset, rows = int.from_bytes(half.to_bytes(width // 8, "little") * count, "little"), _power_rows(order)[:phi - 1]
-    raw = b"".join([(acc[key] + offset).to_bytes(count * width // 8, "little") for key in keys])
+    offset = int.from_bytes(half.to_bytes(width // 8, "little") * count, "little")  # half on every digit
+    lane = int.from_bytes((b"\1" + bytes(slot // 8 - 1)) * nn, "little")  # 1 at the foot of each slot
+    mask, polys = lane * ((1 << width) - 1), [(t * width, (1 << t * width) - _pack(row, width))
+                                              for t, row in enumerate(rows, phi)]
+    # folded in packed form, X = 2^w: less E_t (X^t - sum_u row_t[u] X^u), E_t the digits t >= phi through the mask
+    sums = [acc[key] - sum(((acc[key] + offset >> t & mask) - half * lane) * poly for t, poly in polys) for key in keys]
+    keys = list(compress(keys, sums))  # the sums that fold to nonzero
+    raw = b"".join([(s + offset).to_bytes(count * width // 8, "little") for s in sums if s])
     words = struct.unpack(f"<{len(raw) // 8}Q", raw)
     digits = words[limbs - 1::limbs]  # each digit plus half, from its 64-bit limbs
     for t in range(limbs - 2, -1, -1):
         digits = list(map(or_, map(lshift, digits, repeat(64)), words[t::limbs]))
-    coords = [digits[u::span] for u in range(phi)]  # coordinate u: d_u + sum_t row_t[u] d_t over t >= phi
-    for t, row in enumerate(rows, phi):
-        for u in compress(range(phi), row):
-            coords[u] = list(map(add, coords[u], map(mul, digits[t::span], repeat(row[u]))))
-    shifts = [half * (1 + sum(row[u] for row in rows)) for u in range(phi)]  # as each digit is read plus half
-    nonzero = reduce(partial(map, or_), [map(ne, coord, repeat(shift)) for coord, shift in zip(coords, shifts)])
-    live, out = list(compress(range(len(coords[0])), nonzero)), [{} for _ in range(cube)]  # the nonzero entries
-    vectors = zip(*[map(sub, map(coord.__getitem__, live), repeat(shift)) for coord, shift in zip(coords, shifts)])
-    for at, vec in zip(live, vectors):
+    coords = [digits[u::span] for u in range(phi)]  # each folded coordinate plus half; the digits t >= phi are 0
+    live = list(compress(range(len(coords[0])), reduce(partial(map, or_), [map(ne, c, repeat(half)) for c in coords])))
+    out, vectors = [{} for _ in range(cube)], zip(*[map(sub, map(c.__getitem__, live), repeat(half)) for c in coords])
+    for at, vec in zip(live, vectors):  # the nonzero entries only
         (hi, lo), (k, k2) = divmod(keys[at // nn], nn), divmod(at % nn, n)  # hi = i n + j, lo = i' n + j'
         out[hi * n + k][lo * n + k2] = vec
     return _matrix(order, den, out, cube, cube)

@@ -77,16 +77,16 @@ def test_nonzero_residual_is_the_definition(name):
 
 @pytest.mark.parametrize("name", ["rational-n3", "trig", "rbar[linear-k-N3-shift-th2]", "rbar[id-2refl-g1-sign]"])
 def test_only_nonzero_sums_are_read_back(monkeypatch, name):
-    # a sum that is exactly 0 is skipped before the read-back: over Q a vanishing
-    # residual reads back no bytes and a nonzero one reads some; over Q(zeta_3)
-    # the sums of a vanishing residual fold to 0 only after they are read back
+    # a sum that is 0, or folds to 0 mod Phi_N, is not read back: a vanishing
+    # residual reads back no bytes, over Q and over Q(zeta_3), and a nonzero one
+    # reads some
     reads = []
     monkeypatch.setattr(rmatrix, "struct", SimpleNamespace(
         unpack=lambda layout, raw: reads.append(len(raw)) or struct.unpack(layout, raw)))
     pairs = compared({**SOLUTIONS, **NONZERO}[name]())
     assert len(reads) == POINTS
     for (oracle, residual), read in zip(pairs, reads):
-        assert residual == oracle and bool(read) == (name == "rbar[linear-k-N3-shift-th2]" or not oracle.is_zero())
+        assert residual == oracle and bool(read) == (not oracle.is_zero())
 
 
 # ---------------------------------------------------------------------------
@@ -118,22 +118,39 @@ SIGNS = (((1, -1, -1, 1), (1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1)),
 @pytest.mark.parametrize("sign", [1, -1])
 def test_width_bound_is_reached_at_a_full_slot(order, bits, sign):
     # every entry is +-t, over Q(zeta_N) +-t (1 + zeta + ... + zeta^(phi-1)), so the
-    # width bound 2 phi n sum |f| top top' is 12 phi t^2 at n = 2; entry (000, 111)
-    # sums its twelve products with one sign, so its digit (the middle one of
-    # t^2 (1 + zeta + ...)^2 over Q(zeta_N)) is the bound itself.  t makes the bound
-    # exactly `bits` bits, so the width with its sign bit is 64, 65, 128 and 129: the
-    # 64- and 128-bit slots are full up to their sign bit, the 65- and 129-bit widths
-    # take two and three limbs, and a width without its sign bit fails both.
+    # bound 2 phi n sum |f| top top' is 12 phi t^2 at n = 2, and the width holds it
+    # times the fold factor 1 + max_u sum_t |row_t[u]| of x^t = sum_u row_t[u] x^u
+    # mod Phi_N: 1 over Q, 2 over Q(zeta_3) (x^2 = -1 - x), 3 over Q(zeta_5) (x^4 =
+    # -1 - x - x^2 - x^3, x^5 = 1).  t makes that product exactly `bits` bits, so the
+    # width with its sign bit is 64, 65, 128 and 129, and the 65- and 129-bit widths
+    # take two and three limbs.  Over Q, entry (000, 111) sums its twelve products
+    # with one sign, so its digit is the bound itself: the 64- and 128-bit slots are
+    # full up to their sign bit, and a width without its sign bit fails.
     # (-A, B, C, -D) negates the residual
-    phi = euler_phi(order)
-    t = isqrt((2**bits - 1) // (12 * phi))
-    assert (12 * phi * t * t).bit_length() == bits
+    phi, fold = euler_phi(order), {1: 1, 3: 2, 5: 3}[order]
+    t = isqrt((2**bits - 1) // (12 * phi * fold))
+    assert (12 * phi * fold * t * t).bit_length() == bits
     unit = Fraction(t) if order == 1 else cyclotomic(order, [t] * phi)
     a, b, c, d = (Matrix([[s * unit for s in row] for row in rows]) for rows in SIGNS)
     residual, oracle = kernel_and_oracle(a.scale(sign), b, c, d.scale(sign))
     assert residual == oracle
     assert oracle[0, 7] == sign * 12 * unit * unit
 
+
+
+def test_folded_coordinate_past_the_digit_bound():
+    # over Q(zeta_3) with every entry +-t (1 - zeta), entry (000, 111) sums twelve
+    # products t^2 (1 - zeta)^2 = -3 t^2 zeta with one sign: its digits 12 t^2 (1, -2, 1)
+    # stay within the bound 2 phi n sum |f| top top' = 24 t^2, and its folded
+    # coordinate -36 t^2 is 1.5 times the bound.  t puts the bound at 63 bits and the
+    # coordinate at 64, so the fold needs the 128-bit slot that the fold factor 2 gives
+    t = isqrt((2**63 - 1) // 24)
+    assert (24 * t * t).bit_length() == 63 and (36 * t * t).bit_length() == 64
+    unit = cyclotomic(3, [t, -t])
+    a, b, c, d = (Matrix([[s * unit for s in row] for row in rows]) for rows in SIGNS)
+    residual, oracle = kernel_and_oracle(a, b, c, d)
+    assert residual == oracle
+    assert oracle[0, 7] == 12 * unit * unit == cyclotomic(3, [0, -36 * t * t])
 
 MIXED = ([[Fraction(1, 2), 0, Fraction(-3), 0], [0, 1, 0, Fraction(2, 7)], [Fraction(5, 3), 0, 0, 1],
           [0, Fraction(-1, 4), 1, 0]],
