@@ -114,9 +114,9 @@ def _cybe_kernel(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
     (ijk, i'j'k') at Kronecker slot k n + k' of one int per (i, j, i', j'), a
     slot 2 phi - 1 digits w bits apart.  Each sum is folded mod Phi_N packed,
     and w holds a folded coordinate: the bits of phi n sum |f| top top' over the
-    six products (f the factor to the lcm) times 1 + sum_t |row_t[u]|, x^t =
-    sum_u row_t[u] x^u mod Phi_N, plus a sign bit, rounded up to 64.  Sums that
-    are 0 before or after the fold are not read back.  TypeError for ring
+    six products (f the factor to the lcm) times 1 + max_u sum_t |row_t[u]|, x^t
+    = sum_u row_t[u] x^u mod Phi_N, plus a sign bit, rounded up to 64.  Sums
+    that are 0 before or after the fold are not read back.  TypeError for ring
     entries, OrderMismatchError for two cyclotomic orders, ShapeError unless
     all four are n^2 x n^2."""
     n = _pair_factor(a, "cybe_residual")
@@ -166,11 +166,11 @@ def _cybe_kernel(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
         acc[key % n4] += acc[key] << key // n4 * n * slot
     keys, half, limbs, count = list(compress(range(n4), acc)), 1 << (width - 1), width // 64, nn * span
     offset = int.from_bytes(half.to_bytes(width // 8, "little") * count, "little")  # half on every digit
-    lane = int.from_bytes((b"\1" + bytes(slot // 8 - 1)) * nn, "little")  # 1 at the foot of each slot
-    mask, polys = lane * ((1 << width) - 1), [(t * width, (1 << t * width) - _pack(row, width))
-                                              for t, row in enumerate(rows, phi)]
-    # folded in packed form, X = 2^w: less E_t (X^t - sum_u row_t[u] X^u), E_t the digits t >= phi through the mask
-    sums = [acc[key] - sum(((acc[key] + offset >> t & mask) - half * lane) * poly for t, poly in polys) for key in keys]
+    sums = [acc[key] for key in keys]
+    for t, row in enumerate(rows, phi):  # fold in packed form, X = 2^w: less E_t (X^t - sum_u row_t[u] X^u)
+        lane = int.from_bytes((b"\1" + bytes(slot // 8 - 1)) * nn, "little")  # 1 at the foot of each slot
+        mask, low, poly = lane * ((1 << width) - 1), half * lane, (1 << t * width) - _pack(row, width)
+        sums = [s - ((s + offset >> t * width & mask) - low) * poly for s in sums]  # E_t: the digits t of the slots
     keys = list(compress(keys, sums))  # the sums that fold to nonzero
     raw = b"".join([(s + offset).to_bytes(count * width // 8, "little") for s in sums if s])
     words = struct.unpack(f"<{len(raw) // 8}Q", raw)
