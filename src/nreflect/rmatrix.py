@@ -103,9 +103,9 @@ def cybe_residual(r: Callable[[Scalar, Scalar], Matrix], lam, mu, nu) -> Matrix:
 
     Exactly zero iff the classical Yang-Baxter equation holds at the sample;
     r(a, b) may be any function returning an n^2 x n^2 matrix.  The six
-    products are summed from the four pair-leg matrices by :func:`_cybe_kernel`,
-    with no operator on (C^n)^x3 and no :func:`~nreflect.linalg.product_sum`,
-    which multiplies entry by entry what one multiply over the leg c does here."""
+    products are summed from the four pair-leg matrices in Kronecker slots
+    over the leg c (slots and width rule: :func:`_cybe_kernel`), not as a
+    :func:`~nreflect.linalg.product_sum` on (C^n)^x3, which multiplies them one by one."""
     return _cybe_kernel(r(lam, mu), r(lam, nu), r(mu, nu), r(nu, mu))
 
 
