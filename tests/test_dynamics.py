@@ -1,5 +1,6 @@
 import gc
 import math
+import struct
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -7,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from nreflect import dynamics
+from nreflect.cli import default_initial_state
 from nreflect.dynamics import (
     PhaseState,
     compile_monitors,
@@ -18,8 +20,8 @@ from nreflect.dynamics import (
 )
 from nreflect.errors import ModelError
 from nreflect.gaudin import hamiltonian_explicit, model_from_config, site_values
-from nreflect.scalars import to_complex
-from nreflect.spinalg import SpinPoly, casimir, s_z
+from nreflect.scalars import to_complex, zeta
+from nreflect.spinalg import SpinPoly, casimir, s_minus, s_plus, s_z
 
 F = Fraction
 
@@ -235,30 +237,68 @@ def oracle_rk4(model, h, state, t_end, dt):
     return out
 
 
+def bit_patterns(value):
+    """``value`` with every float and complex replaced by the bytes of its
+    IEEE parts, which tell -0.0 from 0.0 where == cannot."""
+    if isinstance(value, dict):
+        return {key: bit_patterns(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [bit_patterns(item) for item in value]
+    value = complex(value)
+    return struct.pack("<dd", value.real, value.imag)
+
+
 def assert_bitwise_equal(traj, want):
-    assert traj.times == want["times"]
-    assert traj.states == want["states"]
-    assert traj.conserved == want["conserved"]
-    assert traj.initial == want["initial"]
-    assert traj.max_change == want["max_change"]
+    for name in ("times", "states", "conserved", "initial", "max_change"):
+        assert bit_patterns(getattr(traj, name)) == bit_patterns(want[name]), name
     assert traj.ok == (want["rejected"] is None)
+
+
+TWO_L6 = {"case": "two-reflection", "params": {"a": "1", "b": "2", "c": "3"}, "z": ["1", "2", "4", "5", "7", "8"]}
+SIGNED_ZEROS = (complex(0.5, -0.0), complex(-0.0, 1.25), complex(-0.0, -0.75), complex(1.5, 0.0),
+                complex(0.0, -0.5), complex(-0.0, 0.0))
+
+
+def complex_coefficient_hamiltonian():
+    """A quadratic H over Q(zeta_3) on three sites: its flow's coefficients
+    have nonzero imaginary parts of both signs."""
+    w = zeta(3)
+    return w * s_plus(1) * s_minus(2) + w ** 2 * s_z(1) * s_z(3) + (1 - 2 * w) * s_minus(1) * s_plus(3)
 
 
 class TestCompiledStep:
     """The generated RK4 step and monitor pass against the walked oracle,
-    compared with ==, and the Python calls a step makes."""
+    compared by the bit patterns of every float, and the Python calls and
+    operations a step makes."""
 
     @pytest.mark.parametrize("config, h", [
         ({"case": "bcl", "z": ["1", "2"]}, 2),
         ({"case": "two-reflection", "params": {"a": "1", "b": "2", "c": "3"}, "z": ["1", "2", "4"]}, 2),
         ({"case": "z3", "z": ["1", "2", "4"]}, 3),
-    ], ids=["bcl-L2", "two-L3", "z3-L3"])
+        ({"case": "z3", "z": ["1", "2", "4"]}, complex_coefficient_hamiltonian()),
+    ], ids=["bcl-L2", "two-L3", "z3-L3", "z3-L3-complex-H"])
     def test_matches_walked_oracle(self, config, h):
         model = model_from_config(config)
         state = generic_state(model)
         traj = rk4_simulate(model, h, state, t_end=0.3, dt=0.02)
         assert traj.ok and len(traj.times) == 16
-        assert_bitwise_equal(traj, oracle_rk4(model, model.hamiltonians[h - 1], state, 0.3, 0.02))
+        assert_bitwise_equal(traj, oracle_rk4(model, dynamics.hamiltonian_for(model, h), state, 0.3, 0.02))
+
+    @pytest.mark.parametrize("state", ["seeded", "zero", "negative-zero", "signed-zeros"])
+    @pytest.mark.parametrize("config, h", [(TWO_L6, 6), (TWO_L6, 3), ({"case": "z3", "z": ["1", "2", "4"]}, 2),
+                                           ({"case": "z3", "z": ["1", "2", "4"]}, complex_coefficient_hamiltonian())],
+                             ids=["two-L6-H6", "two-L6-H3", "z3-L3-H2", "z3-L3-complex-H"])
+    def test_signed_zeros_match_walked_oracle(self, config, h, state):
+        # the CLI's state at seed 1 holds -0.0: it draws sz < 0 at site 1, and
+        # 2j * sz has real part -0.0
+        model = model_from_config(config)
+        dim = 3 * model.L
+        values = {"seeded": default_initial_state(model, 1).values, "zero": (0j,) * dim,
+                  "negative-zero": (complex(-0.0, -0.0),) * dim, "signed-zeros": (SIGNED_ZEROS * dim)[:dim]}[state]
+        start = PhaseState(values)
+        traj = rk4_simulate(model, h, start, t_end=0.1, dt=0.02)
+        assert traj.ok and len(traj.times) == 6
+        assert_bitwise_equal(traj, oracle_rk4(model, dynamics.hamiltonian_for(model, h), start, 0.1, 0.02))
 
     def test_abort_on_a_non_finite_imaginary_part_only(self):
         # H = s_1^z scales s_1^- by about 8221 per step at dt = 10; the third
