@@ -8,8 +8,10 @@ traceless, so det B fixes its spectrum).  B is read only through
 :func:`nreflect.gaudin.site_values`, which also decides where it has a pole.
 
 A run compiles its RK4 step, and all its monitors, each into one generated
-straight-line function over locals; one emitter writes every spin polynomial
-as its terms in ``monomials()`` order, which float addition depends on.
+straight-line function over locals, with every spin polynomial's terms in
+``monomials()`` order, which float addition depends on; the step forms the
+two terms of each +- pair in its field (the bracket is antisymmetric) as one
+product, which can change no float but the sign of a zero.
 
 Spin coordinates are independent complex variables, matching the algebra
 layer; no reality projection is applied.
@@ -86,19 +88,44 @@ def vector_field(model: GaudinModel, hamiltonian: SpinPoly) -> list:
             for j in range(1, model.L + 1) for kind in KINDS]
 
 
+def _folded(fields: list) -> tuple:
+    """Lines ``t{k} = ...`` forming each product (c)*x*... of ``fields``, and
+    each prefix of one, once with the sign of c whose shadow leads with a
+    positive part; then ``dv{i} = `` field i as +- those locals in
+    ``monomials()`` order, over the flat variables ``v{i}``."""
+    products, sums = {}, []
+    for poly in fields:
+        terms = []
+        for expo, coeff in poly.monomials():
+            c = to_complex(coeff)
+            sign = "-" if any(expo) and (c.real, c.imag) < (0, 0) else "+"
+            term = key = f"({to_complex(-coeff) if sign == '-' else c!r})"
+            for idx in (idx for idx, e in enumerate(expo) for _ in range(e)):
+                key += f"*v{idx}"
+                term = products.setdefault(key, (f"t{len(products)}", f"{term}*v{idx}"))[0]
+            terms.append((sign, term))
+        if terms[1:] and terms[0][0] == "-" and terms[1][0] == "+":
+            terms[:2] = terms[1::-1]  # -t0 + t1 is t1 - t0, exactly
+        (sign, first), *rest = terms or [("+", "0j")]
+        sums.append(f"dv{len(sums)} = {sign.strip('+')}{first}" + "".join(f" {s} {t}" for s, t in rest))
+    return [f"{name} = {expr}" for name, expr in products.values()] + sums
+
+
 def compile_rk4_step(fields: list):
     """``step(v, dt)``: one classical RK4 step of x_dot = fields(x) from the
-    state values ``v`` as one straight-line function, the stages a, b, c, d
-    and every component combination held in locals."""
+    state values ``v`` as one straight-line function, the stage derivatives
+    dv, dp, dq, dr and every combination held in locals.  Each stage forms
+    each product once up to sign (``_folded``): rounding is symmetric in
+    sign, a - t is a + (-t) and no sum is regrouped, so only a zero's sign
+    could differ.  0.5 * dt and dt / 6.0 are formed once per step."""
     dim = len(fields)
-    lines = [_unpack(dim)]
-    sources = [_terms(f, "v{}") for f in fields]  # a coefficient's repr holds no "v"
-    for stage, point, ahead, scale in (("a", "v", "p", "0.5 * dt"), ("b", "p", "q", "0.5 * dt"),
-                                       ("c", "q", "r", "dt"), ("d", "r", None, None)):
-        lines += [f"{stage}{i} = {source.replace('v', point)}" for i, source in enumerate(sources)]
+    body = _folded(fields)  # a coefficient's repr holds no "v"
+    lines = [_unpack(dim), "half = 0.5 * dt", "sixth = dt / 6.0"]
+    for point, ahead, scale in (("v", "p", "half"), ("p", "q", "half"), ("q", "r", "dt"), ("r", None, None)):
+        lines += [line.replace("v", point) for line in body]
         if ahead:
-            lines += [f"{ahead}{i} = v{i} + {scale} * {stage}{i}" for i in range(dim)]
-    update = ", ".join(f"v{i} + dt / 6.0 * (a{i} + 2 * b{i} + 2 * c{i} + d{i})" for i in range(dim))
+            lines += [f"{ahead}{i} = v{i} + {scale} * d{point}{i}" for i in range(dim)]
+    update = ", ".join(f"v{i} + sixth * (dv{i} + 2 * dp{i} + 2 * dq{i} + dr{i})" for i in range(dim))
     return _compile("v, dt", lines + [f"return [{update}]"], {})
 
 
@@ -123,13 +150,13 @@ def default_probes(model: GaudinModel, offsets=(3, 5, 7)):
 def _det_b(model: GaudinModel, probe, name: str, namespace: dict) -> str:
     """det B at an exact probe as one expression over the flat variables
     ``name.format(i)``, each entry of B summed from 0j over the sites; binds
-    the site values in ``namespace``.  Raises PoleError where B is undefined
-    at the probe."""
+    the site values, and each one times 0.5, in ``namespace``.  Raises
+    PoleError where B is undefined at the probe."""
     b00 = b01 = b10 = "0j"
     for m, c in enumerate(site_values(model, probe)):
-        coeff = f"c{len(namespace)}"
-        namespace[coeff] = to_complex(c)
-        b00 += f" + {coeff} * 0.5 * {name.format(3 * m + 2)}"
+        coeff, value = f"c{len(namespace)}", to_complex(c)
+        namespace.update({coeff: value, f"{coeff}h": value * 0.5})
+        b00 += f" + {coeff}h * {name.format(3 * m + 2)}"
         b01 += f" + {coeff} * {name.format(3 * m)}"
         b10 += f" + {coeff} * {name.format(3 * m + 1)}"
     # B is traceless for the su(2) block structure: B11 = -B00
@@ -212,8 +239,7 @@ def rk4_simulate(model: GaudinModel, selection, initial: PhaseState, t_end: floa
         raise ModelError(f"t_end / dt rounds to 0 steps, got t_end = {t_end}, dt = {dt}")
     if log_every < 1:
         raise ModelError(f"log_every must be at least 1, got {log_every}")
-    h = hamiltonian_for(model, selection)
-    advance = compile_rk4_step(vector_field(model, h))
+    advance = compile_rk4_step(vector_field(model, hamiltonian_for(model, selection)))
     dim = 3 * model.L
     if len(initial.values) != dim:
         raise ModelError(f"initial state has {len(initial.values)} values, model needs {dim}")
@@ -259,8 +285,7 @@ def convergence_order(model: GaudinModel, selection, initial: PhaseState, t_end:
     successively halved steps, plus per-run energy-drift figures."""
     if len(dts) < 3:
         raise ValueError("need at least three step sizes")
-    finals = []
-    drifts = []
+    finals, drifts = [], []
     for dt in dts:
         traj = rk4_simulate(model, selection, initial, t_end, dt, log_every=100)
         finals.append(traj.states[-1])

@@ -1,7 +1,9 @@
+import dis
 import gc
 import math
 import struct
 import sys
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -337,6 +339,20 @@ class TestCompiledStep:
                 gc.enable()
             counts.append(calls)
         return (counts[1] - counts[0]) / 20
+
+    def test_each_product_is_multiplied_once_up_to_sign(self):
+        # host-independent: each stage of H_6's flow on two-L6 has 60 terms,
+        # which are 30 products up to sign over 25 prefixes (c)*x_i
+        model = model_from_config(TWO_L6)
+        step = dynamics.compile_rk4_step(dynamics.vector_field(model, model.hamiltonians[5]))
+        before_311 = {"BINARY_MULTIPLY": "*", "BINARY_TRUE_DIVIDE": "/"}
+        ops = Counter(op.argrepr if op.opname == "BINARY_OP" else before_311.get(op.opname, op.opname)
+                      for op in dis.get_instructions(step))
+        # 4 stages of 55 products; half * a_i at 3 stage points and 2 * b_i,
+        # 2 * c_i, sixth * (...) in the update, for 18 coordinates; half = 0.5 * dt
+        assert ops["*"] == 4 * 55 + 3 * 18 + 3 * 18 + 1 == 329
+        assert ops["/"] == 1  # sixth = dt / 6.0
+        assert ops["UNARY_NEGATIVE"] == 0  # every field here has a positive term to lead with
 
     def test_python_calls_per_step_do_not_grow_with_L(self):
         # host-independent: the fields and the monitors are one call each,
