@@ -88,7 +88,7 @@ def vector_field(model: GaudinModel, hamiltonian: SpinPoly) -> list:
             for j in range(1, model.L + 1) for kind in KINDS]
 
 
-def _folded(fields: list) -> tuple:
+def _folded(fields: list) -> list:
     """Lines ``t{k} = ...`` forming each product (c)*x*... of ``fields``, and
     each prefix of one, once with the sign of c whose shadow leads with a
     positive part; then ``dv{i} = `` field i as +- those locals in
@@ -107,7 +107,7 @@ def _folded(fields: list) -> tuple:
         if terms[1:] and terms[0][0] == "-" and terms[1][0] == "+":
             terms[:2] = terms[1::-1]  # -t0 + t1 is t1 - t0, exactly
         (sign, first), *rest = terms or [("+", "0j")]
-        sums.append(f"dv{len(sums)} = {sign.strip('+')}{first}" + "".join(f" {s} {t}" for s, t in rest))
+        sums.append(f"dv{len(sums)} = {'-' if sign == '-' else ''}{first}" + "".join(f" {s} {t}" for s, t in rest))
     return [f"{name} = {expr}" for name, expr in products.values()] + sums
 
 
