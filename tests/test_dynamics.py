@@ -257,6 +257,7 @@ def assert_bitwise_equal(traj, want):
 
 
 TWO_L6 = {"case": "two-reflection", "params": {"a": "1", "b": "2", "c": "3"}, "z": ["1", "2", "4", "5", "7", "8"]}
+Z3_L3 = {"case": "z3", "z": ["1", "2", "4"]}
 SIGNED_ZEROS = (complex(0.5, -0.0), complex(-0.0, 1.25), complex(-0.0, -0.75), complex(1.5, 0.0),
                 complex(0.0, -0.5), complex(-0.0, 0.0))
 
@@ -276,8 +277,8 @@ class TestCompiledStep:
     @pytest.mark.parametrize("config, h", [
         ({"case": "bcl", "z": ["1", "2"]}, 2),
         ({"case": "two-reflection", "params": {"a": "1", "b": "2", "c": "3"}, "z": ["1", "2", "4"]}, 2),
-        ({"case": "z3", "z": ["1", "2", "4"]}, 3),
-        ({"case": "z3", "z": ["1", "2", "4"]}, complex_coefficient_hamiltonian()),
+        (Z3_L3, 3),
+        (Z3_L3, complex_coefficient_hamiltonian()),
     ], ids=["bcl-L2", "two-L3", "z3-L3", "z3-L3-complex-H"])
     def test_matches_walked_oracle(self, config, h):
         model = model_from_config(config)
@@ -287,8 +288,7 @@ class TestCompiledStep:
         assert_bitwise_equal(traj, oracle_rk4(model, dynamics.hamiltonian_for(model, h), state, 0.3, 0.02))
 
     @pytest.mark.parametrize("state", ["seeded", "zero", "negative-zero", "signed-zeros"])
-    @pytest.mark.parametrize("config, h", [(TWO_L6, 6), (TWO_L6, 3), ({"case": "z3", "z": ["1", "2", "4"]}, 2),
-                                           ({"case": "z3", "z": ["1", "2", "4"]}, complex_coefficient_hamiltonian())],
+    @pytest.mark.parametrize("config, h", [(TWO_L6, 6), (TWO_L6, 3), (Z3_L3, 2), (Z3_L3, complex_coefficient_hamiltonian())],
                              ids=["two-L6-H6", "two-L6-H3", "z3-L3-H2", "z3-L3-complex-H"])
     def test_signed_zeros_match_walked_oracle(self, config, h, state):
         # the CLI's state at seed 1 holds -0.0: it draws sz < 0 at site 1, and
@@ -348,8 +348,9 @@ class TestCompiledStep:
         before_311 = {"BINARY_MULTIPLY": "*", "BINARY_TRUE_DIVIDE": "/"}
         ops = Counter(op.argrepr if op.opname == "BINARY_OP" else before_311.get(op.opname, op.opname)
                       for op in dis.get_instructions(step))
-        # 4 stages of 55 products; half * a_i at 3 stage points and 2 * b_i,
-        # 2 * c_i, sixth * (...) in the update, for 18 coordinates; half = 0.5 * dt
+        # 4 stages of 55 products; half * dv_i, half * dp_i and dt * dq_i at the
+        # stage points and 2 * dp_i, 2 * dq_i, sixth * (...) in the update, for
+        # 18 coordinates; half = 0.5 * dt
         assert ops["*"] == 4 * 55 + 3 * 18 + 3 * 18 + 1 == 329
         assert ops["/"] == 1  # sixth = dt / 6.0
         assert ops["UNARY_NEGATIVE"] == 0  # every field here has a positive term to lead with
