@@ -34,8 +34,10 @@ the S_ik, derived by hand.  The site coefficients c_m as scalar rational
 functions of lam serve only the residue-theorem check.
 
 At exact spectral points, B is built from the same site sums over the
-point frame at lam.  The structural identities at a sample pair have one
-entry, :func:`sampled_residual`, which evaluates one frame per point.
+point frame at lam, as :class:`SpinRows` (a ``Matrix`` holds exact scalars
+only).  The structural identities at a sample pair have one entry,
+:func:`sampled_residual`, which evaluates one frame per point and writes
+each entry of a residual on the legs.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ModelError, PoleError
-from .linalg import Matrix, commutator, partial_trace, swap_pair, tensor_pair
+from .linalg import swap_pair
 from .ratfun import Poly, RatFun
 from .reflection import (
     KSolution,
@@ -58,11 +60,12 @@ from .reflection import (
     trivial_case,
 )
 from .reflection import rbar_matrix  # noqa: F401 - perfbench/test_perfbench.py reads it off this module
-from .scalars import ZERO, as_scalar, scalar_from_str, zeta
-from .spinalg import (SpinPoly, _combination, bracket_partials, casimir, partials, poisson_bracket, s_minus, s_pair,
-                      s_plus, s_z)
+from .scalars import ZERO, _power, as_scalar, scalar_from_str, zeta
+from .spinalg import (SpinPoly, _combination, _product_sum, bracket_partials, casimir, partials, poisson_bracket,
+                      s_minus, s_pair, s_plus, s_z)
 
 HALF = Fraction(1, 2)
+UNIT = SpinPoly.const(1)
 
 GAUDIN_FAMILIES = ("id-2refl", "id-3refl", "trivial")
 
@@ -169,13 +172,39 @@ def site_values(model: GaudinModel, lam) -> list:
     return _site_sums(model, point_frame(model.case, lam))
 
 
-def big_B(values) -> Matrix:
+class SpinRows(tuple):
+    """A square matrix of spin polynomials as a tuple of rows: B, its powers
+    and the residuals of :func:`sampled_residual`.  A product entry is one
+    :func:`~nreflect.spinalg._product_sum`, and the witness is found row by
+    row, as in :meth:`nreflect.linalg.Matrix.first_nonzero`."""
+
+    @staticmethod
+    def identity(n: int) -> "SpinRows":
+        return SpinRows(tuple(SpinPoly.const(int(i == j)) for j in range(n)) for i in range(n))
+
+    def __mul__(self, other):
+        cols = range(len(other[0]))
+        return SpinRows(tuple(_product_sum([(1, 0, a, other[k][j]) for k, a in enumerate(row)]) for j in cols)
+                        for row in self)
+
+    def trace(self) -> SpinPoly:
+        return _combination((1, row[i]) for i, row in enumerate(self))
+
+    def first_nonzero(self):
+        """(row, col, value) of the first nonzero entry, or None."""
+        return next(((i, j, f) for i, row in enumerate(self) for j, f in enumerate(row) if f), None)
+
+    def is_zero(self) -> bool:
+        return self.first_nonzero() is None
+
+
+def big_B(values) -> SpinRows:
     """B = sum_m c_m ell_m from the site values c_1, ..., c_L at one point,
-    as a traceless 2x2 spin-polynomial matrix."""
+    as traceless 2x2 :class:`SpinRows`."""
     top = _combination((HALF * c, s_z(m)) for m, c in enumerate(values, start=1))
     plus = _combination((c, s_plus(m)) for m, c in enumerate(values, start=1))
     minus = _combination((c, s_minus(m)) for m, c in enumerate(values, start=1))
-    return Matrix([[top, plus], [minus, -top]])
+    return SpinRows(((top, plus), (minus, -top)))
 
 
 def _inverse_shift(tau_j, z) -> RatFun:
@@ -265,15 +294,6 @@ def residue_sum_check(model: GaudinModel) -> dict:
 # structural identities at fixed spectral points
 # ---------------------------------------------------------------------------
 
-def _bracket_matrix(left: Matrix, right: Matrix) -> Matrix:
-    """{left_a, right_b}: entry (u1 u2, v1 v2) of the tensor product is the
-    Poisson bracket {left[u1, v1], right[u2, v2]}; each entry of either
-    matrix is differentiated once."""
-    dl = [[partials(f) for f in row] for row in left.rows]
-    dr = [[partials(g) for g in row] for row in right.rows]
-    return Matrix([[bracket_partials(f, g) for f in lrow for g in rrow] for lrow in dl for rrow in dr])
-
-
 def sampled_residual(model: GaudinModel, sub: str, lam, mu, p: int = 2, q: int = 2):
     """The structural identity ``sub`` at one sample pair (lam, mu):
 
@@ -287,7 +307,16 @@ def sampled_residual(model: GaudinModel, sub: str, lam, mu, p: int = 2, q: int =
     lam and one at mu, for every identity, so all four raise a pole error on
     the same pairs and draw the same pairs at a seed: lax is defined on
     exactly that domain, mk and trbrackets on larger ones.  k = 1 in every
-    family a model accepts, so mk multiplies by no k."""
+    family a model accepts, so mk multiplies by no k.  Each entry is one sum
+    on the legs, with B n x n, R and S the rows of rbar_ab and rbar_ba, and
+    (i1 i2) = i1 n + i2:
+
+        [R, B_a]_(i1 i2),(j1 j2) = sum_k R[(i1 i2),(k j2)] B[k][j1] - R[(k i2),(j1 j2)] B[i1][k]
+        [S, B_b]_(i1 i2),(j1 j2) = sum_k S[(i1 i2),(j1 k)] B[k][j2] - S[(i1 k),(j1 j2)] B[i2][k]
+        M(lam, nu)_ij = p sum_(u,v) B^(p-1)[u][v] rbar_ba(nu, lam)[(v i),(u j)]
+
+    an rbb or mk entry one combination with the exact entries of rbar as
+    coefficients, a lax entry one product sum."""
     if sub not in ("rbb", "lax", "mk", "trbrackets"):
         raise ValueError(f"unknown structural identity {sub!r}")
     if min(p, q) < 1:
@@ -297,23 +326,37 @@ def sampled_residual(model: GaudinModel, sub: str, lam, mu, p: int = 2, q: int =
     at_lam, at_mu = point_frame(case, lam), point_frame(case, mu)
     b_lam = big_B(_site_sums(model, at_lam))
     b_mu = big_B(_site_sums(model, at_mu))
-    rbar_ab = rbar_at(case, lam, at_mu)
-    rbar_ba = swap_pair(rbar_at(case, mu, at_lam))
-    eye = Matrix.identity(2)
-    if sub == "rbb":
-        return (_bracket_matrix(b_lam, b_mu) - commutator(rbar_ab, tensor_pair(b_lam, eye))
-                + commutator(rbar_ba, tensor_pair(eye, b_mu)))
+    r = rbar_at(case, lam, at_mu).rows
+    s = swap_pair(rbar_at(case, mu, at_lam)).rows
     if sub == "trbrackets":
-        return poisson_bracket((b_lam ** p).trace(), (b_mu ** q).trace())
-    b_pow = tensor_pair(b_lam ** (p - 1), eye)
+        return poisson_bracket(_power(b_lam, p).trace(), _power(b_mu, q).trace())
+    n, ks = len(b_lam), range(len(b_lam))
+    if sub == "rbb":
+        legs = [divmod(i, n) for i in range(n * n)]
+        dl, dr = ([[partials(f) for f in row] for row in b] for b in (b_lam, b_mu))
+        return SpinRows(tuple(_combination(
+            [(1, bracket_partials(dl[i1][j1], dr[i2][j2]))]
+            + [term for k in ks for term in ((-r[i1 * n + i2][k * n + j2], b_lam[k][j1]),
+                                              (r[k * n + i2][j1 * n + j2], b_lam[i1][k]),
+                                              (s[i1 * n + i2][j1 * n + k], b_mu[k][j2]),
+                                              (-s[i1 * n + k][j1 * n + j2], b_mu[i2][k]))])
+            for j1, j2 in legs) for i1, i2 in legs)
+    power = _power(b_lam, p - 1) if p > 1 else SpinRows.identity(n)
 
-    def m_at(rbar_nu_lam):  # M(lam, nu) from rbar_ba(nu, lam)
-        return partial_trace(b_pow * rbar_nu_lam, "a").scale(Fraction(p))
+    def m_terms(rbar, sign=1):  # the (coefficient, B^(p-1) entry) pairs of each entry of sign M(lam, nu)
+        return [[[(sign * p * rbar[v * n + i][u * n + j], power[u][v]) for u in ks for v in ks] for j in ks]
+                for i in ks]
 
-    m = m_at(rbar_ba)
-    if sub == "lax":
-        return _bracket_matrix(Matrix([[(b_lam ** p).trace()]]), b_mu) - commutator(b_mu, m)
-    return m - m_at(swap_pair(rbar_at(case, case.tau(mu), at_lam)))
+    if sub == "mk":
+        s_tau = swap_pair(rbar_at(case, case.tau(mu), at_lam)).rows
+        return SpinRows(tuple(_combination(a + b) for a, b in zip(*rows))
+                        for rows in zip(m_terms(s), m_terms(s_tau, -1)))
+    m = SpinRows(tuple(_combination(terms) for terms in row) for row in m_terms(s))
+    dt = partials(_power(b_lam, p).trace())  # the bracket enters the product sum times the constant UNIT
+    return SpinRows(tuple(_product_sum([(1, 0, bracket_partials(dt, partials(b_mu[i][j])), UNIT)]
+                                       + [quad for k in ks for quad in ((-1, 0, b_mu[i][k], m[k][j]),
+                                                                        (1, 0, m[i][k], b_mu[k][j]))])
+                          for j in ks) for i in ks)
 
 
 # ---------------------------------------------------------------------------

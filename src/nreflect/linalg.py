@@ -1,5 +1,5 @@
-"""Exact linear algebra over scalars (or any commutative ring), and
-tensor-leg operations on (C^n)^x2 and (C^n)^x3 that read the factor size n
+"""Exact linear algebra over the scalars of one field, and tensor-leg
+operations on (C^n)^x2 and (C^n)^x3 that read the factor size n
 from the matrix shape.
 
 Every matrix is stored as sparse rows mapping a column to a nonzero entry.
@@ -30,9 +30,9 @@ integer, so a coordinate convolution is one integer product (Kronecker
 substitution; D. Harvey, "Faster polynomial multiplication via multipoint
 Kronecker substitution", J. Symbolic Comput. 44, 2009); a single-use
 product (``*``, ``scale``, ``kron``) stays schoolbook, as packing measured
-slower there.  Any other entries, such as the ``SpinPoly``s of the Gaudin
-B, are stored as they are and need ``+``, ``-``, ``*`` and truthiness;
-such a matrix has no ``inverse``.
+slower there.  A matrix holds nothing else: polynomial entries, such as
+the ``SpinPoly``s of the Gaudin B, are refused with TypeError, and the
+layer that owns their ring multiplies them (:mod:`nreflect.gaudin`).
 """
 
 from __future__ import annotations
@@ -53,10 +53,9 @@ PLACEMENTS = ("ab", "ac", "bc", "ba", "ca", "cb")
 
 
 class Matrix:
-    """A matrix as sparse rows ``{column: value}`` of its nonzero entries.
-    In the integer form ``_order`` is N (1 over Q) and a value is a vector
-    of integer numerators over ``_den``; otherwise ``_order`` and ``_den``
-    are None and a value is the ring entry itself."""
+    """A matrix of exact scalars as sparse rows ``{column: value}`` of its
+    nonzero entries: ``_order`` is N (1 over Q) and a value is a vector of
+    integer numerators over ``_den``."""
 
     __slots__ = ("nrows", "ncols", "_order", "_den", "_sparse")
 
@@ -64,17 +63,9 @@ class Matrix:
         rows = tuple(tuple(row) for row in rows)
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ShapeError("rows must be non-empty and of equal length")
-        self._fill([{j: a for j, a in enumerate(row) if a} for row in rows], len(rows[0]))
-
-    def _fill(self, entries, ncols):
-        """Store sparse rows of nonzero ring values, in the integer form
-        when every value is an exact scalar of one order."""
-        self.nrows, self.ncols = len(entries), ncols
+        entries = [{j: a for j, a in enumerate(row) if a} for row in rows]
+        self.nrows, self.ncols = len(rows), len(rows[0])
         order = _exact_order(entries)
-        if order is None:
-            self._order = self._den = None
-            self._sparse = entries
-            return
         den = math.lcm(*(a.den if type(a) is Cyclotomic else a.denominator for row in entries for a in row.values()))
         pad = (0,) * (euler_phi(order) - 1)
         self._order, self._den = order, den
@@ -94,43 +85,23 @@ class Matrix:
 
     @property
     def rows(self):
-        """The entries, row by row, with ``ZERO`` in the gaps; for the
-        integer form, canonical ``Fraction``/``Cyclotomic`` values built on
-        each read."""
+        """The entries, row by row, with ``ZERO`` in the gaps: canonical
+        ``Fraction``/``Cyclotomic`` values built on each read."""
         cols, order, den = range(self.ncols), self._order, self._den
-        if order is None:
-            return tuple(tuple([r.get(j, ZERO) for j in cols]) for r in self._sparse)
         return tuple(tuple([_canonical(order, r[j], den) if j in r else ZERO for j in cols]) for r in self._sparse)
 
     def __getitem__(self, idx):
         i, j = idx
         val = self._sparse[i].get(range(self.ncols)[j])
-        if val is None:
-            return ZERO
-        return val if self._order is None else _canonical(self._order, val, self._den)
+        return ZERO if val is None else _canonical(self._order, val, self._den)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        return self._combine(other, 1)
+        return combination(((1, self), (1, other))) if isinstance(other, Matrix) else NotImplemented
 
     def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def _combine(self, other, sign):
-        """self + sign * other: a :func:`combination` for exact scalars."""
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self._order is not None and other._order is not None:
-            return combination(((1, self), (sign, other)))
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ShapeError(f"shape mismatch {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
-        op = operator.add if sign > 0 else operator.sub
-        out = [dict(ra) for ra in _values(self)]
-        for row, rb in zip(out, _values(other)):
-            for j, b in rb.items():
-                row[j] = op(row.get(j, ZERO), b)
-        return _matrix(None, None, out, self.nrows, self.ncols)
+        return combination(((1, self), (-1, other))) if isinstance(other, Matrix) else NotImplemented
 
     def __neg__(self):
         return self.scale(-ONE)
@@ -140,28 +111,15 @@ class Matrix:
             return self.scale(other)
         if self.ncols != other.nrows:
             raise ShapeError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        order = _field(self, other)
-        if order is not None:
-            return _matrix(order, self._den * other._den, _product(order, self._sparse, other._sparse),
-                           self.nrows, other.ncols)
-        vb = _values(other)
-        out = []
-        for ra in _values(self):
-            acc = {}  # each entry starts from its first term
-            for k, a in ra.items():
-                for j, b in vb[k].items():
-                    acc[j] = acc[j] + a * b if j in acc else a * b
-            out.append(acc)
-        return _matrix(None, None, out, self.nrows, other.ncols)
+        order = _one_field(self._order, other._order)
+        return _matrix(order, self._den * other._den, _product(order, self._sparse, other._sparse),
+                       self.nrows, other.ncols)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, s):
-        if self._order is not None and type(s) in (Fraction, int, Cyclotomic):
-            return combination(((s, self),))
-        return _matrix(None, None, [{j: s * a for j, a in row.items()} for row in _values(self)],
-                       self.nrows, self.ncols)
+        return combination(((s, self),))
 
     def __pow__(self, exponent: int):
         if self.nrows != self.ncols:
@@ -173,12 +131,9 @@ class Matrix:
         return _power(self, exponent)
 
     def __eq__(self, other):
-        """Equal values: equal data for two exact matrices, both in normal
-        form; the entries of ``rows`` when one holds ring entries."""
+        """Equal values: equal data, both matrices in normal form."""
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self._order is None or other._order is None:
-            return self.rows == other.rows
         return ((self.nrows, self.ncols, self._order, self._den, self._sparse)
                 == (other.nrows, other.ncols, other._order, other._den, other._sparse))
 
@@ -213,12 +168,10 @@ class Matrix:
         refused with SingularMatrixError naming ``label`` and the first
         column where Gauss-Jordan over the field finds no pivot: field
         column k lies in the span of those before it exactly when column
-        phi k of R(A) does.  Ring entries cannot be inverted."""
+        phi k of R(A) does."""
         if self.nrows != self.ncols:
             raise ShapeError("inverse needs a square matrix")
         order, n = self._order, self.nrows
-        if order is None:
-            raise TypeError(f"{label}: inverse needs exact scalar entries of one field")
         phi = euler_phi(order)
         right, den = _eliminate(_regular(order, self._sparse, n), phi, label, self._den)
         # the block of row i: its phi rows, read column by column
@@ -227,13 +180,7 @@ class Matrix:
 
     def kron(self, other):
         """Tensor (Kronecker) product."""
-        order = _field(self, other)
-        nb = other.ncols
-        if order is None:
-            vb = _values(other)
-            out = [{ja * nb + jb: x * y for ja, x in ra.items() for jb, y in rb.items()}
-                   for ra in _values(self) for rb in vb]
-            return _matrix(None, None, out, self.nrows * other.nrows, self.ncols * nb)
+        order, nb = _one_field(self._order, other._order), other.ncols
         out = [{ja * nb + jb: _times(order, x, y) for ja, x in ra.items() for jb, y in rb.items()}
                for ra in self._sparse for rb in other._sparse]
         return _matrix(order, self._den * other._den, out, self.nrows * other.nrows, self.ncols * nb)
@@ -305,9 +252,9 @@ def _eliminate(rows, phi, label, scale):
 
 def _exact_order(rows):
     """The order N of the one field Q(zeta_N) holding every value of the
-    sparse rows when each is an int, a Fraction or a Cyclotomic (1 when
-    none is a Cyclotomic); None when one is a ring entry.
-    OrderMismatchError for two cyclotomic orders."""
+    sparse rows, each an int, a Fraction or a Cyclotomic (1 when none is a
+    Cyclotomic).  TypeError for any other value, OrderMismatchError for two
+    cyclotomic orders."""
     order = 1
     for row in rows:
         for a in row.values():
@@ -316,7 +263,7 @@ def _exact_order(rows):
                 if a.order != order:
                     order = _one_field(order, a.order)
             elif kind is not Fraction and kind is not int:
-                return None
+                raise TypeError("Matrix needs exact scalar entries of one field")
     return order
 
 
@@ -324,12 +271,8 @@ def _matrix(order, den, sparse, nrows, ncols):
     """The matrix of the nonzero numerator vectors ``sparse`` over den in
     normal form: held over Q (order 1, 1-tuples) when no coordinate past the
     first is nonzero, and den and the numerators divided by their gcd, so
-    equal matrices have equal data.  For order None, of ring values, after
-    dropping the zeros, in the form their kind decides."""
+    equal matrices have equal data."""
     m = object.__new__(Matrix)
-    if order is None:
-        m._fill([{j: a for j, a in row.items() if a} for row in sparse], ncols)
-        return m
     if order != 1 and not any(any(vec[1:]) for row in sparse for vec in row.values()):
         order, sparse = 1, [{j: vec[:1] for j, vec in row.items()} for row in sparse]
     g = _content(den, map(dict.values, sparse))
@@ -339,22 +282,6 @@ def _matrix(order, den, sparse, nrows, ncols):
     m.nrows, m.ncols = nrows, ncols
     m._order, m._den, m._sparse = order, den, sparse
     return m
-
-
-def _field(*matrices):
-    """The order N of the one field Q(zeta_N) holding every one of the
-    matrices (a rational one lies in each); None when one holds ring
-    entries.  OrderMismatchError for two cyclotomic orders."""
-    orders = [m._order for m in matrices]
-    return None if None in orders else _one_field(*orders)
-
-
-def _values(m):
-    """m's sparse rows of ring values: canonical scalars for the integer form."""
-    if m._order is None:
-        return m._sparse
-    order, den = m._order, m._den
-    return [{j: _canonical(order, vec, den) for j, vec in row.items()} for row in m._sparse]
 
 
 def _times(order, x, y):
@@ -417,8 +344,8 @@ def combination(pairs) -> Matrix:
     multiplies the integers directly, and not at all when its folded factor
     is 1; a cyclotomic one multiplies each vector by :func:`_times`.  Over
     Q(zeta_N) a rational matrix's 1-tuples are padded once, and sums are
-    taken coordinatewise.  TypeError for ring entries, OrderMismatchError
-    for two cyclotomic orders."""
+    taken coordinatewise.  TypeError for a coefficient that is no exact
+    scalar, OrderMismatchError for two cyclotomic orders."""
     pairs = list(pairs)
     nrows, ncols = pairs[0][1].nrows, pairs[0][1].ncols
     orders, terms = [], []
@@ -426,7 +353,7 @@ def combination(pairs) -> Matrix:
         if m.nrows != nrows or m.ncols != ncols:
             raise ShapeError(f"shape mismatch {nrows}x{ncols} vs {m.nrows}x{m.ncols}")
         kind = type(c)
-        if m._order is None or not (kind is Cyclotomic or kind is Fraction or kind is int):
+        if not (kind is Cyclotomic or kind is Fraction or kind is int):
             raise TypeError("combination needs exact scalar entries of one field")
         if kind is Cyclotomic:  # never zero
             orders += (c.order, m._order)
@@ -490,18 +417,15 @@ def product_sum(terms) -> Matrix:
     Q(zeta_N) each of its numerator vectors is packed into one int, its
     coordinates w bits apart, w bounding every accumulated coordinate from
     the largest numerators, the longest row of each a, phi(N) and the scale
-    factors.  TypeError for ring entries, OrderMismatchError for two
-    cyclotomic orders."""
+    factors.  OrderMismatchError for two cyclotomic orders."""
     terms = list(terms)
     nrows, ncols = terms[0][1].nrows, terms[0][2].ncols
     for _, a, b in terms:
         if a.ncols != b.nrows or (a.nrows, b.ncols) != (nrows, ncols):
             raise ShapeError(f"cannot sum the {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols} product "
                              f"into {nrows}x{ncols}")
-    orders = [m._order for _, a, b in terms for m in (a, b)]
-    if None in orders:
-        raise TypeError("product_sum needs exact scalar entries of one field")
-    order, den = _one_field(*orders), math.lcm(*(a._den * b._den for _, a, b in terms))
+    order = _one_field(*(m._order for _, a, b in terms for m in (a, b)))
+    den = math.lcm(*(a._den * b._den for _, a, b in terms))
     scaled = [(sign * (den // (a._den * b._den)), a, b) for sign, a, b in terms]
     matrices = {id(m): m for _, a, b in terms for m in (a, b)}
     width, packed = 0, {key: m._sparse for key, m in matrices.items()}  # a 1-tuple is its own packed form
@@ -573,15 +497,14 @@ def partial_trace(m: Matrix, leg: str) -> Matrix:
         raise ShapeError(f"leg must be 'a' or 'b', got {leg!r}")
     pairs = [divmod(r, n) for r in range(n * n)]  # (traced, kept) leg of a pair index
     legs = pairs if leg == "a" else [(kept, traced) for traced, kept in pairs]
-    exact, out = m._order is not None, [{} for _ in range(n)]
+    out = [{} for _ in range(n)]
     for (t, i), row in zip(legs, m._sparse):
         for c, val in row.items():
             s, j = legs[c]
             if s == t:
                 old = out[i].get(j)
-                out[i][j] = val if old is None else tuple(map(operator.add, old, val)) if exact else old + val
-    if exact:
-        out = [{j: vec for j, vec in row.items() if any(vec)} for row in out]
+                out[i][j] = val if old is None else tuple(map(operator.add, old, val))
+    out = [{j: vec for j, vec in row.items() if any(vec)} for row in out]
     return _matrix(m._order, m._den, out, n, n)
 
 
@@ -593,7 +516,7 @@ class Basis(tuple):
     @cached_property
     def table(self) -> "LegValues":
         _pair_factor(self[0], "Basis")
-        return LegTable([[{c: (x,) for c, x in row.items()} for row in _values(m)] for m in self]).at(ONE)
+        return LegTable([[{c: (m[r, c],) for c in row} for r, row in enumerate(m._sparse)] for m in self]).at(ONE)
 
 
 class LegTable:

@@ -208,10 +208,6 @@ class KSolution:
         return equivalence_transform(self)
 
 
-def _poly(x) -> Poly:
-    return x if isinstance(x, Poly) else Poly.const(x)
-
-
 def _adjugate(rows) -> tuple:
     """(adj m, det m) of the square matrix m of polynomial rows, by
     cofactors, det m as a RatFun."""
@@ -245,24 +241,27 @@ def _conjugated(left: list, m: Matrix, right: list) -> list:
 
 
 def _factor(case: KSolution, j: int) -> tuple:
-    """(A, roots): k(tau^j(nu)) = A(nu) / prod (nu - root)^mult, A a matrix of
-    polynomials, k's entries composed with tau^j by
+    """(A, roots): k(tau^j(nu)) = A(nu) / prod (nu - root)^mult, A as rows
+    of polynomials, k's entries composed with tau^j by
     :meth:`~nreflect.ratfun.RatFun.mobius`."""
     t, n = case.tau.iterate(j), case.n
     nums, roots = over_one_denominator([f.mobius(t.a, t.b, t.c, t.d) if j else f for row in case.k for f in row])
-    return Matrix([nums[i * n:(i + 1) * n] for i in range(n)]), roots
+    return [nums[i * n:(i + 1) * n] for i in range(n)], roots
 
 
 def compile_k(case: KSolution) -> tuple:
     """(terms, k^(N)) for k^(j)(nu) = k(nu) k(tau(nu)) ... k(tau^(j-1)(nu))
     = P_j(nu) / q_j(nu): for j = 1, ..., N - 1 the term (P_j, the roots of
     q_j, adj P_j, det P_j), P_j and adj P_j as rows of polynomials, and
-    k^(N), which nothing inverts, as a :class:`KMatrix`."""
-    product, roots, terms = Matrix.identity(case.n), [], []
+    k^(N), which nothing inverts, as a :class:`KMatrix`.  P_j is the
+    product P_(j-1) A_(j-1) of rows of polynomials (:func:`_factor`), one
+    sum of products per entry."""
+    rows, roots, terms = None, [], []
     for j in range(case.N):
         factor, extra = _factor(case, j)
-        product, roots = product * factor, roots + extra
-        rows = [[_poly(x) for x in row] for row in product.rows]
+        rows = factor if rows is None else [[sum((a * b for a, b in zip(row, col)), Poly()) for col in zip(*factor)]
+                                            for row in rows]
+        roots = roots + extra
         if j < case.N - 1:
             terms.append((rows, roots, *_adjugate(rows)))
     return tuple(terms), KMatrix(tuple(RatFun(p, roots) for p in row) for row in rows)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 
-from .linalg import Matrix
-
 
 def residual_entry(point, residual) -> dict:
+    """A matrix (``Matrix`` or ``SpinRows``) is witnessed by its
+    ``first_nonzero`` entry, a scalar or a spin polynomial by its value."""
     entry = {"sample": [str(x) for x in point], "status": "exact-zero"}
-    if isinstance(residual, Matrix):
+    if hasattr(residual, "first_nonzero"):
         witness = residual.first_nonzero()
         if witness is not None:
             i, j, val = witness

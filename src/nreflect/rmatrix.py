@@ -19,8 +19,8 @@ from operator import lshift, ne, or_, sub
 from typing import Callable, Optional
 
 from .errors import ConstraintError, PoleError, ShapeError
-from .linalg import Basis, Matrix, _field, _matrix, _pair_factor, combination, permutation_operator, swap_pair
-from .scalars import Scalar, _pack, _pack_width, _power_rows, as_scalar, euler_phi
+from .linalg import Basis, Matrix, _matrix, _pair_factor, combination, permutation_operator, swap_pair
+from .scalars import Scalar, _one_field, _pack, _pack_width, _power_rows, as_scalar, euler_phi
 
 MAX_FACTOR_SIZE = 16  # the largest n of C^n: the CYBE residual keeps n^5 sums of n^2 slots each
 
@@ -116,14 +116,12 @@ def _cybe_kernel(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
     and w holds a folded coordinate: the bits of phi n sum |f| top top' over the
     six products (f the factor to the lcm) times 1 + max_u sum_t |row_t[u]|, x^t
     = sum_u row_t[u] x^u mod Phi_N, plus a sign bit, rounded up to 64.  Sums
-    that are 0 before or after the fold are not read back.  TypeError for ring
-    entries, OrderMismatchError for two cyclotomic orders, ShapeError unless
-    all four are n^2 x n^2."""
+    that are 0 before or after the fold are not read back.  OrderMismatchError
+    for two cyclotomic orders, ShapeError unless all four are n^2 x n^2."""
     n = _pair_factor(a, "cybe_residual")
     if any((m.nrows, m.ncols) != (a.nrows, a.ncols) for m in (b, c, d)):
         raise ShapeError(f"cybe_residual needs four {a.nrows}x{a.ncols} pair-leg matrices")
-    if (order := _field(a, b, c, d)) is None:
-        raise TypeError("cybe_residual needs exact scalar entries of one field")
+    order = _one_field(a._order, b._order, c._order, d._order)
     phi, nn, cube, n4, flat = euler_phi(order), n * n, n**3, n**4, chain.from_iterable
     den = math.lcm(a._den * b._den, a._den * c._den, b._den * d._den)
     fab, fac, fbd = den // (a._den * b._den), den // (a._den * c._den), den // (b._den * d._den)

@@ -99,12 +99,15 @@ def test_zero_coefficients_keep_shape_and_hold_zero_over_q():
 
 
 def test_ring_entries_are_refused():
-    # a matrix of ring entries, or a ring coefficient, is refused as inverse refuses it
-    b = Matrix([[s_plus(1), 0], [s_z(1), Fraction(1, 2)]])
+    # a matrix of ring entries is refused where it would be built, and a ring coefficient by combination
+    with pytest.raises(TypeError, match="^Matrix needs exact scalar entries of one field$"):
+        Matrix([[s_plus(1), 0], [s_z(1), Fraction(1, 2)]])
     exact = Matrix([[Fraction(1, 2), 0], [0, 1]])
-    for pairs in ([(Fraction(2), b)], [(1, exact), (0, b)], [(s_z(2), exact)]):
+    for pairs in ([(s_z(2), exact)], [(1, exact), (s_plus(1), exact)]):
         with pytest.raises(TypeError, match="^combination needs exact scalar entries of one field$"):
             combination(pairs)
+    with pytest.raises(TypeError, match="^combination needs exact scalar entries of one field$"):
+        exact.scale(s_z(1))
 
 
 def test_two_orders_are_refused():

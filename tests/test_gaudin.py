@@ -5,6 +5,7 @@ import pytest
 from nreflect.errors import ModelError, PoleError
 from nreflect import gaudin
 from nreflect.gaudin import (
+    SpinRows,
     big_B,
     case_for_config,
     hamiltonian_explicit,
@@ -17,11 +18,10 @@ from nreflect.gaudin import (
     sampled_residual,
     site_values,
 )
-from nreflect.linalg import Matrix
 from nreflect.rmatrix import rational_r
 from nreflect.sampling import DEFAULT_SEED, SplitMix64, sample_evaluated
 from nreflect.scalars import zeta
-from nreflect.spinalg import casimir, poisson_bracket, s_minus, s_plus, s_z
+from nreflect.spinalg import SpinPoly, casimir, poisson_bracket, s_minus, s_plus, s_z
 
 F = Fraction
 
@@ -44,12 +44,14 @@ def z3_model(z=(1, 2)):
 
 def spin_block(m):
     """ell_m = [[s_m^z/2, s_m^+], [s_m^-, -s_m^z/2]]."""
-    return Matrix([[F(1, 2) * s_z(m), s_plus(m)], [s_minus(m), F(-1, 2) * s_z(m)]])
+    return ((F(1, 2) * s_z(m), s_plus(m)), (s_minus(m), F(-1, 2) * s_z(m)))
 
 
-def local_block(m, x):
-    """ell_m / x, the single-site block at the shifted argument x != 0."""
-    return spin_block(m).scale(1 / x)
+def block_sum(terms):
+    """sum c ell_m over the (c, m) pairs, entry by entry: for c = 1/x the
+    single-site block ell_m / x at the shifted argument x != 0."""
+    return tuple(tuple(sum((c * spin_block(m)[i][j] for c, m in terms), SpinPoly()) for j in range(2))
+                 for i in range(2))
 
 
 def B_at(model, lam):
@@ -89,8 +91,9 @@ class TestLocalLax:
     def test_entry(self):
         model = model_from_config({"case": "plain", "z": [0]})
         ell = B_at(model, F(2))
-        assert ell[0, 0] == F(1, 4) * s_z(1)
-        assert ell[0, 1] == F(1, 2) * s_plus(1)
+        assert type(ell) is SpinRows
+        assert ell[0][0] == F(1, 4) * s_z(1)
+        assert ell[0][1] == F(1, 2) * s_plus(1)
 
     def test_pole_at_zero(self):
         with pytest.raises(PoleError):
@@ -98,31 +101,45 @@ class TestLocalLax:
 
     def test_local_poisson_relation(self):
         # {ell_a(1,lam), ell_b(1,mu)} = [P/(lam-mu), ell_a + ell_b], checked
-        # entrywise as spin polynomials at (lam, mu) = (2, 3)
-        from nreflect.gaudin import _bracket_matrix
-        from nreflect.linalg import commutator, tensor_pair
+        # entrywise as spin polynomials at (lam, mu) = (2, 3), with the
+        # entrywise references of the matrix oracle
+        from test_oracle_matrix import ref_kron, ref_mul
 
-        model = bcl_model()
         lam, mu = F(2), F(3)
-        ea, eb = local_block(1, lam), local_block(1, mu)
-        eye = Matrix.identity(2)
-        lhs = _bracket_matrix(ea, eb)
-        r_val = rational_r(2)(lam, mu)
-        rhs = commutator(r_val, tensor_pair(ea, eye) + tensor_pair(eye, eb))
-        assert (lhs - rhs).is_zero()
+        ea, eb = block_sum([(1 / lam, 1)]), block_sum([(1 / mu, 1)])
+        eye = ((F(1), F(0)), (F(0), F(1)))
+        lhs = [[poisson_bracket(x, y) for x in ra for y in rb] for ra in ea for rb in eb]
+        r_val = rational_r(2)(lam, mu).rows
+        total = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(ref_kron(ea, eye), ref_kron(eye, eb))]
+        rhs = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ref_mul(r_val, total), ref_mul(total, r_val))]
+        assert lhs == rhs and any(f for row in lhs for f in row)
+
+
+class TestSpinRows:
+    def test_product_trace_and_row_major_witness(self):
+        zero = SpinPoly()
+        a = SpinRows(((zero, s_plus(1)), (s_minus(2), s_z(1))))
+        b = SpinRows(((s_z(2), zero), (zero, SpinPoly.const(3))))
+        assert a * b == ((zero, 3 * s_plus(1)), (s_minus(2) * s_z(2), 3 * s_z(1)))
+        assert a * SpinRows.identity(2) == a == SpinRows.identity(2) * a
+        assert (a * b).trace() == 3 * s_z(1) and SpinRows.identity(3).trace() == 3
+        # row by row, as Matrix.first_nonzero: (0, 1) comes before (1, 0)
+        assert a.first_nonzero() == (0, 1, s_plus(1))
+        assert SpinRows(((zero, zero), (s_z(1), zero))).first_nonzero() == (1, 0, s_z(1))
+        assert not a.is_zero() and SpinRows(((zero, zero), (zero, zero))).is_zero()
 
 
 class TestBigB:
     def test_trivial_structure_is_plain_sum(self):
         model = model_from_config({"case": "plain", "z": [1, 2]})
         lam = F(5)
-        expected = local_block(1, lam - 1) + local_block(2, lam - 2)
+        expected = block_sum([(1 / (lam - 1), 1), (1 / (lam - 2), 2)])
         assert B_at(model, lam) == expected
 
     def test_bcl_single_site(self):
         model = model_from_config({"case": "bcl", "z": [1]})
         lam = F(5)
-        expected = local_block(1, lam - 1) - local_block(1, -lam - 1)
+        expected = block_sum([(1 / (lam - 1), 1), (-1 / (-lam - 1), 1)])
         assert B_at(model, lam) == expected
 
     def test_pole_raises(self):
@@ -143,14 +160,10 @@ class TestBigB:
         model = three_reflection_model()
         case = model.case
         for lam in (F(7), F(-3, 2), F(11, 5)):
-            from_coefficients = None
-            by_definition = None
-            for m, (zm, c) in enumerate(zip(model.sites, model.site_coefficients), start=1):
-                term = spin_block(m).scale(c.eval_at(lam))
-                from_coefficients = term if from_coefficients is None else from_coefficients + term
-                for j, point in enumerate(case.orbit(lam)):
-                    term = local_block(m, point - zm).scale(case.weights(j, lam))
-                    by_definition = term if by_definition is None else by_definition + term
+            sites = list(enumerate(zip(model.sites, model.site_coefficients), start=1))
+            from_coefficients = block_sum([(c.eval_at(lam), m) for m, (_, c) in sites])
+            by_definition = block_sum([(case.weights(j, lam) / (point - zm), m)
+                                       for m, (zm, _) in sites for j, point in enumerate(case.orbit(lam))])
             fixed = B_at(model, lam)
             assert from_coefficients == fixed
             assert by_definition == fixed
@@ -287,7 +300,8 @@ class TestStructuralIdentities:
         assert sampled_residual(model, "trbrackets", F(5), F(7), 2, 3).is_zero()
         # rbar has a pole at lam = mu, so the bracket there is taken of B(5) directly
         b = B_at(model, F(5))
-        assert poisson_bracket((b ** 2).trace(), (b ** 2).trace()).is_zero()
+        assert poisson_bracket((b * b).trace(), (b * b).trace()).is_zero()
+        assert not (b * b).trace().is_zero()
 
     def test_lax(self):
         model = two_reflection_model(z=(1, 2))

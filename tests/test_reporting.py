@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from nreflect.gaudin import SpinRows
 from nreflect.linalg import Matrix
 from nreflect.reporting import build_report, residual_entry
 from nreflect.scalars import cyclotomic, scalar_to_str, zeta
@@ -68,9 +69,14 @@ def test_spin_polynomial_witness_and_label_samples():
     assert residual_entry(("H_1",), SPIN) == {
         "sample": ["H_1"], "status": "nonzero", "witness": {"value": SPIN_TEXT}}
     assert residual_entry(("H_1", "H_2"), SPIN - SPIN) == {"sample": ["H_1", "H_2"], "status": "exact-zero"}
-    assert Matrix([[SPIN, 0], [Fraction(-1, 2), CYCLOTOMICS[3][0]]]).pretty() == (
-        f"[{SPIN_TEXT}             0]\n"
-        "[                                                -1/2  -1/2 + 2/3*z]")
+    # spin-polynomial rows are witnessed as a Matrix is, row by row; a Matrix holds no spin polynomial
+    zero = SPIN - SPIN
+    rows = SpinRows(((zero, SPIN), (Fraction(-1, 2) * s_z(1), zero)))
+    assert residual_entry(POINT, rows) == {
+        "sample": ["-3/2", "4", "0"], "status": "nonzero", "witness": {"row": 0, "col": 1, "value": SPIN_TEXT}}
+    assert residual_entry(POINT, SpinRows(((zero,),))) == {"sample": ["-3/2", "4", "0"], "status": "exact-zero"}
+    with pytest.raises(TypeError, match="^Matrix needs exact scalar entries of one field$"):
+        Matrix([[SPIN, 0], [Fraction(-1, 2), CYCLOTOMICS[3][0]]])
 
 
 def test_scalar_to_str_takes_numbers_and_refuses_labels():

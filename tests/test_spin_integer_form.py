@@ -20,6 +20,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nreflect.errors import DegreeError, OrderMismatchError  # noqa: E402
+from nreflect.gaudin import SpinRows  # noqa: E402
 from nreflect.linalg import Matrix  # noqa: E402
 from nreflect.scalars import ZERO, Cyclotomic, cyclotomic, euler_phi, zeta  # noqa: E402
 from nreflect.spinalg import (  # noqa: E402
@@ -250,7 +251,11 @@ def test_a_constant_hashes_as_its_scalar(value):
     for route in (poly, s_z(1) + poly - s_z(1), (s_plus(2) + poly) * 1 - s_plus(2)):
         assert route == value and hash(route) == hash(value)
     assert len({poly, value}) == 1
-    assert hash(Matrix([[poly, 0]])) == hash(Matrix([[value, 0]])) and Matrix([[poly, 0]]) == Matrix([[value, 0]])
+    rows = SpinRows(((poly, SpinPoly()),))
+    assert hash(rows) == hash(((value, 0),)) and rows == ((value, 0),)
+    if value:  # a Matrix holds exact scalars only; the zero polynomial is a dropped zero entry
+        with pytest.raises(TypeError, match="^Matrix needs exact scalar entries of one field$"):
+            Matrix([[poly, 0]])
 
 
 # ---------------------------------------------------------------------------
