@@ -105,10 +105,18 @@ class TestKProducts:
         case = case_by_label("linear-k-N2-diag-th2")
         assert case.compiled[1](F(1)) == Matrix.identity(2).scale(F(3))
 
-    @pytest.mark.parametrize("label", [label for label in sorted(CATALOG) if not case_by_label(label).identity_k])
+    @pytest.mark.parametrize("label", [label for label in sorted(CATALOG) if not case_by_label(label).identity_k]
+                             + ["noncommuting"])
     def test_compiled_products_are_the_products_along_the_orbit(self, label):
-        # k^(j)(nu) = k(nu) k(tau(nu)) ... k(tau^(j-1)(nu)), multiplied out here
-        case = case_by_label(label)
+        # k^(j)(nu) = k(nu) k(tau(nu)) ... k(tau^(j-1)(nu)), multiplied out here.  Every cataloged k
+        # commutes with itself at two points, so the product order shows only on the extra case: the
+        # tau of linear-k-N2-diag-th2 with k(nu) = [[1, nu], [nu, 0]], k(a) k(b) != k(b) k(a) for a != b
+        if label == "noncommuting":
+            one, nu = RatFun.const(F(1)), RatFun(Poly.linear(F(1), F(0)))
+            case = dataclasses.replace(case_by_label("linear-k-N2-diag-th2"), label=label, expected_f=None,
+                                       k=KMatrix(((one, nu), (nu, RatFun.const(F(0))))))
+        else:
+            case = case_by_label(label)
         for nu in (F(5, 3), F(-7, 2), F(11, 5)):
             product = Matrix.identity(case.n)
             for j, point in enumerate(case.orbit(nu), 1):
