@@ -63,9 +63,9 @@ class Matrix:
         rows = tuple(tuple(row) for row in rows)
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ShapeError("rows must be non-empty and of equal length")
+        order = _exact_order(rows)
         entries = [{j: a for j, a in enumerate(row) if a} for row in rows]
         self.nrows, self.ncols = len(rows), len(rows[0])
-        order = _exact_order(entries)
         den = math.lcm(*(a.den if type(a) is Cyclotomic else a.denominator for row in entries for a in row.values()))
         pad = (0,) * (euler_phi(order) - 1)
         self._order, self._den = order, den
@@ -251,13 +251,13 @@ def _eliminate(rows, phi, label, scale):
 
 
 def _exact_order(rows):
-    """The order N of the one field Q(zeta_N) holding every value of the
-    sparse rows, each an int, a Fraction or a Cyclotomic (1 when none is a
-    Cyclotomic).  TypeError for any other value, OrderMismatchError for two
-    cyclotomic orders."""
+    """The order N of the one field Q(zeta_N) holding every entry of the
+    rows, zeros included, each an int, a Fraction or a Cyclotomic (1 when
+    none is a Cyclotomic).  TypeError for any other entry, even a zero
+    polynomial, OrderMismatchError for two cyclotomic orders."""
     order = 1
     for row in rows:
-        for a in row.values():
+        for a in row:
             kind = type(a)
             if kind is Cyclotomic:
                 if a.order != order:

@@ -305,7 +305,7 @@ def test_spin_polynomial_tables_and_inverse_are_refused():
     # only matrices of exact scalars are formed, so only they are tabled or inverted, and only exact
     # coefficients compiled
     m = [[SPINS[(i + j) % 4] if (i * j) % 3 else Fraction(i - j, 2) for j in range(4)] for i in range(4)]
-    for rows in (m, [[s_z(1), ONE], [ZERO, Fraction(2)]], [[Poly([ONE, ONE]), ZERO]]):
+    for rows in (m, [[s_z(1), ONE], [ZERO, Fraction(2)]], [[Poly([ONE, ONE]), ZERO]], [[ONE, SpinPoly()]], [[Poly()]]):
         with pytest.raises(TypeError, match="^Matrix needs exact scalar entries of one field$"):
             Matrix(rows)
     with pytest.raises(TypeError, match="^LegTable needs exact scalar coefficients of one field$"):

@@ -253,9 +253,8 @@ def test_a_constant_hashes_as_its_scalar(value):
     assert len({poly, value}) == 1
     rows = SpinRows(((poly, SpinPoly()),))
     assert hash(rows) == hash(((value, 0),)) and rows == ((value, 0),)
-    if value:  # a Matrix holds exact scalars only; the zero polynomial is a dropped zero entry
-        with pytest.raises(TypeError, match="^Matrix needs exact scalar entries of one field$"):
-            Matrix([[poly, 0]])
+    with pytest.raises(TypeError, match="^Matrix needs exact scalar entries of one field$"):
+        Matrix([[poly, 0]])
 
 
 # ---------------------------------------------------------------------------
