@@ -348,9 +348,8 @@ def sampled_residual(model: GaudinModel, sub: str, lam, mu, p: int = 2, q: int =
                 for i in ks]
 
     if sub == "mk":
-        s_tau = swap_pair(rbar_at(case, case.tau(mu), at_lam)).rows
-        return SpinRows(tuple(_combination(a + b) for a, b in zip(*rows))
-                        for rows in zip(m_terms(s), m_terms(s_tau, -1)))
+        m_mu, m_tau = m_terms(s), m_terms(swap_pair(rbar_at(case, case.tau(mu), at_lam)).rows, -1)
+        return SpinRows(tuple(_combination(m_mu[i][j] + m_tau[i][j]) for j in ks) for i in ks)
     m = SpinRows(tuple(_combination(terms) for terms in row) for row in m_terms(s))
     dt = partials(_power(b_lam, p).trace())  # the bracket enters the product sum times the constant UNIT
     return SpinRows(tuple(_product_sum([(1, 0, bracket_partials(dt, partials(b_mu[i][j])), UNIT)]
