@@ -6,6 +6,14 @@ label (plus the base-r ``cybe`` variants and the ``g1-sign`` tamper), at a
 fixed seed and a small sample count.  Any change to the exact arithmetic,
 the sampler or the rendering that moves a single byte of a report fails here.
 
+The ``linear-k-N3-*`` labels, whose data lie in Q(zeta_3), are also recorded
+away from their catalog defaults, at theta = 5/7 and at theta = -3 (seed 13,
+6 samples, where the first draw is a pole lam = nu); ``symmetry`` and the
+tamper pin nonzero Q(zeta_3) witnesses.  At theta = -3, det k = theta^3 +
+nu^3 vanishes at nu = 3, which seed 536 draws: there ``nre``, ``compact``,
+``rbar-cybe`` and ``nunitarity`` pin the sampler's redraw on a singular
+k^(j)(nu).
+
 Re-record (only when a report is meant to change) with::
 
     PYTHONPATH=src python tests/test_verify_digests.py
@@ -28,6 +36,11 @@ from nreflect.reflection import CATALOG
 DATA = Path(__file__).parent / "data" / "verify_digests.json"
 SEED = "7"
 SAMPLES = "2"
+CYCLOTOMIC = {  # name suffix -> the verify arguments before --case
+    "nre": ["nre"], "compact": ["compact"], "symmetry": ["symmetry"],
+    "symmetry omega=z^2": ["symmetry", "--omega", "z^2"], "nunitarity": ["nunitarity"],
+    "rbar-cybe": ["rbar-cybe"], "nre tamper": ["nre", "--tamper", "g1-sign"],
+}
 
 
 def commands() -> dict:
@@ -43,6 +56,14 @@ def commands() -> dict:
             if subject != "cybe":
                 cmds[f"{subject} {label}"] = ["verify", subject, "--case", label, *base]
         cmds[f"nre {label} tamper"] = ["verify", "nre", "--case", label, "--tamper", "g1-sign", *base]
+    for label in sorted(CATALOG):
+        for theta in ("5/7", "-3") if label.startswith("linear-k-N3-") else ():
+            for name, subject in CYCLOTOMIC.items():
+                cmds[f"{name} {label} theta={theta}"] = [
+                    "verify", *subject, "--case", label, "--params", f"theta={theta}", "--seed", "13", "--samples", "6"]
+            for subject in ("nre", "compact", "rbar-cybe", "nunitarity") if theta == "-3" else ():
+                cmds[f"{subject} {label} theta=-3 singular"] = [
+                    "verify", subject, "--case", label, "--params", "theta=-3", "--seed", "536", "--samples", "6"]
     return cmds
 
 
