@@ -46,8 +46,8 @@ from functools import cached_property, reduce
 from typing import NamedTuple
 
 from .errors import ShapeError, SingularMatrixError
-from .scalars import (ONE, ZERO, Cyclotomic, _canonical, _content, _fold, _mul_reduce, _one_field, _pack, _pack_width,
-                      _power, _power_rows, _unpack_fold, euler_phi)
+from .scalars import (ONE, ZERO, Cyclotomic, _canonical, _content, _fold, _mul_reduce, _one_field, _over, _pack,
+                      _pack_width, _power, _power_rows, _unpack_fold, euler_phi)
 
 PLACEMENTS = ("ab", "ac", "bc", "ba", "ca", "cb")
 
@@ -545,16 +545,12 @@ class LegTable:
         values = [x for coeffs in polys for x in coeffs]
         if any(type(x) not in (Fraction, int, Cyclotomic) for x in values):
             raise TypeError("LegTable needs exact scalar coefficients of one field")
-        order = _one_field(*(x.order for x in values if type(x) is Cyclotomic))
-        den = math.lcm(*(x.den if type(x) is Cyclotomic else x.denominator for x in values))
-        phi, length = euler_phi(order), max(map(len, polys), default=1)
-        pad, rows = (0,) * (phi - 1), [{} for _ in terms[0]]
+        (order, numerators, den), length = _over(values), max(map(len, polys), default=1)
+        phi, rows, numerators = euler_phi(order), [{} for _ in terms[0]], iter(numerators)
         for t, term in enumerate(terms):
             for entries, row in zip(rows, term):
                 for c, coeffs in row.items():
-                    vectors = [(0,) * phi] * (length - len(coeffs)) + [
-                        tuple(y * (den // x.den) for y in x.num) if type(x) is Cyclotomic
-                        else (x.numerator * (den // x.denominator),) + pad for x in reversed(coeffs)]
+                    vectors = [(0,) * phi] * (length - len(coeffs)) + [next(numerators) for _ in coeffs][::-1]
                     ts, nums = entries.setdefault(c, ([], []))
                     for u, poly in enumerate(zip(*vectors), t * phi):
                         if any(poly):

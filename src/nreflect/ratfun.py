@@ -11,10 +11,10 @@ arithmetic we need and makes residues exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from .errors import PoleError
-from .scalars import ZERO, ONE, scalar_sort_key
+from .scalars import ZERO, ONE, Cyclotomic, _balanced, _canonical, _over, _pack, euler_phi, scalar_sort_key
 
 
 class Poly:
@@ -163,16 +163,14 @@ class RatFun:
         """num / prod (alpha*x + beta); degenerate factors (alpha = 0) divide
         the numerator by the constant beta instead."""
         num = num if isinstance(num, Poly) else Poly.const(num)
-        roots = []
+        roots, lead = [], ONE
         for alpha, beta in factors:
             if alpha:
                 roots.append((-beta / alpha, 1))
-                num = num.scale(1 / alpha)
-            else:
-                if not beta:
-                    raise ZeroDivisionError("zero linear factor in denominator")
-                num = num.scale(1 / beta)
-        return RatFun(num, roots)
+            elif not beta:
+                raise ZeroDivisionError("zero linear factor in denominator")
+            lead = lead * (alpha or beta)
+        return RatFun(_times(num, 1 / lead), roots)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -186,15 +184,15 @@ class RatFun:
         return self.num == other.num and self.roots == other.roots
 
     def denominator_poly(self) -> Poly:
-        return _root_poly(self.roots)
+        return _times_roots(Poly.const(ONE), self.roots)
 
     def eval_at(self, x):
         """The value at x; PoleError at a root of the denominator.  Where the
-        coefficients and roots are rational, a Fraction point p/q is
-        evaluated on integers: Horner's scheme on the numerator with its
-        denominators cleared, each root u/v as the factor p v - u q, and
-        one normalization of the quotient.  Anything over Q(zeta_N) takes
-        field arithmetic."""
+        roots are rational and the coefficients lie in Q or one Q(zeta_N), a
+        Fraction point p/q is evaluated on integers: Horner's scheme on the
+        numerator with its denominators cleared, each root u/v as the factor
+        p v - u q, and one normalization of the quotient.  A cyclotomic root
+        or point takes field arithmetic."""
         if type(x) is Fraction:
             if self._integers is None:
                 self._integers = _integer_form(self)
@@ -248,12 +246,15 @@ class RatFun:
         """f((a x + b) / (c x + d)) for ad - bc != 0, as a rational function
         of x: with T = a x + b, B = c x + d, a numerator of degree D and M
         roots u_k counted with multiplicity, it is sum_i f_i T^i B^(D - i),
-        by a homogeneous Horner pass, times B^(M - D) over
-        prod_k (T - u_k B)."""
-        top, bottom = Poly.linear(a, b), Poly.linear(c, d)
-        num, power = Poly(), Poly.const(ONE)
-        for coeff in reversed(self.num.coeffs):
-            num, power = num * top + power.scale(coeff), power * bottom
+        by a homogeneous Horner pass from f_D T + f_(D-1) B, times
+        B^(M - D) over prod_k (T - u_k B)."""
+        top, bottom, coeffs = Poly.linear(a, b), Poly.linear(c, d), self.num.coeffs
+        num, power = self.num, bottom
+        if len(coeffs) > 1:
+            num = _times(top, coeffs[-1]) + _times(bottom, coeffs[-2])
+        for coeff in reversed(coeffs[:-2]):
+            power = power * bottom
+            num = num * top + _times(power, coeff)
         factors = [(a - root * c, b - root * d) for root, mult in self.roots for _ in range(mult)]
         for _ in range(len(factors) - self.num.degree):
             num = num * bottom
@@ -300,27 +301,32 @@ class RatFun:
 
 
 def _integer_form(f: RatFun) -> tuple:
-    """f = sum_i C_i x^i / (L prod_k (x - u_k/v_k)^m_k) with integers C_i
-    (highest degree first), L, u_k and v_k, as (C, L, ((u_k, v_k, m_k), ...),
-    prod_k v_k^m_k, sum_k m_k - deg f); () where a coefficient or root is
-    not rational."""
+    """f = sum_i C_i x^i / (L prod_k (x - u_k/v_k)^m_k) with integers C_i (highest degree first; phi(N) ints each
+    over Q(zeta_N)), L, u_k and v_k, as (C, L, ((u_k, v_k, m_k), ...), prod_k v_k^m_k, sum_k m_k - deg f, field):
+    field is None over Q, else (N, phi(N), the bits of prod_k v_k^m_k times the largest coordinate sum of the
+    |C_i|, {width: C packed}); () for a cyclotomic root."""
     coeffs = f.num.coeffs
-    if not all(type(c) in (Fraction, int) for c in coeffs + tuple(r for r, _ in f.roots)):
+    if not all(type(c) in (Fraction, int, Cyclotomic) for c in coeffs) or not all(
+            type(r) in (Fraction, int) for r, _ in f.roots):
         return ()
-    den = lcm(*(c.denominator for c in coeffs))
-    scale = 1
+    (order, vectors, den), scale = _over(coeffs[::-1]), 1
+    phi = euler_phi(order)
     for root, mult in f.roots:
         scale *= root.denominator**mult
-    return (tuple(c.numerator * (den // c.denominator) for c in reversed(coeffs)), den,
+    field = None if order == 1 else (
+        order, phi, (max(sum(abs(v[u]) for v in vectors) for u in range(phi)) * scale).bit_length(), {})
+    return (tuple(v[0] for v in vectors) if order == 1 else tuple(vectors), den,
             tuple((root.numerator, root.denominator, mult) for root, mult in f.roots), scale,
-            sum(mult for _, mult in f.roots) - len(coeffs) + 1)
+            sum(mult for _, mult in f.roots) - len(coeffs) + 1, field)
 
 
-def _eval_integer(form: tuple, x: Fraction) -> Fraction:
+def _eval_integer(form: tuple, x: Fraction):
     """The function of :func:`_integer_form` at x = p/q: over q^deg the
     numerator is the homogeneous Horner sum of C_i p^i q^(deg - i), and
-    over q^(sum m_k) prod_k v_k^m_k the denominator is prod_k (p v_k - u_k q)^m_k."""
-    coeffs, den, roots, scale, shift = form
+    over q^(sum m_k) prod_k v_k^m_k the denominator is prod_k (p v_k - u_k q)^m_k.
+    Over Q(zeta_N) the pass runs on the C_i packed w bits apart, w holding a
+    sign and the field's bound times max(|p|, q)^(deg + max(shift, 0))."""
+    coeffs, den, roots, scale, shift, field = form
     p, q = x.numerator, x.denominator
     for u, v, mult in roots:
         factor = p * v - u * q
@@ -328,6 +334,10 @@ def _eval_integer(form: tuple, x: Fraction) -> Fraction:
             raise PoleError(f"rational function has a pole at {x}")
         den *= factor**mult
     num, power = 0, 1
+    if field:
+        order, phi, top, packed = field
+        width = top + (len(coeffs) - 1 + max(shift, 0)) * max(abs(p), q).bit_length() + 1
+        coeffs = packed.get(width) or packed.setdefault(width, [_pack(c, width) for c in coeffs])
     for c in coeffs:
         num = num * p + c * power
         power *= q
@@ -336,7 +346,9 @@ def _eval_integer(form: tuple, x: Fraction) -> Fraction:
         num *= q**shift
     else:
         den *= q**-shift
-    return Fraction(num, den)
+    if not field:
+        return Fraction(num, den)
+    return _canonical(order, _balanced(num if den > 0 else -num, width, phi), abs(den))
 
 
 def over_one_denominator(fs) -> tuple:
@@ -347,16 +359,21 @@ def over_one_denominator(fs) -> tuple:
     for f in fs:
         for root, mult in f.roots:
             union[root] = max(union.get(root, 0), mult)
-    return [f.num * _root_poly((r, m - f.multiplicity(r)) for r, m in union.items()) for f in fs], list(union.items())
+    return ([_times_roots(f.num, [(r, m - f.multiplicity(r)) for r, m in union.items()]) for f in fs],
+            list(union.items()))
 
 
-def _root_poly(factors) -> Poly:
-    """prod (x - root)^mult over (root, mult) pairs."""
-    out = Poly.const(ONE)
+def _times_roots(poly: Poly, factors) -> Poly:
+    """poly prod (x - root)^mult over (root, mult) pairs."""
     for root, mult in factors:
         for _ in range(mult):
-            out = out * Poly.linear(ONE, -root)
-    return out
+            poly = poly * Poly.linear(ONE, -root)
+    return poly
+
+
+def _times(poly: Poly, s) -> Poly:
+    """poly times the scalar s, with no product where s is 1 or -1."""
+    return poly if s == 1 else -poly if s == -1 else poly.scale(s)
 
 
 def _cancel(num: Poly, root_map: dict):

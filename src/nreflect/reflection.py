@@ -31,9 +31,9 @@ the orbit, the weights g^(j)(nu) and, for j < N, det P_j(nu), with no
 elimination and no product of k.  Its table is the compiled one evaluated
 at nu in one integer Horner pass, built on the first rbar it serves;
 identity-k frames share the table the base r builds once.  At a rational
-nu of a case with rational data, the orbit, the weights and the base-r
-scalars f_i are evaluated on integers, with one ``Fraction``
-normalization per value.  :func:`rbar_at` reads g^(j)(nu) / det P_j(nu)
+nu, tau(nu), the weights, k(nu) and the base-r scalars f_i are evaluated
+on integers, over Q and Q(zeta_N) alike, with one normalization per
+value.  :func:`rbar_at` reads g^(j)(nu) / det P_j(nu)
 and f_i(lam, tau^j(nu)) as integer numerators and denominators and takes
 one dot per entry over one lcm.
 """
@@ -45,15 +45,14 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
-from math import lcm
 from typing import Callable, Optional
 
 from .errors import ConstraintError, PoleError, UnsupportedCaseError
 from .linalg import LegTable, LegValues, Matrix, permutation_operator, product_sum, tensor_pair
-from .ratfun import Poly, RatFun, over_one_denominator
+from .ratfun import Poly, RatFun, _times, over_one_denominator
 from .reporting import build_report
 from .rmatrix import RMatrixFun, cybe_residual, rational_r, trig_r
-from .scalars import ONE, ZERO, Scalar, as_scalar, zeta
+from .scalars import ONE, ZERO, Scalar, _canonical, _over, as_scalar, zeta
 
 
 # ---------------------------------------------------------------------------
@@ -63,43 +62,45 @@ from .scalars import ONE, ZERO, Scalar, as_scalar, zeta
 @dataclass(frozen=True)
 class MobiusMap:
     """nu -> (a nu + b) / (c nu + d) with ad - bc != 0.  A map with rational
-    coefficients also keeps them as the integers (A, B, C, D) over their
-    common denominator, which define the same map."""
+    c, d also keeps its coefficients as integer numerators (A, B, C, D) over
+    one denominator, A and B as phi(N) ints each over Q(zeta_N)."""
 
     a: Scalar
     b: Scalar
     c: Scalar
     d: Scalar
-    _integers: Optional[tuple] = field(init=False, repr=False, compare=False)
+    _integers: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in "abcd":
             object.__setattr__(self, name, as_scalar(getattr(self, name)))
         if not (self.a * self.d - self.b * self.c):
             raise ConstraintError("degenerate Mobius map: ad - bc = 0")
-        coefficients, integers = (self.a, self.b, self.c, self.d), None
-        if all(type(x) is Fraction for x in coefficients):
-            den = lcm(*(x.denominator for x in coefficients))
-            integers = tuple(x.numerator * (den // x.denominator) for x in coefficients)
-        object.__setattr__(self, "_integers", integers)
+        if type(self.c) is Fraction and type(self.d) is Fraction:
+            order, (a, b, (c, *_), (d, *_)), _ = _over((self.a, self.b, self.c, self.d))
+            object.__setattr__(self, "_integers", (a[0], b[0], c, d, 1) if order == 1 else (a, b, c, d, order))
 
     @staticmethod
     def identity():
         return MobiusMap(ONE, ZERO, ZERO, ONE)
 
     def __call__(self, nu):
-        """The image of nu; PoleError where c nu + d = 0.  A rational map at
-        a rational point p/q is (A p + B q) / (C p + D q) on its integer
-        coefficients, normalized once; a map or point over Q(zeta_N) takes
-        field arithmetic."""
+        """The image of nu; PoleError where c nu + d = 0.  A map with rational
+        c, d at a rational point p/q is (A p + B q) / (C p + D q) on its
+        integer numerators over an int, normalized once; a cyclotomic c, d
+        or point takes field arithmetic."""
         nu = as_scalar(nu)
         if self._integers is not None and type(nu) is Fraction:
-            a, b, c, d = self._integers
+            a, b, c, d, order = self._integers
             p, q = nu.numerator, nu.denominator
             den = c * p + d * q
             if not den:
                 raise PoleError(f"Mobius map has a pole at nu = {nu}")
-            return Fraction(a * p + b * q, den)
+            if order == 1:
+                return Fraction(a * p + b * q, den)
+            if den < 0:
+                den, p, q = -den, -p, -q
+            return _canonical(order, [x * p + y * q for x, y in zip(a, b)], den)
         den = self.c * nu + self.d
         if not den:
             raise PoleError(f"Mobius map has a pole at nu = {nu}")
@@ -210,14 +211,16 @@ class KSolution:
 
 def _adjugate(rows) -> tuple:
     """(adj m, det m) of the square matrix m of polynomial rows, by
-    cofactors, det m as a RatFun."""
+    cofactors, det m as a RatFun; a 1 x 1 minor is its entry, a sign a negation."""
     def det(rows):  # Laplace expansion along the first row
-        return sum(((-1) ** j * rows[0][j] * det([r[:j] + r[j + 1:] for r in rows[1:]])
-                    for j in range(len(rows)) if rows[0][j]), Poly()) if rows else Poly.const(ONE)
+        if len(rows) < 2:
+            return rows[0][0] if rows else Poly.const(ONE)
+        terms = [(j, entry * det([r[:j] + r[j + 1:] for r in rows[1:]])) for j, entry in enumerate(rows[0]) if entry]
+        return sum((-term if j % 2 else term for j, term in terms), Poly())
 
     n = len(rows)
-    adj = [[(-1) ** (i + j) * det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j]) for j in range(n)]
-           for i in range(n)]
+    adj = [[det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j]) for j in range(n)] for i in range(n)]
+    adj = [[-d if (i + j) % 2 else d for j, d in enumerate(row)] for i, row in enumerate(adj)]
     return adj, RatFun(sum((rows[0][j] * adj[j][0] for j in range(n)), Poly()))
 
 
@@ -225,7 +228,7 @@ def _conjugated(left: list, m: Matrix, right: list) -> list:
     """(1 x left) m (1 x right) for n x n rows of polynomials, as sparse rows
     of coefficient tuples: entry (a x, c y) of m, times left[b][x] and
     right[y][d], goes to (a b, c d), and each product left[b][x] right[y][d]
-    is formed once for every m."""
+    is formed once for every m, and added or subtracted where m has 1 or -1."""
     n, out, products = len(left), [{} for _ in range(m.nrows)], {}
     for r, row in enumerate(m.rows):
         a, x = divmod(r, n)
@@ -236,7 +239,7 @@ def _conjugated(left: list, m: Matrix, right: list) -> list:
                     if (b, x, y, d) not in products:
                         products[b, x, y, d] = left[b][x] * right[y][d]
                     entry = out[a * n + b]
-                    entry[c * n + d] = entry.get(c * n + d, Poly()) + products[b, x, y, d].scale(value)
+                    entry[c * n + d] = entry.get(c * n + d, Poly()) + _times(products[b, x, y, d], value)
     return [{c: p.coeffs for c, p in row.items() if p} for row in out]
 
 
@@ -245,7 +248,7 @@ def _factor(case: KSolution, j: int) -> tuple:
     of polynomials, k's entries composed with tau^j by
     :meth:`~nreflect.ratfun.RatFun.mobius`."""
     t, n = case.tau.iterate(j), case.n
-    nums, roots = over_one_denominator([f.mobius(t.a, t.b, t.c, t.d) if j else f for row in case.k for f in row])
+    nums, roots = over_one_denominator([f.mobius(t.a, t.b, t.c, t.d) if j and f else f for row in case.k for f in row])
     return [nums[i * n:(i + 1) * n] for i in range(n)], roots
 
 

@@ -126,6 +126,16 @@ def _pack_width(bound: int) -> int:
     return bound.bit_length() + 1
 
 
+def _balanced(v: int, width: int, count: int) -> list:
+    """The ``count`` lowest balanced digits, in [-2^(width-1), 2^(width-1)), of v in base 2^width."""
+    half, mask, digits = 1 << (width - 1), (1 << width) - 1, []
+    for _ in range(count):
+        digit = ((v + half) & mask) - half
+        digits.append(digit)
+        v = (v - digit) >> width
+    return digits
+
+
 def _unpack_fold(order: int, sums: list, width: int, factors: int) -> list:
     """The nonzero numerator vectors of the packed ints in each dict of
     ``sums``, each a sum of products of ``factors`` vectors of Q(zeta_order)
@@ -136,16 +146,10 @@ def _unpack_fold(order: int, sums: list, width: int, factors: int) -> list:
         return [{k: (v,) for k, v in acc.items() if v} for acc in sums]
     phi = euler_phi(order)
     table, count, out = _power_rows(order), factors * (phi - 1) + 1, []
-    half, mask = 1 << (width - 1), (1 << width) - 1
     for acc in sums:
         vectors = {}
         for k, v in acc.items():
-            digits = []
-            for _ in range(count):
-                digit = ((v + half) & mask) - half
-                digits.append(digit)
-                v = (v - digit) >> width
-            vec = tuple(_fold(table, digits, phi))
+            vec = tuple(_fold(table, _balanced(v, width, count), phi))
             if any(vec):
                 vectors[k] = vec
         out.append(vectors)
@@ -162,6 +166,15 @@ def _one_field(*orders) -> int:
                 raise OrderMismatchError(f"cannot mix Q(zeta_{out}) with Q(zeta_{order})")
             out = order
     return out
+
+
+def _over(values) -> tuple:
+    """(N, vectors, den) for the exact scalars ``values`` of one Q(zeta_N): the phi(N) integer numerators of each,
+    as a list, over den, the lcm of their denominators; OrderMismatchError for two cyclotomic orders."""
+    order = _one_field(*[x.order for x in values if type(x) is Cyclotomic])
+    den, pad = lcm(*[x.den if type(x) is Cyclotomic else x.denominator for x in values]), [0] * (euler_phi(order) - 1)
+    return order, [[c * (den // x.den) for c in x.num] if type(x) is Cyclotomic
+                   else [x.numerator * (den // x.denominator)] + pad for x in values], den
 
 
 def _content(den: int, rows) -> int:
@@ -208,13 +221,14 @@ def _inverse_parts(order: int, num) -> tuple:
     conjugates sigma_k (zeta -> zeta^k, gcd(k, N) = 1) and norm, their
     product with num, a positive int.  Over Q (N = 1) others is the sign
     of num and norm its absolute value."""
-    others = [1] + [0] * (len(num) - 1)
+    others = [1]
     for k in range(2, order):
         if gcd(k, order) == 1:
             conjugate = [0] * order
             for j, c in enumerate(num):
                 conjugate[j * k % order] += c
-            others = _mul_reduce(order, others, _reduce(order, conjugate))
+            conjugate = _reduce(order, conjugate)
+            others = _mul_reduce(order, others, conjugate) if len(others) > 1 else conjugate
     norm = _mul_reduce(order, num, others)[0]  # a rational integer
     if norm < 0:
         norm, others = -norm, [-c for c in others]
