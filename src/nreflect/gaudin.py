@@ -398,9 +398,11 @@ def _config_scalar(val, what: str):
 def model_from_config(config: dict) -> GaudinModel:
     """Build a model from a JSON-style dict:
     {"case": kind, "params": {...}, "L": int, "z": [...]}.
-    Scalars are integers or exact strings like "5/3"."""
+    Scalars are integers or exact strings like "5/3"; any other key is an error."""
     if not isinstance(config, dict):
         raise ModelError("model config must be a JSON object")
+    if unknown := sorted(config.keys() - {"case", "params", "L", "z"}, key=str):
+        raise ModelError(f"model config has no key {unknown[0]!r}; it takes case, params, L, z")
     kind = config.get("case", "plain")
     raw_params = config.get("params", {})
     if not isinstance(raw_params, dict):

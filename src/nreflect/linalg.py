@@ -40,14 +40,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import sys
 from fractions import Fraction
 from functools import cached_property, reduce
 from typing import NamedTuple
 
 from .errors import ShapeError, SingularMatrixError
 from .scalars import (ONE, ZERO, Cyclotomic, _canonical, _content, _fold, _mul_reduce, _one_field, _over, _pack,
-                      _pack_width, _power, _power_rows, _unpack_fold, euler_phi)
+                      _pack_width, _power, _power_rows, _unpack, _unpack_fold, euler_phi)
 
 PLACEMENTS = ("ab", "ac", "bc", "ba", "ca", "cb")
 
@@ -532,30 +531,34 @@ class LegTable:
 
     __slots__ = ("order", "den", "terms", "offsets", "cols", "bounds", "index", "nums", "_top", "_packed")
 
-    def __init__(self, terms, offsets=()):
-        """The table whose term t holds at (r, c) the polynomial in nu with
-        the exact scalar coefficients terms[t][r][c], lowest degree first,
-        given as sparse rows over one field, factor pair j reading the terms
-        from offsets[j] on, or every pair from term 0 where no offsets are
-        given: the coefficients over one denominator, and each coordinate's
-        integers, padded to the highest degree, indexed where one is
-        nonzero.  TypeError for ring coefficients, OrderMismatchError for
-        two cyclotomic orders."""
-        polys = [coeffs for term in terms for row in term for coeffs in row.values()]
-        values = [x for coeffs in polys for x in coeffs]
-        if any(type(x) not in (Fraction, int, Cyclotomic) for x in values):
-            raise TypeError("LegTable needs exact scalar coefficients of one field")
-        (order, numerators, den), length = _over(values), max(map(len, polys), default=1)
-        phi, rows, numerators = euler_phi(order), [{} for _ in terms[0]], iter(numerators)
+    def __init__(self, terms, offsets=(), order=None, den=1):
+        """The table whose term t holds at (r, c) the polynomial terms[t][r][c]
+        in nu, given as sparse rows over one field: its exact scalar
+        coefficients, lowest degree first, put over one denominator here,
+        or, with ``order``, an integer coordinate polynomial of
+        :class:`~nreflect.ratfun._Packed` over ``den``.  Factor pair j reads
+        the terms from offsets[j] on, or from term 0 without offsets.  Each
+        coordinate's integers, padded to the highest degree, are indexed
+        where one is nonzero.  TypeError for ring coefficients,
+        OrderMismatchError for two cyclotomic orders."""
+        if order is None:
+            values = [x for term in terms for row in term for coeffs in row.values() for x in coeffs]
+            if any(type(x) not in (Fraction, int, Cyclotomic) for x in values):
+                raise TypeError("LegTable needs exact scalar coefficients of one field")
+            order, numerators, den = _over(values)
+            numerators = iter(numerators)
+            terms = [[{c: tuple(zip(*[next(numerators) for _ in coeffs])) for c, coeffs in row.items()} for row in term]
+                     for term in terms]
+        phi, rows = euler_phi(order), [{} for _ in terms[0]]
+        length = max((len(poly) for term in terms for row in term for x in row.values() for poly in x), default=1)
         for t, term in enumerate(terms):
             for entries, row in zip(rows, term):
-                for c, coeffs in row.items():
-                    vectors = [(0,) * phi] * (length - len(coeffs)) + [next(numerators) for _ in coeffs][::-1]
+                for c, x in row.items():
                     ts, nums = entries.setdefault(c, ([], []))
-                    for u, poly in enumerate(zip(*vectors), t * phi):
+                    for u, poly in enumerate(x, t * phi):
                         if any(poly):
                             ts.append(u)
-                            nums.append(poly)
+                            nums.append((0,) * (length - len(poly)) + poly[::-1])
         self.order, self.den, self.terms, self.offsets = order, den, len(terms), offsets or itertools.repeat(0)
         self.cols, self.bounds, self.index, self.nums = [list(row) for row in rows], [], [], []
         for row in rows:
@@ -571,11 +574,10 @@ class LegTable:
         degree, in one integer Horner pass over every numerator at once:
         the coefficients of each degree are packed w bits apart into one
         int (Kronecker substitution), w holding each sum, at most its
-        coefficients' absolute sum times max(|p|, q)^D, with its sign, and
-        the sums are read back from the bytes of the result, 64-bit slots
-        as machine words, which measured faster than slicing the bytes.  A
-        point over Q(zeta_N) takes field arithmetic, and each term's values
-        are tabled again as constant polynomials."""
+        coefficients' absolute sum times max(|p|, q)^D, with its sign, read
+        back by :func:`~nreflect.scalars._unpack`.  A point over Q(zeta_N)
+        takes field arithmetic, and each term's values are tabled again as
+        constant polynomials."""
         if type(nu) is not Fraction:
             phi, terms = euler_phi(self.order), [[{} for _ in self.cols] for _ in range(self.terms)]
             units = [_canonical(self.order, [int(u == v) for v in range(phi)], self.den) for u in range(phi)]
@@ -590,14 +592,7 @@ class LegTable:
         acc, power = 0, 1
         for row in self._packed.get(width) or self._packed.setdefault(width, [_pack(c, width) for c in zip(*self.nums)]):
             acc, power = acc * p + row * power, power * q
-        size, half = width // 8, 1 << (width - 1)
-        raw = (acc + int.from_bytes(half.to_bytes(size, "little") * len(self.nums), "little")).to_bytes(
-            size * len(self.nums), "little")
-        if width == 64 and sys.byteorder == "little":
-            nums = [x - half for x in memoryview(raw).cast("Q")]
-        else:
-            nums = [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, len(raw), size)]
-        return LegValues(self, self.den * q**degree, nums)
+        return LegValues(self, self.den * q**degree, _unpack([acc], width, len(self.nums)))
 
 
 class LegValues(NamedTuple):

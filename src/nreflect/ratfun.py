@@ -11,10 +11,13 @@ arithmetic we need and makes residues exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from itertools import chain, combinations, product, repeat
+from math import factorial, prod
+from operator import add, mul
 
 from .errors import PoleError
-from .scalars import ZERO, ONE, Cyclotomic, _balanced, _canonical, _over, _pack, euler_phi, scalar_sort_key
+from .scalars import (ZERO, ONE, Cyclotomic, _canonical, _one_field, _over, _pack, _power_rows, _unpack, euler_phi,
+                      scalar_sort_key)
 
 
 class Poly:
@@ -209,13 +212,13 @@ class RatFun:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, RatFun):
-            if isinstance(other, Poly):
-                other = RatFun(other)
-            else:
-                other = RatFun.const(other)
-        (mine, theirs), roots = over_one_denominator((self, other))
-        return RatFun(mine + theirs, roots)
+        other = other if isinstance(other, RatFun) else RatFun(other if isinstance(other, Poly) else Poly.const(other))
+        union = {}  # the lcm of the two denominators
+        for root, mult in self.roots + other.roots:
+            union[root] = max(union.get(root, 0), mult)
+        mine, theirs = (_times_roots(f.num, [(r, m - f.multiplicity(r)) for r, m in union.items()])
+                        for f in (self, other))
+        return RatFun(mine + theirs, list(union.items()))
 
     __radd__ = __add__
 
@@ -241,24 +244,6 @@ class RatFun:
     def scale(self, s):
         """Multiply by a scalar."""
         return RatFun(self.num.scale(s), self.roots)
-
-    def mobius(self, a, b, c, d):
-        """f((a x + b) / (c x + d)) for ad - bc != 0, as a rational function
-        of x: with T = a x + b, B = c x + d, a numerator of degree D and M
-        roots u_k counted with multiplicity, it is sum_i f_i T^i B^(D - i),
-        by a homogeneous Horner pass from f_D T + f_(D-1) B, times
-        B^(M - D) over prod_k (T - u_k B)."""
-        top, bottom, coeffs = Poly.linear(a, b), Poly.linear(c, d), self.num.coeffs
-        num, power = self.num, bottom
-        if len(coeffs) > 1:
-            num = _times(top, coeffs[-1]) + _times(bottom, coeffs[-2])
-        for coeff in reversed(coeffs[:-2]):
-            power = power * bottom
-            num = num * top + _times(power, coeff)
-        factors = [(a - root * c, b - root * d) for root, mult in self.roots for _ in range(mult)]
-        for _ in range(len(factors) - self.num.degree):
-            num = num * bottom
-        return RatFun.over_linears(num, factors + [(c, d)] * (self.num.degree - len(factors)))
 
     def derivative(self):
         """(p'q - pq') / q^2 with q the split-linear denominator."""
@@ -301,66 +286,162 @@ class RatFun:
 
 
 def _integer_form(f: RatFun) -> tuple:
-    """f = sum_i C_i x^i / (L prod_k (x - u_k/v_k)^m_k) with integers C_i (highest degree first; phi(N) ints each
-    over Q(zeta_N)), L, u_k and v_k, as (C, L, ((u_k, v_k, m_k), ...), prod_k v_k^m_k, sum_k m_k - deg f, field):
-    field is None over Q, else (N, phi(N), the bits of prod_k v_k^m_k times the largest coordinate sum of the
-    |C_i|, {width: C packed}); () for a cyclotomic root."""
+    """f = sum_i C_i x^i / (L prod_k (x - u_k/v_k)^m_k) with integers C_i (phi(N) each over Q(zeta_N)), L, u_k and
+    v_k, as (N, the C_i of each coordinate, highest degree first, L, ((u_k, v_k, m_k), ...), prod_k v_k^m_k,
+    sum_k m_k - deg f); () for a cyclotomic root."""
     coeffs = f.num.coeffs
     if not all(type(c) in (Fraction, int, Cyclotomic) for c in coeffs) or not all(
             type(r) in (Fraction, int) for r, _ in f.roots):
         return ()
-    (order, vectors, den), scale = _over(coeffs[::-1]), 1
-    phi = euler_phi(order)
-    for root, mult in f.roots:
-        scale *= root.denominator**mult
-    field = None if order == 1 else (
-        order, phi, (max(sum(abs(v[u]) for v in vectors) for u in range(phi)) * scale).bit_length(), {})
-    return (tuple(v[0] for v in vectors) if order == 1 else tuple(vectors), den,
-            tuple((root.numerator, root.denominator, mult) for root, mult in f.roots), scale,
-            sum(mult for _, mult in f.roots) - len(coeffs) + 1, field)
+    order, vectors, den = _over(coeffs[::-1])
+    return (order, tuple(zip(*vectors)) or ((),), den, tuple((r.numerator, r.denominator, m) for r, m in f.roots),
+            prod(r.denominator**m for r, m in f.roots), sum(m for _, m in f.roots) - len(coeffs) + 1)
 
 
 def _eval_integer(form: tuple, x: Fraction):
-    """The function of :func:`_integer_form` at x = p/q: over q^deg the
-    numerator is the homogeneous Horner sum of C_i p^i q^(deg - i), and
-    over q^(sum m_k) prod_k v_k^m_k the denominator is prod_k (p v_k - u_k q)^m_k.
-    Over Q(zeta_N) the pass runs on the C_i packed w bits apart, w holding a
-    sign and the field's bound times max(|p|, q)^(deg + max(shift, 0))."""
-    coeffs, den, roots, scale, shift, field = form
+    """The function of :func:`_integer_form` at x = p/q: over q^deg each coordinate of the numerator is the
+    homogeneous Horner sum of C_i p^i q^(deg - i), and over q^(sum m_k) prod_k v_k^m_k the denominator is
+    prod_k (p v_k - u_k q)^m_k; normalized once."""
+    order, cols, den, roots, scale, shift = form
     p, q = x.numerator, x.denominator
     for u, v, mult in roots:
-        factor = p * v - u * q
-        if not factor:
+        if not (factor := p * v - u * q):
             raise PoleError(f"rational function has a pole at {x}")
         den *= factor**mult
-    num, power = 0, 1
-    if field:
-        order, phi, top, packed = field
-        width = top + (len(coeffs) - 1 + max(shift, 0)) * max(abs(p), q).bit_length() + 1
-        coeffs = packed.get(width) or packed.setdefault(width, [_pack(c, width) for c in coeffs])
-    for c in coeffs:
-        num = num * p + c * power
-        power *= q
-    num *= scale
-    if shift >= 0:
-        num *= q**shift
-    else:
-        den *= q**-shift
-    if not field:
-        return Fraction(num, den)
-    return _canonical(order, _balanced(num if den > 0 else -num, width, phi), abs(den))
+    nums, lift, den = [], scale * q**shift if shift > 0 else scale, den if shift >= 0 else den * q**-shift
+    for col in cols:
+        num, power = 0, 1
+        for c in col:
+            num, power = num * p + c * power, power * q
+        nums.append(num * lift)
+    return Fraction(nums[0], den) if order == 1 else _canonical(order, [c if den > 0 else -c for c in nums], abs(den))
 
 
-def over_one_denominator(fs) -> tuple:
-    """([p_1, ...], roots) with each f_i = p_i / prod (x - root)^mult over
-    the one denominator of the (root, mult) pairs ``roots``, the least
-    common multiple of the f_i's denominators."""
-    union = {}
-    for f in fs:
-        for root, mult in f.roots:
-            union[root] = max(union.get(root, 0), mult)
-    return ([_times_roots(f.num, [(r, m - f.multiplicity(r)) for r, m in union.items()]) for f in fs],
-            list(union.items()))
+class _Packed:
+    """Integer coordinate polynomials of Q(zeta_N)[nu], tuples of at most phi tuples of coefficients (lowest degree
+    first), packed w bits a digit, S = 2 phi - 1 digits a degree (Kronecker substitution in zeta_N and nu), with a
+    bound on the 1-norm: sums of int products, folded mod Phi_N packed; OverflowError where w lacks a sign bit."""
+
+    def __init__(self, order: int, width: int):
+        self.order, self.phi, self.width, self.masks = order, euler_phi(order), width, {}
+        self.rows, half = _power_rows(order)[:self.phi - 1], (1 << width - 1).to_bytes(width // 8, "little")  # x^t
+        self.span, self.grow = 2 * self.phi - 1, 1 + max((sum(map(abs, row)) for row in self.rows), default=0)
+        self.polys = [(t * width, (1 << t * width) - _pack(row, width)) for t, row in enumerate(self.rows, self.phi)]
+        pad = bytes(width // 8 * (self.span - 1))
+        self.blocks = (half * self.span, b"\xff" * (width // 8) + pad, half + pad)  # half on a digit, lane, low
+
+    def pack(self, x) -> tuple:
+        """(the packed int, the 1-norm) of the coordinate polynomial x."""
+        return (sum(_pack(col, self.width * self.span) << self.width * u for u, col in enumerate(x)),
+                sum(map(abs, chain.from_iterable(x))))
+
+    def sums(self, sums, fold: bool = True) -> list:
+        """sum_k c_k x_k y_k for each list of terms (c, x, y) of ``sums``, c an int, folded: each digit t >= phi of
+        a degree read from the sum plus half on every digit; :meth:`read` folds those made with ``fold`` false."""
+        out, width = [], self.width
+        for terms in sums:
+            value = sum(c * x[0] * y[0] for c, x, y in terms)
+            if (norm := sum(abs(c) * x[1] * y[1] for c, x, y in terms) * self.grow) >> (width - 1):
+                raise OverflowError(f"a coordinate needs more than {width} bits")
+            groups = abs(value).bit_length() // (self.span * width) + 2
+            for shift, poly in self.polys if fold else ():
+                offset, lane, low = self.masks.get(groups) or self.masks.setdefault(
+                    groups, [int.from_bytes(block * groups, "little") for block in self.blocks])
+                value -= (((value + offset) >> shift & lane) - low) * poly
+            out.append((value, norm))
+        return out
+
+    def read(self, values) -> list:
+        """The coordinate polynomials of the packed ``values``, phi tuples of one length each."""
+        length = (max((abs(v).bit_length() for v, _ in values), default=0) + 1) // (self.span * self.width) + 1
+        digits = _unpack([v for v, _ in values], self.width, length * self.span)
+        cols = [digits[s::self.span] for s in range(self.span)]
+        for t, row in enumerate(self.rows, self.phi):
+            for u, r in enumerate(row):
+                cols[u] = list(map(add, cols[u], map(mul, cols[t], repeat(r)))) if r else cols[u]
+        return list(zip(*([tuple(col[i:i + length]) for i in range(0, len(col), length)] for col in cols[:self.phi])))
+
+    def adjugate(self, rows: list, n: int) -> tuple:
+        """(adj m, det m) of the n x n matrix m of packed rows, flat: expanded along first rows, a stage a size."""
+        full = tuple(range(n))
+        tops, dets = [full] + [full[:i] + full[i + 1:] for i in full], {((), ()): self.pack(((1,),))}
+        for size in full:
+            keys = list({(r[-size - 1:], c) for r in tops if len(r) > size for c in combinations(full, size + 1)})
+            dets.update(zip(keys, [rows[r[0] * n + c[0]] for r, c in keys] if not size else self.sums(
+                [[((-1) ** i, rows[r[0] * n + x], dets[r[1:], c[:i] + c[i + 1:]]) for i, x in enumerate(c)]
+                 for r, c in keys])))
+        adj = [dets[tops[j + 1], full[:i] + full[i + 1:]] for i in full for j in full]
+        return [(-v, norm) if sum(divmod(i, n)) % 2 else (v, norm) for i, (v, norm) in enumerate(adj)], dets[full, full]
+
+    def conjugated(self, left: list, ms: list, right: list, n: int) -> list:
+        """(1 x left) m (1 x right) for each m of ``ms``, sparse rows of numerator vectors, and left, right n x n, flat,
+        packed in this ring: entry (a x, c y) of m goes to (a b, c d) as sum_u m_u (zeta^u left[b][x]) right[y][d]."""
+        lefts = left + [x for u in range(1, max((len(v) for m in ms for row in m for v in row.values()), default=1))
+                        for x in self.sums([[(1, self.pack(((0,),) * u + ((1,),)), x)] for x in left])]
+        cells, live = {}, [{i for i, (x, _) in enumerate(side) if x} for side in (left, right)]
+        for t, m in enumerate(ms):
+            for r, row in enumerate(m):
+                for col, vec in row.items():
+                    (a, x), (c, y) = divmod(r, n), divmod(col, n)
+                    for b, d in product(range(n), repeat=2):
+                        if b * n + x in live[0] and y * n + d in live[1]:
+                            cells.setdefault((t, a * n + b, c * n + d), []).extend(
+                                (v, lefts[u * n * n + b * n + x], right[y * n + d]) for u, v in enumerate(vec) if v)
+        out = [[{} for _ in m] for m in ms]
+        for (t, r, c), value in zip(cells, self.read(self.sums(cells.values(), fold=False))):
+            out[t][r][c] = value
+        return out
+
+
+def _poly(order: int, x, den: int = 1) -> Poly:
+    """The integer coordinate polynomial x of :class:`_Packed` over den, as a :class:`Poly` of exact scalars."""
+    return Poly([_canonical(order, list(coords), den) for coords in zip(*x)])
+
+
+def compile_k(case, width: int = 64) -> tuple:
+    """(terms, k^(N), ring) of k^(j) = k(nu) k(tau(nu)) ... k(tau^(j-1)(nu)) = P_j / s_j on integers, packed in a
+    :class:`~nreflect.ratfun._Packed` of ``width`` bits a digit (twice that on overflow).  Over one denominator D
+    of k, its roots u / D and tau, k = K / (D prod_u L_u^m_u), L_u = D nu - u, K of degree d; at tau^j = T / B,
+    k = A_j / s_j, A_j = K(T, B) B^(m - d), s_j = D prod_u L_u(T, B)^m_u B^(d - m), no negative power.  Term j < N
+    is (P_j = P_(j-1) A_(j-1), (D^j, s_0 ... s_(j-1)'s factors), adj P_j, det P_j as a RatFun); k^(N) is RatFun rows."""
+    entries, n, tau = [f for row in case.k for f in row], case.n, case.tau
+    roots = {r: max(e for f in entries for s, e in f.roots if s == r) for f in entries for r, _ in f.roots}
+    order, vectors, den = _over([c for f in entries for c in f.num.coeffs] + list(roots) + [tau.a, tau.b, tau.c, tau.d])
+    ring, vectors = _Packed(_one_field(order, *(b._order for b in case.base_r.basis)), width), iter(vectors)
+    k = [tuple(zip(*[[x * den ** sum(e for _, e in f.roots) for x in next(vectors)] for _ in f.num.coeffs]))
+         or ((0,),) for f in entries]
+    lows, (a, b, c, d) = [ring.pack(tuple((-x,) for x in next(vectors))) for _ in roots], [
+        ring.pack(tuple((x,) for x in next(vectors))) for _ in "abcd"]  # the -u D, and tau
+    one, top, rows, scale, terms, m = ring.pack(((1,),)), ring.pack(((0, 1),)), None, [], [], sum(roots.values())
+    try:
+        lines, bottom = ring.sums([[(den, top, one), (1, low, one)] for low in lows]), one
+        missing = [[i for i, r in enumerate(roots) for _ in range(roots[r] - f.multiplicity(r))] for f in entries]
+        for _ in range(max(map(len, missing))):  # K over prod_u L_u^m_u
+            k = ring.read(ring.sums([[(1, ring.pack(x), lines[rest.pop()] if rest else one)]
+                                     for x, rest in zip(k, missing)]))
+        deg = max(len(x[0]) for x in k) - 1
+        coeffs = [ring.pack(tuple(col[i:i + 1] or (0,) for col in x)) for x in k for i in range(deg + 1)]
+        for j in range(case.N):
+            factor, powers = None if j else [ring.pack(x) for x in k], [one]  # B^(m - d), T^i B^(d - i) times it
+            if j:
+                top, bottom = ring.sums([[(1, a, top), (1, b, bottom)], [(1, c, top), (1, d, bottom)]])
+                for i in range(max(m - deg, 0) + deg):
+                    powers = ring.sums([[(1, h, bottom)] for h in powers] + [[(1, powers[-1], top)]] * (i >= m - deg))
+                factor = ring.sums([[(1, coeffs[e + i], h) for i, h in enumerate(powers)]
+                                    for e in range(0, len(coeffs), deg + 1)])
+            scale += ring.sums([[(den, top, one), (1, low, bottom)] for low, r in zip(lows, roots)
+                                for _ in range(roots[r])]) + [bottom] * (deg - m)
+            rows = factor if rows is None else ring.sums([[(1, rows[i + s], factor[s * n + t]) for s in range(n)]
+                                                          for i in range(0, n * n, n) for t in range(n)])
+            if j < case.N - 1:
+                adj, det = ring.adjugate(rows, n)
+                terms.append((rows, (den ** (j + 1), scale[:]), adj, RatFun(_poly(ring.order, *ring.read([det])))))
+    except OverflowError:
+        return compile_k(case, 2 * width)
+    pairs = [(_poly(ring.order, x).coeffs + (ZERO, ZERO))[1::-1] for x in ring.read(scale)]
+    unit = RatFun.over_linears(Poly.const(ONE), pairs)  # 1 / (lead prod (nu - root)) of s_0 ... s_(N-1)
+    kn = [RatFun(_times(_poly(ring.order, x, den ** case.N), unit.num.coeffs[0]), unit.roots) for x in ring.read(rows)]
+    return tuple(terms), tuple(tuple(kn[i:i + n]) for i in range(0, n * n, n)), ring
 
 
 def _times_roots(poly: Poly, factors) -> Poly:

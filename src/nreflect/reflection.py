@@ -9,39 +9,29 @@ residual, for the base r-matrix r, is
 
 with the iterated products k^(j)(nu) = k^(j-1)(nu) k(tau^(j-1)(nu)) and
 k^(0) = 1.  Cases with vanishing residual induce a (generally non
-skew-symmetric) solution rbar of the classical Yang-Baxter equation, built
-by :func:`build_rbar`.  In terms of rbar the residual takes the compact form
-
-    rbar_ab(lam, nu) k_a(lam) - k_a(lam) rbar_ab(tau(lam), nu),
-
-which is how :func:`nre_residual` computes it.  k is data, a
-:class:`KMatrix` of :class:`~nreflect.ratfun.RatFun` entries, and each
-case compiles it once, :func:`compile_k` on the first frame and
-``KSolution.table`` on the first rbar: every factor k(tau^i(nu)) composed
-with tau^i in closed form, so that k^(j)(nu) = P_j(nu) / q_j(nu) with
-polynomial matrices P_j, and, for the constant matrices M_i of the base
-r = sum_i f_i(lam, mu) M_i, the numerators of
-
-    (1 x k^(j)) M_i (1 x k^(j))^-1 = (1 x P_j) M_i (1 x adj P_j) / det P_j,
-
-held as one compiled :class:`~nreflect.linalg.LegTable` of integer polynomials.
-Everything rbar needs at nu comes from one :func:`point_frame`, which
-raises ``PoleError`` or ``SingularMatrixError`` outside the case's domain:
-the orbit, the weights g^(j)(nu) and, for j < N, det P_j(nu), with no
-elimination and no product of k.  Its table is the compiled one evaluated
-at nu in one integer Horner pass, built on the first rbar it serves;
-identity-k frames share the table the base r builds once.  At a rational
-nu, tau(nu), the weights, k(nu) and the base-r scalars f_i are evaluated
-on integers, over Q and Q(zeta_N) alike, with one normalization per
-value.  :func:`rbar_at` reads g^(j)(nu) / det P_j(nu)
-and f_i(lam, tau^j(nu)) as integer numerators and denominators and takes
-one dot per entry over one lcm.
+skew-symmetric) solution rbar of the classical Yang-Baxter equation
+(:func:`build_rbar`); :func:`nre_residual` computes the residual in the
+compact form rbar_ab(lam, nu) k_a(lam) - k_a(lam) rbar_ab(tau(lam), nu).
+k is data, a :class:`KMatrix` of :class:`~nreflect.ratfun.RatFun` entries,
+compiled once per case on integers (:func:`~nreflect.ratfun.compile_k`):
+k^(j) = P_j / s_j with P_j, adj P_j and det P_j integer polynomials in nu
+over Q(zeta_N), and, for the matrices M_i of the base r = sum_i f_i M_i,
+(1 x k^(j)) M_i (1 x k^(j))^-1 = (1 x P_j) M_i (1 x adj P_j) / det P_j, the
+numerators in one :class:`~nreflect.linalg.LegTable`.  One
+:func:`point_frame` holds what rbar needs at nu, and raises ``PoleError``
+or ``SingularMatrixError`` outside the case's domain: the orbit and the
+weights g^(j)(nu) and g^(j)(nu) / det P_j(nu), with no elimination and no
+product of k.  At a rational nu the orbit, the weights, k(nu), det P_j(nu)
+and the base-r scalars are evaluated on integers, over Q and Q(zeta_N)
+alike, one normalization per value, and :func:`rbar_at` takes one dot per
+entry over one lcm.
 """
 
 from __future__ import annotations
 
 import inspect
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
@@ -49,10 +39,10 @@ from typing import Callable, Optional
 
 from .errors import ConstraintError, PoleError, UnsupportedCaseError
 from .linalg import LegTable, LegValues, Matrix, permutation_operator, product_sum, tensor_pair
-from .ratfun import Poly, RatFun, _times, over_one_denominator
+from .ratfun import Poly, RatFun, compile_k
 from .reporting import build_report
 from .rmatrix import RMatrixFun, cybe_residual, rational_r, trig_r
-from .scalars import ONE, ZERO, Scalar, _canonical, _over, as_scalar, zeta
+from .scalars import ONE, ZERO, Cyclotomic, Scalar, _canonical, _mul_reduce, _over, as_scalar, zeta
 
 
 # ---------------------------------------------------------------------------
@@ -85,22 +75,11 @@ class MobiusMap:
         return MobiusMap(ONE, ZERO, ZERO, ONE)
 
     def __call__(self, nu):
-        """The image of nu; PoleError where c nu + d = 0.  A map with rational
-        c, d at a rational point p/q is (A p + B q) / (C p + D q) on its
-        integer numerators over an int, normalized once; a cyclotomic c, d
-        or point takes field arithmetic."""
+        """The image of nu; PoleError where c nu + d = 0.  With rational c, d at
+        a rational point, :func:`_image` of the integer form; else field arithmetic."""
         nu = as_scalar(nu)
         if self._integers is not None and type(nu) is Fraction:
-            a, b, c, d, order = self._integers
-            p, q = nu.numerator, nu.denominator
-            den = c * p + d * q
-            if not den:
-                raise PoleError(f"Mobius map has a pole at nu = {nu}")
-            if order == 1:
-                return Fraction(a * p + b * q, den)
-            if den < 0:
-                den, p, q = -den, -p, -q
-            return _canonical(order, [x * p + y * q for x, y in zip(a, b)], den)
+            return _image(self._integers, nu, nu)
         den = self.c * nu + self.d
         if not den:
             raise PoleError(f"Mobius map has a pole at nu = {nu}")
@@ -120,6 +99,17 @@ class MobiusMap:
         for _ in range(j):
             out = self.compose(out)
         return out
+
+
+def _image(form: tuple, nu: Fraction, at):
+    """(A p + B q) / (C p + D q) at nu = p/q, normalized once, for a map's integer form (A, B, C, D, N); PoleError
+    where C p + D q = 0 names the point ``at``."""
+    (a, b, c, d, order), p, q = form, nu.numerator, nu.denominator
+    if not (den := c * p + d * q):
+        raise PoleError(f"Mobius map has a pole at nu = {at}")
+    if order == 1:
+        return Fraction(a * p + b * q, den)
+    return _canonical(order, [(x * p + y * q) * (1 if den > 0 else -1) for x, y in zip(a, b)], abs(den))
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +160,23 @@ class KSolution:
     expected_f: Optional[Callable] = None
 
     def orbit(self, nu, count: Optional[int] = None):
-        """[nu, tau(nu), ..., tau^(count-1)(nu)]; raises PoleError on a tau pole."""
-        count = self.N if count is None else count
-        points = [as_scalar(nu)]
-        for _ in range(count - 1):
-            points.append(self.tau(points[-1]))
+        """[nu, tau(nu), ..., tau^(count-1)(nu)]; PoleError on a tau pole names the point tau meets it at.  Up to
+        N points from a Fraction are :func:`_image` of the :attr:`iterates`, where tau has them."""
+        count, points = self.N if count is None else count, [as_scalar(nu)]
+        forms = self.iterates if count <= self.N and type(points[0]) is Fraction else None
+        for j in range(count - 1):
+            points.append(self.tau(points[-1]) if forms is None else _image(forms[j], points[0], points[-1]))
         return points
+
+    @cached_property
+    def iterates(self) -> Optional[list]:
+        """The integer forms of tau^j, 0 < j < N, where tau has Q(zeta_N) coefficients and each rational c and d:
+        tau^j = (a^j nu + b_j) / d^j composed on integers for c = 0, and tau alone for c != 0 (tau^2 has none)."""
+        (a, b, c, d, order), forms = self.tau._integers or (0,) * 5, [self.tau._integers]
+        for A, B, _, D, _ in itertools.islice(forms, self.N - 2) if order > 1 and not c else ():
+            B = [x + y * D for x, y in zip(_mul_reduce(order, a, B), b)]
+            forms.append((_mul_reduce(order, a, A), B, 0, d * D, order))
+        return forms if order > 1 and not (c and self.N > 2) else None
 
     @cached_property
     def identity_k(self) -> bool:
@@ -189,19 +190,19 @@ class KSolution:
 
     @cached_property
     def compiled(self) -> tuple:
-        """:func:`compile_k` of this case, built on the first frame that needs it."""
-        return compile_k(self)
+        """:func:`~nreflect.ratfun.compile_k` of this case, k^(N) a :class:`KMatrix`, built on the first frame."""
+        terms, kn, ring = compile_k(self)
+        return terms, KMatrix(kn), ring
 
     @cached_property
     def table(self) -> LegTable:
-        """The compiled :class:`~nreflect.linalg.LegTable` of the numerators
-        (1 x P_j) M_i (1 x adj P_j), j < N, of the base r's matrices M_i,
-        term j B + i for B matrices, built on the first rbar."""
-        basis = self.base_r.basis
-        terms = [[{c: (x,) for c, x in enumerate(row) if x} for row in m.rows] for m in basis]
-        for rows, _, adj, _ in self.compiled[0]:
-            terms += [_conjugated(rows, m, adj) for m in basis]
-        return LegTable(terms, [j * len(basis) for j in range(self.N)])
+        """The :class:`~nreflect.linalg.LegTable` of the compile's integer numerators (1 x P_j) M_i (1 x adj P_j),
+        j < N, of the base r's matrices M_i, term j B + i for B matrices, built on the first rbar."""
+        basis, (terms, _, ring), den = self.base_r.basis, self.compiled, math.lcm(*(m._den for m in self.base_r.basis))
+        ms = [[{c: [x * (den // m._den) for x in vec] for c, vec in row.items()} for row in m._sparse] for m in basis]
+        table = [[{c: tuple((x,) for x in vec) for c, vec in row.items()} for row in m] for m in ms] + [
+            term for rows, _, adj, _ in terms for term in ring.conjugated(rows, ms, adj, self.n)]
+        return LegTable(table, [j * len(basis) for j in range(self.N)], ring.order, den)
 
     @cached_property
     def reparametrization(self) -> "EquivalenceTransform":
@@ -209,82 +210,12 @@ class KSolution:
         return equivalence_transform(self)
 
 
-def _adjugate(rows) -> tuple:
-    """(adj m, det m) of the square matrix m of polynomial rows, by
-    cofactors, det m as a RatFun; a 1 x 1 minor is its entry, a sign a negation."""
-    def det(rows):  # Laplace expansion along the first row
-        if len(rows) < 2:
-            return rows[0][0] if rows else Poly.const(ONE)
-        terms = [(j, entry * det([r[:j] + r[j + 1:] for r in rows[1:]])) for j, entry in enumerate(rows[0]) if entry]
-        return sum((-term if j % 2 else term for j, term in terms), Poly())
-
-    n = len(rows)
-    adj = [[det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j]) for j in range(n)] for i in range(n)]
-    adj = [[-d if (i + j) % 2 else d for j, d in enumerate(row)] for i, row in enumerate(adj)]
-    return adj, RatFun(sum((rows[0][j] * adj[j][0] for j in range(n)), Poly()))
-
-
-def _conjugated(left: list, m: Matrix, right: list) -> list:
-    """(1 x left) m (1 x right) for n x n rows of polynomials, as sparse rows
-    of coefficient tuples: entry (a x, c y) of m, times left[b][x] and
-    right[y][d], goes to (a b, c d), and each product left[b][x] right[y][d]
-    is formed once for every m, and added or subtracted where m has 1 or -1."""
-    n, out, products = len(left), [{} for _ in range(m.nrows)], {}
-    for r, row in enumerate(m.rows):
-        a, x = divmod(r, n)
-        for col, value in enumerate(row):
-            c, y = divmod(col, n)
-            for b, d in itertools.product(range(n), repeat=2) if value else ():
-                if left[b][x] and right[y][d]:
-                    if (b, x, y, d) not in products:
-                        products[b, x, y, d] = left[b][x] * right[y][d]
-                    entry = out[a * n + b]
-                    entry[c * n + d] = entry.get(c * n + d, Poly()) + _times(products[b, x, y, d], value)
-    return [{c: p.coeffs for c, p in row.items() if p} for row in out]
-
-
-def _factor(case: KSolution, j: int) -> tuple:
-    """(A, roots): k(tau^j(nu)) = A(nu) / prod (nu - root)^mult, A as rows
-    of polynomials, k's entries composed with tau^j by
-    :meth:`~nreflect.ratfun.RatFun.mobius`."""
-    t, n = case.tau.iterate(j), case.n
-    nums, roots = over_one_denominator([f.mobius(t.a, t.b, t.c, t.d) if j and f else f for row in case.k for f in row])
-    return [nums[i * n:(i + 1) * n] for i in range(n)], roots
-
-
-def compile_k(case: KSolution) -> tuple:
-    """(terms, k^(N)) for k^(j)(nu) = k(nu) k(tau(nu)) ... k(tau^(j-1)(nu))
-    = P_j(nu) / q_j(nu): for j = 1, ..., N - 1 the term (P_j, the roots of
-    q_j, adj P_j, det P_j), P_j and adj P_j as rows of polynomials, and
-    k^(N), which nothing inverts, as a :class:`KMatrix`.  P_j is the
-    product P_(j-1) A_(j-1) of rows of polynomials (:func:`_factor`), one
-    sum of products per entry."""
-    rows, roots, terms = None, [], []
-    for j in range(case.N):
-        factor, extra = _factor(case, j)
-        rows = factor if rows is None else [[sum((a * b for a, b in zip(row, col)), Poly()) for col in zip(*factor)]
-                                            for row in rows]
-        roots = roots + extra
-        if j < case.N - 1:
-            terms.append((rows, roots, *_adjugate(rows)))
-    return tuple(terms), KMatrix(tuple(RatFun(p, roots) for p in row) for row in rows)
-
-
-def _check_poles(case: KSolution, points) -> None:
-    """Raise k's own PoleError where k has a pole at one of the points."""
-    for point in points:
-        if point in case.poles:
-            case.k(point)
-
-
 @dataclass(frozen=True)
 class PointFrame:
     """What the induced matrix needs at one point nu, for j < N: the orbit
-    tau^j(nu), the weights g^(j)(nu), and the weights g^(j)(nu) /
-    det P_j(nu) of the table's terms of k^(j).  ``table`` holds the
-    matrices (1 x P_j) M_i (1 x adj P_j) at nu, the case's compiled table
-    evaluated on its first read, once per frame; for identity k it is the
-    table the base r-matrix builds once."""
+    tau^j(nu), the weights g^(j)(nu), and g^(j)(nu) / det P_j(nu).  ``table``
+    holds (1 x P_j) M_i (1 x adj P_j) at nu, the case's compiled table read
+    once per frame, or, for identity k, the base r-matrix's own table."""
 
     orbit: tuple
     weights: tuple
@@ -305,13 +236,13 @@ def point_frame(case: KSolution, nu) -> PointFrame:
     weights = tuple(case.weights(j, nu) for j in range(case.N))
     if case.identity_k:
         return PointFrame(orbit, weights, weights, case)
-    _check_poles(case, orbit[:-1])
-    scaled = [weights[0]]
-    for j, (rows, _, _, det) in enumerate(case.compiled[0], 1):
-        value = det.eval_at(orbit[0])
-        if not value:
-            Matrix([[p.eval_at(orbit[0]) for p in row] for row in rows]).inverse(label=f"k^({j})(nu)")
-        scaled.append(weights[j] / value)
+    [case.k(point) for point in orbit[:-1] if point in case.poles]  # k's own PoleError
+    scaled = [weights[0]]  # then each g / det P_j(nu), normalized once
+    for j, (*_, det), g in zip(itertools.count(1), case.compiled[0], weights[1:]):
+        if not (value := det.eval_at(orbit[0])):
+            math.prod(map(case.k, orbit[:j]), start=Matrix.identity(case.n)).inverse(label=f"k^({j})(nu)")
+        scaled.append(g / value if type(g) is not Cyclotomic or type(value) is not Fraction else _canonical(
+            g.order, [x * value.denominator * (1 if value > 0 else -1) for x in g.num], g.den * abs(value.numerator)))
     return PointFrame(orbit, weights, tuple(scaled), case)
 
 
@@ -324,11 +255,8 @@ def n_unitarity_entry(case: KSolution, nu, frame: Optional[PointFrame] = None) -
     entry = {"sample": [str(nu)]}
     try:
         orbit = case.orbit(nu) if frame is None else frame.orbit
-        if case.identity_k:
-            kn = Matrix.identity(case.n)
-        else:
-            _check_poles(case, orbit)
-            kn = case.compiled[1](orbit[0])
+        [case.k(point) for point in orbit if point in case.poles]
+        kn = Matrix.identity(case.n) if case.identity_k else case.compiled[1](orbit[0])
     except PoleError as exc:
         entry.update(status="fail", reason=str(exc))
         return entry

@@ -14,13 +14,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, islice, repeat, zip_longest
 from operator import lshift, ne, or_, sub
 from typing import Callable, Optional
 
 from .errors import ConstraintError, PoleError, ShapeError
 from .linalg import Basis, Matrix, _matrix, _pair_factor, combination, permutation_operator, swap_pair
-from .scalars import (Scalar, _canonical, _inverse_parts, _one_field, _over, _pack, _pack_width, _power_rows,
+from .scalars import (Cyclotomic, Scalar, _canonical, _inverse_parts, _one_field, _pack, _pack_width, _power_rows,
                       as_scalar, euler_phi)
 
 MAX_FACTOR_SIZE = 16  # the largest n of C^n: the CYBE residual keeps n^5 sums of n^2 slots each
@@ -60,7 +60,7 @@ def _check_diagonal(label, lam, mu) -> None:
 def rational_r(n: int) -> RMatrixFun:
     """P/(lam - mu) on C^n x C^n, ConstraintError for n > MAX_FACTOR_SIZE.  At
     rational points, lam = p/q and mu = r/s, the scalar is qs/(ps - rq),
-    normalized once, and over Q(zeta_N) lam - mu is one integer vector, inverted once."""
+    normalized once, and over Q(zeta_N) lam - mu is one integer vector, over dd', inverted once."""
     if n > MAX_FACTOR_SIZE:
         raise ConstraintError(f"factor size n must be at most {MAX_FACTOR_SIZE}, got {n}")
     label = f"rational (n={n})"
@@ -70,9 +70,11 @@ def rational_r(n: int) -> RMatrixFun:
         if type(lam) is Fraction and type(mu) is Fraction:
             q, s = lam.denominator, mu.denominator
             return (Fraction(q * s, lam.numerator * s - mu.numerator * q),)
-        order, (a, b), den = _over((lam, mu))
-        others, norm = _inverse_parts(order, [x - y for x, y in zip(a, b)])
-        return (_canonical(order, [den * c for c in others], norm),)
+        order = _one_field(*(x.order for x in (lam, mu) if type(x) is Cyclotomic))
+        (a, da), (b, db) = ((x.num, x.den) if type(x) is Cyclotomic else ((x.numerator,), x.denominator)
+                            for x in (lam, mu))
+        others, norm = _inverse_parts(order, [x * db - y * da for x, y in zip_longest(a, b, fillvalue=0)])
+        return (_canonical(order, [da * db * c for c in others], norm),)
 
     return _combined("rational", label, coefficients, (permutation_operator(n),))
 

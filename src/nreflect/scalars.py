@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -134,6 +135,17 @@ def _balanced(v: int, width: int, count: int) -> list:
         digits.append(digit)
         v = (v - digit) >> width
     return digits
+
+
+def _unpack(values, width: int, count: int) -> list:
+    """The ``count`` balanced digits of each of ``values``, packed ``width`` bits apart (a multiple of 64), in one
+    list: the bytes of each value plus half on every digit, with that bit flipped back, read as signed words."""
+    size = width // 8
+    offset = int.from_bytes((1 << width - 1).to_bytes(size, "little") * count, "little")
+    raw = b"".join([(v + offset ^ offset).to_bytes(size * count, "little") for v in values])
+    if width == 64 and sys.byteorder == "little":
+        return memoryview(raw).cast("q").tolist()
+    return [int.from_bytes(raw[i:i + size], "little", signed=True) for i in range(0, len(raw), size)]
 
 
 def _unpack_fold(order: int, sums: list, width: int, factors: int) -> list:

@@ -478,6 +478,15 @@ def test_malformed_model_config_is_config_error(capsys, tmp_path, change, named)
     assert named in err
 
 
+@pytest.mark.parametrize("key", ["parms", "Params", "sites", "l"])
+def test_model_config_keys_other_than_case_params_L_z_are_config_errors(capsys, tmp_path, key):
+    # a misspelled key must not run the model it leaves at its defaults
+    config = {"case": "two-reflection", key: {"a": "5", "b": "2", "c": "3"}, "z": ["1", "2"]}
+    code, out, err = run(capsys, "gaudin", "hamiltonians", "--config", write_config(tmp_path, config))
+    assert code == 2 and out == ""
+    assert f"error: model config has no key '{key}'; it takes case, params, L, z" in err
+
+
 def test_model_params_the_kind_reads_are_applied(capsys, tmp_path):
     # bcl's B does not depend on a != 0, so a = 0 is how to see that a is read
     bcl_a2 = write_config(tmp_path, dict(BCL, params={"a": "2"}), name="a2.json")

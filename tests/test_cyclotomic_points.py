@@ -10,8 +10,9 @@ denominator factor is negative, with coefficients wider than 64 bits, and at
 the poles, where both sides must raise PoleError with the same text.
 
 The count guards pin what the integer paths save: at a rational point no
-``Cyclotomic`` arithmetic method runs, and compiling k multiplies no
-polynomial by 1 or -1 and none by the constant one.
+``Cyclotomic`` arithmetic method runs, neither in the orbit, the frame and
+rbar of a ``linear-k-N3`` case, and compiling k and building its table
+make no ``Poly`` product and no ``Cyclotomic`` arithmetic at all.
 """
 
 import random
@@ -21,8 +22,9 @@ import pytest
 
 from nreflect.errors import PoleError
 from nreflect.ratfun import Poly, RatFun
-from nreflect.reflection import MobiusMap, case_by_label
+from nreflect.reflection import CATALOG, MobiusMap, case_by_label, point_frame, rbar_at
 from nreflect.rmatrix import rational_r
+from nreflect.sampling import SplitMix64, sample_fraction
 from nreflect.scalars import Cyclotomic, cyclotomic, euler_phi, zeta
 
 ORDERS = (1, 3, 4, 5, 8, 12)
@@ -155,21 +157,27 @@ class TestCounts:
         assert (fresh.tau(lam), fresh.k[1][1].eval_at(nu), fresh.weights.gs[2].eval_at(nu), fresh.k(nu),
                 rational_r(3).coefficients(lam, mu), rational_r(3).coefficients(mu, z)) == expected
 
-    def test_compile_multiplies_nothing_by_a_unit(self, monkeypatch):
-        case = case_by_label("linear-k-N3-shift-th2")
-        scale, mul = Poly.scale, Poly.__mul__
-        by_units, by_one = [], []
+    @pytest.mark.parametrize("label", sorted(label for label in CATALOG if not case_by_label(label).identity_k))
+    def test_compile_makes_no_poly_product_and_no_field_arithmetic(self, monkeypatch, label):
+        # compiling k and building its table run on integers: no Poly product, no Cyclotomic arithmetic
+        case = case_by_label(label)
 
-        def counting_scale(self, s):
-            if s == 1 or s == -1:
-                by_units.append(s)
-            return scale(self, s)
-
-        def counting_mul(self, other):
-            if isinstance(other, Poly) and Poly.const(1) in (self, other):
-                by_one.append((self, other))
-            return mul(self, other)
-        monkeypatch.setattr(Poly, "scale", counting_scale)
-        monkeypatch.setattr(Poly, "__mul__", counting_mul)
+        def refuse(*args):
+            raise AssertionError("a Poly product in the compile")
+        monkeypatch.setattr(Poly, "__mul__", refuse)
+        monkeypatch.setattr(Poly, "__rmul__", refuse)
+        no_field_arithmetic(monkeypatch)
         case.compiled, case.table
-        assert (by_units, by_one) == ([], [])
+
+    @pytest.mark.parametrize("label", sorted(label for label in CATALOG if label.startswith("linear-k-N3")))
+    def test_frames_at_rational_draws_take_no_field_arithmetic(self, monkeypatch, label):
+        # the orbit, the frame and rbar at seeded rational draws, on a fresh case whose iterates, compile and
+        # table are built under the guard; the draw where k^(j)(nu) is singular is redrawn, as the sampler does
+        case, rng, frames = case_by_label(label), SplitMix64(7), 0
+        no_field_arithmetic(monkeypatch)
+        for _ in range(20):
+            lam, nu = sample_fraction(rng), sample_fraction(rng)
+            if nu != -case.params["theta"] and lam != nu:
+                case.orbit(nu)
+                frames += rbar_at(case, lam, point_frame(case, nu)).nrows == 9
+        assert frames >= 15

@@ -29,9 +29,9 @@ from nreflect.linalg import (  # noqa: E402
     swap_pair,
     tensor_pair,
 )
-from nreflect.ratfun import Poly  # noqa: E402
-from nreflect.reflection import PointFrame, _conjugated, rbar_at  # noqa: E402
-from nreflect.scalars import ONE, ZERO, Cyclotomic, cyclotomic, euler_phi, zeta  # noqa: E402
+from nreflect.ratfun import Poly, _Packed  # noqa: E402
+from nreflect.reflection import PointFrame, rbar_at  # noqa: E402
+from nreflect.scalars import ONE, ZERO, Cyclotomic, _over, cyclotomic, euler_phi, zeta  # noqa: E402
 from nreflect.spinalg import SpinPoly, s_minus, s_plus, s_z  # noqa: E402
 
 ORDERS = (1, 3, 4, 5, 6, 8)
@@ -242,12 +242,30 @@ def test_pair_leg_operations(order):
     run()
 
 
-def conjugated(left, m, right, nu=ONE):
+def conjugated_table(order, left, m, right):
+    """The one-term LegTable of the integer compile's numerators of
+    (1 x left) m (1 x right), for n x n rows of polynomials over
+    Q(zeta_order): left and right as integer coordinate polynomials over
+    one denominator each, packed in one ring, m as its integer numerators,
+    the table over the product of the three denominators."""
+    ring, n, mat = _Packed(order, 256), len(left), Matrix(m)
+
+    def packed(rows):
+        polys = [p.coeffs for row in rows for p in row]
+        _, vectors, den = _over([c for coeffs in polys for c in coeffs])
+        vectors = iter(vectors)
+        return [ring.pack(tuple(zip(*[next(vectors) for _ in coeffs])) or ((0,),)) for coeffs in polys], den
+
+    (lefts, dl), (rights, dr) = packed(left), packed(right)
+    out = ring.conjugated(lefts, [[dict(row) for row in mat._sparse]], rights, n)
+    return LegTable(out, [0], order, dl * dr * mat._den)
+
+
+def conjugated(order, left, m, right, nu=ONE):
     """(1 x left(nu)) m (1 x right(nu)) for n x n rows of polynomials: the
     numerators the compile forms, tabled, evaluated at nu and read with
     weight 1."""
-    table = LegTable([_conjugated(left, Matrix(m), right)], [0])
-    return table.at(nu).combination([(ONE, (ONE,))])
+    return conjugated_table(order, left, m, right).at(nu).combination([(ONE, (ONE,))])
 
 
 def at(rows, nu):
@@ -268,12 +286,12 @@ def test_leg_conjugation(order):
         left = [[Poly([a, b]) for a, b in zip(r0, r1)] for r0, r1 in zip(left0, left1)]
         right = [[Poly([a]) for a in row] for row in right]
         unit = SimpleNamespace(base_r=SimpleNamespace(coefficients=lambda lam, point: (ONE,)))
-        table = LegTable([_conjugated(left, Matrix(m), right)], [0])
+        table = conjugated_table(order, left, m, right)
         for point in (nu,) if order == 1 else (nu, nu + zeta(order)):
             on_b = ref_mul(ref_mul(ref_kron(eye, at(left, point)), m), ref_kron(eye, at(right, point)))
             frame = PointFrame((point,), (ONE,), (ONE,), SimpleNamespace(identity_k=False, table=table))
             check(rbar_at(unit, ZERO, frame), on_b)
-            check(conjugated(left, m, right, point), on_b)
+            check(conjugated(order, left, m, right, point), on_b)
 
     run()
 

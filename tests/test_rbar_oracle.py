@@ -35,6 +35,8 @@ from nreflect.reflection import (CATALOG, PointFrame, case_by_label, n_unitarity
 from nreflect.sampling import DEFAULT_SEED, POLE_ERRORS, SplitMix64, sample_evaluated
 from nreflect.scalars import ZERO, as_scalar, cyclotomic, euler_phi, zeta
 
+import poly_compile
+
 F = Fraction
 
 CASES = sorted(CATALOG) + ["id-3refl-n3", "linear-k-N3-diag-th2[tampered:g1-sign]"]
@@ -244,8 +246,10 @@ small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
 def compare_compiled(case, nus=(F(5, 3), F(-7, 2), F(11, 5))):
-    """rbar and, where it is defined, k^(N) of the compiled case against the
-    oracle at three points."""
+    """The integer compile against the Poly reference, and rbar and, where it
+    is defined, k^(N) of the compiled case against the oracle at three
+    points."""
+    poly_compile.check_against_reference(case)
     for nu in nus:
         got = outcome(lambda: rbar_at(case, LAM0, point_frame(case, nu)))
         assert got == outcome(oracle_rbar, case, LAM0, nu), (case.label, case.params, nu)

@@ -7,7 +7,7 @@ from nreflect import gaudin, linalg, reflection, rmatrix
 from nreflect.cli import main as cli_main
 from nreflect.errors import ConstraintError, PoleError, UnsupportedCaseError
 from nreflect.linalg import LegTable, Matrix, permutation_operator, tensor_pair
-from nreflect.ratfun import Poly, RatFun
+from nreflect.ratfun import Poly, RatFun, _poly
 from nreflect.reflection import (
     CATALOG,
     KMatrix,
@@ -90,9 +90,15 @@ class TestMobius:
 
 
 def compiled_product(case, j, nu):
-    """k^(j)(nu) = P_j(nu) / q_j(nu) from the case's compile, j < N."""
-    rows, roots, _, _ = case.compiled[0][j - 1]
-    return Matrix([[RatFun(p, roots).eval_at(nu) for p in row] for row in rows])
+    """k^(j)(nu) = P_j(nu) / s_j(nu) from the case's compile, j < N: P_j
+    read back from the compile's ring, s_j = D^j times its linear factors."""
+    (rows, (den, factors), _, _), ring = case.compiled[0][j - 1], case.compiled[2]
+    scale = F(den)
+    for x in ring.read(factors):
+        scale *= RatFun(_poly(ring.order, x)).eval_at(nu)
+    rows = ring.read(rows)
+    return Matrix([[_poly(ring.order, x).eval_at(nu) for x in rows[i:i + case.n]]
+                   for i in range(0, len(rows), case.n)]).scale(1 / scale)
 
 
 class TestKProducts:
