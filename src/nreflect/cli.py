@@ -103,7 +103,7 @@ def cmd_verify(args) -> int:
                 raise ConstraintError(str(exc)) from exc
         omega = None
         if args.subject == "symmetry":
-            omega = scalar_from_str(args.omega, order=case.N) if args.omega else zeta(case.N)
+            omega = scalar_from_str(args.omega, order=case.N) if args.omega is not None else zeta(case.N)
             extra = {"omega": str(omega)}
         label = case.label
         arity, evaluate = sampled_check(case, args.subject, omega)

@@ -45,8 +45,8 @@ from functools import cached_property, reduce
 from typing import NamedTuple
 
 from .errors import ShapeError, SingularMatrixError
-from .scalars import (ONE, ZERO, Cyclotomic, _canonical, _content, _fold, _mul_reduce, _one_field, _over, _pack,
-                      _pack_width, _power, _power_rows, _unpack, _unpack_fold, euler_phi)
+from .scalars import (ONE, ZERO, Cyclotomic, _canonical, _content, _fold, _mul_reduce, _one_field, _over, _pack, _power,
+                      _power_rows, _ring, _unpack, _width, euler_phi)
 
 PLACEMENTS = ("ab", "ac", "bc", "ba", "ca", "cb")
 
@@ -411,12 +411,13 @@ def product_sum(terms) -> Matrix:
     """sum sign * a * b over the (sign, a, b) terms, at least one, each sign
     1 or -1 and every matrix of exact scalars over one field, in one pass:
     one lcm of the denominators, each scale factor folded into the
-    numerators, one accumulator per row, one Phi_N fold per entry, one gcd
-    normalization.  An operand is read once per row of the other, so over
-    Q(zeta_N) each of its numerator vectors is packed into one int, its
-    coordinates w bits apart, w bounding every accumulated coordinate from
-    the largest numerators, the longest row of each a, phi(N) and the scale
-    factors.  OrderMismatchError for two cyclotomic orders."""
+    numerators, one accumulator per row, one gcd normalization.  An operand
+    is read once per row of the other, so over Q(zeta_N) each of its
+    numerator vectors is packed into one int of the shared ring
+    (:func:`~nreflect.scalars._ring`), its digit bound from the largest
+    numerators, the longest row of each a, phi(N) and the scale factors;
+    the packed sums are folded mod Phi_N and read back at once.
+    OrderMismatchError for two cyclotomic orders."""
     terms = list(terms)
     nrows, ncols = terms[0][1].nrows, terms[0][2].ncols
     for _, a, b in terms:
@@ -427,18 +428,22 @@ def product_sum(terms) -> Matrix:
     den = math.lcm(*(a._den * b._den for _, a, b in terms))
     scaled = [(sign * (den // (a._den * b._den)), a, b) for sign, a, b in terms]
     matrices = {id(m): m for _, a, b in terms for m in (a, b)}
-    width, packed = 0, {key: m._sparse for key, m in matrices.items()}  # a 1-tuple is its own packed form
+    packed = {key: m._sparse for key, m in matrices.items()}  # a 1-tuple is its own packed form
     if order != 1:
         top = {key: max((max(map(abs, vec)) for row in m._sparse for vec in row.values()), default=0)
                for key, m in matrices.items()}
-        width = _pack_width(euler_phi(order) * sum(abs(factor) * top[id(a)] * top[id(b)] * max(map(len, a._sparse))
+        ring = _ring(order, euler_phi(order) * sum(abs(factor) * top[id(a)] * top[id(b)] * max(map(len, a._sparse))
                                                    for factor, a, b in scaled))
-        packed.update((key, [{j: (_pack(vec, width),) for j, vec in row.items()} for row in m._sparse])
+        packed.update((key, [{j: (_pack(vec, ring.width),) for j, vec in row.items()} for row in m._sparse])
                       for key, m in matrices.items() if m._order != 1)
     out = [{} for _ in range(nrows)]
     for factor, a, b in scaled:
         _accumulate(out, packed[id(a)], packed[id(b)], factor)
-    return _matrix(order, den, _unpack_fold(order, out, width, 2), nrows, ncols)
+    if order == 1:
+        return _matrix(1, den, [{j: (c,) for j, c in acc.items() if c} for acc in out], nrows, ncols)
+    vectors, at = ring.vectors([ring.fold(c) for acc in out for c in acc.values()]), itertools.count()
+    return _matrix(order, den, [{j: vec for j, g in zip(acc, at) if (vec := vectors.get(g))} for acc in out],
+                   nrows, ncols)
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -573,9 +578,9 @@ class LegTable:
         the homogeneous sum sum_d c_d p^d q^(D - d) over den q^D, D the
         degree, in one integer Horner pass over every numerator at once:
         the coefficients of each degree are packed w bits apart into one
-        int (Kronecker substitution), w holding each sum, at most its
-        coefficients' absolute sum times max(|p|, q)^D, with its sign, read
-        back by :func:`~nreflect.scalars._unpack`.  A point over Q(zeta_N)
+        int (Kronecker substitution), w :func:`~nreflect.scalars._width` of
+        the largest absolute coefficient sum times 2^(D bits(max(|p|, q))),
+        read back by :func:`~nreflect.scalars._unpack`.  A point over Q(zeta_N)
         takes field arithmetic, and each term's values are tabled again as
         constant polynomials."""
         if type(nu) is not Fraction:
@@ -588,7 +593,7 @@ class LegTable:
             return LegTable(terms, self.offsets).at(ONE)
         p, q = nu.numerator, nu.denominator
         degree = len(self.nums[0]) - 1 if self.nums else 0
-        width = -(-(self._top.bit_length() + degree * max(abs(p), q).bit_length() + 1) // 64) * 64
+        width = _width(self._top << degree * max(abs(p), q).bit_length())
         acc, power = 0, 1
         for row in self._packed.get(width) or self._packed.setdefault(width, [_pack(c, width) for c in zip(*self.nums)]):
             acc, power = acc * p + row * power, power * q

@@ -11,12 +11,11 @@ arithmetic we need and makes residues exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, product
 from math import factorial, prod
-from operator import add, mul
 
 from .errors import PoleError
-from .scalars import (ZERO, ONE, Cyclotomic, _canonical, _one_field, _over, _pack, _power_rows, _unpack, euler_phi,
+from .scalars import (ZERO, ONE, Cyclotomic, _canonical, _one_field, _over, _pack, _Ring, _unpack, _width,
                       scalar_sort_key)
 
 
@@ -317,49 +316,33 @@ def _eval_integer(form: tuple, x: Fraction):
     return Fraction(nums[0], den) if order == 1 else _canonical(order, [c if den > 0 else -c for c in nums], abs(den))
 
 
-class _Packed:
-    """Integer coordinate polynomials of Q(zeta_N)[nu], tuples of at most phi tuples of coefficients (lowest degree
-    first), packed w bits a digit, S = 2 phi - 1 digits a degree (Kronecker substitution in zeta_N and nu), with a
-    bound on the 1-norm: sums of int products, folded mod Phi_N packed; OverflowError where w lacks a sign bit."""
-
-    def __init__(self, order: int, width: int):
-        self.order, self.phi, self.width, self.masks = order, euler_phi(order), width, {}
-        self.rows, half = _power_rows(order)[:self.phi - 1], (1 << width - 1).to_bytes(width // 8, "little")  # x^t
-        self.span, self.grow = 2 * self.phi - 1, 1 + max((sum(map(abs, row)) for row in self.rows), default=0)
-        self.polys = [(t * width, (1 << t * width) - _pack(row, width)) for t, row in enumerate(self.rows, self.phi)]
-        pad = bytes(width // 8 * (self.span - 1))
-        self.blocks = (half * self.span, b"\xff" * (width // 8) + pad, half + pad)  # half on a digit, lane, low
+class _Packed(_Ring):
+    """Integer coordinate polynomials of Q(zeta_N)[nu] in the shared ring, tuples of at most phi tuples of
+    coefficients (lowest degree first), one group of S = 2 phi - 1 digits a degree (Kronecker substitution in zeta_N
+    and nu), with a bound on the 1-norm: sums of int products, folded mod Phi_N packed; OverflowError where the
+    width rule asks for more than w bits a digit."""
 
     def pack(self, x) -> tuple:
         """(the packed int, the 1-norm) of the coordinate polynomial x."""
         return (sum(_pack(col, self.width * self.span) << self.width * u for u, col in enumerate(x)),
                 sum(map(abs, chain.from_iterable(x))))
 
-    def sums(self, sums, fold: bool = True) -> list:
-        """sum_k c_k x_k y_k for each list of terms (c, x, y) of ``sums``, c an int, folded: each digit t >= phi of
-        a degree read from the sum plus half on every digit; :meth:`read` folds those made with ``fold`` false."""
-        out, width = [], self.width
+    def sums(self, sums) -> list:
+        """sum_k c_k x_k y_k for each list of terms (c, x, y) of ``sums``, c an int, folded, with its 1-norm bound."""
+        out = []
         for terms in sums:
-            value = sum(c * x[0] * y[0] for c, x, y in terms)
-            if (norm := sum(abs(c) * x[1] * y[1] for c, x, y in terms) * self.grow) >> (width - 1):
-                raise OverflowError(f"a coordinate needs more than {width} bits")
-            groups = abs(value).bit_length() // (self.span * width) + 2
-            for shift, poly in self.polys if fold else ():
-                offset, lane, low = self.masks.get(groups) or self.masks.setdefault(
-                    groups, [int.from_bytes(block * groups, "little") for block in self.blocks])
-                value -= (((value + offset) >> shift & lane) - low) * poly
-            out.append((value, norm))
+            norm = sum(abs(c) * x[1] * y[1] for c, x, y in terms)
+            if _width(norm * self.grow) > self.width:
+                raise OverflowError(f"a coordinate needs more than {self.width} bits")
+            out.append((self.fold(sum(c * x[0] * y[0] for c, x, y in terms)), norm * self.spread))
         return out
 
     def read(self, values) -> list:
-        """The coordinate polynomials of the packed ``values``, phi tuples of one length each."""
+        """The coordinate polynomials of the folded packed ``values``, phi tuples of one length each."""
         length = (max((abs(v).bit_length() for v, _ in values), default=0) + 1) // (self.span * self.width) + 1
         digits = _unpack([v for v, _ in values], self.width, length * self.span)
-        cols = [digits[s::self.span] for s in range(self.span)]
-        for t, row in enumerate(self.rows, self.phi):
-            for u, r in enumerate(row):
-                cols[u] = list(map(add, cols[u], map(mul, cols[t], repeat(r)))) if r else cols[u]
-        return list(zip(*([tuple(col[i:i + length]) for i in range(0, len(col), length)] for col in cols[:self.phi])))
+        cols = [digits[u::self.span] for u in range(self.phi)]
+        return list(zip(*([tuple(col[i:i + length]) for i in range(0, len(col), length)] for col in cols)))
 
     def adjugate(self, rows: list, n: int) -> tuple:
         """(adj m, det m) of the n x n matrix m of packed rows, flat: expanded along first rows, a stage a size."""
@@ -388,7 +371,7 @@ class _Packed:
                             cells.setdefault((t, a * n + b, c * n + d), []).extend(
                                 (v, lefts[u * n * n + b * n + x], right[y * n + d]) for u, v in enumerate(vec) if v)
         out = [[{} for _ in m] for m in ms]
-        for (t, r, c), value in zip(cells, self.read(self.sums(cells.values(), fold=False))):
+        for (t, r, c), value in zip(cells, self.read(self.sums(cells.values()))):
             out[t][r][c] = value
         return out
 

@@ -9,21 +9,18 @@ sums four pair-leg matrices in Kronecker slots (:func:`cybe_residual`).
 from __future__ import annotations
 
 import math
-import struct
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import chain, compress, islice, repeat, zip_longest
-from operator import lshift, ne, or_, sub
+from itertools import chain, compress, islice, zip_longest
 from typing import Callable, Optional
 
 from .errors import ConstraintError, PoleError, ShapeError
 from .linalg import Basis, Matrix, _matrix, _pair_factor, combination, permutation_operator, swap_pair
-from .scalars import (Cyclotomic, Scalar, _canonical, _inverse_parts, _one_field, _pack, _pack_width, _power_rows,
-                      as_scalar, euler_phi)
+from .scalars import Cyclotomic, Scalar, _canonical, _inverse_parts, _one_field, _pack, _ring, as_scalar, euler_phi
 
-MAX_FACTOR_SIZE = 16  # the largest n of C^n: the CYBE residual keeps n^5 sums of n^2 slots each
+MAX_FACTOR_SIZE = 16  # the largest n of C^n: the CYBE residual sums into n^5 ints of n^2 slots each
+READ_BYTES = 1 << 17  # the most bytes the CYBE residual reads back at once, unless one sum is larger
 
 
 @dataclass(frozen=True)
@@ -117,24 +114,22 @@ def cybe_residual(r: Callable[[Scalar, Scalar], Matrix], lam, mu, nu) -> Matrix:
 def _cybe_kernel(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
     """The residual from A, B, C, D = r(l,m), r(l,n), r(m,n), r(n,m): entry
     (ijk, i'j'k') at Kronecker slot k n + k' of one int per (i, j, i', j'), a
-    slot 2 phi - 1 digits w bits apart.  Each sum is folded mod Phi_N packed,
-    and w holds a folded coordinate: the bits of phi n sum |f| top top' over the
-    six products (f the factor to the lcm) times 1 + max_u sum_t |row_t[u]|, x^t
-    = sum_u row_t[u] x^u mod Phi_N, plus a sign bit, rounded up to 64.  Sums
-    that are 0 before or after the fold are not read back.  OrderMismatchError
-    for two cyclotomic orders, ShapeError unless all four are n^2 x n^2."""
+    slot one group of the shared ring (:func:`~nreflect.scalars._ring`), whose
+    digit bound is 2 phi n sum |f| top top' over the six products (f the
+    factor to the lcm).  Each sum is folded mod Phi_N packed, and the sums that
+    are not 0 before or after the fold are read back, as many at once as fit
+    in READ_BYTES.  OrderMismatchError for two cyclotomic orders, ShapeError
+    unless all four are n^2 x n^2."""
     n = _pair_factor(a, "cybe_residual")
     if any((m.nrows, m.ncols) != (a.nrows, a.ncols) for m in (b, c, d)):
         raise ShapeError(f"cybe_residual needs four {a.nrows}x{a.ncols} pair-leg matrices")
     order = _one_field(a._order, b._order, c._order, d._order)
-    phi, nn, cube, n4, flat = euler_phi(order), n * n, n**3, n**4, chain.from_iterable
+    nn, cube, n4, flat = n * n, n**3, n**4, chain.from_iterable
     den = math.lcm(a._den * b._den, a._den * c._den, b._den * d._den)
     fab, fac, fbd = den // (a._den * b._den), den // (a._den * c._den), den // (b._den * d._den)
     ta, tb, tc, td = (max(map(abs, flat(flat(map(dict.values, m._sparse)))), default=0) for m in (a, b, c, d))
-    rows = _power_rows(order)[:phi - 1]  # x^t mod Phi_N for t = phi, ..., 2 phi - 2
-    bound = 2 * phi * n * (fab * ta * tb + fac * ta * tc + fbd * tb * td)  # on a digit; folded, times the row sums
-    width = -(-_pack_width(bound * (1 + max(sum(abs(row[u]) for row in rows) for u in range(phi)))) // 64) * 64
-    span, slot = 2 * phi - 1, (2 * phi - 1) * width  # digits per slot, bits per slot
+    ring = _ring(order, 2 * euler_phi(order) * n * (fab * ta * tb + fac * ta * tc + fbd * tb * td))
+    width, slot = ring.width, ring.span * ring.width  # bits per digit, bits per slot
 
     def entries(m):  # (row // n, row % n, col // n, col % n, packed numerator) per nonzero entry
         return [(*divmod(r, n), *divmod(col, n), vec[0] if len(vec) == 1 else _pack(vec, width))
@@ -167,25 +162,14 @@ def _cybe_kernel(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
                 acc[o + o2] += x * y
     for key in compress(range(n4, len(acc)), islice(acc, n4, None)):
         acc[key % n4] += acc[key] << key // n4 * n * slot
-    keys, half, limbs, count = list(compress(range(n4), acc)), 1 << (width - 1), width // 64, nn * span
-    offset = int.from_bytes(half.to_bytes(width // 8, "little") * count, "little")  # half on every digit
-    sums = [acc[key] for key in keys]
-    for t, row in enumerate(rows, phi):  # fold in packed form, X = 2^w: less E_t (X^t - sum_u row_t[u] X^u)
-        lane = int.from_bytes((b"\1" + bytes(slot // 8 - 1)) * nn, "little")  # 1 at the foot of each slot
-        mask, low, poly = lane * ((1 << width) - 1), half * lane, (1 << t * width) - _pack(row, width)
-        sums = [s - ((s + offset >> t * width & mask) - low) * poly for s in sums]  # E_t: the digits t of the slots
-    keys = list(compress(keys, sums))  # the sums that fold to nonzero
-    raw = b"".join([(s + offset).to_bytes(count * width // 8, "little") for s in sums if s])
-    words = struct.unpack(f"<{len(raw) // 8}Q", raw)
-    digits = words[limbs - 1::limbs]  # each digit plus half, from its 64-bit limbs
-    for t in range(limbs - 2, -1, -1):
-        digits = list(map(or_, map(lshift, digits, repeat(64)), words[t::limbs]))
-    coords = [digits[u::span] for u in range(phi)]  # each folded coordinate plus half; the digits t >= phi are 0
-    live = list(compress(range(len(coords[0])), reduce(partial(map, or_), [map(ne, c, repeat(half)) for c in coords])))
-    out, vectors = [{} for _ in range(cube)], zip(*[map(sub, map(c.__getitem__, live), repeat(half)) for c in coords])
-    for at, vec in zip(live, vectors):  # the nonzero entries only
-        (hi, lo), (k, k2) = divmod(keys[at // nn], nn), divmod(at % nn, n)  # hi = i n + j, lo = i' n + j'
-        out[hi * n + k][lo * n + k2] = vec
+    keys = list(compress(range(n4), acc))
+    sums = [ring.fold(acc[key]) for key in keys]
+    keys, sums, out = list(compress(keys, sums)), list(filter(None, sums)), [{} for _ in range(cube)]
+    step = max(1, READ_BYTES * 8 // (nn * slot))  # sums a read-back
+    for start in range(0, len(sums), step):
+        for at, vec in ring.vectors(sums[start:start + step], nn).items():  # the nonzero entries only
+            (hi, lo), (k, k2) = divmod(keys[start + at // nn], nn), divmod(at % nn, n)  # hi = i n + j, lo = i' n + j'
+            out[hi * n + k][lo * n + k2] = vec
     return _matrix(order, den, out, cube, cube)
 
 

@@ -16,8 +16,10 @@ import cmath
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
+from itertools import compress
 from math import gcd, lcm
+from operator import or_
 from typing import Union
 
 from .errors import ConstraintError, OrderMismatchError
@@ -121,24 +123,15 @@ def _pack(vec, width: int) -> int:
     return x
 
 
-def _pack_width(bound: int) -> int:
-    """The bits w between packed coordinates for sums of absolute value at
-    most ``bound``: each is a balanced digit in [-2^(w-1), 2^(w-1))."""
-    return bound.bit_length() + 1
-
-
-def _balanced(v: int, width: int, count: int) -> list:
-    """The ``count`` lowest balanced digits, in [-2^(width-1), 2^(width-1)), of v in base 2^width."""
-    half, mask, digits = 1 << (width - 1), (1 << width) - 1, []
-    for _ in range(count):
-        digit = ((v + half) & mask) - half
-        digits.append(digit)
-        v = (v - digit) >> width
-    return digits
+def _width(bound: int) -> int:
+    """The bits w between packed digits that hold every value of absolute value at most ``bound`` as a balanced
+    digit in [-2^(w-1), 2^(w-1)): the bits of the bound plus a sign bit, rounded up to a multiple of 64, so that
+    :func:`_unpack` reads the digits as whole words."""
+    return (bound.bit_length() + 64) // 64 * 64
 
 
 def _unpack(values, width: int, count: int) -> list:
-    """The ``count`` balanced digits of each of ``values``, packed ``width`` bits apart (a multiple of 64), in one
+    """The ``count`` balanced digits of each of ``values``, packed ``width`` bits apart (:func:`_width`), in one
     list: the bytes of each value plus half on every digit, with that bit flipped back, read as signed words."""
     size = width // 8
     offset = int.from_bytes((1 << width - 1).to_bytes(size, "little") * count, "little")
@@ -148,24 +141,51 @@ def _unpack(values, width: int, count: int) -> list:
     return [int.from_bytes(raw[i:i + size], "little", signed=True) for i in range(0, len(raw), size)]
 
 
-def _unpack_fold(order: int, sums: list, width: int, factors: int) -> list:
-    """The nonzero numerator vectors of the packed ints in each dict of
-    ``sums``, each a sum of products of ``factors`` vectors of Q(zeta_order)
-    packed ``width`` bits apart: the factors (phi - 1) + 1 lowest balanced
-    digits of each (Kronecker substitution), folded mod Phi_N once.  Over Q
-    a sum is its own numerator, kept as a 1-tuple."""
-    if order == 1:
-        return [{k: (v,) for k, v in acc.items() if v} for acc in sums]
-    phi = euler_phi(order)
-    table, count, out = _power_rows(order), factors * (phi - 1) + 1, []
-    for acc in sums:
-        vectors = {}
-        for k, v in acc.items():
-            vec = tuple(_fold(table, _balanced(v, width, count), phi))
-            if any(vec):
-                vectors[k] = vec
-        out.append(vectors)
-    return out
+class _Ring:
+    """Numerator vectors of Q(zeta_N) packed w bits a digit (:func:`_pack`), in groups of S = 2 phi - 1 digits
+    (Kronecker substitution): the product of two packed vectors of phi digits is one group, and a sum of such
+    products, one group or more, is folded mod Phi_N in packed form (:meth:`fold`) and read back by
+    :func:`_unpack` (:meth:`vectors`).  With x^t = sum_u row_t[u] x^u mod Phi_N for phi <= t < S, a folded
+    digit is at most ``grow`` = 1 + max_u sum_t |row_t[u]| times the largest digit before the fold, so the width
+    that holds sums of digits at most B is :func:`_width` of B times grow (:func:`_ring`), and a folded 1-norm is
+    at most ``spread`` = 1 + max_t sum_u |row_t[u]| times the 1-norm before.  Over Q a group is one digit and the
+    fold does nothing."""
+
+    def __init__(self, order: int, width: int):
+        self.order, self.phi, self.width, self.masks = order, euler_phi(order), width, {}
+        self.rows, self.span = _power_rows(order)[:self.phi - 1], 2 * self.phi - 1  # x^t for t = phi, ..., S - 1
+        sizes = [list(map(abs, row)) for row in self.rows]
+        self.grow, self.spread = (1 + max(map(sum, table), default=0) for table in (zip(*sizes), sizes))
+        self.folds = [(t * width, (1 << t * width) - _pack(row, width)) for t, row in enumerate(self.rows, self.phi)]
+        half, pad = (1 << width - 1).to_bytes(width // 8, "little"), bytes(width // 8 * (self.span - 1))
+        self.blocks = (half * self.span, b"\xff" * (width // 8) + pad, half + pad)  # half on a digit, lane, low
+
+    def fold(self, value: int) -> int:
+        """The packed int ``value`` mod Phi_N: X = 2^w, each group less E_t (X^t - sum_u row_t[u] X^u) for
+        t = phi, ..., S - 1, E_t its digit t, read from the value plus half on every digit."""
+        for shift, poly in self.folds:
+            groups = abs(value).bit_length() // (self.span * self.width) + 2
+            offset, lane, low = self.masks.get(groups) or self.masks.setdefault(
+                groups, [int.from_bytes(block * groups, "little") for block in self.blocks])
+            value -= (((value + offset) >> shift & lane) - low) * poly
+        return value
+
+    def vectors(self, values, length: int = 1) -> dict:
+        """{g: the phi coordinates of group g} for each nonzero one among the ``length`` lowest groups of each
+        folded int of ``values``, g counting the groups in order."""
+        digits = _unpack(values, self.width, length * self.span)
+        cols = [digits[u::self.span] for u in range(self.phi)]
+        live = compress(range(len(cols[0])), reduce(partial(map, or_), cols))  # the groups with a nonzero digit
+        return {g: tuple(col[g] for col in cols) for g in live}
+
+
+_ring_at = lru_cache(maxsize=32)(_Ring)
+
+
+def _ring(order: int, bound: int) -> _Ring:
+    """The ring of Q(zeta_order) whose digits hold the fold of sums whose digits are at most ``bound`` in
+    absolute value: :func:`_width` of the bound times the fold factor ``grow``."""
+    return _ring_at(order, _width(bound * _ring_at(order, 64).grow))
 
 
 def _one_field(*orders) -> int:

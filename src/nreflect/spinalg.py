@@ -41,8 +41,8 @@ from math import lcm
 from operator import add, or_
 
 from .errors import DegreeError
-from .scalars import (ONE, ZERO, Cyclotomic, _canonical, _content, _mul_reduce, _one_field, _pack, _pack_width, _power,
-                      _unpack_fold, as_scalar, euler_phi)
+from .scalars import (ONE, ZERO, Cyclotomic, _canonical, _content, _mul_reduce, _one_field, _pack, _power, _ring,
+                      as_scalar, euler_phi)
 
 KINDS = ("+", "-", "z")
 HALF = Fraction(1, 2)
@@ -142,10 +142,11 @@ def _product_sum(quads) -> "SpinPoly":
     quad is multiplied once by the scale and both operands' factors to
     it, the integer products are accumulated in one dict, and the sum is
     normalized once.  Over Q(zeta_N) each numerator vector is packed into
-    one int, its coordinates w bits apart, w bounding every accumulated
-    coordinate by phi(N) times the factors and the sums of the largest
-    coordinates of left and right, and each sum is folded mod Phi_N once.
-    Raises DegreeError where an exponent reaches its field's guard bit."""
+    one int of the shared ring (:func:`~nreflect.scalars._ring`), its digit
+    bound phi(N) times the factors and the sums of the largest coordinates
+    of left and right, and the sums are folded mod Phi_N and read back at
+    once.  Raises DegreeError where an exponent reaches its field's guard
+    bit."""
     live, left_dens, right_dens, orders = [], set(), set(), set()
     for quad in quads:
         left, right = quad[2], quad[3]
@@ -160,13 +161,12 @@ def _product_sum(quads) -> "SpinPoly":
     scaled = [(scale * left_share[left.den] * right_share[right.den], shift, left.terms, right.terms)
               for scale, shift, left, right in live]
     if order != 1:
-        phi = euler_phi(order)
         operands = {id(terms): terms for quad in scaled for terms in quad[2:]}
         top = {key: sum(max(map(abs, c)) if type(c) is tuple else abs(c) for c in terms.values())
                for key, terms in operands.items()}
-        bound = phi * sum(abs(factor) * top[id(lt)] * top[id(rt)] for factor, _, lt, rt in scaled)
-        width = _pack_width(bound)
-        packed = {key: {k: _pack(c, width) if type(c) is tuple else c for k, c in terms.items()}
+        ring = _ring(order, euler_phi(order) * sum(abs(factor) * top[id(lt)] * top[id(rt)]
+                                                   for factor, _, lt, rt in scaled))
+        packed = {key: {k: _pack(c, ring.width) if type(c) is tuple else c for k, c in terms.items()}
                   for key, terms in operands.items()}
         scaled = [(factor, shift, packed[id(lt)], packed[id(rt)]) for factor, shift, lt, rt in scaled]
     acc = {}
@@ -181,7 +181,11 @@ def _product_sum(quads) -> "SpinPoly":
             for k2, c2 in right:
                 key = k1 + k2
                 acc[key] = get(key, 0) + c1 * c2
-    terms = {key: c for key, c in acc.items() if c} if order == 1 else _unpack_fold(order, [acc], width, 2)[0]
+    if order == 1:
+        terms = {key: c for key, c in acc.items() if c}
+    else:
+        keys = list(acc)
+        terms = {keys[g]: vec for g, vec in ring.vectors([ring.fold(c) for c in acc.values()]).items()}
     bits = reduce(or_, terms, 0)
     over = bits & int.from_bytes(bytes([MAX_EXPONENT + 1]) * ((bits.bit_length() + 7) // 8), "little")
     if over:

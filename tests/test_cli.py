@@ -381,6 +381,13 @@ def test_user_input_errors_name_the_input(capsys, argv, named):
     assert named in err
 
 
+def test_an_empty_omega_is_an_empty_scalar(capsys):
+    # --omega "" is refused as the empty --params value is, not read as the default zeta_N
+    code, out, err = run(capsys, "verify", "symmetry", "--case", "linear-k-N3-diag-th2", "--omega", "",
+                         "--samples", "1")
+    assert (code, out, err) == (2, "", "error: empty scalar\n")
+
+
 @pytest.mark.parametrize("state,named", [
     ("[[NaN, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]", "finite"),
     ("[[0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]", "3 L"),

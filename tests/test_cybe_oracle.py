@@ -12,14 +12,12 @@ not zero (two g1-sign tampers and the candidate ``trig-3refl-poly-2``),
 since a residual that vanishes hides a wrong sign or a dropped term.
 """
 
-import struct
 from fractions import Fraction
 from math import isqrt
-from types import SimpleNamespace
 
 import pytest
 
-from nreflect import rmatrix
+from nreflect import rmatrix, scalars
 from nreflect.errors import OrderMismatchError, ShapeError
 from nreflect.linalg import Matrix, embed_pair, swap_pair
 from nreflect.reflection import CATALOG, build_rbar, case_by_label, tamper
@@ -75,18 +73,59 @@ def test_nonzero_residual_is_the_definition(name):
         assert residual == oracle
 
 
+def count_reads(monkeypatch):
+    """A list that gets one entry per CYBE kernel call: the sizes in bytes of
+    the calls that the kernel makes to the shared read-back ``scalars._unpack``
+    (the compile of k reads back through it too)."""
+    reads, inside, kernel, unpack = [], [], rmatrix._cybe_kernel, scalars._unpack
+
+    def counted_kernel(*ms):
+        reads.append([])
+        inside.append(True)
+        try:
+            return kernel(*ms)
+        finally:
+            inside.pop()
+
+    def counted_unpack(values, width, count):
+        if inside:
+            reads[-1].append(len(values) * count * width // 8)
+        return unpack(values, width, count)
+
+    monkeypatch.setattr(rmatrix, "_cybe_kernel", counted_kernel)
+    monkeypatch.setattr(scalars, "_unpack", counted_unpack)
+    return reads
+
+
 @pytest.mark.parametrize("name", ["rational-n3", "trig", "rbar[linear-k-N3-shift-th2]", "rbar[id-2refl-g1-sign]"])
 def test_only_nonzero_sums_are_read_back(monkeypatch, name):
     # a sum that is 0, or folds to 0 mod Phi_N, is not read back: a vanishing
     # residual reads back no bytes, over Q and over Q(zeta_3), and a nonzero one
     # reads some
-    reads = []
-    monkeypatch.setattr(rmatrix, "struct", SimpleNamespace(
-        unpack=lambda layout, raw: reads.append(len(raw)) or struct.unpack(layout, raw)))
+    reads = count_reads(monkeypatch)
     pairs = compared({**SOLUTIONS, **NONZERO}[name]())
     assert len(reads) == POINTS
     for (oracle, residual), read in zip(pairs, reads):
-        assert residual == oracle and bool(read) == (not oracle.is_zero())
+        assert residual == oracle and bool(sum(read)) == (not oracle.is_zero())
+
+
+@pytest.mark.parametrize("read_bytes", [1, 100, 1000])
+@pytest.mark.parametrize("name", sorted(NONZERO))
+def test_batched_read_back_is_the_definition(monkeypatch, name, read_bytes):
+    # read-back batches of one sum, of a few and of many sums each give the residual
+    monkeypatch.setattr(rmatrix, "READ_BYTES", read_bytes)
+    for oracle, residual in compared(NONZERO[name]()):
+        assert residual == oracle
+
+
+def test_read_back_is_bounded_by_read_bytes(monkeypatch):
+    # the tampered id-2refl at n = 8 keeps sums whose read-back takes several batches,
+    # and no call to the shared read-back receives more than READ_BYTES
+    reads = count_reads(monkeypatch)
+    r = build_rbar(tamper(case_by_label("id-2refl", {"n": 8}), "g1-sign"))
+    assert not cybe_residual(r, Fraction(1, 3), Fraction(-2), Fraction(5, 7)).is_zero()
+    (read,) = reads
+    assert len(read) > 1 and max(read) <= rmatrix.READ_BYTES
 
 
 # ---------------------------------------------------------------------------

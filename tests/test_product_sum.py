@@ -4,9 +4,11 @@ b) terms has the same data (one lowest-terms form) as the fold of ``*``,
 Q(zeta_N) for N = 3, 4, 5, 8, rational and cyclotomic matrices mixed,
 with negative numerators and numerators of 200 bits and more; extremal
 operands put an accumulated coordinate exactly at the bound the packing
-width is chosen from."""
+width is chosen from, and one sum reaches its width only once folded
+mod Phi_N."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -97,6 +99,21 @@ def test_extremal_operands_reach_the_packing_bound(order, top):
         assert data(product_sum(terms)) == data(fold(terms))
     mixed = Matrix([[top, -top, top]]), full(order, k, 2, -top)
     assert data(product_sum([(1, *mixed)])) == data(fold([(1, *mixed)]))
+
+
+def test_coordinate_past_the_digit_bound_after_the_fold():
+    # over Q(zeta_3) a row and a column of k entries t (1 - zeta): the product's digits k t^2 (1, -2, 1)
+    # stay within the digit bound phi k top top' = 2 k t^2, and the fold mod Phi_N turns them into
+    # -3 k t^2 zeta, 1.5 times the bound.  t puts the bound at 63 bits and the folded coordinate at 64, so
+    # only a width that holds the bound times the fold factor 2 reads it back
+    k, phi = 3, euler_phi(3)
+    t = isqrt((2**63 - 1) // (phi * k))
+    assert (phi * k * t * t).bit_length() == 63 and (3 * k * t * t).bit_length() == 64
+    unit = cyclotomic(3, [t, -t])
+    row, col = Matrix([[unit] * k]), Matrix([[unit]] * k)
+    for terms in ([(1, row, col)], [(-1, row, -col)], [(1, -row, col), (-1, row, col)]):
+        assert data(product_sum(terms)) == data(fold(terms))
+    assert product_sum([(1, row, col)])[0, 0] == cyclotomic(3, [0, -3 * k * t * t])
 
 
 def test_rational_times_cyclotomic():
