@@ -54,7 +54,9 @@ PLACEMENTS = ("ab", "ac", "bc", "ba", "ca", "cb")
 class Matrix:
     """A matrix of exact scalars as sparse rows ``{column: value}`` of its
     nonzero entries: ``_order`` is N (1 over Q) and a value is a vector of
-    integer numerators over ``_den``."""
+    integer numerators over ``_den``.  Rows of ints, Fractions and
+    Cyclotomics are in normal form over their lcm (:func:`~nreflect.scalars._over`);
+    TypeError for any other entry, even a zero polynomial."""
 
     __slots__ = ("nrows", "ncols", "_order", "_den", "_sparse")
 
@@ -62,16 +64,12 @@ class Matrix:
         rows = tuple(tuple(row) for row in rows)
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ShapeError("rows must be non-empty and of equal length")
-        order = _exact_order(rows)
-        entries = [{j: a for j, a in enumerate(row) if a} for row in rows]
+        if any(type(a) not in (Fraction, int, Cyclotomic) for row in rows for a in row):
+            raise TypeError("Matrix needs exact scalar entries of one field")
         self.nrows, self.ncols = len(rows), len(rows[0])
-        den = math.lcm(*(a.den if type(a) is Cyclotomic else a.denominator for row in entries for a in row.values()))
-        pad = (0,) * (euler_phi(order) - 1)
-        self._order, self._den = order, den
-        self._sparse = [{j: (tuple(c * (den // a.den) for c in a.num) if type(a) is Cyclotomic
-                             else (a.numerator * (den // a.denominator),) + pad)
-                         for j, a in row.items()}
-                        for row in entries]
+        self._order, vectors, self._den = _over([a for row in rows for a in row if a])
+        vectors = iter(vectors)
+        self._sparse = [{j: tuple(next(vectors)) for j, a in enumerate(row) if a} for row in rows]
 
     @staticmethod
     def identity(dim):
@@ -247,23 +245,6 @@ def _eliminate(rows, phi, label, scale):
     lcm = math.lcm(*(row[i] for i, row in enumerate(rows)))
     # the sign of d_i goes with its factor
     return [[x * (scale * lcm // row[i]) for x in row[size:]] for i, row in enumerate(rows)], lcm * content
-
-
-def _exact_order(rows):
-    """The order N of the one field Q(zeta_N) holding every entry of the
-    rows, zeros included, each an int, a Fraction or a Cyclotomic (1 when
-    none is a Cyclotomic).  TypeError for any other entry, even a zero
-    polynomial, OrderMismatchError for two cyclotomic orders."""
-    order = 1
-    for row in rows:
-        for a in row:
-            kind = type(a)
-            if kind is Cyclotomic:
-                if a.order != order:
-                    order = _one_field(order, a.order)
-            elif kind is not Fraction and kind is not int:
-                raise TypeError("Matrix needs exact scalar entries of one field")
-    return order
 
 
 def _matrix(order, den, sparse, nrows, ncols):

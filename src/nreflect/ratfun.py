@@ -154,7 +154,7 @@ class RatFun:
         self.num = num
         self.roots = tuple(sorted(((r, m) for r, m in root_map.items() if m),
                                   key=lambda rm: scalar_sort_key(rm[0])))
-        self._integers = None  # built by the first eval_at at a Fraction
+        self._integers = None  # built by the first evaluation at a Fraction
 
     @staticmethod
     def const(value):
@@ -189,12 +189,14 @@ class RatFun:
         return _times_roots(Poly.const(ONE), self.roots)
 
     def eval_at(self, x):
-        """The value at x; PoleError at a root of the denominator.  Where the
-        roots are rational and the coefficients lie in Q or one Q(zeta_N), a
-        Fraction point p/q is evaluated on integers: Horner's scheme on the
-        numerator with its denominators cleared, each root u/v as the factor
-        p v - u q, and one normalization of the quotient.  A cyclotomic root
-        or point takes field arithmetic."""
+        """The value at x: :meth:`_numerators` normalized once."""
+        order, nums, den = self._numerators(x)
+        return Fraction(nums[0], den) if order == 1 else _canonical(order, nums, den)
+
+    def _numerators(self, x) -> tuple:
+        """(N, the phi(N) integer numerators, den > 0) of the value at x, not normalized; PoleError at a root of the
+        denominator.  With rational roots and coefficients in Q or one Q(zeta_N), a Fraction point p/q is evaluated
+        on integers (:func:`_eval_integer`); a cyclotomic root or point takes field arithmetic."""
         if type(x) is Fraction:
             if self._integers is None:
                 self._integers = _integer_form(self)
@@ -206,7 +208,8 @@ class RatFun:
             if not diff:
                 raise PoleError(f"rational function has a pole at {x}")
             den = den * diff**mult
-        return self.num.eval_at(x) / den
+        order, (nums,), den = _over((self.num.eval_at(x) / den,))
+        return order, nums, den
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -298,22 +301,23 @@ def _integer_form(f: RatFun) -> tuple:
 
 
 def _eval_integer(form: tuple, x: Fraction):
-    """The function of :func:`_integer_form` at x = p/q: over q^deg each coordinate of the numerator is the
-    homogeneous Horner sum of C_i p^i q^(deg - i), and over q^(sum m_k) prod_k v_k^m_k the denominator is
-    prod_k (p v_k - u_k q)^m_k; normalized once."""
+    """The function of :func:`_integer_form` at x = p/q, not normalized: over q^deg each coordinate of the numerator
+    is the homogeneous Horner sum of C_i p^i q^(deg - i), and over q^(sum m_k) prod_k v_k^m_k the denominator is
+    prod_k (p v_k - u_k q)^m_k, its sign moved to the numerators; (N, the numerators, den > 0)."""
     order, cols, den, roots, scale, shift = form
     p, q = x.numerator, x.denominator
     for u, v, mult in roots:
         if not (factor := p * v - u * q):
             raise PoleError(f"rational function has a pole at {x}")
         den *= factor**mult
-    nums, lift, den = [], scale * q**shift if shift > 0 else scale, den if shift >= 0 else den * q**-shift
+    lift, den = scale * q**shift if shift > 0 else scale, den if shift >= 0 else den * q**-shift
+    nums, lift, den = [], lift if den > 0 else -lift, abs(den)
     for col in cols:
         num, power = 0, 1
         for c in col:
             num, power = num * p + c * power, power * q
         nums.append(num * lift)
-    return Fraction(nums[0], den) if order == 1 else _canonical(order, [c if den > 0 else -c for c in nums], abs(den))
+    return order, nums, den
 
 
 class _Packed(_Ring):

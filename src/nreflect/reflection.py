@@ -38,11 +38,12 @@ from functools import cached_property, partial
 from typing import Callable, Optional
 
 from .errors import ConstraintError, PoleError, UnsupportedCaseError
-from .linalg import LegTable, LegValues, Matrix, permutation_operator, product_sum, tensor_pair
+from .linalg import LegTable, LegValues, Matrix, _matrix, permutation_operator, product_sum, tensor_pair
 from .ratfun import Poly, RatFun, compile_k
 from .reporting import build_report
 from .rmatrix import RMatrixFun, cybe_residual, rational_r, trig_r
-from .scalars import ONE, ZERO, Cyclotomic, Scalar, _canonical, _mul_reduce, _over, as_scalar, zeta
+from .scalars import (ONE, ZERO, Cyclotomic, Scalar, _canonical, _mul_reduce, _one_field, _over, as_scalar, euler_phi,
+                      zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +132,23 @@ class WeightFamily:
 
 
 class KMatrix(tuple):
-    """k as data: rows of :class:`~nreflect.ratfun.RatFun` entries, each
-    raising PoleError at its poles where k is called at a point."""
+    """k as data: rows of :class:`~nreflect.ratfun.RatFun` entries, each raising PoleError at its poles where k is
+    called at a point.  k(nu) puts the integer numerators of its nonzero entries over one lcm, normalized once."""
 
     def __call__(self, nu) -> Matrix:
-        nu = as_scalar(nu)
-        return Matrix([[f.eval_at(nu) if f else ZERO for f in row] for row in self])
+        nu, values, orders, dens = as_scalar(nu), [], [], []
+        for i, row in enumerate(self):
+            for j, f in enumerate(row):
+                if f and any((value := f._numerators(nu))[1]):
+                    values.append((i, j, value))
+                    orders.append(value[0])
+                    dens.append(value[2])
+        order, den = _one_field(*orders), math.lcm(*dens)
+        rows, pad = [{} for _ in self], [0] * (euler_phi(order) - 1)
+        for i, j, (entry_order, nums, entry_den) in values:
+            scale = den // entry_den
+            rows[i][j] = tuple([c * scale for c in nums] + pad if entry_order == 1 else [c * scale for c in nums])
+        return _matrix(order, den, rows, len(rows), len(rows))
 
     @staticmethod
     def identity(n: int) -> "KMatrix":
@@ -170,13 +182,15 @@ class KSolution:
 
     @cached_property
     def iterates(self) -> Optional[list]:
-        """The integer forms of tau^j, 0 < j < N, where tau has Q(zeta_N) coefficients and each rational c and d:
-        tau^j = (a^j nu + b_j) / d^j composed on integers for c = 0, and tau alone for c != 0 (tau^2 has none)."""
+        """The integer forms of tau^j = (a^j nu + b_j) / d^j, 0 < j < N, composed on integers where tau has
+        Q(zeta_N) coefficients, c = 0 and a rational d."""
         (a, b, c, d, order), forms = self.tau._integers or (0,) * 5, [self.tau._integers]
-        for A, B, _, D, _ in itertools.islice(forms, self.N - 2) if order > 1 and not c else ():
+        if order < 2 or c:
+            return None
+        for A, B, _, D, _ in itertools.islice(forms, self.N - 2):
             B = [x + y * D for x, y in zip(_mul_reduce(order, a, B), b)]
             forms.append((_mul_reduce(order, a, A), B, 0, d * D, order))
-        return forms if order > 1 and not (c and self.N > 2) else None
+        return forms
 
     @cached_property
     def identity_k(self) -> bool:
