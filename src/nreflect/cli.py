@@ -95,7 +95,7 @@ def cmd_verify(args) -> int:
         r = trig_r() if args.r == "trig" else rational_r(args.n or 2)
         label, arity, evaluate = r.label, 3, lambda *pt: cybe_residual(r, *pt)
     else:
-        case = case_by_label(args.case or "id-2refl", _parse_params(args.params))
+        case = case_by_label(args.case if args.case is not None else "id-2refl", _parse_params(args.params))
         if args.tamper:
             try:
                 case = tamper(case, args.tamper)

@@ -388,6 +388,12 @@ def test_an_empty_omega_is_an_empty_scalar(capsys):
     assert (code, out, err) == (2, "", "error: empty scalar\n")
 
 
+def test_an_empty_case_is_an_unknown_case(capsys):
+    # --case "" is refused as an unknown catalog label, not read as the default id-2refl
+    code, out, err = run(capsys, "verify", "nre", "--case", "", "--samples", "1")
+    assert (code, out, err) == (2, "", "error: unknown catalog case ''; see catalog list\n")
+
+
 @pytest.mark.parametrize("state,named", [
     ("[[NaN, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]", "finite"),
     ("[[0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]", "3 L"),
@@ -492,6 +498,13 @@ def test_model_config_keys_other_than_case_params_L_z_are_config_errors(capsys, 
     code, out, err = run(capsys, "gaudin", "hamiltonians", "--config", write_config(tmp_path, config))
     assert code == 2 and out == ""
     assert f"error: model config has no key '{key}'; it takes case, params, L, z" in err
+
+
+def test_a_model_past_the_spin_realization_is_a_config_error(capsys, tmp_path):
+    # the Gaudin layer realizes gl(2) spins only, so a two-reflection model at n = 3 is refused
+    config = {"case": "two-reflection", "params": {"n": "3"}, "z": ["1", "2"]}
+    code, out, err = run(capsys, "gaudin", "hamiltonians", "--config", write_config(tmp_path, config))
+    assert (code, out, err) == (2, "", "error: the spin realization needs n = 2\n")
 
 
 def test_model_params_the_kind_reads_are_applied(capsys, tmp_path):

@@ -15,7 +15,7 @@ The count guards of ``tests/test_cyclotomic_points.py`` pin what the
 integer compile saves.
 
 ``KSolution.orbit`` reads at most N points from a rational draw off the
-integer iterates of tau where tau has Q(zeta_N) coefficients; the orbit
+integer iterates of tau where tau has Q(zeta_N) coefficients and c = 0; the orbit
 oracle checks that it returns the points of tau applied step by step, or
 raises PoleError with the same text (``gaudin`` copies it into a
 ``ModelError``), at every point ``sample_fraction`` draws and at tau's
@@ -86,8 +86,8 @@ ORBIT_CASES = ([(label, case_by_label(label), label.startswith("linear-k-N3")) f
                # a pole at 0 on the first step and at 1 on the second: tau^2 has a cyclotomic c, so the
                # orbit applies tau step by step
                + [("hand-built-N3", hand_built(MobiusMap(zeta(3), -zeta(3), 1, 0), 3), False),
-                  # rational c and d: both points are read off the integer form, the pole at -2 included
-                  ("hand-built-N2", hand_built(MobiusMap(zeta(3), 1, 1, 2), 2), True)])
+                  # rational c != 0 and d: tau is applied step by step on its integer form, the pole at -2 included
+                  ("hand-built-N2", hand_built(MobiusMap(zeta(3), 1, 1, 2), 2), False)])
 
 
 @pytest.mark.parametrize("case, integer", [entry[1:] for entry in ORBIT_CASES], ids=[entry[0] for entry in ORBIT_CASES])

@@ -169,6 +169,16 @@ class TestNUnitarity:
         assert report["verdict"] == "fail"
         assert "not a scalar multiple" in report["results"][0]["reason"]
 
+    def test_a_wrong_expected_f_fails_the_entry(self):
+        # k^(2)(nu) = (4 - nu^2) 1 on linear-k-N2-diag-th2; an expected f one off fails each entry, with both f's
+        case = dataclasses.replace(case_by_label("linear-k-N2-diag-th2"), expected_f=lambda nu: 5 - nu**2)
+        report = n_unitarity(case, [F(2), F(-5, 3)])
+        assert report["verdict"] == "fail"
+        assert [(e["status"], e["f"], e["expected_f"]) for e in report["results"]] == [
+            ("fail", "0", "1"), ("fail", "11/9", "20/9")]
+        entry = n_unitarity_entry(case, F(7, 2), point_frame(case, F(7, 2)))
+        assert entry == {"sample": ["7/2"], "status": "fail", "f": "-33/4", "expected_f": "-29/4"}
+
     @pytest.mark.parametrize("label", sorted(CATALOG))
     def test_entry_from_the_frame_equals_the_rebuilt_one(self, label):
         for case in (case_by_label(label), dataclasses.replace(case_by_label(label), expected_f=None)):
