@@ -23,8 +23,8 @@ or ``SingularMatrixError`` outside the case's domain: the orbit and the
 weights g^(j)(nu) and g^(j)(nu) / det P_j(nu), with no elimination and no
 product of k.  At a rational nu the orbit, the weights, k(nu), det P_j(nu)
 and the base-r scalars are evaluated on integers, over Q and Q(zeta_N)
-alike, one normalization per value, and :func:`rbar_at` takes one dot per
-entry over one lcm.
+alike, one normalization per value (per matrix for k), and :func:`rbar_at`
+takes one dot per entry over one lcm.
 """
 
 from __future__ import annotations
