@@ -60,7 +60,7 @@ from .reflection import (
     trivial_case,
 )
 from .reflection import rbar_matrix  # noqa: F401 - perfbench/test_perfbench.py reads it off this module
-from .scalars import ZERO, _power, as_scalar, scalar_from_str, zeta
+from .scalars import ZERO, _canonical, _power, as_scalar, scalar_from_str, zeta
 from .spinalg import (SpinPoly, _combination, _product_sum, bracket_partials, casimir, partials, poisson_bracket,
                       s_minus, s_pair, s_plus, s_z)
 
@@ -157,11 +157,11 @@ def _site_sums(model: GaudinModel, frame: PointFrame, skip: int = 0) -> list:
     ``skip`` leaves out its term j = 0: at lam = z_skip that is the pole of
     B, and its sum is h_skip(lam).  Sites are numbered from 1, so the
     default leaves out nothing."""
-    for j, point in enumerate(frame.orbit):
+    terms = tuple((_canonical(*g), _canonical(*point)) for g, point in zip(frame.weights, frame.orbit))
+    for j, (_, point) in enumerate(terms):
         for m, zm in enumerate(model.sites, start=1):
             if point == zm and (j, m) != (0, skip):
-                raise PoleError(f"B(lam) pole: tau^{j}(lam) = z_{m} at lam = {frame.orbit[0]}")
-    terms = tuple(zip(frame.weights, frame.orbit))
+                raise PoleError(f"B(lam) pole: tau^{j}(lam) = z_{m} at lam = {frame.nu}")
     return [sum((g / (point - zm) for g, point in (terms[1:] if m == skip else terms)), start=ZERO)
             for m, zm in enumerate(model.sites, start=1)]
 

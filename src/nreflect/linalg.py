@@ -590,37 +590,33 @@ class LegValues(NamedTuple):
     nums: list
 
     def combination(self, terms) -> Matrix:
-        """sum_j g_j sum_i f_ji T_(offsets[j] + i) over one (g_j, (f_j0, ...))
-        per factor pair, exact scalars over Q or the table's field.  The
-        weight w_t of a term sums its products g_j f_ji on the integer
-        numerators, each scaled to one lcm L of the products of
-        denominators; coordinate c of an entry is one dot of its numerators
-        with the coordinates c of the w_t zeta^u, over L den.  Over Q each
-        w_t is one int, summed directly.  The content is divided out of the
-        flat sums, cheaper than dividing each built vector in
-        :func:`_matrix`.  OrderMismatchError for two cyclotomic orders."""
-        table, parts = self.table, []
-        orders = [table.order]
-        for (g, fs), offset in zip(terms, table.offsets):
-            gn, gd = (g.num, g.den) if type(g) is Cyclotomic else ((g.numerator,), g.denominator)
-            orders.append(g.order if type(g) is Cyclotomic else 1)
-            for t, f in enumerate(fs, offset):
-                if type(f) is Cyclotomic:
-                    orders.append(f.order)
-                    parts.append((t, gn, f.num, gd * f.den))
-                else:
-                    parts.append((t, gn, (f.numerator,), gd * f.denominator))
-        order, den = _one_field(*orders), math.lcm(*(d for *_, d in parts))
+        """sum_j g_j sum_i f_ji T_(offsets[j] + i) over one pair of integer
+        parts per factor pair, over Q or the table's field: g_j a scalar's
+        (:func:`~nreflect.scalars._parts`), f_j a base r's f_j0, ...
+        (:attr:`~nreflect.rmatrix.RMatrixFun.parts`).  The weight w_t of a
+        term sums its products g_j f_ji on the integer numerators, g_j scaled
+        to one lcm L of the products of denominators; coordinate c of an
+        entry is one dot of its numerators with the coordinates c of the
+        w_t zeta^u, over L den.  Over Q each w_t is one int, summed directly.
+        The content is divided out of the flat sums, cheaper than dividing
+        each built vector in :func:`_matrix`.  OrderMismatchError for two
+        cyclotomic orders."""
+        table, terms = self.table, list(zip(terms, self.table.offsets))
+        order = _one_field(table.order, *(x[0] for pair, _ in terms for x in pair))
+        den = math.lcm(*(gd * fd for ((_, _, gd), (_, _, fd)), _ in terms))
+        terms = [([x * (den // (gd * fd)) for x in g], fs, offset) for ((_, g, gd), (_, fs, fd)), offset in terms]
         if order == 1:
             coords = [[0] * table.terms]  # coords[c][t stride + u]: coordinate c of w_t zeta^u
-            for t, (g,), (f,), d in parts:
-                coords[0][t] += g * f * (den // d)
+            for (g,), fs, offset in terms:
+                for t, (f,) in enumerate(fs, offset):
+                    coords[0][t] += g * f
         else:
             phi, stride = euler_phi(order), euler_phi(table.order)
             weights = [[0] * phi for _ in range(table.terms)]
-            for t, g, f, d in parts:
-                for s, c in enumerate(_times(order, g, f)):
-                    weights[t][s] += c * (den // d)
+            for g, fs, offset in terms:
+                for t, f in enumerate(fs, offset):
+                    for s, c in enumerate(_times(order, g, f)):
+                        weights[t][s] += c
             coords = [[0] * (table.terms * stride) for _ in range(phi)]
             for t, w in enumerate(weights):
                 for u in range(stride):

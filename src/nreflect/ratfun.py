@@ -15,7 +15,7 @@ from itertools import chain, combinations, product
 from math import factorial, prod
 
 from .errors import PoleError
-from .scalars import (ZERO, ONE, Cyclotomic, _canonical, _one_field, _over, _pack, _Ring, _unpack, _width,
+from .scalars import (ZERO, ONE, Cyclotomic, _canonical, _one_field, _over, _pack, _parts, _Ring, _unpack, _width,
                       scalar_sort_key)
 
 
@@ -190,13 +190,13 @@ class RatFun:
 
     def eval_at(self, x):
         """The value at x: :meth:`_numerators` normalized once."""
-        order, nums, den = self._numerators(x)
-        return Fraction(nums[0], den) if order == 1 else _canonical(order, nums, den)
+        return _canonical(*self._numerators(x))
 
     def _numerators(self, x) -> tuple:
         """(N, the phi(N) integer numerators, den > 0) of the value at x, not normalized; PoleError at a root of the
         denominator.  With rational roots and coefficients in Q or one Q(zeta_N), a Fraction point p/q is evaluated
-        on integers (:func:`_eval_integer`); a cyclotomic root or point takes field arithmetic."""
+        on integers (:func:`_eval_integer`); a cyclotomic root or point takes field arithmetic, whose value's own
+        numerators are returned."""
         if type(x) is Fraction:
             if self._integers is None:
                 self._integers = _integer_form(self)
@@ -208,8 +208,7 @@ class RatFun:
             if not diff:
                 raise PoleError(f"rational function has a pole at {x}")
             den = den * diff**mult
-        order, (nums,), den = _over((self.num.eval_at(x) / den,))
-        return order, nums, den
+        return _parts(self.num.eval_at(x) / den)
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -23,8 +23,8 @@ or ``SingularMatrixError`` outside the case's domain: the orbit and the
 weights g^(j)(nu) and g^(j)(nu) / det P_j(nu), with no elimination and no
 product of k.  At a rational nu the orbit, the weights, k(nu), det P_j(nu)
 and the base-r scalars are evaluated on integers, over Q and Q(zeta_N)
-alike, one normalization per value (per matrix for k), and :func:`rbar_at`
-takes one dot per entry over one lcm.
+alike, k(nu) normalized once per matrix and the others kept as integer
+parts, and :func:`rbar_at` takes one dot per entry over one lcm.
 """
 
 from __future__ import annotations
@@ -38,12 +38,11 @@ from functools import cached_property, partial
 from typing import Callable, Optional
 
 from .errors import ConstraintError, PoleError, UnsupportedCaseError
-from .linalg import LegTable, LegValues, Matrix, _matrix, permutation_operator, product_sum, tensor_pair
+from .linalg import LegTable, LegValues, Matrix, _matrix, _times, permutation_operator, product_sum, tensor_pair
 from .ratfun import Poly, RatFun, compile_k
 from .reporting import build_report
 from .rmatrix import RMatrixFun, cybe_residual, rational_r, trig_r
-from .scalars import (ONE, ZERO, Cyclotomic, Scalar, _canonical, _mul_reduce, _one_field, _over, as_scalar, euler_phi,
-                      zeta)
+from .scalars import ONE, ZERO, Scalar, _canonical, _one_field, _over, _parts, as_scalar, euler_phi, zeta
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +53,7 @@ from .scalars import (ONE, ZERO, Cyclotomic, Scalar, _canonical, _mul_reduce, _o
 class MobiusMap:
     """nu -> (a nu + b) / (c nu + d) with ad - bc != 0.  A map with rational
     c, d also keeps its coefficients as integer numerators (A, B, C, D) over
-    one denominator, A and B as phi(N) ints each over Q(zeta_N)."""
+    one denominator, A and B as phi(N) ints each (one over Q)."""
 
     a: Scalar
     b: Scalar
@@ -69,22 +68,33 @@ class MobiusMap:
             raise ConstraintError("degenerate Mobius map: ad - bc = 0")
         if type(self.c) is Fraction and type(self.d) is Fraction:
             order, (a, b, (c, *_), (d, *_)), _ = _over((self.a, self.b, self.c, self.d))
-            object.__setattr__(self, "_integers", (a[0], b[0], c, d, 1) if order == 1 else (a, b, c, d, order))
+            object.__setattr__(self, "_integers", (a, b, c, d, order))
 
     @staticmethod
     def identity():
         return MobiusMap(ONE, ZERO, ZERO, ONE)
 
     def __call__(self, nu):
-        """The image of nu; PoleError where c nu + d = 0.  With rational c, d at
-        a rational point, :func:`_image` of the integer form; else field arithmetic."""
-        nu = as_scalar(nu)
-        if self._integers is not None and type(nu) is Fraction:
-            return _image(self._integers, nu, nu)
-        den = self.c * nu + self.d
-        if not den:
-            raise PoleError(f"Mobius map has a pole at nu = {nu}")
-        return (self.a * nu + self.b) / den
+        """The image of nu: :meth:`image` of its integer parts, normalized once."""
+        return _canonical(*self.image(_parts(as_scalar(nu))))
+
+    def image(self, point: tuple) -> tuple:
+        """The integer parts of the image of the parts x/q; PoleError where c x + d q = 0.  With rational c, d, at a
+        rational point or c = 0, (A x + B q) / (C x + D q) on the integer form; else field arithmetic."""
+        if self._integers is None or (point[0] != 1 and self._integers[2]):
+            nu = _canonical(*point)
+            if not (den := self.c * nu + self.d):
+                raise PoleError(f"Mobius map has a pole at nu = {nu}")
+            return _parts((self.a * nu + self.b) / den)
+        (a, b, c, d, order), (x_order, x, q) = self._integers, point
+        if not (den := c * x[0] + d * q):
+            raise PoleError(f"Mobius map has a pole at nu = {_canonical(*point)}")
+        if den < 0:
+            x, q, den = [-v for v in x], -q, -den
+        if x_order == 1:
+            return order, [u * x[0] + v * q for u, v in zip(a, b)], den
+        order = _one_field(order, x_order)
+        return order, [u + v * q for u, v in itertools.zip_longest(_times(order, a, x), b, fillvalue=0)], den
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
         """self after other: (self.compose(other))(x) = self(other(x))."""
@@ -100,17 +110,6 @@ class MobiusMap:
         for _ in range(j):
             out = self.compose(out)
         return out
-
-
-def _image(form: tuple, nu: Fraction, at):
-    """(A p + B q) / (C p + D q) at nu = p/q, normalized once, for a map's integer form (A, B, C, D, N); PoleError
-    where C p + D q = 0 names the point ``at``."""
-    (a, b, c, d, order), p, q = form, nu.numerator, nu.denominator
-    if not (den := c * p + d * q):
-        raise PoleError(f"Mobius map has a pole at nu = {at}")
-    if order == 1:
-        return Fraction(a * p + b * q, den)
-    return _canonical(order, [(x * p + y * q) * (1 if den > 0 else -1) for x, y in zip(a, b)], abs(den))
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +135,10 @@ class KMatrix(tuple):
     called at a point.  k(nu) puts the integer numerators of its nonzero entries over one lcm, normalized once."""
 
     def __call__(self, nu) -> Matrix:
-        nu, values, orders, dens = as_scalar(nu), [], [], []
-        for i, row in enumerate(self):
-            for j, f in enumerate(row):
-                if f and any((value := f._numerators(nu))[1]):
-                    values.append((i, j, value))
-                    orders.append(value[0])
-                    dens.append(value[2])
-        order, den = _one_field(*orders), math.lcm(*dens)
+        nu = as_scalar(nu)
+        values = [(i, j, value) for i, row in enumerate(self) for j, f in enumerate(row)
+                  if f and any((value := f._numerators(nu))[1])]
+        order, den = _one_field(*[v[0] for _, _, v in values]), math.lcm(*[v[2] for _, _, v in values])
         rows, pad = [{} for _ in self], [0] * (euler_phi(order) - 1)
         for i, j, (entry_order, nums, entry_den) in values:
             scale = den // entry_den
@@ -171,26 +166,17 @@ class KSolution:
     params: dict = field(default_factory=dict)
     expected_f: Optional[Callable] = None
 
-    def orbit(self, nu, count: Optional[int] = None):
-        """[nu, tau(nu), ..., tau^(count-1)(nu)]; PoleError on a tau pole names the point tau meets it at.  Up to
-        N points from a Fraction are :func:`_image` of the :attr:`iterates`, where tau has them."""
-        count, points = self.N if count is None else count, [as_scalar(nu)]
-        forms = self.iterates if count <= self.N and type(points[0]) is Fraction else None
-        for j in range(count - 1):
-            points.append(self.tau(points[-1]) if forms is None else _image(forms[j], points[0], points[-1]))
-        return points
+    def orbit(self, nu, count: Optional[int] = None) -> list:
+        """:meth:`_orbit` normalized once each."""
+        return [_canonical(*point) for point in self._orbit(as_scalar(nu), count)]
 
-    @cached_property
-    def iterates(self) -> Optional[list]:
-        """The integer forms of tau^j = (a^j nu + b_j) / d^j, 0 < j < N, composed on integers where tau has
-        Q(zeta_N) coefficients, c = 0 and a rational d."""
-        (a, b, c, d, order), forms = self.tau._integers or (0,) * 5, [self.tau._integers]
-        if order < 2 or c:
-            return None
-        for A, B, _, D, _ in itertools.islice(forms, self.N - 2):
-            B = [x + y * D for x, y in zip(_mul_reduce(order, a, B), b)]
-            forms.append((_mul_reduce(order, a, A), B, 0, d * D, order))
-        return forms
+    def _orbit(self, nu: Scalar, count: Optional[int] = None) -> list:
+        """The integer parts of [nu, tau(nu), ..., tau^(count-1)(nu)] by :meth:`MobiusMap.image`; PoleError on a
+        tau pole names the point tau meets it at."""
+        points = [_parts(nu)]
+        for _ in range((self.N if count is None else count) - 1):
+            points.append(self.tau.image(points[-1]))
+        return points
 
     @cached_property
     def identity_k(self) -> bool:
@@ -198,9 +184,9 @@ class KSolution:
                    for j, f in enumerate(row))
 
     @cached_property
-    def poles(self) -> frozenset:
-        """The points where an entry of k has a pole."""
-        return frozenset(root for row in self.k for f in row for root, _ in f.roots)
+    def poles(self) -> tuple:
+        """The integer parts of the points where an entry of k has a pole."""
+        return tuple(map(_parts, {root for row in self.k for f in row for root, _ in f.roots}))
 
     @cached_property
     def compiled(self) -> tuple:
@@ -226,11 +212,11 @@ class KSolution:
 
 @dataclass(frozen=True)
 class PointFrame:
-    """What the induced matrix needs at one point nu, for j < N: the orbit
-    tau^j(nu), the weights g^(j)(nu), and g^(j)(nu) / det P_j(nu).  ``table``
-    holds (1 x P_j) M_i (1 x adj P_j) at nu, the case's compiled table read
-    once per frame, or, for identity k, the base r-matrix's own table."""
+    """What the induced matrix needs at one point nu, for j < N, as integer parts (:func:`~nreflect.scalars._parts`):
+    the orbit tau^j(nu), the weights g^(j)(nu), and g^(j)(nu) / det P_j(nu).  ``table`` holds (1 x P_j) M_i
+    (1 x adj P_j) at nu, the case's compiled table read once per frame, or, for identity k, the base r's own."""
 
+    nu: Scalar
     orbit: tuple
     weights: tuple
     scaled: tuple
@@ -240,37 +226,47 @@ class PointFrame:
     def table(self) -> LegValues:
         if self.case.identity_k:
             return self.case.base_r.basis.table
-        return self.case.table.at(self.orbit[0])
+        return self.case.table.at(self.nu)
+
+
+def _k_poles(case: KSolution, points) -> None:
+    """k's own PoleError where one of the integer parts ``points`` is a pole of k."""
+    for point in points:
+        for _, b, db in case.poles:
+            if all(x * db == y * point[2] for x, y in itertools.zip_longest(point[1], b, fillvalue=0)):
+                case.k(_canonical(*point))
 
 
 def point_frame(case: KSolution, nu) -> PointFrame:
     """The frame at nu; raises PoleError at a pole of tau^j, g^(j) or k and,
-    where det P_j(nu) = 0, the SingularMatrixError of inverting k^(j)(nu)."""
-    orbit = tuple(case.orbit(nu))
-    weights = tuple(case.weights(j, nu) for j in range(case.N))
+    where det P_j(nu) = 0, the SingularMatrixError of inverting k^(j)(nu).
+    Over a rational det = d / e, g / det is g's numerators times sign(d) e over g's den times |d|."""
+    nu = as_scalar(nu)
+    orbit, weights = tuple(case._orbit(nu)), tuple(g._numerators(nu) for g in case.weights.gs)
     if case.identity_k:
-        return PointFrame(orbit, weights, weights, case)
-    [case.k(point) for point in orbit[:-1] if point in case.poles]  # k's own PoleError
-    scaled = [weights[0]]  # then each g / det P_j(nu), normalized once
-    for j, (*_, det), g in zip(itertools.count(1), case.compiled[0], weights[1:]):
-        if not (value := det.eval_at(orbit[0])):
-            math.prod(map(case.k, orbit[:j]), start=Matrix.identity(case.n)).inverse(label=f"k^({j})(nu)")
-        scaled.append(g / value if type(g) is not Cyclotomic or type(value) is not Fraction else _canonical(
-            g.order, [x * value.denominator * (1 if value > 0 else -1) for x in g.num], g.den * abs(value.numerator)))
-    return PointFrame(orbit, weights, tuple(scaled), case)
+        return PointFrame(nu, orbit, weights, weights, case)
+    _k_poles(case, orbit[:-1])
+    scaled = [weights[0]]
+    for j, (*_, det), (order, g, gd) in zip(itertools.count(1), case.compiled[0], weights[1:]):
+        det_order, (d, *rest), e = det._numerators(nu)
+        if not (d or any(rest)):
+            math.prod([case.k(_canonical(*x)) for x in orbit[:j]],
+                      start=Matrix.identity(case.n)).inverse(label=f"k^({j})(nu)")
+        scaled.append((order, [x * e if d > 0 else -x * e for x in g], gd * abs(d)) if not any(rest) else
+                      _parts(_canonical(order, g, gd) / _canonical(det_order, [d, *rest], e)))
+    return PointFrame(nu, orbit, weights, tuple(scaled), case)
 
 
 def n_unitarity_entry(case: KSolution, nu, frame: Optional[PointFrame] = None) -> dict:
     """The report entry of the check k^(N)(nu) = f(nu) 1 at nu; never raises
-    on failure.  k^(N)(nu) is the compiled product, read at the orbit of
-    the frame at nu or, without one (the frame is undefined where some
-    k^(j)(nu) is singular), at the orbit built here; a pole of k on the
-    orbit raises k's own PoleError first."""
-    entry = {"sample": [str(nu)]}
+    on failure.  k^(N)(nu) is the compiled product at nu; a pole of k on the
+    orbit of the frame at nu or, without one (the frame is undefined where
+    some k^(j)(nu) is singular), on the orbit built here raises k's own
+    PoleError first."""
+    entry, nu = {"sample": [str(nu)]}, as_scalar(nu)
     try:
-        orbit = case.orbit(nu) if frame is None else frame.orbit
-        [case.k(point) for point in orbit if point in case.poles]
-        kn = Matrix.identity(case.n) if case.identity_k else case.compiled[1](orbit[0])
+        _k_poles(case, case._orbit(nu) if frame is None else frame.orbit)
+        kn = Matrix.identity(case.n) if case.identity_k else case.compiled[1](nu)
     except PoleError as exc:
         entry.update(status="fail", reason=str(exc))
         return entry
@@ -295,10 +291,10 @@ def n_unitarity(case: KSolution, points) -> dict:
 
 def rbar_at(case: KSolution, lam, frame: PointFrame) -> Matrix:
     """sum_j g^(j)(nu) k_b^(j)(nu) r_ab(lam, tau^j(nu)) k_b^(j)(nu)^-1 from the
-    frame at nu, as sum_j g^(j)(nu) sum_i f_i(lam, tau^j(nu)) times the
-    conjugated M_i: one combination of the frame's table."""
-    lam, coefficients = as_scalar(lam), case.base_r.coefficients
-    return frame.table.combination([(g, coefficients(lam, point)) for g, point in zip(frame.scaled, frame.orbit)])
+    frame at nu, lam a scalar or its parts, as sum_j g^(j)(nu) / det P_j(nu) sum_i f_i(lam, tau^j(nu)) times
+    the conjugated M_i: one combination of the frame's table on integer parts, f_i the base r's ``parts``."""
+    lam, parts = lam if type(lam) is tuple else _parts(lam), case.base_r.parts
+    return frame.table.combination([(g, parts(lam, point)) for g, point in zip(frame.scaled, frame.orbit)])
 
 
 def rbar_matrix(case: KSolution, lam, nu) -> Matrix:
@@ -309,14 +305,14 @@ def rbar_matrix(case: KSolution, lam, nu) -> Matrix:
 def nre_residual(case: KSolution, lam, nu) -> Matrix:
     """LHS - RHS of the N-fold reflection residual at exact points, in the
     compact form rbar_ab(lam, nu) k_a(lam) - k_a(lam) rbar_ab(tau(lam), nu):
-    both terms share the frame at nu, the two products are one
-    :func:`~nreflect.linalg.product_sum`, and an identity k_a multiplies
-    nothing."""
+    both terms share the frame at nu, the second reads tau(lam) as integer
+    parts, the two products are one :func:`~nreflect.linalg.product_sum`,
+    and an identity k_a multiplies nothing."""
     lam = as_scalar(lam)
     frame = point_frame(case, nu)
     k = None if case.identity_k else case.k(lam)
     lhs = rbar_at(case, lam, frame)
-    rhs = rbar_at(case, case.tau(lam), frame)
+    rhs = rbar_at(case, case.tau.image(_parts(lam)), frame)
     if k is None:
         return lhs - rhs
     k_a = tensor_pair(k, Matrix.identity(case.n))

@@ -11,13 +11,12 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, compress, islice, zip_longest
 from typing import Callable, Optional
 
 from .errors import ConstraintError, PoleError, ShapeError
 from .linalg import Basis, Matrix, _matrix, _pair_factor, combination, permutation_operator, swap_pair
-from .scalars import Cyclotomic, Scalar, _canonical, _inverse_parts, _one_field, _pack, _ring, as_scalar, euler_phi
+from .scalars import Scalar, _canonical, _inverse_parts, _one_field, _pack, _parts, _ring, as_scalar, euler_phi
 
 MAX_FACTOR_SIZE = 16  # the largest n of C^n: the CYBE residual sums into n^5 ints of n^2 slots each
 READ_BYTES = 1 << 17  # the most bytes the CYBE residual reads back at once, unless one sum is larger
@@ -28,52 +27,52 @@ class RMatrixFun:
     """Matrix-valued function of two spectral parameters on C^n x C^n.
 
     A base r-matrix is a combination sum_i f_i(lam, mu) M_i of constant
-    matrices: ``coefficients(lam, mu)`` gives the scalars f_i and raises
-    PoleError at a pole, ``basis`` holds the M_i, and ``evaluate`` is the
-    one :func:`~nreflect.linalg.combination` of the two.  A constructed
-    r-matrix has only ``evaluate``."""
+    matrices: ``parts(lam, mu)``, one integer formula, gives the f_i at the
+    integer parts of two points (:func:`~nreflect.scalars._parts`) as
+    (N, (numerators of f_0, ...), D), D nonzero of either sign, and raises
+    PoleError at a pole; :meth:`coefficients` normalizes it once, ``basis``
+    holds the M_i, and a call is the one :func:`~nreflect.linalg.combination`
+    of the two.  A constructed r-matrix calls its ``evaluate``."""
 
     kind: str  # "rational" | "trigonometric" | "constructed"
-    evaluate: Callable[[Scalar, Scalar], Matrix]  # raises PoleError at a pole
+    evaluate: Optional[Callable[[Scalar, Scalar], Matrix]] = None  # raises PoleError at a pole
     label: str = ""
-    coefficients: Optional[Callable[[Scalar, Scalar], tuple]] = None
+    parts: Optional[Callable[[tuple, tuple], tuple]] = None
     basis: tuple = ()
 
     def __call__(self, lam, mu) -> Matrix:
-        return self.evaluate(as_scalar(lam), as_scalar(mu))
+        lam, mu = as_scalar(lam), as_scalar(mu)
+        if self.evaluate is not None:
+            return self.evaluate(lam, mu)
+        return combination(zip(self.coefficients(lam, mu), self.basis))
 
-
-def _combined(kind: str, label: str, coefficients, basis: tuple) -> RMatrixFun:
-    """The r-matrix sum_i coefficients(lam, mu)[i] basis[i]."""
-    return RMatrixFun(kind=kind, label=label, coefficients=coefficients, basis=Basis(basis),
-                      evaluate=lambda lam, mu: combination(zip(coefficients(lam, mu), basis)))
-
-
-def _check_diagonal(label, lam, mu) -> None:
-    if lam == mu:
-        raise PoleError(f"{label} r-matrix has a pole at ({lam}, {mu})")
+    def coefficients(self, lam, mu) -> tuple:
+        """The scalars f_i(lam, mu): :attr:`parts` normalized once each."""
+        order, nums, den = self.parts(_parts(lam), _parts(mu))
+        return tuple(_canonical(order, x, den) for x in nums)
 
 
 def rational_r(n: int) -> RMatrixFun:
     """P/(lam - mu) on C^n x C^n, ConstraintError for n > MAX_FACTOR_SIZE.  At
-    rational points, lam = p/q and mu = r/s, the scalar is qs/(ps - rq),
-    normalized once, and over Q(zeta_N) lam - mu is one integer vector, over dd', inverted once."""
+    rational points, lam = p/q and mu = r/s, the scalar's parts are (qs,)
+    over ps - rq; over Q(zeta_N), lam - mu is one integer vector over dd',
+    inverted once: dd' times the others of its norm, over the norm
+    (:func:`~nreflect.scalars._inverse_parts`)."""
     if n > MAX_FACTOR_SIZE:
         raise ConstraintError(f"factor size n must be at most {MAX_FACTOR_SIZE}, got {n}")
     label = f"rational (n={n})"
 
-    def coefficients(lam, mu):
-        _check_diagonal(label, lam, mu)
-        if type(lam) is Fraction and type(mu) is Fraction:
-            q, s = lam.denominator, mu.denominator
-            return (Fraction(q * s, lam.numerator * s - mu.numerator * q),)
-        order = _one_field(*(x.order for x in (lam, mu) if type(x) is Cyclotomic))
-        (a, da), (b, db) = ((x.num, x.den) if type(x) is Cyclotomic else ((x.numerator,), x.denominator)
-                            for x in (lam, mu))
-        others, norm = _inverse_parts(order, [x * db - y * da for x, y in zip_longest(a, b, fillvalue=0)])
-        return (_canonical(order, [da * db * c for c in others], norm),)
+    def parts(lam, mu):
+        (lo, a, da), (mo, b, db) = lam, mu
+        if lo == mo == 1 and (den := a[0] * db - b[0] * da):
+            return 1, ((da * db,),), den
+        order, diff = _one_field(lo, mo), [x * db - y * da for x, y in zip_longest(a, b, fillvalue=0)]
+        if not any(diff):
+            raise PoleError(f"{label} r-matrix has a pole at ({_canonical(*lam)}, {_canonical(*mu)})")
+        others, norm = _inverse_parts(order, diff)
+        return order, ([da * db * c for c in others],), norm
 
-    return _combined("rational", label, coefficients, (permutation_operator(n),))
+    return RMatrixFun("rational", label=label, parts=parts, basis=Basis((permutation_operator(n),)))
 
 
 def trig_r() -> RMatrixFun:
@@ -84,20 +83,21 @@ def trig_r() -> RMatrixFun:
     with s = lam + nu, as s/(2 (lam - nu)) diag(-1, 1, 1, -1) plus
     -2 nu/(lam - nu) and -2 lam/(lam - nu) times the units at (1, 2) and
     (2, 1), counted from 0.  The points are rational: for lam = p/q and
-    nu = r/s the three scalars are (ps + rq)/(2d), -2rq/d and -2ps/d over
-    d = ps - rq, each normalized once."""
+    nu = r/s the three scalars' parts are (ps + rq, -4rq, -4ps) over
+    2 (ps - rq)."""
 
     def unit(i, j):
         return Matrix([[int((r, c) == (i, j)) for c in range(4)] for r in range(4)])
 
-    def coefficients(lam, nu):
-        _check_diagonal("trigonometric", lam, nu)
-        ps, rq = lam.numerator * nu.denominator, nu.numerator * lam.denominator
-        d = ps - rq
-        return (Fraction(ps + rq, 2 * d), Fraction(-2 * rq, d), Fraction(-2 * ps, d))
+    def parts(lam, nu):
+        (_, (p,), q), (_, (r,), s) = lam, nu
+        ps, rq = p * s, r * q
+        if ps == rq:
+            raise PoleError(f"trigonometric r-matrix has a pole at ({_canonical(*lam)}, {_canonical(*nu)})")
+        return 1, ((ps + rq,), (-4 * rq,), (-4 * ps,)), 2 * (ps - rq)
 
-    return _combined("trigonometric", "trigonometric", coefficients,
-                     (Matrix.diagonal([-1, 1, 1, -1]), unit(1, 2), unit(2, 1)))
+    return RMatrixFun("trigonometric", label="trigonometric", parts=parts,
+                      basis=Basis((Matrix.diagonal([-1, 1, 1, -1]), unit(1, 2), unit(2, 1))))
 
 
 def cybe_residual(r: Callable[[Scalar, Scalar], Matrix], lam, mu, nu) -> Matrix:

@@ -267,9 +267,14 @@ def _inverse_parts(order: int, num) -> tuple:
     return others, norm
 
 
+def _parts(x) -> tuple:
+    """(N, the phi(N) integer numerators, den > 0) of x, as :func:`_canonical` takes them."""
+    return (x.order, x.num, x.den) if type(x) is Cyclotomic else (1, (x.numerator,), x.denominator)
+
+
 def _canonical(order: int, num, den: int) -> Scalar:
-    """The element num/den (den > 0) in lowest terms; rational values
-    demote to Fraction."""
+    """The element num/den (den > 0, or any den if rational) in lowest
+    terms; rational values demote to Fraction."""
     if not any(num[1:]):
         return Fraction(num[0], den)
     g = gcd(den, *num)

@@ -171,8 +171,8 @@ class TestCounts:
 
     @pytest.mark.parametrize("label", sorted(label for label in CATALOG if label.startswith("linear-k-N3")))
     def test_frames_at_rational_draws_take_no_field_arithmetic(self, monkeypatch, label):
-        # the orbit, the frame and rbar at seeded rational draws, on a fresh case whose iterates, compile and
-        # table are built under the guard; the draw where k^(j)(nu) is singular is redrawn, as the sampler does
+        # the orbit, the frame and rbar at seeded rational draws, on a fresh case whose compile and table
+        # are built under the guard; the draw where k^(j)(nu) is singular is redrawn, as the sampler does
         case, rng, frames = case_by_label(label), SplitMix64(7), 0
         no_field_arithmetic(monkeypatch)
         for _ in range(20):

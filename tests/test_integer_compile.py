@@ -14,12 +14,14 @@ polynomial identities; k^(N) must equal the reference's ``KMatrix``.
 The count guards of ``tests/test_cyclotomic_points.py`` pin what the
 integer compile saves.
 
-``KSolution.orbit`` reads at most N points from a rational draw off the
-integer iterates of tau where tau has Q(zeta_N) coefficients and c = 0; the orbit
-oracle checks that it returns the points of tau applied step by step, or
-raises PoleError with the same text (``gaudin`` copies it into a
-``ModelError``), at every point ``sample_fraction`` draws and at tau's
-poles.
+``KSolution.orbit`` applies tau step by step on its integer form, where c
+and d are rational, to a rational point or, where c = 0 (tau with Q(zeta_N)
+coefficients), to any point; the orbit oracle checks that it returns the
+points of tau applied step by step in field arithmetic, or raises
+PoleError with the same text (``gaudin`` copies it into a ``ModelError``),
+at every point ``sample_fraction`` draws and at tau's poles, and that the
+first N points of a rational draw take no field arithmetic wherever no
+step needs it.
 """
 
 import dataclasses
@@ -30,7 +32,7 @@ import pytest
 from nreflect.errors import PoleError
 from nreflect.gaudin import MODEL_KINDS, case_for_config
 from nreflect.reflection import CATALOG, MobiusMap, case_by_label
-from nreflect.scalars import zeta
+from nreflect.scalars import Cyclotomic, zeta
 
 import poly_compile
 
@@ -78,21 +80,23 @@ def hand_built(tau, N):
     return dataclasses.replace(case_by_label(f"linear-k-N{N}-diag-th2"), label=f"hand-built-N{N}", tau=tau, N=N)
 
 
-# (id, case, whether the orbit reads its points off the integer iterates of tau)
-ORBIT_CASES = ([(label, case_by_label(label), label.startswith("linear-k-N3")) for label in sorted(CATALOG)
-                if label != "trivial"]
-               + [(f"gaudin-{kind}", case_for_config(kind, {}), kind == "z3") for kind in MODEL_KINDS
-                  if kind != "plain"]
-               # a pole at 0 on the first step and at 1 on the second: tau^2 has a cyclotomic c, so the
-               # orbit applies tau step by step
+# (id, case, whether the first N points of a rational draw take no field arithmetic): every catalog and
+# model tau is rational or, as for linear-k-N3 and z3, has c = 0
+ORBIT_CASES = ([(label, case_by_label(label), True) for label in sorted(CATALOG) if label != "trivial"]
+               + [(f"gaudin-{kind}", case_for_config(kind, {}), True) for kind in MODEL_KINDS if kind != "plain"]
+               # a pole at 0 on the first step and at 1 on the second, which starts from a Q(zeta_3) point
+               # with c != 0, so it takes field arithmetic
                + [("hand-built-N3", hand_built(MobiusMap(zeta(3), -zeta(3), 1, 0), 3), False),
-                  # rational c != 0 and d: tau is applied step by step on its integer form, the pole at -2 included
-                  ("hand-built-N2", hand_built(MobiusMap(zeta(3), 1, 1, 2), 2), False)])
+                  # rational c != 0 and d: the one step from a rational point is the integer form, the pole at
+                  # -2 included
+                  ("hand-built-N2", hand_built(MobiusMap(zeta(3), 1, 1, 2), 2), True)])
+FIELD_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                    "__rtruediv__", "inverse")
 
 
 @pytest.mark.parametrize("case, integer", [entry[1:] for entry in ORBIT_CASES], ids=[entry[0] for entry in ORBIT_CASES])
-def test_orbit_is_tau_step_by_step(case, integer):
-    assert case.N >= 2 and (case.iterates is not None) == integer
+def test_orbit_is_tau_step_by_step(case, integer, monkeypatch):
+    assert case.N >= 2
     tau, poles = case.tau, []
     if tau.c:  # tau's pole and, where rational, the point tau maps to it: a pole on the second step
         poles.append(-tau.d / tau.c)
@@ -101,3 +105,11 @@ def test_orbit_is_tau_step_by_step(case, integer):
     for nu in SUPPORT + [p for p in poles if type(p) is F and p not in SUPPORT]:
         for count in range(1, case.N + 2):
             assert outcome(case.orbit, nu, count) == outcome(stepwise, tau, nu, count), (nu, count)
+    calls = []
+    for name in FIELD_ARITHMETIC:
+        original = getattr(Cyclotomic, name)
+        monkeypatch.setattr(Cyclotomic, name, lambda *args, name=name, original=original: calls.append(name)
+                            or original(*args))
+    for nu in SUPPORT:
+        outcome(case.orbit, nu)
+    assert (calls == []) == integer, calls[:3]

@@ -4,9 +4,12 @@ Each mutant names a module of ``src/nreflect``, an exact old text, the new
 text that breaks it and the test that kills it.  A runner that applies them
 one at a time to a copy of the source needs each old text to occur exactly
 once in today's source; this self-test checks that, and that the killing
-test's file exists.  It does not apply any mutant.
+test is defined: its file exists and, read with ``ast``, defines the named
+test function, inside the named class where one is named.  It does not
+apply any mutant.
 """
 
+import ast
 import json
 from pathlib import Path
 
@@ -21,4 +24,9 @@ def test_each_mutant_applies_exactly_once(mutant):
     source = (ROOT / "src" / "nreflect" / mutant["file"]).read_text()
     assert source.count(mutant["old"]) == 1, mutant["old"]
     assert mutant["new"] != mutant["old"] and mutant["why"]
-    assert (ROOT / mutant["killed_by"].split("::")[0]).is_file(), mutant["killed_by"]
+    path, *names = mutant["killed_by"].split("::")
+    assert (ROOT / path).is_file() and len(names) in (1, 2), mutant["killed_by"]
+    scope = ast.parse((ROOT / path).read_text()).body
+    for name, kind in zip(names, [ast.ClassDef, ast.FunctionDef][-len(names):]):
+        scope = next((node.body for node in scope if isinstance(node, kind) and node.name == name), None)
+        assert scope is not None, mutant["killed_by"]

@@ -31,7 +31,7 @@ from nreflect.linalg import (  # noqa: E402
 )
 from nreflect.ratfun import Poly, _Packed  # noqa: E402
 from nreflect.reflection import PointFrame, rbar_at  # noqa: E402
-from nreflect.scalars import ONE, ZERO, Cyclotomic, _over, cyclotomic, euler_phi, zeta  # noqa: E402
+from nreflect.scalars import ONE, ZERO, Cyclotomic, _over, _parts, cyclotomic, euler_phi, zeta  # noqa: E402
 from nreflect.spinalg import SpinPoly, s_minus, s_plus, s_z  # noqa: E402
 
 ORDERS = (1, 3, 4, 5, 6, 8)
@@ -265,7 +265,7 @@ def conjugated(order, left, m, right, nu=ONE):
     """(1 x left(nu)) m (1 x right(nu)) for n x n rows of polynomials: the
     numerators the compile forms, tabled, evaluated at nu and read with
     weight 1."""
-    return conjugated_table(order, left, m, right).at(nu).combination([(ONE, (ONE,))])
+    return conjugated_table(order, left, m, right).at(nu).combination([((1, (1,), 1), (1, ((1,),), 1))])
 
 
 def at(rows, nu):
@@ -285,11 +285,12 @@ def test_leg_conjugation(order):
         eye = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
         left = [[Poly([a, b]) for a, b in zip(r0, r1)] for r0, r1 in zip(left0, left1)]
         right = [[Poly([a]) for a in row] for row in right]
-        unit = SimpleNamespace(base_r=SimpleNamespace(coefficients=lambda lam, point: (ONE,)))
+        unit = SimpleNamespace(base_r=SimpleNamespace(parts=lambda lam, point: (1, ((1,),), 1)))
         table = conjugated_table(order, left, m, right)
         for point in (nu,) if order == 1 else (nu, nu + zeta(order)):
             on_b = ref_mul(ref_mul(ref_kron(eye, at(left, point)), m), ref_kron(eye, at(right, point)))
-            frame = PointFrame((point,), (ONE,), (ONE,), SimpleNamespace(identity_k=False, table=table))
+            frame = PointFrame(point, (_parts(point),), ((1, (1,), 1),), ((1, (1,), 1),),
+                               SimpleNamespace(identity_k=False, table=table))
             check(rbar_at(unit, ZERO, frame), on_b)
             check(conjugated(order, left, m, right, point), on_b)
 

@@ -22,6 +22,7 @@ the identity-k cases over the rational r, read by ``tests/test_reflection.py``
 and ``tests/test_acceptance.py``.
 """
 
+import dataclasses
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -30,10 +31,11 @@ from hypothesis import given, settings, strategies as st
 
 from nreflect.errors import ConstraintError, PoleError
 from nreflect.linalg import LegTable, Matrix, tensor_pair
-from nreflect.reflection import (CATALOG, PointFrame, case_by_label, n_unitarity_entry, nre_residual, point_frame,
-                                 rbar_at, rbar_matrix, tamper)
+from nreflect.ratfun import Poly, RatFun
+from nreflect.reflection import (CATALOG, KMatrix, PointFrame, case_by_label, n_unitarity_entry, nre_residual,
+                                 point_frame, rbar_at, rbar_matrix, tamper)
 from nreflect.sampling import DEFAULT_SEED, POLE_ERRORS, SplitMix64, sample_evaluated
-from nreflect.scalars import ZERO, as_scalar, cyclotomic, euler_phi, zeta
+from nreflect.scalars import ZERO, _canonical, _parts, as_scalar, cyclotomic, euler_phi, zeta
 
 import poly_compile
 
@@ -178,14 +180,15 @@ def test_rbar_of_a_direct_compiled_frame_reaches_the_packing_bound(order, n):
                      for lower in (False, True, False, True)]
             for sign in (1, -1):
                 weight = entry * sign
+                g, f = _parts(weight), _parts(entry)
                 table = SimpleNamespace(identity_k=False, table=LegTable(terms, [0, 2]))
-                frame = PointFrame((nu, nu), (weight, entry), (weight, entry), table)
-                case = SimpleNamespace(base_r=SimpleNamespace(coefficients=lambda lam, point: (entry, weight)))
+                frame = PointFrame(nu, (_parts(nu),) * 2, (g, f), (g, f), table)
+                case = SimpleNamespace(base_r=SimpleNamespace(parts=lambda lam, point: (f[0], (f[1], g[1]), f[2])))
                 want = None
                 for t, term in enumerate(terms):
                     value = sum((x * nu**d for d, x in enumerate(coeffs)), ZERO)
                     m = Matrix([[value if c in term[r] else ZERO for c in range(n * n)] for r in range(n * n)])
-                    m = m.scale(frame.scaled[t // 2] * (entry, weight)[t % 2])
+                    m = m.scale((weight, entry)[t // 2] * (entry, weight)[t % 2])
                     want = m if want is None else want + m
                 assert rbar_at(case, F(0), frame) == want, (top, nu, sign)
 
@@ -239,6 +242,60 @@ def test_rbar_matches_the_oracle_on_the_whole_sampler_support(label):
         got = outcome(lambda: rbar_at(case, LAM0, point_frame(case, nu)))
         assert got == outcome(oracle_rbar, case, LAM0, nu), (label, nu)
         assert n_unitarity_entry(case, nu) == oracle_unitarity_entry(case, nu), (label, nu)
+
+
+@pytest.mark.parametrize("label", ["id-3refl", "trig-2refl-tau"])
+def test_rbar_at_an_orbit_point_raises_the_base_r_pole(label):
+    # lam = tau^j(nu), given as a scalar or as its integer parts, meets the base r's pole in
+    # term j: the PoleError text is the one its normalized coefficients give at that point
+    case, met = case_by_label(label), 0
+    for nu in (F(5, 3), F(-7, 2), F(2, 9)):
+        frame = point_frame(case, nu)
+        for point, parts in zip(case.orbit(nu), frame.orbit):
+            with pytest.raises(PoleError) as want:
+                case.base_r.coefficients(point, point)
+            for lam in (point, parts):
+                with pytest.raises(PoleError) as got:
+                    rbar_at(case, lam, frame)
+                assert str(got.value) == str(want.value), (label, nu, point)
+                met += 1
+    assert met == 2 * 3 * case.N
+
+
+@pytest.mark.parametrize("label", ["trig-2refl-tau", "linear-k-N2-shift-th2"])
+def test_frames_over_a_negative_determinant_match_the_oracle(label):
+    # the scaled weight g / det P_j(nu) carries det's sign in its numerators: at every point of
+    # the sampler's support where some det P_j(nu) < 0, it is g^(j)(nu) / det P_j(nu), and rbar
+    # is the oracle's
+    case, negative = case_by_label(label), 0
+    for nu in SUPPORT:
+        try:
+            frame = point_frame(case, nu)
+        except POLE_ERRORS:
+            continue
+        dets = [det.eval_at(nu) for *_, det in case.compiled[0]]
+        if min(dets) < 0:
+            negative += 1
+            assert [_canonical(*g) for g in frame.scaled[1:]] == [
+                case.weights(j, nu) / det for j, det in enumerate(dets, 1)], (label, nu)
+            assert rbar_at(case, LAM0, frame) == oracle_rbar(case, LAM0, nu), (label, nu)
+    assert negative >= 100, negative
+
+
+def test_a_pole_of_k_at_an_orbit_point_over_an_unreduced_denominator():
+    # k = diag(1/(nu - 2), nu) with trig-3refl's tau(nu) = (nu + 3)/(1 - nu): tau(-1/3) = 8/4 = 2, a pole
+    # of k that the orbit's integer parts meet over the unreduced denominator 4, with tau^2(-1/3) = -5
+    # defined, so only the comparison of the parts with k's pole raises; both routes give k's PoleError
+    zero, nu = RatFun(Poly()), RatFun(Poly([0, 1]))
+    k = KMatrix(((RatFun(Poly([1]), [(F(2), 1)]), zero), (zero, nu)))
+    case = dataclasses.replace(case_by_label("trig-3refl-tau-nu"), label="hand-built-k-pole", k=k)
+    assert case.orbit(F(-1, 3)) == [F(-1, 3), F(2), F(-5)] and case._orbit(F(-1, 3))[1][2] == 4
+    for evaluate in (lambda: rbar_at(case, LAM0, point_frame(case, F(-1, 3))),
+                     lambda: oracle_rbar(case, LAM0, F(-1, 3))):
+        with pytest.raises(PoleError, match="^rational function has a pole at 2$"):
+            evaluate()
+    entry = n_unitarity_entry(case, F(-1, 3))
+    assert entry == oracle_unitarity_entry(case, F(-1, 3)) and entry["reason"] == "rational function has a pole at 2"
 
 
 PARAMETERS = settings(max_examples=12, deadline=None, derandomize=True, database=None)

@@ -36,7 +36,7 @@ from nreflect.reflection import (
 )
 from nreflect.rmatrix import cybe_residual, rational_r
 from nreflect.sampling import DEFAULT_SEED, POLE_ERRORS, SplitMix64, sample_evaluated
-from nreflect.scalars import zeta
+from nreflect.scalars import _canonical, zeta
 from test_rbar_oracle import scalar_functional_residual
 
 F = Fraction
@@ -309,6 +309,7 @@ class TestOneFramePerPoint:
         calls = self.counted(monkeypatch, Matrix, "inverse")
         frame = point_frame(case_by_label("id-3refl", {"n": 3}), F(5, 3))
         assert frame.scaled is frame.weights and "compiled" not in vars(frame.case)
+        assert [_canonical(*g) for g in frame.weights] == [frame.case.weights(j, F(5, 3)) for j in range(3)]
         assert calls == []
 
     @pytest.mark.parametrize("label", ["id-3refl", "trivial", "trig-3refl-id"])
@@ -330,11 +331,11 @@ class TestOneFramePerPoint:
         eye, kj = Matrix.identity(case.n), Matrix.identity(case.n)
         (m,) = case.base_r.basis
         assert frame.table.table.terms == case.N
-        for j, point in enumerate(frame.orbit):
+        for j, point in enumerate(case.orbit(nu)):
             det = case.compiled[0][j - 1][3].eval_at(nu) if j else F(1)
-            weights = [(F(int(i == j)), (F(1),)) for i in range(case.N)]
+            weights = [((1, (int(i == j),), 1), (1, ((1,),), 1)) for i in range(case.N)]
             assert frame.table.combination(weights) == (tensor_pair(eye, kj) * m * tensor_pair(eye, kj.inverse())).scale(det)
-            assert frame.scaled[j] == frame.weights[j] / det
+            assert _canonical(*frame.scaled[j]) == _canonical(*frame.weights[j]) / det
             kj = kj * case.k(point)
 
     @pytest.mark.parametrize("label", ["id-2refl", "trivial"])
@@ -438,7 +439,8 @@ class TestOneFramePerPoint:
     def test_identity_k_frame_multiplies_nothing(self, monkeypatch, label):
         calls = self.counted(monkeypatch, Matrix, "__mul__")
         frame = point_frame(case_by_label(label), F(5, 3))
-        assert frame.scaled is frame.weights
+        # the weights are integer parts, shared with no division by a det P_j(nu)
+        assert frame.scaled is frame.weights and all(len(g) == 3 and type(g[1]) is not F for g in frame.weights)
         assert calls == []
 
 

@@ -23,8 +23,9 @@ from nreflect import linalg  # noqa: E402
 from nreflect.errors import PoleError  # noqa: E402
 from nreflect.gaudin import MODEL_KINDS, case_for_config  # noqa: E402
 from nreflect.ratfun import Poly, RatFun  # noqa: E402
-from nreflect.reflection import CATALOG, case_by_label, equivalence_transform, point_frame, rbar_at  # noqa: E402
-from nreflect.sampling import POLE_ERRORS  # noqa: E402
+from nreflect.reflection import (CATALOG, case_by_label, equivalence_transform, point_frame, rbar_at,  # noqa: E402
+                                 sampled_check)
+from nreflect.sampling import DEFAULT_SEED, POLE_ERRORS, SplitMix64, sample_evaluated  # noqa: E402
 
 PROFILE = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
@@ -270,3 +271,35 @@ def test_rbar_at_makes_no_fraction_arithmetic_and_no_combination(monkeypatch):
                 poles += 1
     assert calls == []
     assert values > 200 and poles > 0
+
+
+FRAME_SUBJECTS = ("nre", "compact", "nunitarity", "rbar-cybe")
+
+
+def count_fraction_constructions(monkeypatch):
+    """The list that every ``Fraction`` construction appends to."""
+    made, original = [], F.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    return made
+
+
+@pytest.mark.parametrize("subject", FRAME_SUBJECTS)
+@pytest.mark.parametrize("name", sorted(name for name in CASES if not name.startswith("gaudin-")
+                                        and is_rational(CASES[name]())) + ["id-3refl-n3"])
+def test_frame_subjects_construct_no_fraction_at_admissible_draws(monkeypatch, name, subject):
+    """At 40 seeded admissible draws, the ``evaluate`` of ``sampled_check``
+    for the subjects that read a point frame builds not one ``Fraction``:
+    the spectral scalars stay integer parts from the draw to the kernel.
+    The draws, and their rejected points, are made before the count."""
+    case = case_by_label("id-3refl", {"n": 3}) if name == "id-3refl-n3" else CASES[name]()
+    arity, evaluate = sampled_check(case, subject)
+    draws = [point for point, _ in sample_evaluated(SplitMix64(DEFAULT_SEED), 40, arity, evaluate)]
+    made = count_fraction_constructions(monkeypatch)
+    for point in draws:
+        evaluate(*point)
+    assert made == [], (name, subject, len(made))
