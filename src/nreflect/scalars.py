@@ -275,7 +275,7 @@ def _parts(x) -> tuple:
 def _canonical(order: int, num, den: int) -> Scalar:
     """The element num/den (den > 0, or any den if rational) in lowest
     terms; rational values demote to Fraction."""
-    if not any(num[1:]):
+    if len(num) == 1 or not any(num[1:]):
         return Fraction(num[0], den)
     g = gcd(den, *num)
     if g != 1:
