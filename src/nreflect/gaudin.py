@@ -60,7 +60,7 @@ from .reflection import (
     trivial_case,
 )
 from .reflection import rbar_matrix  # noqa: F401 - perfbench/test_perfbench.py reads it off this module
-from .scalars import ZERO, _canonical, _power, as_scalar, scalar_from_str, zeta
+from .scalars import ZERO, _canonical, _parts, _power, as_scalar, scalar_from_str, zeta
 from .spinalg import (SpinPoly, _combination, _product_sum, bracket_partials, casimir, partials, poisson_bracket,
                       s_minus, s_pair, s_plus, s_z)
 
@@ -348,7 +348,7 @@ def sampled_residual(model: GaudinModel, sub: str, lam, mu, p: int = 2, q: int =
                 for i in ks]
 
     if sub == "mk":
-        m_mu, m_tau = m_terms(s), m_terms(swap_pair(rbar_at(case, case.tau(mu), at_lam)).rows, -1)
+        m_mu, m_tau = m_terms(s), m_terms(swap_pair(rbar_at(case, case.tau.image(_parts(mu)), at_lam)).rows, -1)
         return SpinRows(tuple(_combination(m_mu[i][j] + m_tau[i][j]) for j in ks) for i in ks)
     m = SpinRows(tuple(_combination(terms) for terms in row) for row in m_terms(s))
     dt = partials(_power(b_lam, p).trace())  # the bracket enters the product sum times the constant UNIT

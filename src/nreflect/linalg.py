@@ -21,7 +21,8 @@ are combinations; :func:`product_sum` sums signed products, as in the
 reflection residual (:mod:`nreflect.rmatrix` has its own Yang-Baxter sum).  A
 :class:`LegTable` holds pair-leg matrices compiled, indexed per entry,
 each numerator the integer coefficients of a polynomial in nu, such as
-the conjugated (1 x P(nu)) m (1 x adj P(nu)) of a reflection case.  Its
+the constant basis of a base r-matrix or the conjugated
+(1 x P(nu)) m (1 x adj P(nu)) of a reflection case.  Its
 ``at`` evaluates all of them at a rational nu in one packed Horner pass,
 into :class:`LegValues` over one denominator on the same index, whose
 ``combination`` of scalar weights is one dot per entry.  The kernels that
@@ -41,7 +42,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from typing import NamedTuple
 
 from .errors import ShapeError, SingularMatrixError
@@ -491,17 +492,6 @@ def partial_trace(m: Matrix, leg: str) -> Matrix:
                 out[i][j] = val if old is None else tuple(map(operator.add, old, val))
     out = [{j: vec for j, vec in row.items() if any(vec)} for row in out]
     return _matrix(m._order, m._den, out, n, n)
-
-
-class Basis(tuple):
-    """Constant pair-leg matrices M_i of exact scalars over one field, as a
-    tuple that builds their table once: the :class:`LegTable` of constant
-    polynomials at nu = 1, which every factor pair reads from term 0."""
-
-    @cached_property
-    def table(self) -> "LegValues":
-        _pair_factor(self[0], "Basis")
-        return LegTable([[{c: (m[r, c],) for c in row} for r, row in enumerate(m._sparse)] for m in self]).at(ONE)
 
 
 class LegTable:

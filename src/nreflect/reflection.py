@@ -197,12 +197,11 @@ class KSolution:
     @cached_property
     def table(self) -> LegTable:
         """The :class:`~nreflect.linalg.LegTable` of the compile's integer numerators (1 x P_j) M_i (1 x adj P_j),
-        j < N, of the base r's matrices M_i, term j B + i for B matrices, built on the first rbar."""
-        basis, (terms, _, ring), den = self.base_r.basis, self.compiled, math.lcm(*(m._den for m in self.base_r.basis))
-        ms = [[{c: [x * (den // m._den) for x in vec] for c, vec in row.items()} for row in m._sparse] for m in basis]
-        table = [[{c: tuple((x,) for x in vec) for c, vec in row.items()} for row in m] for m in ms] + [
+        j < N, of the base r's :attr:`~nreflect.rmatrix.RMatrixFun.numerators` M_i, term j B + i, on the first rbar."""
+        (terms, _, ring), (_, den, ms, constants) = self.compiled, self.base_r.numerators
+        table = constants + [
             term for rows, _, adj, _ in terms for term in ring.conjugated(rows, ms, adj, self.n)]
-        return LegTable(table, [j * len(basis) for j in range(self.N)], ring.order, den)
+        return LegTable(table, [j * len(ms) for j in range(self.N)], ring.order, den)
 
     @cached_property
     def reparametrization(self) -> "EquivalenceTransform":
@@ -214,7 +213,7 @@ class KSolution:
 class PointFrame:
     """What the induced matrix needs at one point nu, for j < N, as integer parts (:func:`~nreflect.scalars._parts`):
     the orbit tau^j(nu), the weights g^(j)(nu), and g^(j)(nu) / det P_j(nu).  ``table`` holds (1 x P_j) M_i
-    (1 x adj P_j) at nu, the case's compiled table read once per frame, or, for identity k, the base r's own."""
+    (1 x adj P_j) at nu, the case's table read once per frame, or for identity k the base r's one table."""
 
     nu: Scalar
     orbit: tuple
@@ -225,7 +224,7 @@ class PointFrame:
     @cached_property
     def table(self) -> LegValues:
         if self.case.identity_k:
-            return self.case.base_r.basis.table
+            return self.case.base_r.table
         return self.case.table.at(self.nu)
 
 
@@ -321,28 +320,29 @@ def nre_residual(case: KSolution, lam, nu) -> Matrix:
 
 def symmetry_relation_residual(case: KSolution, omega, lam, nu) -> Matrix:
     """r_ab(l, n) - omega k_a k_b r_ab(tau l, tau n) k_b^-1 k_a^-1 (needs
-    omega^N = 1); for identity k, k is neither evaluated nor inverted nor
-    applied.  k(l) and k(n) are inverted by elimination: reading them from
-    the adjugate and determinant of k's numerator measured slower."""
+    omega^N = 1), l, n, tau(l), tau(n) as integer parts and r from its table;
+    for identity k, one combination of the table, k neither evaluated nor
+    inverted nor applied.  k(l) and k(n) are inverted by elimination: reading
+    them from the adjugate and determinant of k's numerator measured slower."""
     r = case.base_r
     omega = as_scalar(omega)
     if omega**case.N != 1:
         raise ConstraintError(f"omega^{case.N} != 1 for omega = {omega}")
-    lam, nu = as_scalar(lam), as_scalar(nu)
     ka, kb = (None, None) if case.identity_k else (case.k(lam), case.k(nu))
-    inner = r(case.tau(lam), case.tau(nu))
-    if ka is not None:
-        k_ab_inv = tensor_pair(ka.inverse(label="k(lam)"), kb.inverse(label="k(nu)"))
-        inner = tensor_pair(ka, kb) * inner * k_ab_inv
-    return r(lam, nu) - inner.scale(omega)
+    lam, nu = _parts(as_scalar(lam)), _parts(as_scalar(nu))
+    inner = r.parts(case.tau.image(lam), case.tau.image(nu))
+    if ka is None:
+        return r.table.combination([((1, (1,), 1), r.parts(lam, nu)), (_parts(-omega), inner)])
+    k_ab_inv = tensor_pair(ka.inverse(label="k(lam)"), kb.inverse(label="k(nu)"))
+    inner = tensor_pair(ka, kb) * r.table.combination([((1, (1,), 1), inner)]) * k_ab_inv
+    return r.table.combination([((1, (1,), 1), r.parts(lam, nu))]) - inner.scale(omega)
 
 
-def build_rbar(case: KSolution) -> RMatrixFun:
-    """Evaluator for the induced matrix rbar.  It solves the classical
-    Yang-Baxter equation only for cases whose reflection residual vanishes;
-    ``verify nre`` and ``verify rbar-cybe`` check both."""
-    return RMatrixFun(kind="constructed", label=f"rbar[{case.label}]",
-                      evaluate=lambda lam, mu: rbar_matrix(case, lam, mu))
+def build_rbar(case: KSolution) -> Callable[[Scalar, Scalar], Matrix]:
+    """The induced matrix rbar(lam, nu), :func:`rbar_matrix` of the case.  It
+    solves the classical Yang-Baxter equation only for cases whose reflection
+    residual vanishes; ``verify nre`` and ``verify rbar-cybe`` check both."""
+    return partial(rbar_matrix, case)
 
 
 def tamper(case: KSolution, mode: str) -> KSolution:

@@ -1,9 +1,9 @@
 """Base r-matrices and the Yang-Baxter residual checker.
 
-r-matrices are represented as exact evaluators that raise ``PoleError`` at
-their poles; identities about them are certified by evaluation at seeded
-rational sample points (see :mod:`nreflect.sampling`).  The Yang-Baxter residual
-sums four pair-leg matrices in Kronecker slots (:func:`cybe_residual`).
+An r-matrix maps two points to a pair-leg matrix, raising ``PoleError`` at its poles; identities about it are
+certified at seeded rational sample points (:mod:`nreflect.sampling`).  A base r and the induced rbar are both integer
+parts over a table (:class:`RMatrixFun`, :func:`~nreflect.reflection.rbar_at`).  The Yang-Baxter residual sums four
+pair-leg matrices in Kronecker slots (:func:`cybe_residual`).
 """
 
 from __future__ import annotations
@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress, islice, zip_longest
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import ConstraintError, PoleError, ShapeError
-from .linalg import Basis, Matrix, _matrix, _pair_factor, combination, permutation_operator, swap_pair
-from .scalars import Scalar, _canonical, _inverse_parts, _one_field, _pack, _parts, _ring, as_scalar, euler_phi
+from .linalg import LegTable, LegValues, Matrix, _matrix, _pair_factor, permutation_operator, swap_pair
+from .scalars import ONE, Scalar, _canonical, _inverse_parts, _one_field, _pack, _parts, _ring, euler_phi
 
 MAX_FACTOR_SIZE = 16  # the largest n of C^n: the CYBE residual sums into n^5 ints of n^2 slots each
 READ_BYTES = 1 << 17  # the most bytes the CYBE residual reads back at once, unless one sum is larger
@@ -24,27 +25,34 @@ READ_BYTES = 1 << 17  # the most bytes the CYBE residual reads back at once, unl
 
 @dataclass(frozen=True)
 class RMatrixFun:
-    """Matrix-valued function of two spectral parameters on C^n x C^n.
+    """A base r-matrix sum_i f_i(lam, mu) M_i on C^n x C^n: ``parts(lam, mu)``, one integer formula, gives the f_i
+    at the integer parts of two points (:func:`~nreflect.scalars._parts`) as (N, (numerators of f_0, ...), D), D
+    nonzero of either sign, and raises PoleError at a pole; ``basis`` holds the M_i.  A call is one combination of
+    the parts over :attr:`table`, the kernel rbar takes (:meth:`~nreflect.linalg.LegValues.combination`);
+    :meth:`coefficients` normalizes the parts, for reading."""
 
-    A base r-matrix is a combination sum_i f_i(lam, mu) M_i of constant
-    matrices: ``parts(lam, mu)``, one integer formula, gives the f_i at the
-    integer parts of two points (:func:`~nreflect.scalars._parts`) as
-    (N, (numerators of f_0, ...), D), D nonzero of either sign, and raises
-    PoleError at a pole; :meth:`coefficients` normalizes it once, ``basis``
-    holds the M_i, and a call is the one :func:`~nreflect.linalg.combination`
-    of the two.  A constructed r-matrix calls its ``evaluate``."""
-
-    kind: str  # "rational" | "trigonometric" | "constructed"
-    evaluate: Optional[Callable[[Scalar, Scalar], Matrix]] = None  # raises PoleError at a pole
-    label: str = ""
-    parts: Optional[Callable[[tuple, tuple], tuple]] = None
-    basis: tuple = ()
+    kind: str  # "rational" | "trigonometric"
+    label: str
+    parts: Callable[[tuple, tuple], tuple]
+    basis: tuple
 
     def __call__(self, lam, mu) -> Matrix:
-        lam, mu = as_scalar(lam), as_scalar(mu)
-        if self.evaluate is not None:
-            return self.evaluate(lam, mu)
-        return combination(zip(self.coefficients(lam, mu), self.basis))
+        return self.table.combination([((1, (1,), 1), self.parts(_parts(lam), _parts(mu)))])
+
+    @cached_property
+    def numerators(self) -> tuple:
+        """(N, D, rows, terms): each M_i over Q(zeta_N) as sparse rows of integer numerator vectors over the one lcm
+        D, and as the constant terms of a :class:`~nreflect.linalg.LegTable`."""
+        order, den = _one_field(*(m._order for m in self.basis)), math.lcm(*(m._den for m in self.basis))
+        rows = [[{c: [x * (den // m._den) for x in v] for c, v in r.items()} for r in m._sparse] for m in self.basis]
+        return order, den, rows, [[{c: tuple((x,) for x in v) for c, v in r.items()} for r in m] for m in rows]
+
+    @cached_property
+    def table(self) -> LegValues:
+        """The M_i's LegTable read at nu = 1, once; ShapeError unless they are n^2 x n^2."""
+        _pair_factor(self.basis[0], "an r-matrix basis")
+        order, den, _, terms = self.numerators
+        return LegTable(terms, (), order, den).at(ONE)
 
     def coefficients(self, lam, mu) -> tuple:
         """The scalars f_i(lam, mu): :attr:`parts` normalized once each."""
@@ -72,7 +80,7 @@ def rational_r(n: int) -> RMatrixFun:
         others, norm = _inverse_parts(order, diff)
         return order, ([da * db * c for c in others],), norm
 
-    return RMatrixFun("rational", label=label, parts=parts, basis=Basis((permutation_operator(n),)))
+    return RMatrixFun("rational", label, parts, (permutation_operator(n),))
 
 
 def trig_r() -> RMatrixFun:
@@ -82,22 +90,23 @@ def trig_r() -> RMatrixFun:
 
     with s = lam + nu, as s/(2 (lam - nu)) diag(-1, 1, 1, -1) plus
     -2 nu/(lam - nu) and -2 lam/(lam - nu) times the units at (1, 2) and
-    (2, 1), counted from 0.  The points are rational: for lam = p/q and
-    nu = r/s the three scalars' parts are (ps + rq, -4rq, -4ps) over
-    2 (ps - rq)."""
+    (2, 1), counted from 0.  The points are rational, ConstraintError
+    otherwise: for lam = p/q and nu = r/s the three scalars' parts are
+    (ps + rq, -4rq, -4ps) over 2 (ps - rq)."""
 
-    def unit(i, j):
-        return Matrix([[int((r, c) == (i, j)) for c in range(4)] for r in range(4)])
+    units = [Matrix([[int((r, c) == ij) for c in range(4)] for r in range(4)]) for ij in ((1, 2), (2, 1))]
 
     def parts(lam, nu):
-        (_, (p,), q), (_, (r,), s) = lam, nu
+        (_, (p, *x), q), (_, (r, *y), s) = lam, nu
+        if any(x) or any(y):
+            raise ConstraintError(f"trigonometric r-matrix at points not in Q: ({_canonical(*lam)}, {_canonical(*nu)})")
         ps, rq = p * s, r * q
         if ps == rq:
             raise PoleError(f"trigonometric r-matrix has a pole at ({_canonical(*lam)}, {_canonical(*nu)})")
         return 1, ((ps + rq,), (-4 * rq,), (-4 * ps,)), 2 * (ps - rq)
 
-    return RMatrixFun("trigonometric", label="trigonometric", parts=parts,
-                      basis=Basis((Matrix.diagonal([-1, 1, 1, -1]), unit(1, 2), unit(2, 1))))
+    return RMatrixFun("trigonometric", "trigonometric", parts,
+                      (Matrix.diagonal([-1, 1, 1, -1]), *units))
 
 
 def cybe_residual(r: Callable[[Scalar, Scalar], Matrix], lam, mu, nu) -> Matrix:
@@ -173,6 +182,6 @@ def _cybe_kernel(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
     return _matrix(order, den, out, cube, cube)
 
 
-def skew_residual(r: RMatrixFun, lam, mu) -> Matrix:
+def skew_residual(r: Callable[[Scalar, Scalar], Matrix], lam, mu) -> Matrix:
     """r_ab(lam, mu) + P r(mu, lam) P; zero iff r is skew-symmetric."""
     return r(lam, mu) + swap_pair(r(mu, lam))

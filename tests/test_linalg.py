@@ -4,7 +4,6 @@ import pytest
 
 from nreflect.errors import ShapeError, SingularMatrixError
 from nreflect.linalg import (
-    Basis,
     Matrix,
     commutator,
     embed_pair,
@@ -14,7 +13,7 @@ from nreflect.linalg import (
     tensor_pair,
 )
 from nreflect.reflection import build_rbar, case_by_label
-from nreflect.rmatrix import RMatrixFun, cybe_residual
+from nreflect.rmatrix import RMatrixFun, cybe_residual, rational_r
 from nreflect.sampling import SplitMix64
 from nreflect.scalars import Cyclotomic, zeta
 
@@ -105,8 +104,8 @@ class TestMatrixAlgebra:
     def test_a_basis_table_needs_a_pair_leg_matrix(self):
         for shape in ((3, 3), (2, 3)):
             with pytest.raises(ShapeError, match="n\\^2 x n\\^2"):
-                Basis((Matrix([[Fraction(1)] * shape[1]] * shape[0]),)).table
-        assert Basis((permutation_operator(2),)).table.table.terms == 1
+                RMatrixFun("rational", "not pair-leg", None, (Matrix([[Fraction(1)] * shape[1]] * shape[0]),)).table
+        assert rational_r(2).table.table.terms == 1
 
     def test_inverse_and_product_rule(self):
         rng = SplitMix64(2024)
@@ -175,7 +174,7 @@ class TestIntegerFormCounts:
         lam, mu, nu = Fraction(5, 3), Fraction(-7, 2), Fraction(11, 5)
         values = {pair: rbar(*pair) for pair in ((lam, mu), (lam, nu), (mu, nu), (nu, mu))}
         assert any(isinstance(v, Cyclotomic) for row in values[lam, mu].rows for v in row)
-        frozen = RMatrixFun(kind="constructed", evaluate=lambda x, y: values[x, y])
+        frozen = lambda x, y: values[x, y]  # noqa: E731
 
         calls = []
         for name in ("__mul__", "__rmul__", "__add__", "__radd__"):

@@ -4,8 +4,9 @@ import pytest
 
 from nreflect.errors import ConstraintError, PoleError
 from nreflect.linalg import Matrix, permutation_operator, swap_pair
-from nreflect.rmatrix import MAX_FACTOR_SIZE, RMatrixFun, cybe_residual, rational_r, skew_residual, trig_r
+from nreflect.rmatrix import MAX_FACTOR_SIZE, cybe_residual, rational_r, skew_residual, trig_r
 from nreflect.sampling import DEFAULT_SEED, SplitMix64, sample_evaluated
+from nreflect.scalars import zeta
 
 F = Fraction
 
@@ -43,6 +44,14 @@ class TestTrigR:
         with pytest.raises(PoleError):
             trig_r()(F(1), F(1))
 
+    def test_a_point_outside_q_is_refused(self):
+        # its points are rational: a Q(zeta_3) point is a ConstraintError that names the pair, also inside the
+        # Yang-Baxter residual, and not an unpacking failure
+        with pytest.raises(ConstraintError, match=r"^trigonometric r-matrix at points not in Q: \(1 \+ z, 1\)$"):
+            trig_r()(zeta(3) + 1, F(1))
+        with pytest.raises(ConstraintError, match=r"not in Q: \(2, z\)$"):
+            cybe_residual(trig_r(), F(2), zeta(3), F(5))
+
     def test_skew_symmetry(self):
         assert skew_residual(trig_r(), F(2), F(1)).is_zero()
 
@@ -56,10 +65,7 @@ class TestCybeResidual:
 
     def test_broken_r_fails(self):
         perm = permutation_operator(2)
-        broken = RMatrixFun(
-            kind="rational",
-            evaluate=lambda lam, mu: perm.scale(1 / (lam - 2 * mu)),
-            label="broken")
+        broken = lambda lam, mu: perm.scale(1 / (lam - 2 * mu))  # noqa: E731
         assert not cybe_residual(broken, F(1), F(2), F(3)).is_zero()
 
     @pytest.mark.parametrize("r", [rational_r(2), rational_r(3), trig_r()],

@@ -23,8 +23,9 @@ from nreflect import linalg  # noqa: E402
 from nreflect.errors import PoleError  # noqa: E402
 from nreflect.gaudin import MODEL_KINDS, case_for_config  # noqa: E402
 from nreflect.ratfun import Poly, RatFun  # noqa: E402
-from nreflect.reflection import (CATALOG, case_by_label, equivalence_transform, point_frame, rbar_at,  # noqa: E402
-                                 sampled_check)
+from nreflect.reflection import (CATALOG, MobiusMap, case_by_label, equivalence_transform, point_frame,  # noqa: E402
+                                 rbar_at, sampled_check)
+from nreflect.rmatrix import RMatrixFun, cybe_residual, rational_r, trig_r  # noqa: E402
 from nreflect.sampling import DEFAULT_SEED, POLE_ERRORS, SplitMix64, sample_evaluated  # noqa: E402
 
 PROFILE = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -303,3 +304,30 @@ def test_frame_subjects_construct_no_fraction_at_admissible_draws(monkeypatch, n
     for point in draws:
         evaluate(*point)
     assert made == [], (name, subject, len(made))
+
+
+def read_normalized_scalars(*args):
+    raise AssertionError("a normalized r-matrix coefficient or tau value was read")
+
+
+CYBE_RS = {"rational-n2": lambda: rational_r(2), "rational-n3": lambda: rational_r(3), "trig": trig_r}
+
+
+@pytest.mark.parametrize("subject, name", [("cybe", name) for name in CYBE_RS]
+                         + [("symmetry", label) for label in sorted(CATALOG)])
+def test_cybe_and_symmetry_read_no_normalized_scalars(monkeypatch, subject, name):
+    """The ``cybe`` subject, as ``verify cybe`` runs it, and the ``symmetry``
+    subject of every cataloged case evaluate r and tau from integer parts:
+    with ``RMatrixFun.coefficients`` and ``MobiusMap.__call__`` patched to
+    raise, each of 25 seeded admissible draws, made before the patch, still
+    evaluates, to the same matrix."""
+    if subject == "cybe":
+        r = CYBE_RS[name]()
+        arity, evaluate = 3, lambda *pt: cybe_residual(r, *pt)
+    else:
+        arity, evaluate = sampled_check(case_by_label(name), subject)
+    draws = list(sample_evaluated(SplitMix64(DEFAULT_SEED), 25, arity, evaluate))
+    monkeypatch.setattr(RMatrixFun, "coefficients", read_normalized_scalars)
+    monkeypatch.setattr(MobiusMap, "__call__", read_normalized_scalars)
+    for point, value in draws:
+        assert evaluate(*point) == value, (name, point)
